@@ -13,7 +13,9 @@
 #                 trace and metrics)
 #   fleet         `vmsh fleet --vms 8`: all sessions attach, the shared
 #                 symbol cache hits, and two identical runs produce
-#                 byte-identical schedules and metrics
+#                 byte-identical schedules and metrics — then a cold
+#                 64-VM fleet, which sparse guest memory keeps under
+#                 1 GiB peak RSS
 #   fleet-fork    linked clones: bake a baseline image, fork a 64-VM
 #                 fleet from it through the CoW overlay, gate fork p99
 #                 against the cold attach p50 and shared vs copied
@@ -171,6 +173,11 @@ stage_fleet() {
     echo "ci: fleet metrics diverged across identical seeds" >&2
     return 1
   }
+  # Scale: 64 cold-booted sessions at once. Each guest's RAM, boot disk
+  # and mmaps hold only the pages it wrote, so this fits a small box.
+  vmsh fleet --vms 64 --metrics-out "$ARTIFACTS/fleet-64-metrics.json" \
+    > /dev/null
+  ci_check fleet "$ARTIFACTS/fleet-64-metrics.json"
 }
 
 stage_fleet_fork() {

@@ -38,24 +38,39 @@ let mem t = t.backing
 
 let dev t =
   let bs = Dev.block_size in
+  let in_range what i =
+    if i < 0 || i >= t.blocks then
+      invalid_arg (Printf.sprintf "Backend.%s %d out of %d" what i t.blocks)
+  in
+  let read_into i dst off =
+    in_range "read_block" i;
+    t.stats.reads <- t.stats.reads + 1;
+    charge t ~blocks:1;
+    Mem.blit ~src:t.backing ~src_off:(i * bs) ~dst:(Mem.of_bytes dst)
+      ~dst_off:off ~len:bs
+  in
+  let write_from i src off =
+    in_range "write_block" i;
+    t.stats.writes <- t.stats.writes + 1;
+    charge t ~blocks:1;
+    Mem.blit ~src:(Mem.of_bytes src) ~src_off:off ~dst:t.backing
+      ~dst_off:(i * bs) ~len:bs
+  in
   {
     Dev.block_size = bs;
     blocks = t.blocks;
     read_block =
       (fun i ->
-        if i < 0 || i >= t.blocks then
-          invalid_arg (Printf.sprintf "Backend.read_block %d out of %d" i t.blocks);
-        t.stats.reads <- t.stats.reads + 1;
-        charge t ~blocks:1;
-        Mem.read_bytes t.backing (i * bs) bs);
+        let b = Bytes.create bs in
+        read_into i b 0;
+        b);
     write_block =
       (fun i b ->
-        if i < 0 || i >= t.blocks then
-          invalid_arg (Printf.sprintf "Backend.write_block %d out of %d" i t.blocks);
+        in_range "write_block" i;
         if Bytes.length b <> bs then invalid_arg "Backend.write_block: bad size";
-        t.stats.writes <- t.stats.writes + 1;
-        charge t ~blocks:1;
-        Mem.write_bytes t.backing (i * bs) b);
+        write_from i b 0);
+    read_into;
+    write_from;
     flush =
       (fun () ->
         t.stats.flushes <- t.stats.flushes + 1;

@@ -3,12 +3,28 @@ type t = {
   blocks : int;
   read_block : int -> bytes;
   write_block : int -> bytes -> unit;
+  read_into : int -> bytes -> int -> unit;
+  write_from : int -> bytes -> int -> unit;
   flush : unit -> unit;
   trim : int -> int -> unit;
 }
 
 let block_size = 4096
 let size_bytes t = t.block_size * t.blocks
+
+let make ~block_size ~blocks ~read_block ~write_block ~flush ~trim =
+  {
+    block_size;
+    blocks;
+    read_block;
+    write_block;
+    read_into =
+      (fun i dst off -> Bytes.blit (read_block i) 0 dst off block_size);
+    write_from =
+      (fun i src off -> write_block i (Bytes.sub src off block_size));
+    flush;
+    trim;
+  }
 
 let read_range t ~off ~len =
   let bs = t.block_size in
@@ -17,8 +33,8 @@ let read_range t ~off ~len =
     if remaining > 0 then begin
       let blk = off / bs and boff = off mod bs in
       let chunk = min remaining (bs - boff) in
-      let data = t.read_block blk in
-      Bytes.blit data boff out dst chunk;
+      if chunk = bs then t.read_into blk out dst
+      else Bytes.blit (t.read_block blk) boff out dst chunk;
       go (off + chunk) (dst + chunk) (remaining - chunk)
     end
   in
@@ -31,9 +47,7 @@ let write_range t ~off b =
     if remaining > 0 then begin
       let blk = off / bs and boff = off mod bs in
       let chunk = min remaining (bs - boff) in
-      if chunk = bs then begin
-        t.write_block blk (Bytes.sub b src chunk)
-      end
+      if chunk = bs then t.write_from blk b src
       else begin
         let data = t.read_block blk in
         Bytes.blit b src data boff chunk;
@@ -58,6 +72,10 @@ let observe obs ~name t =
     t with
     read_block = (fun i -> timed "read" (fun () -> t.read_block i));
     write_block = (fun i b -> timed "write" (fun () -> t.write_block i b));
+    read_into =
+      (fun i dst off -> timed "read" (fun () -> t.read_into i dst off));
+    write_from =
+      (fun i src off -> timed "write" (fun () -> t.write_from i src off));
     flush = (fun () -> timed "flush" (fun () -> t.flush ()));
   }
 
@@ -68,6 +86,8 @@ let sub t ~first_block ~blocks =
     blocks;
     read_block = (fun i -> t.read_block (first_block + i));
     write_block = (fun i b -> t.write_block (first_block + i) b);
+    read_into = (fun i dst off -> t.read_into (first_block + i) dst off);
+    write_from = (fun i src off -> t.write_from (first_block + i) src off);
     flush = t.flush;
     trim = (fun first count -> t.trim (first_block + first) count);
   }

@@ -11,6 +11,12 @@ type t = {
   read_block : int -> bytes;
   (** [read_block i] returns exactly [block_size] bytes. *)
   write_block : int -> bytes -> unit;
+  read_into : int -> bytes -> int -> unit;
+  (** [read_into i dst off] is [read_block i] copied into [dst] at
+      [off], without allocating a block buffer. *)
+  write_from : int -> bytes -> int -> unit;
+  (** [write_from i src off] is [write_block i] of the [block_size]
+      bytes of [src] at [off], without a sub-buffer. *)
   flush : unit -> unit;  (** barrier / FUA; devices count these *)
   trim : int -> int -> unit;  (** [trim first count] discards blocks *)
 }
@@ -18,10 +24,22 @@ type t = {
 val block_size : int
 (** The simulation-wide block size (4096). *)
 
+val make :
+  block_size:int ->
+  blocks:int ->
+  read_block:(int -> bytes) ->
+  write_block:(int -> bytes -> unit) ->
+  flush:(unit -> unit) ->
+  trim:(int -> int -> unit) ->
+  t
+(** A device from its block operations alone; [read_into] and
+    [write_from] copy through [read_block] and [write_block]. *)
+
 val size_bytes : t -> int
 
 val read_range : t -> off:int -> len:int -> bytes
-(** Byte-granular helper built on block reads (read-modify for edges). *)
+(** Byte-granular helper built on block reads (read-modify for edges);
+    whole blocks go through [read_into] and [write_from]. *)
 
 val write_range : t -> off:int -> bytes -> unit
 

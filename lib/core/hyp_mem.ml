@@ -208,27 +208,33 @@ let read_phys t ~gpa ~len =
   if len = 0 then Bytes.empty
   else
     let segs = segments t ~what:"read_phys" ~gpa ~len in
-    match (t.cmode, segs) with
-    | Bulk, _ -> (
+    let join = function
+      | [ part ] -> part
+      | parts -> Bytes.concat Bytes.empty parts
+    in
+    match t.cmode with
+    | Bulk -> (
         (* one vectored syscall for the whole access, however many
            memslots back it *)
         match vm_readv t ~iov:segs with
-        | Ok parts -> Bytes.concat Bytes.empty parts
+        | Ok parts -> join parts
         | Error e -> fail_errno "read_phys" e)
-    | _, _ ->
-        Bytes.concat Bytes.empty
-          (List.map (fun (hva, len) -> read_hva t ~hva ~len) segs)
+    | _ -> join (List.map (fun (hva, len) -> read_hva t ~hva ~len) segs)
 
 let write_phys_raw t ~gpa b =
   let len = Bytes.length b in
   if len > 0 then begin
     let segs = segments t ~what:"write_phys" ~gpa ~len in
+    (* a single segment spanning the whole access needs no sub-buffer *)
+    let piece off seg_len =
+      if seg_len = len then b else Bytes.sub b off seg_len
+    in
     match t.cmode with
     | Bulk -> (
         let _, iov =
           List.fold_left
             (fun (off, acc) (hva, len) ->
-              (off + len, (hva, Bytes.sub b off len) :: acc))
+              (off + len, (hva, piece off len) :: acc))
             (0, []) segs
         in
         match vm_writev t ~iov:(List.rev iov) with
@@ -238,7 +244,7 @@ let write_phys_raw t ~gpa b =
         ignore
           (List.fold_left
              (fun off (hva, len) ->
-               write_hva t ~hva (Bytes.sub b off len);
+               write_hva t ~hva (piece off len);
                off + len)
              0 segs)
   end

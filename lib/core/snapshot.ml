@@ -3,9 +3,12 @@
    [capture] digests guest physical memory page-by-page (through the
    simulated KVM's direct view — zero virtual-time cost, so snapshots
    never perturb schedules or benchmarks) plus every vCPU register
-   file. [diff] then proves a detached/aborted attach restored the
-   guest byte-for-byte: memslot sets equal, every page digest equal
-   outside the exclusion set, registers equal.
+   file. Pages are hashed in place, and a page the guest never wrote
+   costs a precomputed zero-page digest: guest RAM is sparse and an
+   unmaterialised page is zero by construction (see [Hostos.Mem]).
+   [diff] then proves a detached/aborted attach restored the guest
+   byte-for-byte: memslot sets equal, every page digest equal outside
+   the exclusion set, registers equal.
 
    The exclusion set is page-granular and comes from two sources the
    caller supplies: intervals the guest itself dirtied while VMSH was
@@ -34,7 +37,7 @@ let capture vm =
              Array.init pages (fun i ->
                  let off = i * page_size in
                  let len = min page_size (s.size - off) in
-                 Digest.bytes (Kvm.Vm.read_phys vm (s.gpa + off) len))
+                 Kvm.Vm.digest_phys vm (s.gpa + off) len)
            in
            (s.slot, s.gpa, s.size, digests))
     |> List.sort compare

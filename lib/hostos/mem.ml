@@ -1,26 +1,47 @@
-(* Flat buffers plus per-4KiB-page copy-on-write overlays.
+(* Guest memory as per-4KiB-page overlays.
 
-   A CoW buffer shares an immutable [base] (the frozen RAM/disk of a
-   baked baseline VM) and materialises a private page only on the
-   first *diverging* write: writing bytes identical to the base is a
-   "silent" write that leaves the page shared. Silent writes are what
-   let a forked VM replay its deterministic boot against the overlay
-   without copying anything — only state that genuinely differs from
-   the baseline (a per-clone hostname block, attach-time injections)
-   becomes resident. *)
+   Every buffer [create] or [cow] makes is an overlay over an immutable
+   base: pages materialise a private copy only on the first write that
+   *diverges* from the base; writing bytes identical to the base is a
+   "silent" write that copies nothing.
+
+   - [create] overlays the implicit all-zero base: every untouched page
+     reads from one shared zero page, so a 32 MiB guest costs only the
+     pages it has written (a cold boot touches about 4% of them), and a
+     write of zeros onto an untouched page, such as a block-device trim,
+     stays silent.
+   - [cow] overlays the frozen RAM/disk of a baked baseline VM. Silent
+     writes are what let a forked VM replay its deterministic boot
+     against the overlay without copying anything — only state that
+     genuinely differs from the baseline (a per-clone hostname block,
+     attach-time injections) becomes resident.
+   - [of_bytes] wraps a caller's buffer flat, without an overlay.
+
+   Invariant: [t] is abstract and every mutation goes through this
+   module, so a page that was never materialised still equals its base
+   window (all zeros under [create]). [page_digest] relies on that to
+   answer an untouched zero page with a precomputed digest. *)
 
 let page_size = 4096
 
+(* The all-zero base every untouched page of a [create]d buffer reads
+   from. Never written. *)
+let zero_page = Bytes.make page_size '\000'
+let zero_page_digest = Digest.bytes zero_page
+
 type overlay = {
   base : bytes;  (* frozen, shared across every fork; never written *)
-  pages : (int, bytes) Hashtbl.t;  (* page index -> private copy *)
+  stride : int;
+      (* offset of page i in [base] is i * stride: [page_size] over a
+         baseline image, 0 over [zero_page], which every page aliases *)
+  pages : bytes array;  (* page index -> private copy; empty if none *)
   mutable copied : int;
   mutable silent : int;
 }
 
 type backing = Flat of bytes | Cow of overlay
 
-type t = { mutable backing : backing; len : int }
+type t = { backing : backing; len : int }
 
 type cow_stats = {
   cs_pages_total : int;
@@ -29,74 +50,105 @@ type cow_stats = {
   cs_resident_bytes : int;
 }
 
-let create len = { backing = Flat (Bytes.make len '\000'); len }
+let overlay ~base ~stride len =
+  let pages = Array.make ((len + page_size - 1) / page_size) Bytes.empty in
+  { backing = Cow { base; stride; pages; copied = 0; silent = 0 }; len }
+
+let create len =
+  if len < 0 then invalid_arg "Mem.create: negative length";
+  overlay ~base:zero_page ~stride:0 len
+
 let of_bytes buf = { backing = Flat buf; len = Bytes.length buf }
-
-let cow base =
-  {
-    backing =
-      Cow { base; pages = Hashtbl.create 64; copied = 0; silent = 0 };
-    len = Bytes.length base;
-  }
-
+let cow base = overlay ~base ~stride:page_size (Bytes.length base)
 let length t = t.len
-let is_cow t = match t.backing with Cow _ -> true | Flat _ -> false
+
+(* The CoW API ([is_cow], [cow_stats], [cow_reclaim]) describes only
+   overlays over a baseline image: the zero-base overlay is an
+   allocation strategy, not a fork, and must not show up in the
+   overlay.* metrics. *)
+let over_baseline c = c.stride <> 0
+
+let is_cow t =
+  match t.backing with Cow c -> over_baseline c | Flat _ -> false
 
 let cow_stats t =
   match t.backing with
-  | Flat _ -> None
-  | Cow c ->
+  | Cow c when over_baseline c ->
       Some
         {
-          cs_pages_total = (t.len + page_size - 1) / page_size;
+          cs_pages_total = Array.length c.pages;
           cs_pages_copied = c.copied;
           cs_silent_writes = c.silent;
           cs_resident_bytes = c.copied * page_size;
         }
+  | _ -> None
 
-(* Page [pi] of a CoW buffer as (buffer, offset of the page's first
-   byte inside that buffer): the private copy when one exists, else a
-   window into the shared base. *)
-let cow_page c pi =
-  match Hashtbl.find_opt c.pages pi with
-  | Some p -> (p, 0)
-  | None -> (c.base, pi * page_size)
+let check_range len off n =
+  if off < 0 || n < 0 || off > len - n then invalid_arg "Mem: out of bounds"
 
-let cow_page_len t pi = min page_size (t.len - (pi * page_size))
+let materialised p = Bytes.length p > 0
+
+let resident_pages t =
+  match t.backing with
+  | Flat _ -> (t.len + page_size - 1) / page_size
+  | Cow c ->
+      Array.fold_left (fun n p -> if materialised p then n + 1 else n) 0 c.pages
+let page_len t pi = min page_size (t.len - (pi * page_size))
 
 (* Private copy of page [pi], materialising it from the base first if
    needed (the caller has already decided the write diverges). *)
-let cow_page_rw t c pi =
-  match Hashtbl.find_opt c.pages pi with
-  | Some p -> p
-  | None ->
-      let p = Bytes.sub c.base (pi * page_size) (cow_page_len t pi) in
-      Hashtbl.add c.pages pi p;
-      c.copied <- c.copied + 1;
-      p
+let page_rw t c pi =
+  let p = c.pages.(pi) in
+  if materialised p then p
+  else begin
+    let p = Bytes.sub c.base (pi * c.stride) (page_len t pi) in
+    c.pages.(pi) <- p;
+    c.copied <- c.copied + 1;
+    p
+  end
 
-let region_equal buf boff src soff len =
-  let rec go i =
+(* Where the byte at [off] lives for reading: inside the page's private
+   copy when one exists, else inside the page's window of the base.
+   Buffer and offset come from two functions rather than one tuple, so
+   the scalar accessors allocate nothing. *)
+let rd_buf c off =
+  let p = c.pages.(off / page_size) in
+  if materialised p then p else c.base
+
+let rd_off c off =
+  let pi = off / page_size in
+  if materialised c.pages.(pi) then off mod page_size
+  else (pi * c.stride) + (off mod page_size)
+
+let region_equal a aoff b boff len =
+  let rec bytes i =
     i >= len
-    || (Bytes.get buf (boff + i) = Bytes.get src (soff + i) && go (i + 1))
+    || (Bytes.get a (aoff + i) = Bytes.get b (boff + i) && bytes (i + 1))
   in
-  go 0
+  let rec words i =
+    if i + 8 > len then bytes i
+    else
+      Int64.equal
+        (Bytes.get_int64_ne a (aoff + i))
+        (Bytes.get_int64_ne b (boff + i))
+      && words (i + 8)
+  in
+  words 0
 
-(* Write [len] bytes of [src] at [soff] into a CoW buffer at [off],
-   page by page; per page, an identical write is recorded as silent
-   and copies nothing. *)
+(* Write [len] bytes of [src] at [soff] into an overlay at [off], page
+   by page; per page, an identical write is recorded as silent and
+   copies nothing. The range is already bounds-checked. *)
 let cow_write t c off src soff len =
   let rec go off soff len =
     if len > 0 then begin
       let pi = off / page_size in
       let poff = off mod page_size in
       let chunk = min len (page_size - poff) in
-      (match Hashtbl.find_opt c.pages pi with
-      | Some p -> Bytes.blit src soff p poff chunk
-      | None ->
-          if region_equal c.base ((pi * page_size) + poff) src soff chunk
-          then c.silent <- c.silent + 1
-          else Bytes.blit src soff (cow_page_rw t c pi) poff chunk);
+      let p = c.pages.(pi) in
+      if materialised p then Bytes.blit src soff p poff chunk
+      else if region_equal c.base ((pi * c.stride) + poff) src soff chunk then
+        c.silent <- c.silent + 1
+      else Bytes.blit src soff (page_rw t c pi) poff chunk;
       go (off + chunk) (soff + chunk) (len - chunk)
     end
   in
@@ -105,11 +157,8 @@ let cow_write t c off src soff len =
 let cow_read c off dst doff len =
   let rec go off doff len =
     if len > 0 then begin
-      let pi = off / page_size in
-      let poff = off mod page_size in
-      let chunk = min len (page_size - poff) in
-      let buf, pbase = cow_page c pi in
-      Bytes.blit buf (pbase + poff) dst doff chunk;
+      let chunk = min len (page_size - (off mod page_size)) in
+      Bytes.blit (rd_buf c off) (rd_off c off) dst doff chunk;
       go (off + chunk) (doff + chunk) (len - chunk)
     end
   in
@@ -119,9 +168,14 @@ let freeze t =
   match t.backing with
   | Flat buf -> Bytes.sub buf 0 t.len
   | Cow c ->
-      let out = Bytes.sub c.base 0 t.len in
-      Hashtbl.iter
-        (fun pi p -> Bytes.blit p 0 out (pi * page_size) (Bytes.length p))
+      let out =
+        if over_baseline c then Bytes.sub c.base 0 t.len
+        else Bytes.make t.len '\000'
+      in
+      Array.iteri
+        (fun pi p ->
+          if materialised p then
+            Bytes.blit p 0 out (pi * page_size) (Bytes.length p))
         c.pages;
       out
 
@@ -133,101 +187,27 @@ let freeze t =
    Returns the number of pages reclaimed. *)
 let cow_reclaim t =
   match t.backing with
-  | Flat _ -> 0
-  | Cow c ->
-      let dead =
-        Hashtbl.fold
-          (fun pi p acc ->
-            if region_equal c.base (pi * page_size) p 0 (Bytes.length p) then
-              pi :: acc
-            else acc)
-          c.pages []
-      in
-      List.iter
-        (fun pi ->
-          Hashtbl.remove c.pages pi;
-          c.copied <- c.copied - 1)
-        dead;
-      List.length dead
-
-(* --- scalar accessors ---
-
-   The Flat arm is the pre-overlay fast path (guest RAM of a
-   cold-booted VM, every mmap). The Cow arm serves straight from the
-   shared base or the private page; scalars that straddle a page
-   boundary fall back to the byte-wise path. *)
-
-let read_u8 t off =
-  match t.backing with
-  | Flat buf -> Char.code (Bytes.get buf off)
-  | Cow c ->
-      let buf, pbase = cow_page c (off / page_size) in
-      Char.code (Bytes.get buf (pbase + (off mod page_size)))
-
-let scalar_ro t off n =
-  (* (buffer, offset) holding [n] bytes at [off], for reads only *)
-  match t.backing with
-  | Flat buf -> (buf, off)
-  | Cow c ->
-      let pi = off / page_size in
-      let poff = off mod page_size in
-      if poff + n <= page_size then
-        let buf, pbase = cow_page c pi in
-        (buf, pbase + poff)
-      else begin
-        let tmp = Bytes.create n in
-        cow_read c off tmp 0 n;
-        (tmp, 0)
-      end
-
-let scalar_write t off n (put : bytes -> int -> unit) =
-  match t.backing with
-  | Flat buf -> put buf off
-  | Cow c ->
-      let tmp = Bytes.create n in
-      put tmp 0;
-      cow_write t c off tmp 0 n
-
-let read_u16 t off =
-  let buf, o = scalar_ro t off 2 in
-  Bytes.get_uint16_le buf o
-
-let write_u16 t off v =
-  scalar_write t off 2 (fun b o -> Bytes.set_uint16_le b o (v land 0xffff))
-
-let read_u32 t off =
-  let buf, o = scalar_ro t off 4 in
-  Int32.to_int (Bytes.get_int32_le buf o) land 0xffffffff
-
-let write_u32 t off v =
-  scalar_write t off 4 (fun b o -> Bytes.set_int32_le b o (Int32.of_int v))
-
-let read_u64 t off =
-  let buf, o = scalar_ro t off 8 in
-  let v = Bytes.get_int64_le buf o in
-  if Int64.shift_right_logical v 62 <> 0L then
-    invalid_arg
-      (Printf.sprintf "Mem.read_u64: value 0x%Lx at offset %d exceeds 62 bits"
-         v off);
-  Int64.to_int v
-
-let write_u64 t off v =
-  scalar_write t off 8 (fun b o -> Bytes.set_int64_le b o (Int64.of_int v))
-
-let read_i32 t off =
-  let buf, o = scalar_ro t off 4 in
-  Int32.to_int (Bytes.get_int32_le buf o)
-
-let write_i32 t off v =
-  scalar_write t off 4 (fun b o -> Bytes.set_int32_le b o (Int32.of_int v))
-
-let write_u8 t off v =
-  scalar_write t off 1 (fun b o -> Bytes.set b o (Char.chr (v land 0xff)))
+  | Cow c when over_baseline c ->
+      let reclaimed = ref 0 in
+      Array.iteri
+        (fun pi p ->
+          if
+            materialised p
+            && region_equal c.base (pi * page_size) p 0 (Bytes.length p)
+          then begin
+            c.pages.(pi) <- Bytes.empty;
+            c.copied <- c.copied - 1;
+            incr reclaimed
+          end)
+        c.pages;
+      !reclaimed
+  | _ -> 0
 
 let read_bytes t off len =
   match t.backing with
   | Flat buf -> Bytes.sub buf off len
   | Cow c ->
+      check_range t.len off len;
       let out = Bytes.create len in
       cow_read c off out 0 len;
       out
@@ -235,21 +215,121 @@ let read_bytes t off len =
 let write_bytes t off b =
   match t.backing with
   | Flat buf -> Bytes.blit b 0 buf off (Bytes.length b)
-  | Cow c -> cow_write t c off b 0 (Bytes.length b)
+  | Cow c ->
+      check_range t.len off (Bytes.length b);
+      cow_write t c off b 0 (Bytes.length b)
+
+(* The digest of [len] bytes at [off], hashed in place. An untouched
+   page of a zero-base overlay is zero by construction (see the
+   invariant above), so a whole one answers with the precomputed
+   zero-page digest. A materialised page is always hashed, even if it
+   holds zeros again. *)
+let page_digest t off len =
+  match t.backing with
+  | Flat buf -> Digest.subbytes buf off len
+  | Cow c ->
+      check_range t.len off len;
+      if (off mod page_size) + len > page_size then
+        Digest.bytes (read_bytes t off len)
+      else if
+        len = page_size
+        && (not (over_baseline c))
+        && not (materialised c.pages.(off / page_size))
+      then zero_page_digest
+      else Digest.subbytes (rd_buf c off) (rd_off c off) len
+
+(* --- scalar accessors ---
+
+   The Flat arm is a plain buffer. The overlay arm reads straight from
+   the private page or the base window, and writes straight into an
+   already-materialised page; a scalar that straddles a page boundary,
+   or a write to an untouched page (which may be silent or may
+   materialise it), goes through the byte-range path. *)
+
+let scalar_read t off n (get : bytes -> int -> int) =
+  match t.backing with
+  | Flat buf -> get buf off
+  | Cow c ->
+      check_range t.len off n;
+      if (off mod page_size) + n <= page_size then
+        get (rd_buf c off) (rd_off c off)
+      else get (read_bytes t off n) 0
+
+let scalar_write t off n v (set : bytes -> int -> int -> unit) =
+  match t.backing with
+  | Flat buf -> set buf off v
+  | Cow c ->
+      check_range t.len off n;
+      let poff = off mod page_size in
+      let p = c.pages.(off / page_size) in
+      if poff + n <= page_size && materialised p then set p poff v
+      else begin
+        let tmp = Bytes.create n in
+        set tmp 0 v;
+        cow_write t c off tmp 0 n
+      end
+
+let read_u8 t off = scalar_read t off 1 Bytes.get_uint8
+
+let write_u8 t off v =
+  scalar_write t off 1 v (fun b o v -> Bytes.set_uint8 b o (v land 0xff))
+
+let read_u16 t off = scalar_read t off 2 Bytes.get_uint16_le
+
+let write_u16 t off v =
+  scalar_write t off 2 v (fun b o v ->
+      Bytes.set_uint16_le b o (v land 0xffff))
+
+let read_u32 t off =
+  scalar_read t off 4 (fun b o ->
+      Int32.to_int (Bytes.get_int32_le b o) land 0xffffffff)
+
+let write_u32 t off v =
+  scalar_write t off 4 v (fun b o v -> Bytes.set_int32_le b o (Int32.of_int v))
+
+let read_i32 t off =
+  scalar_read t off 4 (fun b o -> Int32.to_int (Bytes.get_int32_le b o))
+
+let write_i32 t off v =
+  scalar_write t off 4 v (fun b o v -> Bytes.set_int32_le b o (Int32.of_int v))
+
+let read_u64 t off =
+  let v =
+    match t.backing with
+    | Flat buf -> Bytes.get_int64_le buf off
+    | Cow c ->
+        check_range t.len off 8;
+        if (off mod page_size) + 8 <= page_size then
+          Bytes.get_int64_le (rd_buf c off) (rd_off c off)
+        else Bytes.get_int64_le (read_bytes t off 8) 0
+  in
+  if Int64.shift_right_logical v 62 <> 0L then
+    invalid_arg
+      (Printf.sprintf "Mem.read_u64: value 0x%Lx at offset %d exceeds 62 bits"
+         v off);
+  Int64.to_int v
+
+let write_u64 t off v =
+  scalar_write t off 8 v (fun b o v -> Bytes.set_int64_le b o (Int64.of_int v))
 
 let blit ~src ~src_off ~dst ~dst_off ~len =
   match (src.backing, dst.backing) with
   | Flat s, Flat d -> Bytes.blit s src_off d dst_off len
-  | Flat s, Cow c -> cow_write dst c dst_off s src_off len
-  | Cow c, Flat d -> cow_read c src_off d dst_off len
-  | Cow _, Cow _ ->
-      let tmp = read_bytes src src_off len in
-      write_bytes dst dst_off tmp
+  | Flat s, Cow c ->
+      check_range (Bytes.length s) src_off len;
+      check_range dst.len dst_off len;
+      cow_write dst c dst_off s src_off len
+  | Cow c, Flat d ->
+      check_range src.len src_off len;
+      check_range (Bytes.length d) dst_off len;
+      cow_read c src_off d dst_off len
+  | Cow _, Cow _ -> write_bytes dst dst_off (read_bytes src src_off len)
 
 let fill t off len ch =
   match t.backing with
   | Flat buf -> Bytes.fill buf off len ch
   | Cow c ->
+      check_range t.len off len;
       let tmp = Bytes.make (min len page_size) ch in
       let rec go off len =
         if len > 0 then begin
@@ -378,7 +458,8 @@ module Addr_space = struct
 
   (* Overlay totals for every distinct CoW buffer mapped in this
      address space (a forked VMM maps guest RAM and its bounce buffer
-     over the baseline; the disk backend is counted by its owner). *)
+     over the baseline; the disk backend is counted by its owner).
+     Zero-base buffers report no stats, so they add nothing. *)
   let cow_totals t =
     let seen = ref [] in
     List.fold_left

@@ -1,21 +1,35 @@
 (** Raw byte memory and virtual address spaces.
 
-    A {!t} is a flat byte buffer (e.g. the physical memory of a guest, or
-    an anonymous mmap region in a host process). An {!Addr_space.t} maps
+    A {!t} is a byte buffer (e.g. the physical memory of a guest, or an
+    anonymous mmap region in a host process). An {!Addr_space.t} maps
     virtual address ranges onto offsets inside such buffers, exactly like
     the page-granular mappings of a host process: guest physical memory
     appears inside the hypervisor's address space through one of these
-    mappings (paper, Fig. 3). *)
+    mappings (paper, Fig. 3).
+
+    Memory is sparse: {!create} and {!cow} build a per-4 KiB-page
+    overlay over an immutable base, and a page becomes resident only on
+    the first write that differs from its base. Because [t] is abstract
+    and every mutation goes through this module, a page that was never
+    materialised is equal to its base — all zeros for {!create} — by
+    construction. {!page_digest} relies on that invariant. *)
 
 type t
-(** A contiguous byte buffer with little-endian accessors — either a
-    flat private allocation or a per-4KiB-page copy-on-write overlay
-    over a frozen base (see {!cow}). *)
+(** A contiguous byte buffer with little-endian accessors — a
+    per-4KiB-page overlay over the all-zero base ({!create}) or over a
+    frozen image ({!cow}), or a flat wrap of caller bytes
+    ({!of_bytes}). *)
 
 val create : int -> t
-(** [create len] allocates [len] zeroed bytes. *)
+(** [create len] is [len] zero bytes, allocated sparsely: untouched
+    pages read from one shared zero page; the first write that differs
+    from zero materialises a private page, and a write of zeros onto an
+    untouched page stays silent. Not a CoW buffer in the sense of
+    {!is_cow}/{!cow_stats}. *)
 
 val of_bytes : bytes -> t
+(** A flat buffer over [bytes] itself (no copy, no overlay). *)
+
 val length : t -> int
 
 val page_size : int
@@ -31,9 +45,21 @@ val cow : bytes -> t
 
 val freeze : t -> bytes
 (** A private snapshot of the full current contents (base + overlay
-    for CoW buffers) — the frozen image a {!cow} view forks from. *)
+    for overlay buffers) — the frozen image a {!cow} view forks from. *)
+
+val page_digest : t -> int -> int -> Digest.t
+(** [page_digest m off len] equals [Digest.bytes (read_bytes m off len)]
+    without the copy: a range inside one page is hashed in place, and a
+    whole untouched page of a {!create}d buffer answers with a
+    precomputed zero-page digest. A materialised page is always hashed,
+    even if it holds zeros again. *)
+
+val resident_pages : t -> int
+(** Pages held privately: the materialised pages of an overlay, every
+    page of a flat buffer. *)
 
 val is_cow : t -> bool
+(** [true] only for {!cow} views over a baseline image. *)
 
 (** Overlay occupancy counters of a {!cow} buffer. *)
 type cow_stats = {
@@ -44,13 +70,14 @@ type cow_stats = {
 }
 
 val cow_stats : t -> cow_stats option
+(** [None] unless {!is_cow}: flat and zero-base buffers have no
+    baseline to share. *)
 
 val cow_reclaim : t -> int
 (** Drop private overlay pages whose content re-converged with the
     shared base (e.g. page tables a fork's boot replay rebuilt
     byte-identically) so they stop counting as resident. Returns the
-    number of pages reclaimed; 0 on a flat buffer. *)
-(** [None] for flat buffers. *)
+    number of pages reclaimed; 0 unless {!is_cow}. *)
 
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
@@ -119,11 +146,11 @@ module Addr_space : sig
   val write_u64 : t -> int -> int -> unit
 
   val cow_totals : t -> cow_stats
+  (** Summed {!cow_stats} over every distinct CoW buffer mapped in
+      this address space (zeros when none is mapped) — the overlay
+      footprint of a forked process. *)
 
   val cow_reclaim_all : t -> int
   (** {!cow_reclaim} over every distinct CoW buffer mapped here;
       returns the total number of pages reclaimed. *)
-  (** Summed {!cow_stats} over every distinct CoW buffer mapped in
-      this address space (zeros when none is mapped) — the overlay
-      footprint of a forked process. *)
 end

@@ -164,6 +164,10 @@ let read_phys t pa len =
   let m, off = resolve_phys t pa in
   Mem.read_bytes m off len
 
+let digest_phys t pa len =
+  let m, off = resolve_phys t pa in
+  Mem.page_digest m off len
+
 let mark_dirty t ~pa ~len =
   if len > 0 then t.dirty_writes <- (pa, len) :: t.dirty_writes
 

@@ -83,6 +83,11 @@ val read_phys : t -> int -> int -> bytes
 (** In-guest view of RAM: resolves through the memslots to the
     hypervisor memory backing them. Raises on unbacked addresses. *)
 
+val digest_phys : t -> int -> int -> Digest.t
+(** [digest_phys t pa len] equals [Digest.bytes (read_phys t pa len)]
+    without copying: {!Hostos.Mem.page_digest} on the backing, so a
+    never-written page costs a precomputed digest. *)
+
 val write_phys : t -> int -> bytes -> unit
 val read_phys_u64 : t -> int -> int
 val write_phys_u64 : t -> int -> int -> unit

@@ -118,22 +118,16 @@ let wrap ?bulk_read t ~dev_id dev =
           insert t (key i) { data = Bytes.copy b; dirty = true; dev })
     end
   in
-  {
-    Blockdev.Dev.block_size = dev.Blockdev.Dev.block_size;
-    blocks = dev.Blockdev.Dev.blocks;
-    read_block;
-    write_block;
-    flush =
-      (fun () ->
-        Hashtbl.iter (fun k e -> writeback_key t k e) t.table;
-        dev.Blockdev.Dev.flush ());
-    trim =
-      (fun first count ->
-        for i = first to first + count - 1 do
-          Hashtbl.remove t.table (key i)
-        done;
-        dev.Blockdev.Dev.trim first count);
-  }
+  Blockdev.Dev.make ~block_size:dev.Blockdev.Dev.block_size
+    ~blocks:dev.Blockdev.Dev.blocks ~read_block ~write_block
+    ~flush:(fun () ->
+      Hashtbl.iter (fun k e -> writeback_key t k e) t.table;
+      dev.Blockdev.Dev.flush ())
+    ~trim:(fun first count ->
+      for i = first to first + count - 1 do
+        Hashtbl.remove t.table (key i)
+      done;
+      dev.Blockdev.Dev.trim first count)
 
 let flush t = Hashtbl.iter (fun k e -> writeback_key t k e) t.table
 

@@ -84,6 +84,9 @@ module Device = struct
                   let data = backend.read ~sector ~len:data_len in
                   let rec scatter off = function
                     | [] -> ()
+                    | [ b ] when off = 0 ->
+                        (* the whole request in one buffer: no sub-copy *)
+                        g.Gmem.write ~addr:b.Queue.Device.addr data
                     | b :: more ->
                         g.Gmem.write ~addr:b.Queue.Device.addr
                           (Bytes.sub data off b.Queue.Device.len);
@@ -96,12 +99,13 @@ module Device = struct
                 if not valid then Queue.Device.push_used q ~head ~written:1
               end
               else if typ = t_out then begin
+                let gather b =
+                  g.Gmem.read ~addr:b.Queue.Device.addr ~len:b.Queue.Device.len
+                in
                 let data =
-                  List.map
-                    (fun b ->
-                      g.Gmem.read ~addr:b.Queue.Device.addr ~len:b.Queue.Device.len)
-                    data_bufs
-                  |> Bytes.concat Bytes.empty
+                  match data_bufs with
+                  | [ b ] -> gather b
+                  | bufs -> Bytes.concat Bytes.empty (List.map gather bufs)
                 in
                 let valid =
                   sector >= 0
@@ -312,15 +316,11 @@ module Driver = struct
 
   let to_blockdev t =
     let bs = Blockdev.Dev.block_size in
-    {
-      Blockdev.Dev.block_size = bs;
-      blocks = t.capacity / sectors_per_block;
-      read_block = (fun i -> read t ~sector:(i * sectors_per_block) ~len:bs);
-      write_block = (fun i b -> write t ~sector:(i * sectors_per_block) b);
-      flush = (fun () -> flush t);
-      trim =
-        (fun first count ->
-          discard t ~sector:(first * sectors_per_block)
-            ~count:(count * sectors_per_block * sector_size / sector_size));
-    }
+    Blockdev.Dev.make ~block_size:bs ~blocks:(t.capacity / sectors_per_block)
+      ~read_block:(fun i -> read t ~sector:(i * sectors_per_block) ~len:bs)
+      ~write_block:(fun i b -> write t ~sector:(i * sectors_per_block) b)
+      ~flush:(fun () -> flush t)
+      ~trim:(fun first count ->
+        discard t ~sector:(first * sectors_per_block)
+          ~count:(count * sectors_per_block * sector_size / sector_size))
 end

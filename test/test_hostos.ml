@@ -124,6 +124,113 @@ let test_aspace_cross_mapping_read () =
   check cint "byte from a" 0xaa (Char.code (Bytes.get data 0));
   check cint "byte from b" 0xbb (Char.code (Bytes.get data 1))
 
+(* --- sparse (zero-base) overlays --- *)
+
+let raises_invalid name f =
+  Alcotest.check_raises name (Invalid_argument "x") (fun () ->
+      try ignore (f ()) with Invalid_argument _ -> raise (Invalid_argument "x"))
+
+let test_mem_zero_base_overlay () =
+  let len = (3 * 4096) + 100 in
+  let m = Mem.create len in
+  check cint "nothing resident at creation" 0 (Mem.resident_pages m);
+  check cint "untouched page reads zero" 0 (Mem.read_u64 m 5000);
+  check cbool "untouched range reads zeros" true
+    (Bytes.equal (Mem.read_bytes m 4000 200) (Bytes.make 200 '\000'));
+  (* zeros onto untouched pages stay silent, whatever the path *)
+  Mem.write_bytes m 4096 (Bytes.make 4096 '\000');
+  Mem.write_u64 m 8192 0;
+  Mem.fill m 0 len '\000';
+  check cint "zero writes stay silent" 0 (Mem.resident_pages m);
+  (* the first differing write materialises exactly its page *)
+  Mem.write_u8 m 5000 7;
+  check cint "one page materialised" 1 (Mem.resident_pages m);
+  check cint "writer reads its byte" 7 (Mem.read_u8 m 5000);
+  check cint "rest of the page still zero" 0 (Mem.read_u8 m 5001);
+  (* a scalar straddling a page boundary lands in both pages *)
+  Mem.write_u64 m (8192 - 3) 0x0102_0304_0506_0708;
+  check cint "straddling scalar roundtrips" 0x0102_0304_0506_0708
+    (Mem.read_u64 m (8192 - 3));
+  check cint "low bytes in the first page" 0x08 (Mem.read_u8 m (8192 - 3));
+  check cint "high bytes in the second page" 0x01 (Mem.read_u8 m (8192 + 4));
+  check cint "straddle materialised the second page" 2 (Mem.resident_pages m);
+  (* the partial last page ends at the buffer's length, not the page's *)
+  Mem.write_u8 m (len - 1) 9;
+  check cint "last byte" 9 (Mem.read_u8 m (len - 1));
+  raises_invalid "read past the end" (fun () -> Mem.read_u8 m len);
+  raises_invalid "scalar write past the end" (fun () -> Mem.write_u64 m (len - 4) 1);
+  raises_invalid "negative offset" (fun () -> Mem.read_bytes m (-1) 2);
+  (* an allocation strategy, not a fork: the overlay API stays quiet *)
+  check cbool "not a CoW buffer" false (Mem.is_cow m);
+  check cbool "no CoW stats" true (Mem.cow_stats m = None);
+  check cint "reclaim is a no-op" 0 (Mem.cow_reclaim m)
+
+let test_mem_zero_base_matches_flat () =
+  (* the same seeded mix of scalar, range, fill and blit writes — a
+     third of them zeros — on a sparse buffer and on a flat zeroed one;
+     reads and the frozen image must agree throughout *)
+  let len = (5 * 4096) + 1000 in
+  let sparse = Mem.create len
+  and flat = Mem.of_bytes (Bytes.make len '\000') in
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 2000 do
+    let v = if Random.State.int rng 3 = 0 then 0 else Random.State.bits rng in
+    let n = 1 + Random.State.int rng 6000 in
+    let off = Random.State.int rng (len - 8) in
+    let op =
+      match Random.State.int rng 6 with
+      | 0 -> fun m -> Mem.write_u8 m off v
+      | 1 -> fun m -> Mem.write_u32 m off v
+      | 2 -> fun m -> Mem.write_u64 m off (v land 0xffff_ffff_ffff)
+      | 3 ->
+          let n = min n (len - off) in
+          let b = Bytes.init n (fun i -> Char.chr ((v + i) land 0xff)) in
+          fun m -> Mem.write_bytes m off b
+      | 4 -> fun m -> Mem.fill m off (min n (len - off)) (Char.chr (v land 0xff))
+      | _ ->
+          let src = Random.State.int rng (len - 8) in
+          let n = min n (min (len - off) (len - src)) in
+          fun m -> Mem.blit ~src:m ~src_off:src ~dst:m ~dst_off:off ~len:n
+    in
+    op sparse;
+    op flat;
+    let probe = Random.State.int rng (len - 8) in
+    check cint "reads agree" (Mem.read_u32 flat probe)
+      (Mem.read_u32 sparse probe)
+  done;
+  check cbool "freeze equals the flat equivalent" true
+    (Bytes.equal (Mem.freeze flat) (Mem.freeze sparse))
+
+let test_mem_page_digest () =
+  let len = (3 * 4096) + 100 in
+  let m = Mem.create len in
+  Mem.write_u8 m 4096 1;
+  (* materialised, then zero again: still hashed, still correct *)
+  Mem.write_u8 m ((2 * 4096) + 5) 1;
+  Mem.write_u8 m ((2 * 4096) + 5) 0;
+  let base = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
+  let cow = Mem.cow base in
+  Mem.write_u8 cow 4096 0xff;
+  let flat = Mem.of_bytes (Bytes.copy base) in
+  let same name m off n =
+    check cstr name
+      (Digest.to_hex (Digest.bytes (Mem.read_bytes m off n)))
+      (Digest.to_hex (Mem.page_digest m off n))
+  in
+  same "untouched zero page" m 0 4096;
+  same "materialised page" m 4096 4096;
+  same "materialised page holding zeros again" m (2 * 4096) 4096;
+  same "untouched partial last page" m (3 * 4096) 100;
+  Mem.write_u8 m ((3 * 4096) + 99) 3;
+  same "materialised partial last page" m (3 * 4096) 100;
+  same "range inside a page" m 4000 96;
+  same "range across pages" m 4000 200;
+  same "CoW base page" cow 0 4096;
+  same "CoW private page" cow 4096 4096;
+  same "CoW partial last page" cow (3 * 4096) 100;
+  same "flat buffer" flat 4096 4096;
+  raises_invalid "digest past the end" (fun () -> Mem.page_digest m (3 * 4096) 4096)
+
 (* --- Chan --- *)
 
 let test_chan_fifo () =
@@ -509,6 +616,9 @@ let suite =
         t "aspace overlap rejected" test_aspace_overlap_rejected;
         t "aspace find_free" test_aspace_find_free;
         t "aspace cross-mapping read" test_aspace_cross_mapping_read;
+        t "zero-base overlay semantics" test_mem_zero_base_overlay;
+        t "zero-base overlay matches flat" test_mem_zero_base_matches_flat;
+        t "page digest per page kind" test_mem_page_digest;
         QCheck_alcotest.to_alcotest prop_aspace_find_free_never_overlaps;
       ] );
     ( "hostos.chan",

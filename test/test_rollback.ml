@@ -175,6 +175,48 @@ let test_rollback_counters_stay_lazy () =
       check cbool "detach replay ticks rollback.replays" true
         (contains m "rollback.replays")
 
+(* The digest the oracle computed before guest memory went sparse:
+   copy every page out and hash the copy. *)
+let reference_digest vm =
+  let page = Vmsh.Snapshot.page_size in
+  let b = Buffer.create 4096 in
+  Kvm.Vm.memslots vm
+  |> List.map (fun (s : Kvm.Vm.memslot) -> (s.slot, s.gpa, s.size))
+  |> List.sort compare
+  |> List.iter (fun (slot, gpa, size) ->
+         Buffer.add_string b (Printf.sprintf "%d:%x:%d;" slot gpa size);
+         for p = 0 to ((size + page - 1) / page) - 1 do
+           let off = p * page in
+           Buffer.add_string b
+             (Digest.bytes (Kvm.Vm.read_phys vm (gpa + off) (min page (size - off))))
+         done);
+  Kvm.Vm.vcpus vm
+  |> List.map (fun v ->
+         ( Kvm.Vm.vcpu_index v,
+           Digest.bytes (Kvm.Api.regs_to_bytes (Kvm.Vm.vcpu_regs v)) ))
+  |> List.sort compare
+  |> List.iter (fun (idx, d) ->
+         Buffer.add_string b (string_of_int idx);
+         Buffer.add_string b d);
+  Digest.to_hex (Digest.bytes (Buffer.to_bytes b))
+
+let test_snapshot_digest_matches_reference () =
+  let ((_, vmm, _) as env) = Test_attach.setup ~seed:83 () in
+  let vm = Vmm.kvm_vm vmm in
+  let same name =
+    check cstr name (reference_digest vm)
+      (Vmsh.Snapshot.digest (Vmsh.Snapshot.capture vm))
+  in
+  same "seeded cold boot";
+  match Test_attach.do_attach env with
+  | Error e -> Alcotest.failf "attach: %s" e
+  | Ok session ->
+      same "attached";
+      (match Vmsh.Attach.detach session with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "detach: %s" (E.to_string e));
+      same "after attach + detach"
+
 (* --- the sweep gate --- *)
 
 let test_sweep_gate_subset () =
@@ -241,6 +283,8 @@ let suite =
         t "journal off reverts to legacy detach"
           test_journal_off_reverts_to_legacy_detach;
         t "rollback counters stay lazy" test_rollback_counters_stay_lazy;
+        t "snapshot digest matches read-and-hash"
+          test_snapshot_digest_matches_reference;
       ] );
     ( "rollback.sweep",
       [
