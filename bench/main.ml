@@ -1194,12 +1194,10 @@ let run_latency () =
       in
       (match outcome with
       | Ok _ -> incr hostile_survived
-      | Error e ->
-          (* a clean round-trippable abort is an acceptable outcome
-             under attack; anything else fails the bench *)
-          let msg = Vmsh.Vmsh_error.to_string e in
-          if Vmsh.Vmsh_error.to_string (Vmsh.Vmsh_error.of_string msg) <> msg
-          then failwith ("vmsh-hostile: unclean abort: " ^ msg));
+      | Error _ ->
+          (* a typed abort is a clean, acceptable outcome under attack;
+             an escaped exception fails the bench by propagating *)
+          ());
       Observe.Metrics.observe h_attacked dt)
     [ 0; 1; 2; 3; 4 ];
   let bare_ns =

@@ -11,7 +11,6 @@
      vmsh rescue   -- the password-reset use case end to end *)
 
 module H = Hostos
-module Sfs = Blockdev.Simplefs
 module Vmm = Hypervisor.Vmm
 module Profile = Hypervisor.Profile
 module KV = Linux_guest.Kernel_version
@@ -70,29 +69,12 @@ let log_level_arg =
            logging).")
 
 let boot_vm_on h ~profile ~version =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string "cli-vm\n"));
-  Sfs.sync fs;
-  let disable_seccomp = profile.Profile.prof_name = "Firecracker" in
-  let vmm = Vmm.create h ~profile ~disk ~disable_seccomp () in
-  let g = Vmm.boot vmm ~version in
-  (vmm, g)
+  Fleet.Machine.cold_boot h ~profile ~version ~hostname:"cli-vm"
 
 let boot_vm ~profile ~version ~seed =
   let h = H.Host.create ~seed () in
   let vmm, g = boot_vm_on h ~profile ~version in
   (h, vmm, g)
-
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock
-      [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
 
 (* --- attach --- *)
 
@@ -197,7 +179,7 @@ let attach_cmd =
     in
     match
       Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(tools_image h.H.Host.clock)
+        ~fs_image:(Fleet.Machine.tools_image h.H.Host.clock)
         ~config
         ~pump:(fun () -> Vmm.run_until_idle vmm)
         ()
@@ -352,37 +334,27 @@ let attach_cmd =
 
 let matrix_cmd =
   let run () =
+    (* one full session per cell: attach, console round trip, detach *)
+    let verdict ~profile ~version ~seed =
+      (Fleet.Session.run ~host:(H.Host.create ~seed ())
+         (Fleet.Session.spec (Fleet.Session.cold ~profile ~version "cli-vm")))
+        .Fleet.Session.verdict
+    in
     Printf.printf "%-18s %s\n" "hypervisor" "vmsh attach";
     List.iter
       (fun profile ->
-        let h, vmm, _ = boot_vm ~profile ~version:KV.V5_10 ~seed:21 in
-        let result =
-          match
-            Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-              ~fs_image:(tools_image h.H.Host.clock)
-              ~pump:(fun () -> Vmm.run_until_idle vmm)
-              ()
-          with
-          | Ok _ -> "supported"
-          | Error _ -> "unsupported"
-        in
-        Printf.printf "%-18s %s\n" profile.Profile.prof_name result)
+        Printf.printf "%-18s %s\n" profile.Profile.prof_name
+          (match verdict ~profile ~version:KV.V5_10 ~seed:21 with
+          | Faults.Abort.Survived -> "supported"
+          | _ -> "unsupported"))
       Profile.all;
     Printf.printf "\n%-10s %s\n" "kernel" "vmsh attach";
     List.iter
       (fun version ->
-        let h, vmm, _ = boot_vm ~profile:Profile.qemu ~version ~seed:23 in
-        let result =
-          match
-            Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-              ~fs_image:(tools_image h.H.Host.clock)
-              ~pump:(fun () -> Vmm.run_until_idle vmm)
-              ()
-          with
-          | Ok _ -> "supported"
-          | Error e -> "FAILED: " ^ Vmsh.Vmsh_error.to_string e
-        in
-        Printf.printf "v%-9s %s\n" (KV.to_string version) result)
+        Printf.printf "v%-9s %s\n" (KV.to_string version)
+          (match verdict ~profile:Profile.qemu ~version ~seed:23 with
+          | Faults.Abort.Survived -> "supported"
+          | v -> "FAILED: " ^ Faults.Abort.detail v))
       KV.all_lts
   in
   Cmd.v
@@ -472,7 +444,6 @@ let rescue_cmd =
    retry loop in the substrate is bounded, a run that exceeds the
    virtual-time budget is reported as a hang. *)
 
-let fuzz_budget_ns = 120e9
 let fuzz_echo_requests = 20
 
 type fuzz_outcome =
@@ -518,7 +489,7 @@ let fuzz_one ?log_level ~seed ~rate ~trace () =
       in
       match
         Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-          ~fs_image:(tools_image h.H.Host.clock)
+          ~fs_image:(Fleet.Machine.tools_image h.H.Host.clock)
           ~config
           ~pump:(fun () -> Vmm.run_until_idle vmm)
           ()
@@ -546,7 +517,7 @@ let fuzz_one ?log_level ~seed ~rate ~trace () =
     | exception e -> Fuzz_unclean (Printexc.to_string e)
   in
   let outcome =
-    if H.Clock.now_ns h.H.Host.clock > fuzz_budget_ns then Fuzz_hang
+    if H.Clock.now_ns h.H.Host.clock > Fleet.Session.budget_ns then Fuzz_hang
     else outcome
   in
   (h, plan, boosted, outcome)
@@ -1539,7 +1510,8 @@ let trace_record_cmd =
       match scenario with
       | "attach" -> Replay.Attach { seed }
       | "fleet" -> Replay.Fleet_run { seed; vms; from_baseline }
-      | "sweep" | "sweep-cell" -> Replay.Sweep_cell { seed; cls; k; hostile }
+      | "sweep" | "sweep-cell" ->
+          Replay.Sweep_cell { seed; cls; k; hostile; from_baseline }
       | s ->
           Printf.eprintf
             "trace record: unknown scenario %S (try attach, fleet or sweep)\n" s;
@@ -1574,9 +1546,10 @@ let trace_record_cmd =
     Arg.(
       value & flag
       & info [ "from-baseline" ]
-          ~doc:"Fork the fleet's sessions from a deterministically re-baked \
-                baseline instead of cold-booting them (fleet scenario only; \
-                the replay re-bakes the identical image).")
+          ~doc:"Fork the fleet's sessions (or the sweep cell's machine) from \
+                a deterministically re-baked baseline instead of \
+                cold-booting them (fleet and sweep scenarios; the replay \
+                re-bakes the identical image).")
   in
   let cls =
     Arg.(

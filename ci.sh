@@ -37,7 +37,8 @@
 #                 replay-diff oracle, and a double-run determinism
 #                 check on the matrix metrics
 #   trace         flight recorder: record -> replay -> diff on a smoke
-#                 attach, a fleet run, and one crash-point sweep cell;
+#                 attach, a fleet run (cold and forked), and one
+#                 crash-point sweep cell;
 #                 two identically-seeded recordings must be
 #                 byte-identical
 #   fuzz-trace    trace-mutation fuzzing: record seed attach and
@@ -256,13 +257,18 @@ stage_hostile_matrix() {
 
 stage_trace() {
   # record -> replay -> diff: the replay-diff oracle must come back
-  # clean for a smoke attach, a fleet run, and one sweep crash cell
+  # clean for a smoke attach, a fleet run (cold and forked), and one
+  # sweep crash cell
   vmsh trace record --scenario attach --seed 5 \
     -o "$ARTIFACTS/attach-a.vmshtrace"
   vmsh trace replay "$ARTIFACTS/attach-a.vmshtrace"
   vmsh trace record --scenario fleet --seed 7 --vms 8 \
     -o "$ARTIFACTS/fleet.vmshtrace"
   vmsh trace replay "$ARTIFACTS/fleet.vmshtrace"
+  # the same fleet forked from a re-baked baseline replays forked
+  vmsh trace record --scenario fleet --seed 7 --vms 8 --from-baseline \
+    -o "$ARTIFACTS/fleet-fork.vmshtrace"
+  vmsh trace replay "$ARTIFACTS/fleet-fork.vmshtrace"
   vmsh trace record --scenario sweep --class inject-eintr -k 3 --seed 5 \
     -o "$ARTIFACTS/sweep-cell.vmshtrace"
   vmsh trace replay "$ARTIFACTS/sweep-cell.vmshtrace"

@@ -619,8 +619,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
        state the sideloader cannot parse) aborts the attach cleanly: the
        caller gets a diagnosable error, never an escaped exception. *)
     | Faults.Crash_point k ->
-        Error
-          (E.Attach_aborted (E.Msg (Printf.sprintf "crash point at yield %d" k)))
+        Error (E.Attach_aborted (E.Crash_point k))
     | E.Error e -> Error (E.Attach_aborted e)
     | Failure msg -> Error (E.Attach_aborted (E.Msg msg))
     | Kvm.Vm.Guest_error msg -> Error (E.Attach_aborted (E.Guest_fault msg))

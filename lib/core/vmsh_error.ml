@@ -16,6 +16,7 @@ type t =
   | Baseline_stale of string
   | Overlay_fault of string
   | Guest_misbehavior of string
+  | Crash_point of int
 
 exception Error of t
 
@@ -52,92 +53,4 @@ let rec to_string = function
   | Baseline_stale m -> "stale baseline image: " ^ m
   | Overlay_fault m -> "overlay fault: " ^ m
   | Guest_misbehavior m -> "guest misbehavior: " ^ m
-
-let all_errnos =
-  Errno.
-    [
-      EPERM; ENOENT; ESRCH; EINTR; EIO; EBADF; EAGAIN; ENOMEM; EACCES; EFAULT;
-      EBUSY; EEXIST; ENODEV; ENOTDIR; EISDIR; EINVAL; ENOSPC; ERANGE; ENOSYS;
-      ENOTEMPTY; EDQUOT;
-    ]
-
-let errno_of_show s = List.find_opt (fun e -> Errno.show e = s) all_errnos
-
-let drop_prefix ~prefix s =
-  let pl = String.length prefix in
-  if String.length s >= pl && String.sub s 0 pl = prefix then
-    Some (String.sub s pl (String.length s - pl))
-  else None
-
-(* "what: tail" split on the first ": " occurrence; nested contexts
-   then peel outside-in by recursing on the tail. *)
-let split_first_colon s =
-  let rec find i =
-    if i + 1 >= String.length s then None
-    else if s.[i] = ':' && s.[i + 1] = ' ' then Some i
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some i ->
-      Some (String.sub s 0 i, String.sub s (i + 2) (String.length s - i - 2))
-  | None -> None
-
-let rec of_string s =
-  match drop_prefix ~prefix:"attach aborted: " s with
-  | Some rest -> Attach_aborted (of_string rest)
-  | None -> (
-      match drop_prefix ~prefix:"rollback failed: " s with
-      | Some rest -> Rollback_failed (of_string rest)
-      | None -> (
-      match
-        Scanf.sscanf_opt s "virtual-time deadline exceeded after %d ns"
-          (fun v -> v)
-      with
-      | Some ns -> Deadline_exceeded ns
-      | None -> (
-      match drop_prefix ~prefix:"stale baseline image: " s with
-      | Some rest -> Baseline_stale rest
-      | None -> (
-      match drop_prefix ~prefix:"overlay fault: " s with
-      | Some rest -> Overlay_fault rest
-      | None -> (
-      match drop_prefix ~prefix:"guest misbehavior: " s with
-      | Some rest -> Guest_misbehavior rest
-      | None -> (
-      match drop_prefix ~prefix:"guest error: " s with
-      | Some rest -> Guest_fault rest
-      | None -> (
-          match drop_prefix ~prefix:"invalid attach config: " s with
-          | Some rest -> Invalid_config rest
-          | None -> (
-              match drop_prefix ~prefix:"guest library failed with status 0x" s with
-              | Some rest -> (
-                  match Scanf.sscanf_opt rest "%x" (fun v -> v) with
-                  | Some v -> Guest_error v
-                  | None -> Msg s)
-              | None -> (
-                  match
-                    Scanf.sscanf_opt s
-                      "guest library did not complete (status %d)" (fun v -> v)
-                  with
-                  | Some v -> Timeout v
-                  | None -> (
-                      match errno_of_show s with
-                      | Some e -> Substrate e
-                      | None -> (
-                          match split_first_colon s with
-                          | Some (what, tail) -> (
-                              match drop_prefix ~prefix:"errno " tail with
-                              | Some en -> (
-                                  match errno_of_show en with
-                                  | Some e -> Injection (what, e)
-                                  | None -> Msg s)
-                              | None -> (
-                                  (* recurse on the tail so nested
-                                     contexts reconstruct outside-in;
-                                     an unrecognised tail keeps the
-                                     whole string as one Msg *)
-                                  match of_string tail with
-                                  | Msg _ -> Msg s
-                                  | inner -> Context (what, inner)))
-                          | None -> Msg s)))))))))))
+  | Crash_point k -> Printf.sprintf "crash point at yield %d" k

@@ -2,10 +2,8 @@
 
     Replaces the stringly [Error "..."] / raised [Failure] mix that
     grew across Attach, Tracee and Loader. [to_string] reproduces the
-    exact legacy CLI messages, so drivers that match on text keep
-    working; [of_string] classifies a rendered message back into the
-    taxonomy (inverse of [to_string] for every variant that carries
-    enough structure to be recognised). *)
+    exact legacy CLI messages. Errors stay typed end to end: callers
+    match on the variant, never on the rendered text. *)
 
 type t =
   | Attach_aborted of t  (** top-level attach failure wrapper *)
@@ -38,6 +36,10 @@ type t =
           looping virtqueue descriptors past the quarantine limit,
           scanned pages stolen by a balloon) — the attach rolls back
           rather than trusting the guest *)
+  | Crash_point of int
+      (** an armed abort-at-yield(k) crash point fired at yield [k]
+          (the crash-point sweep kills the attach there on purpose);
+          renders as ["crash point at yield k"] *)
 
 exception Error of t
 (** For internal paths that must raise (memory fabric, loader arena);
@@ -46,11 +48,6 @@ exception Error of t
 val to_string : t -> string
 (** Renders the same message strings the CLI printed before the
     taxonomy existed. *)
-
-val of_string : string -> t
-(** Best-effort inverse of [to_string]: recognises the attach-aborted
-    prefix, guest status / timeout formats, errno-tailed contexts and
-    injection messages; anything else becomes [Msg]. *)
 
 val substrate : string -> Hostos.Errno.t -> t
 (** [substrate what e] = [Context (what, Substrate e)]. *)

@@ -33,6 +33,8 @@ type image = {
   img_boot_rng : H.Rng.t;  (** pristine boot stream (pre-KASLR draw) *)
   img_kernel : bytes;  (** encoded kernel image — shared, never copied *)
   img_ram : bytes;  (** frozen guest RAM *)
+  img_ram_digests : H.Mem.page_digests;
+      (** per-page digests of [img_ram], filled once for every fork *)
   img_databuf : bytes;  (** frozen VMM disk bounce buffer *)
   img_disk : bytes;  (** frozen root disk blocks *)
   img_digest : string;  (** {!Vmsh.Snapshot.digest} at the freeze point *)
@@ -54,23 +56,16 @@ let version img = img.img_version
 let digest img = img.img_digest
 let hostname img = img.img_hostname
 
-(* Same provisioning recipe as a cold fleet session, so a fork's disk
-   differs from a cold boot's only in the hostname bytes. *)
-let bake_disk h ~name =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string (name ^ "\n")));
-  Sfs.sync fs;
-  disk
-
 let bake ?(seed = 0xba5e) ?(profile = Profile.qemu) ?(version = KV.V5_10)
     ?(hostname = "baseline") () =
   let host = H.Host.create ~seed () in
-  let disk = bake_disk host ~name:hostname in
-  let disable_seccomp = profile.Profile.prof_name = "Firecracker" in
-  let vmm = Vmm.create host ~profile ~disk ~disable_seccomp () in
+  (* the same disk a cold session boots from, so a fork's disk differs
+     from a cold boot's only in the hostname bytes *)
+  let disk = Machine.boot_disk host ~hostname in
+  let vmm =
+    Vmm.create host ~profile ~disk
+      ~disable_seccomp:(Machine.disable_seccomp profile) ()
+  in
   (* split the boot stream off the host RNG exactly as a cold boot
      would, but keep a pristine copy: forks replay from it *)
   let boot_rng = H.Rng.split host.H.Host.rng in
@@ -85,6 +80,7 @@ let bake ?(seed = 0xba5e) ?(profile = Profile.qemu) ?(version = KV.V5_10)
     img_boot_rng = boot_rng;
     img_kernel = Linux_guest.Guest.kernel_image g;
     img_ram = fs.Vmm.fs_ram;
+    img_ram_digests = fs.Vmm.fs_ram_digests;
     img_databuf = fs.Vmm.fs_databuf;
     img_disk = H.Mem.freeze (Blockdev.Backend.mem disk);
     img_digest = Vmsh.Snapshot.digest (Vmsh.Snapshot.capture (Vmm.kvm_vm vmm));
@@ -178,13 +174,18 @@ let fork img ~host ~profile ~name =
      replay's writes match the frozen baseline byte for byte, so the
      CoW layer absorbs them as silent writes; afterwards the clock and
      its mechanism counters are rewound to the fork instant. *)
-  let disable_seccomp = profile.Profile.prof_name = "Firecracker" in
+  let disable_seccomp = Machine.disable_seccomp profile in
   let vmm, guest =
     H.Clock.restore_section clock (fun () ->
         let vmm =
           Vmm.create host ~profile ~disk ~ram_mb:img.img_ram_mb
             ~disable_seccomp
-            ~fork:{ Vmm.fs_ram = img.img_ram; fs_databuf = img.img_databuf }
+            ~fork:
+              {
+                Vmm.fs_ram = img.img_ram;
+                fs_ram_digests = img.img_ram_digests;
+                fs_databuf = img.img_databuf;
+              }
             ()
         in
         let g =
@@ -212,33 +213,19 @@ module Debug = struct
   let disk img = img.img_disk
 end
 
-let zero_stats =
-  {
-    H.Mem.cs_pages_total = 0;
-    cs_pages_copied = 0;
-    cs_silent_writes = 0;
-    cs_resident_bytes = 0;
-  }
-
-let add_stats a b =
-  {
-    H.Mem.cs_pages_total = a.H.Mem.cs_pages_total + b.H.Mem.cs_pages_total;
-    cs_pages_copied = a.cs_pages_copied + b.cs_pages_copied;
-    cs_silent_writes = a.cs_silent_writes + b.cs_silent_writes;
-    cs_resident_bytes = a.cs_resident_bytes + b.cs_resident_bytes;
-  }
-
 (* Overlay occupancy of a live fork: every CoW backing in the VMM
    process (guest RAM + bounce buffer) plus the disk overlay. *)
 let resident f =
-  let p = Vmm.proc f.fk_vmm in
-  let proc_stats = H.Mem.Addr_space.cow_totals p.H.Proc.aspace in
-  let disk_stats =
-    match H.Mem.cow_stats (Blockdev.Backend.mem (Vmm.disk f.fk_vmm)) with
-    | Some s -> s
-    | None -> zero_stats
-  in
-  add_stats proc_stats disk_stats
+  let ram = H.Mem.Addr_space.cow_totals (Vmm.proc f.fk_vmm).H.Proc.aspace in
+  match H.Mem.cow_stats (Blockdev.Backend.mem (Vmm.disk f.fk_vmm)) with
+  | None -> ram
+  | Some d ->
+      {
+        H.Mem.cs_pages_total = ram.H.Mem.cs_pages_total + d.H.Mem.cs_pages_total;
+        cs_pages_copied = ram.cs_pages_copied + d.cs_pages_copied;
+        cs_silent_writes = ram.cs_silent_writes + d.cs_silent_writes;
+        cs_resident_bytes = ram.cs_resident_bytes + d.cs_resident_bytes;
+      }
 
 (* On-disk format: a magic line, then a Marshal'd [stored] record with
    the big regions encoded sparsely (only non-zero 4 KiB pages). The
@@ -338,6 +325,7 @@ let load ~path =
             Error
               (E.Baseline_stale ("unknown kernel version: " ^ st.st_version))
       in
+      let ram = densify st.st_ram_len st.st_ram_pages in
       let img =
         {
           img_profile = st.st_profile;
@@ -347,7 +335,8 @@ let load ~path =
           img_hostname = st.st_hostname;
           img_boot_rng = st.st_boot_rng;
           img_kernel = st.st_kernel;
-          img_ram = densify st.st_ram_len st.st_ram_pages;
+          img_ram = ram;
+          img_ram_digests = H.Mem.page_digests ram;
           img_databuf = st.st_databuf;
           img_disk = densify st.st_disk_len st.st_disk_pages;
           img_digest = st.st_digest;

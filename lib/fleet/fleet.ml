@@ -1,11 +1,11 @@
 module H = Hostos
-module Sfs = Blockdev.Simplefs
-module Vmm = Hypervisor.Vmm
 module Profile = Hypervisor.Profile
 module KV = Linux_guest.Kernel_version
 module E = Vmsh.Vmsh_error
 module Sweep = Fleet_sweep
 module Baseline = Baseline
+module Machine = Machine
+module Session = Session
 
 let src = Logs.Src.create "vmsh.fleet" ~doc:"VMSH fleet attach engine"
 
@@ -93,172 +93,45 @@ type report = {
   r_schedule : string;
 }
 
-let boot_disk h ~name =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string (name ^ "\n")));
-  Sfs.sync fs;
-  disk
-
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
-
-(* Stand up the session's machine: a cold boot builds disk + VMM +
-   guest from scratch; a fork clones the baked baseline through CoW
-   overlays and is charged only the linked-clone cost. Returns the live
-   VMM plus the virtual nanoseconds the stand-up cost this session. *)
-let provision ~host ~name ~(cfg : Config.t) =
-  let t0 = H.Clock.now_ns host.H.Host.clock in
-  match cfg.Config.boot_source with
-  | Config.Cold_boot ->
-      let disk = boot_disk host ~name in
-      let disable_seccomp =
-        cfg.Config.profile.Profile.prof_name = "Firecracker"
-      in
-      let vmm =
-        Vmm.create host ~profile:cfg.Config.profile ~disk ~disable_seccomp ()
-      in
-      ignore (Vmm.boot vmm ~version:cfg.Config.version);
-      Ok (vmm, H.Clock.now_ns host.H.Host.clock -. t0)
-  | Config.Fork_of img -> (
-      match
-        Baseline.fork img ~host ~profile:cfg.Config.profile ~name
-      with
-      | Ok f -> Ok (f.Baseline.fk_vmm, f.Baseline.fk_fork_ns)
-      | Error e -> Error e)
-
-(* Fold the fork's overlay occupancy into the session registry so the
-   merged fleet document carries the real memory story: pages still
-   shared with the baseline vs pages the clone privately copied. *)
-let observe_overlay mx vmm =
-  let p = Vmm.proc vmm in
-  let ram = H.Mem.Addr_space.cow_totals p.H.Proc.aspace in
-  let disk =
-    match H.Mem.cow_stats (Blockdev.Backend.mem (Vmm.disk vmm)) with
-    | Some s -> s
-    | None ->
-        {
-          H.Mem.cs_pages_total = 0;
-          cs_pages_copied = 0;
-          cs_silent_writes = 0;
-          cs_resident_bytes = 0;
-        }
-  in
-  let set name v =
-    Observe.Metrics.set_counter (Observe.Metrics.counter mx name) v
-  in
-  let total = ram.H.Mem.cs_pages_total + disk.H.Mem.cs_pages_total in
-  let copied = ram.H.Mem.cs_pages_copied + disk.H.Mem.cs_pages_copied in
-  set "overlay.pages_copied" copied;
-  set "overlay.pages_shared" (total - copied);
-  set "overlay.silent_writes"
-    (ram.H.Mem.cs_silent_writes + disk.H.Mem.cs_silent_writes);
-  set "overlay.resident_bytes"
-    (ram.H.Mem.cs_resident_bytes + disk.H.Mem.cs_resident_bytes)
-
-(* One fleet session: stand up a VM on its own host (cold boot or CoW
-   fork), attach, prove the overlay answers on the console, detach.
-   Runs as a fiber; every step between yield points touches only this
-   session's host. *)
+(* One fleet session: the {!Session} pipeline on the session's own host
+   (cold boot or CoW fork, named after the session), run as a fiber;
+   every step between yield points touches only this host. *)
 let session ~host ~name ~(cfg : Config.t) ~index ~cache results () =
   (* tag every flight event and any failure artifact with the session *)
   Trace.Recorder.set_session host.H.Host.recorder index;
   Trace.Recorder.set_meta host.H.Host.recorder "session" name;
   Trace.Recorder.set_meta host.H.Host.recorder "boot"
     (if Config.is_fork cfg then "fork" else "cold");
-  match provision ~host ~name ~cfg with
-  | Error e ->
-      results.(index) <-
-        Some
-          {
-            s_name = name;
-            s_result = Error (E.to_string e);
-            s_attach_ns = Float.nan;
-            s_fork_ns = Float.nan;
-            s_total_ns = H.Clock.now_ns host.H.Host.clock;
-            s_host = host;
-            s_digest = "";
-          }
-  | Ok (vmm, standup_ns) ->
-      let mx = Observe.metrics host.H.Host.observe in
-      let fork_ns =
-        if Config.is_fork cfg then begin
-          Observe.Metrics.observe
-            (Observe.Metrics.histogram mx "fleet.fork_ns")
-            standup_ns;
-          standup_ns
-        end
-        else Float.nan
-      in
-      let t0 = H.Clock.now_ns host.H.Host.clock in
-      let config =
-        let open Vmsh.Attach.Config in
-        let c = make () in
-        let c =
-          match cache with Some k -> with_symbol_cache k c | None -> c
-        in
-        if cfg.Config.fault_rate > 0.0 then
-          with_faults
-            (Faults.create
-               ~seed:((cfg.Config.seed * 31) + index)
-               ~rate:cfg.Config.fault_rate ())
-            c
-        else c
-      in
-      let result =
-        match
-          Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
-            ~fs_image:(tools_image host.H.Host.clock)
-            ~config
-            ~pump:(fun () -> Vmm.run_until_idle vmm)
-            ()
-        with
-        | Error e -> Error (E.to_string e)
-        | Ok sess -> (
-            ignore (Vmsh.Attach.console_recv sess);
-            let out = Vmsh.Attach.console_roundtrip sess "hostname" in
-            match Vmsh.Attach.detach sess with
-            | Error e -> Error (E.to_string e)
-            | Ok () ->
-                if String.length out = 0 then Error "console dead after attach"
-                else if
-                  (* a fork must answer with its own per-clone hostname:
-                     the one write that diverged it from the baseline —
-                     and from every sibling *)
-                  Config.is_fork cfg
-                  && not (String.length out > String.length name
-                          && String.sub out 0 (String.length name + 1)
-                             = name ^ "\n")
-                then
-                  Error
-                    (Printf.sprintf
-                       "fork isolation: console answered %S, want %S" out name)
-                else Ok ())
-      in
-      let now = H.Clock.now_ns host.H.Host.clock in
-      if Config.is_fork cfg then observe_overlay mx vmm;
-      (* zero-virtual-cost guest-state digest: the replay-diff oracle
-         compares it between a live fleet run and its replay *)
-      let digest =
-        Vmsh.Snapshot.digest (Vmsh.Snapshot.capture (Vmm.kvm_vm vmm))
-      in
-      results.(index) <-
-        Some
-          {
-            s_name = name;
-            s_result = result;
-            s_attach_ns = now -. t0;
-            s_fork_ns = fork_ns;
-            s_total_ns = now;
-            s_host = host;
-            s_digest = digest;
-          }
+  let boot =
+    match cfg.Config.boot_source with
+    | Config.Cold_boot ->
+        Session.cold ~profile:cfg.Config.profile ~version:cfg.Config.version
+          name
+    | Config.Fork_of image -> Session.Fork { image; hostname = name }
+  in
+  let plan =
+    if cfg.Config.fault_rate > 0.0 then
+      Some
+        (Faults.create
+           ~seed:((cfg.Config.seed * 31) + index)
+           ~rate:cfg.Config.fault_rate ())
+    else None
+  in
+  let r = Session.run ~host (Session.spec ?plan ?cache boot) in
+  results.(index) <-
+    Some
+      {
+        s_name = name;
+        s_result =
+          (match r.Session.verdict with
+          | Faults.Abort.Survived -> Ok ()
+          | v -> Error (Faults.Abort.detail v));
+        s_attach_ns = r.Session.attach_ns;
+        s_fork_ns = (if Config.is_fork cfg then r.Session.boot_ns else Float.nan);
+        s_total_ns = H.Clock.now_ns host.H.Host.clock;
+        s_host = host;
+        s_digest = r.Session.digest;
+      }
 
 let counter_value mx name =
   Observe.Metrics.counter_value (Observe.Metrics.counter mx name)
@@ -297,28 +170,22 @@ let run_validated (cfg : Config.t) =
   List.iteri
     (fun i (name, outcome) ->
       match (outcome, results.(i)) with
-      | Sched.Done, Some _ -> ()
-      | Sched.Done, None | Sched.Failed _, _ ->
-          (* the fiber died before filing its report (escaped exception
-             or an aborted run): synthesize a failed session so the
-             report always has [vms] entries *)
-          let msg =
-            match outcome with
-            | Sched.Failed e -> Printexc.to_string e
-            | Sched.Done -> "session filed no report"
-          in
+      | Sched.Failed e, None ->
+          (* the fiber died outside the session harness: file it failed
+             so the report always has [vms] entries *)
           let host = List.nth hosts i in
           results.(i) <-
             Some
               {
                 s_name = name;
-                s_result = Error msg;
+                s_result = Error (Printexc.to_string e);
                 s_attach_ns = Float.nan;
                 s_fork_ns = Float.nan;
                 s_total_ns = H.Clock.now_ns host.H.Host.clock;
                 s_host = host;
                 s_digest = "";
-              })
+              }
+      | _ -> ())
     outcomes;
   (* every failed session leaves a replayable artifact when
      VMSH_TRACE_DIR is set (CI uploads them) *)

@@ -35,6 +35,13 @@ module Baseline = Baseline
 (** Baked baseline images and copy-on-write VM forking — boot once,
     fork thousands of linked clones through per-page overlays. *)
 
+module Machine = Machine
+(** The machine every session boots: root disk, tools image, fd count. *)
+
+module Session = Session
+(** The one attach pipeline (boot or fork through the rollback oracle)
+    and its verdict; the fleet, sweep, service and fuzzer all run it. *)
+
 (** Fleet configuration: a builder mirroring {!Vmsh.Attach.Config}
     (make / with_* / validate). *)
 module Config : sig

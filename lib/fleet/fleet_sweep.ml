@@ -8,8 +8,9 @@
    points are independent and can be interleaved by the virtual-time
    scheduler (the fleet-shaped crash matrix).
 
-   Every aborted point must satisfy three post-conditions:
-   - the error is a clean, parseable {!Vmsh.Vmsh_error.t} (an escaped
+   Each point is one {!Session} run, and every aborted point must
+   satisfy its three post-conditions:
+   - the attach fails with a typed {!Vmsh.Vmsh_error.t} (an escaped
      exception is reported as unclean);
    - the snapshot oracle finds guest memory and vCPU registers
      byte-identical to the pre-attach capture, modulo pages the guest
@@ -18,22 +19,20 @@
      value (nothing leaked in the VMSH process or the hypervisor). *)
 
 module H = Hostos
-module Sfs = Blockdev.Simplefs
-module Vmm = Hypervisor.Vmm
-module Profile = Hypervisor.Profile
-module KV = Linux_guest.Kernel_version
 
 type point = {
   pt_class : string;  (** armed fault class, or ["fault-free"] *)
   pt_yield : int;  (** k of [abort-at-yield(k)]; the probe uses [-1] *)
   pt_outcome : string;  (** ["completed"] / ["aborted"] / ["clean-fail"] *)
-  pt_error : string option;  (** rendered error when not completed *)
   pt_oracle : string list;  (** oracle discrepancies; [[]] = restored *)
   pt_leaked_fds : int;  (** host-wide open-fd delta after the point *)
-  pt_unclean : string option;  (** escaped exception, if any *)
+  pt_unclean : string option;
+      (** escaped exception, or how an attached session broke (dead
+          console, failed detach), if any *)
   pt_digest : string;  (** {!Vmsh.Snapshot.digest} of the final guest state *)
   pt_events : Trace.event list;  (** the point's flight recording *)
   pt_virtual_ns : float;  (** the point's virtual clock at the end *)
+  pt_verdict : Faults.Abort.verdict;  (** the session harness's verdict *)
 }
 
 type report = {
@@ -46,82 +45,41 @@ type report = {
 }
 
 let fault_free = "fault-free"
-
-let boot_disk h =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string "sweep-vm\n"));
-  Sfs.sync fs;
-  disk
-
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
-
-let open_fds h =
-  List.fold_left
-    (fun acc p -> acc + List.length (H.Proc.fd_numbers p))
-    0 h.H.Host.procs
-
 let class_label = function Some c -> Faults.name c | None -> fault_free
 
-(* The attach path renders a fired crash point through this message (a
-   stable part of the error taxonomy, round-tripped by Vmsh_error). *)
-let crash_point_fired msg =
-  let needle = "crash point at yield" in
-  let nl = String.length needle and ml = String.length msg in
-  let rec scan i = i + nl <= ml && (String.sub msg i nl = needle || scan (i + 1)) in
-  scan 0
+(* A cell's recipe as trace metadata: [vmsh trace replay] re-runs the
+   cell from the file alone. The "boot" and "hostile" keys are written
+   only for forked and hostile cells, so plain-sweep recordings stay
+   byte-identical to earlier versions. *)
+let cell_meta ~seed ~cls ~k ~fork ~hostile =
+  [
+    ("scenario", "sweep-cell");
+    ("sweep-seed", string_of_int seed);
+    ("class", cls);
+    ("k", string_of_int k);
+  ]
+  @ (if fork then [ ("boot", "fork") ] else [])
+  @ if hostile = "" then [] else [ ("hostile", hostile) ]
 
-(* One sweep point: fresh machine, armed plan, one attach. [k = None]
-   is the probe (crash point parked at max_int); returns the point and,
-   for the probe, the yield count the attach crossed. [?plan] lets the
-   trace-mutation fuzzer run the same harness under its own scripted
-   fault plan instead of the sweep's class arming. [?baseline] stands
-   the point's machine up as a CoW fork of a baked image instead of a
-   cold boot, so the crash matrix also covers forked sessions — the
-   rollback oracle then proves restoration through the overlay. *)
+(* One sweep point: a {!Session} on a fresh machine under the armed
+   plan. [k = None] is the probe (crash point parked at max_int);
+   returns the point and, for the probe, the yield count the attach
+   crossed. [?plan] lets the trace-mutation fuzzer run the same harness
+   under its own scripted fault plan instead of the sweep's class
+   arming. [?baseline] stands the point's machine up as a CoW fork of a
+   baked image instead of a cold boot, so the crash matrix also covers
+   forked sessions — the rollback oracle then proves restoration
+   through the overlay. [?hostile] races the attach against a seeded
+   adversarial guest stepping at every yield point. *)
 let run_point ?log_level ?plan ?baseline ?hostile ~seed ~cls ~k () =
   let host = H.Host.create ~seed () in
   Option.iter (Observe.set_log_level host.H.Host.observe) log_level;
-  (* scenario meta makes the point's flight recording self-describing:
-     [vmsh trace replay] re-runs this exact cell from the file alone.
-     The "hostile" key is only written for hostile cells so plain-sweep
-     recordings stay byte-identical to earlier versions. *)
-  let rec_meta =
-    [
-      ("scenario", "sweep-cell");
-      ("sweep-seed", string_of_int seed);
-      ("class", class_label cls);
-      ("k", string_of_int (Option.value k ~default:(-1)));
-      ("boot", (match baseline with Some _ -> "fork" | None -> "cold"));
-    ]
-    @
-    match hostile with
-    | Some h -> [ ("hostile", Hostile.name h) ]
-    | None -> []
-  in
-  List.iter (fun (key, v) -> Trace.Recorder.set_meta host.H.Host.recorder key v)
-    rec_meta;
-  let vmm =
-    match baseline with
-    | None ->
-        let vmm =
-          Vmm.create host ~profile:Profile.qemu ~disk:(boot_disk host) ()
-        in
-        ignore (Vmm.boot vmm ~version:KV.V5_10);
-        vmm
-    | Some img -> (
-        match Baseline.fork img ~host ~profile:Profile.qemu ~name:"sweep-vm" with
-        | Ok f -> f.Baseline.fk_vmm
-        | Error e -> Vmsh.Vmsh_error.fail e)
-  in
-  let vm = Vmm.kvm_vm vmm in
+  List.iter
+    (fun (key, v) -> Trace.Recorder.set_meta host.H.Host.recorder key v)
+    (cell_meta ~seed ~cls:(class_label cls)
+       ~k:(Option.value k ~default:(-1))
+       ~fork:(baseline <> None)
+       ~hostile:(match hostile with Some h -> Hostile.name h | None -> ""));
   let plan =
     match plan with
     | Some p -> p
@@ -136,100 +94,51 @@ let run_point ?log_level ?plan ?baseline ?hostile ~seed ~cls ~k () =
         p
   in
   Faults.set_abort_at_yield plan (Some (Option.value k ~default:max_int));
-  (* the timewarp lowering's executor: a scripted skew at yield point n
-     stretches the virtual clock by the factor's excess over unity — a
-     4000-permille warp inserts 3 ms of virtual latency right there.
-     Compression factors (< 1000) fire but add nothing: virtual time is
-     monotone. *)
-  if Faults.skew_script plan <> [] then
-    Faults.set_on_skew plan
-      (Some
-         (fun permille ->
-           let stretch_ns = float_of_int (max 0 (permille - 1000)) *. 1e3 in
-           if stretch_ns > 0. then H.Clock.advance host.H.Host.clock stretch_ns));
-  (* the hostile engine rides the same yield-point stream the crash
-     point enumerates: one adversarial action per cooperative yield of
-     the attach path, from its own seeded stream *)
-  (match hostile with
-  | Some h ->
-      let eng = Hostile.create ~seed ~cls:h vmm in
-      Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng))
-  | None -> ());
-  let before = Vmsh.Snapshot.capture vm in
-  let fds_before = open_fds host in
-  let config = Vmsh.Attach.Config.(with_faults plan (make ())) in
-  let outcome, error, late_writes, unclean, yields =
-    match
-      Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(tools_image host.H.Host.clock)
-        ~config
-        ~pump:(fun () -> Vmm.run_until_idle vmm)
-        ()
-    with
-    | Ok session -> (
-        let yields = Faults.yield_ticks plan in
-        ignore (Vmsh.Attach.console_recv session);
-        let out = Vmsh.Attach.console_roundtrip session "hostname" in
-        let late =
-          match Vmsh.Attach.journal session with
-          | Some j -> Vmsh.Journal.late_writes j
-          | None -> []
-        in
-        match Vmsh.Attach.detach session with
-        | Ok () when String.length out > 0 ->
-            ("completed", None, late, None, yields)
-        | Ok () ->
-            ("completed", None, late, Some "console dead after attach", yields)
-        | Error e ->
-            ("completed", Some (Vmsh.Vmsh_error.to_string e), late,
-             Some "detach failed", yields))
-    | Error e ->
-        let msg = Vmsh.Vmsh_error.to_string e in
-        (* the taxonomy must round-trip: a clean abort is diagnosable
-           from its rendered form alone *)
-        let unclean =
-          if Vmsh.Vmsh_error.to_string (Vmsh.Vmsh_error.of_string msg) <> msg
-          then Some ("error does not round-trip: " ^ msg)
-          else None
-        in
-        ((if crash_point_fired msg then "aborted" else "clean-fail"),
-         Some msg, [], unclean, 0)
-    | exception e ->
-        ("unclean", None, [], Some (Printexc.to_string e), 0)
+  let boot =
+    match baseline with
+    | None -> Session.cold "sweep-vm"
+    | Some image -> Session.Fork { image; hostname = "sweep-vm" }
   in
-  let exclude = Vmsh.Snapshot.dirty_since vm before @ late_writes in
-  let after = Vmsh.Snapshot.capture vm in
-  let oracle = Vmsh.Snapshot.diff ~before ~after ~exclude in
-  let cell_label =
-    match hostile with
-    | Some h -> "hostile-" ^ Hostile.name h
-    | None -> class_label cls
+  let r =
+    Session.run ~host
+      (Session.spec ~plan ?hostile:(Option.map (fun h -> (h, seed)) hostile)
+         boot)
   in
   let point =
     {
-      pt_class = cell_label;
-      pt_yield = (match k with Some k -> k | None -> -1);
-      pt_outcome = outcome;
-      pt_error = error;
-      pt_oracle = oracle;
-      pt_leaked_fds = open_fds host - fds_before;
-      pt_unclean = unclean;
-      pt_digest = Vmsh.Snapshot.digest after;
+      pt_class =
+        (match hostile with
+        | Some h -> "hostile-" ^ Hostile.name h
+        | None -> class_label cls);
+      pt_yield = Option.value k ~default:(-1);
+      pt_outcome =
+        (match r.Session.outcome with
+        | Session.Completed | Session.Broken _ -> "completed"
+        | Session.Aborted (Vmsh.Vmsh_error.Attach_aborted (Crash_point _)) ->
+            "aborted"
+        | Session.Aborted _ -> "clean-fail"
+        | Session.Escaped _ -> "unclean");
+      pt_oracle = r.Session.oracle;
+      pt_leaked_fds = r.Session.leaked_fds;
+      pt_unclean =
+        (match r.Session.outcome with
+        | Session.Broken m -> Some m
+        | Session.Escaped e -> Some (Printexc.to_string e)
+        | Session.Completed | Session.Aborted _ -> None);
+      pt_digest = r.Session.digest;
       pt_events = Trace.Recorder.events host.H.Host.recorder;
       pt_virtual_ns = H.Clock.now_ns host.H.Host.clock;
+      pt_verdict = r.Session.verdict;
     }
   in
-  (* a failed post-condition leaves a replayable artifact when
+  (* a bug verdict leaves a replayable artifact when
      VMSH_TRACE_DIR is set (CI uploads them) *)
-  if point.pt_oracle <> [] || point.pt_leaked_fds > 0 || point.pt_unclean <> None
-  then
+  if Faults.Abort.is_bug point.pt_verdict then
     ignore
       (Trace.dump_on_failure host.H.Host.recorder
-         ~name:
-           (Printf.sprintf "sweep-%s-k%d" point.pt_class
-              (Option.value k ~default:(-1)))
+         ~name:(Printf.sprintf "sweep-%s-k%d" point.pt_class point.pt_yield)
          ());
-  (point, yields)
+  (point, r.Session.yields)
 
 (* Run [points] thunks, [vms] at a time, on the virtual-time scheduler
    (vms = 1 degenerates to a plain sequential loop). Every point has
@@ -258,6 +167,32 @@ let run_batched ~vms thunks =
     List.filter_map Fun.id (Array.to_list results)
   end
 
+(* The matrix: for every cell — a fault class, or a hostile class with
+   no fault armed — a probe learns Y, then abort-at-yield(k) runs for
+   every k below Y (capped at [max_yields]). *)
+let matrix ?log_level ?baseline ~seed ~vms ~max_yields cells =
+  let points =
+    List.concat_map
+      (fun (cls, hostile) ->
+        let point k =
+          run_point ?log_level ?baseline ?hostile ~seed ~cls ~k ()
+        in
+        let probe, yields = point None in
+        let ks = List.init (min yields max_yields) Fun.id in
+        probe
+        :: run_batched ~vms (List.map (fun k () -> fst (point (Some k))) ks))
+      cells
+  in
+  let count f = List.length (List.filter f points) in
+  {
+    sw_points = points;
+    sw_classes = List.length cells;
+    sw_oracle_pass = count (fun p -> p.pt_oracle = []);
+    sw_oracle_fail = count (fun p -> p.pt_oracle <> []);
+    sw_leaked_fds = List.fold_left (fun a p -> a + max 0 p.pt_leaked_fds) 0 points;
+    sw_unclean = count (fun p -> p.pt_unclean <> None);
+  }
+
 let run ?(seed = 5) ?classes ?(vms = 1) ?(max_yields = 256) ?log_level
     ?baseline () =
   let classes =
@@ -265,75 +200,19 @@ let run ?(seed = 5) ?classes ?(vms = 1) ?(max_yields = 256) ?log_level
     | Some cs -> cs
     | None -> None :: List.map Option.some Faults.all
   in
-  let points =
-    List.concat_map
-      (fun cls ->
-        (* probe: crash point out of reach; learns Y for this class *)
-        let probe, yields =
-          run_point ?log_level ?baseline ~seed ~cls ~k:None ()
-        in
-        let ks = List.init (min yields max_yields) Fun.id in
-        let swept =
-          run_batched ~vms
-            (List.map
-               (fun k () ->
-                 fst (run_point ?log_level ?baseline ~seed ~cls ~k:(Some k) ()))
-               ks)
-        in
-        probe :: swept)
-      classes
-  in
-  let count f = List.length (List.filter f points) in
-  {
-    sw_points = points;
-    sw_classes = List.length classes;
-    sw_oracle_pass = count (fun p -> p.pt_oracle = []);
-    sw_oracle_fail = count (fun p -> p.pt_oracle <> []);
-    sw_leaked_fds = List.fold_left (fun a p -> a + max 0 p.pt_leaked_fds) 0 points;
-    sw_unclean = count (fun p -> p.pt_unclean <> None);
-  }
+  matrix ?log_level ?baseline ~seed ~vms ~max_yields
+    (List.map (fun c -> (c, None)) classes)
 
 (* The hostile-guest chaos matrix: hostile-class × crash-point cells.
-   Same probe-then-sweep shape as the fault matrix, but instead of an
-   armed fault class each cell runs a seeded adversarial guest (see
-   {!Hostile}) stepping at every yield point while the crash point is
-   additionally enumerated — the attack races both the attach and its
-   rollback. Post-conditions are identical: every cell must end in a
-   completed attach or a clean, round-trippable abort with the snapshot
-   oracle passing and no descriptor leaked. *)
+   Each cell runs a seeded adversarial guest (see {!Hostile}) stepping
+   at every yield point while the crash point is additionally
+   enumerated — the attack races both the attach and its rollback.
+   Post-conditions are identical to the fault matrix. *)
 let run_hostile ?(seed = 11) ?classes ?(vms = 1) ?(max_yields = 256) ?log_level
     ?baseline () =
-  let classes =
-    match classes with Some cs -> cs | None -> Hostile.all
-  in
-  let points =
-    List.concat_map
-      (fun h ->
-        let probe, yields =
-          run_point ?log_level ?baseline ~hostile:h ~seed ~cls:None ~k:None ()
-        in
-        let ks = List.init (min yields max_yields) Fun.id in
-        let swept =
-          run_batched ~vms
-            (List.map
-               (fun k () ->
-                 fst
-                   (run_point ?log_level ?baseline ~hostile:h ~seed ~cls:None
-                      ~k:(Some k) ()))
-               ks)
-        in
-        probe :: swept)
-      classes
-  in
-  let count f = List.length (List.filter f points) in
-  {
-    sw_points = points;
-    sw_classes = List.length classes;
-    sw_oracle_pass = count (fun p -> p.pt_oracle = []);
-    sw_oracle_fail = count (fun p -> p.pt_oracle <> []);
-    sw_leaked_fds = List.fold_left (fun a p -> a + max 0 p.pt_leaked_fds) 0 points;
-    sw_unclean = count (fun p -> p.pt_unclean <> None);
-  }
+  let classes = Option.value classes ~default:Hostile.all in
+  matrix ?log_level ?baseline ~seed ~vms ~max_yields
+    (List.map (fun h -> (None, Some h)) classes)
 
 let ok r = r.sw_oracle_fail = 0 && r.sw_leaked_fds = 0 && r.sw_unclean = 0
 

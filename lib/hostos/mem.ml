@@ -31,6 +31,9 @@ let zero_page_digest = Digest.bytes zero_page
 
 type overlay = {
   base : bytes;  (* frozen, shared across every fork; never written *)
+  memo : Digest.t option array;
+      (* per-page digests of [base], shared with every other view of the
+         same frozen image; empty when the view has none *)
   stride : int;
       (* offset of page i in [base] is i * stride: [page_size] over a
          baseline image, 0 over [zero_page], which every page aliases *)
@@ -50,16 +53,35 @@ type cow_stats = {
   cs_resident_bytes : int;
 }
 
-let overlay ~base ~stride len =
-  let pages = Array.make ((len + page_size - 1) / page_size) Bytes.empty in
-  { backing = Cow { base; stride; pages; copied = 0; silent = 0 }; len }
+let page_count len = (len + page_size - 1) / page_size
+
+let overlay ?(memo = [||]) ~base ~stride len =
+  let pages = Array.make (page_count len) Bytes.empty in
+  { backing = Cow { base; memo; stride; pages; copied = 0; silent = 0 }; len }
 
 let create len =
   if len < 0 then invalid_arg "Mem.create: negative length";
   overlay ~base:zero_page ~stride:0 len
 
 let of_bytes buf = { backing = Flat buf; len = Bytes.length buf }
-let cow base = overlay ~base ~stride:page_size (Bytes.length base)
+
+(* The digests of a frozen image's pages, computed on first use and
+   owned by whoever owns the image: every fork of one baseline shares
+   them, so a snapshot of a fork hashes each still-shared page once per
+   image rather than once per capture. *)
+type page_digests = { of_base : bytes; digests : Digest.t option array }
+
+let page_digests base =
+  { of_base = base; digests = Array.make (page_count (Bytes.length base)) None }
+
+let cow ?digests base =
+  let memo =
+    match digests with
+    | None -> [||]
+    | Some d when d.of_base == base -> d.digests
+    | Some _ -> invalid_arg "Mem.cow: page digests belong to another base"
+  in
+  overlay ~memo ~base ~stride:page_size (Bytes.length base)
 let length t = t.len
 
 (* The CoW API ([is_cow], [cow_stats], [cow_reclaim]) describes only
@@ -220,23 +242,30 @@ let write_bytes t off b =
       cow_write t c off b 0 (Bytes.length b)
 
 (* The digest of [len] bytes at [off], hashed in place. An untouched
-   page of a zero-base overlay is zero by construction (see the
-   invariant above), so a whole one answers with the precomputed
-   zero-page digest. A materialised page is always hashed, even if it
-   holds zeros again. *)
+   page equals its base window (see the invariant above), so a whole
+   one answers without hashing: the precomputed zero-page digest under
+   [create], the image's memoised digest under a [cow] view that was
+   given one. A materialised page is always hashed, even if it holds
+   zeros or its base bytes again. *)
 let page_digest t off len =
   match t.backing with
   | Flat buf -> Digest.subbytes buf off len
   | Cow c ->
       check_range t.len off len;
+      let pi = off / page_size in
       if (off mod page_size) + len > page_size then
         Digest.bytes (read_bytes t off len)
-      else if
-        len = page_size
-        && (not (over_baseline c))
-        && not (materialised c.pages.(off / page_size))
-      then zero_page_digest
-      else Digest.subbytes (rd_buf c off) (rd_off c off) len
+      else if len < page_size || materialised c.pages.(pi) then
+        Digest.subbytes (rd_buf c off) (rd_off c off) len
+      else if not (over_baseline c) then zero_page_digest
+      else if Array.length c.memo = 0 then Digest.subbytes c.base off len
+      else
+        match c.memo.(pi) with
+        | Some d -> d
+        | None ->
+            let d = Digest.subbytes c.base off len in
+            c.memo.(pi) <- Some d;
+            d
 
 (* --- scalar accessors ---
 

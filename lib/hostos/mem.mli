@@ -35,13 +35,24 @@ val length : t -> int
 val page_size : int
 (** Overlay granularity: 4096. *)
 
-val cow : bytes -> t
+type page_digests
+(** The per-page digests of one frozen base, computed on first use.
+    Whoever owns the frozen image owns these and hands them to every
+    {!cow} view of it. *)
+
+val page_digests : bytes -> page_digests
+(** An empty digest memo for [base]. *)
+
+val cow : ?digests:page_digests -> bytes -> t
 (** [cow base] is a copy-on-write view over the frozen [base]: reads
     fall through to [base]; the first write that *diverges* from the
     base copies that 4KiB page into a private overlay. Writing bytes
     identical to the base is recorded as a silent write and copies
     nothing, so a deterministic replay against the overlay stays fully
-    shared. [base] must never be mutated while any view is alive. *)
+    shared. [base] must never be mutated while any view is alive. With
+    [digests] (which must be [page_digests base]), {!page_digest} of a
+    whole still-shared page is hashed once across all views; raises
+    [Invalid_argument] for a memo of another base. *)
 
 val freeze : t -> bytes
 (** A private snapshot of the full current contents (base + overlay
@@ -49,10 +60,12 @@ val freeze : t -> bytes
 
 val page_digest : t -> int -> int -> Digest.t
 (** [page_digest m off len] equals [Digest.bytes (read_bytes m off len)]
-    without the copy: a range inside one page is hashed in place, and a
+    without the copy: a range inside one page is hashed in place, a
     whole untouched page of a {!create}d buffer answers with a
-    precomputed zero-page digest. A materialised page is always hashed,
-    even if it holds zeros again. *)
+    precomputed zero-page digest, and a whole still-shared page of a
+    {!cow} view with [digests] answers from that memo. A materialised
+    page is always hashed, even if it holds zeros or its base bytes
+    again. *)
 
 val resident_pages : t -> int
 (** Pages held privately: the materialised pages of an overlay, every

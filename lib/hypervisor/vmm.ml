@@ -317,7 +317,11 @@ let add_device t ~slot_index ~regs ~process ~want_irqfd =
   Virtio.Mmio.Device.set_notify regs (fun ~queue:_ -> slot.process t slot);
   t.devices <- t.devices @ [ slot ]
 
-type fork_source = { fs_ram : bytes; fs_databuf : bytes }
+type fork_source = {
+  fs_ram : bytes;
+  fs_ram_digests : Mem.page_digests;
+  fs_databuf : bytes;
+}
 
 let create h ~profile:profx ~disk:diskb ?(ram_mb = 64) ?(vcpus = 1)
     ?(disable_seccomp = false) ?ninep_root ?fork () =
@@ -340,7 +344,8 @@ let create h ~profile:profx ~disk:diskb ?(ram_mb = 64) ?(vcpus = 1)
       p.Proc.mmap_backing <-
         Some
           (fun len ->
-            if len = Bytes.length f.fs_ram then Mem.cow f.fs_ram
+            if len = Bytes.length f.fs_ram then
+              Mem.cow ~digests:f.fs_ram_digests f.fs_ram
             else if len = Bytes.length f.fs_databuf then Mem.cow f.fs_databuf
             else Mem.create len));
   let io_thread = Proc.add_thread p ~name:"iothread" in
@@ -538,8 +543,10 @@ let freeze_fork_state t =
     | Some (m, 0) -> m
     | _ -> invalid_arg ("Vmm.freeze_fork_state: cannot resolve " ^ what)
   in
+  let ram = Mem.freeze (mem_at "guest RAM" t.ram_hva) in
   {
-    fs_ram = Mem.freeze (mem_at "guest RAM" t.ram_hva);
+    fs_ram = ram;
+    fs_ram_digests = Mem.page_digests ram;
     fs_databuf = Mem.freeze (mem_at "bounce buffer" t.databuf);
   }
 

@@ -8,7 +8,12 @@
 
 type t
 
-type fork_source = { fs_ram : bytes; fs_databuf : bytes }
+type fork_source = {
+  fs_ram : bytes;
+  fs_ram_digests : Hostos.Mem.page_digests;
+      (** the RAM pages' digest memo, shared by every fork *)
+  fs_databuf : bytes;
+}
 (** Frozen per-VM memory regions of a baked baseline: guest RAM and
     the VMM's disk bounce buffer (see {!freeze_fork_state}). *)
 

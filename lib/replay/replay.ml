@@ -2,19 +2,27 @@
    driver that produced it (plus all of its seeds), so replaying is
    just re-running that driver and diffing the two flight recordings
    and guest-state digests. No guest memory image is needed — the
-   recipe *is* the reproducer. *)
+   recipe *is* the reproducer. For the single-session recipes (attach,
+   sweep cell, serve job) the recipe is the very {!Fleet.Session} spec
+   that produced the run: each maps to its scenario's own entry point,
+   whose own function also writes the metadata. *)
 
 type spec =
   | Attach of { seed : int }
   | Fleet_run of { seed : int; vms : int; from_baseline : bool }
-  | Sweep_cell of { seed : int; cls : string; k : int; hostile : string }
+  | Sweep_cell of {
+      seed : int;
+      cls : string;
+      k : int;
+      hostile : string;
+      from_baseline : bool;
+    }
   | Serve_job of {
-      seed : int;  (* the job's host seed *)
-      id : int;
-      tenant : string;
-      kind : string;  (* Service.Job wire kind *)
+      job : Service.Job.t;
       start_ns : float;
       ram_mb : int;
+      worker : int;
+      warm_cache : bool;
     }
 
 type run = { run_events : Trace.event list; run_digest : string }
@@ -28,28 +36,11 @@ let meta_of_spec = function
         ("vms", string_of_int vms);
         ("boot", (if from_baseline then "fork" else "cold"));
       ]
-  | Sweep_cell { seed; cls; k; hostile } ->
-      [
-        ("scenario", "sweep-cell");
-        ("sweep-seed", string_of_int seed);
-        ("class", cls);
-        ("k", string_of_int k);
-      ]
-      (* only chaos-matrix cells carry the key, so plain-sweep
-         recordings stay byte-identical to earlier versions *)
-      @ (if hostile = "" then [] else [ ("hostile", hostile) ])
-  | Serve_job { seed; id; tenant; kind; start_ns; ram_mb } ->
-      (* the same keys Service.Dispatch.prepare_host tags serve-job
-         failure artifacts with *)
-      [
-        ("scenario", "serve-job");
-        ("job", string_of_int id);
-        ("tenant", tenant);
-        ("kind", kind);
-        ("job-seed", string_of_int seed);
-        ("start-ns", Printf.sprintf "%.0f" start_ns);
-        ("ram-mb", string_of_int ram_mb);
-      ]
+  | Sweep_cell { seed; cls; k; hostile; from_baseline } ->
+      Fleet.Sweep.cell_meta ~seed ~cls ~k ~hostile ~fork:from_baseline
+  | Serve_job { job; start_ns; ram_mb; worker; warm_cache } ->
+      Service.Dispatch.job_meta ~job ~start_ns ~ram_mb ~worker
+      @ [ ("symcache", if warm_cache then "warm" else "cold") ]
 
 let spec_of_meta meta =
   let str k = List.assoc_opt k meta in
@@ -61,6 +52,7 @@ let spec_of_meta meta =
         | Some i -> Ok i
         | None -> Error (Printf.sprintf "bad integer for %s: %s" k s))
   in
+  let from_baseline = str "boot" = Some "fork" in
   let ( let* ) = Result.bind in
   match str "scenario" with
   | None -> Error "trace has no scenario metadata; cannot derive a recipe"
@@ -77,7 +69,6 @@ let spec_of_meta meta =
         | None -> int_or "seed" 7
       in
       let* vms = int_or "vms" 1 in
-      let from_baseline = str "boot" = Some "fork" in
       Ok (Fleet_run { seed; vms; from_baseline })
   | Some "sweep-cell" ->
       let* seed =
@@ -88,39 +79,54 @@ let spec_of_meta meta =
       let* k = int_or "k" (-1) in
       let cls = Option.value (str "class") ~default:Fleet.Sweep.fault_free in
       let hostile = Option.value (str "hostile") ~default:"" in
-      Ok (Sweep_cell { seed; cls; k; hostile })
+      Ok (Sweep_cell { seed; cls; k; hostile; from_baseline })
   | Some "serve-job" ->
       let* seed = int_or "job-seed" 0 in
       let* id = int_or "job" 0 in
       let* ram_mb = int_or "ram-mb" 32 in
+      let* worker = int_or "worker" (-1) in
       let tenant = Option.value (str "tenant") ~default:"t0" in
-      let kind = Option.value (str "kind") ~default:"attach" in
+      let kind_name = Option.value (str "kind") ~default:"attach" in
+      let* kind =
+        Option.to_result ~none:("unknown job kind: " ^ kind_name)
+          (Service.Job.kind_of_string kind_name)
+      in
       let start_ns =
         Option.value
           (Option.bind (str "start-ns") float_of_string_opt)
           ~default:0.
       in
-      Ok (Serve_job { seed; id; tenant; kind; start_ns; ram_mb })
+      let job =
+        { Service.Job.id; tenant; kind; seed; priority = 0; deadline_ns = 0. }
+      in
+      let warm_cache = str "symcache" = Some "warm" in
+      Ok (Serve_job { job; start_ns; ram_mb; worker; warm_cache })
   | Some s -> Error ("unknown scenario: " ^ s)
 
-let execute ?log_level = function
+(* A forked recipe needs no baseline file: baking is itself
+   deterministic, so the replay re-bakes the identical image. *)
+let rebake from_baseline =
+  if from_baseline then Some (Fleet.Baseline.bake ()) else None
+
+let rec execute ?log_level = function
   | Attach { seed } ->
-      let pt, _ = Fleet.Sweep.run_point ?log_level ~seed ~cls:None ~k:None () in
-      Ok
-        {
-          run_events = pt.Fleet.Sweep.pt_events;
-          run_digest = pt.Fleet.Sweep.pt_digest;
-        }
+      (* the smoke attach is the fault-free probe cell *)
+      execute ?log_level
+        (Sweep_cell
+           {
+             seed;
+             cls = Fleet.Sweep.fault_free;
+             k = -1;
+             hostile = "";
+             from_baseline = false;
+           })
   | Fleet_run { seed; vms; from_baseline } -> (
-      (* a forked fleet needs no baseline file: baking is itself
-         deterministic, so the replay re-bakes the identical image *)
       let cfg = Fleet.Config.make ~vms () |> Fleet.Config.with_seed seed in
       let cfg =
-        if from_baseline then
-          Fleet.Config.with_boot_source
-            (Fleet.Config.Fork_of (Fleet.Baseline.bake ()))
-            cfg
-        else cfg
+        match rebake from_baseline with
+        | Some img ->
+            Fleet.Config.with_boot_source (Fleet.Config.Fork_of img) cfg
+        | None -> cfg
       in
       let cfg =
         match log_level with
@@ -131,63 +137,53 @@ let execute ?log_level = function
       | Error e -> Error (Vmsh.Vmsh_error.to_string e)
       | Ok r ->
           Ok { run_events = Fleet.flight_events r; run_digest = Fleet.digest r })
-  | Sweep_cell { seed; cls; k; hostile } -> (
-      let parsed_cls =
-        (* chaos-matrix cells record pt_class = "hostile-<class>" with
-           no fault class armed; accept that label too *)
-        if cls = Fleet.Sweep.fault_free || hostile <> "" then Ok None
-        else
-          match Faults.of_name cls with
-          | Some c -> Ok (Some c)
-          | None -> Error ("unknown fault class: " ^ cls)
+  | Sweep_cell { seed; cls; k; hostile; from_baseline } -> (
+      let named what of_name = function
+        | "" -> Ok None
+        | s ->
+            Option.to_result
+              ~none:(Printf.sprintf "unknown %s class: %s" what s)
+              (Option.map Option.some (of_name s))
       in
-      let parsed_hostile =
-        if hostile = "" then Ok None
-        else
-          match Hostile.of_name hostile with
-          | Some h -> Ok (Some h)
-          | None -> Error ("unknown hostile class: " ^ hostile)
+      (* chaos-matrix cells record pt_class = "hostile-<class>" with no
+         fault class armed; accept that label too *)
+      let cls =
+        if cls = Fleet.Sweep.fault_free || hostile <> "" then "" else cls
       in
-      match (parsed_cls, parsed_hostile) with
+      match
+        (named "fault" Faults.of_name cls, named "hostile" Hostile.of_name hostile)
+      with
       | Error e, _ | _, Error e -> Error e
       | Ok cls, Ok hostile ->
           let k = if k < 0 then None else Some k in
           let pt, _ =
-            Fleet.Sweep.run_point ?log_level ?hostile ~seed ~cls ~k ()
+            Fleet.Sweep.run_point ?log_level ?baseline:(rebake from_baseline)
+              ?hostile ~seed ~cls ~k ()
           in
           Ok
             {
               run_events = pt.Fleet.Sweep.pt_events;
               run_digest = pt.Fleet.Sweep.pt_digest;
             })
-
-  | Serve_job { seed; id; tenant; kind; start_ns; ram_mb } -> (
-      match Service.Job.kind_of_string kind with
-      | None -> Error ("unknown job kind: " ^ kind)
-      | Some job_kind ->
-          let job =
-            {
-              Service.Job.id;
-              tenant;
-              kind = job_kind;
-              seed;
-              priority = 0;
-              deadline_ns = 0.;
-            }
-          in
-          let host, status =
-            Service.Dispatch.execute_job ~job ~start_ns ~ram_mb ?log_level ()
-          in
-          (* no whole-guest digest survives a detached job; the
-             terminal status stands in (computed identically on both
-             sides of the diff) *)
-          Ok
-            {
-              run_events = Trace.Recorder.events host.Hostos.Host.recorder;
-              run_digest =
-                Digest.to_hex
-                  (Digest.string (Service.Job.status_to_string status));
-            })
+  | Serve_job { job; start_ns; ram_mb; worker; warm_cache } ->
+      let host =
+        Service.Dispatch.prepare_host ~job ~start_ns ~ram_mb ?log_level ~worker
+          ()
+      in
+      let cache =
+        if warm_cache then Service.Dispatch.warm_cache ~ram_mb
+        else Vmsh.Symbol_analysis.Cache.create ()
+      in
+      let status = Service.Dispatch.execute_on ~host ~job ~ram_mb ~cache () in
+      (* no whole-guest digest survives a detached job; the terminal
+         status stands in (computed identically on both sides of the
+         diff) *)
+      Ok
+        {
+          run_events = Trace.Recorder.events host.Hostos.Host.recorder;
+          run_digest =
+            Digest.to_hex (Digest.string (Service.Job.status_to_string status));
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Mutant execution: drive the recipe under a scripted fault plan      *)
@@ -197,9 +193,8 @@ let execute ?log_level = function
    scripted {!Faults.t} plan and asks: does the real pipeline survive
    that perturbation? The attack re-runs the recipe's attach on a fresh
    machine (for a fleet recipe, the one session the mutation touched —
-   per-session host seeds are the fleet's own derivation) with the
-   journal + snapshot oracle and the fd-leak check live, then folds the
-   sweep point into the shared three-way taxonomy. *)
+   per-session host seeds are the fleet's own derivation) as one
+   session-harness run, whose verdict it reports. *)
 
 type attack = {
   at_verdict : Faults.Abort.verdict;
@@ -207,47 +202,21 @@ type attack = {
   at_virtual_ns : float;  (** virtual time the attacked run consumed *)
 }
 
-let default_budget_ns = 120e9
-
 let attack_host_seed spec ~session =
   match spec with
   | Attach { seed } -> seed
   | Sweep_cell { seed; _ } -> seed
-  | Serve_job { seed; _ } -> seed
+  | Serve_job { job; _ } -> job.Service.Job.seed
   (* the fleet engine's per-session host seed derivation *)
   | Fleet_run { seed; _ } -> (seed * 1009) + (session * 17)
 
-let execute_attack ?log_level ?(budget_ns = default_budget_ns) ?(session = 0)
-    ~plan spec =
+let execute_attack ?log_level ?(session = 0) ~plan spec =
   let seed = attack_host_seed spec ~session in
   let pt, _ =
     Fleet.Sweep.run_point ?log_level ~plan ~seed ~cls:None ~k:None ()
   in
-  let verdict =
-    if pt.Fleet.Sweep.pt_virtual_ns > budget_ns then
-      Faults.Abort.Bug
-        (Printf.sprintf "hang: %.0f ms of virtual time exceeds the budget"
-           (pt.Fleet.Sweep.pt_virtual_ns /. 1e6))
-    else
-      match pt.Fleet.Sweep.pt_unclean with
-      | Some m -> Faults.Abort.Bug ("unclean: " ^ m)
-      | None ->
-          if pt.Fleet.Sweep.pt_oracle <> [] then
-            Faults.Abort.Bug
-              ("oracle: " ^ List.hd pt.Fleet.Sweep.pt_oracle)
-          else if pt.Fleet.Sweep.pt_leaked_fds > 0 then
-            Faults.Abort.Bug
-              (Printf.sprintf "%d descriptors leaked"
-                 pt.Fleet.Sweep.pt_leaked_fds)
-          else if pt.Fleet.Sweep.pt_outcome = "completed" then
-            Faults.Abort.Survived
-          else
-            Faults.Abort.Clean_abort
-              (Option.value pt.Fleet.Sweep.pt_error
-                 ~default:pt.Fleet.Sweep.pt_outcome)
-  in
   {
-    at_verdict = verdict;
+    at_verdict = pt.Fleet.Sweep.pt_verdict;
     at_events = pt.Fleet.Sweep.pt_events;
     at_virtual_ns = pt.Fleet.Sweep.pt_virtual_ns;
   }

@@ -16,23 +16,31 @@ type spec =
   | Fleet_run of { seed : int; vms : int; from_baseline : bool }
       (** a whole fleet run; [from_baseline] replays the sessions as CoW
           forks of a deterministically re-baked {!Fleet.Baseline.image} *)
-  | Sweep_cell of { seed : int; cls : string; k : int; hostile : string }
+  | Sweep_cell of {
+      seed : int;
+      cls : string;
+      k : int;
+      hostile : string;
+      from_baseline : bool;
+    }
       (** one crash-matrix cell: fault class × abort-at-yield(k);
           [k = -1] is the class's probe (crash point out of reach).
           [hostile] names the adversarial-guest class attacking the
           cell (chaos-matrix recordings), or is [""] for a plain
-          sweep cell *)
+          sweep cell; [from_baseline] forks the cell's machine from a
+          re-baked {!Fleet.Baseline.image} *)
   | Serve_job of {
-      seed : int;
-      id : int;
-      tenant : string;
-      kind : string;
+      job : Service.Job.t;
       start_ns : float;
       ram_mb : int;
+      worker : int;
+      warm_cache : bool;
     }
-      (** one service job re-run in isolation: the same machine seed,
-          kind and dispatch instant the dispatcher used, so a failing
-          job's artifact replays without the rest of the stream *)
+      (** one service job re-run in isolation: the same job, dispatch
+          instant, worker slot and symbol-cache state (a live job that
+          hit the service's shared cache replays against a warmed one)
+          the dispatcher used, so any job's recording replays without
+          the rest of the stream *)
 
 type run = {
   run_events : Trace.event list;  (** the fresh run's flight recording *)
@@ -65,24 +73,20 @@ type attack = {
   at_virtual_ns : float;  (** virtual time the attacked run consumed *)
 }
 
-val default_budget_ns : float
-(** 120 virtual seconds — same hang budget as the fault matrix. *)
-
 val execute_attack :
   ?log_level:Observe.level ->
-  ?budget_ns:float ->
   ?session:int ->
   plan:Faults.t ->
   spec ->
   attack
 (** Re-run the recipe's attach on a fresh machine under [plan] (for a
     fleet recipe, the one [session] the mutation touched, using the
-    fleet engine's per-session host-seed derivation), with the journal
-    + snapshot oracle and fd-leak check live. Exceeding [budget_ns] of
-    virtual time, an escaped exception, an oracle divergence or a
-    descriptor leak is a {!Faults.Abort.Bug}; a round-trippable attach
-    failure after full rollback is a [Clean_abort]; completion is
-    [Survived]. *)
+    fleet engine's per-session host-seed derivation) as one
+    {!Fleet.Session} run, and report that session's verdict: a hang
+    past {!Fleet.Session.budget_ns}, an escaped exception, an oracle
+    divergence or a descriptor leak is a {!Faults.Abort.Bug}; a typed
+    attach failure after full rollback is a [Clean_abort]; completion
+    is [Survived]. *)
 
 val record :
   ?log_level:Observe.level -> spec -> path:string -> (run, string) result

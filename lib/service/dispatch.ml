@@ -20,10 +20,14 @@
      min-clock pick interleaves job sessions exactly as N real
      processes would. Dispatch is attempted when a job arrives and when
      a job completes — the only instants at which a worker can free up.
-   - Every job runs a full session: its own host / VMM / guest /
-     fault plan, with the attach journal and the snapshot oracle
-     exactly as the one-shot CLI verbs run them. Failing jobs dump
-     replayable .vmshtrace artifacts tagged scenario=serve-job.
+   - Every job is one {!Fleet.Session} run on its own host / VMM /
+     guest, with the fault plan (and adversary) its kind arms; the
+     session's attach journal, rollback oracle and fd-leak check are
+     the same ones the fleet and the sweep run, and [status_of_verdict]
+     maps the session's verdict to the job's status. Each job's
+     flight recording carries its own recipe (scenario=serve-job), so
+     any job replays alone; failing jobs dump it as a .vmshtrace
+     artifact.
 
    Everything downstream of (config, seed) is deterministic: the
    admission decisions, the dispatch order, every per-job latency, the
@@ -31,10 +35,6 @@
    runs. *)
 
 module H = Hostos
-module Sfs = Blockdev.Simplefs
-module Vmm = Hypervisor.Vmm
-module Profile = Hypervisor.Profile
-module KV = Linux_guest.Kernel_version
 module Packet = Linux_guest.Netstack.Packet
 module Frame = Net.Frame
 module E = Vmsh.Vmsh_error
@@ -133,196 +133,125 @@ type report = {
   rp_leaked_workers : int;  (** workers still marked busy at the end *)
 }
 
-(* --- per-job simulated machines ------------------------------------ *)
+(* --- per-job sessions ------------------------------------------------- *)
 
-let boot_disk h ~name =
-  let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:4096 () in
-  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev disk) ()) in
-  ignore (Sfs.mkdir_p fs "/dev");
-  ignore (Sfs.mkdir_p fs "/etc");
-  ignore (Sfs.write_file fs "/etc/hostname" (Bytes.of_string (name ^ "\n")));
-  Sfs.sync fs;
-  disk
-
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
-
-let open_fds h =
-  List.fold_left
-    (fun acc p -> acc + List.length (H.Proc.fd_numbers p))
-    0 h.H.Host.procs
-
-(* Is a rendered error a clean member of the taxonomy? (The fuzz and
-   sweep kinds count a clean, round-trippable abort as success.) *)
-let round_trips msg = E.to_string (E.of_string msg) = msg
+(* A serve job's recipe as trace metadata, tagged on its machine's
+   flight recorder and written by [vmsh trace record]. [start-ns] is
+   printed exactly, so a replay lands every timestamp where the live
+   job's did. The "symcache" key is added once the session knows
+   whether its analysis hit the shared cache. *)
+let job_meta ~(job : Job.t) ~start_ns ~ram_mb ~worker =
+  [
+    ("scenario", "serve-job");
+    ("job", string_of_int job.Job.id);
+    ("tenant", job.Job.tenant);
+    ("kind", Job.kind_to_string job.Job.kind);
+    ("job-seed", string_of_int job.Job.seed);
+    ("start-ns", Printf.sprintf "%.17g" start_ns);
+    ("ram-mb", string_of_int ram_mb);
+    ("worker", string_of_int worker);
+  ]
 
 (* Build the simulated machine a job will run on. Its clock is
    pre-advanced to the dispatch instant, so every timestamp the session
    records — and the scheduler's min-clock pick — sits on the service
    timeline. *)
-let prepare_host ~(job : Job.t) ~start_ns ~ram_mb ?log_level ?(worker = -1) ()
-    =
+let prepare_host ~(job : Job.t) ~start_ns ~ram_mb ?log_level ~worker () =
   let host = H.Host.create ~seed:job.Job.seed () in
   Option.iter (Observe.set_log_level host.H.Host.observe) log_level;
   H.Clock.advance host.H.Host.clock start_ns;
   Trace.Recorder.set_session host.H.Host.recorder job.Job.id;
   List.iter
     (fun (k, v) -> Trace.Recorder.set_meta host.H.Host.recorder k v)
-    [
-      ("scenario", "serve-job");
-      ("job", string_of_int job.Job.id);
-      ("tenant", job.Job.tenant);
-      ("kind", Job.kind_to_string job.Job.kind);
-      ("job-seed", string_of_int job.Job.seed);
-      ("start-ns", Printf.sprintf "%.0f" start_ns);
-      ("ram-mb", string_of_int ram_mb);
-    ];
+    (job_meta ~job ~start_ns ~ram_mb ~worker);
   Trace.Recorder.record host.H.Host.recorder ~kind:"service.start"
     ~args:[ ("job", Trace.I job.Job.id); ("worker", Trace.I worker) ]
     ();
   host
 
-(* Execute one job on [host]. Returns the terminal status; never
-   raises for in-taxonomy failures (an escaped exception is the
-   caller's problem to surface). Also the replay path for serve-job
-   .vmshtrace artifacts. *)
-let execute_on ~host ~(job : Job.t) ~ram_mb ?cache () =
-  let name = Printf.sprintf "job%d" job.Job.id in
-  let vmm =
-    Vmm.create host ~profile:Profile.qemu ~disk:(boot_disk host ~name) ~ram_mb
-      ()
+(* The fault plan and adversary a job kind arms on its session. *)
+let job_arming (job : Job.t) =
+  match job.Job.kind with
+  | Job.Attach | Job.Attach_detach -> (None, None)
+  | Job.Fuzz_seed { boost } ->
+      (* cap 4 injections per class — fewer consecutive faults than the
+         6-attempt retry bound, so transient schedules are always
+         survivable and a fuzz job failure means a real bug (the same
+         calibration the bench's recovery scenario documents) *)
+      let plan =
+        Faults.create ~seed:((job.Job.seed * 31) + 7) ~rate:0.25 ~cap:4 ()
+      in
+      (match Faults.of_name boost with
+      | Some c -> Faults.set_class plan c ~rate:1.0 ~cap:2
+      | None -> ());
+      (Some plan, None)
+  | Job.Sweep_cell { cls; k } ->
+      let plan = Faults.create ~seed:((job.Job.seed * 31) + k) ~rate:0.0 () in
+      (match Faults.of_name cls with
+      | Some c -> Faults.set_class plan c ~rate:1.0 ~cap:2
+      | None -> ());
+      Faults.set_abort_at_yield plan (Some k);
+      (Some plan, None)
+  | Job.Hostile_attach { cls } -> (
+      (* a rate-0 plan injects no faults; it only carries the yield hook
+         the in-guest adversary steps from, exactly as the chaos matrix
+         arms it *)
+      match Hostile.of_name cls with
+      | None -> (None, None)
+      | Some c ->
+          ( Some (Faults.create ~seed:((job.Job.seed * 31) + 13) ~rate:0.0 ()),
+            Some (c, job.Job.seed) ))
+
+(* The verdict table: the plain attach kinds must complete; the
+   survival kinds (fuzz, sweep cell, hostile) also count a clean abort
+   that rolled the guest back and leaked nothing as a success. A bug
+   verdict (escaped exception, oracle divergence, leak, hang, dead
+   console) fails every kind. *)
+let status_of_verdict kind (v : Faults.Abort.verdict) =
+  match (v, kind) with
+  | Survived, _ -> Job.Completed
+  | Clean_abort m, (Job.Attach | Job.Attach_detach) -> Job.Failed m
+  | Clean_abort _, (Job.Fuzz_seed _ | Job.Sweep_cell _ | Job.Hostile_attach _)
+    ->
+      Job.Completed
+  | Bug m, _ -> Job.Failed m
+
+let symcache_hits host =
+  match
+    List.find_opt
+      (fun c -> Observe.Metrics.counter_name c = "symcache.hits")
+      (Observe.Metrics.counters (Observe.metrics host.H.Host.observe))
+  with
+  | Some c -> Observe.Metrics.counter_value c
+  | None -> 0
+
+(* Execute one job's session on [host] and map its verdict to the
+   job's terminal status. Never raises. Also the replay path for
+   serve-job .vmshtrace artifacts. *)
+let execute_on ~host ~(job : Job.t) ~ram_mb ~cache () =
+  let plan, hostile = job_arming job in
+  let r =
+    Fleet.Session.run ~host
+      (Fleet.Session.spec ?plan ?hostile ~cache
+         (Fleet.Session.cold ~ram_mb (Printf.sprintf "job%d" job.Job.id)))
   in
-  ignore (Vmm.boot vmm ~version:KV.V5_10);
-  let vm = Vmm.kvm_vm vmm in
-  (* the oracle baseline and fd watermark, where the kind wants them *)
-  let needs_oracle =
-    match job.Job.kind with
-    | Job.Attach_detach | Job.Sweep_cell _ | Job.Hostile_attach _ -> true
-    | Job.Attach | Job.Fuzz_seed _ -> false
-  in
-  let before = if needs_oracle then Some (Vmsh.Snapshot.capture vm) else None in
-  let fds_before = open_fds host in
-  let plan =
-    match job.Job.kind with
-    | Job.Attach | Job.Attach_detach -> None
-    | Job.Fuzz_seed { boost } ->
-        (* cap 4 injections per class — fewer consecutive faults than
-           the 6-attempt retry bound, so transient schedules are always
-           survivable and a fuzz job failure means a real bug (the same
-           calibration the bench's recovery scenario documents) *)
-        let plan =
-          Faults.create ~seed:((job.Job.seed * 31) + 7) ~rate:0.25 ~cap:4 ()
-        in
-        (match Faults.of_name boost with
-        | Some c -> Faults.set_class plan c ~rate:1.0 ~cap:2
-        | None -> ());
-        Some plan
-    | Job.Sweep_cell { cls; k } ->
-        let plan = Faults.create ~seed:((job.Job.seed * 31) + k) ~rate:0.0 () in
-        (match Faults.of_name cls with
-        | Some c -> Faults.set_class plan c ~rate:1.0 ~cap:2
-        | None -> ());
-        Faults.set_abort_at_yield plan (Some k);
-        Some plan
-    | Job.Hostile_attach { cls } -> (
-        (* a rate-0 plan injects no faults; it only carries the yield
-           hook the in-guest adversary steps from, exactly as the chaos
-           matrix arms it *)
-        match Hostile.of_name cls with
-        | None -> None
-        | Some c ->
-            let plan =
-              Faults.create ~seed:((job.Job.seed * 31) + 13) ~rate:0.0 ()
-            in
-            let eng = Hostile.create ~seed:job.Job.seed ~cls:c vmm in
-            Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng));
-            Some plan)
-  in
-  let config =
-    let open Vmsh.Attach.Config in
-    let c = make () in
-    let c = match cache with Some k -> with_symbol_cache k c | None -> c in
-    match plan with Some p -> with_faults p c | None -> c
-  in
-  let attach_result =
-    match
-      Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(tools_image host.H.Host.clock)
-        ~config
-        ~pump:(fun () -> Vmm.run_until_idle vmm)
-        ()
-    with
-    | result -> result
-    | exception e -> Error (E.Msg ("escaped exception: " ^ Printexc.to_string e))
-  in
-  let status =
-    match attach_result with
-    | Ok session -> (
-        ignore (Vmsh.Attach.console_recv session);
-        let out = Vmsh.Attach.console_roundtrip session "hostname" in
-        let late =
-          match Vmsh.Attach.journal session with
-          | Some j -> Vmsh.Journal.late_writes j
-          | None -> []
-        in
-        match Vmsh.Attach.detach session with
-        | Error e -> Job.Failed ("detach: " ^ E.to_string e)
-        | Ok () when String.length out = 0 ->
-            Job.Failed "console dead after attach"
-        | Ok () -> (
-            match before with
-            | None -> Job.Completed
-            | Some before ->
-                let exclude = Vmsh.Snapshot.dirty_since vm before @ late in
-                let after = Vmsh.Snapshot.capture vm in
-                (match Vmsh.Snapshot.diff ~before ~after ~exclude with
-                | [] ->
-                    let leaked = open_fds host - fds_before in
-                    if leaked > 0 then
-                      Job.Failed
-                        (Printf.sprintf "leaked %d descriptors" leaked)
-                    else Job.Completed
-                | d :: _ -> Job.Failed ("oracle: " ^ d))))
-    | Error e -> (
-        let msg = E.to_string e in
-        match job.Job.kind with
-        | Job.Attach | Job.Attach_detach -> Job.Failed msg
-        | Job.Fuzz_seed _ | Job.Sweep_cell _ | Job.Hostile_attach _ ->
-            (* survival kinds: a clean, round-trippable abort that rolls
-               the guest back and leaks nothing is a success *)
-            if not (round_trips msg) then
-              Job.Failed ("error does not round-trip: " ^ msg)
-            else
-              let oracle =
-                match before with
-                | None -> []
-                | Some before ->
-                    let exclude = Vmsh.Snapshot.dirty_since vm before in
-                    Vmsh.Snapshot.diff ~before
-                      ~after:(Vmsh.Snapshot.capture vm) ~exclude
-              in
-              (match oracle with
-              | d :: _ -> Job.Failed ("oracle: " ^ d)
-              | [] ->
-                  let leaked = open_fds host - fds_before in
-                  if leaked > 0 then
-                    Job.Failed (Printf.sprintf "leaked %d descriptors" leaked)
-                  else Job.Completed))
-  in
+  Trace.Recorder.set_meta host.H.Host.recorder "symcache"
+    (if symcache_hits host > 0 then "warm" else "cold");
   Trace.Recorder.record host.H.Host.recorder ~kind:"service.complete"
     ~args:[ ("job", Trace.I job.Job.id) ]
     ();
-  status
+  status_of_verdict job.Job.kind r.Fleet.Session.verdict
 
-(* Convenience for replay: fresh machine + execution in one call. *)
-let execute_job ~(job : Job.t) ~start_ns ~ram_mb ?log_level ?cache () =
-  let host = prepare_host ~job ~start_ns ~ram_mb ?log_level () in
-  let status = execute_on ~host ~job ~ram_mb ?cache () in
-  (host, status)
+(* A symbol cache in the state a live job finds once the service has
+   analysed the kernel, for replaying a job that hit it. (A job that
+   missed replays against an empty cache: a miss with a cache armed
+   costs what it cost live.) *)
+let warm_cache ~ram_mb =
+  let cache = Vmsh.Symbol_analysis.Cache.create () in
+  ignore
+    (Fleet.Session.run ~host:(H.Host.create ~seed:0 ())
+       (Fleet.Session.spec ~cache (Fleet.Session.cold ~ram_mb "warm-up")));
+  cache
 
 (* --- arrival processes --------------------------------------------- *)
 
@@ -379,7 +308,30 @@ let frontend_mac = Frame.make_mac ~vendor:0x0566 ~serial:0x5e7e
 let client_mac = Frame.make_mac ~vendor:0x0566 ~serial:0xc11e
 let jobs_port = 8080
 
-let run (cfg : config) : report =
+(* One UDP datagram as an Ethernet frame on the ingress link; [src] and
+   [dst] are (mac, ip, port) endpoints. *)
+let udp_frame ~src:(src_mac, src_ip, src_port) ~dst:(dst_mac, dst_ip, dst_port)
+    data =
+  Frame.encode
+    {
+      Frame.src = src_mac;
+      dst = dst_mac;
+      ethertype = Frame.eth_ipv4;
+      payload =
+        Packet.encode
+          {
+            Packet.src_ip;
+            dst_ip;
+            proto = Packet.proto_udp;
+            src_port;
+            dst_port;
+            seq = 0;
+            flag = Packet.flag_data;
+            data = Bytes.of_string data;
+          };
+    }
+
+let run ?(on_finish = fun _ _ -> ()) (cfg : config) : report =
   if cfg.workers <= 0 then invalid_arg "Dispatch.run: workers must be positive";
   if cfg.jobs < 0 then invalid_arg "Dispatch.run: jobs must be >= 0";
   let front = H.Host.create ~seed:((cfg.seed * 7919) + 1) () in
@@ -495,10 +447,6 @@ let run (cfg : config) : report =
             bump ("service.dispatched." ^ job.Job.tenant);
             let host_done host status =
               let end_ns = H.Clock.now_ns host.H.Host.clock in
-              Trace.Recorder.record host.H.Host.recorder
-                ~kind:"service.complete"
-                ~args:[ ("job", Trace.I job.Job.id) ]
-                ();
               file_terminal job ~status ~submit ~start ~end_:end_ns ~worker:w;
               Observe.Metrics.observe h_e2e (end_ns -. submit);
               Observe.Metrics.observe h_wait (start -. submit);
@@ -519,6 +467,7 @@ let run (cfg : config) : report =
                        ~extra_meta:[ ("error", err) ]
                        ())
               | Job.Shed _ | Job.Expired _ -> ());
+              on_finish job host;
               (* fold the session's registry into the service-wide one:
                  the merged export carries stage.attach/exit/pump
                  aggregates over every job the service ever ran *)
@@ -544,13 +493,8 @@ let run (cfg : config) : report =
               ~name:(Printf.sprintf "job%d" job.Job.id)
               ~clock:host.H.Host.clock
               (fun () ->
-                match execute_on ~host ~job ~ram_mb:cfg.ram_mb ~cache () with
-                | status -> host_done host status
-                | exception e ->
-                    (* the job machine blew up mid-session: file the
-                       failure so the worker still frees *)
-                    host_done host
-                      (Job.Failed ("escaped exception: " ^ Printexc.to_string e)));
+                host_done host
+                  (execute_on ~host ~job ~ram_mb:cfg.ram_mb ~cache ()));
             maybe_dispatch ~now:!svc_now ()
           end
       | None ->
@@ -565,24 +509,10 @@ let run (cfg : config) : report =
   let client = Net.Link.a link and server = Net.Link.b link in
   let reply_to (req : Packet.t) data =
     Net.Link.send server
-      (Frame.encode
-         {
-           Frame.src = frontend_mac;
-           dst = client_mac;
-           ethertype = Frame.eth_ipv4;
-           payload =
-             Packet.encode
-               {
-                 Packet.src_ip = frontend_ip;
-                 dst_ip = req.Packet.src_ip;
-                 proto = Packet.proto_udp;
-                 src_port = jobs_port;
-                 dst_port = req.Packet.src_port;
-                 seq = 0;
-                 flag = Packet.flag_data;
-                 data = Bytes.of_string data;
-               };
-         })
+      (udp_frame
+         ~src:(frontend_mac, frontend_ip, jobs_port)
+         ~dst:(client_mac, req.Packet.src_ip, req.Packet.src_port)
+         data)
   in
   Net.Link.set_handler server (fun raw ->
       match Frame.decode raw with
@@ -671,24 +601,10 @@ let run (cfg : config) : report =
         }
       in
       Net.Link.send client
-        (Frame.encode
-           {
-             Frame.src = client_mac;
-             dst = frontend_mac;
-             ethertype = Frame.eth_ipv4;
-             payload =
-               Packet.encode
-                 {
-                   Packet.src_ip = client_ip;
-                   dst_ip = frontend_ip;
-                   proto = Packet.proto_udp;
-                   src_port = 40000;
-                   dst_port = jobs_port;
-                   seq = 0;
-                   flag = Packet.flag_data;
-                   data = Bytes.of_string (Job.to_wire job);
-                 };
-           });
+        (udp_frame
+           ~src:(client_mac, client_ip, 40000)
+           ~dst:(frontend_mac, frontend_ip, jobs_port)
+           (Job.to_wire job));
       (* deliver the request (and the 202/429 reply): admission and
          dispatch run at the frame's delivery instant *)
       Net.Fabric.pump fabric;

@@ -151,47 +151,37 @@ let test_invalid_config_surfaces_through_attach () =
 
 (* --- error taxonomy --- *)
 
-let test_error_roundtrips () =
-  let cases =
-    [
-      E.Attach_aborted (E.Msg "tracee has no threads");
-      E.Attach_aborted (E.Guest_fault "triple fault");
-      E.Guest_error Vmsh.Klib_builder.status_err_blk;
-      E.Guest_fault "bad opcode";
-      E.Substrate H.Errno.EPERM;
-      E.Injection ("ptrace attach", H.Errno.EACCES);
-      E.Injection ("injected ioctl failed", H.Errno.EINTR);
-      E.Timeout 1;
-      E.Invalid_config "container_pid must be positive";
-      E.Context ("KVM_SET_GSI_ROUTING", E.Substrate H.Errno.EINVAL);
-      E.Context
-        ( "reading vCPU registers",
-          E.Injection ("injection transport", H.Errno.ESRCH) );
-      E.Deadline_exceeded 1_000_000_001;
-      E.Context ("guest-ready poll", E.Deadline_exceeded 2_000_000_000);
-      E.Rollback_failed (E.Context ("remote eventfd", E.Substrate H.Errno.EBADF));
-      E.Attach_aborted
-        (E.Rollback_failed
-           (E.Injection ("injected munmap failed", H.Errno.EBADF)));
-      E.Baseline_stale "kernel 5.4 does not match the baked 5.10 image";
-      E.Overlay_fault "ram region is 1 MiB, want 32 MiB";
-      E.Context ("fleet fork vm3", E.Baseline_stale "build id drifted");
-      E.Guest_misbehavior "ksymtab mutated between scan and use";
-      E.Attach_aborted
-        (E.Guest_misbehavior
-           "scanned kernel structures keep mutating under the scanner");
-      E.Context
-        ("use-time revalidation", E.Guest_misbehavior "symbol moved");
-    ]
-  in
+let test_error_golden_renderings () =
+  (* one case per variant: the rendered form is what result logs, CI
+     artifacts and the CLI print, so it must not drift *)
   List.iter
-    (fun e ->
-      let rendered = E.to_string e in
-      check cbool
-        ("roundtrip: " ^ rendered)
-        true
-        (E.of_string rendered = e))
-    cases
+    (fun (e, want) -> check cstr want want (E.to_string e))
+    [
+      (E.Attach_aborted (E.Msg "tracee has no threads"),
+       "attach aborted: tracee has no threads");
+      (E.Guest_error Vmsh.Klib_builder.status_err_blk,
+       "guest library failed with status 0x82 (block device registration)");
+      (E.Guest_fault "bad opcode", "guest error: bad opcode");
+      (E.Substrate H.Errno.EPERM, "Errno.EPERM");
+      (E.Injection ("ptrace attach", H.Errno.EACCES),
+       "ptrace attach: errno Errno.EACCES");
+      (E.Timeout 1, "guest library did not complete (status 1)");
+      (E.Invalid_config "container_pid must be positive",
+       "invalid attach config: container_pid must be positive");
+      (E.Unsupported "no KVM_CAP_IOREGIONFD", "no KVM_CAP_IOREGIONFD");
+      (E.Context ("guest-ready poll", E.Deadline_exceeded 2_000_000_000),
+       "guest-ready poll: virtual-time deadline exceeded after 2000000000 ns");
+      (E.Msg "symbol not found", "symbol not found");
+      (E.Rollback_failed (E.Context ("remote eventfd", E.Substrate H.Errno.EBADF)),
+       "rollback failed: remote eventfd: Errno.EBADF");
+      (E.Deadline_exceeded 1_000_000_001,
+       "virtual-time deadline exceeded after 1000000001 ns");
+      (E.Baseline_stale "build id drifted", "stale baseline image: build id drifted");
+      (E.Overlay_fault "ram region is 1 MiB, want 32 MiB",
+       "overlay fault: ram region is 1 MiB, want 32 MiB");
+      (E.Guest_misbehavior "symbol moved", "guest misbehavior: symbol moved");
+      (E.Attach_aborted (E.Crash_point 3), "attach aborted: crash point at yield 3");
+    ]
 
 let test_error_strings_preserve_legacy_messages () =
   check cstr "guest status note"
@@ -632,7 +622,7 @@ let suite =
       ] );
     ( "vmsh.errors",
       [
-        t "to_string/of_string roundtrip" test_error_roundtrips;
+        t "golden rendering per variant" test_error_golden_renderings;
         t "legacy messages preserved" test_error_strings_preserve_legacy_messages;
       ] );
     ( "devices.registry",

@@ -229,6 +229,21 @@ let test_mem_page_digest () =
   same "CoW private page" cow 4096 4096;
   same "CoW partial last page" cow (3 * 4096) 100;
   same "flat buffer" flat 4096 4096;
+  (* two forks of one image share its digest memo: a still-shared page
+     answers from it, a materialised page is hashed, and a page
+     reclaimed back to the base answers from the memo again *)
+  let digests = Mem.page_digests base in
+  let fork_a = Mem.cow ~digests base and fork_b = Mem.cow ~digests base in
+  same "memo filled by the first fork" fork_b 4096 4096;
+  Mem.write_u8 fork_a 4096 0xee;
+  same "materialised page over the memo" fork_a 4096 4096;
+  same "second fork still reads the base" fork_b 4096 4096;
+  Mem.write_u8 fork_a 4096 (Char.code (Bytes.get base 4096));
+  check cint "re-converged page reclaimed" 1 (Mem.cow_reclaim fork_a);
+  same "reclaimed page" fork_a 4096 4096;
+  same "partial last page with a memo" fork_a (3 * 4096) 100;
+  raises_invalid "memo of another base" (fun () ->
+      Mem.cow ~digests (Bytes.copy base));
   raises_invalid "digest past the end" (fun () -> Mem.page_digest m (3 * 4096) 4096)
 
 (* --- Chan --- *)

@@ -16,10 +16,7 @@ let contains hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   ln = 0 || go 0
 
-let open_fds h =
-  List.fold_left
-    (fun acc p -> acc + List.length (H.Proc.fd_numbers p))
-    0 h.H.Host.procs
+let open_fds = Fleet.Machine.open_fds
 
 (* --- the journal itself --- *)
 
@@ -125,20 +122,25 @@ let test_detach_restores_guest_byte_for_byte () =
           Alcotest.failf "oracle: %s (%d discrepancies)" d (List.length all))
 
 let test_crash_point_aborts_and_rolls_back () =
-  let ((h, vmm, _) as env) = Test_attach.setup ~seed:67 () in
+  let h, vmm, _ = Test_attach.setup ~seed:67 () in
   let vm = Vmm.kvm_vm vmm in
   let plan = Faults.create ~seed:1 ~rate:0.0 () in
   Faults.set_abort_at_yield plan (Some 3);
   let before = Vmsh.Snapshot.capture vm in
   let fds = open_fds h in
   let config = Vmsh.Attach.Config.(with_faults plan (make ())) in
-  match Test_attach.do_attach ~config env with
+  match
+    Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
+      ~fs_image:(Test_attach.make_fs_image ()) ~config
+      ~pump:(fun () -> Vmm.run_until_idle vmm)
+      ()
+  with
   | Ok _ -> Alcotest.fail "an armed crash point must abort the attach"
-  | Error msg ->
-      check cbool "error names the crash point" true
-        (contains msg "crash point at yield 3");
-      check cbool "error round-trips through the taxonomy" true
-        (E.to_string (E.of_string msg) = msg);
+  | Error e ->
+      check cbool "typed crash point at yield 3" true
+        (e = E.Attach_aborted (E.Crash_point 3));
+      check cstr "rendered crash point" "attach aborted: crash point at yield 3"
+        (E.to_string e);
       check cint "no descriptors leaked host-wide" fds (open_fds h);
       let exclude = Vmsh.Snapshot.dirty_since vm before in
       check cbool "guest restored byte-for-byte" true

@@ -228,28 +228,24 @@ let test_deadline_exceeded_roundtrip () =
            | _ -> None)
   in
   check cbool "some jobs expired behind the slow worker" true (expired <> []);
+  let results = D.results_jsonl r in
+  let contains needle =
+    let nl = String.length needle and rl = String.length results in
+    let rec scan i =
+      i + nl <= rl && (String.sub results i nl = needle || scan (i + 1))
+    in
+    scan 0
+  in
   List.iter
     (fun (_, late) ->
       check cbool "lateness positive" true (late > 0);
-      let rendered =
-        Vmsh.Vmsh_error.to_string
-          (Vmsh.Vmsh_error.Context
-             ("job deadline", Vmsh.Vmsh_error.Deadline_exceeded late))
-      in
-      (* the taxonomy must round-trip so the durable result log is
-         diagnosable from its rendered form alone *)
-      check cstr "deadline error round-trips" rendered
-        (Vmsh.Vmsh_error.to_string (Vmsh.Vmsh_error.of_string rendered)))
-    expired;
-  (* the rendered form also lands in the results file *)
-  let results = D.results_jsonl r in
-  check cbool "results carry deadline detail" true
-    (let needle = "deadline" in
-     let nl = String.length needle and rl = String.length results in
-     let rec scan i =
-       i + nl <= rl && (String.sub results i nl = needle || scan (i + 1))
-     in
-     scan 0)
+      (* the durable result log carries the typed deadline error's
+         rendered form *)
+      check cbool "results carry the deadline detail" true
+        (contains
+           (Printf.sprintf
+              "job deadline: virtual-time deadline exceeded after %d ns" late)))
+    expired
 
 (* --- whole-service determinism --- *)
 
@@ -331,6 +327,63 @@ let test_serve_hostile_tenant_isolated () =
   check cstr "hostile run still double-run identical" (D.digest host_r)
     (D.digest host_r2)
 
+(* --- the session verdict table, through the job-status mapping --- *)
+
+let test_verdict_table () =
+  let session ?plan seed =
+    (Fleet.Session.run
+       ~host:(H.Host.create ~seed ())
+       (Fleet.Session.spec ?plan (Fleet.Session.cold "verdict-vm")))
+      .Fleet.Session.verdict
+  in
+  let on_yield f =
+    let plan = Faults.create ~seed:1 ~rate:0.0 () in
+    Faults.set_on_yield plan (Some f);
+    plan
+  in
+  let crash =
+    let plan = Faults.create ~seed:1 ~rate:0.0 () in
+    Faults.set_abort_at_yield plan (Some 3);
+    plan
+  in
+  let plain = [ Job.Attach; Job.Attach_detach ] in
+  let survival =
+    [
+      Job.Fuzz_seed { boost = "inject-eintr" };
+      Job.Sweep_cell { cls = "inject-eintr"; k = 3 };
+      Job.Hostile_attach { cls = "toctou-scan" };
+    ]
+  in
+  let fails = function Job.Failed _ -> true | _ -> false in
+  let expect name verdict ~want ~plain_ok ~survival_ok =
+    check cstr (name ^ ": verdict") want (Faults.Abort.to_string verdict);
+    List.iter
+      (fun (kinds, ok) ->
+        List.iter
+          (fun kind ->
+            let status = D.status_of_verdict kind verdict in
+            check cbool
+              (Printf.sprintf "%s: %s job %s" name (Job.kind_to_string kind)
+                 (if ok then "completes" else "fails"))
+              true
+              (if ok then status = Job.Completed else fails status))
+          kinds)
+      [ (plain, plain_ok); (survival, survival_ok) ]
+  in
+  expect "completed" (session 61) ~want:"survived" ~plain_ok:true
+    ~survival_ok:true;
+  expect "crash point" (session ~plan:crash 62)
+    ~want:"clean-abort: attach aborted: crash point at yield 3" ~plain_ok:false
+    ~survival_ok:true;
+  expect "clean failure"
+    (session ~plan:(on_yield (fun n -> if n = 2 then failwith "hook gave up")) 63)
+    ~want:"clean-abort: attach aborted: hook gave up" ~plain_ok:false
+    ~survival_ok:true;
+  expect "escaped exception"
+    (session ~plan:(on_yield (fun n -> if n = 2 then raise Not_found)) 64)
+    ~want:"BUG: escaped exception: Not_found" ~plain_ok:false
+    ~survival_ok:false
+
 let suite =
   [
     ( "service.units",
@@ -361,5 +414,7 @@ let suite =
           test_serve_hot_tenant_shed_others_clean;
         Alcotest.test_case "hostile tenant isolated from neighbours" `Quick
           test_serve_hostile_tenant_isolated;
+        Alcotest.test_case "verdict table, every outcome and kind" `Quick
+          test_verdict_table;
       ] );
   ]

@@ -172,7 +172,14 @@ let test_sweep_cell_determinism () =
   let path = tmp_trace () in
   let run =
     record_ok
-      (Replay.Sweep_cell { seed = 5; cls = "inject-eintr"; k = 3; hostile = "" })
+      (Replay.Sweep_cell
+         {
+           seed = 5;
+           cls = "inject-eintr";
+           k = 3;
+           hostile = "";
+           from_baseline = false;
+         })
       path
   in
   replay_clean path;
@@ -185,7 +192,13 @@ let test_sweep_cell_determinism () =
       match Replay.spec_of_meta f.Trace.f_meta with
       | Ok
           (Replay.Sweep_cell
-             { seed = 5; cls = "inject-eintr"; k = 3; hostile = "" }) ->
+             {
+               seed = 5;
+               cls = "inject-eintr";
+               k = 3;
+               hostile = "";
+               from_baseline = false;
+             }) ->
           Sys.remove path
       | Ok _ -> Alcotest.fail "recipe did not round-trip"
       | Error e -> Alcotest.failf "recipe unreadable: %s" e));
@@ -194,7 +207,13 @@ let test_sweep_cell_determinism () =
   let run =
     record_ok
       (Replay.Sweep_cell
-         { seed = 11; cls = "fault-free"; k = -1; hostile = "toctou-scan" })
+         {
+           seed = 11;
+           cls = "fault-free";
+           k = -1;
+           hostile = "toctou-scan";
+           from_baseline = false;
+         })
       path
   in
   replay_clean path;
@@ -209,6 +228,86 @@ let test_sweep_cell_determinism () =
           Sys.remove path
       | Ok _ -> Alcotest.fail "hostile recipe did not round-trip"
       | Error e -> Alcotest.failf "hostile recipe unreadable: %s" e)
+
+(* Every job of a serve run replays clean from its own recording: the
+   recipe carries the job's dispatch instant exactly, its worker slot
+   and whether its symbol analysis hit the service's shared cache. *)
+let test_serve_jobs_replay_clean () =
+  let hosts = ref [] in
+  let cfg =
+    {
+      Service.Dispatch.default_config with
+      jobs = 16;
+      workers = 4;
+      seed = 3;
+      ram_mb = 16;
+    }
+  in
+  let r =
+    Service.Dispatch.run
+      ~on_finish:(fun _ host -> hosts := host :: !hosts)
+      cfg
+  in
+  let ran =
+    Array.fold_left
+      (fun n jr -> if jr.Service.Dispatch.jr_worker >= 0 then n + 1 else n)
+      0 r.Service.Dispatch.rp_records
+  in
+  check cint "every dispatched job recorded" ran (List.length !hosts);
+  check cbool "jobs ran" true (ran > 0);
+  check cbool "some job hit the warm cache" true
+    (List.exists
+       (fun h ->
+         List.assoc_opt "symcache" (Trace.Recorder.meta h.Hostos.Host.recorder)
+         = Some "warm")
+       !hosts);
+  List.iter
+    (fun h ->
+      let path = tmp_trace () in
+      Trace.save h.Hostos.Host.recorder path;
+      replay_clean path;
+      Sys.remove path)
+    !hosts
+
+(* A sweep cell forked from a baked baseline records boot=fork, and its
+   recording replays as a fork (a cold re-run diverges). *)
+let test_forked_sweep_cell_replays_forked () =
+  let pt, _ =
+    Fleet.Sweep.run_point ~baseline:(Fleet.Baseline.bake ()) ~seed:5 ~cls:None
+      ~k:(Some 4) ()
+  in
+  let meta =
+    Fleet.Sweep.cell_meta ~seed:5 ~cls:Fleet.Sweep.fault_free ~k:4 ~fork:true
+      ~hostile:""
+  in
+  let path = tmp_trace () in
+  let oc = open_out_bin path in
+  output_string oc
+    (Trace.encode
+       ~meta:(meta @ [ ("digest", pt.Fleet.Sweep.pt_digest) ])
+       pt.Fleet.Sweep.pt_events);
+  close_out oc;
+  (match Replay.spec_of_meta meta with
+  | Ok (Replay.Sweep_cell { from_baseline = true; k = 4; _ }) -> ()
+  | Ok _ -> Alcotest.fail "forked cell recipe lost its boot source"
+  | Error e -> Alcotest.failf "recipe unreadable: %s" e);
+  replay_clean path;
+  Sys.remove path;
+  match
+    Replay.execute
+      (Replay.Sweep_cell
+         {
+           seed = 5;
+           cls = Fleet.Sweep.fault_free;
+           k = 4;
+           hostile = "";
+           from_baseline = false;
+         })
+  with
+  | Error e -> Alcotest.failf "cold re-run failed: %s" e
+  | Ok cold ->
+      check cbool "a cold re-run is a different machine" true
+        (cold.Replay.run_digest <> pt.Fleet.Sweep.pt_digest)
 
 let suite =
   [
@@ -228,5 +327,9 @@ let suite =
           test_fleet_determinism;
         Alcotest.test_case "sweep crash cell replays clean" `Quick
           test_sweep_cell_determinism;
+        Alcotest.test_case "every serve job replays clean" `Quick
+          test_serve_jobs_replay_clean;
+        Alcotest.test_case "forked sweep cell replays forked" `Quick
+          test_forked_sweep_cell_replays_forked;
       ] );
   ]
