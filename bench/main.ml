@@ -725,8 +725,7 @@ let run_latency () =
   Format.printf "vmsh-net echo: %a@." Workloads.Traffic.pp_result r;
   (* recovery-path latency: attaches under seeded fault schedules vs a
      fault-free baseline, aggregated into a dedicated registry *)
-  let fobs = Observe.create ~now:(fun () -> 0.0) () in
-  let fm = Observe.metrics fobs in
+  let fm = Observe.Metrics.create () in
   let timed_attach ~seed ~plan hist =
     let h = H.Host.create ~seed () in
     (match plan with Some p -> H.Host.arm_faults h p | None -> ());
@@ -784,8 +783,7 @@ let run_latency () =
   (* fleet attach scaling: N concurrent sessions over virtual time with
      the shared build-id symbol cache; per-N latency histograms plus the
      cache counters land in their own registry *)
-  let flobs = Observe.create ~now:(fun () -> 0.0) () in
-  let flm = Observe.metrics flobs in
+  let flm = Observe.Metrics.create () in
   let cold_reports = ref [] in
   List.iter
     (fun n ->
@@ -817,8 +815,7 @@ let run_latency () =
      above. Cold references reuse the vmsh-fleet runs (same seed); the
      largest size is fork-only — 512 cold boots would hold ~16 GiB of
      private RAM images, the very cost the overlay removes. *)
-  let fkobs = Observe.create ~now:(fun () -> 0.0) () in
-  let fkm = Observe.metrics fkobs in
+  let fkm = Observe.Metrics.create () in
   let fork_img = Fleet.Baseline.bake ~seed:1650 () in
   List.iter
     (fun (n, r) ->
@@ -873,8 +870,7 @@ let run_latency () =
   (* transactional detach: attach+detach round-trip latency with the
      journal on, the snapshot oracle re-checked per cycle, and the
      journal's fault-free overhead vs the with_journal-false ablation *)
-  let dobs = Observe.create ~now:(fun () -> 0.0) () in
-  let dm = Observe.metrics dobs in
+  let dm = Observe.Metrics.create () in
   let detach_cycle ~seed ~journal =
     let h = H.Host.create ~seed () in
     let disk = make_disk ~blocks:4096 h in
@@ -937,8 +933,7 @@ let run_latency () =
      ablation (always-on recording vs a disabled recorder — virtual
      time, so the expected overhead is exactly zero), and the
      replay-diff oracle folded into counters *)
-  let tobs = Observe.create ~now:(fun () -> 0.0) () in
-  let tm = Observe.metrics tobs in
+  let tm = Observe.Metrics.create () in
   let smoke_attach ~recording ~seed =
     let h = H.Host.create ~seed () in
     Trace.Recorder.set_enabled h.H.Host.recorder recording;
@@ -1015,8 +1010,7 @@ let run_latency () =
   (* the job service under sustained open-loop load: a rate sweep to
      locate the saturation knee, plus the calibrated-point run whose
      latency distribution and admission counters the CI gates check *)
-  let sobs = Observe.create ~now:(fun () -> 0.0) () in
-  let sm = Observe.metrics sobs in
+  let sm = Observe.Metrics.create () in
   let module SD = Service.Dispatch in
   let serve_at ~rate ~jobs =
     let r =
@@ -1092,8 +1086,7 @@ let run_latency () =
      validation, n-gram coverage hashing, corpus plumbing) must stay
      within 5% of the pure attack-execution time — the fuzzer's cost
      is the replays, not the harness around them. *)
-  let fzobs = Observe.create ~now:(fun () -> 0.0) () in
-  let fzm = Observe.metrics fzobs in
+  let fzm = Observe.Metrics.create () in
   let fuzz_spec = Replay.Attach { seed = 1900 } in
   let fuzz_base =
     match Replay.execute fuzz_spec with
@@ -1143,8 +1136,7 @@ let run_latency () =
      distributions (clean attach vs attach under descriptor chaos — the
      noisiest class that still completes) plus the ablation the 5% gate
      holds: use-time symbol revalidation on vs off on a clean guest. *)
-  let hobs = Observe.create ~now:(fun () -> 0.0) () in
-  let hm = Observe.metrics hobs in
+  let hm = Observe.Metrics.create () in
   let hostile_attach ?hostile ?(revalidate = true) ~seed () =
     let h = H.Host.create ~seed () in
     let disk = make_disk ~blocks:4096 h in
@@ -1223,11 +1215,12 @@ let run_latency () =
     hardening_overhead;
   let scenarios =
     [
-      ("qemu-blk", hq.H.Host.observe); ("vmsh-blk", hv.H.Host.observe);
-      ("vmsh-net", hn.H.Host.observe); ("vmsh-faults", fobs);
-      ("vmsh-fleet", flobs); ("vmsh-fork", fkobs); ("vmsh-detach", dobs);
-      ("vmsh-trace", tobs);
-      ("vmsh-serve", sobs); ("vmsh-fuzz", fzobs); ("vmsh-hostile", hobs);
+      ("qemu-blk", Observe.metrics hq.H.Host.observe);
+      ("vmsh-blk", Observe.metrics hv.H.Host.observe);
+      ("vmsh-net", Observe.metrics hn.H.Host.observe); ("vmsh-faults", fm);
+      ("vmsh-fleet", flm); ("vmsh-fork", fkm); ("vmsh-detach", dm);
+      ("vmsh-trace", tm);
+      ("vmsh-serve", sm); ("vmsh-fuzz", fzm); ("vmsh-hostile", hm);
     ]
   in
   let oc = open_out "BENCH_results.json" in
@@ -1235,12 +1228,12 @@ let run_latency () =
     (Printf.sprintf "{\"scenarios\": {%s}}\n"
        (String.concat ", "
           (List.map
-             (fun (label, obs) ->
-               Printf.sprintf "%S: %s" label (Observe.Export.metrics_json obs))
+             (fun (label, mx) ->
+               Printf.sprintf "%S: %s" label (Observe.Export.metrics_json mx))
              scenarios)));
   close_out oc;
   List.iter
-    (fun (label, obs) ->
+    (fun (label, mx) ->
       List.iter
         (fun hist ->
           let p q = Observe.Metrics.percentile hist q in
@@ -1248,7 +1241,7 @@ let run_latency () =
             "%-11s %-26s n=%4d  p50 %10.0f  p95 %10.0f  p99 %10.0f ns\n" label
             (Observe.Metrics.histogram_name hist)
             (Observe.Metrics.count hist) (p 50.0) (p 95.0) (p 99.0))
-        (Observe.Metrics.histograms (Observe.metrics obs)))
+        (Observe.Metrics.histograms mx))
     scenarios;
   Printf.printf "written: BENCH_results.json\n"
 

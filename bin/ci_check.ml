@@ -4,7 +4,9 @@
 
    Usage:
      ci_check json FILE...       well-formed JSON
-     ci_check trace FILE         chrome trace contains every attach phase
+     ci_check trace FILE         chrome trace: every attach phase as a
+                                 matched B/E span, an ioregionfd exit,
+                                 no legacy kvm.exit: names
      ci_check net-metrics FILE   vmsh-net counters + echo histogram
      ci_check bench FILE         BENCH_results.json scenarios
      ci_check fuzz FILE          fault-matrix gate: 0 hangs, 0 unclean,
@@ -243,6 +245,10 @@ let fault_classes =
     "notify-drop"; "desc-torn"; "link-burst";
   ]
 
+(* Spans must nest: every "E" closes the innermost open "B" of the same
+   name. Each attach phase must close at least once, the attach must
+   have crossed the KVM boundary through ioregionfd, and no event may
+   carry a legacy "kvm.exit:" name. *)
 let check_trace path =
   let j = load path in
   let events =
@@ -250,16 +256,37 @@ let check_trace path =
     | List l -> l
     | _ -> fail "%s: traceEvents is not a list" path
   in
-  let names =
-    List.filter_map
-      (fun e -> match field e "name" with Some (Str s) -> Some s | _ -> None)
-      events
+  let str e k = match field e k with Some (Str s) -> s | _ -> "" in
+  let closed = Hashtbl.create 16 in
+  let open_spans =
+    List.fold_left
+      (fun stack e ->
+        let name = str e "name" in
+        if String.starts_with ~prefix:"kvm.exit:" name then
+          fail "%s: legacy event name %S" path name;
+        match (str e "ph", stack) with
+        | "B", _ -> name :: stack
+        | "E", top :: rest when top = name ->
+            Hashtbl.replace closed name ();
+            rest
+        | "E", _ -> fail "%s: span end %S matches no open span" path name
+        | _ -> stack)
+      [] events
   in
+  (match open_spans with
+  | [] -> ()
+  | name :: _ -> fail "%s: span %S is never closed" path name);
   List.iter
     (fun p ->
-      if not (List.mem p names) then
-        fail "%s: trace is missing attach phase %S" path p)
-    attach_phases
+      if not (Hashtbl.mem closed p) then
+        fail "%s: trace is missing a B/E pair for attach phase %S" path p)
+    attach_phases;
+  if
+    not
+      (List.exists
+         (fun e -> str e "name" = "kvm.exit.ioregionfd" && str e "ph" = "i")
+         events)
+  then fail "%s: trace has no kvm.exit.ioregionfd instant" path
 
 let check_net_metrics path =
   let j = load path in

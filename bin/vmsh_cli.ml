@@ -17,10 +17,6 @@ module KV = Linux_guest.Kernel_version
 module Guest = Linux_guest.Guest
 open Cmdliner
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
-
 let profile_of_string = function
   | "qemu" -> Ok Profile.qemu
   | "kvmtool" -> Ok Profile.kvmtool
@@ -91,8 +87,21 @@ let snapshot_clock_metrics h =
       Observe.Metrics.set_counter (Observe.Metrics.counter mx ("clock." ^ k)) v)
     (H.Clock.to_fields (H.Clock.counters h.H.Host.clock))
 
-let write_observe_outputs h ~trace_out ~metrics_out =
+(* Runs at every end of an attach: [-v] prints the recorded stream,
+   then the requested files are written. *)
+let write_observe_outputs h ~verbose ~trace_out ~metrics_out =
   let obs = h.H.Host.observe in
+  if verbose then
+    List.iter
+      (fun (phase, e) ->
+        match phase with
+        | Trace.Begin -> Format.eprintf ">> %a@." Trace.pp_event e
+        | Trace.End ->
+            let nonzero = List.filter (fun (_, v) -> v <> Trace.I 0) e.args in
+            Format.eprintf "<< %a@." Trace.pp_event { e with args = nonzero }
+        | Trace.Boundary | Trace.Instant ->
+            Format.eprintf "%a@." Trace.pp_event e)
+      (Trace.Recorder.stream h.H.Host.recorder);
   let ok = ref true in
   let write path data =
     match open_out path with
@@ -115,14 +124,13 @@ let write_observe_outputs h ~trace_out ~metrics_out =
   | None -> ()
   | Some path ->
       snapshot_clock_metrics h;
-      if write path (Observe.Export.metrics_json obs) then
+      if write path (Observe.Export.metrics_json (Observe.metrics obs)) then
         Printf.printf "metrics written to %s\n" path);
   !ok
 
 let attach_cmd =
   let run verbose profile version transport commands net_echo detach_after
       hostile trace_out metrics_out log_level =
-    setup_logs verbose;
     let hostile =
       Option.map
         (fun s ->
@@ -140,10 +148,10 @@ let attach_cmd =
     Option.iter (Observe.set_log_level obs) log_level;
     if verbose || trace_out <> None || metrics_out <> None then
       Observe.enable obs;
-    if verbose then
-      Observe.set_listener obs
-        (Some (fun e -> Format.eprintf "%a@." Observe.Export.pp_event e));
-    Observe.instant obs ~name:"cli.booted" ();
+    let mark kind =
+      Trace.Recorder.record h.H.Host.recorder ~phase:Trace.Instant ~kind ()
+    in
+    mark "cli.booted";
     Printf.printf "booted %s with guest kernel v%s (hypervisor pid %d)\n"
       profile.Profile.prof_name (KV.to_string version) (Vmm.pid vmm);
     let net =
@@ -185,11 +193,11 @@ let attach_cmd =
         ()
     with
     | Error e ->
-        ignore (write_observe_outputs h ~trace_out ~metrics_out);
+        ignore (write_observe_outputs h ~verbose ~trace_out ~metrics_out);
         Printf.eprintf "attach failed: %s\n" (Vmsh.Vmsh_error.to_string e);
         exit 1
     | Ok session ->
-        Observe.instant obs ~name:"cli.attached" ();
+        mark "cli.attached";
         let anal = Vmsh.Attach.analysis session in
         Printf.printf
           "attached (%s): kernel at 0x%x, %d symbols, ksymtab layout %s\n"
@@ -225,10 +233,10 @@ let attach_cmd =
         (match Vmsh.Attach.detach session with
         | Ok () -> ()
         | Error e ->
-            ignore (write_observe_outputs h ~trace_out ~metrics_out);
+            ignore (write_observe_outputs h ~verbose ~trace_out ~metrics_out);
             Printf.eprintf "detach failed: %s\n" (Vmsh.Vmsh_error.to_string e);
             exit 1);
-        Observe.instant obs ~name:"cli.detached" ();
+        mark "cli.detached";
         let oracle_ok =
           match before with
           | None -> true
@@ -248,12 +256,21 @@ let attach_cmd =
                   List.iter (Printf.eprintf "rollback oracle: %s\n") ps);
               problems = []
         in
-        let outputs_ok = write_observe_outputs h ~trace_out ~metrics_out in
+        let outputs_ok =
+          write_observe_outputs h ~verbose ~trace_out ~metrics_out
+        in
         Printf.printf "detached; %d block requests served by vmsh-blk\n"
           (Vmsh.Devices.stats_requests (Vmsh.Attach.devices session));
         if not (outputs_ok && oracle_ok) then exit 1
   in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logs.") in
+  let verbose =
+    Arg.(
+      value & flag
+      & info [ "v"; "verbose" ]
+          ~doc:
+            "Trace the attach and print the recorded event stream to \
+             stderr when the command ends.")
+  in
   let profile =
     Arg.(
       value
@@ -671,8 +688,7 @@ let fuzz_from_trace ?log_level ~file ~rounds ~seed ~corpus ~minimize
   (match metrics_out with
   | None -> ()
   | Some path ->
-      let sobs = Observe.create ~now:(fun () -> 0.0) () in
-      let sm = Observe.metrics sobs in
+      let sm = Observe.Metrics.create () in
       let set name v =
         Observe.Metrics.set_counter (Observe.Metrics.counter sm name) v
       in
@@ -689,7 +705,7 @@ let fuzz_from_trace ?log_level ~file ~rounds ~seed ~corpus ~minimize
         (fun (op, n) -> set ("fuzz.mutator_fired." ^ Fuzz.mutator_name op) n)
         rep.Fuzz.fz_mutator_fired;
       let oc = open_out path in
-      output_string oc (Observe.Export.metrics_json sobs);
+      output_string oc (Observe.Export.metrics_json sm);
       close_out oc;
       Printf.printf "fuzz metrics written to %s\n" path);
   Printf.printf
@@ -702,9 +718,8 @@ let fuzz_from_trace ?log_level ~file ~rounds ~seed ~corpus ~minimize
   if rep.Fuzz.fz_bugs > 0 then exit 1
 
 let fuzz_cmd =
-  let run verbose seeds rate metrics_out trace_out trace_seed from_trace
+  let run seeds rate metrics_out trace_out trace_seed from_trace
       rounds campaign_seed corpus minimize log_level =
-    setup_logs verbose;
     (match from_trace with
     | Some file ->
         if rounds <= 0 then begin
@@ -719,8 +734,7 @@ let fuzz_cmd =
       Printf.eprintf "fuzz: --seeds must be positive\n";
       exit 2
     end;
-    let sobs = Observe.create ~now:(fun () -> 0.0) () in
-    let sm = Observe.metrics sobs in
+    let sm = Observe.Metrics.create () in
     let scount ?(by = 1) name =
       Observe.Metrics.incr ~by (Observe.Metrics.counter sm name)
     in
@@ -782,7 +796,7 @@ let fuzz_cmd =
     | None -> ()
     | Some path ->
         let oc = open_out path in
-        output_string oc (Observe.Export.metrics_json sobs);
+        output_string oc (Observe.Export.metrics_json sm);
         close_out oc;
         Printf.printf "fuzz metrics written to %s\n" path);
     let classes_seen =
@@ -803,7 +817,6 @@ let fuzz_cmd =
       (List.length Faults.all);
     if !hangs > 0 || !unclean > 0 then exit 1
   in
-  let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Debug logs.") in
   let seeds =
     Arg.(
       value & opt int 25
@@ -887,7 +900,7 @@ let fuzz_cmd =
           with --from-trace, mutate a recorded boundary trace) and assert \
           every run completes or fails cleanly")
     Term.(
-      const run $ verbose $ seeds $ rate $ metrics_out $ trace_out $ trace_seed
+      const run $ seeds $ rate $ metrics_out $ trace_out $ trace_seed
       $ from_trace $ rounds $ campaign_seed $ corpus $ minimize
       $ log_level_arg)
 
@@ -899,7 +912,6 @@ let fuzz_cmd =
 
 let sweep_cmd =
   let run verbose vms seed classes hostile metrics_out log_level =
-    setup_logs verbose;
     if vms <= 0 then begin
       Printf.eprintf "sweep: --vms must be positive\n";
       exit 2
@@ -958,10 +970,10 @@ let sweep_cmd =
     (match metrics_out with
     | None -> ()
     | Some path ->
-        let sobs = Observe.create ~now:(fun () -> 0.0) () in
-        Fleet.Sweep.record (Observe.metrics sobs) r;
+        let sm = Observe.Metrics.create () in
+        Fleet.Sweep.record sm r;
         let oc = open_out path in
-        output_string oc (Observe.Export.metrics_json sobs);
+        output_string oc (Observe.Export.metrics_json sm);
         close_out oc;
         Printf.printf "sweep metrics written to %s\n" path);
     Printf.printf
@@ -1079,7 +1091,6 @@ let bake_baseline_cmd =
 let fleet_cmd =
   let run verbose vms seed fault_rate no_share from_baseline metrics_out
       trace_out log_level =
-    setup_logs verbose;
     let cfg =
       Fleet.Config.make ~vms ()
       |> Fleet.Config.with_seed seed
@@ -1237,7 +1248,6 @@ let serve_cmd =
   let module D = Service.Dispatch in
   let run verbose workers jobs seed rate arrivals deadline_ms ram_mb
       hot_rate hostile_tenant metrics_out results_out trace_out log_level =
-    setup_logs verbose;
     if workers <= 0 then begin
       Printf.eprintf "serve: --workers must be positive\n";
       exit 2

@@ -6,10 +6,6 @@ module Layout = X86.Layout
 module KV = Linux_guest.Kernel_version
 module E = Vmsh_error
 
-let src = Logs.Src.create "vmsh.attach" ~doc:"VMSH attach orchestration"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type net_attachment = { fabric : Net.Fabric.t; port : Net.Link.port }
 
 module Config = struct
@@ -108,34 +104,6 @@ let status s = Loader.poll_status ~mem:s.mem s.loaded
 let journal s = s.journal
 
 let ( let* ) = Result.bind
-
-(* Per-phase profiling, always-on: each attach phase feeds its virtual
-   duration into a stage.attach.<phase>_ns histogram and one
-   "attach.phase" flight-recorder event. Pure observation — identical
-   in every run — so determinism is preserved. The Observe span inside
-   still only fires when the ring sink is enabled. *)
-let phase host name f =
-  let obs = host.Host.observe in
-  let clock = host.Host.clock in
-  let t0 = Hostos.Clock.now_ns clock in
-  let finish () =
-    let dur = Hostos.Clock.now_ns clock -. t0 in
-    Observe.Metrics.observe
-      (Observe.Metrics.histogram (Observe.metrics obs)
-         ("stage.attach." ^ name ^ "_ns"))
-      dur;
-    Trace.Recorder.record host.Host.recorder ~kind:"attach.phase"
-      ~args:[ ("name", Trace.S name); ("dur_ns", Trace.I (int_of_float dur)) ]
-      ();
-    Observe.log obs Observe.Debug "attach phase %s: %.0f ns" name dur
-  in
-  match Observe.span obs ~name f with
-  | v ->
-      finish ();
-      v
-  | exception e ->
-      finish ();
-      raise e
 
 (* Journal plumbing: [jrec] records an undo whose failure matters (the
    closure returns a result; failures surface as [Rollback_failed]),
@@ -435,8 +403,8 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
   Observe.span obs ~name:"attach"
     ~attrs:
       [
-        ("transport", Observe.S (Devices.show_transport (Config.transport cfg)));
-        ("hypervisor_pid", Observe.I hypervisor_pid);
+        ("transport", Trace.S (Devices.show_transport (Config.transport cfg)));
+        ("hypervisor_pid", Trace.I hypervisor_pid);
       ]
   @@ fun () ->
   (* The attach is a transaction: [jref] collects an undo entry for
@@ -477,7 +445,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
     Faults.yield_tick host.Host.faults;
     Sched.yield ();
     let* slots =
-      phase host "memslot-dump" (fun () -> Memslot_discovery.discover tracee)
+      Tracee.phase host "memslot-dump" (fun () -> Memslot_discovery.discover tracee)
     in
     if Config.drop_privileges cfg then begin
       Proc.drop_cap vmsh Proc.CAP_BPF;
@@ -490,7 +458,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
     Hyp_mem.set_journal mem j;
     memr := Some mem;
     let* regs =
-      phase host "register-read" (fun () ->
+      Tracee.phase host "register-read" (fun () ->
           match Tracee.get_vcpu_regs tracee (List.hd (Tracee.vcpus tracee)) with
           | Ok r -> Ok r
           | Error e -> Error (E.Context ("KVM_GET_REGS injection", e)))
@@ -498,7 +466,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
     Faults.yield_tick host.Host.faults;
     Sched.yield ();
     let* anal =
-      phase host "symbol-analysis" (fun () ->
+      Tracee.phase host "symbol-analysis" (fun () ->
           Result.map_error
             (fun m -> E.Msg m)
             (Symbol_analysis.analyze ?cache:(Config.symbol_cache cfg) mem
@@ -516,7 +484,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
     Faults.yield_tick host.Host.faults;
     Sched.yield ();
     let* devs =
-      phase host "device-setup" @@ fun () ->
+      Tracee.phase host "device-setup" @@ fun () ->
       (* interrupt plumbing; the PCI transport routes the GSIs as MSIs
          first, so the irqfds work on MSI-X-only irqchips *)
       let gsis = Devices.gsi_plan device_plan in
@@ -578,7 +546,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
     Faults.yield_tick host.Host.faults;
     Sched.yield ();
     let* loaded, anal =
-      phase host "klib-sideload" @@ fun () ->
+      Tracee.phase host "klib-sideload" @@ fun () ->
       (* the scan is stale by now if the guest raced it: re-check the
          witnessed structures before trusting any symbol address *)
       let* anal =

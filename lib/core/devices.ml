@@ -6,10 +6,6 @@ module Mmio = Virtio.Mmio
 module Queue = Virtio.Queue
 module Gmem = Virtio.Gmem
 
-let src = Logs.Src.create "vmsh.devices" ~doc:"VMSH virtio devices"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type transport = Wrap_syscall | Ioregionfd
 
 let show_transport = function

@@ -2,10 +2,6 @@ module Syscall = Hostos.Syscall
 module Layout = X86.Layout
 module PT = X86.Page_table
 
-let src = Logs.Src.create "vmsh.loader" ~doc:"VMSH sideloader"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type loaded = {
   va_base : int;
   gpa_base : int;

@@ -5,10 +5,6 @@ module Page_cache = Linux_guest.Page_cache
 module Sfs = Blockdev.Simplefs
 module Vm = Kvm.Vm
 
-let src = Logs.Src.create "vmsh.overlay" ~doc:"guest overlay"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type cfg = { container_pid : int option; command : string option }
 
 let default_cfg = { container_pid = None; command = None }

@@ -30,11 +30,14 @@ let with_backoff h ~counter ~should_retry f =
       Observe.Metrics.observe
         (Observe.Metrics.histogram m "recovery.backoff_ns")
         delay;
-      if Observe.enabled h.Host.observe then
-        Observe.instant h.Host.observe ~name:("recovery.retry:" ^ counter)
-          ~attrs:
-            [ ("attempt", Observe.I attempt); ("backoff_ns", Observe.F delay) ]
-          ();
+      Trace.Recorder.record h.Host.recorder ~phase:Trace.Instant
+        ~kind:("recovery.retry." ^ counter)
+        ~args:
+          [
+            ("attempt", Trace.I attempt);
+            ("backoff_ns", Trace.I (int_of_float delay));
+          ]
+        ();
       Clock.advance h.Host.clock delay;
       go (attempt + 1)
     end

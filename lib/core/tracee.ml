@@ -4,10 +4,6 @@ module Ptrace = Hostos.Ptrace
 module Syscall = Hostos.Syscall
 module Errno = Hostos.Errno
 
-let src = Logs.Src.create "vmsh.tracee" ~doc:"VMSH sideloader tracee handling"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type vcpu_handle = { index : int; fd_num : int; run_hva : int }
 
 type t = {
@@ -32,8 +28,11 @@ let ( let* ) = Result.bind
 
 let err m = Error (Vmsh_error.Msg m)
 
-(* Same per-phase profiling as Attach.phase: virtual duration into a
-   stage.attach.<name>_ns histogram plus one flight event, always-on. *)
+(* Per-phase profiling, always-on: each attach phase feeds its virtual
+   duration into a stage.attach.<name>_ns histogram and one
+   "attach.phase" flight-recorder event. Pure observation — identical
+   in every run — so determinism is preserved. The span inside only
+   writes records while tracing is on. *)
 let phase h name ?(attrs = []) f =
   let obs = h.Host.observe in
   let clock = h.Host.clock in
@@ -46,7 +45,8 @@ let phase h name ?(attrs = []) f =
       dur;
     Trace.Recorder.record h.Host.recorder ~kind:"attach.phase"
       ~args:[ ("name", Trace.S name); ("dur_ns", Trace.I (int_of_float dur)) ]
-      ()
+      ();
+    Observe.log obs Observe.Debug "attach phase %s: %.0f ns" name dur
   in
   match Observe.span obs ~name ~attrs f with
   | v ->
@@ -150,7 +150,7 @@ let inject_any_thread h session tracee_pid ~nr ~args =
 let attach ?(seccomp_heuristic = false) h ~vmsh ~pid =
   let* session =
     phase h "ptrace-attach"
-      ~attrs:[ ("pid", Observe.I pid) ]
+      ~attrs:[ ("pid", Trace.I pid) ]
       (fun () ->
         match
           Retry.with_backoff h ~counter:"recovery.attach_retry"

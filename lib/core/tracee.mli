@@ -18,6 +18,17 @@ val vcpus : t -> vcpu_handle list
 val vmsh_proc : t -> Hostos.Proc.t
 val host : t -> Hostos.Host.t
 
+val phase :
+  Hostos.Host.t ->
+  string ->
+  ?attrs:(string * Trace.value) list ->
+  (unit -> 'a) ->
+  'a
+(** [phase h name f] runs one attach phase: its virtual duration goes
+    into the [stage.attach.<name>_ns] histogram and an [attach.phase]
+    flight-recorder event (even if [f] raises), inside a span of the
+    same name, with a debug log line. *)
+
 val attach :
   ?seccomp_heuristic:bool -> Hostos.Host.t -> vmsh:Hostos.Proc.t ->
   pid:int -> (t, Vmsh_error.t) result

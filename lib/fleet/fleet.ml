@@ -7,10 +7,6 @@ module Baseline = Baseline
 module Machine = Machine
 module Session = Session
 
-let src = Logs.Src.create "vmsh.fleet" ~doc:"VMSH fleet attach engine"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 (* --- configuration ------------------------------------------------ *)
 
 module Config = struct
@@ -296,8 +292,7 @@ let flight_events r =
    p50/p99 come from every session's samples), plus the per-session
    breakdown. *)
 let metrics_json r =
-  let agg = Observe.create ~now:(fun () -> 0.0) () in
-  let mx = Observe.metrics agg in
+  let mx = Observe.Metrics.create () in
   List.iter
     (fun s -> Observe.Metrics.merge_into ~into:mx
         (Observe.metrics s.s_host.H.Host.observe))
@@ -324,13 +319,14 @@ let metrics_json r =
       failures;
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\"fleet\": ";
-  Buffer.add_string b (Observe.Export.metrics_json agg);
+  Buffer.add_string b (Observe.Export.metrics_json mx);
   Buffer.add_string b ", \"sessions\": {";
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b (Printf.sprintf "%S: " s.s_name);
-      Buffer.add_string b (Observe.Export.metrics_json s.s_host.H.Host.observe))
+      Buffer.add_string b
+        (Observe.Export.metrics_json (Observe.metrics s.s_host.H.Host.observe)))
     r.r_sessions;
   Buffer.add_string b "}}";
   Buffer.contents b

@@ -19,8 +19,7 @@ let create ?(seed = 0xb5ee5) ?costs () =
   {
     clock;
     observe =
-      Observe.create
-        ~now:(fun () -> Clock.now_ns clock)
+      Observe.create ~recorder
         ~counters:(fun () -> Clock.to_fields (Clock.counters clock))
         ();
     recorder;

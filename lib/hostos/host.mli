@@ -7,13 +7,14 @@
 type t = {
   clock : Clock.t;
   observe : Observe.t;
-      (** Tracing spans + metrics wired to [clock]; sink is a no-op
-          until [Observe.enable] is called on it. *)
+      (** Metrics, plus tracing spans written into [recorder]; tracing
+          is off until [Observe.enable] is called on it. *)
   recorder : Trace.Recorder.t;
-      (** Always-on bounded flight recorder of KVM-boundary events,
-          tagged with the host seed (and the fault-plan seed once
-          {!arm_faults} runs). Pure observation: never advances the
-          clock, never draws from [rng]. *)
+      (** The host's one event ring: always-on boundary records of the
+          KVM boundary, tagged with the host seed (and the fault-plan
+          seed once {!arm_faults} runs), plus detail records while
+          tracing is on. Pure observation: never advances the clock,
+          never draws from [rng]. *)
   rng : Rng.t;
   mutable procs : Proc.t list;
   mutable next_pid : int;

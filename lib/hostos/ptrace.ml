@@ -64,7 +64,7 @@ let inject_syscall host s ?tid ~nr ~args () =
       | None -> Error Errno.ESRCH
       | Some th ->
           Observe.span host.Host.observe
-            ~name:("ptrace.inject:" ^ Syscall.Nr.name nr)
+            ~name:("ptrace.inject." ^ Syscall.Nr.name nr)
             (fun () ->
               let faulted =
                 if Faults.fire host.Host.faults Faults.Inject_eintr then

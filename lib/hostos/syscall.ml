@@ -208,10 +208,10 @@ let rec run_once host p th =
     else dispatch host p th
   in
   th.Proc.regs.X86.Regs.rax <- Errno.to_syscall_ret result;
-  if Observe.enabled host.Host.observe then
-    Observe.instant host.Host.observe
-      ~name:("syscall:" ^ Nr.name nr)
-      ~attrs:[ ("ret", Observe.I (Errno.to_syscall_ret result)) ]
+  if Trace.Recorder.detail host.Host.recorder then
+    Trace.Recorder.record host.Host.recorder ~phase:Trace.Instant
+      ~kind:("syscall." ^ Nr.name nr)
+      ~args:[ ("ret", Trace.I (Errno.to_syscall_ret result)) ]
       ();
   match p.Proc.hook with
   | Some hook -> (

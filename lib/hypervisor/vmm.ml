@@ -11,10 +11,6 @@ module Gmem = Virtio.Gmem
 module Layout = X86.Layout
 module Guest = Linux_guest.Guest
 
-let src = Logs.Src.create "vmm" ~doc:"userspace hypervisor"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 exception Stuck of string
 
 type dev_slot = {

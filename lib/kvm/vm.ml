@@ -6,10 +6,6 @@ module Host = Hostos.Host
 module Errno = Hostos.Errno
 module Syscall = Hostos.Syscall
 
-let src = Logs.Src.create "kvm" ~doc:"simulated KVM"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type memslot = { slot : int; gpa : int; size : int; hva : int }
 
 type mmio_request =
@@ -230,10 +226,6 @@ let rekick_missed_notifies t =
         (fun (addr, fd) ->
           Observe.Metrics.incr rekicks;
           flight t ~kind:"kvm.notify_rekick" [ ("addr", Trace.I addr) ];
-          if Observe.enabled obs then
-            Observe.instant obs ~name:"kvm.notify_rekick"
-              ~attrs:[ ("addr", Observe.I addr) ]
-              ();
           Fd.eventfd_signal fd;
           List.iter
             (fun (wfd, waiter) ->
@@ -251,16 +243,11 @@ let deliver_irqs t =
   | Some rt ->
       let direct = t.pending_gsi in
       t.pending_gsi <- [];
-      let obs = t.host.Host.observe in
       List.iter
         (fun gsi ->
           Clock.irq_injection t.host.Host.clock;
           flight t ~kind:"kvm.irq"
             [ ("gsi", Trace.I gsi); ("source", Trace.S "direct") ];
-          if Observe.enabled obs then
-            Observe.instant obs ~name:"kvm.irq"
-              ~attrs:[ ("gsi", Observe.I gsi); ("source", Observe.S "direct") ]
-              ();
           rt.on_irq ~gsi)
         direct;
       Hashtbl.iter
@@ -271,11 +258,6 @@ let deliver_irqs t =
               Clock.irq_injection t.host.Host.clock;
               flight t ~kind:"kvm.irq"
                 [ ("gsi", Trace.I gsi); ("source", Trace.S "irqfd") ];
-              if Observe.enabled obs then
-                Observe.instant obs ~name:"kvm.irq"
-                  ~attrs:
-                    [ ("gsi", Observe.I gsi); ("source", Observe.S "irqfd") ]
-                  ();
               rt.on_irq ~gsi
           | _ -> ())
         t.irqfds
@@ -307,19 +289,6 @@ let route_mmio t req =
               (match req with Mmio_read _ -> "read" | Mmio_write _ -> "write")
           );
         ];
-      (let obs = t.host.Host.observe in
-       if Observe.enabled obs then
-         Observe.instant obs ~name:"kvm.exit:ioregionfd"
-           ~attrs:
-             [
-               ("addr", Observe.I addr);
-               ( "kind",
-                 Observe.S
-                   (match req with
-                   | Mmio_read _ -> "read"
-                   | Mmio_write _ -> "write") );
-             ]
-           ());
       let msg =
         match req with
         | Mmio_read { addr; len } ->
@@ -377,11 +346,6 @@ let route_mmio t req =
               Clock.vmexit clock;
               stage_exit t "ioeventfd";
               flight t ~kind:"kvm.kick" [ ("addr", Trace.I addr) ];
-              (let obs = t.host.Host.observe in
-               if Observe.enabled obs then
-                 Observe.instant obs ~name:"kvm.exit:ioeventfd"
-                   ~attrs:[ ("addr", Observe.I addr) ]
-                   ());
               Fd.eventfd_signal fd;
               List.iter
                 (fun (wfd, waiter) ->
@@ -432,16 +396,6 @@ let effect_handler t =
                         ("len", Trace.I len);
                         ("is_write", Trace.I (Bool.to_int is_write));
                       ];
-                    (let obs = t.host.Host.observe in
-                     if Observe.enabled obs then
-                       Observe.instant obs ~name:"kvm.exit:mmio-userspace"
-                         ~attrs:
-                           [
-                             ("addr", Observe.I phys_addr);
-                             ("len", Observe.I len);
-                             ("is_write", Observe.I (Bool.to_int is_write));
-                           ]
-                         ());
                     Exited)
         | Yield_until pred ->
             Some

@@ -7,10 +7,6 @@ module PT = X86.Page_table
 module Vm = Kvm.Vm
 module Sfs = Blockdev.Simplefs
 
-let src = Logs.Src.create "guest" ~doc:"synthetic guest kernel"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 (* Fixed physical layout (guest-physical addresses). *)
 let pt_arena_start = 0x10_0000
 let pt_arena_pages = 768

@@ -63,10 +63,11 @@ let send p frame =
     || (link.loss > 0. && Rng.float (Fabric.rng fab) 1.0 < link.loss)
   then begin
     Observe.Metrics.incr (Fabric.counter fab "net.frames_dropped");
-    if Observe.enabled (Fabric.observe fab) then
-      Observe.instant (Fabric.observe fab) ~name:"net.drop"
-        ~attrs:[ ("link", Observe.S link.name); ("bytes", Observe.I size) ]
-        ()
+    Trace.Recorder.record
+      (Observe.recorder (Fabric.observe fab))
+      ~phase:Trace.Instant ~kind:"net.drop"
+      ~args:[ ("link", Trace.S link.name); ("bytes", Trace.I size) ]
+      ()
   end
   else begin
     let now = Clock.now_ns clock in

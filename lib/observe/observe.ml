@@ -1,19 +1,12 @@
 (* Virtual-time tracing spans, metric histograms, and exporters.
 
-   The tracer is deliberately decoupled from the simulation: it is told
-   how to read "now" (the virtual clock) and how to read the global
-   event counters through closures, so the host OS layer can depend on
-   this library without a cycle. Recording never advances virtual time,
-   which keeps traces byte-stable across identical runs and keeps the
-   simulation's results independent of whether tracing is on. *)
-
-type value = S of string | I of int | F of float
-type attr = string * value
-
-type event =
-  | Begin of { name : string; ts : float; attrs : attr list }
-  | End of { name : string; ts : float; deltas : (string * int) list }
-  | Instant of { name : string; ts : float; attrs : attr list }
+   The tracer is deliberately decoupled from the simulation: it writes
+   into the host's flight recorder (which reads the virtual clock) and
+   reads the global event counters through a closure, so the host OS
+   layer can depend on this library without a cycle. Recording never
+   advances virtual time, which keeps traces byte-stable across
+   identical runs and keeps the simulation's results independent of
+   whether tracing is on. *)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry                                                     *)
@@ -168,81 +161,25 @@ end
 (* The tracer                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type ring = {
-  cap : int;
-  buf : event array;
-  mutable start : int;
-  mutable len : int;
-  mutable dropped : int;
-}
-
-type sink = Noop | Ring of ring
-
 type level = Quiet | Info | Debug
 
 type t = {
-  now : unit -> float;
+  recorder : Trace.Recorder.t;
   read_counters : unit -> (string * int) list;
-  mutable sink : sink;
-  mutable listener : (event -> unit) option;
   mutable log_level : level;
   mx : Metrics.t;
 }
 
-let default_capacity = 65536
+let create ~recorder ?(counters = fun () -> []) () =
+  { recorder; read_counters = counters; log_level = Quiet;
+    mx = Metrics.create () }
 
-let create ~now ?(counters = fun () -> []) () =
-  { now; read_counters = counters; sink = Noop; listener = None;
-    log_level = Quiet; mx = Metrics.create () }
-
-let null () = create ~now:(fun () -> 0.0) ()
-let now t = t.now ()
+let now t = Trace.Recorder.now t.recorder
+let recorder t = t.recorder
 let metrics t = t.mx
-let enabled t = match t.sink with Noop -> false | Ring _ -> true
-
-let enable ?(capacity = default_capacity) t =
-  let dummy = Instant { name = ""; ts = 0.0; attrs = [] } in
-  t.sink <-
-    Ring { cap = capacity; buf = Array.make capacity dummy; start = 0;
-           len = 0; dropped = 0 }
-
-let disable t = t.sink <- Noop
-let set_listener t f = t.listener <- f
-
-let emit t e =
-  (match t.sink with
-  | Noop -> ()
-  | Ring r ->
-      if r.len < r.cap then begin
-        r.buf.((r.start + r.len) mod r.cap) <- e;
-        r.len <- r.len + 1
-      end
-      else begin
-        r.buf.(r.start) <- e;
-        r.start <- (r.start + 1) mod r.cap;
-        r.dropped <- r.dropped + 1
-      end);
-  match t.listener with Some f -> f e | None -> ()
-
-let events t =
-  match t.sink with
-  | Noop -> []
-  | Ring r -> List.init r.len (fun i -> r.buf.((r.start + i) mod r.cap))
-
-let dropped t = match t.sink with Noop -> 0 | Ring r -> r.dropped
-
-let clear t =
-  match t.sink with
-  | Noop -> ()
-  | Ring r ->
-      r.start <- 0;
-      r.len <- 0;
-      r.dropped <- 0
-
-let instant t ~name ?(attrs = []) () =
-  match (t.sink, t.listener) with
-  | Noop, None -> ()
-  | _ -> emit t (Instant { name; ts = t.now (); attrs })
+let enabled t = Trace.Recorder.detail t.recorder
+let enable t = Trace.Recorder.set_detail t.recorder true
+let disable t = Trace.Recorder.set_detail t.recorder false
 
 (* ------------------------------------------------------------------ *)
 (* Leveled stderr logging                                               *)
@@ -278,31 +215,34 @@ let log t l fmt =
   if log_enabled t l then
     Printf.ksprintf
       (fun msg ->
-        Printf.eprintf "[vt %12.0f] %-5s %s\n%!" (t.now ())
+        Printf.eprintf "[vt %12.0f] %-5s %s\n%!" (now t)
           (level_to_string l) msg)
       fmt
   else Printf.ksprintf (fun _ -> ()) fmt
 
+(* Begin/End detail records in the host's recorder; the End record's
+   args are the end-minus-begin counter deltas. *)
 let span t ~name ?(attrs = []) f =
-  match t.sink with
-  | Noop -> f ()
-  | Ring _ ->
-      let before = t.read_counters () in
-      emit t (Begin { name; ts = t.now (); attrs });
-      let finish () =
-        let deltas =
-          List.map2 (fun (k, v0) (_, v1) -> (k, v1 - v0)) before
-            (t.read_counters ())
-        in
-        emit t (End { name; ts = t.now (); deltas })
+  let r = t.recorder in
+  if not (Trace.Recorder.detail r) then f ()
+  else begin
+    let before = t.read_counters () in
+    Trace.Recorder.record r ~phase:Trace.Begin ~kind:name ~args:attrs ();
+    let finish () =
+      let deltas =
+        List.map2 (fun (k, v0) (_, v1) -> (k, Trace.I (v1 - v0))) before
+          (t.read_counters ())
       in
-      (match f () with
-      | v ->
-          finish ();
-          v
-      | exception e ->
-          finish ();
-          raise e)
+      Trace.Recorder.record r ~phase:Trace.End ~kind:name ~args:deltas ()
+    in
+    match f () with
+    | v ->
+        finish ();
+        v
+    | exception e ->
+        finish ();
+        raise e
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                            *)
@@ -335,35 +275,35 @@ module Export = struct
       Printf.sprintf "%.0f" f
     else Printf.sprintf "%.3f" f
 
-  let value_json = function
-    | S s -> "\"" ^ escape s ^ "\""
-    | I i -> string_of_int i
-    | F f -> num f
-
   let obj fields =
     "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ v) fields) ^ "}"
 
-  let attrs_json attrs = obj (List.map (fun (k, v) -> (k, value_json v)) attrs)
-
-  let deltas_json ds = obj (List.map (fun (k, v) -> (k, string_of_int v)) ds)
+  let attrs_json attrs =
+    obj
+      (List.map
+         (fun (k, v) ->
+           ( k,
+             match v with
+             | Trace.S s -> "\"" ^ escape s ^ "\""
+             | Trace.I i -> string_of_int i ))
+         attrs)
 
   (* Chrome trace_event JSON array format; timestamps are virtual
      nanoseconds expressed in the format's microsecond unit, so Perfetto
-     and chrome://tracing render spans on the virtual timeline. *)
+     and chrome://tracing render spans on the virtual timeline. Boundary
+     and detail instants both render as "i" events. *)
   let chrome_trace t =
     let us ns = num (ns /. 1000.0) in
     let common = "\"cat\":\"vmsh\",\"pid\":1,\"tid\":1" in
-    let event_json = function
-      | Begin { name; ts; attrs } ->
-          Printf.sprintf "{\"name\":\"%s\",\"ph\":\"B\",%s,\"ts\":%s,\"args\":%s}"
-            (escape name) common (us ts) (attrs_json attrs)
-      | End { name; ts; deltas } ->
-          Printf.sprintf "{\"name\":\"%s\",\"ph\":\"E\",%s,\"ts\":%s,\"args\":%s}"
-            (escape name) common (us ts) (deltas_json deltas)
-      | Instant { name; ts; attrs } ->
-          Printf.sprintf
-            "{\"name\":\"%s\",\"ph\":\"i\",\"s\":\"t\",%s,\"ts\":%s,\"args\":%s}"
-            (escape name) common (us ts) (attrs_json attrs)
+    let event_json (phase, { Trace.kind; ts; args; _ }) =
+      let ph =
+        match phase with
+        | Trace.Begin -> "\"B\""
+        | Trace.End -> "\"E\""
+        | Trace.Boundary | Trace.Instant -> "\"i\",\"s\":\"t\""
+      in
+      Printf.sprintf "{\"name\":\"%s\",\"ph\":%s,%s,\"ts\":%s,\"args\":%s}"
+        (escape kind) ph common (us ts) (attrs_json args)
     in
     let b = Buffer.create 4096 in
     Buffer.add_string b "{\"traceEvents\":[";
@@ -371,11 +311,11 @@ module Export = struct
       (fun i e ->
         if i > 0 then Buffer.add_char b ',';
         Buffer.add_string b (event_json e))
-      (events t);
+      (Trace.Recorder.stream t.recorder);
     Buffer.add_string b
       (Printf.sprintf
          "],\"displayTimeUnit\":\"ns\",\"otherData\":{\"clock\":\"virtual-ns\",\"dropped\":%d}}"
-         (dropped t));
+         (Trace.Recorder.stream_dropped t.recorder));
     Buffer.contents b
 
   let histogram_stats_json h =
@@ -392,8 +332,7 @@ module Export = struct
         ("p999", num (Metrics.percentile h 99.9));
       ]
 
-  let metrics_json t =
-    let m = t.mx in
+  let metrics_json m =
     obj
       [
         ( "counters",
@@ -412,22 +351,4 @@ module Export = struct
                (fun h -> (h.Metrics.h_name, histogram_stats_json h))
                (Metrics.histograms m)) );
       ]
-
-  let pp_value ppf = function
-    | S s -> Format.pp_print_string ppf s
-    | I i -> Format.pp_print_int ppf i
-    | F f -> Format.fprintf ppf "%.1f" f
-
-  let pp_attrs ppf attrs =
-    List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) attrs
-
-  let pp_event ppf = function
-    | Begin { name; ts; attrs } ->
-        Format.fprintf ppf "[%12.1f] >> %s%a" ts name pp_attrs attrs
-    | End { name; ts; deltas } ->
-        let nz = List.filter (fun (_, v) -> v <> 0) deltas in
-        Format.fprintf ppf "[%12.1f] << %s%a" ts name pp_attrs
-          (List.map (fun (k, v) -> (k, I v)) nz)
-    | Instant { name; ts; attrs } ->
-        Format.fprintf ppf "[%12.1f]  . %s%a" ts name pp_attrs attrs
 end

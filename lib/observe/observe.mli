@@ -1,27 +1,17 @@
 (** Virtual-time tracing spans, metric histograms, and exporters.
 
-    A tracer [t] records {e spans} (named begin/end pairs with per-span
-    deltas of the global event counters), {e instants}, and {e metrics}
-    (counters, gauges, log-bucketed histograms) against a caller-
-    supplied notion of time — in this repo, the virtual nanosecond clock
-    of {!Hostos.Clock}. Recording never advances virtual time, so
-    enabling tracing cannot change any simulated result, and two
-    identical runs export byte-identical traces.
+    A tracer [t] keeps {e metrics} (counters, gauges, log-bucketed
+    histograms) and writes {e spans} into its host's flight recorder
+    ({!Trace.Recorder}) as detail records: a [Begin] record, then an
+    [End] record whose args are the per-span deltas of the global event
+    counters. Time is the recorder's clock, in this repo the virtual
+    nanosecond clock of {!Hostos.Clock}. Recording never advances
+    virtual time, so enabling tracing cannot change any simulated
+    result, and two identical runs export byte-identical traces.
 
-    The event sink defaults to a no-op: [span t ~name f] is just [f ()]
-    until {!enable} installs the bounded ring buffer. Metrics are
-    always-on (they are pure observation with zero virtual cost). *)
-
-type value = S of string | I of int | F of float
-type attr = string * value
-
-type event =
-  | Begin of { name : string; ts : float; attrs : attr list }
-  | End of { name : string; ts : float; deltas : (string * int) list }
-      (** [deltas] are end-minus-begin values of every global counter,
-          i.e. the events (vmexits, ptrace stops, bytes copied, ...)
-          attributable to the span, inclusive of children. *)
-  | Instant of { name : string; ts : float; attrs : attr list }
+    Detail records are off by default: [span t ~name f] is just [f ()]
+    until {!enable}. Metrics are always-on (they are pure observation
+    with zero virtual cost). *)
 
 (** Counters, gauges, and log-bucketed histograms. Histogram quantiles
     carry a bounded relative error of about half a bucket (~4.5%). *)
@@ -69,38 +59,35 @@ end
 type t
 
 val create :
-  now:(unit -> float) -> ?counters:(unit -> (string * int) list) -> unit -> t
-(** [create ~now ~counters ()] builds a disabled tracer. [now] reads
-    the virtual clock; [counters] reads the global counter vector whose
-    deltas annotate each span (the list must keep a stable order). *)
-
-val null : unit -> t
-(** A tracer whose clock is stuck at 0; useful as an inert default. *)
+  recorder:Trace.Recorder.t ->
+  ?counters:(unit -> (string * int) list) ->
+  unit ->
+  t
+(** [create ~recorder ~counters ()] builds a tracer with tracing off.
+    Spans go into [recorder] and read its clock; [counters] reads the
+    global counter vector whose deltas annotate each span (the list
+    must keep a stable order). *)
 
 val enabled : t -> bool
 
-val enable : ?capacity:int -> t -> unit
-(** Install a fresh bounded ring sink (default capacity 65536 events;
-    oldest events are overwritten once full and counted in
-    {!dropped}). *)
+val enable : t -> unit
+(** Switch the recorder's detail records on (spans and tracing-only
+    instants) and start a new {!Export.chrome_trace} window. *)
 
 val disable : t -> unit
 val now : t -> float
+
+val recorder : t -> Trace.Recorder.t
+(** Where spans go; tracing-only instants are written to it directly
+    as [Trace.Instant] records. *)
+
 val metrics : t -> Metrics.t
 
-val set_listener : t -> (event -> unit) option -> unit
-(** Live event tap (e.g. the CLI's [-v] reporter); called for every
-    recorded event, after it is stored. *)
-
-val span : t -> name:string -> ?attrs:attr list -> (unit -> 'a) -> 'a
-(** Run [f] inside a named span. With the no-op sink this is exactly
-    [f ()]. Spans nest; the [End] event is emitted even if [f]
+val span :
+  t -> name:string -> ?attrs:(string * Trace.value) list -> (unit -> 'a) -> 'a
+(** Run [f] inside a named span. With tracing off this is exactly
+    [f ()]. Spans nest; the [End] record is written even if [f]
     raises. *)
-
-val instant : t -> name:string -> ?attrs:attr list -> unit -> unit
-val events : t -> event list
-val dropped : t -> int
-val clear : t -> unit
 
 (** {2 Leveled stderr logging}
 
@@ -124,11 +111,13 @@ val log : t -> level -> ('a, unit, string, unit) format4 -> 'a
 
 module Export : sig
   val chrome_trace : t -> string
-  (** Chrome [trace_event] JSON (open in chrome://tracing or Perfetto).
-      Timestamps are virtual nanoseconds in the format's microsecond
-      field, byte-stable across identical runs. *)
+  (** Chrome [trace_event] JSON (open in chrome://tracing or Perfetto)
+      of the recorder's {!Trace.Recorder.stream}: spans as [B]/[E]
+      pairs, boundary and detail instants as [i] events named by their
+      recorder kind. Timestamps are virtual nanoseconds in the format's
+      microsecond field, byte-stable across identical runs. *)
 
-  val metrics_json : t -> string
+  val metrics_json : Metrics.t -> string
   (** Flat JSON snapshot: counters, gauges, histogram stats
       (count/mean/min/max/p50/p90/p95/p99/p999). Always valid JSON:
       non-finite stats are clamped to finite numbers. *)
@@ -137,5 +126,4 @@ module Export : sig
   (** Byte-stable, always-finite JSON number formatting. *)
 
   val histogram_stats_json : Metrics.histogram -> string
-  val pp_event : Format.formatter -> event -> unit
 end

@@ -735,7 +735,7 @@ let results_jsonl (r : report) =
   Buffer.contents b
 
 let metrics_json (r : report) =
-  Observe.Export.metrics_json r.rp_host.H.Host.observe
+  Observe.Export.metrics_json (Observe.metrics r.rp_host.H.Host.observe)
 
 (* One digest over everything observable: the double-run determinism
    witness. *)

@@ -23,19 +23,33 @@ type file = {
   f_events : event list;
 }
 
+type phase = Boundary | Begin | End | Instant
+
 (* ------------------------------------------------------------------ *)
 (* Recorder                                                            *)
 (* ------------------------------------------------------------------ *)
 
 module Recorder = struct
+  (* One ring holds both record classes; [phs] tags each slot, and is
+     allocated only when detail records are first switched on (until
+     then every slot is a boundary record). Boundary counts
+     ([boundary], [dropped]) are kept apart so that switching detail
+     records on never changes what {!save} writes. [seq] counts every
+     record ever written; [mark] is its value at the last
+     [set_detail true]. *)
   type t = {
     now : unit -> float;
     cap : int;
     buf : event array;
+    mutable phs : phase array;
     mutable start : int;
     mutable len : int;
+    mutable seq : int;
+    mutable boundary : int;
     mutable dropped : int;
     mutable on : bool;
+    mutable detail : bool;
+    mutable mark : int;
     mutable sess : int;
     mutable hdr : (string * string) list;
   }
@@ -44,20 +58,35 @@ module Recorder = struct
 
   let create ?(capacity = default_capacity) ~now () =
     let dummy = { kind = ""; ts = 0.0; session = 0; args = [] } in
+    let cap = max 1 capacity in
     {
       now;
-      cap = max 1 capacity;
-      buf = Array.make (max 1 capacity) dummy;
+      cap;
+      buf = Array.make cap dummy;
+      phs = [||];
       start = 0;
       len = 0;
+      seq = 0;
+      boundary = 0;
       dropped = 0;
       on = true;
+      detail = false;
+      mark = 0;
       sess = 0;
       hdr = [];
     }
 
-  let enabled t = t.on
+  let now t = t.now ()
   let set_enabled t b = t.on <- b
+  let detail t = t.detail
+
+  let set_detail t b =
+    if b then begin
+      if Array.length t.phs = 0 then t.phs <- Array.make t.cap Boundary;
+      t.mark <- t.seq
+    end;
+    t.detail <- b
+
   let set_session t s = t.sess <- s
   let session t = t.sess
 
@@ -68,28 +97,50 @@ module Recorder = struct
 
   let meta t = t.hdr
 
-  let record t ~kind ?(args = []) () =
-    if t.on then begin
-      let e = { kind; ts = t.now (); session = t.sess; args } in
+  let phase_at t i = if Array.length t.phs = 0 then Boundary else t.phs.(i)
+
+  let push t ph e =
+    let i =
       if t.len < t.cap then begin
-        t.buf.((t.start + t.len) mod t.cap) <- e;
-        t.len <- t.len + 1
+        t.len <- t.len + 1;
+        (t.start + t.len - 1) mod t.cap
       end
       else begin
-        t.buf.(t.start) <- e;
+        if phase_at t t.start = Boundary then t.dropped <- t.dropped + 1;
+        let i = t.start in
         t.start <- (t.start + 1) mod t.cap;
-        t.dropped <- t.dropped + 1
+        i
       end
+    in
+    t.buf.(i) <- e;
+    if Array.length t.phs > 0 then t.phs.(i) <- ph;
+    t.seq <- t.seq + 1
+
+  let record t ?(phase = Boundary) ~kind ?(args = []) () =
+    if (match phase with Boundary -> t.on | Begin | End | Instant -> t.detail)
+    then begin
+      if phase = Boundary then t.boundary <- t.boundary + 1;
+      push t phase { kind; ts = t.now (); session = t.sess; args }
     end
 
-  let events t = List.init t.len (fun i -> t.buf.((t.start + i) mod t.cap))
-  let total t = t.len + t.dropped
-  let dropped t = t.dropped
+  (* Ring slots [from, len), oldest first. *)
+  let slots t ~from f =
+    let acc = ref [] in
+    for i = t.len - 1 downto from do
+      let j = (t.start + i) mod t.cap in
+      match f (phase_at t j) t.buf.(j) with Some x -> acc := x :: !acc | None -> ()
+    done;
+    !acc
 
-  let clear t =
-    t.start <- 0;
-    t.len <- 0;
-    t.dropped <- 0
+  let events t =
+    slots t ~from:0 (fun ph e -> if ph = Boundary then Some e else None)
+
+  let stream t =
+    slots t ~from:(max 0 (t.mark - (t.seq - t.len))) (fun ph e -> Some (ph, e))
+
+  let stream_dropped t = max 0 (t.seq - t.len - t.mark)
+  let total t = t.boundary
+  let dropped t = t.dropped
 end
 
 (* ------------------------------------------------------------------ *)

@@ -29,19 +29,38 @@ type file = {
   f_events : event list;
 }
 
-(** Bounded ring of events. Created once per {!Hostos.Host.t} and left
-    enabled; capacity bounds memory, oldest events are overwritten. *)
+(** The recorder writes two classes of record into one ring.
+    {e Boundary} records are the flight recording: always on, saved by
+    {!save}, compared by replay. {e Detail} records exist only while
+    tracing is switched on ({!Recorder.set_detail}): span begin/end
+    pairs and tracing-only instants. They are rendered into the Chrome
+    trace and printed by [vmsh attach -v], and never written to a
+    [.vmshtrace] file. *)
+type phase =
+  | Boundary
+  | Begin  (** span opens; [args] are its attributes *)
+  | End  (** span closes; [args] are its counter deltas *)
+  | Instant  (** tracing-only point event *)
+
+(** Bounded ring of records. Created once per {!Hostos.Host.t};
+    capacity bounds memory, oldest records are overwritten. *)
 module Recorder : sig
   type t
 
   val create : ?capacity:int -> now:(unit -> float) -> unit -> t
-  (** Default capacity 65536 events. [now] reads the virtual clock. *)
+  (** Default capacity 65536 records. [now] reads the virtual clock. *)
 
-  val enabled : t -> bool
+  val now : t -> float
 
   val set_enabled : t -> bool -> unit
-  (** Disabling turns {!record} into a no-op (used by the bench
-      recording-overhead ablation). *)
+  (** Disabling turns boundary {!record}s into no-ops (used by the
+      bench recording-overhead ablation). *)
+
+  val detail : t -> bool
+
+  val set_detail : t -> bool -> unit
+  (** Switch detail records on or off. Switching on also starts a new
+      {!stream} window. Off by default. *)
 
   val set_session : t -> int -> unit
   (** Tag subsequent events with a fleet session index. *)
@@ -53,12 +72,24 @@ module Recorder : sig
 
   val meta : t -> (string * string) list
 
-  val record : t -> kind:string -> ?args:(string * value) list -> unit -> unit
-  val events : t -> event list
-  val total : t -> int  (** events ever recorded, including dropped *)
+  val record :
+    t -> ?phase:phase -> kind:string -> ?args:(string * value) list -> unit -> unit
+  (** [phase] defaults to [Boundary]. A detail record is dropped unless
+      {!detail} is on. *)
 
-  val dropped : t -> int
-  val clear : t -> unit  (** drops events and resets counts; keeps meta *)
+  val events : t -> event list
+  (** The boundary records still in the ring, oldest first. *)
+
+  val stream : t -> (phase * event) list
+  (** Every record, boundary and detail, written since detail records
+      were last switched on (since creation if they never were). *)
+
+  val stream_dropped : t -> int
+  (** Records of the {!stream} window already overwritten. *)
+
+  val total : t -> int  (** boundary records ever recorded, including dropped *)
+
+  val dropped : t -> int  (** boundary records overwritten *)
 end
 
 (** {2 Mutation-safe accessors & causality metadata}
@@ -97,8 +128,9 @@ val decode : string -> (file, string) result
 
 val save :
   Recorder.t -> ?extra_meta:(string * string) list -> string -> unit
-(** Write the recorder's current contents to [path], appending
-    [extra_meta] after the recorder's own header entries. *)
+(** Write the recorder's boundary records to [path], appending
+    [extra_meta] after the recorder's own header entries. Detail
+    records are never saved. *)
 
 val load : string -> (file, string) result
 (** Read and decode a [.vmshtrace] file. *)

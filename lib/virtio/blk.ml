@@ -215,9 +215,9 @@ module Driver = struct
              (name ^ "." ^ op ^ "_ns"))
           dt;
         if Observe.enabled obs then
-          Observe.instant obs
-            ~name:(name ^ "." ^ op)
-            ~attrs:[ ("ns", Observe.F dt); ("bytes", Observe.I bytes) ]
+          Trace.Recorder.record (Observe.recorder obs) ~phase:Trace.Instant
+            ~kind:(name ^ "." ^ op)
+            ~args:[ ("ns", Trace.I (int_of_float dt)); ("bytes", Trace.I bytes) ]
             ();
         r
 

@@ -129,8 +129,9 @@ module Driver = struct
           (Observe.Metrics.histogram (Observe.metrics obs) (name ^ ".tx_ns"))
           dt;
         if Observe.enabled obs then
-          Observe.instant obs ~name:(name ^ ".tx")
-            ~attrs:[ ("ns", Observe.F dt); ("bytes", Observe.I bytes) ]
+          Trace.Recorder.record (Observe.recorder obs) ~phase:Trace.Instant
+            ~kind:(name ^ ".tx")
+            ~args:[ ("ns", Trace.I (int_of_float dt)); ("bytes", Trace.I bytes) ]
             ();
         r
 

@@ -173,9 +173,9 @@ module Driver = struct
              (Printf.sprintf "%s.%s_ns" name op))
           dt;
         if Observe.enabled obs then
-          Observe.instant obs
-            ~name:(Printf.sprintf "%s.%s" name op)
-            ~attrs:[ ("ns", Observe.F dt) ]
+          Trace.Recorder.record (Observe.recorder obs) ~phase:Trace.Instant
+            ~kind:(Printf.sprintf "%s.%s" name op)
+            ~args:[ ("ns", Trace.I (int_of_float dt)) ]
             ();
         r
 

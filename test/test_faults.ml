@@ -127,7 +127,7 @@ let trace_of_attach ~host_seed ~fault_seed =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "attach failed: %s" e);
   ( Observe.Export.chrome_trace h.H.Host.observe,
-    Observe.Export.metrics_json h.H.Host.observe )
+    Observe.Export.metrics_json (Observe.metrics h.H.Host.observe) )
 
 let test_same_seed_identical_trace () =
   let t1, m1 = trace_of_attach ~host_seed:91 ~fault_seed:17 in
@@ -144,7 +144,7 @@ let metrics_of_attach ~arm_disabled =
   (match Test_attach.do_attach env with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "attach failed: %s" e);
-  Observe.Export.metrics_json h.H.Host.observe
+  Observe.Export.metrics_json (Observe.metrics h.H.Host.observe)
 
 let test_disabled_plan_is_neutral () =
   let baseline = metrics_of_attach ~arm_disabled:false in

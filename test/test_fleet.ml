@@ -549,9 +549,9 @@ let test_fleet_deterministic () =
      and metrics *)
   let run () =
     let r = cold ~seed:7 ~vms:8 in
-    let obs = Observe.create ~now:(fun () -> 0.0) () in
-    Fleet.record (Observe.metrics obs) ~label:"n8" r;
-    (r.Fleet.r_schedule, Observe.Export.metrics_json obs)
+    let mx = Observe.Metrics.create () in
+    Fleet.record mx ~label:"n8" r;
+    (r.Fleet.r_schedule, Observe.Export.metrics_json mx)
   in
   let sched_a, metrics_a = run () in
   let sched_b, metrics_b = run () in

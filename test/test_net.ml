@@ -169,8 +169,10 @@ let test_switch_learning () =
 
 (* --- end-to-end: attach a NIC, run the echo workload --- *)
 
-let attach_with_net ?(mode = Traffic.Echo) ?(loss = 0.0) ?(seed = 23) () =
+let attach_with_net ?(mode = Traffic.Echo) ?(loss = 0.0) ?(seed = 23)
+    ?(traced = false) () =
   let h, vmm, g = Test_attach.setup ~seed () in
+  if traced then Observe.enable h.H.Host.observe;
   let fabric, guest_port = Traffic.make_network h ~mode ~loss () in
   let config =
     Vmsh.Attach.Config.with_net
@@ -298,7 +300,7 @@ let test_request_hist_spreads_under_loss () =
 (* --- whole-scenario determinism: identical traces --- *)
 
 let traced_run () =
-  let h, vmm, g, session = attach_with_net ~loss:0.1 ~seed:5 () in
+  let h, vmm, g, session = attach_with_net ~loss:0.1 ~seed:5 ~traced:true () in
   ignore session;
   let r =
     Traffic.run_client vmm g ~requests:100 ~payload_size:128
@@ -306,12 +308,23 @@ let traced_run () =
   in
   ignore r;
   ( Observe.Export.chrome_trace h.H.Host.observe,
-    Observe.Export.metrics_json h.H.Host.observe )
+    Observe.Export.metrics_json (Observe.metrics h.H.Host.observe) )
 
 let test_deterministic_traces () =
   let trace1, metrics1 = traced_run () in
   let trace2, metrics2 = traced_run () in
   check cbool "chrome traces byte-identical" true (trace1 = trace2);
+  List.iter
+    (fun name ->
+      check cbool ("trace carries " ^ name ^ " events") true
+        (match
+           Str.search_forward
+             (Str.regexp_string ("{\"name\":\"" ^ name))
+             trace1 0
+         with
+        | _ -> true
+        | exception Not_found -> false))
+    [ "vmsh-net."; "net.drop"; "kvm." ];
   check cstr "metrics byte-identical" metrics1 metrics2
 
 let suite =

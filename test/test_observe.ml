@@ -1,6 +1,7 @@
 (* lib/observe: span nesting and delta attribution, histogram quantile
-   accuracy, Chrome-trace determinism across identical attaches, and
-   no-op-sink neutrality (tracing must not perturb the simulation). *)
+   accuracy, Chrome-trace determinism across identical attaches,
+   one trace event per flight-recorder boundary event, and tracing-off
+   neutrality (tracing must not perturb the simulation). *)
 
 module H = Hostos
 module Sfs = Blockdev.Simplefs
@@ -13,19 +14,17 @@ let cbool = Alcotest.bool
 let cint = Alcotest.int
 let cstr = Alcotest.string
 
-(* --- spans: event order and counter-delta attribution --- *)
+(* --- spans: record order and counter-delta attribution --- *)
 
 let test_span_nesting () =
   let now = ref 0.0 in
   let ticks = ref 0 in
+  let r = Trace.Recorder.create ~now:(fun () -> !now) () in
   let t =
-    Observe.create
-      ~now:(fun () -> !now)
-      ~counters:(fun () -> [ ("ticks", !ticks) ])
-      ()
+    Observe.create ~recorder:r ~counters:(fun () -> [ ("ticks", !ticks) ]) ()
   in
   Observe.enable t;
-  let r =
+  let v =
     Observe.span t ~name:"outer" (fun () ->
         now := 10.0;
         ticks := 3;
@@ -39,32 +38,36 @@ let test_span_nesting () =
         ticks := 9;
         inner ^ "+out")
   in
-  check cstr "span returns f's value" "in+out" r;
-  match Observe.events t with
+  check cstr "span returns f's value" "in+out" v;
+  check cint "spans are not flight-recording events" 0
+    (List.length (Trace.Recorder.events r));
+  match Trace.Recorder.stream r with
   | [
-   Observe.Begin { name = "outer"; ts = 0.0; _ };
-   Observe.Begin { name = "inner"; ts = 10.0; _ };
-   Observe.End { name = "inner"; ts = 25.0; deltas = d_in };
-   Observe.End { name = "outer"; ts = 40.0; deltas = d_out };
+   (Trace.Begin, { Trace.kind = "outer"; ts = 0.0; _ });
+   (Trace.Begin, { Trace.kind = "inner"; ts = 10.0; _ });
+   (Trace.End, ({ Trace.kind = "inner"; ts = 25.0; _ } as e_in));
+   (Trace.End, ({ Trace.kind = "outer"; ts = 40.0; _ } as e_out));
   ] ->
-      check cint "inner delta covers only its own ticks" 5
-        (List.assoc "ticks" d_in);
-      check cint "outer delta is inclusive of children" 9
-        (List.assoc "ticks" d_out)
-  | evs -> Alcotest.failf "unexpected event sequence (%d events)"
+      check (Alcotest.option cint) "inner delta covers only its own ticks"
+        (Some 5) (Trace.int_arg e_in "ticks");
+      check (Alcotest.option cint) "outer delta is inclusive of children"
+        (Some 9) (Trace.int_arg e_out "ticks")
+  | evs -> Alcotest.failf "unexpected record sequence (%d records)"
              (List.length evs)
 
 let test_span_exception_safe () =
   let now = ref 0.0 in
-  let t = Observe.create ~now:(fun () -> !now) () in
+  let r = Trace.Recorder.create ~now:(fun () -> !now) () in
+  let t = Observe.create ~recorder:r () in
   Observe.enable t;
   (try
      Observe.span t ~name:"boom" (fun () -> failwith "expected")
    with Failure _ -> ());
-  match Observe.events t with
-  | [ Observe.Begin { name = "boom"; _ }; Observe.End { name = "boom"; _ } ] ->
+  match Trace.Recorder.stream r with
+  | [ (Trace.Begin, { Trace.kind = "boom"; _ });
+      (Trace.End, { Trace.kind = "boom"; _ }) ] ->
       ()
-  | _ -> Alcotest.fail "End event not emitted on exception"
+  | _ -> Alcotest.fail "End record not written on exception"
 
 (* --- histograms: percentile estimates within bucket error --- *)
 
@@ -162,7 +165,9 @@ let test_merge_into () =
 (* --- leveled logging: default-quiet, parseable levels --- *)
 
 let test_log_levels () =
-  let t = Observe.create ~now:(fun () -> 0.0) () in
+  let t =
+    Observe.create ~recorder:(Trace.Recorder.create ~now:(fun () -> 0.0) ()) ()
+  in
   check cbool "default level is Quiet" true (Observe.log_level t = Observe.Quiet);
   List.iter
     (fun (s, l) ->
@@ -178,8 +183,7 @@ let test_log_levels () =
 
 (* --- end-to-end: identical attaches export identical traces --- *)
 
-let boot ~seed =
-  let h = H.Host.create ~seed () in
+let boot_on h =
   let disk = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:2048 () in
   let fs =
     match Sfs.mkfs (Blockdev.Backend.dev disk) () with
@@ -190,7 +194,11 @@ let boot ~seed =
   Sfs.sync fs;
   let vmm = Vmm.create h ~profile:Profile.qemu ~disk () in
   let _g = Vmm.boot vmm ~version:KV.V5_10 in
-  (h, vmm)
+  vmm
+
+let boot ~seed =
+  let h = H.Host.create ~seed () in
+  (h, boot_on h)
 
 let attach h vmm =
   let image =
@@ -250,10 +258,43 @@ let test_noop_neutrality () =
       check cint ("counter " ^ k ^ " unchanged by tracing") v_off v_on)
     (H.Clock.to_fields (H.Clock.counters off.H.Host.clock))
     (H.Clock.to_fields (H.Clock.counters on.H.Host.clock));
-  check cint "no events recorded while disabled" 0
-    (List.length (Observe.events off.H.Host.observe));
-  check cbool "events recorded while enabled" true
-    (Observe.events on.H.Host.observe <> [])
+  let details h =
+    List.filter
+      (fun (phase, _) -> phase <> Trace.Boundary)
+      (Trace.Recorder.stream h.H.Host.recorder)
+  in
+  check cint "no detail records while disabled" 0 (List.length (details off));
+  check cbool "detail records while enabled" true (details on <> [])
+
+(* --- each flight-recorder boundary event reaches the trace once --- *)
+
+let test_one_emission_per_boundary_event () =
+  let h = H.Host.create ~seed:95 () in
+  Observe.enable h.H.Host.observe;
+  ignore (attach h (boot_on h));
+  let trace = Observe.Export.chrome_trace h.H.Host.observe in
+  let kvm =
+    List.filter
+      (fun e -> String.starts_with ~prefix:"kvm." e.Trace.kind)
+      (Trace.Recorder.events h.H.Host.recorder)
+  in
+  let count re =
+    let re = Str.regexp re in
+    let rec go pos n =
+      match Str.search_forward re trace pos with
+      | i -> go (i + 1) (n + 1)
+      | exception Not_found -> n
+    in
+    go 0 0
+  in
+  check cbool "the attach crossed the KVM boundary" true
+    (List.exists (fun e -> e.Trace.kind = "kvm.exit.ioregionfd") kvm);
+  check cint "one instant per recorder kvm.* event" (List.length kvm)
+    (count {|{"name":"kvm\.[^"]*","ph":"i"|});
+  check cint "kvm.* names only as instants" (List.length kvm)
+    (count {|{"name":"kvm\.|});
+  check cbool "no legacy kvm.exit: name" false
+    (contains ~needle:"kvm.exit:" trace)
 
 let suite =
   [
@@ -274,5 +315,7 @@ let suite =
           test_trace_determinism;
         Alcotest.test_case "no-op sink leaves simulation untouched" `Quick
           test_noop_neutrality;
+        Alcotest.test_case "one emission per boundary event" `Quick
+          test_one_emission_per_boundary_event;
       ] );
   ]

@@ -79,19 +79,18 @@ let test_journal_failing_undo_continues () =
       check cint "log consumed despite the failure" 0 (J.length j)
 
 let test_journal_metrics_register_lazily () =
-  let obs = Observe.create ~now:(fun () -> 0.0) () in
-  let mx = Observe.metrics obs in
+  let mx = Observe.Metrics.create () in
   let j = J.create () in
   (match J.replay ~metrics:mx j with
   | Ok () -> ()
   | Error e -> Alcotest.failf "empty replay: %s" (E.to_string e));
   check cbool "empty replay registers no counters" false
-    (contains (Observe.Export.metrics_json obs) "rollback.");
+    (contains (Observe.Export.metrics_json mx) "rollback.");
   J.record j ~what:"x" (fun () -> ());
   (match J.replay ~metrics:mx j with
   | Ok () -> ()
   | Error e -> Alcotest.failf "replay: %s" (E.to_string e));
-  let after = Observe.Export.metrics_json obs in
+  let after = Observe.Export.metrics_json mx in
   check cbool "replays counted" true (contains after "rollback.replays");
   check cbool "entries counted" true (contains after "rollback.entries")
 
@@ -166,14 +165,14 @@ let test_rollback_counters_stay_lazy () =
   match Test_attach.do_attach env with
   | Error e -> Alcotest.failf "attach: %s" e
   | Ok session ->
-      let m = Observe.Export.metrics_json h.H.Host.observe in
+      let m = Observe.Export.metrics_json (Observe.metrics h.H.Host.observe) in
       check cbool "no rollback counters after a clean attach" false
         (contains m "rollback.");
       check cbool "no watchdog counters either" false (contains m "watchdog.");
       (match Vmsh.Attach.detach session with
       | Ok () -> ()
       | Error e -> Alcotest.failf "detach: %s" (E.to_string e));
-      let m = Observe.Export.metrics_json h.H.Host.observe in
+      let m = Observe.Export.metrics_json (Observe.metrics h.H.Host.observe) in
       check cbool "detach replay ticks rollback.replays" true
         (contains m "rollback.replays")
 

@@ -83,6 +83,41 @@ let test_ring_bounds () =
   Trace.Recorder.record r ~kind:"tick" ();
   check cint "disabled recorder drops nothing new" 10 (Trace.Recorder.total r)
 
+(* --- detail records share the ring but stay out of the recording --- *)
+
+let test_detail_records () =
+  let r = Trace.Recorder.create ~capacity:4 ~now:(fun () -> 3.0) () in
+  Trace.Recorder.record r ~phase:Trace.Instant ~kind:"off" ();
+  check cint "detail records are off by default" 0
+    (List.length (Trace.Recorder.stream r));
+  Trace.Recorder.record r ~kind:"b1" ();
+  Trace.Recorder.set_detail r true;
+  Trace.Recorder.record r ~phase:Trace.Begin ~kind:"span" ();
+  Trace.Recorder.record r ~kind:"b2" ();
+  Trace.Recorder.record r ~phase:Trace.End ~kind:"span" ();
+  check
+    (Alcotest.list cstr)
+    "the stream starts where detail records were switched on"
+    [ "span"; "b2"; "span" ]
+    (List.map (fun (_, e) -> e.Trace.kind) (Trace.Recorder.stream r));
+  check (Alcotest.list cstr) "events are the boundary records only"
+    [ "b1"; "b2" ]
+    (List.map (fun e -> e.Trace.kind) (Trace.Recorder.events r));
+  check cint "total counts boundary records" 2 (Trace.Recorder.total r);
+  (* the ring is full: evicting b1 drops a boundary record, evicting
+     the Begin record does not *)
+  Trace.Recorder.record r ~phase:Trace.Instant ~kind:"i1" ();
+  Trace.Recorder.record r ~phase:Trace.Instant ~kind:"i2" ();
+  check cint "dropped counts evicted boundary records" 1
+    (Trace.Recorder.dropped r);
+  check cint "the stream window lost one record" 1
+    (Trace.Recorder.stream_dropped r);
+  match Trace.decode (Trace.encode ~meta:[] (Trace.Recorder.events r)) with
+  | Ok f ->
+      check (Alcotest.list cstr) "only boundary records are encoded" [ "b2" ]
+        (List.map (fun e -> e.Trace.kind) f.Trace.f_events)
+  | Error e -> Alcotest.failf "decode: %s" e
+
 (* --- diff: identical streams are [], divergence is reported --- *)
 
 let test_diff () =
@@ -232,6 +267,51 @@ let test_sweep_cell_determinism () =
 (* Every job of a serve run replays clean from its own recording: the
    recipe carries the job's dispatch instant exactly, its worker slot
    and whether its symbol analysis hit the service's shared cache. *)
+(* Tracing writes detail records into the same ring, yet the saved
+   recording (here via dump-on-failure) is byte-identical to an
+   untraced run's and replays clean. *)
+let test_tracing_leaves_recording_unchanged () =
+  let dir = Filename.temp_file "vmsh-dump" "" in
+  Sys.remove dir;
+  let record ~traced =
+    let host = Hostos.Host.create ~seed:43 () in
+    List.iter
+      (fun (k, v) -> Trace.Recorder.set_meta host.Hostos.Host.recorder k v)
+      (Fleet.Sweep.cell_meta ~seed:43 ~cls:Fleet.Sweep.fault_free ~k:(-1)
+         ~fork:false ~hostile:"");
+    if traced then Observe.enable host.Hostos.Host.observe;
+    let plan = Faults.create ~seed:(43 * 31) ~rate:0.0 () in
+    Faults.set_abort_at_yield plan (Some max_int);
+    let r =
+      Fleet.Session.run ~host
+        (Fleet.Session.spec ~plan (Fleet.Session.cold "sweep-vm"))
+    in
+    check cbool "session completed" true
+      (r.Fleet.Session.outcome = Fleet.Session.Completed);
+    Unix.putenv "VMSH_TRACE_DIR" dir;
+    let path =
+      Trace.dump_on_failure host.Hostos.Host.recorder
+        ~name:(if traced then "traced" else "untraced")
+        ()
+    in
+    Unix.putenv "VMSH_TRACE_DIR" "";
+    match path with
+    | Some p -> (host, p)
+    | None -> Alcotest.fail "no dump written"
+  in
+  let _, off = record ~traced:false in
+  let on_host, on = record ~traced:true in
+  check cbool "the traced run wrote detail records" true
+    (List.exists
+       (fun (phase, _) -> phase = Trace.Begin)
+       (Trace.Recorder.stream on_host.Hostos.Host.recorder));
+  check cstr "tracing leaves the .vmshtrace bytes unchanged" (read_file off)
+    (read_file on);
+  replay_clean on;
+  Sys.remove off;
+  Sys.remove on;
+  Sys.rmdir dir
+
 let test_serve_jobs_replay_clean () =
   let hosts = ref [] in
   let cfg =
@@ -331,5 +411,9 @@ let suite =
           test_serve_jobs_replay_clean;
         Alcotest.test_case "forked sweep cell replays forked" `Quick
           test_forked_sweep_cell_replays_forked;
+        Alcotest.test_case "detail records stay out of the recording" `Quick
+          test_detail_records;
+        Alcotest.test_case "tracing leaves the flight recording unchanged"
+          `Quick test_tracing_leaves_recording_unchanged;
       ] );
   ]
