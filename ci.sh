@@ -4,7 +4,11 @@
 #   build         dune build
 #   test          dune runtest (full alcotest/qcheck suite)
 #   smoke-attach  real `vmsh attach` with trace+metrics export; every
-#                 attach phase must appear in the chrome trace
+#                 attach phase must appear in the chrome trace — then
+#                 one attach per LTS kernel (4.4 … 5.10), each of which
+#                 must report its ksymtab layout: absolute (value
+#                 first) for 4.4/4.9, absolute (name first) for 4.14,
+#                 prel32 for 4.19/5.4/5.10
 #   smoke-net     networked attach pushing 1000 echo requests through
 #                 the side-loaded NIC
 #   fault-matrix  `vmsh fuzz --seeds 25`: 0 hangs, 0 unclean failures,
@@ -124,8 +128,27 @@ stage_smoke_attach() {
   metrics=$ARTIFACTS/metrics.json
   vmsh attach --trace-out "$trace" --metrics-out "$metrics" -e hostname \
     > /dev/null
-  ci_check json "$trace" "$metrics"
-  ci_check trace "$trace"
+  ci_check json "$trace" "$metrics" || return 1
+  ci_check trace "$trace" || return 1
+  # every ksymtab layout through the symbol-analysis scans
+  for kv in 4.4 4.9 4.14 4.19 5.4 5.10; do
+    case $kv in
+      4.4|4.9) want="absolute (value first)" ;;
+      4.14) want="absolute (name first)" ;;
+      *) want="prel32" ;;
+    esac
+    out=$(vmsh attach --kernel "$kv" -e hostname) || {
+      echo "ci: attach to a v$kv guest failed" >&2
+      return 1
+    }
+    case $out in
+      *"ksymtab layout $want"*) ;;
+      *)
+        echo "ci: v$kv guest: expected ksymtab layout $want" >&2
+        return 1
+        ;;
+    esac
+  done
 }
 
 stage_smoke_net() {

@@ -51,6 +51,14 @@ let printable c =
   let v = Char.code c in
   v >= 32 && v <= 126
 
+(* Does [b] hold [pat] at offset [i]? Compared in place, byte by byte,
+   so a scan probing every offset allocates nothing. *)
+let rec bytes_match b i pat k =
+  k >= String.length pat
+  || i + k < Bytes.length b
+     && Bytes.get b (i + k) = String.get pat k
+     && bytes_match b i pat (k + 1)
+
 (* Expand a strings region around [pos]: the maximal span of NUL-
    separated printable names (each at most [max_name_len] bytes). *)
 let expand_strings_region img pos =
@@ -75,34 +83,29 @@ let expand_strings_region img pos =
   in
   (left pos 0, right pos 0)
 
+let anchor_pattern = "\000" ^ anchor_symbol ^ "\000"
+
+(* One forward pass for "\000printk\000": the anchor counts only after a
+   NUL, so a name at image offset 0 never matches. Every match expands
+   to its strings region; the widest region wins, the first of equally
+   wide ones. *)
 let find_strings_region img =
-  (* search for "\000printk\000" (or the anchor at position 0) *)
-  let pat = "\000" ^ anchor_symbol ^ "\000" in
-  let s = Bytes.unsafe_to_string img in
-  let rec find_from i acc =
-    if i >= String.length s then List.rev acc
-    else
-      match String.index_from_opt s i '\000' with
-      | None -> List.rev acc
-      | Some j ->
-          if
-            j + String.length pat <= String.length s
-            && String.sub s j (String.length pat) = pat
-          then find_from (j + 1) ((j + 1) :: acc)
-          else find_from (j + 1) acc
-  in
-  match find_from 0 [] with
-  | [] -> Error (Printf.sprintf "anchor symbol %S not found in kernel image" anchor_symbol)
-  | candidates ->
-      (* keep the largest region among candidates *)
-      let regions = List.map (fun pos -> expand_strings_region img pos) candidates in
-      let best =
-        List.fold_left
-          (fun (blo, bhi) (lo, hi) -> if hi - lo > bhi - blo then (lo, hi) else (blo, bhi))
-          (0, 0) regions
-      in
-      if snd best - fst best < 16 then Error "strings region too small"
-      else Ok best
+  let found = ref false in
+  let best_lo = ref 0 and best_hi = ref 0 in
+  for j = 0 to Bytes.length img - String.length anchor_pattern do
+    if bytes_match img j anchor_pattern 0 then begin
+      found := true;
+      let lo, hi = expand_strings_region img (j + 1) in
+      if hi - lo > !best_hi - !best_lo then begin
+        best_lo := lo;
+        best_hi := hi
+      end
+    end
+  done;
+  if not !found then
+    Error (Printf.sprintf "anchor symbol %S not found in kernel image" anchor_symbol)
+  else if !best_hi - !best_lo < 16 then Error "strings region too small"
+  else Ok (!best_lo, !best_hi)
 
 (* Is [off] the start of a plausible symbol name inside the region? *)
 let string_start img (lo, hi) off =
@@ -115,60 +118,67 @@ let read_cstr img off =
   let rec go i = if i >= n || Bytes.get img i = '\000' then i else go (i + 1) in
   Bytes.sub_string img off (go off - off)
 
-(* Try to parse a ksymtab in the given layout at image offset [off];
-   returns the list of (name, value) entries of the longest valid run. *)
-let entries_at img ~kbase ~region layout off =
-  let n = Bytes.length img in
-  let in_kernel va = va >= kbase && va < kbase + n in
-  let esz = Linux_guest.Ksymtab.entry_size layout in
-  let i64 o = Int64.to_int (Bytes.get_int64_le img o) in
-  let i32 o = Int32.to_int (Bytes.get_int32_le img o) in
-  let rec run o acc =
-    if o + esz > n then List.rev acc
-    else
-      let parsed =
-        match layout with
-        | KV.Absolute_value_first ->
-            let v =
-              try Some (i64 o, i64 (o + 8)) with Invalid_argument _ -> None
-            in
-            Option.map (fun (value, name_va) -> (value, name_va)) v
-        | KV.Absolute_name_first -> (
-            try Some (i64 (o + 8), i64 o) with Invalid_argument _ -> None)
-        | KV.Prel32 ->
-            let value = kbase + o + i32 o in
-            let name_va = kbase + o + 4 + i32 (o + 4) in
-            Some (value, name_va)
-      in
-      match parsed with
-      | None -> List.rev acc
-      | Some (value, name_va) ->
-          let name_off = name_va - kbase in
-          if
-            in_kernel value
-            && string_start img region name_off
-          then run (o + esz) ((read_cstr img name_off, value) :: acc)
-          else List.rev acc
-  in
-  run off []
+let i64 b o = Int64.to_int (Bytes.get_int64_le b o)
+let i32 b o = Int32.to_int (Bytes.get_int32_le b o)
 
+(* The two fields of the ksymtab entry at offset [o] of [b], as virtual
+   addresses. [base] is the virtual address of [b]'s byte 0: PREL32
+   fields are relative to their own address. *)
+let entry_value b ~base layout o =
+  match layout with
+  | KV.Absolute_value_first -> i64 b o
+  | KV.Absolute_name_first -> i64 b (o + 8)
+  | KV.Prel32 -> base + o + i32 b o
+
+let entry_name_va b ~base layout o =
+  match layout with
+  | KV.Absolute_value_first -> i64 b (o + 8)
+  | KV.Absolute_name_first -> i64 b o
+  | KV.Prel32 -> base + o + 4 + i32 b (o + 4)
+
+(* The consistency check for the entry at image offset [o]: it fits in
+   the image, its value points into the kernel, and its name pointer
+   lands exactly on a string start inside the strings region. *)
+let entry_valid img ~kbase ~region layout o =
+  let n = Bytes.length img in
+  o + Linux_guest.Ksymtab.entry_size layout <= n
+  &&
+  let value = entry_value img ~base:kbase layout o in
+  value >= kbase && value < kbase + n
+  && string_start img region (entry_name_va img ~base:kbase layout o - kbase)
+
+(* [len] plus the number of consecutive valid entries from [o] on. *)
+let rec run_length img ~kbase ~region layout o len =
+  if entry_valid img ~kbase ~region layout o then
+    run_length img ~kbase ~region layout
+      (o + Linux_guest.Ksymtab.entry_size layout)
+      (len + 1)
+  else len
+
+(* One forward pass per layout, allocating nothing until the end: try
+   every 8-byte-aligned start, keep the first longest run of valid
+   entries, and jump past each new best run instead of re-counting its
+   suffixes. Only the winning run becomes (name, value) pairs. *)
 let find_table img ~kbase ~region layout =
   let esz = Linux_guest.Ksymtab.entry_size layout in
   let n = Bytes.length img in
-  let best = ref [] in
-  let best_off = ref 0 in
-  let o = ref 0 in
+  let best_len = ref 0 and best_off = ref 0 and o = ref 0 in
   while !o + esz <= n do
-    let entries = entries_at img ~kbase ~region layout !o in
-    if List.length entries > List.length !best then begin
-      best := entries;
+    let len = run_length img ~kbase ~region layout !o 0 in
+    if len > !best_len then begin
+      best_len := len;
       best_off := !o;
-      (* skip past this run to avoid re-parsing suffixes *)
-      o := !o + (List.length entries * esz)
+      o := !o + (len * esz)
     end
     else o := !o + 8
   done;
-  (!best_off, !best)
+  let off = !best_off in
+  let entry k =
+    let o = off + (k * esz) in
+    ( read_cstr img (entry_name_va img ~base:kbase layout o - kbase),
+      entry_value img ~base:kbase layout o )
+  in
+  (off, List.init !best_len entry)
 
 (* --- build-id memoization ---
 
@@ -199,12 +209,11 @@ end
 (* Locate the build-id note in the image's first page. Scanned for, not
    assumed at a fixed offset — the analyzer discovers everything. *)
 let find_build_id page =
-  let s = Bytes.unsafe_to_string page in
   let m = String.length buildid_magic in
   let rec go i =
-    if i + m + buildid_hex_len > String.length s then None
-    else if String.sub s i m = buildid_magic then
-      Some (String.sub s (i + m) buildid_hex_len)
+    if i + m + buildid_hex_len > Bytes.length page then None
+    else if bytes_match page i buildid_magic 0 then
+      Some (Bytes.sub_string page (i + m) buildid_hex_len)
     else go (i + 1)
   in
   go 0
@@ -384,8 +393,6 @@ let revalidate ?names mem ~cr3 a =
         with
         | None -> Error "ksymtab pages vanished since the scan"
         | Some table ->
-            let i64 o = Int64.to_int (Bytes.get_int64_le table o) in
-            let i32 o = Int32.to_int (Bytes.get_int32_le table o) in
             let name_at name_va =
               let off = name_va - a.kernel_base - slo in
               if off < 0 || off >= shi - slo then None
@@ -405,23 +412,13 @@ let revalidate ?names mem ~cr3 a =
                region contributes a (name, value) pair; mutated-to-
                garbage entries simply contribute nothing and are caught
                below when a needed name has vanished or moved *)
+            let base = a.kernel_base + w.w_table_off in
             let parse i =
               let o = i * esz in
-              let parsed =
-                try
-                  match a.layout with
-                  | KV.Absolute_value_first -> Some (i64 o, i64 (o + 8))
-                  | KV.Absolute_name_first -> Some (i64 (o + 8), i64 o)
-                  | KV.Prel32 ->
-                      Some
-                        ( a.kernel_base + w.w_table_off + o + i32 o,
-                          a.kernel_base + w.w_table_off + o + 4 + i32 (o + 4) )
-                with Invalid_argument _ -> None
-              in
-              match parsed with
-              | None -> None
-              | Some (value, name_va) ->
-                  Option.map (fun n -> (n, value)) (name_at name_va)
+              let value = entry_value table ~base a.layout o in
+              Option.map
+                (fun n -> (n, value))
+                (name_at (entry_name_va table ~base a.layout o))
             in
             let live =
               List.filter_map parse (List.init (List.length a.symbols) Fun.id)

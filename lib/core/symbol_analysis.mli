@@ -34,6 +34,26 @@ val anchor_symbol : string
 val find_kernel_base : Hyp_mem.t -> cr3:int -> (int * int, string) result
 (** [(base, mapped_len)] of the kernel image within the KASLR range. *)
 
+val find_strings_region : Bytes.t -> (int * int, string) result
+(** The [.ksymtab_strings] region of a copied kernel image, as image
+    offsets [(lo, hi)]: every ["\000printk\000"] match is widened to
+    the maximal span of NUL-separated printable names around it, and
+    the widest span wins (the first of equally wide ones). One
+    allocation-free forward pass over the image. *)
+
+val find_table :
+  Bytes.t ->
+  kbase:int ->
+  region:int * int ->
+  Linux_guest.Kernel_version.ksymtab_layout ->
+  int * (string * int) list
+(** [find_table img ~kbase ~region layout] searches [img] (mapped at
+    [kbase]) for the longest run of [layout] entries whose values point
+    into the image and whose name pointers land on string starts inside
+    [region]. Returns the run's image offset and its (name, value)
+    pairs — [(0, [])] when no entry is valid. Starts are tried every 8
+    bytes; the first of equally long runs wins. *)
+
 (** Memoization across attaches to identically-built kernels, keyed by
     the build-id note found in the image's first page. A hit skips the
     full image copy and both section scans (only the page-table walk

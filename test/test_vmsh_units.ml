@@ -103,34 +103,290 @@ let test_top_of_guest_phys () =
 
 (* --- symbol analysis --- *)
 
+let cr3_of g = (Kvm.Vm.vcpu_regs (List.hd (Kvm.Vm.vcpus (Guest.vm g)))).X86.Regs.cr3
+
 let analyze env =
   let _, _, g = env in
-  let mem = hyp_mem_of env in
-  let cr3 = (Kvm.Vm.vcpu_regs (List.hd (Kvm.Vm.vcpus (Guest.vm g)))).X86.Regs.cr3 in
-  Vmsh.Symbol_analysis.analyze mem ~cr3
+  Vmsh.Symbol_analysis.analyze (hyp_mem_of env) ~cr3:(cr3_of g)
+
+let boot_version version =
+  let h = H.Host.create ~seed:(70 + Hashtbl.hash version) () in
+  let backend = Blockdev.Backend.create ~blocks:1024 () in
+  let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev backend) ()) in
+  ignore (Sfs.mkdir_p fs "/dev");
+  Sfs.sync fs;
+  let vmm = Vmm.create h ~profile:Hypervisor.Profile.qemu ~disk:backend () in
+  (h, vmm, Vmm.boot vmm ~version)
 
 let test_analysis_on_all_layouts () =
   List.iter
     (fun version ->
-      let h = H.Host.create ~seed:(70 + Hashtbl.hash version) () in
-      let backend = Blockdev.Backend.create ~blocks:1024 () in
-      let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev backend) ()) in
-      ignore (Sfs.mkdir_p fs "/dev");
-      Sfs.sync fs;
-      let vmm = Vmm.create h ~profile:Hypervisor.Profile.qemu ~disk:backend () in
-      let g = Vmm.boot vmm ~version in
-      match analyze (h, vmm, g) with
-      | Error e -> Alcotest.failf "%s: %s" (KV.to_string version) e
+      let ((_, _, g) as env) = boot_version version in
+      let v = KV.to_string version in
+      match analyze env with
+      | Error e -> Alcotest.failf "%s: %s" v e
       | Ok anal ->
-          check cbool
-            (KV.to_string version ^ " layout")
-            true
-            (anal.Vmsh.Symbol_analysis.layout = KV.ksymtab_layout version);
-          check cbool
-            (KV.to_string version ^ " version")
-            true
-            (KV.equal anal.Vmsh.Symbol_analysis.version version))
+          let open Vmsh.Symbol_analysis in
+          check cbool (v ^ " layout") true
+            (anal.layout = KV.ksymtab_layout version);
+          check cbool (v ^ " version") true (KV.equal anal.version version);
+          (* the guest image places .ksymtab_strings at 0x11_0000 and
+             the table at 0x12_0000 *)
+          let w = anal.witness in
+          check cint (v ^ " table offset") 0x12_0000 w.w_table_off;
+          let exports = Guest.exports g in
+          let strings_len =
+            List.fold_left (fun acc (n, _) -> acc + String.length n + 1) 0 exports
+          in
+          check cbool (v ^ " strings region covers the section") true
+            (w.w_strings_lo <= 0x11_0000
+            && w.w_strings_hi >= 0x11_0000 + strings_len);
+          check cint (v ^ " symbol count") 194 (List.length anal.symbols);
+          check cbool (v ^ " symbols = exports") true
+            (List.sort compare anal.symbols = List.sort compare exports))
     KV.all_lts
+
+(* A return to per-offset allocation in the scans (a list per probed
+   offset, a substring per NUL) costs tens of millions of minor words
+   per analysis; the allocation-free scans need well under a million. *)
+let test_analysis_allocation_bound () =
+  List.iter
+    (fun version ->
+      let ((_, _, g) as env) = boot_version version in
+      let mem = hyp_mem_of env and cr3 = cr3_of g in
+      let before = Gc.minor_words () in
+      let r = Vmsh.Symbol_analysis.analyze mem ~cr3 in
+      let words = Gc.minor_words () -. before in
+      check cbool (KV.to_string version ^ " analyzed") true (Result.is_ok r);
+      if words >= 1_000_000. then
+        Alcotest.failf "%s: uncached analysis allocated %.0f minor words"
+          (KV.to_string version) words)
+    KV.all_lts
+
+(* The list-building scanner the allocation-free scans replaced — one
+   fresh entry list per probed offset, a substring per NUL — kept as the
+   reference they must agree with. *)
+module Reference_scan = struct
+  let anchor_symbol = "printk"
+  let max_name_len = 64
+
+  let printable c =
+    let v = Char.code c in
+    v >= 32 && v <= 126
+
+  let expand_strings_region img pos =
+    let n = Bytes.length img in
+    let ok c = c = '\000' || printable c in
+    let rec left i run =
+      if i < 0 then 0
+      else
+        let c = Bytes.get img i in
+        if not (ok c) then i + 1
+        else if printable c && run >= max_name_len then i + 1
+        else left (i - 1) (if printable c then run + 1 else 0)
+    in
+    let rec right i run =
+      if i >= n then n
+      else
+        let c = Bytes.get img i in
+        if not (ok c) then i
+        else if printable c && run >= max_name_len then i
+        else right (i + 1) (if printable c then run + 1 else 0)
+    in
+    (left pos 0, right pos 0)
+
+  let find_strings_region img =
+    let pat = "\000" ^ anchor_symbol ^ "\000" in
+    let s = Bytes.unsafe_to_string img in
+    let rec find_from i acc =
+      if i >= String.length s then List.rev acc
+      else
+        match String.index_from_opt s i '\000' with
+        | None -> List.rev acc
+        | Some j ->
+            if
+              j + String.length pat <= String.length s
+              && String.sub s j (String.length pat) = pat
+            then find_from (j + 1) ((j + 1) :: acc)
+            else find_from (j + 1) acc
+    in
+    match find_from 0 [] with
+    | [] ->
+        Error
+          (Printf.sprintf "anchor symbol %S not found in kernel image"
+             anchor_symbol)
+    | candidates ->
+        let regions =
+          List.map (fun pos -> expand_strings_region img pos) candidates
+        in
+        let best =
+          List.fold_left
+            (fun (blo, bhi) (lo, hi) ->
+              if hi - lo > bhi - blo then (lo, hi) else (blo, bhi))
+            (0, 0) regions
+        in
+        if snd best - fst best < 16 then Error "strings region too small"
+        else Ok best
+
+  let string_start img (lo, hi) off =
+    off >= lo && off < hi
+    && (off = lo || Bytes.get img (off - 1) = '\000')
+    && printable (Bytes.get img off)
+
+  let read_cstr img off =
+    let n = Bytes.length img in
+    let rec go i = if i >= n || Bytes.get img i = '\000' then i else go (i + 1) in
+    Bytes.sub_string img off (go off - off)
+
+  let entries_at img ~kbase ~region layout off =
+    let n = Bytes.length img in
+    let in_kernel va = va >= kbase && va < kbase + n in
+    let esz = Linux_guest.Ksymtab.entry_size layout in
+    let i64 o = Int64.to_int (Bytes.get_int64_le img o) in
+    let i32 o = Int32.to_int (Bytes.get_int32_le img o) in
+    let rec run o acc =
+      if o + esz > n then List.rev acc
+      else
+        let value, name_va =
+          match layout with
+          | KV.Absolute_value_first -> (i64 o, i64 (o + 8))
+          | KV.Absolute_name_first -> (i64 (o + 8), i64 o)
+          | KV.Prel32 -> (kbase + o + i32 o, kbase + o + 4 + i32 (o + 4))
+        in
+        let name_off = name_va - kbase in
+        if in_kernel value && string_start img region name_off then
+          run (o + esz) ((read_cstr img name_off, value) :: acc)
+        else List.rev acc
+    in
+    run off []
+
+  let find_table img ~kbase ~region layout =
+    let esz = Linux_guest.Ksymtab.entry_size layout in
+    let n = Bytes.length img in
+    let best = ref [] in
+    let best_off = ref 0 in
+    let o = ref 0 in
+    while !o + esz <= n do
+      let entries = entries_at img ~kbase ~region layout !o in
+      if List.length entries > List.length !best then begin
+        best := entries;
+        best_off := !o;
+        o := !o + (List.length entries * esz)
+      end
+      else o := !o + 8
+    done;
+    (!best_off, !best)
+end
+
+let layouts = [ KV.Absolute_value_first; KV.Absolute_name_first; KV.Prel32 ]
+
+(* A random-noise image with planted scanner structure, all drawn from
+   [seed]: a strings section holding the anchor, or (in some images) no
+   anchor at all, or only one squeezed between non-name bytes, or a
+   second anchored section of a different or the same width; one table
+   per layout at a random 4-byte phase, a shorter decoy run at another
+   phase, a run hidden at the other phase of a shorter one, and a table
+   cut off by the image end. Returns the image and its virtual base. *)
+let planted_image seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let n = 0x3000 + int 0x1000 in
+  let img = Bytes.init n (fun _ -> Char.chr (int 256)) in
+  let kbase = 0x7fff_0000_0000 + (int 1024 * 4096) in
+  let place off b =
+    let len = min (Bytes.length b) (n - off) in
+    Bytes.blit b 0 img off len
+  in
+  let pad off len = Bytes.fill img off (min len (n - off)) '\000' in
+  let names k =
+    List.init k (fun _ -> String.init (1 + int 12) (fun _ -> Char.chr (97 + int 26)))
+  in
+  let variant = int 8 in
+  let strings_a =
+    let ns = names (4 + int 36) in
+    let ns =
+      if variant <= 1 then ns
+      else
+        let i = int (List.length ns) in
+        List.filteri (fun j _ -> j < i) ns
+        @ [ Reference_scan.anchor_symbol ]
+        @ List.filteri (fun j _ -> j >= i) ns
+    in
+    List.map (fun name -> { Linux_guest.Ksymtab.name; va = kbase + int n }) ns
+  in
+  let blob_a, offs_a = Linux_guest.Ksymtab.build_strings strings_a in
+  pad (0x100 - 16) (Bytes.length blob_a + 32);
+  place 0x100 blob_a;
+  (match variant with
+  | 1 ->
+      (* an anchor with no room for a region around it *)
+      place 0x700 (Bytes.of_string "\xff\000printk\000\xff")
+  | 2 | 3 ->
+      let blob_b =
+        if variant = 2 then blob_a
+        else
+          fst
+            (Linux_guest.Ksymtab.build_strings
+               (List.map
+                  (fun name -> { Linux_guest.Ksymtab.name; va = 0 })
+                  (names (1 + int 50) @ [ Reference_scan.anchor_symbol ])))
+      in
+      pad (0x800 - 16) (Bytes.length blob_b + 32);
+      place 0x800 blob_b
+  | _ -> ());
+  let table layout ~off syms =
+    let tbl =
+      Linux_guest.Ksymtab.build_table layout ~syms ~strings_va:(kbase + 0x100)
+        ~table_va:(kbase + off) ~name_offsets:offs_a
+    in
+    place off tbl
+  in
+  let take k = List.filteri (fun j _ -> j < k) strings_a in
+  let phase () = 4 * int 4 in
+  List.iteri
+    (fun i layout -> table layout ~off:(0x1000 + (i * 0x800) + phase ()) strings_a)
+    layouts;
+  let decoy = List.nth layouts (int 3) in
+  table decoy
+    ~off:(0x2800 + phase ())
+    (take (1 + int (List.length strings_a)));
+  (* a 16-byte-layout run at the other 8-byte phase that starts inside
+     a shorter run: it is longer than the planted tables, yet the jump
+     past each new best run hides it *)
+  let hidden = List.nth layouts (int 2) in
+  let starts = Array.of_list (List.map (fun (_, off) -> kbase + 0x100 + off) offs_a) in
+  let m = List.length strings_a + 1 + int 8 in
+  let j = 1 + int (m - 1) in
+  let q = Array.init ((2 * m) + 1) (fun _ -> starts.(int (Array.length starts))) in
+  (* end the phase-0 run after [j] entries with an in-kernel pointer
+     that is no name start: a name there, a value at the other phase *)
+  let b = if hidden = KV.Absolute_value_first then (2 * j) + 1 else 2 * j in
+  q.(b) <- q.(b) + 1;
+  let block = Bytes.create (8 * Array.length q) in
+  Array.iteri (fun i v -> Bytes.set_int64_le block (8 * i) (Int64.of_int v)) q;
+  place 0xc00 block;
+  let cut = List.nth layouts (int 3) in
+  table cut ~off:(n - 64 + (4 * int 12)) strings_a;
+  (img, kbase)
+
+let prop_scans_match_reference =
+  QCheck.Test.make ~name:"ksymtab scans equal the list-building reference"
+    ~count:200
+    QCheck.(make ~print:string_of_int Gen.(int_bound (1 lsl 29)))
+    (fun seed ->
+      let img, kbase = planted_image seed in
+      let strings = Vmsh.Symbol_analysis.find_strings_region img in
+      let expected = Reference_scan.find_strings_region img in
+      if strings <> expected then
+        QCheck.Test.fail_reportf "strings region differs for seed %d" seed;
+      let region =
+        match expected with Ok r -> r | Error _ -> (0x100, 0x100 + 64)
+      in
+      List.for_all
+        (fun layout ->
+          Vmsh.Symbol_analysis.find_table img ~kbase ~region layout
+          = Reference_scan.find_table img ~kbase ~region layout)
+        layouts)
 
 let test_analysis_fails_without_kernel () =
   (* a VM whose page tables map nothing in the KASLR range *)
@@ -296,6 +552,8 @@ let suite =
     ( "vmsh.symbol_analysis",
       [
         t "all layouts" test_analysis_on_all_layouts;
+        t "uncached analysis allocation bound" test_analysis_allocation_bound;
+        QCheck_alcotest.to_alcotest prop_scans_match_reference;
         t "no kernel" test_analysis_fails_without_kernel;
         t "resolve" test_analysis_resolve;
       ] );
