@@ -70,47 +70,14 @@
 # land in $CI_ARTIFACTS (default /tmp/vmsh-ci).
 
 set -u
-cd "$(dirname "$0")"
 
 ARTIFACTS=${CI_ARTIFACTS:-/tmp/vmsh-ci}
 STAGES="build test smoke-attach smoke-net fault-matrix fleet fleet-fork crash-matrix hostile-matrix trace fuzz-trace serve bench"
-
-# dump-on-failure: any failing sweep/fuzz/fleet run leaves a replayable
-# .vmshtrace recording next to the other artifacts
-VMSH_TRACE_DIR=$ARTIFACTS
-export VMSH_TRACE_DIR
 
 usage() {
   echo "usage: ./ci.sh [--stage NAME]"
   echo "stages: $STAGES"
 }
-
-only_stage=""
-while [ $# -gt 0 ]; do
-  case "$1" in
-    --stage) only_stage="$2"; shift 2 ;;
-    --stage=*) only_stage="${1#--stage=}"; shift ;;
-    -h|--help) usage; exit 0 ;;
-    *) echo "ci: unknown argument: $1" >&2; usage >&2; exit 2 ;;
-  esac
-done
-
-# Exact-match the stage name. (A substring `case` pattern here let
-# values like "build test" slip through validation, match nothing in
-# the run loop below, and exit 0 having run no stage at all.)
-if [ -n "$only_stage" ]; then
-  found=0
-  for s in $STAGES; do
-    if [ "$s" = "$only_stage" ]; then found=1; fi
-  done
-  if [ "$found" -ne 1 ]; then
-    echo "ci: no such stage: $only_stage" >&2
-    usage >&2
-    exit 2
-  fi
-fi
-
-mkdir -p "$ARTIFACTS"
 
 vmsh() { dune exec --no-print-directory bin/vmsh_cli.exe -- "$@"; }
 ci_check() { dune exec --no-print-directory bin/ci_check.exe -- "$@"; }
@@ -386,28 +353,80 @@ stage_bench() {
   cp BENCH_results.json "$ARTIFACTS/BENCH_results.json"
 }
 
-summary=""
-failures=0
-for stage in $STAGES; do
-  if [ -n "$only_stage" ] && [ "$stage" != "$only_stage" ]; then
-    continue
-  fi
-  printf '=== ci stage: %s ===\n' "$stage"
-  start=$(date +%s)
-  if ( set -e; "stage_$(echo "$stage" | tr - _)" ); then
-    status=ok
-  else
-    status=FAIL
-    failures=$((failures + 1))
-  fi
-  elapsed=$(( $(date +%s) - start ))
-  summary="$summary$(printf '%-14s %-4s %4ds' "$stage" "$status" "$elapsed")
-"
-done
+# Run one stage in a subshell under `set -e` and return its status.
+# Callers must not test the call itself (`if run_stage`, `run_stage ||`,
+# `! run_stage`): POSIX shells ignore `set -e` anywhere inside a tested
+# command, so a stage would then pass on the status of its last command
+# alone.
+run_stage() {
+  ( set -e; "stage_$(echo "$1" | tr - _)" )
+}
 
-printf '\n=== ci summary ===\n%s' "$summary"
-if [ "$failures" -gt 0 ]; then
-  echo "ci: $failures stage(s) FAILED"
-  exit 1
-fi
-echo "ci: OK"
+main() {
+  cd "$(dirname "$0")"
+
+  # dump-on-failure: any failing sweep/fuzz/fleet run leaves a replayable
+  # .vmshtrace recording next to the other artifacts
+  VMSH_TRACE_DIR=$ARTIFACTS
+  export VMSH_TRACE_DIR
+
+  only_stage=""
+  while [ $# -gt 0 ]; do
+    case "$1" in
+      --stage) only_stage="$2"; shift 2 ;;
+      --stage=*) only_stage="${1#--stage=}"; shift ;;
+      -h|--help) usage; exit 0 ;;
+      *) echo "ci: unknown argument: $1" >&2; usage >&2; exit 2 ;;
+    esac
+  done
+
+  # Exact-match the stage name. (A substring `case` pattern here let
+  # values like "build test" slip through validation, match nothing in
+  # the run loop below, and exit 0 having run no stage at all.)
+  if [ -n "$only_stage" ]; then
+    found=0
+    for s in $STAGES; do
+      if [ "$s" = "$only_stage" ]; then found=1; fi
+    done
+    if [ "$found" -ne 1 ]; then
+      echo "ci: no such stage: $only_stage" >&2
+      usage >&2
+      exit 2
+    fi
+  fi
+
+  mkdir -p "$ARTIFACTS"
+
+  summary=""
+  failures=0
+  for stage in $STAGES; do
+    if [ -n "$only_stage" ] && [ "$stage" != "$only_stage" ]; then
+      continue
+    fi
+    printf '=== ci stage: %s ===\n' "$stage"
+    start=$(date +%s)
+    run_stage "$stage"
+    if [ $? -eq 0 ]; then
+      status=ok
+    else
+      status=FAIL
+      failures=$((failures + 1))
+    fi
+    elapsed=$(( $(date +%s) - start ))
+    summary="$summary$(printf '%-14s %-4s %4ds' "$stage" "$status" "$elapsed")
+"
+  done
+
+  printf '\n=== ci summary ===\n%s' "$summary"
+  if [ "$failures" -gt 0 ]; then
+    echo "ci: $failures stage(s) FAILED"
+    exit 1
+  fi
+  echo "ci: OK"
+}
+
+# Sourcing the file (`. ./ci.sh`) defines the stages and `run_stage`
+# without running anything.
+case $(basename -- "$0") in
+  ci.sh) main "$@" ;;
+esac

@@ -8,7 +8,11 @@ let synthetic_content ~path size =
   (* Deterministic, position-dependent filler so image bytes are stable
      across runs and distinguishable per file. *)
   let seed = Hashtbl.hash path in
-  String.init size (fun i -> Char.chr ((seed + (i * 131)) land 0x7f))
+  let b = Bytes.create size in
+  for i = 0 to size - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr ((seed + (i * 131)) land 0x7f))
+  done;
+  Bytes.unsafe_to_string b
 
 let ( let* ) = Result.bind
 

@@ -85,22 +85,41 @@ let expand_strings_region img pos =
 
 let anchor_pattern = "\000" ^ anchor_symbol ^ "\000"
 
-(* One forward pass for "\000printk\000": the anchor counts only after a
-   NUL, so a name at image offset 0 never matches. Every match expands
-   to its strings region; the widest region wins, the first of equally
-   wide ones. *)
+(* Horspool's bad-character table for [anchor_pattern]: how far the
+   window may move when its last byte is [c] — the distance from [c]'s
+   last occurrence among the pattern's first 7 bytes to the pattern's
+   end (NUL 7, then p r i n t k at 6 … 1), and the full 8 for a byte the
+   pattern does not hold. *)
+let anchor_shift =
+  let m = String.length anchor_pattern in
+  let t = Bytes.make 256 (Char.chr m) in
+  String.iteri
+    (fun k c -> if k < m - 1 then Bytes.set t (Char.code c) (Char.chr (m - 1 - k)))
+    anchor_pattern;
+  Bytes.unsafe_to_string t
+
+(* One Horspool skip scan for "\000printk\000": each window is tested,
+   then moves by the shift of its last byte, which never jumps over a
+   match, so every match (overlapping ones too) is seen in order. The
+   anchor counts only after a NUL, so a name at image offset 0 never
+   matches. Every match expands to its strings region; the widest
+   region wins, the first of equally wide ones. *)
 let find_strings_region img =
+  let m = String.length anchor_pattern in
   let found = ref false in
   let best_lo = ref 0 and best_hi = ref 0 in
-  for j = 0 to Bytes.length img - String.length anchor_pattern do
-    if bytes_match img j anchor_pattern 0 then begin
+  let j = ref 0 in
+  while !j <= Bytes.length img - m do
+    let last = Bytes.unsafe_get img (!j + m - 1) in
+    if last = '\000' && bytes_match img !j anchor_pattern 0 then begin
       found := true;
-      let lo, hi = expand_strings_region img (j + 1) in
+      let lo, hi = expand_strings_region img (!j + 1) in
       if hi - lo > !best_hi - !best_lo then begin
         best_lo := lo;
         best_hi := hi
       end
-    end
+    end;
+    j := !j + Char.code (String.unsafe_get anchor_shift (Char.code last))
   done;
   if not !found then
     Error (Printf.sprintf "anchor symbol %S not found in kernel image" anchor_symbol)
@@ -155,30 +174,97 @@ let rec run_length img ~kbase ~region layout o len =
       (len + 1)
   else len
 
-(* One forward pass per layout, allocating nothing until the end: try
-   every 8-byte-aligned start, keep the first longest run of valid
-   entries, and jump past each new best run instead of re-counting its
-   suffixes. Only the winning run becomes (name, value) pairs. *)
-let find_table img ~kbase ~region layout =
-  let esz = Linux_guest.Ksymtab.entry_size layout in
+let layouts = [ KV.Absolute_value_first; KV.Absolute_name_first; KV.Prel32 ]
+
+let layout_bit = function
+  | KV.Absolute_value_first -> 1
+  | KV.Absolute_name_first -> 2
+  | KV.Prel32 -> 4
+
+(* 1 when [x >= 0], else 0: the complement's sign bit, no branch. *)
+let non_negative x = lnot x lsr (Sys.int_size - 1)
+
+(* One pass over the 8-byte slots: the layouts whose entry test holds
+   at each slot, as [(offset, layout bits)] in ascending order. For
+   every slot, each layout's two range tests (value inside the image,
+   name offset inside the strings region) fold into one sign test,
+   [d lor (len - 1 - d) >= 0] for [0 <= d < len], so random bytes cost
+   no mispredicted branch; only a slot that passes one of them pays for
+   [entry_valid]'s full test. *)
+let valid_slots img ~kbase ~region =
   let n = Bytes.length img in
-  let best_len = ref 0 and best_off = ref 0 and o = ref 0 in
-  while !o + esz <= n do
-    let len = run_length img ~kbase ~region layout !o 0 in
-    if len > !best_len then begin
-      best_len := len;
-      best_off := !o;
-      o := !o + (len * esz)
-    end
-    else o := !o + 8
-  done;
-  let off = !best_off in
-  let entry k =
-    let o = off + (k * esz) in
-    ( read_cstr img (entry_name_va img ~base:kbase layout o - kbase),
-      entry_value img ~base:kbase layout o )
+  let lo, hi = region in
+  let range v name =
+    let dv = v - kbase and dn = name - kbase - lo in
+    dv lor (n - 1 - dv) lor dn lor (hi - lo - 1 - dn)
   in
-  (off, List.init !best_len entry)
+  let slots = ref [] in
+  let o = ref 0 in
+  while !o + 8 <= n do
+    let o' = !o in
+    let wide = o' + 16 <= n in
+    let w0 = i64 img o' and w1 = if wide then i64 img (o' + 8) else 0 in
+    let bits =
+      (non_negative (range w0 w1) lor (non_negative (range w1 w0) lsl 1))
+      land (if wide then 3 else 0)
+      lor (non_negative
+             (range (kbase + o' + i32 img o') (kbase + o' + 4 + i32 img (o' + 4)))
+          lsl 2)
+    in
+    if bits <> 0 then begin
+      let valid =
+        List.fold_left
+          (fun acc layout ->
+            if bits land layout_bit layout <> 0
+               && entry_valid img ~kbase ~region layout o'
+            then acc lor layout_bit layout
+            else acc)
+          0 layouts
+      in
+      if valid <> 0 then slots := (o', valid) :: !slots
+    end;
+    o := o' + 8
+  done;
+  List.rev !slots
+
+(* The longest run of valid [layout] entries, visiting only the slots
+   where one starts: try starts every 8 bytes from offset 0, keep the
+   first strictly longer run, and jump past each new best run instead of
+   re-counting its suffixes. A start that is no valid slot has a run of
+   0, which never beats the best and only moves the cursor by 8 — so
+   going straight to the next valid slot at or past the cursor visits
+   exactly the starts that can matter. Returns the run's offset and
+   length. *)
+let best_run img ~kbase ~region slots layout =
+  let esz = Linux_guest.Ksymtab.entry_size layout in
+  let bit = layout_bit layout in
+  let rec go cursor best_off best_len = function
+    | [] -> (best_off, best_len)
+    | (o, bits) :: rest when o < cursor || bits land bit = 0 ->
+        go cursor best_off best_len rest
+    | (o, _) :: rest ->
+        let len = run_length img ~kbase ~region layout o 0 in
+        if len > best_len then go (o + (len * esz)) o len rest
+        else go (o + 8) best_off best_len rest
+  in
+  go 0 0 0 slots
+
+(* Every layout's table candidate from one validity pass: for each of
+   [layouts], the offset of its longest valid run and the run's
+   (name, value) pairs — [(0, [])] when no entry is valid. *)
+let find_tables img ~kbase ~region =
+  let slots = valid_slots img ~kbase ~region in
+  List.map
+    (fun layout ->
+      let off, len = best_run img ~kbase ~region slots layout in
+      let esz = Linux_guest.Ksymtab.entry_size layout in
+      let entry k =
+        let o = off + (k * esz) in
+        ( read_cstr img (entry_name_va img ~base:kbase layout o - kbase),
+          entry_value img ~base:kbase layout o )
+      in
+      (layout, off, List.init len entry))
+    layouts
 
 (* --- build-id memoization ---
 
@@ -226,9 +312,10 @@ let analyze_full ?cache ~build_id mem ~cr3 ~kernel_base ~image_len =
     match Hyp_mem.read_virt mem ~cr3 ~va:kernel_base ~len:image_len with
     | None -> Error "kernel image pages vanished during analysis"
     | Some img ->
-        (* the strings scan and the per-layout table searches each walk
-           the copied image once — charge those passes to virtual time
-           (the measurable cost a cache hit saves) *)
+        (* the modelled analyzer walks the copied image four times: the
+           strings scan and one table search per layout. Charge those
+           passes to virtual time (the measurable cost a cache hit
+           saves), however few passes the host needs to compute them *)
         Hostos.Clock.copy_bytes (Hyp_mem.host mem).Hostos.Host.clock
           (4 * image_len);
         let* region = find_strings_region img in
@@ -236,13 +323,7 @@ let analyze_full ?cache ~build_id mem ~cr3 ~kernel_base ~image_len =
            only entries whose name pointers land exactly on string
            starts, so the wrong layouts produce shorter (usually empty)
            runs *)
-        let candidates =
-          List.map
-            (fun layout ->
-              let off, entries = find_table img ~kbase:kernel_base ~region layout in
-              (layout, off, entries))
-            [ KV.Absolute_value_first; KV.Absolute_name_first; KV.Prel32 ]
-        in
+        let candidates = find_tables img ~kbase:kernel_base ~region in
         let layout, table_off, entries =
           List.fold_left
             (fun (bl, bo, be) (l, o, e) ->

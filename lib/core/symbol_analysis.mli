@@ -39,20 +39,23 @@ val find_strings_region : Bytes.t -> (int * int, string) result
     offsets [(lo, hi)]: every ["\000printk\000"] match is widened to
     the maximal span of NUL-separated printable names around it, and
     the widest span wins (the first of equally wide ones). One
-    allocation-free forward pass over the image. *)
+    allocation-free Horspool skip scan over the image. *)
 
-val find_table :
+val find_tables :
   Bytes.t ->
   kbase:int ->
   region:int * int ->
-  Linux_guest.Kernel_version.ksymtab_layout ->
-  int * (string * int) list
-(** [find_table img ~kbase ~region layout] searches [img] (mapped at
-    [kbase]) for the longest run of [layout] entries whose values point
-    into the image and whose name pointers land on string starts inside
-    [region]. Returns the run's image offset and its (name, value)
-    pairs — [(0, [])] when no entry is valid. Starts are tried every 8
-    bytes; the first of equally long runs wins. *)
+  (Linux_guest.Kernel_version.ksymtab_layout * int * (string * int) list) list
+(** [find_tables img ~kbase ~region] searches [img] (mapped at [kbase])
+    for each layout's longest run of entries whose values point into
+    the image and whose name pointers land on string starts inside
+    [region]. One triple per layout, in the order absolute (value
+    first), absolute (name first), PREL32: the layout, the run's image
+    offset and its (name, value) pairs — [(0, [])] when no entry is
+    valid. Starts are tried every 8 bytes; the first of equally long
+    runs wins, and the search resumes past each new best run. One pass
+    over the image finds the slots where any layout's entry is valid;
+    each layout then visits only those. *)
 
 (** Memoization across attaches to identically-built kernels, keyed by
     the build-id note found in the image's first page. A hit skips the

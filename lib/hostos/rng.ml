@@ -20,6 +20,22 @@ let int t bound =
   assert (bound > 0);
   next t mod bound
 
+(* [int t 256] per byte, with [next64] and [mix64] inlined on unboxed
+   locals: byte [i] is bits 2–9 of the [i]th mixed word ([next] is
+   non-negative, so [mod 256] is [land 255]), and [t] ends where the
+   per-byte loop leaves it. Allocates nothing. *)
+let fill_bytes t b =
+  let s = ref t.state in
+  for i = 0 to Bytes.length b - 1 do
+    let z = Int64.add !s golden_gamma in
+    s := z;
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    Bytes.unsafe_set b i (Char.unsafe_chr ((Int64.to_int z lsr 2) land 255))
+  done;
+  t.state <- !s
+
 let in_range t lo hi =
   assert (hi >= lo);
   lo + int t (hi - lo + 1)

@@ -19,6 +19,11 @@ val next : t -> int
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
+val fill_bytes : t -> Bytes.t -> unit
+(** [fill_bytes t b] overwrites every byte of [b] in order with
+    [Char.chr (int t 256)] and leaves [t] where that loop would, without
+    allocating. *)
+
 val in_range : t -> int -> int -> int
 (** [in_range t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 

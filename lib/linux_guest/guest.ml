@@ -624,10 +624,7 @@ let install_kfuns t =
 let build_image t ~syms =
   let img = Bytes.create image_size in
   (* deterministic noise text *)
-  let r = Rng.split t.rng in
-  for i = 0 to image_size - 1 do
-    Bytes.set img i (Char.chr (Rng.int r 256))
-  done;
+  Rng.fill_bytes (Rng.split t.rng) img;
   (* idle loop marker *)
   Bytes.blit_string "\xf4\xeb\xfd" 0 img idle_off 3;
   (* hlt; jmp *)

@@ -241,6 +241,15 @@ let test_image_synthetic_deterministic () =
   check cbool "different paths differ" true
     (Image.synthetic_content ~path:"/a" 64 <> Image.synthetic_content ~path:"/b" 64)
 
+(* The tools image vmsh-blk serves, pinned byte for byte: a change to
+   the filler or the packer must show up here first. *)
+let test_tools_image_golden () =
+  let b = Fleet.Machine.tools_image (Hostos.Clock.create ()) in
+  let m = Blockdev.Backend.mem b in
+  check cint "image length" 1_134_592 (Hostos.Mem.length m);
+  check cstr "image digest" "354abc3c521c6c3875599ec2a9c512c0"
+    (Digest.to_hex (Digest.bytes (Hostos.Mem.read_bytes m 0 (Hostos.Mem.length m))))
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -267,5 +276,6 @@ let suite =
         t "pack contents" test_image_pack_contents;
         t "strip" test_image_strip;
         t "synthetic deterministic" test_image_synthetic_deterministic;
+        t "tools image golden bytes" test_tools_image_golden;
       ] );
   ]

@@ -208,6 +208,24 @@ let test_firecracker_seccomp_applied () =
   let g = Hypervisor.Vmm.boot vmm ~version:KV.V5_10 in
   check cbool "firecracker boots under seccomp" true (Guest.crashed g = None)
 
+(* A boot draws 2 MiB of kernel-image noise. Drawn one boxed [Rng.int]
+   per byte it allocated about 8 M minor words; the unboxed fill keeps a
+   whole cold boot well under a million on every kernel. *)
+let test_boot_allocation_bound () =
+  List.iter
+    (fun version ->
+      let h = H.Host.create ~seed:7 () in
+      let disk, _ = make_disk ~clock:h.H.Host.clock () in
+      let vmm = Hypervisor.Vmm.create h ~profile:Hypervisor.Profile.qemu ~disk () in
+      let before = Gc.minor_words () in
+      let g = Hypervisor.Vmm.boot vmm ~version in
+      let words = Gc.minor_words () -. before in
+      check cbool (KV.to_string version ^ " booted") true (Guest.crashed g = None);
+      if words >= 1_000_000. then
+        Alcotest.failf "%s: a cold boot allocated %.0f minor words"
+          (KV.to_string version) words)
+    KV.all_lts
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -224,5 +242,6 @@ let suite =
         t "9p roundtrip" test_ninep_roundtrip;
         t "raw blk io" test_raw_blk_driver_io;
         t "firecracker seccomp" test_firecracker_seccomp_applied;
+        t "cold boot allocation bound" test_boot_allocation_bound;
       ] );
   ]

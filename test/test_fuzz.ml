@@ -360,6 +360,29 @@ let test_ci_stage_exact_match () =
          used to pass validation and silently run nothing *)
       check cint "stage-list substring exits 2" 2 (run "build test")
 
+(* --- ci.sh regression: a stage fails when any of its commands fails,
+   not only its last (the stage subshell used to run as an `if`
+   condition, where POSIX shells ignore `set -e`) --- *)
+
+let test_ci_stage_fails_on_middle_command () =
+  match find_ci_sh () with
+  | None -> ()
+  | Some ci ->
+      let artifacts = Filename.concat (Filename.get_temp_dir_name ()) "vmsh-ci-stub" in
+      (* source ci.sh (which runs nothing), make a one-stub stage list,
+         and run its main loop *)
+      let run body =
+        Sys.command
+          (Printf.sprintf "sh -c %s > /dev/null 2>&1"
+             (Filename.quote
+                (Printf.sprintf
+                   "CI_ARTIFACTS=%s; . %s; STAGES=stub; stage_stub() { %s; }; main"
+                   (Filename.quote artifacts) (Filename.quote ci) body)))
+      in
+      check cint "a failing middle command fails the run" 1 (run "false; true");
+      check cint "a clean stage passes" 0 (run "true; true");
+      if Sys.file_exists artifacts then Sys.rmdir artifacts
+
 let suite =
   [
     ( "fuzz",
@@ -388,5 +411,7 @@ let suite =
           `Quick test_real_trace_validates_and_survives;
         Alcotest.test_case "ci.sh rejects unknown stages" `Quick
           test_ci_stage_exact_match;
+        Alcotest.test_case "ci.sh stages fail on any command" `Quick
+          test_ci_stage_fails_on_middle_command;
       ] );
   ]

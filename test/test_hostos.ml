@@ -607,6 +607,30 @@ let prop_aspace_find_free_never_overlaps =
       (* map never raised, so no overlap occurred *)
       true)
 
+(* [fill_bytes] must give the per-byte [int r 256] loop's bytes and
+   leave the generator where that loop does, at every length. *)
+let test_rng_fill_bytes_matches_int_loop () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun len ->
+          let a = Rng.create ~seed and b = Rng.create ~seed in
+          let filled = Bytes.make len '?' in
+          Rng.fill_bytes a filled;
+          let looped = Bytes.init len (fun _ -> Char.chr (Rng.int b 256)) in
+          let what = Printf.sprintf "seed %d, %d bytes" seed len in
+          check cbool (what ^ ": same bytes") true (Bytes.equal filled looped);
+          check cint (what ^ ": same next draw") (Rng.next b) (Rng.next a))
+        [ 0; 1; 7; 8; 4097; 2 * 1024 * 1024 ])
+    [ 0; 1; 3; 42; -5 ]
+
+let test_rng_fill_bytes_allocates_nothing () =
+  let r = Rng.create ~seed:3 and b = Bytes.create (1024 * 1024) in
+  let before = Gc.minor_words () in
+  Rng.fill_bytes r b;
+  let words = Gc.minor_words () -. before in
+  if words >= 64. then Alcotest.failf "fill_bytes allocated %.0f minor words" words
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -615,6 +639,8 @@ let suite =
         t "determinism" test_rng_determinism;
         t "bounds" test_rng_bounds;
         t "split" test_rng_split_independent;
+        t "fill_bytes equals the int loop" test_rng_fill_bytes_matches_int_loop;
+        t "fill_bytes allocates nothing" test_rng_fill_bytes_allocates_nothing;
       ] );
     ( "hostos.clock",
       [

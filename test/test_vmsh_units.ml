@@ -280,18 +280,42 @@ end
 
 let layouts = [ KV.Absolute_value_first; KV.Absolute_name_first; KV.Prel32 ]
 
+(* A block of [2 * m + 1] name pointers at [at]: since a name pointer
+   is an in-kernel value too, every 8-byte phase of it reads as a run of
+   16-byte [layout] entries. The phase-0 run is cut after [j] entries by
+   an in-kernel pointer that is no name start (a name there, a value at
+   the other phase), so the run at [at + 8] is the longer one. *)
+let twin_runs ~int ~place ~starts ~at layout ~j ~m =
+  let q = Array.init ((2 * m) + 1) (fun _ -> starts.(int (Array.length starts))) in
+  let b = if layout = KV.Absolute_value_first then (2 * j) + 1 else 2 * j in
+  q.(b) <- q.(b) + 1;
+  let block = Bytes.create (8 * Array.length q) in
+  Array.iteri (fun i v -> Bytes.set_int64_le block (8 * i) (Int64.of_int v)) q;
+  place at block
+
 (* A random-noise image with planted scanner structure, all drawn from
-   [seed]: a strings section holding the anchor, or (in some images) no
-   anchor at all, or only one squeezed between non-name bytes, or a
-   second anchored section of a different or the same width; one table
-   per layout at a random 4-byte phase, a shorter decoy run at another
-   phase, a run hidden at the other phase of a shorter one, and a table
-   cut off by the image end. Returns the image and its virtual base. *)
+   [seed]. The noise is uniform or, in some images, half made of the
+   anchor's own bytes, so the skip scan takes every shift of its table.
+   Strings: a section holding the anchor, or (in some images) no anchor
+   at all, or one only in a names block ending at the image's last
+   byte, or only one squeezed between non-name bytes, or a second
+   anchored section of a different or the same width; sometimes two
+   overlapping anchors. Tables: one per layout at a random 4-byte
+   phase, sometimes broken by an entry valid for another layout only; a
+   shorter decoy run at another phase; a run hidden at the other phase
+   of a shorter one that follows a new best run; a longer run at the
+   other phase of one no better than the best, which starts exactly
+   where the search resumes; and a table cut off by the image end.
+   Returns the image and its virtual base. *)
 let planted_image seed =
   let st = Random.State.make [| seed |] in
   let int n = Random.State.int st n in
   let n = 0x3000 + int 0x1000 in
-  let img = Bytes.init n (fun _ -> Char.chr (int 256)) in
+  let rich = int 3 = 0 in
+  let img =
+    Bytes.init n (fun _ ->
+        if rich && int 2 = 0 then "\000printk".[int 7] else Char.chr (int 256))
+  in
   let kbase = 0x7fff_0000_0000 + (int 1024 * 4096) in
   let place off b =
     let len = min (Bytes.length b) (n - off) in
@@ -333,6 +357,10 @@ let planted_image seed =
       in
       pad (0x800 - 16) (Bytes.length blob_b + 32);
       place 0x800 blob_b
+  | 4 | 5 ->
+      (* two anchors sharing a NUL: the skip after the first match must
+         still land on the second *)
+      place 0x2ea0 (Bytes.of_string "\xff\000printk\000printk\000\xff")
   | _ -> ());
   let table layout ~off syms =
     let tbl =
@@ -343,35 +371,58 @@ let planted_image seed =
   in
   let take k = List.filteri (fun j _ -> j < k) strings_a in
   let phase () = 4 * int 4 in
-  List.iteri
-    (fun i layout -> table layout ~off:(0x1000 + (i * 0x800) + phase ()) strings_a)
-    layouts;
+  let table_offs =
+    List.mapi
+      (fun i layout ->
+        let off = 0x1000 + (i * 0x800) + phase () in
+        table layout ~off strings_a;
+        off)
+      layouts
+  in
+  (if int 2 = 0 then
+     (* a decoy entry valid for another layout only, inside a table:
+        it ends the table's run early, and a second run follows it *)
+     let i = int 3 in
+     let inner = List.nth layouts i and other = List.nth layouts ((i + 1 + int 2) mod 3) in
+     let at =
+       List.nth table_offs i
+       + (int (List.length strings_a) * Linux_guest.Ksymtab.entry_size inner)
+     in
+     table other ~off:at (take 1));
   let decoy = List.nth layouts (int 3) in
   table decoy
     ~off:(0x2800 + phase ())
     (take (1 + int (List.length strings_a)));
-  (* a 16-byte-layout run at the other 8-byte phase that starts inside
-     a shorter run: it is longer than the planted tables, yet the jump
-     past each new best run hides it *)
-  let hidden = List.nth layouts (int 2) in
   let starts = Array.of_list (List.map (fun (_, off) -> kbase + 0x100 + off) offs_a) in
-  let m = List.length strings_a + 1 + int 8 in
-  let j = 1 + int (m - 1) in
-  let q = Array.init ((2 * m) + 1) (fun _ -> starts.(int (Array.length starts))) in
-  (* end the phase-0 run after [j] entries with an in-kernel pointer
-     that is no name start: a name there, a value at the other phase *)
-  let b = if hidden = KV.Absolute_value_first then (2 * j) + 1 else 2 * j in
-  q.(b) <- q.(b) + 1;
-  let block = Bytes.create (8 * Array.length q) in
-  Array.iteri (fun i v -> Bytes.set_int64_le block (8 * i) (Int64.of_int v)) q;
-  place 0xc00 block;
+  let k = List.length strings_a in
+  (* at 0xc00, before any table: the phase-0 run is the first run, so
+     the jump past this new best hides the longer run at the other
+     phase *)
+  let m = k + 1 + int 8 in
+  twin_runs ~int ~place ~starts ~at:0xc00 (List.nth layouts (int 2)) ~j:(1 + int (m - 1)) ~m;
+  (* at 0x2b00, after the tables: the phase-0 run is no longer than the
+     best, so the search resumes 8 bytes on, exactly where the longer
+     run starts *)
+  twin_runs ~int ~place ~starts ~at:0x2b00 (List.nth layouts (int 2)) ~j:(1 + int k)
+    ~m:(k + 10 + int 8);
   let cut = List.nth layouts (int 3) in
   table cut ~off:(n - 64 + (4 * int 12)) strings_a;
+  if variant = 0 && int 2 = 0 then begin
+    (* the only anchor, in a names block ending at the image's last
+       byte: its window is the last one the scan may test *)
+    let blob, _ =
+      Linux_guest.Ksymtab.build_strings
+        (List.map
+           (fun name -> { Linux_guest.Ksymtab.name; va = 0 })
+           (names (1 + int 4) @ [ Reference_scan.anchor_symbol ]))
+    in
+    place (n - Bytes.length blob) blob
+  end;
   (img, kbase)
 
 let prop_scans_match_reference =
   QCheck.Test.make ~name:"ksymtab scans equal the list-building reference"
-    ~count:200
+    ~count:300
     QCheck.(make ~print:string_of_int Gen.(int_bound (1 lsl 29)))
     (fun seed ->
       let img, kbase = planted_image seed in
@@ -382,11 +433,13 @@ let prop_scans_match_reference =
       let region =
         match expected with Ok r -> r | Error _ -> (0x100, 0x100 + 64)
       in
-      List.for_all
-        (fun layout ->
-          Vmsh.Symbol_analysis.find_table img ~kbase ~region layout
-          = Reference_scan.find_table img ~kbase ~region layout)
-        layouts)
+      let tables = Vmsh.Symbol_analysis.find_tables img ~kbase ~region in
+      List.length tables = List.length layouts
+      && List.for_all2
+           (fun layout (l, off, entries) ->
+             l = layout
+             && (off, entries) = Reference_scan.find_table img ~kbase ~region layout)
+           layouts tables)
 
 let test_analysis_fails_without_kernel () =
   (* a VM whose page tables map nothing in the KASLR range *)
