@@ -18,7 +18,8 @@
                                  class fired, the corpus non-vacuous
      ci_check sweep FILE         crash-matrix gate: every abort-at-yield
                                  point restored the guest, leaked no
-                                 descriptors, failed cleanly
+                                 descriptors, none hung or failed
+                                 uncleanly
      ci_check fleet-fork COLD FORK
                                  CoW-fork gate: fork p99 <= 10% of the
                                  cold attach p50, overlay mostly shared
@@ -705,42 +706,47 @@ let check_fuzz_trace path =
   if int_field ~ctx:path counters "fuzz.corpus.ngrams" < 1 then
     fail "%s: no coverage n-grams recorded" path
 
-let check_sweep path =
+(* The post-conditions both sweep matrices share: the oracle passed
+   every point, nothing leaked, no point was unclean (hung, escaped or
+   broken), and the matrix is non-vacuous — a crash point fired and an
+   attach completed. The two gates differ only in class coverage. *)
+let check_sweep_points ~what path =
   let j = load path in
   let counters = field_exn ~ctx:path j "counters" in
+  let count = opt_int_field ~ctx:path counters in
   let points = int_field ~ctx:path counters "sweep.points" in
-  if points < 1 then fail "%s: no sweep points recorded" path;
-  if int_field ~ctx:path counters "sweep.classes" < 2 then
-    fail "%s: sweep covered fewer than 2 fault classes" path;
-  let pass = int_field ~ctx:path counters "sweep.oracle_pass" in
-  let oracle_fail = opt_int_field ~ctx:path counters "sweep.oracle_fail" in
+  if points < 1 then fail "%s: no %s recorded" path what;
+  let oracle_fail = count "sweep.oracle_fail" in
   if oracle_fail > 0 then
-    fail "%s: %d sweep points left the guest mutated" path oracle_fail;
+    fail "%s: %d %s left the guest mutated" path oracle_fail what;
+  let pass = int_field ~ctx:path counters "sweep.oracle_pass" in
   if pass <> points then
-    fail "%s: oracle passed %d of %d points" path pass points;
-  let leaked = opt_int_field ~ctx:path counters "sweep.leaked_fds" in
-  if leaked > 0 then fail "%s: %d descriptors leaked across the sweep" path leaked;
-  let unclean = opt_int_field ~ctx:path counters "sweep.unclean" in
-  if unclean > 0 then fail "%s: %d unclean failures in the sweep" path unclean;
-  if opt_int_field ~ctx:path counters "sweep.aborted" < 1 then
-    fail "%s: no crash point ever fired (sweep vacuous)" path;
-  if opt_int_field ~ctx:path counters "sweep.completed" < 1 then
-    fail "%s: no probe completed (sweep vacuous)" path
+    fail "%s: oracle passed %d of %d %s" path pass points what;
+  let leaked = count "sweep.leaked_fds" in
+  if leaked > 0 then
+    fail "%s: %d descriptors leaked across the %s" path leaked what;
+  let unclean = count "sweep.unclean" in
+  if unclean > 0 then
+    fail "%s: %d unclean failures in the %s" path unclean what;
+  if count "sweep.aborted" < 1 then
+    fail "%s: no crash point ever fired in the %s (vacuous)" path what;
+  if count "sweep.completed" < 1 then
+    fail "%s: no attach ever completed in the %s (vacuous)" path what;
+  counters
+
+let check_sweep path =
+  let counters = check_sweep_points ~what:"sweep points" path in
+  if int_field ~ctx:path counters "sweep.classes" < 2 then
+    fail "%s: sweep covered fewer than 2 fault classes" path
 
 let hostile_classes =
   [ "toctou-scan"; "balloon"; "desc-chaos"; "mem-churn" ]
 
-(* The hostile-guest chaos matrix (vmsh sweep --hostile): the standard
-   sweep post-conditions must hold with an adversary racing every cell
-   — snapshot oracle clean everywhere, nothing leaked, no unclean
-   failure — and the matrix must be non-vacuous: all four adversarial
-   classes swept at least one cell, at least one crash point fired
-   under attack, and at least one attach completed despite it. *)
+(* The hostile-guest chaos matrix (vmsh sweep --hostile): the sweep
+   post-conditions must hold with an adversary racing every cell, and
+   all four adversarial classes must have swept at least one cell. *)
 let check_hostile path =
-  let j = load path in
-  let counters = field_exn ~ctx:path j "counters" in
-  let points = int_field ~ctx:path counters "sweep.points" in
-  if points < 1 then fail "%s: no hostile cells recorded" path;
+  let counters = check_sweep_points ~what:"hostile cells" path in
   if int_field ~ctx:path counters "sweep.classes" < List.length hostile_classes
   then
     fail "%s: hostile matrix covered fewer than %d adversary classes" path
@@ -750,22 +756,7 @@ let check_hostile path =
       let k = "sweep.cells.hostile-" ^ cls in
       if opt_int_field ~ctx:path counters k < 1 then
         fail "%s: hostile class %S never swept a cell" path cls)
-    hostile_classes;
-  let pass = int_field ~ctx:path counters "sweep.oracle_pass" in
-  if pass <> points then
-    fail "%s: oracle passed %d of %d hostile cells" path pass points;
-  if opt_int_field ~ctx:path counters "sweep.oracle_fail" > 0 then
-    fail "%s: hostile cells left the guest mutated" path;
-  let leaked = opt_int_field ~ctx:path counters "sweep.leaked_fds" in
-  if leaked > 0 then
-    fail "%s: %d descriptors leaked to the adversary" path leaked;
-  let unclean = opt_int_field ~ctx:path counters "sweep.unclean" in
-  if unclean > 0 then
-    fail "%s: %d unclean failures under attack" path unclean;
-  if opt_int_field ~ctx:path counters "sweep.aborted" < 1 then
-    fail "%s: no crash point ever fired under attack (matrix vacuous)" path;
-  if opt_int_field ~ctx:path counters "sweep.completed" < 1 then
-    fail "%s: no attach ever completed under attack (hardening vacuous)" path
+    hostile_classes
 
 let () =
   match Array.to_list Sys.argv with

@@ -463,18 +463,6 @@ let rescue_cmd =
 
 let fuzz_echo_requests = 20
 
-type fuzz_outcome =
-  | Fuzz_completed
-  | Fuzz_clean_fail of string
-  | Fuzz_unclean of string
-  | Fuzz_hang
-
-let outcome_label = function
-  | Fuzz_completed -> "completed"
-  | Fuzz_clean_fail _ -> "clean-fail"
-  | Fuzz_unclean _ -> "UNCLEAN"
-  | Fuzz_hang -> "HANG"
-
 let fuzz_one ?log_level ~seed ~rate ~trace () =
   let plan = Faults.create ~seed ~rate () in
   (* Boost one class per seed to certainty (with a small cap so bounded
@@ -494,7 +482,8 @@ let fuzz_one ?log_level ~seed ~rate ~trace () =
   Option.iter (Observe.set_log_level h.H.Host.observe) log_level;
   H.Host.arm_faults h plan;
   if trace then Observe.enable h.H.Host.observe;
-  let outcome =
+  let verdict =
+    let open Faults.Abort in
     match
       let vmm, g = boot_vm_on h ~profile:Profile.qemu ~version:KV.V5_10 in
       let net =
@@ -511,7 +500,7 @@ let fuzz_one ?log_level ~seed ~rate ~trace () =
           ~pump:(fun () -> Vmm.run_until_idle vmm)
           ()
       with
-      | Error e -> Fuzz_clean_fail (Vmsh.Vmsh_error.to_string e)
+      | Error e -> Clean_abort (Vmsh.Vmsh_error.to_string e)
       | Ok session ->
           ignore (Vmsh.Attach.console_recv session);
           let out = Vmsh.Attach.console_roundtrip session "hostname" in
@@ -520,24 +509,27 @@ let fuzz_one ?log_level ~seed ~rate ~trace () =
               ~payload_size:64 ~mode:Workloads.Traffic.Echo ()
           in
           (match Vmsh.Attach.detach session with
-          | Error e -> Fuzz_unclean ("detach: " ^ Vmsh.Vmsh_error.to_string e)
+          | Error e -> Bug (Broken ("detach: " ^ Vmsh.Vmsh_error.to_string e))
           | Ok () ->
               if String.length out = 0 then
-                Fuzz_unclean "console dead after attach (guest state corrupted?)"
+                Bug
+                  (Broken "console dead after attach (guest state corrupted?)")
               else if
                 echo.Workloads.Traffic.completed = 0
                 && Faults.injected plan Faults.Link_burst = 0
-              then Fuzz_unclean "echo made no progress despite a clean link"
-              else Fuzz_completed)
+              then Bug (Broken "echo made no progress despite a clean link")
+              else Survived)
     with
-    | outcome -> outcome
-    | exception e -> Fuzz_unclean (Printexc.to_string e)
+    | v -> v
+    | exception e -> Bug (Escaped (Printexc.to_string e))
   in
-  let outcome =
-    if H.Clock.now_ns h.H.Host.clock > Fleet.Session.budget_ns then Fuzz_hang
-    else outcome
+  let elapsed_ns = H.Clock.now_ns h.H.Host.clock in
+  let verdict =
+    if elapsed_ns > Fleet.Session.budget_ns then
+      Faults.Abort.Bug (Hang elapsed_ns)
+    else verdict
   in
-  (h, plan, boosted, outcome)
+  (h, plan, boosted, verdict)
 
 (* --- fuzz --from-trace: trace-mutation campaigns --- *)
 
@@ -672,11 +664,8 @@ let fuzz_from_trace ?log_level ~file ~rounds ~seed ~corpus ~minimize
               (* the reproducer carries the minimized chain's own
                  verdict (recomputed — minimization can land on a
                  different failure message than the full chain) *)
-              let mutant = Fuzz.apply_all base min_muts in
               let verdict =
-                match Fuzz.validate mutant with
-                | p :: _ -> Faults.Abort.Clean_abort ("protocol: " ^ p)
-                | [] -> execute mutant min_muts
+                Fuzz.judge ~execute (Fuzz.apply_all base min_muts) min_muts
               in
               write_mutant_trace
                 ~path:
@@ -742,26 +731,27 @@ let fuzz_cmd =
     let hangs = ref 0 and unclean = ref 0 in
     for seed = 0 to seeds - 1 do
       let trace = trace_out <> None && seed = trace_seed in
-      let h, plan, boosted, outcome = fuzz_one ?log_level ~seed ~rate ~trace () in
+      let h, plan, boosted, verdict =
+        fuzz_one ?log_level ~seed ~rate ~trace ()
+      in
       scount "fuzz.seeds";
-      (match outcome with
-      | Fuzz_completed -> scount "fuzz.completed"
-      | Fuzz_clean_fail _ -> scount "fuzz.clean_failures"
-      | Fuzz_unclean _ ->
-          incr unclean;
-          scount "fuzz.unclean"
-      | Fuzz_hang ->
-          incr hangs;
-          scount "fuzz.hangs");
+      scount
+        (match verdict with
+        | Faults.Abort.Survived -> "fuzz.completed"
+        | Clean_abort _ -> "fuzz.clean_failures"
+        | Bug (Hang _) ->
+            incr hangs;
+            "fuzz.hangs"
+        | Bug _ ->
+            incr unclean;
+            "fuzz.unclean");
       (* every fuzz failure leaves a replayable flight recording when
          VMSH_TRACE_DIR is set *)
-      (match outcome with
-      | Fuzz_unclean _ | Fuzz_hang ->
-          ignore
-            (Trace.dump_on_failure h.H.Host.recorder
-               ~name:(Printf.sprintf "fuzz-seed%d" seed)
-               ())
-      | Fuzz_completed | Fuzz_clean_fail _ -> ());
+      if Faults.Abort.is_bug verdict then
+        ignore
+          (Trace.dump_on_failure h.H.Host.recorder
+             ~name:(Printf.sprintf "fuzz-seed%d" seed)
+             ());
       List.iter
         (fun cls ->
           let n = Faults.injected plan cls in
@@ -778,12 +768,10 @@ let fuzz_cmd =
         (Observe.Metrics.counters (Observe.metrics h.H.Host.observe));
       Observe.Metrics.observe attach_hist (H.Clock.now_ns h.H.Host.clock);
       Printf.printf "seed %2d: %-10s boosted=%-13s injected=%2d virtual=%6.1f ms%s\n"
-        seed (outcome_label outcome) (Faults.name boosted)
+        seed (Faults.Abort.label verdict) (Faults.name boosted)
         (Faults.total_injected plan)
         (H.Clock.now_ns h.H.Host.clock /. 1e6)
-        (match outcome with
-        | Fuzz_clean_fail m | Fuzz_unclean m -> " (" ^ m ^ ")"
-        | _ -> "");
+        (match Faults.Abort.detail verdict with "" -> "" | m -> " (" ^ m ^ ")");
       if trace then
         match trace_out with
         | Some path ->
@@ -986,8 +974,7 @@ let sweep_cmd =
     if not (Fleet.Sweep.ok r) then begin
       List.iter
         (fun p ->
-          if p.Fleet.Sweep.pt_oracle <> [] || p.Fleet.Sweep.pt_leaked_fds > 0
-             || p.Fleet.Sweep.pt_unclean <> None
+          if Faults.Abort.is_bug p.Fleet.Sweep.pt_report.Fleet.Session.verdict
           then Format.eprintf "%a@." Fleet.Sweep.pp_point p)
         r.Fleet.Sweep.sw_points;
       exit 1
@@ -1617,19 +1604,16 @@ let trace_replay_cmd =
                   | Error _ as e -> e
                   | Ok spec ->
                       let base = f.Trace.f_events in
-                      let mutant = Fuzz.apply_all base mf.Fuzz.mf_muts in
-                      let verdict =
-                        match Fuzz.validate mutant with
-                        | p :: _ ->
-                            Faults.Abort.Clean_abort ("protocol: " ^ p)
-                        | [] ->
-                            let execute, _, _ =
-                              attack_executor ?log_level ~base ~spec ()
-                            in
-                            execute mutant mf.Fuzz.mf_muts
+                      let execute, _, _ =
+                        attack_executor ?log_level ~base ~spec ()
                       in
-                      let got = Faults.Abort.to_string verdict in
-                      let want = Faults.Abort.to_string mf.Fuzz.mf_verdict in
+                      let got =
+                        Faults.Abort.to_string
+                          (Fuzz.judge ~execute
+                             (Fuzz.apply_all base mf.Fuzz.mf_muts)
+                             mf.Fuzz.mf_muts)
+                      in
+                      let want = mf.Fuzz.mf_verdict in
                       Ok
                         (if got = want then []
                          else

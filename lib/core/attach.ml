@@ -14,7 +14,6 @@ module Config = struct
     copy_mode : Hyp_mem.copy_mode;
     container_pid : int option;
     command : string option;
-    drop_privileges : bool;
     seccomp_heuristic : bool;
     pci : bool;
     net : net_attachment option;
@@ -30,7 +29,6 @@ module Config = struct
       copy_mode = Hyp_mem.Bulk;
       container_pid = None;
       command = None;
-      drop_privileges = true;
       seccomp_heuristic = false;
       pci = false;
       net = None;
@@ -44,7 +42,6 @@ module Config = struct
   let with_copy_mode copy_mode t = { t with copy_mode }
   let with_container_pid pid t = { t with container_pid = Some pid }
   let with_command cmd t = { t with command = Some cmd }
-  let with_drop_privileges drop_privileges t = { t with drop_privileges }
   let with_seccomp_heuristic seccomp_heuristic t = { t with seccomp_heuristic }
   let with_pci pci t = { t with pci }
   let with_net net t = { t with net = Some net }
@@ -56,7 +53,6 @@ module Config = struct
   let copy_mode t = t.copy_mode
   let container_pid t = t.container_pid
   let command t = t.command
-  let drop_privileges t = t.drop_privileges
   let seccomp_heuristic t = t.seccomp_heuristic
   let pci t = t.pci
   let net t = t.net
@@ -447,10 +443,9 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
     let* slots =
       Tracee.phase host "memslot-dump" (fun () -> Memslot_discovery.discover tracee)
     in
-    if Config.drop_privileges cfg then begin
-      Proc.drop_cap vmsh Proc.CAP_BPF;
-      Proc.drop_cap vmsh Proc.CAP_SYS_ADMIN
-    end;
+    (* discovery is done: give up CAP_BPF & co. *)
+    Proc.drop_cap vmsh Proc.CAP_BPF;
+    Proc.drop_cap vmsh Proc.CAP_SYS_ADMIN;
     let mem =
       Hyp_mem.create host ~vmsh ~hypervisor_pid ~slots
         ~mode:(Config.copy_mode cfg) ()

@@ -54,9 +54,6 @@ module Config : sig
   val with_command : string -> t -> t
   (** One-shot command instead of a shell. *)
 
-  val with_drop_privileges : bool -> t -> t
-  (** Drop CAP_BPF & co. after discovery (default [true]). *)
-
   val with_seccomp_heuristic : bool -> t -> t
   (** Probe the hypervisor's threads for one whose seccomp filter
       admits each injected syscall (lets VMSH attach to stock
@@ -106,7 +103,6 @@ module Config : sig
   val copy_mode : t -> Hyp_mem.copy_mode
   val container_pid : t -> int option
   val command : t -> string option
-  val drop_privileges : t -> bool
   val seccomp_heuristic : t -> bool
   val pci : t -> bool
   val net : t -> net_attachment option

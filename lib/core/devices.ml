@@ -53,7 +53,6 @@ type t = {
       (** the tools image mounted for the 9p server *)
   mac : int;
   mutable requests : int;
-  mutable net_frames : int;
   clock : Clock.t;
 }
 
@@ -71,9 +70,6 @@ let handle_exn t kind =
         (Printf.sprintf "Devices.handle_exn: no %s device registered"
            (kind_name kind))
 
-let handle_kind h = h.kind
-let handle_base h = h.base
-let handle_cfg_base h = h.cfg_base
 let handle_gsi h = h.gsi
 
 (* The window the kernel library drives: the PCI config space when the
@@ -90,9 +86,7 @@ let console_gsi t = (handle_exn t Console).gsi
 let blk_gsi t = (handle_exn t Blk).gsi
 let net_gsi t = (handle_exn t Net).gsi
 let ninep_gsi t = (handle_exn t Ninep).gsi
-let nic_mac t = t.mac
 let stats_requests t = t.requests
-let stats_net_frames t = t.net_frames
 
 (* Upper bound on a single descriptor buffer. No legitimate driver in
    this guest posts anything close to 1 MiB in one descriptor; a larger
@@ -248,9 +242,6 @@ let try_feed_net_h t h =
         signal t h.irqfd
       end
 
-let try_feed_net t =
-  match handle_of t Net with Some h -> try_feed_net_h t h | None -> ()
-
 let process_net_tx t h =
   pump_stage t "net-tx";
   match ensure_queue t h 1 with
@@ -265,7 +256,6 @@ let process_net_tx t h =
             | None -> incr_counter t "vmsh-net.tx_unplugged" ~by:1)
       in
       if n > 0 then begin
-        t.net_frames <- t.net_frames + n;
         incr_counter t "vmsh-net.tx_frames" ~by:n;
         Mmio.Device.assert_irq h.regs;
         signal t h.irqfd;
@@ -426,7 +416,6 @@ let create ~mem ~tracee ~image ?(pci = false) ?net ?(mac = default_mac) () =
       | Error _ -> None);
     mac;
     requests = 0;
-    net_frames = 0;
     clock = (Tracee.host tracee).Hostos.Host.clock;
   }
 

@@ -71,13 +71,6 @@ val handles : t -> handle list
 
 val handle_of : t -> kind -> handle option
 val handle_exn : t -> kind -> handle
-val handle_kind : handle -> kind
-val handle_base : handle -> int
-(** Base of the register window (BAR0 under PCI). *)
-
-val handle_cfg_base : handle -> int option
-(** PCI config window, when the PCI transport is active. *)
-
 val handle_gsi : handle -> int
 
 val handle_window : handle -> int
@@ -101,9 +94,6 @@ val console_gsi : t -> int
 val blk_gsi : t -> int
 val net_gsi : t -> int
 val ninep_gsi : t -> int
-
-val nic_mac : t -> int
-(** The 48-bit station address the NIC advertises in config space. *)
 
 val handle_mmio_read : t -> addr:int -> len:int -> bytes option
 (** [None] when the address is outside VMSH's windows. *)
@@ -132,10 +122,3 @@ val read_console_output : t -> bytes
 
 val stats_requests : t -> int
 (** Block requests served (for tests and benches). *)
-
-val stats_net_frames : t -> int
-(** Frames the guest transmitted through the NIC. *)
-
-val try_feed_net : t -> unit
-(** Push any parked inbound frames into the guest's receive ring,
-    raising the net interrupt if something was delivered. *)

@@ -42,10 +42,6 @@ let overlay_stats t =
       }
   | Some p -> Hostos.Mem.Addr_space.cow_totals p.Proc.aspace
 
-let gpa_to_hva t gpa =
-  List.find_opt (fun s -> gpa >= s.gpa && gpa < s.gpa + s.size) t.slot_list
-  |> Option.map (fun s -> s.hva + (gpa - s.gpa))
-
 let top_of_guest_phys t =
   List.fold_left (fun acc s -> max acc (s.gpa + s.size)) 0 t.slot_list
 

@@ -55,8 +55,6 @@ val overlay_stats : t -> Hostos.Mem.cow_stats
     over its shared baseline. All zeros for a cold-booted VMM (or an
     exited process). *)
 
-val gpa_to_hva : t -> int -> int option
-
 val top_of_guest_phys : t -> int
 (** One past the highest guest-physical address backed by a slot — where
     VMSH places its own memory ("hypervisors allocate from low to

@@ -18,7 +18,6 @@ let memslot_base_index = 61
    the page-table pages it allocated. *)
 let next_memslot = ref memslot_base_index
 
-let memslot_index = memslot_base_index
 let pt_arena_pages = 16
 
 let ( let* ) = Result.bind

@@ -19,11 +19,6 @@ type loaded = {
   saved_regs : X86.Regs.t;  (** the interrupted context *)
 }
 
-val memslot_index : int
-(** The first KVM memslot number VMSH claims; every further attach uses
-    the next free index (replacing a slot would unback a previous
-    attach's live region). *)
-
 val load :
   tracee:Tracee.t -> mem:Hyp_mem.t ->
   analysis:Symbol_analysis.analysis ->

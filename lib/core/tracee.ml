@@ -14,7 +14,7 @@ type t = {
   vm_fd_num : int;
   vcpu_list : vcpu_handle list;
   scratch_hva : int;
-  mutable seccomp_heuristic : bool;
+  seccomp_heuristic : bool;
 }
 
 let pid t = t.tracee_pid
@@ -188,7 +188,6 @@ let attach ?(seccomp_heuristic = false) h ~vmsh ~pid =
     }
 
 let detach t = Ptrace.detach t.h t.session
-let set_seccomp_heuristic t v = t.seccomp_heuristic <- v
 
 let inject t ~nr ~args =
   (* fleet interleave point: one injected syscall per scheduler slice.

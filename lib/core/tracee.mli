@@ -33,18 +33,16 @@ val attach :
   ?seccomp_heuristic:bool -> Hostos.Host.t -> vmsh:Hostos.Proc.t ->
   pid:int -> (t, Vmsh_error.t) result
 (** ptrace-attach, PTRACE_INTERRUPT, discover the KVM fds and map a
-    scratch page in the tracee for argument structs. With
-    [seccomp_heuristic] the probing strategy of {!set_seccomp_heuristic}
-    applies from the very first injected syscall. *)
+    scratch page in the tracee for argument structs.
+
+    [seccomp_heuristic] enables, from the very first injected syscall,
+    the thread-probing heuristic the paper lists as future work: when
+    an injected syscall is killed by a thread's seccomp filter (EPERM),
+    retry it on each other thread of the tracee — Firecracker's API
+    thread carries a laxer filter than its vCPU threads, so injection
+    can succeed without disabling seccomp. *)
 
 val detach : t -> unit
-
-val set_seccomp_heuristic : t -> bool -> unit
-(** Enable the thread-probing heuristic the paper lists as future work:
-    when an injected syscall is killed by a thread's seccomp filter
-    (EPERM), retry it on each other thread of the tracee — Firecracker's
-    API thread carries a laxer filter than its vCPU threads, so
-    injection can succeed without disabling seccomp. *)
 
 val inject : t -> nr:int -> args:int array -> (int, Vmsh_error.t) result
 (** Run one syscall in the tracee; negative returns are surfaced as

@@ -231,34 +231,38 @@ let yield_tick t =
    vocabulary. *)
 
 module Abort = struct
-  type verdict = Survived | Clean_abort of string | Bug of string
+  type bug =
+    | Hang of float
+    | Escaped of string
+    | Broken of string
+    | Oracle of string
+    | Leaked_fds of int
+
+  type verdict = Survived | Clean_abort of string | Bug of bug
 
   let label = function
     | Survived -> "survived"
     | Clean_abort _ -> "clean-abort"
     | Bug _ -> "BUG"
 
-  let detail = function Survived -> "" | Clean_abort m | Bug m -> m
+  let bug_text = function
+    | Hang ns ->
+        Printf.sprintf "hang: %.0f ms of virtual time exceeds the budget"
+          (ns /. 1e6)
+    | Escaped e -> "escaped exception: " ^ e
+    | Broken m -> m
+    | Oracle d -> "oracle: " ^ d
+    | Leaked_fds n -> Printf.sprintf "leaked %d descriptors" n
+
+  let detail = function
+    | Survived -> ""
+    | Clean_abort m -> m
+    | Bug b -> bug_text b
+
   let is_bug = function Bug _ -> true | _ -> false
 
   let to_string = function
     | Survived -> "survived"
     | Clean_abort m -> "clean-abort: " ^ m
-    | Bug m -> "BUG: " ^ m
-
-  let strip_prefix p s =
-    let pl = String.length p in
-    if String.length s >= pl && String.sub s 0 pl = p then
-      Some (String.sub s pl (String.length s - pl))
-    else None
-
-  let of_string s =
-    if s = "survived" then Some Survived
-    else
-      match strip_prefix "clean-abort: " s with
-      | Some m -> Some (Clean_abort m)
-      | None -> (
-          match strip_prefix "BUG: " s with
-          | Some m -> Some (Bug m)
-          | None -> None)
+    | Bug b -> "BUG: " ^ bug_text b
 end

@@ -143,21 +143,31 @@ val set_on_skew : t -> (int -> unit) option -> unit
     crash-point sweep, trace-mutation fuzzer) classifies a run into. *)
 
 module Abort : sig
+  (** Why a run is a bug. Each cause renders as the text the ledgers,
+      results files and reproducer metadata carry. *)
+  type bug =
+    | Hang of float
+        (** virtual nanoseconds the run consumed, past its budget *)
+    | Escaped of string  (** an exception escaped; its printed form *)
+    | Broken of string  (** attached, then misbehaved (dead console, ...) *)
+    | Oracle of string  (** the first rollback-oracle discrepancy *)
+    | Leaked_fds of int  (** host descriptors left open *)
+
   type verdict =
     | Survived  (** completed; oracle clean; nothing leaked *)
     | Clean_abort of string
         (** failed with a round-trippable error after full rollback *)
-    | Bug of string
-        (** escaped exception, oracle divergence, descriptor leak, or
-            virtual-budget hang *)
+    | Bug of bug
 
   val label : verdict -> string
   (** ["survived"] / ["clean-abort"] / ["BUG"] — the ledger keys. *)
 
   val detail : verdict -> string
+  (** The abort message or the bug's text; [""] for {!Survived}. *)
+
   val is_bug : verdict -> bool
 
   val to_string : verdict -> string
-  val of_string : string -> verdict option
-  (** Round-trips {!to_string} (used by reproducer trace metadata). *)
+  (** [label], then [": "] and {!detail} unless the run survived — the
+      text reproducer metadata records and replay compares. *)
 end

@@ -35,7 +35,6 @@ module Config = struct
       boot_source = Cold_boot;
     }
 
-  let with_vms vms t = { t with vms }
   let with_seed seed t = { t with seed }
   let with_profile profile t = { t with profile }
   let with_version version t = { t with version }

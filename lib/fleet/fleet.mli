@@ -57,7 +57,6 @@ module Config : sig
   (** Defaults: 1 VM, seed 7, QEMU profile, kernel v5.10, no faults,
       shared symbol cache, quiet logs, cold boot. *)
 
-  val with_vms : int -> t -> t
   val with_seed : int -> t -> t
   val with_profile : Hypervisor.Profile.t -> t -> t
   val with_version : Linux_guest.Kernel_version.t -> t -> t

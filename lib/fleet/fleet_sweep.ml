@@ -8,8 +8,9 @@
    points are independent and can be interleaved by the virtual-time
    scheduler (the fleet-shaped crash matrix).
 
-   Each point is one {!Session} run, and every aborted point must
-   satisfy its three post-conditions:
+   Each point is one {!Session} run and keeps its report; the gate
+   reads the report's verdict. Every aborted point must satisfy its
+   three post-conditions:
    - the attach fails with a typed {!Vmsh.Vmsh_error.t} (an escaped
      exception is reported as unclean);
    - the snapshot oracle finds guest memory and vCPU registers
@@ -23,16 +24,10 @@ module H = Hostos
 type point = {
   pt_class : string;  (** armed fault class, or ["fault-free"] *)
   pt_yield : int;  (** k of [abort-at-yield(k)]; the probe uses [-1] *)
-  pt_outcome : string;  (** ["completed"] / ["aborted"] / ["clean-fail"] *)
-  pt_oracle : string list;  (** oracle discrepancies; [[]] = restored *)
-  pt_leaked_fds : int;  (** host-wide open-fd delta after the point *)
-  pt_unclean : string option;
-      (** escaped exception, or how an attached session broke (dead
-          console, failed detach), if any *)
-  pt_digest : string;  (** {!Vmsh.Snapshot.digest} of the final guest state *)
+  pt_report : Session.report;
+      (** outcome, oracle discrepancies, fd delta, digest and verdict *)
   pt_events : Trace.event list;  (** the point's flight recording *)
   pt_virtual_ns : float;  (** the point's virtual clock at the end *)
-  pt_verdict : Faults.Abort.verdict;  (** the session harness's verdict *)
 }
 
 type report = {
@@ -62,11 +57,11 @@ let cell_meta ~seed ~cls ~k ~fork ~hostile =
   @ if hostile = "" then [] else [ ("hostile", hostile) ]
 
 (* One sweep point: a {!Session} on a fresh machine under the armed
-   plan. [k = None] is the probe (crash point parked at max_int);
-   returns the point and, for the probe, the yield count the attach
-   crossed. [?plan] lets the trace-mutation fuzzer run the same harness
-   under its own scripted fault plan instead of the sweep's class
-   arming. [?baseline] stands the point's machine up as a CoW fork of a
+   plan. [k = None] is the probe (crash point parked at max_int); its
+   report's [yields] is the yield count the attach crossed. [?plan]
+   lets the trace-mutation fuzzer run the same harness under its own
+   scripted fault plan instead of the sweep's class arming.
+   [?baseline] stands the point's machine up as a CoW fork of a
    baked image instead of a cold boot, so the crash matrix also covers
    forked sessions — the rollback oracle then proves restoration
    through the overlay. [?hostile] races the attach against a seeded
@@ -111,34 +106,19 @@ let run_point ?log_level ?plan ?baseline ?hostile ~seed ~cls ~k () =
         | Some h -> "hostile-" ^ Hostile.name h
         | None -> class_label cls);
       pt_yield = Option.value k ~default:(-1);
-      pt_outcome =
-        (match r.Session.outcome with
-        | Session.Completed | Session.Broken _ -> "completed"
-        | Session.Aborted (Vmsh.Vmsh_error.Attach_aborted (Crash_point _)) ->
-            "aborted"
-        | Session.Aborted _ -> "clean-fail"
-        | Session.Escaped _ -> "unclean");
-      pt_oracle = r.Session.oracle;
-      pt_leaked_fds = r.Session.leaked_fds;
-      pt_unclean =
-        (match r.Session.outcome with
-        | Session.Broken m -> Some m
-        | Session.Escaped e -> Some (Printexc.to_string e)
-        | Session.Completed | Session.Aborted _ -> None);
-      pt_digest = r.Session.digest;
+      pt_report = r;
       pt_events = Trace.Recorder.events host.H.Host.recorder;
       pt_virtual_ns = H.Clock.now_ns host.H.Host.clock;
-      pt_verdict = r.Session.verdict;
     }
   in
   (* a bug verdict leaves a replayable artifact when
      VMSH_TRACE_DIR is set (CI uploads them) *)
-  if Faults.Abort.is_bug point.pt_verdict then
+  if Faults.Abort.is_bug r.Session.verdict then
     ignore
       (Trace.dump_on_failure host.H.Host.recorder
          ~name:(Printf.sprintf "sweep-%s-k%d" point.pt_class point.pt_yield)
          ());
-  (point, r.Session.yields)
+  point
 
 (* Run [points] thunks, [vms] at a time, on the virtual-time scheduler
    (vms = 1 degenerates to a plain sequential loop). Every point has
@@ -167,6 +147,27 @@ let run_batched ~vms thunks =
     List.filter_map Fun.id (Array.to_list results)
   end
 
+(* A hang, an escaped exception or a broken session; oracle divergence
+   and leaks have their own counters. *)
+let unclean = function
+  | Faults.Abort.Bug (Hang _ | Escaped _ | Broken _) -> true
+  | _ -> false
+
+(* The sweep's counts over its points. *)
+let tally ~classes points =
+  let count f = List.length (List.filter (fun p -> f p.pt_report) points) in
+  {
+    sw_points = points;
+    sw_classes = classes;
+    sw_oracle_pass = count (fun r -> r.Session.oracle = []);
+    sw_oracle_fail = count (fun r -> r.Session.oracle <> []);
+    sw_leaked_fds =
+      List.fold_left
+        (fun a p -> a + max 0 p.pt_report.Session.leaked_fds)
+        0 points;
+    sw_unclean = count (fun r -> unclean r.Session.verdict);
+  }
+
 (* The matrix: for every cell — a fault class, or a hostile class with
    no fault armed — a probe learns Y, then abort-at-yield(k) runs for
    every k below Y (capped at [max_yields]). *)
@@ -177,21 +178,13 @@ let matrix ?log_level ?baseline ~seed ~vms ~max_yields cells =
         let point k =
           run_point ?log_level ?baseline ?hostile ~seed ~cls ~k ()
         in
-        let probe, yields = point None in
+        let probe = point None in
+        let yields = probe.pt_report.Session.yields in
         let ks = List.init (min yields max_yields) Fun.id in
-        probe
-        :: run_batched ~vms (List.map (fun k () -> fst (point (Some k))) ks))
+        probe :: run_batched ~vms (List.map (fun k () -> point (Some k)) ks))
       cells
   in
-  let count f = List.length (List.filter f points) in
-  {
-    sw_points = points;
-    sw_classes = List.length cells;
-    sw_oracle_pass = count (fun p -> p.pt_oracle = []);
-    sw_oracle_fail = count (fun p -> p.pt_oracle <> []);
-    sw_leaked_fds = List.fold_left (fun a p -> a + max 0 p.pt_leaked_fds) 0 points;
-    sw_unclean = count (fun p -> p.pt_unclean <> None);
-  }
+  tally ~classes:(List.length cells) points
 
 let run ?(seed = 5) ?classes ?(vms = 1) ?(max_yields = 256) ?log_level
     ?baseline () =
@@ -214,7 +207,20 @@ let run_hostile ?(seed = 11) ?classes ?(vms = 1) ?(max_yields = 256) ?log_level
   matrix ?log_level ?baseline ~seed ~vms ~max_yields
     (List.map (fun h -> (None, Some h)) classes)
 
-let ok r = r.sw_oracle_fail = 0 && r.sw_leaked_fds = 0 && r.sw_unclean = 0
+let ok r =
+  not
+    (List.exists (fun p -> Faults.Abort.is_bug p.pt_report.Session.verdict)
+       r.sw_points)
+
+(* The point's outcome column: a crash-point abort told apart from any
+   other typed attach failure; a broken session did complete. *)
+let outcome p =
+  match p.pt_report.Session.outcome with
+  | Session.Completed | Session.Broken _ -> "completed"
+  | Session.Aborted (Vmsh.Vmsh_error.Attach_aborted (Crash_point _)) ->
+      "aborted"
+  | Session.Aborted _ -> "clean-fail"
+  | Session.Escaped _ -> "unclean"
 
 let record mx r =
   let set name v =
@@ -226,10 +232,11 @@ let record mx r =
   set "sweep.oracle_fail" r.sw_oracle_fail;
   set "sweep.leaked_fds" r.sw_leaked_fds;
   set "sweep.unclean" r.sw_unclean;
-  set "sweep.aborted"
-    (List.length (List.filter (fun p -> p.pt_outcome = "aborted") r.sw_points));
-  set "sweep.completed"
-    (List.length (List.filter (fun p -> p.pt_outcome = "completed") r.sw_points));
+  let outcomes o =
+    List.length (List.filter (fun p -> outcome p = o) r.sw_points)
+  in
+  set "sweep.aborted" (outcomes "aborted");
+  set "sweep.completed" (outcomes "completed");
   (* per-cell-class coverage, so the CI gates can prove every class
      (fault or hostile) actually swept at least one cell *)
   List.iter
@@ -239,11 +246,14 @@ let record mx r =
     r.sw_points
 
 let pp_point ppf p =
+  let r = p.pt_report in
   Format.fprintf ppf "%-13s k=%-3s %-10s oracle=%-5s fds=%+d%s%s"
     p.pt_class
     (if p.pt_yield < 0 then "Y" else string_of_int p.pt_yield)
-    p.pt_outcome
-    (if p.pt_oracle = [] then "pass" else "FAIL")
-    p.pt_leaked_fds
-    (match p.pt_unclean with Some m -> " UNCLEAN: " ^ m | None -> "")
-    (match p.pt_oracle with [] -> "" | d :: _ -> " (" ^ d ^ ")")
+    (outcome p)
+    (if r.Session.oracle = [] then "pass" else "FAIL")
+    r.Session.leaked_fds
+    (if unclean r.Session.verdict then
+       " UNCLEAN: " ^ Faults.Abort.detail r.Session.verdict
+     else "")
+    (match r.Session.oracle with [] -> "" | d :: _ -> " (" ^ d ^ ")")

@@ -68,17 +68,13 @@ let budget_ns = 120e9
 
 let verdict r =
   let open Faults.Abort in
-  if r.elapsed_ns > budget_ns then
-    Bug
-      (Printf.sprintf "hang: %.0f ms of virtual time exceeds the budget"
-         (r.elapsed_ns /. 1e6))
+  if r.elapsed_ns > budget_ns then Bug (Hang r.elapsed_ns)
   else
     match r.outcome with
-    | Escaped e -> Bug ("escaped exception: " ^ Printexc.to_string e)
-    | Broken m -> Bug m
-    | _ when r.oracle <> [] -> Bug ("oracle: " ^ List.hd r.oracle)
-    | _ when r.leaked_fds > 0 ->
-        Bug (Printf.sprintf "leaked %d descriptors" r.leaked_fds)
+    | Escaped e -> Bug (Escaped (Printexc.to_string e))
+    | Broken m -> Bug (Broken m)
+    | _ when r.oracle <> [] -> Bug (Oracle (List.hd r.oracle))
+    | _ when r.leaked_fds > 0 -> Bug (Leaked_fds r.leaked_fds)
     | Completed -> Survived
     | Aborted e -> Clean_abort (E.to_string e)
 

@@ -623,6 +623,13 @@ let max_chain = 4
    back to the next class in rotation. *)
 let proposal_attempts = 8
 
+(* Validate first: a protocol-violating mutant is rejected without
+   running; only a consistent one reaches [execute]. *)
+let judge ~execute mutant muts =
+  match validate mutant with
+  | p :: _ -> Faults.Abort.Clean_abort ("protocol: " ^ p)
+  | [] -> execute mutant muts
+
 let run_campaign ~(base : Trace.event list) ~seed ~rounds ?(minimize_bugs = true)
     ?(seen = []) ~(execute : Trace.event list -> mutation list -> verdict) ()
     : report =
@@ -671,11 +678,7 @@ let run_campaign ~(base : Trace.event list) ~seed ~rounds ?(minimize_bugs = true
         let muts = parent_muts @ [ m ] in
         Hashtbl.replace fired op
           (1 + Option.value (Hashtbl.find_opt fired op) ~default:0);
-        let verdict =
-          match validate mutant with
-          | p :: _ -> Faults.Abort.Clean_abort ("protocol: " ^ p)
-          | [] -> execute mutant muts
-        in
+        let verdict = judge ~execute mutant muts in
         let new_keys =
           List.filter
             (fun k -> not (Hashtbl.mem coverage k))
@@ -691,9 +694,7 @@ let run_campaign ~(base : Trace.event list) ~seed ~rounds ?(minimize_bugs = true
           if Faults.Abort.is_bug verdict && minimize_bugs then
             let still_bug ms =
               ms <> []
-              &&
-              let ev = apply_all base ms in
-              validate ev = [] && Faults.Abort.is_bug (execute ev ms)
+              && Faults.Abort.is_bug (judge ~execute (apply_all base ms) ms)
             in
             Some (minimize ~still_bug muts)
           else None
@@ -712,12 +713,6 @@ let run_campaign ~(base : Trace.event list) ~seed ~rounds ?(minimize_bugs = true
   done;
   let rounds_done = List.rev !rounds_acc in
   let count p = List.length (List.filter p rounds_done) in
-  let is_hang r =
-    match r.rr_verdict with
-    | Faults.Abort.Bug m ->
-        String.length m >= 4 && String.sub m 0 4 = "hang"
-    | _ -> false
-  in
   {
     fz_rounds = rounds_done;
     fz_mutants_run = List.length rounds_done;
@@ -727,7 +722,11 @@ let run_campaign ~(base : Trace.event list) ~seed ~rounds ?(minimize_bugs = true
           match r.rr_verdict with Faults.Abort.Clean_abort _ -> true | _ -> false);
     fz_bugs = count (fun r -> Faults.Abort.is_bug r.rr_verdict);
     fz_minimized_bugs = count (fun r -> r.rr_minimized <> None);
-    fz_hangs = count is_hang;
+    fz_hangs =
+      count (fun r ->
+          match r.rr_verdict with
+          | Faults.Abort.Bug (Hang _) -> true
+          | _ -> false);
     fz_mutator_fired =
       List.map
         (fun op ->
@@ -776,7 +775,7 @@ type mutant_file = {
       (** the base recipe's metadata, scenario key restored *)
   mf_muts : mutation list;
   mf_prefix : int;  (** base-prefix length the chain applies to *)
-  mf_verdict : verdict;
+  mf_verdict : string;
 }
 
 let parse_mutant_meta (meta : (string * string) list) :
@@ -804,12 +803,8 @@ let parse_mutant_meta (meta : (string * string) list) :
         with
         | None -> Error "fuzz-mutant trace has an unparseable mutation chain"
         | Some muts -> (
-            match
-              Option.bind
-                (List.assoc_opt "verdict" meta)
-                Faults.Abort.of_string
-            with
-            | None -> Error "fuzz-mutant trace has an unparseable verdict"
+            match List.assoc_opt "verdict" meta with
+            | None -> Error "fuzz-mutant trace has no verdict"
             | Some verdict ->
                 let prefix =
                   Option.value

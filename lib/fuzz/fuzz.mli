@@ -119,6 +119,16 @@ val truncate_base : Trace.event list -> mutation list -> Trace.event list
 
 (** {2 Campaign} *)
 
+val judge :
+  execute:(Trace.event list -> mutation list -> verdict) ->
+  Trace.event list ->
+  mutation list ->
+  verdict
+(** Judge one mutant: [Clean_abort "protocol: ..."] when the causality
+    validator rejects it, otherwise whatever [execute] returns. The
+    campaign, the reproducer writer and [vmsh trace replay] all judge
+    through here. *)
+
 type round_result = {
   rr_round : int;
   rr_op : mutator;
@@ -182,11 +192,13 @@ type mutant_file = {
       (** the base recipe's metadata, scenario key restored *)
   mf_muts : mutation list;
   mf_prefix : int;  (** base-prefix length the chain applies to *)
-  mf_verdict : verdict;
+  mf_verdict : string;
+      (** the recorded verdict, as {!Faults.Abort.to_string} renders it *)
 }
 
 val parse_mutant_meta :
   (string * string) list -> (mutant_file, string) result
 (** Inverse of {!mutant_meta}: recover the base recipe metadata,
     mutation chain, prefix and recorded verdict from a fuzz-mutant
-    trace's metadata. *)
+    trace's metadata. The verdict stays text: a replay compares its
+    own {!Faults.Abort.to_string} against it. *)

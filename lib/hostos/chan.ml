@@ -31,4 +31,3 @@ let read t len =
 
 let available t = Buffer.length t.buf
 let close t = t.closed <- true
-let is_closed t = t.closed

@@ -16,4 +16,3 @@ val read : t -> int -> bytes Errno.result
 
 val available : t -> int
 val close : t -> unit
-val is_closed : t -> bool

@@ -76,22 +76,6 @@ let counters t = t.counters
 let costs t = t.costs
 let advance t ns = t.now <- t.now +. ns
 
-let reset_counters t =
-  let c = t.counters and z = zero_counters () in
-  c.context_switches <- z.context_switches;
-  c.syscalls <- z.syscalls;
-  c.vmexits <- z.vmexits;
-  c.mmio_exits <- z.mmio_exits;
-  c.ptrace_stops <- z.ptrace_stops;
-  c.bytes_copied <- z.bytes_copied;
-  c.bytes_copied_remote <- z.bytes_copied_remote;
-  c.page_cache_hits <- z.page_cache_hits;
-  c.page_cache_misses <- z.page_cache_misses;
-  c.irq_injections <- z.irq_injections;
-  c.socket_msgs <- z.socket_msgs;
-  c.device_ops <- z.device_ops;
-  c.fs_ops <- z.fs_ops
-
 let snapshot t =
   let c = t.counters in
   {
@@ -218,12 +202,3 @@ let to_fields c =
     ("device_ops", c.device_ops);
     ("fs_ops", c.fs_ops);
   ]
-
-let pp_counters ppf c =
-  Format.fprintf ppf
-    "@[<v>ctx-switches %d; syscalls %d; vmexits %d (mmio %d); ptrace-stops \
-     %d;@ copied %dB local / %dB remote; page-cache %d hit / %d miss;@ irqs \
-     %d; socket msgs %d; device ops %d; fs ops %d@]"
-    c.context_switches c.syscalls c.vmexits c.mmio_exits c.ptrace_stops
-    c.bytes_copied c.bytes_copied_remote c.page_cache_hits c.page_cache_misses
-    c.irq_injections c.socket_msgs c.device_ops c.fs_ops

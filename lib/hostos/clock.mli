@@ -57,9 +57,6 @@ val costs : t -> costs
 val advance : t -> float -> unit
 (** [advance t ns] moves virtual time forward unconditionally. *)
 
-val reset_counters : t -> unit
-(** Zero all counters without touching the time. *)
-
 val snapshot : t -> counters
 (** A copy of the current counters (for differential measurements). *)
 
@@ -91,5 +88,3 @@ val restore_section : t -> (unit -> 'a) -> 'a
 val to_fields : counters -> (string * int) list
 (** The counters as a stably-ordered (name, value) vector — the shape
     the tracing layer diffs to attribute events to spans. *)
-
-val pp_counters : Format.formatter -> counters -> unit

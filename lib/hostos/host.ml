@@ -57,14 +57,6 @@ let proc_exn t ~pid =
   | Some p -> p
   | None -> invalid_arg (Printf.sprintf "Host.proc_exn: no pid %d" pid)
 
-let readlink_fd t ~pid ~fdnum =
-  match find_proc t ~pid with
-  | None -> Error Errno.ESRCH
-  | Some p -> (
-      match Proc.fd p fdnum with
-      | Error _ as e -> e |> Result.map (fun _ -> "")
-      | Ok f -> Ok f.Fd.label)
-
 let proc_fd_listing t ~pid =
   match find_proc t ~pid with
   | None -> []

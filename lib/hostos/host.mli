@@ -39,10 +39,6 @@ val spawn : t -> name:string -> ?uid:int -> ?caps:Proc.cap list -> unit -> Proc.
 val find_proc : t -> pid:int -> Proc.t option
 val proc_exn : t -> pid:int -> Proc.t
 
-val readlink_fd : t -> pid:int -> fdnum:int -> string Errno.result
-(** What [readlink /proc/<pid>/fd/<n>] would return — the fd's label.
-    This is how the sideloader identifies KVM descriptors (paper §5). *)
-
 val proc_fd_listing : t -> pid:int -> (int * string) list
 (** All of /proc/<pid>/fd at once: (number, label) pairs. *)
 

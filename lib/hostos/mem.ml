@@ -316,12 +316,6 @@ let read_u32 t off =
 let write_u32 t off v =
   scalar_write t off 4 v (fun b o v -> Bytes.set_int32_le b o (Int32.of_int v))
 
-let read_i32 t off =
-  scalar_read t off 4 (fun b o -> Int32.to_int (Bytes.get_int32_le b o))
-
-let write_i32 t off v =
-  scalar_write t off 4 v (fun b o v -> Bytes.set_int32_le b o (Int32.of_int v))
-
 let read_u64 t off =
   let v =
     match t.backing with

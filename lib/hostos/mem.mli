@@ -105,10 +105,6 @@ val read_u64 : t -> int -> int
     bits set. *)
 
 val write_u64 : t -> int -> int -> unit
-val read_i32 : t -> int -> int
-(** Sign-extending 32-bit read (for PREL32 relative references). *)
-
-val write_i32 : t -> int -> int -> unit
 val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit

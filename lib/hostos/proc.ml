@@ -90,4 +90,3 @@ let fd_numbers t =
 
 let has_cap t c = List.mem c t.caps
 let drop_cap t c = t.caps <- List.filter (fun c' -> c' <> c) t.caps
-let drop_all_caps t = t.caps <- []

@@ -76,4 +76,3 @@ val fd_numbers : t -> int list
 
 val has_cap : t -> cap -> bool
 val drop_cap : t -> cap -> unit
-val drop_all_caps : t -> unit

@@ -34,27 +34,6 @@ let check s =
 
 let interrupt host s = ignore (check s); Clock.ptrace_stop host.Host.clock
 
-let getregs host s ~tid =
-  match check s with
-  | Error e -> Error e
-  | Ok () -> (
-      match Proc.find_thread s.tracee ~tid with
-      | None -> Error Errno.ESRCH
-      | Some th ->
-          Clock.syscall host.Host.clock;
-          Ok (X86.Regs.copy th.Proc.regs))
-
-let setregs host s ~tid regs =
-  match check s with
-  | Error e -> Error e
-  | Ok () -> (
-      match Proc.find_thread s.tracee ~tid with
-      | None -> Error Errno.ESRCH
-      | Some th ->
-          Clock.syscall host.Host.clock;
-          X86.Regs.restore th.Proc.regs ~from:regs;
-          Ok ())
-
 let inject_syscall host s ?tid ~nr ~args () =
   match check s with
   | Error e -> Error e

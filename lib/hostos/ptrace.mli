@@ -17,11 +17,6 @@ val detach : Host.t -> session -> unit
 val interrupt : Host.t -> session -> unit
 (** PTRACE_INTERRUPT: stop the tracee (charges one ptrace stop). *)
 
-val getregs : Host.t -> session -> tid:int -> X86.Regs.t Errno.result
-(** A copy of the thread's registers. *)
-
-val setregs : Host.t -> session -> tid:int -> X86.Regs.t -> unit Errno.result
-
 val inject_syscall :
   Host.t -> session -> ?tid:int -> nr:int -> args:int array -> unit ->
   int Errno.result

@@ -46,15 +46,6 @@ let float t x = Float.of_int (next t) /. Float.ldexp 1.0 62 *. x
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 
-let gaussian t ~mu ~sigma =
-  (* Box-Muller transform; we draw until u1 is nonzero to avoid log 0. *)
-  let rec u1 () =
-    let x = float t 1.0 in
-    if x > 0.0 then x else u1 ()
-  in
-  let u1 = u1 () and u2 = float t 1.0 in
-  mu +. (sigma *. sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2))
-
 let split t = { state = mix64 (next64 t) }
 
 let shuffle t a =

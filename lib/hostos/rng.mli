@@ -33,9 +33,6 @@ val float : t -> float -> float
 val bool : t -> bool
 (** A fair coin flip. *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** [gaussian t ~mu ~sigma] samples a normal distribution via Box-Muller. *)
-
 val split : t -> t
 (** [split t] derives a new independent generator, advancing [t]. *)
 

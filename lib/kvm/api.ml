@@ -26,11 +26,9 @@ let name code =
   else if code = get_vcpu_mmap_size then "KVM_GET_VCPU_MMAP_SIZE"
   else Printf.sprintf "KVM_0x%X" code
 
-let exit_io = 2
 let exit_hlt = 5
 let exit_mmio = 6
 let exit_shutdown = 8
-let exit_internal_error = 17
 
 (* Struct access goes through a process address space: a struct is a
    pointer-sized argument to ioctl, resolved in the caller's memory. *)
@@ -131,8 +129,6 @@ type ioeventfd_req = {
   ioev_flags : int;
 }
 
-let ioeventfd_req_size = 32
-
 let write_ioeventfd_req aspace ~ptr r =
   let m, off = field_mem aspace ptr in
   Mem.write_u64 m off r.datamatch;
@@ -160,14 +156,6 @@ type ioregion_req = {
 }
 
 let ioregion_req_size = 32
-
-let write_ioregion_req aspace ~ptr r =
-  let m, off = field_mem aspace ptr in
-  Mem.write_u64 m off r.region_gpa;
-  Mem.write_u64 m (off + 8) r.region_size;
-  Mem.write_u32 m (off + 16) r.region_rfd;
-  Mem.write_u32 m (off + 20) r.region_wfd;
-  Mem.write_u32 m (off + 24) r.region_flags
 
 let read_ioregion_req aspace ~ptr =
   let m, off = field_mem aspace ptr in

@@ -26,11 +26,9 @@ val name : int -> string
 
 (** {1 Exit reasons (kvm_run.exit_reason)} *)
 
-val exit_io : int
 val exit_hlt : int
 val exit_mmio : int
 val exit_shutdown : int
-val exit_internal_error : int
 
 (** {1 struct kvm_userspace_memory_region} *)
 
@@ -79,7 +77,6 @@ type ioeventfd_req = {
   ioev_flags : int;
 }
 
-val ioeventfd_req_size : int
 val write_ioeventfd_req : Hostos.Mem.Addr_space.t -> ptr:int -> ioeventfd_req -> unit
 val read_ioeventfd_req : Hostos.Mem.Addr_space.t -> ptr:int -> ioeventfd_req
 
@@ -94,7 +91,6 @@ type ioregion_req = {
 }
 
 val ioregion_req_size : int
-val write_ioregion_req : Hostos.Mem.Addr_space.t -> ptr:int -> ioregion_req -> unit
 val read_ioregion_req : Hostos.Mem.Addr_space.t -> ptr:int -> ioregion_req
 
 (** {1 struct kvm_irq_routing (single MSI entry)} *)

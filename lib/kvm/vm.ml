@@ -67,7 +67,6 @@ and vcpu = {
   vm : t;
   vregs : X86.Regs.t;
   run_page : Mem.t;
-  run_hva : int;
   mutable pending_mmio : (bytes, slice_outcome) Effect.Deep.continuation option;
 }
 
@@ -91,7 +90,6 @@ let stage_exit t cls =
        (Observe.metrics t.host.Host.observe)
        ("stage.exit." ^ cls))
 let set_runtime t rt = t.rt <- Some rt
-let runtime_installed t = t.rt <> None
 let enqueue_task t ~name thunk = Queue.push (name, thunk) t.tasks
 let has_work t = not (Queue.is_empty t.tasks) || t.parked <> []
 
@@ -141,7 +139,6 @@ let vcpus t = t.vcpu_list
 let vcpu_index v = v.index
 let vcpu_regs v = v.vregs
 let vcpu_run_page v = v.run_page
-let vcpu_run_hva v = v.run_hva
 
 (* --- guest physical memory --- *)
 
@@ -501,8 +498,7 @@ let make_vcpu t ~index =
       tag = Printf.sprintf "kvm-vcpu-run:%d" index;
     };
   let vcpu =
-    { index; vm = t; vregs = X86.Regs.zero (); run_page; run_hva;
-      pending_mmio = None }
+    { index; vm = t; vregs = X86.Regs.zero (); run_page; pending_mmio = None }
   in
   t.vcpu_list <- t.vcpu_list @ [ vcpu ];
   vcpu

@@ -55,7 +55,6 @@ val owner : t -> Hostos.Proc.t
 (** The hypervisor process that created the VM. *)
 
 val set_runtime : t -> runtime -> unit
-val runtime_installed : t -> bool
 
 val enqueue_task : t -> name:string -> (unit -> unit) -> unit
 (** Queue runnable guest work (the guest kernel model schedules workload
@@ -102,8 +101,6 @@ val vcpus : t -> vcpu list
 val vcpu_index : vcpu -> int
 val vcpu_regs : vcpu -> X86.Regs.t
 val vcpu_run_page : vcpu -> Hostos.Mem.t
-val vcpu_run_hva : vcpu -> int
-(** Where the kvm_run page is mapped in the hypervisor address space. *)
 
 (** {1 Interrupt and notification plumbing} *)
 

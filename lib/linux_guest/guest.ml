@@ -58,7 +58,6 @@ type t = {
   mutable vmsh_console_drv : Virtio.Console.Driver.t option;
   mutable vmsh_net_drv : Virtio.Net.Driver.t option;
   mutable vmsh_ninep_drv : Virtio.Ninep.Driver.t option;
-  programs : (string, t -> Gproc.t -> unit) Hashtbl.t;
   kfiles : (int, kfile) Hashtbl.t;
   mutable next_kfd : int;
   mutable pending_threads : (int * int * int) list;
@@ -82,8 +81,6 @@ let kernel_image t = t.kimage
 let observe_of t = (Vm.host t.vmh).Hostos.Host.observe
 let version t = t.ver
 let kernel_virt t = t.kvirt
-let image_bytes _t = image_size
-let idle_rip t = t.idle
 let page_cache t = t.cache
 let crashed t = t.crash
 let dmesg t = List.rev t.dmesg_rev
@@ -94,7 +91,6 @@ let rootfs t = t.boot_rootfs
 let procs t = t.proc_list
 let find_proc t ~gpid = List.find_opt (fun p -> p.Gproc.gpid = gpid) t.proc_list
 let exports t = t.exports_list
-let boot_blk t = t.boot_blk_drv
 
 let boot_blk_exn t =
   match t.boot_blk_drv with
@@ -225,9 +221,6 @@ let global_programs : (string, t -> Gproc.t -> unit) Hashtbl.t =
 
 let register_global_program ~content closure =
   Hashtbl.replace global_programs (Digest.bytes content |> Digest.to_hex) closure
-
-let register_program t ~content closure =
-  Hashtbl.replace t.programs (Digest.bytes content |> Digest.to_hex) closure
 
 (* --- struct codecs (shared with the library builder) --- *)
 
@@ -576,12 +569,7 @@ let install_kfuns t =
                             neg_errno e
                         | Ok content -> (
                             let h = Digest.bytes content |> Digest.to_hex in
-                            let prog =
-                              match Hashtbl.find_opt t.programs h with
-                              | Some p -> Some p
-                              | None -> Hashtbl.find_opt global_programs h
-                            in
-                            match prog with
+                            match Hashtbl.find_opt global_programs h with
                             | None ->
                                 printk t ("exec: unknown binary " ^ path);
                                 neg_errno Errno.ENOENT
@@ -845,7 +833,6 @@ let boot ~vm:vmh ~version:ver ~rng ?(cache_blocks = 4096) ?prebuilt_image () =
       vmsh_console_drv = None;
       vmsh_net_drv = None;
       vmsh_ninep_drv = None;
-      programs = Hashtbl.create 8;
       kfiles = Hashtbl.create 16;
       next_kfd = 3;
       pending_threads = [];

@@ -42,8 +42,6 @@ val scanner_target_regions : t -> (int * int * int) list
     adversarial guest mutates to race the scan (the hostile-guest
     engine's targets). *)
 
-val image_bytes : t -> int
-val idle_rip : t -> int
 val page_cache : t -> Page_cache.t
 val crashed : t -> string option
 (** A kernel-level fault (bad side-load, bad opcode...), if any. *)
@@ -91,7 +89,6 @@ val file_write : t -> ns:int -> string -> bytes -> unit Hostos.Errno.result
 
 (** {1 Boot-time VirtIO devices (hypervisor-emulated)} *)
 
-val boot_blk : t -> Virtio.Blk.Driver.t option
 val boot_blk_exn : t -> Virtio.Blk.Driver.t
 val boot_ninep : t -> Virtio.Ninep.Driver.t option
 (** The hypervisor's 9p file-sharing device (QEMU profile only). *)
@@ -103,15 +100,11 @@ val exports : t -> (string * int) list
     result against this; VMSH itself never reads it). *)
 
 val register_global_program : content:bytes -> (t -> Gproc.t -> unit) -> unit
-(** Like {!register_program} but visible to every guest — how VMSH's
-    embedded guest program is known before VMSH has any handle on the
-    guest it attaches to. *)
-
-val register_program : t -> content:bytes -> (t -> Gproc.t -> unit) -> unit
 (** Declare the semantics of a guest userspace binary: when a file with
-    exactly [content] is executed inside the guest, the closure runs as
+    exactly [content] is executed inside any guest, the closure runs as
     the new process. This is the simulation stand-in for machine code in
-    the embedded guest program (see DESIGN.md). *)
+    the embedded guest program (see DESIGN.md); it is known before VMSH
+    has any handle on the guest it attaches to. *)
 
 val vmsh_blk : t -> Virtio.Blk.Driver.t option
 (** The driver instance the side-loaded library registered, if any. *)

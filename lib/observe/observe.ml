@@ -53,7 +53,6 @@ module Metrics = struct
   let set_counter c v = c.c_count <- v
   let counter_value c = c.c_count
   let counter_name c = c.c_name
-  let gauge_name g = g.g_name
   let histogram_name h = h.h_name
 
   let gauge t name =

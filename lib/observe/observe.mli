@@ -44,7 +44,6 @@ module Metrics : sig
       to the observed min/max. *)
 
   val counter_name : counter -> string
-  val gauge_name : gauge -> string
   val histogram_name : histogram -> string
   val counters : t -> counter list
   val gauges : t -> gauge list
@@ -110,6 +109,10 @@ val log : t -> level -> ('a, unit, string, unit) format4 -> 'a
     consumed and discarded. *)
 
 module Export : sig
+  val escape : string -> string
+  (** The body of a JSON string literal: quote, backslash and control
+      characters escaped. *)
+
   val chrome_trace : t -> string
   (** Chrome [trace_event] JSON (open in chrome://tracing or Perfetto)
       of the recorder's {!Trace.Recorder.stream}: spans as [B]/[E]

@@ -156,14 +156,14 @@ let rec execute ?log_level = function
       | Error e, _ | _, Error e -> Error e
       | Ok cls, Ok hostile ->
           let k = if k < 0 then None else Some k in
-          let pt, _ =
+          let pt =
             Fleet.Sweep.run_point ?log_level ?baseline:(rebake from_baseline)
               ?hostile ~seed ~cls ~k ()
           in
           Ok
             {
               run_events = pt.Fleet.Sweep.pt_events;
-              run_digest = pt.Fleet.Sweep.pt_digest;
+              run_digest = pt.Fleet.Sweep.pt_report.Fleet.Session.digest;
             })
   | Serve_job { job; start_ns; ram_mb; worker; warm_cache } ->
       let host =
@@ -212,11 +212,9 @@ let attack_host_seed spec ~session =
 
 let execute_attack ?log_level ?(session = 0) ~plan spec =
   let seed = attack_host_seed spec ~session in
-  let pt, _ =
-    Fleet.Sweep.run_point ?log_level ~plan ~seed ~cls:None ~k:None ()
-  in
+  let pt = Fleet.Sweep.run_point ?log_level ~plan ~seed ~cls:None ~k:None () in
   {
-    at_verdict = pt.Fleet.Sweep.pt_verdict;
+    at_verdict = pt.Fleet.Sweep.pt_report.Fleet.Session.verdict;
     at_events = pt.Fleet.Sweep.pt_events;
     at_virtual_ns = pt.Fleet.Sweep.pt_virtual_ns;
   }

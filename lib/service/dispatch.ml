@@ -214,7 +214,7 @@ let status_of_verdict kind (v : Faults.Abort.verdict) =
   | Clean_abort _, (Job.Fuzz_seed _ | Job.Sweep_cell _ | Job.Hostile_attach _)
     ->
       Job.Completed
-  | Bug m, _ -> Job.Failed m
+  | Bug _, _ -> Job.Failed (Faults.Abort.detail v)
 
 let symcache_hits host =
   match
@@ -693,21 +693,6 @@ let status_fields = function
           (E.to_string (E.Context ("job deadline", E.Deadline_exceeded late)))
       )
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* One JSON object per job, in id order — the service's durable result
    log (ktest-style: the job, its terminal status, and its timeline). *)
 let results_jsonl (r : report) =
@@ -727,7 +712,7 @@ let results_jsonl (r : report) =
            j.Job.seed j.Job.priority status
            (match detail with
            | None -> "null"
-           | Some d -> "\"" ^ json_escape d ^ "\"")
+           | Some d -> "\"" ^ Observe.Export.escape d ^ "\"")
            (num jr.jr_submit_ns) (num jr.jr_start_ns) (num jr.jr_end_ns)
            (num (jr.jr_end_ns -. jr.jr_submit_ns))
            jr.jr_worker))

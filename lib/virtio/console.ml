@@ -148,12 +148,6 @@ module Driver = struct
         Effect.perform
           (Kvm.Vm.Yield_until (fun () -> Queue.Driver.completed t.txq ~head)))
 
-  let read_available t =
-    drain_rx t;
-    let s = Buffer.to_bytes t.pending in
-    Buffer.clear t.pending;
-    s
-
   let read_line t =
     (* The wake-up predicate must be effect-free (it runs in scheduler
        context), so it only peeks; the actual drain — which reposts

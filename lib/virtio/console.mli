@@ -31,9 +31,6 @@ module Driver : sig
   val write : t -> bytes -> unit
   (** Transmit, blocking until the device consumed the buffer. *)
 
-  val read_available : t -> bytes
-  (** Drain whatever input has arrived (empty if none). *)
-
   val read_line : t -> string
   (** Block (via [Yield_until]) until a full '\n'-terminated line
       arrived, and return it without the terminator. *)

@@ -64,7 +64,6 @@ module Device = struct
 
   let set_notify t f = t.notify <- Some f
   let queue t i = t.queues.(i)
-  let driver_ok t = t.status land status_driver_ok <> 0
   let assert_irq t = t.int_status <- t.int_status lor 1
   let irq_pending t = t.int_status land 1 <> 0
 

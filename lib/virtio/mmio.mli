@@ -58,7 +58,6 @@ module Device : sig
   val read : t -> off:int -> len:int -> bytes
   val write : t -> off:int -> bytes -> unit
   val queue : t -> int -> queue_state
-  val driver_ok : t -> bool
   val assert_irq : t -> unit
   (** Latch the used-buffer interrupt bit (the caller still signals the
       guest's GSI / irqfd). *)

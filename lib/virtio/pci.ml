@@ -1,6 +1,5 @@
 let vendor_virtio = 0x1af4
 let device_id_base = 0x1040
-let config_window = 4096
 let header_size = 0x48
 
 module Config = struct

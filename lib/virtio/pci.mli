@@ -15,9 +15,6 @@ val vendor_virtio : int
 val device_id_base : int
 (** Modern virtio PCI device ids are 0x1040 + virtio device type. *)
 
-val config_window : int
-(** Size of one device's config window (4 KiB). *)
-
 val header_size : int
 
 module Config : sig

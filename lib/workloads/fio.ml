@@ -5,12 +5,6 @@ module Page_cache = Linux_guest.Page_cache
 
 type pattern = Seq_read | Seq_write | Rand_read | Rand_write
 
-let pattern_name = function
-  | Seq_read -> "seq-read"
-  | Seq_write -> "seq-write"
-  | Rand_read -> "rand-read"
-  | Rand_write -> "rand-write"
-
 let is_read = function Seq_read | Rand_read -> true | _ -> false
 let is_seq = function Seq_read | Seq_write -> true | _ -> false
 

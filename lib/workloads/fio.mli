@@ -8,7 +8,6 @@
 
 type pattern = Seq_read | Seq_write | Rand_read | Rand_write
 
-val pattern_name : pattern -> string
 val is_read : pattern -> bool
 
 type target =

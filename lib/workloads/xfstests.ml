@@ -977,8 +977,3 @@ let run_suite ~make_fs ?(in_ctx = fun f -> f ()) feats =
     skipped = !skipped;
     failures = List.rev !failures;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "%d tests: %d passed, %d failed, %d skipped" s.total
-    s.passed s.failed s.skipped;
-  List.iter (fun (id, r) -> Format.fprintf ppf "@.  FAIL %s: %s" id r) s.failures

@@ -45,5 +45,3 @@ val run_suite :
 (** Run every case on a fresh file system from [make_fs]; [in_ctx] wraps
     each case's execution (e.g. [Vmm.in_guest] when the device under
     test lives behind VirtIO). *)
-
-val pp_summary : Format.formatter -> summary -> unit

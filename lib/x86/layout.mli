@@ -11,7 +11,6 @@
     exploits to locate the kernel). *)
 
 val page_size : int
-val page_shift : int
 
 val kaslr_base : int
 (** Lowest virtual address the kernel image may be randomised to. *)
@@ -24,10 +23,6 @@ val kaslr_align : int
 
 val kaslr_slots : int
 (** Number of possible kernel base addresses. *)
-
-val module_area_size : int
-(** Virtual space reserved above the kernel image for modules — VMSH maps
-    its side-loaded library here, "right after the kernel" (Fig. 3). *)
 
 val direct_map_base : int
 (** Virtual base of the all-of-physical-memory direct map. *)

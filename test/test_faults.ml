@@ -151,6 +151,38 @@ let test_disabled_plan_is_neutral () =
   let armed = metrics_of_attach ~arm_disabled:true in
   check cstr "disabled plan leaves metrics byte-identical" baseline armed
 
+(* --- the verdict text every ledger, results file and reproducer
+   carries --- *)
+
+let test_abort_text () =
+  let open F.Abort in
+  List.iter
+    (fun (v, label_want, want) ->
+      check cstr (want ^ ": label") label_want (label v);
+      check cstr want want (to_string v);
+      check cstr (want ^ ": detail")
+        (match String.index_opt want ':' with
+        | Some i -> String.sub want (i + 2) (String.length want - i - 2)
+        | None -> "")
+        (detail v))
+    [
+      (Survived, "survived", "survived");
+      ( Clean_abort "attach aborted: crash point at yield 3",
+        "clean-abort",
+        "clean-abort: attach aborted: crash point at yield 3" );
+      ( Bug (Hang 200_009e6),
+        "BUG",
+        "BUG: hang: 200009 ms of virtual time exceeds the budget" );
+      (Bug (Escaped "Not_found"), "BUG", "BUG: escaped exception: Not_found");
+      ( Bug (Broken "console dead after attach"),
+        "BUG",
+        "BUG: console dead after attach" );
+      ( Bug (Oracle "gpa 0x1000 differs"),
+        "BUG",
+        "BUG: oracle: gpa 0x1000 differs" );
+      (Bug (Leaked_fds 2), "BUG", "BUG: leaked 2 descriptors");
+    ]
+
 let suite =
   [
     ( "faults.plan",
@@ -161,6 +193,7 @@ let suite =
         Alcotest.test_case "seeded decisions replay" `Quick
           test_plan_deterministic;
         Alcotest.test_case "per-class caps" `Quick test_cap_respected;
+        Alcotest.test_case "verdict text is pinned" `Quick test_abort_text;
       ] );
     ( "faults.recovery",
       List.map

@@ -408,14 +408,15 @@ let test_fork_journal_rollback () =
   (* one forked crash-matrix cell: kill the attach at a yield point and
      let the snapshot oracle prove the journal restored the overlay *)
   let img = Lazy.force baked in
-  let pt, _ =
+  let pt =
     Fleet.Sweep.run_point ~baseline:img ~seed:5 ~cls:None ~k:(Some 4) ()
   in
-  check cstr "crash point fired" "aborted" pt.Fleet.Sweep.pt_outcome;
+  let r = pt.Fleet.Sweep.pt_report in
+  check cstr "crash point fired" "aborted" (Fleet.Sweep.outcome pt);
   check cbool "journal rolled the overlay back" true
-    (pt.Fleet.Sweep.pt_oracle = []);
-  check cint "no leaked descriptors" 0 pt.Fleet.Sweep.pt_leaked_fds;
-  check cbool "clean abort" true (pt.Fleet.Sweep.pt_unclean = None)
+    (r.Fleet.Session.oracle = []);
+  check cint "no leaked descriptors" 0 r.Fleet.Session.leaked_fds;
+  check cbool "clean abort" false (Fleet.Sweep.unclean r.Fleet.Session.verdict)
 
 let test_baseline_save_load_roundtrip () =
   let img = Lazy.force baked in

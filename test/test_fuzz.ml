@@ -186,7 +186,7 @@ let test_campaign_deterministic () =
    a Drop mutation is a BUG. *)
 let bug_on_drop _events muts =
   if List.exists (fun m -> m.Fuzz.m_op = Fuzz.Drop) muts then
-    Faults.Abort.Bug "planted: dropped doorbell wedges the device"
+    Faults.Abort.Bug (Broken "planted: dropped doorbell wedges the device")
   else Faults.Abort.Survived
 
 let test_minimizer () =
@@ -290,11 +290,28 @@ let test_script_of_mutations () =
   check cbool "non-timewarp mutations skew nothing" true
     (Fuzz.skew_script_of_mutations base_events [ dup; drop_kick ] = [])
 
+(* --- hangs are counted by constructor, never by message text --- *)
+
+let test_campaign_counts_hangs () =
+  let campaign verdict =
+    Fuzz.run_campaign ~base:base_events ~seed:42 ~rounds:6
+      ~minimize_bugs:false
+      ~execute:(fun _ _ -> verdict)
+      ()
+  in
+  let broken = campaign (Faults.Abort.Bug (Broken "hang-up on the console")) in
+  check cbool "a broken console is a bug" true (broken.Fuzz.fz_bugs > 0);
+  check cint "but no hang" 0 broken.Fuzz.fz_hangs;
+  let hung = campaign (Faults.Abort.Bug (Hang 200e9)) in
+  check cbool "executed mutants ran" true (hung.Fuzz.fz_bugs > 0);
+  check cint "every executed mutant hangs" hung.Fuzz.fz_bugs
+    hung.Fuzz.fz_hangs
+
 (* --- reproducer metadata --- *)
 
 let test_mutant_meta_roundtrip () =
   let base_meta = [ ("scenario", "attach"); ("seed", "5"); ("digest", "ff") ] in
-  let verdict = Faults.Abort.Bug "unclean: boom" in
+  let verdict = Faults.Abort.Bug (Escaped "boom") in
   let meta =
     Fuzz.mutant_meta ~base_meta ~muts:sample_mutations ~prefix:12 ~verdict
   in
@@ -305,7 +322,8 @@ let test_mutant_meta_roundtrip () =
   | Ok mf ->
       check cbool "chain survives" true (mf.Fuzz.mf_muts = sample_mutations);
       check cint "prefix survives" 12 mf.Fuzz.mf_prefix;
-      check cbool "verdict survives" true (mf.Fuzz.mf_verdict = verdict);
+      check cstr "verdict text survives" "BUG: escaped exception: boom"
+        mf.Fuzz.mf_verdict;
       check cbool "base scenario restored" true
         (List.assoc_opt "scenario" mf.Fuzz.mf_base_meta = Some "attach");
       check cbool "base seed survives" true
@@ -405,6 +423,8 @@ let suite =
           test_campaign_minimizes_bugs;
         Alcotest.test_case "mutations lower to scripted faults" `Quick
           test_script_of_mutations;
+        Alcotest.test_case "campaign counts hangs by constructor" `Quick
+          test_campaign_counts_hangs;
         Alcotest.test_case "reproducer metadata round-trips" `Quick
           test_mutant_meta_roundtrip;
         Alcotest.test_case "recorded attach validates and survives attack"

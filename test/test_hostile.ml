@@ -21,15 +21,14 @@ let test_names () =
 (* One probe cell per class: no crash point, adversary stepping at
    every yield. Whatever the outcome, the post-conditions must hold. *)
 let check_cell ?k h =
-  let point, _yields =
-    Sweep.run_point ~hostile:h ~seed:11 ~cls:None ~k ()
-  in
+  let point = Sweep.run_point ~hostile:h ~seed:11 ~cls:None ~k () in
+  let r = point.Sweep.pt_report in
   let label = Format.asprintf "%a" Sweep.pp_point point in
-  Alcotest.(check (list string)) (label ^ ": oracle") [] point.Sweep.pt_oracle;
-  Alcotest.(check int) (label ^ ": fd leak") 0 point.Sweep.pt_leaked_fds;
-  (match point.Sweep.pt_unclean with
-  | Some m -> Alcotest.failf "%s: unclean: %s" label m
-  | None -> ());
+  Alcotest.(check (list string)) (label ^ ": oracle") [] r.Fleet.Session.oracle;
+  Alcotest.(check int) (label ^ ": fd leak") 0 r.Fleet.Session.leaked_fds;
+  if Sweep.unclean r.Fleet.Session.verdict then
+    Alcotest.failf "%s: unclean: %s" label
+      (Faults.Abort.detail r.Fleet.Session.verdict);
   point
 
 let test_probe_cells () =
@@ -53,9 +52,10 @@ let test_cell_determinism () =
     (fun h ->
       let a = check_cell h and b = check_cell h in
       Alcotest.(check string)
-        (Hostile.name h ^ " outcome") a.Sweep.pt_outcome b.Sweep.pt_outcome;
+        (Hostile.name h ^ " outcome") (Sweep.outcome a) (Sweep.outcome b);
       Alcotest.(check string)
-        (Hostile.name h ^ " digest") a.Sweep.pt_digest b.Sweep.pt_digest;
+        (Hostile.name h ^ " digest") a.Sweep.pt_report.Fleet.Session.digest
+        b.Sweep.pt_report.Fleet.Session.digest;
       Alcotest.(check int)
         (Hostile.name h ^ " events")
         (List.length a.Sweep.pt_events)
@@ -68,7 +68,7 @@ let test_crash_under_attack () =
   List.iter (fun h -> ignore (check_cell ~k:3 h)) Hostile.all
 
 let test_hostile_meta () =
-  let point, _ =
+  let point =
     Sweep.run_point ~hostile:Hostile.Toctou_scan ~seed:11 ~cls:None ~k:None ()
   in
   Alcotest.(check bool)

@@ -235,11 +235,11 @@ let test_sweep_gate_subset () =
   check cbool "gate passes" true (Fleet.Sweep.ok r);
   check cbool "crash points actually fired" true
     (List.exists
-       (fun p -> p.Fleet.Sweep.pt_outcome = "aborted")
+       (fun p -> Fleet.Sweep.outcome p = "aborted")
        r.Fleet.Sweep.sw_points);
   check cbool "both probes completed" true
     (List.for_all
-       (fun p -> p.Fleet.Sweep.pt_outcome = "completed")
+       (fun p -> Fleet.Sweep.outcome p = "completed")
        (List.filter
           (fun p -> p.Fleet.Sweep.pt_yield < 0)
           r.Fleet.Sweep.sw_points))
@@ -255,7 +255,7 @@ let test_sweep_covers_forked_sessions () =
   check cbool "forked gate passes" true (Fleet.Sweep.ok r);
   check cbool "forked crash points fired" true
     (List.exists
-       (fun p -> p.Fleet.Sweep.pt_outcome = "aborted")
+       (fun p -> Fleet.Sweep.outcome p = "aborted")
        r.Fleet.Sweep.sw_points)
 
 let test_sweep_interleaves_on_scheduler () =
@@ -264,6 +264,24 @@ let test_sweep_interleaves_on_scheduler () =
   let r = Fleet.Sweep.run ~seed:9 ~classes:[ None ] ~max_yields:4 ~vms:2 () in
   check cbool "gate passes interleaved" true (Fleet.Sweep.ok r);
   check cint "probe + swept points" 5 (List.length r.Fleet.Sweep.sw_points)
+
+let test_sweep_hang_fails_gate () =
+  (* a 200 s skew at the first yield runs the session past its budget:
+     the point is a hang however the attach ends, and the gate counts
+     it *)
+  let plan = Faults.create ~seed:1 ~rate:0.0 () in
+  Faults.set_skew_script plan [ (0, 200_000_000) ];
+  let pt = Fleet.Sweep.run_point ~plan ~seed:5 ~cls:None ~k:None () in
+  (match pt.Fleet.Sweep.pt_report.Fleet.Session.verdict with
+  | Faults.Abort.Bug (Hang _) -> ()
+  | v -> Alcotest.failf "want a hang, got %s" (Faults.Abort.to_string v));
+  let r = Fleet.Sweep.tally ~classes:1 [ pt ] in
+  check cint "the hang is unclean" 1 r.Fleet.Sweep.sw_unclean;
+  check cbool "gate fails" false (Fleet.Sweep.ok r);
+  let mx = Observe.Metrics.create () in
+  Fleet.Sweep.record mx r;
+  check cint "sweep.unclean counts it" 1
+    (Observe.Metrics.counter_value (Observe.Metrics.counter mx "sweep.unclean"))
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
@@ -292,5 +310,6 @@ let suite =
         t "crash-point sweep gate (subset)" test_sweep_gate_subset;
         t "sweep covers forked sessions" test_sweep_covers_forked_sessions;
         t "sweep interleaves on the scheduler" test_sweep_interleaves_on_scheduler;
+        t "a hung point fails the gate" test_sweep_hang_fails_gate;
       ] );
   ]

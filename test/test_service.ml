@@ -245,7 +245,47 @@ let test_deadline_exceeded_roundtrip () =
         (contains
            (Printf.sprintf
               "job deadline: virtual-time deadline exceeded after %d ns" late)))
-    expired
+    expired;
+  (* a detail with a tab and a carriage return stays valid JSON and
+     decodes back to the same string *)
+  let detail = "tab\there\rcr \"quoted\" back\\slash\nnewline\001" in
+  let line =
+    D.results_jsonl
+      {
+        r with
+        D.rp_records =
+          [| { (r.D.rp_records.(0)) with D.jr_status = Job.Failed detail } |];
+      }
+  in
+  let key = "\"detail\": \"" in
+  let rec find i =
+    if String.sub line i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  let b = Buffer.create 32 in
+  let rec decode i =
+    match line.[i] with
+    | '"' -> Buffer.contents b
+    | '\\' -> (
+        match line.[i + 1] with
+        | 'u' ->
+            Buffer.add_char b
+              (Char.chr (int_of_string ("0x" ^ String.sub line (i + 2) 4)));
+            decode (i + 6)
+        | c ->
+            Buffer.add_char b
+              (match c with
+              | 'n' -> '\n'
+              | 't' -> '\t'
+              | 'r' -> '\r'
+              | ('"' | '\\' | '/') as c -> c
+              | c -> Alcotest.failf "bad JSON escape \\%c" c);
+            decode (i + 2))
+    | c ->
+        Buffer.add_char b c;
+        decode (i + 1)
+  in
+  check cstr "detail decodes to itself" detail (decode (find 0))
 
 (* --- whole-service determinism --- *)
 

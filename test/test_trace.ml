@@ -352,10 +352,11 @@ let test_serve_jobs_replay_clean () =
 (* A sweep cell forked from a baked baseline records boot=fork, and its
    recording replays as a fork (a cold re-run diverges). *)
 let test_forked_sweep_cell_replays_forked () =
-  let pt, _ =
+  let pt =
     Fleet.Sweep.run_point ~baseline:(Fleet.Baseline.bake ()) ~seed:5 ~cls:None
       ~k:(Some 4) ()
   in
+  let digest = pt.Fleet.Sweep.pt_report.Fleet.Session.digest in
   let meta =
     Fleet.Sweep.cell_meta ~seed:5 ~cls:Fleet.Sweep.fault_free ~k:4 ~fork:true
       ~hostile:""
@@ -364,7 +365,7 @@ let test_forked_sweep_cell_replays_forked () =
   let oc = open_out_bin path in
   output_string oc
     (Trace.encode
-       ~meta:(meta @ [ ("digest", pt.Fleet.Sweep.pt_digest) ])
+       ~meta:(meta @ [ ("digest", digest) ])
        pt.Fleet.Sweep.pt_events);
   close_out oc;
   (match Replay.spec_of_meta meta with
@@ -387,7 +388,7 @@ let test_forked_sweep_cell_replays_forked () =
   | Error e -> Alcotest.failf "cold re-run failed: %s" e
   | Ok cold ->
       check cbool "a cold re-run is a different machine" true
-        (cold.Replay.run_digest <> pt.Fleet.Sweep.pt_digest)
+        (cold.Replay.run_digest <> digest)
 
 let suite =
   [
