@@ -8,7 +8,10 @@
 #                 one attach per LTS kernel (4.4 … 5.10), each of which
 #                 must report its ksymtab layout: absolute (value
 #                 first) for 4.4/4.9, absolute (name first) for 4.14,
-#                 prel32 for 4.19/5.4/5.10
+#                 prel32 for 4.19/5.4/5.10 — then the CLI's own
+#                 rollback oracle: `attach --detach-after` plain and
+#                 under the mem-churn and balloon hostile classes must
+#                 each exit 0 and report the guest restored
 #   smoke-net     networked attach pushing 1000 echo requests through
 #                 the side-loaded NIC
 #   fault-matrix  `vmsh fuzz --seeds 25`: 0 hangs, 0 unclean failures,
@@ -112,6 +115,22 @@ stage_smoke_attach() {
       *"ksymtab layout $want"*) ;;
       *)
         echo "ci: v$kv guest: expected ksymtab layout $want" >&2
+        return 1
+        ;;
+    esac
+  done
+  # the rollback oracle after a detach, also while a hostile guest
+  # rewrites and unmaps pages under the walker
+  for hostile in "" mem-churn balloon; do
+    out=$(vmsh attach --detach-after ${hostile:+--hostile "$hostile"} \
+      -e hostname) || {
+      echo "ci: attach --detach-after ${hostile:-plain} failed" >&2
+      return 1
+    }
+    case $out in
+      *"rollback oracle: guest restored byte-for-byte"*) ;;
+      *)
+        echo "ci: attach --detach-after ${hostile:-plain}: no clean oracle" >&2
         return 1
         ;;
     esac

@@ -1,14 +1,15 @@
-(* The rollback oracle: hash-based snapshots of guest state.
+(* The rollback oracle: snapshots of guest state over the memory write
+   log.
 
-   [capture] digests guest physical memory page-by-page (through the
-   simulated KVM's direct view — zero virtual-time cost, so snapshots
-   never perturb schedules or benchmarks) plus every vCPU register
-   file. Pages are hashed in place, and a page the guest never wrote
-   costs a precomputed zero-page digest: guest RAM is sparse and an
-   unmaterialised page is zero by construction (see [Hostos.Mem]).
-   [diff] then proves a detached/aborted attach restored the guest
-   byte-for-byte: memslot sets equal, every page digest equal outside
-   the exclusion set, registers equal.
+   [capture] hashes no memory. It takes one write-log mark per memslot
+   backing ([Hostos.Mem.mark]) and digests every vCPU register file;
+   neither costs virtual time, so snapshots never perturb schedules or
+   benchmarks. [diff] then proves a detached/aborted attach restored
+   the guest byte-for-byte: memslot sets equal, every page's digest at
+   the two captures equal outside the exclusion set, registers equal.
+   A page not written since the earlier capture held the same bytes at
+   both, so [diff] checks only the pages the log says were written,
+   and [digest] hashes a page only when it is asked for one.
 
    The exclusion set is page-granular and comes from two sources the
    caller supplies: intervals the guest itself dirtied while VMSH was
@@ -17,11 +18,20 @@
    (device ring updates jointly owned with the guest that requested
    the I/O). *)
 
-let page_size = 4096
+module Mem = Hostos.Mem
+
+let page_size = Mem.page_size
+
+type slot = {
+  slot : int;
+  gpa : int;
+  size : int;  (* page-aligned: KVM rejects any other memslot *)
+  mark : Mem.mark;  (* on the slot's backing; shared by slots on one buffer *)
+  first : int;  (* the backing's page under the slot's page 0 *)
+}
 
 type t = {
-  slots : (int * int * int * string array) list;
-      (* (slot, gpa, size, per-page digests), sorted by slot *)
+  slots : slot list;  (* sorted by slot *)
   regs : (int * string) list; (* (vcpu index, digest of register file) *)
   dirty_seen : int; (* length of the VM's dirty-interval list at capture *)
 }
@@ -29,18 +39,27 @@ type t = {
 let digest_regs regs = Digest.bytes (Kvm.Api.regs_to_bytes regs)
 
 let capture vm =
+  let marks = ref [] in
+  let mark_of m =
+    match List.assq_opt m !marks with
+    | Some k -> k
+    | None ->
+        let k = Mem.mark m in
+        marks := (m, k) :: !marks;
+        k
+  in
   let slots =
     Kvm.Vm.memslots vm
     |> List.map (fun (s : Kvm.Vm.memslot) ->
-           let pages = (s.size + page_size - 1) / page_size in
-           let digests =
-             Array.init pages (fun i ->
-                 let off = i * page_size in
-                 let len = min page_size (s.size - off) in
-                 Kvm.Vm.digest_phys vm (s.gpa + off) len)
-           in
-           (s.slot, s.gpa, s.size, digests))
-    |> List.sort compare
+           let m, off = Kvm.Vm.memslot_backing vm s in
+           {
+             slot = s.slot;
+             gpa = s.gpa;
+             size = s.size;
+             mark = mark_of m;
+             first = off / page_size;
+           })
+    |> List.sort (fun a b -> compare a.slot b.slot)
   in
   let regs =
     Kvm.Vm.vcpus vm
@@ -74,11 +93,13 @@ let excluded_pages ~gpa ~size intervals =
   excluded
 
 (* Every discrepancy between two snapshots, as human-readable lines;
-   [] means the guest state is byte-identical modulo excluded pages. *)
+   [] means the guest state is byte-identical modulo excluded pages.
+   Two captures of one slot on one buffer compare only the pages
+   written since the earlier one; any other pair compares every page. *)
 let diff ~before ~after ~exclude =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
-  let key_of (slot, gpa, size, _) = (slot, gpa, size) in
+  let key_of s = (s.slot, s.gpa, s.size) in
   let bkeys = List.map key_of before.slots
   and akeys = List.map key_of after.slots in
   List.iter
@@ -92,19 +113,28 @@ let diff ~before ~after ~exclude =
         note "memslot %d (gpa 0x%x, %d bytes) leaked" slot gpa size)
     akeys;
   List.iter
-    (fun (slot, gpa, size, bpages) ->
-      match
-        List.find_opt (fun s -> key_of s = (slot, gpa, size)) after.slots
-      with
+    (fun b ->
+      match List.find_opt (fun a -> key_of a = key_of b) after.slots with
       | None -> ()
-      | Some (_, _, _, apages) ->
-          let excl = excluded_pages ~gpa ~size exclude in
-          Array.iteri
-            (fun p bd ->
-              if (not (Hashtbl.mem excl p)) && apages.(p) <> bd then
-                note "memslot %d page %d (gpa 0x%x) differs" slot p
-                  (gpa + (p * page_size)))
-            bpages)
+      | Some a ->
+          let excl = excluded_pages ~gpa:b.gpa ~size:b.size exclude in
+          let check p =
+            if
+              (not (Hashtbl.mem excl p))
+              && Mem.digest_at b.mark (b.first + p)
+                 <> Mem.digest_at a.mark (a.first + p)
+            then
+              note "memslot %d page %d (gpa 0x%x) differs" b.slot p
+                (b.gpa + (p * page_size))
+          in
+          let count = b.size / page_size in
+          if Mem.marked b.mark == Mem.marked a.mark && b.first = a.first then
+            Mem.iter_written b.mark a.mark ~first:b.first ~count (fun i ->
+                check (i - b.first))
+          else
+            for p = 0 to count - 1 do
+              check p
+            done)
     before.slots;
   List.iter
     (fun (idx, bd) ->
@@ -118,14 +148,17 @@ let check ~before ~after ~exclude = diff ~before ~after ~exclude = []
 
 (* One hex string summarizing the whole snapshot — what the flight
    recorder's replay-diff oracle compares between a live run and its
-   replay. Folds every page digest and register digest in slot order,
-   so two snapshots digest equal iff the captured state is equal. *)
+   replay. Folds every page digest at the capture and every register
+   digest in slot order, so two snapshots digest equal iff the
+   captured state is equal. *)
 let digest t =
   let b = Buffer.create 4096 in
   List.iter
-    (fun (slot, gpa, size, pages) ->
-      Buffer.add_string b (Printf.sprintf "%d:%x:%d;" slot gpa size);
-      Array.iter (Buffer.add_string b) pages)
+    (fun s ->
+      Buffer.add_string b (Printf.sprintf "%d:%x:%d;" s.slot s.gpa s.size);
+      for p = 0 to (s.size / page_size) - 1 do
+        Buffer.add_string b (Mem.digest_at s.mark (s.first + p))
+      done)
     t.slots;
   List.iter
     (fun (idx, d) ->

@@ -20,7 +20,17 @@
    Invariant: [t] is abstract and every mutation goes through this
    module, so a page that was never materialised still equals its base
    window (all zeros under [create]). [page_digest] relies on that to
-   answer an untouched zero page with a precomputed digest. *)
+   answer an untouched zero page with a precomputed digest.
+
+   Write log: an overlay page changes in exactly three places — the two
+   mutating branches of [cow_write] (write into a private page;
+   materialise a diverging one) and the in-page fast path of
+   [scalar_write] — and each calls [log_write] before the bytes change.
+   [cow_reclaim] drops a page only when it equals its base, so it
+   changes no content. Once a buffer has a [mark], a page's first write
+   after the newest mark records the page's digest into every mark
+   taken since the page was last written; a page in no mark's table
+   still holds what it held at that mark. *)
 
 let page_size = 4096
 
@@ -40,11 +50,24 @@ type overlay = {
   pages : bytes array;  (* page index -> private copy; empty if none *)
   mutable copied : int;
   mutable silent : int;
+  mutable stamps : int array;
+      (* page index -> serial of the newest mark the page has been
+         written since (0: none); empty until the first mark *)
+  mutable marks : mark list;  (* newest first *)
 }
 
-type backing = Flat of bytes | Cow of overlay
+(* Mark [serial] of [buf]: the digest each page held at the mark,
+   recorded on its first write after the mark. *)
+and mark = {
+  buf : t;
+  log : overlay;  (* [buf]'s overlay *)
+  serial : int;
+  before : (int, Digest.t) Hashtbl.t;
+}
 
-type t = { backing : backing; len : int }
+and backing = Flat of bytes | Cow of overlay
+
+and t = { backing : backing; len : int }
 
 type cow_stats = {
   cs_pages_total : int;
@@ -57,7 +80,10 @@ let page_count len = (len + page_size - 1) / page_size
 
 let overlay ?(memo = [||]) ~base ~stride len =
   let pages = Array.make (page_count len) Bytes.empty in
-  { backing = Cow { base; memo; stride; pages; copied = 0; silent = 0 }; len }
+  let c =
+    { base; memo; stride; pages; copied = 0; silent = 0; stamps = [||]; marks = [] }
+  in
+  { backing = Cow c; len }
 
 let create len =
   if len < 0 then invalid_arg "Mem.create: negative length";
@@ -67,8 +93,8 @@ let of_bytes buf = { backing = Flat buf; len = Bytes.length buf }
 
 (* The digests of a frozen image's pages, computed on first use and
    owned by whoever owns the image: every fork of one baseline shares
-   them, so a snapshot of a fork hashes each still-shared page once per
-   image rather than once per capture. *)
+   them, so digesting a fork's memory hashes each still-shared page once
+   per image rather than once per fork. *)
 type page_digests = { of_base : bytes; digests : Digest.t option array }
 
 let page_digests base =
@@ -157,6 +183,46 @@ let region_equal a aoff b boff len =
   in
   words 0
 
+(* The digest of [len] bytes at [off], all inside one page, hashed in
+   place. An untouched page equals its base window (see the invariant
+   above), so a whole one answers without hashing: the precomputed
+   zero-page digest under [create], the image's memoised digest under a
+   [cow] view that was given one. A materialised page is always hashed,
+   even if it holds zeros or its base bytes again. *)
+let in_page_digest c off len =
+  let pi = off / page_size in
+  if len < page_size || materialised c.pages.(pi) then
+    Digest.subbytes (rd_buf c off) (rd_off c off) len
+  else if not (over_baseline c) then zero_page_digest
+  else if Array.length c.memo = 0 then Digest.subbytes c.base off len
+  else
+    match c.memo.(pi) with
+    | Some d -> d
+    | None ->
+        let d = Digest.subbytes c.base off len in
+        c.memo.(pi) <- Some d;
+        d
+
+(* The log hook, called before page [pi] changes: on the page's first
+   write since the newest mark, record its current digest in every
+   mark taken since it was last written. *)
+let log_write t c pi =
+  match c.marks with
+  | [] -> ()
+  | newest :: _ ->
+      let since = c.stamps.(pi) in
+      if since < newest.serial then begin
+        let d = in_page_digest c (pi * page_size) (page_len t pi) in
+        let rec record = function
+          | m :: older when m.serial > since ->
+              Hashtbl.add m.before pi d;
+              record older
+          | _ -> ()
+        in
+        record c.marks;
+        c.stamps.(pi) <- newest.serial
+      end
+
 (* Write [len] bytes of [src] at [soff] into an overlay at [off], page
    by page; per page, an identical write is recorded as silent and
    copies nothing. The range is already bounds-checked. *)
@@ -167,10 +233,16 @@ let cow_write t c off src soff len =
       let poff = off mod page_size in
       let chunk = min len (page_size - poff) in
       let p = c.pages.(pi) in
-      if materialised p then Bytes.blit src soff p poff chunk
+      if materialised p then begin
+        log_write t c pi;
+        Bytes.blit src soff p poff chunk
+      end
       else if region_equal c.base ((pi * c.stride) + poff) src soff chunk then
         c.silent <- c.silent + 1
-      else Bytes.blit src soff (page_rw t c pi) poff chunk;
+      else begin
+        log_write t c pi;
+        Bytes.blit src soff (page_rw t c pi) poff chunk
+      end;
       go (off + chunk) (soff + chunk) (len - chunk)
     end
   in
@@ -241,31 +313,44 @@ let write_bytes t off b =
       check_range t.len off (Bytes.length b);
       cow_write t c off b 0 (Bytes.length b)
 
-(* The digest of [len] bytes at [off], hashed in place. An untouched
-   page equals its base window (see the invariant above), so a whole
-   one answers without hashing: the precomputed zero-page digest under
-   [create], the image's memoised digest under a [cow] view that was
-   given one. A materialised page is always hashed, even if it holds
-   zeros or its base bytes again. *)
+(* The digest of [len] bytes at [off], hashed in place unless the
+   range straddles a page boundary. *)
 let page_digest t off len =
   match t.backing with
   | Flat buf -> Digest.subbytes buf off len
   | Cow c ->
       check_range t.len off len;
-      let pi = off / page_size in
       if (off mod page_size) + len > page_size then
         Digest.bytes (read_bytes t off len)
-      else if len < page_size || materialised c.pages.(pi) then
-        Digest.subbytes (rd_buf c off) (rd_off c off) len
-      else if not (over_baseline c) then zero_page_digest
-      else if Array.length c.memo = 0 then Digest.subbytes c.base off len
-      else
-        match c.memo.(pi) with
-        | Some d -> d
-        | None ->
-            let d = Digest.subbytes c.base off len in
-            c.memo.(pi) <- Some d;
-            d
+      else in_page_digest c off len
+
+let has_log t = match t.backing with Cow _ -> true | Flat _ -> false
+
+let mark t =
+  match t.backing with
+  | Flat _ -> invalid_arg "Mem.mark: a flat buffer has no write log"
+  | Cow c ->
+      if Array.length c.stamps = 0 then
+        c.stamps <- Array.make (Array.length c.pages) 0;
+      let serial = match c.marks with m :: _ -> m.serial + 1 | [] -> 1 in
+      let m = { buf = t; log = c; serial; before = Hashtbl.create 16 } in
+      c.marks <- m :: c.marks;
+      m
+
+let marked m = m.buf
+
+(* A page in no table still holds what it held at the mark. *)
+let digest_at m pi =
+  match Hashtbl.find_opt m.before pi with
+  | Some d -> d
+  | None -> page_digest m.buf (pi * page_size) (page_len m.buf pi)
+
+let iter_written a b ~first ~count f =
+  if a.buf != b.buf then invalid_arg "Mem.iter_written: marks of two buffers";
+  let since = min a.serial b.serial in
+  for pi = first to first + count - 1 do
+    if a.log.stamps.(pi) >= since then f pi
+  done
 
 (* --- scalar accessors ---
 
@@ -290,8 +375,12 @@ let scalar_write t off n v (set : bytes -> int -> int -> unit) =
   | Cow c ->
       check_range t.len off n;
       let poff = off mod page_size in
-      let p = c.pages.(off / page_size) in
-      if poff + n <= page_size && materialised p then set p poff v
+      let pi = off / page_size in
+      let p = c.pages.(pi) in
+      if poff + n <= page_size && materialised p then begin
+        log_write t c pi;
+        set p poff v
+      end
       else begin
         let tmp = Bytes.create n in
         set tmp 0 v;

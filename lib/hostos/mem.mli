@@ -12,7 +12,9 @@
     the first write that differs from its base. Because [t] is abstract
     and every mutation goes through this module, a page that was never
     materialised is equal to its base — all zeros for {!create} — by
-    construction. {!page_digest} relies on that invariant. *)
+    construction. {!page_digest} relies on that invariant, and the
+    write log ({!mark}) relies on a second one: every overlay mutation
+    passes the log hook before the bytes change. *)
 
 type t
 (** A contiguous byte buffer with little-endian accessors — a
@@ -66,6 +68,44 @@ val page_digest : t -> int -> int -> Digest.t
     {!cow} view with [digests] answers from that memo. A materialised
     page is always hashed, even if it holds zeros or its base bytes
     again. *)
+
+(** {1 Write log}
+
+    A mark records nothing when it is taken. Each page's first write
+    after a mark stores the page's digest at the mark, before the bytes
+    change; a page never written since a mark still holds its content
+    at the mark. So comparing a buffer at two marks costs one digest
+    per page written in between.
+
+    Memory bound: a buffer's first mark allocates one [int] per page;
+    each mark then holds at most one digest per page first written
+    after it, and lives as long as its buffer. *)
+
+type mark
+(** One point in a buffer's write history. *)
+
+val mark : t -> mark
+(** [mark m] starts logging [m]'s writes from now on. Raises
+    [Invalid_argument] on an {!of_bytes} buffer, whose bytes the caller
+    may change without passing through this module. *)
+
+val has_log : t -> bool
+(** [false] only for an {!of_bytes} buffer. *)
+
+val marked : mark -> t
+(** The buffer the mark was taken on. *)
+
+val digest_at : mark -> int -> Digest.t
+(** [digest_at k i] is the digest page [i] held when [k] was taken
+    ([Digest.bytes] of the page's [page_size] bytes, fewer for a short
+    last page). Hashes only a materialised page never written since. *)
+
+val iter_written : mark -> mark -> first:int -> count:int -> (int -> unit) -> unit
+(** [iter_written a b ~first ~count f] calls [f i], in ascending
+    order, for every page [i] in \[[first], [first + count]) written
+    since the earlier of the two marks; every other page in the window
+    held the same bytes at both. Raises [Invalid_argument] for marks of
+    two buffers. *)
 
 val resident_pages : t -> int
 (** Pages held privately: the materialised pages of an overlay, every

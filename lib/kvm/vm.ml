@@ -157,9 +157,10 @@ let read_phys t pa len =
   let m, off = resolve_phys t pa in
   Mem.read_bytes m off len
 
-let digest_phys t pa len =
-  let m, off = resolve_phys t pa in
-  Mem.page_digest m off len
+let memslot_backing t (s : memslot) =
+  match List.find_opt (fun i -> i.s = s) t.islots with
+  | Some i -> (i.backing, i.boff)
+  | None -> invalid_arg (Printf.sprintf "Vm.memslot_backing: no slot %d" s.slot)
 
 let mark_dirty t ~pa ~len =
   if len > 0 then t.dirty_writes <- (pa, len) :: t.dirty_writes
@@ -534,9 +535,22 @@ let vm_ioctl t ~code ~arg : int Errno.result =
           t.islots <- List.filter (fun i -> i.s.slot <> r.Api.slot) t.islots;
           Ok 0
         end
+        else if
+          (r.Api.guest_phys_addr lor r.Api.memory_size lor r.Api.userspace_addr)
+          land (Mem.page_size - 1)
+          <> 0
+        then Error Errno.EINVAL
         else begin
           match Mem.Addr_space.resolve t.owner.Proc.aspace r.Api.userspace_addr with
           | None -> Error Errno.EFAULT
+          | Some (backing, boff)
+            when boff land (Mem.page_size - 1) <> 0
+                 || boff + r.Api.memory_size > Mem.length backing
+                 || not (Mem.has_log backing) ->
+              (* the rollback oracle reads a slot through its backing's
+                 write log, page for page: the slot must start on a
+                 page of one mmapped buffer and end inside it *)
+              Error Errno.EINVAL
           | Some (backing, boff) ->
               let s =
                 {

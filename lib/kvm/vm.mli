@@ -82,10 +82,13 @@ val read_phys : t -> int -> int -> bytes
 (** In-guest view of RAM: resolves through the memslots to the
     hypervisor memory backing them. Raises on unbacked addresses. *)
 
-val digest_phys : t -> int -> int -> Digest.t
-(** [digest_phys t pa len] equals [Digest.bytes (read_phys t pa len)]
-    without copying: {!Hostos.Mem.page_digest} on the backing, so a
-    never-written page costs a precomputed digest. *)
+val memslot_backing : t -> memslot -> Hostos.Mem.t * int
+(** The buffer behind a registered memslot and the slot's offset in it:
+    page [p] of the slot is page [off / page_size + p] of the buffer.
+    KVM_SET_USER_MEMORY_REGION accepts only a page-aligned slot that
+    lies inside one overlay buffer ({!Hostos.Mem.has_log}), so the
+    offset is page-aligned and the buffer has a write log. Raises
+    [Invalid_argument] for a slot the VM does not hold. *)
 
 val write_phys : t -> int -> bytes -> unit
 val read_phys_u64 : t -> int -> int

@@ -246,6 +246,144 @@ let test_mem_page_digest () =
       Mem.cow ~digests (Bytes.copy base));
   raises_invalid "digest past the end" (fun () -> Mem.page_digest m (3 * 4096) 4096)
 
+(* --- the write log ---
+
+   Differential property: replay a random mutation sequence on a
+   zero-base buffer and on a CoW view, taking 1-3 marks along the way
+   and copying the buffer out with [read_bytes] at each one. At the
+   end, every page's digest at every mark must equal the hash of that
+   mark's copy, and every page that differs from a mark's copy must be
+   in the mark's written set. *)
+
+let log_len = (4 * 4096) + 1000
+
+type log_op =
+  | Bytes_at of int * int * int  (** off, len, byte *)
+  | Scalar of int * int * int  (** width, off, value *)
+  | Fill of int * int * int  (** off, len, byte *)
+  | Blit_flat of int * int * int  (** off, len, byte: from a flat buffer *)
+  | Blit_self of int * int * int  (** src, dst, len: overlay to overlay *)
+  | Base_at of int * int  (** off, len: the base's own bytes *)
+  | Reclaim
+  | Mark
+
+let log_op_to_string = function
+  | Bytes_at (o, n, v) -> Printf.sprintf "bytes %d+%d=%d" o n v
+  | Scalar (w, o, v) -> Printf.sprintf "u%d %d=%d" (8 * w) o v
+  | Fill (o, n, v) -> Printf.sprintf "fill %d+%d=%d" o n v
+  | Blit_flat (o, n, v) -> Printf.sprintf "blit-flat %d+%d=%d" o n v
+  | Blit_self (src, o, n) -> Printf.sprintf "blit %d->%d+%d" src o n
+  | Base_at (o, n) -> Printf.sprintf "base %d+%d" o n
+  | Reclaim -> "reclaim"
+  | Mark -> "mark"
+
+let gen_log_ops =
+  let open QCheck.Gen in
+  (* in-page offsets and offsets just below a page boundary, so scalars
+     take both the in-page fast path and the straddling path *)
+  let off =
+    oneof
+      [
+        int_bound (log_len - 1);
+        map2 (fun p d -> (p * 4096) - d) (int_range 1 4) (int_range 1 7);
+      ]
+  in
+  (* short runs stay inside a page, long ones cross pages *)
+  let len = oneof [ int_range 1 64; int_range 1 9000 ] in
+  let byte = int_bound 2 in
+  let clamp o n = min n (log_len - o) in
+  let op =
+    frequency
+      [
+        (3, map3 (fun o n v -> Bytes_at (o, clamp o n, v)) off len byte);
+        ( 4,
+          map3
+            (fun w o v -> Scalar (w, min o (log_len - w), v))
+            (oneofl [ 1; 2; 4; 8 ]) off byte );
+        (1, map3 (fun o n v -> Fill (o, clamp o n, v)) off len byte);
+        (1, map3 (fun o n v -> Blit_flat (o, clamp o n, v)) off len byte);
+        ( 1,
+          map3
+            (fun src o n -> Blit_self (src, o, min (clamp o n) (clamp src n)))
+            off off len );
+        (2, map2 (fun o n -> Base_at (o, clamp o n)) off len);
+        (1, return Reclaim);
+      ]
+  in
+  (* 1-3 marks, inserted before the op at each drawn position *)
+  map2
+    (fun marks ops ->
+      let rec weave i = function
+        | [] -> List.map (fun _ -> Mark) (List.filter (fun p -> p >= i) marks)
+        | o :: rest ->
+            List.map (fun _ -> Mark) (List.filter (fun p -> p = i) marks)
+            @ (o :: weave (i + 1) rest)
+      in
+      weave 0 ops)
+    (list_size (int_range 1 3) (int_bound 30))
+    (list_size (int_bound 30) op)
+
+let apply_log_op base m = function
+  | Bytes_at (o, n, v) -> Mem.write_bytes m o (Bytes.make n (Char.chr v))
+  | Scalar (1, o, v) -> Mem.write_u8 m o v
+  | Scalar (2, o, v) -> Mem.write_u16 m o v
+  | Scalar (4, o, v) -> Mem.write_u32 m o v
+  | Scalar (_, o, v) -> Mem.write_u64 m o v
+  | Fill (o, n, v) -> Mem.fill m o n (Char.chr v)
+  | Blit_flat (o, n, v) ->
+      Mem.blit
+        ~src:(Mem.of_bytes (Bytes.make n (Char.chr v)))
+        ~src_off:0 ~dst:m ~dst_off:o ~len:n
+  | Blit_self (src, o, n) -> Mem.blit ~src:m ~src_off:src ~dst:m ~dst_off:o ~len:n
+  | Base_at (o, n) -> Mem.write_bytes m o (Bytes.sub base o n)
+  | Reclaim -> ignore (Mem.cow_reclaim m)
+  | Mark -> ()
+
+let log_agrees base m ops =
+  let marks =
+    List.fold_left
+      (fun marks op ->
+        if op = Mark then (Mem.mark m, Mem.read_bytes m 0 log_len) :: marks
+        else begin
+          apply_log_op base m op;
+          marks
+        end)
+      [] ops
+  in
+  let pages = (log_len + 4095) / 4096 in
+  let now = Mem.read_bytes m 0 log_len in
+  List.for_all
+    (fun (k, copy) ->
+      let written = Array.make pages false in
+      Mem.iter_written k k ~first:0 ~count:pages (fun i -> written.(i) <- true);
+      List.for_all
+        (fun i ->
+          let off = i * 4096 in
+          let n = min 4096 (log_len - off) in
+          Digest.equal (Mem.digest_at k i) (Digest.subbytes copy off n)
+          && (written.(i) || Bytes.equal (Bytes.sub copy off n) (Bytes.sub now off n)))
+        (List.init pages Fun.id))
+    marks
+
+let prop_write_log_matches_copies =
+  QCheck.Test.make ~name:"write log matches a copy taken at every mark"
+    ~count:400
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map log_op_to_string ops))
+       gen_log_ops)
+    (fun ops ->
+      let zeros = Bytes.make log_len '\000' in
+      let base = Bytes.init log_len (fun i -> Char.chr (i * 7 land 3)) in
+      log_agrees zeros (Mem.create log_len) ops
+      && log_agrees base (Mem.cow ~digests:(Mem.page_digests base) base) ops)
+
+let test_mem_log_rejects_flat () =
+  raises_invalid "a flat buffer has no log" (fun () ->
+      Mem.mark (Mem.of_bytes (Bytes.create 16)));
+  let a = Mem.mark (Mem.create 4096) and b = Mem.mark (Mem.create 4096) in
+  raises_invalid "marks of two buffers" (fun () ->
+      Mem.iter_written a b ~first:0 ~count:1 ignore)
+
 (* --- Chan --- *)
 
 let test_chan_fifo () =
@@ -661,6 +799,8 @@ let suite =
         t "zero-base overlay matches flat" test_mem_zero_base_matches_flat;
         t "page digest per page kind" test_mem_page_digest;
         QCheck_alcotest.to_alcotest prop_aspace_find_free_never_overlaps;
+        QCheck_alcotest.to_alcotest prop_write_log_matches_copies;
+        t "write log rejects flat buffers" test_mem_log_rejects_flat;
       ] );
     ( "hostos.chan",
       [

@@ -60,6 +60,45 @@ let test_memslot_phys_access () =
   check cbool "is_ram" true (Vm.is_ram vm 0x1234);
   check cbool "beyond ram" false (Vm.is_ram vm (2 * 1024 * 1024))
 
+(* KVM takes only a page-aligned memslot inside one overlay buffer:
+   the rollback oracle reads each slot through its buffer's write log,
+   which a flat buffer does not have. *)
+let test_memslot_must_be_logged_pages () =
+  let h, p, th, vm_fd, vm = make_vm_env () in
+  let scratch = H.Syscall.call h p th ~nr:H.Syscall.Nr.mmap ~args:[| 0; 4096 |] in
+  let hva = H.Syscall.call h p th ~nr:H.Syscall.Nr.mmap ~args:[| 0; 65536 |] in
+  let flat = 0x6000_0000_0000 in
+  H.Mem.Addr_space.map p.H.Proc.aspace
+    {
+      base = flat;
+      len = 65536;
+      backing = H.Mem.of_bytes (Bytes.create 65536);
+      backing_off = 0;
+      tag = "flat";
+    };
+  let register ~gpa ~size ~addr =
+    Api.write_memory_region p.H.Proc.aspace ~ptr:scratch
+      { Api.slot = 0; flags = 0; guest_phys_addr = gpa; memory_size = size;
+        userspace_addr = addr };
+    H.Syscall.call h p th ~nr:H.Syscall.Nr.ioctl
+      ~args:[| vm_fd.H.Fd.num; Api.set_user_memory_region; scratch |]
+  in
+  let einval = -22 in
+  check cint "unaligned userspace address" einval
+    (register ~gpa:0 ~size:4096 ~addr:(hva + 8));
+  check cint "unaligned guest address" einval
+    (register ~gpa:0x800 ~size:4096 ~addr:hva);
+  check cint "partial page" einval (register ~gpa:0 ~size:100 ~addr:hva);
+  check cint "past the end of the mapping" einval
+    (register ~gpa:0 ~size:(2 * 65536) ~addr:hva);
+  check cint "flat buffer" einval (register ~gpa:0 ~size:4096 ~addr:flat);
+  check cint "nothing registered" 0 (List.length (Vm.memslots vm));
+  check cint "an mmapped window" 0 (register ~gpa:0 ~size:8192 ~addr:(hva + 4096));
+  let slot = List.hd (Vm.memslots vm) in
+  let backing, off = Vm.memslot_backing vm slot in
+  check cint "offset into the mapping" 4096 off;
+  check cint "the mapping's buffer" 65536 (H.Mem.length backing)
+
 let test_regs_struct_roundtrip () =
   let h, p, th, _vm_fd, _ = make_vm_env () in
   ignore th;
@@ -250,6 +289,7 @@ let suite =
       [
         t "creation + labels" test_vm_creation_labels;
         t "memslot phys access" test_memslot_phys_access;
+        t "memslot must be logged pages" test_memslot_must_be_logged_pages;
         t "regs codec" test_regs_struct_roundtrip;
         t "exit codec" test_exit_codec;
         t "mmio exit + resume" test_guest_execution_mmio_exit;
