@@ -61,3 +61,31 @@ let pack ?(extra_blocks = 64) ?clock manifest =
   Ok (backend, fs)
 
 let strip m ~keep = List.filter (fun e -> keep e.path) m
+
+(* [stats] belongs to a backend nothing else can reach, so it never
+   changes after the freeze. *)
+type frozen = { bytes : bytes; stats : Backend.stats }
+
+let freeze manifest =
+  let* backend, _ = pack manifest in
+  Ok
+    {
+      bytes = Hostos.Mem.freeze (Backend.mem backend);
+      stats = Backend.stats backend;
+    }
+
+(* A pack charges its clock only through its backend, one
+   [Clock.device_op ~blocks:1] per block read, block write and flush,
+   so replaying that many charges leaves the clock exactly where a
+   fresh pack would. *)
+let instance ~clock f =
+  let backend = Backend.of_mem ~clock (Hostos.Mem.cow f.bytes) in
+  let s = Backend.stats backend in
+  s.reads <- f.stats.reads;
+  s.writes <- f.stats.writes;
+  s.flushes <- f.stats.flushes;
+  s.trims <- f.stats.trims;
+  for _ = 1 to s.reads + s.writes + s.flushes do
+    Hostos.Clock.device_op clock ~blocks:1
+  done;
+  backend

@@ -27,6 +27,30 @@ val pack :
     [extra_blocks] of headroom) and populate a SimpleFS with it —
     directories are created implicitly. *)
 
+(** {1 Frozen images}
+
+    An image every session serves unchanged is packed once and frozen;
+    each user gets a copy-on-write {!instance} of it. An instance is
+    indistinguishable from a fresh {!pack} of the same manifest: the
+    same bytes, the same {!Backend.stats}, and the same charges on its
+    clock — a pack charges only through its backend, one
+    [Clock.device_op ~blocks:1] per block read, block write and flush,
+    and an instance replays exactly that many. *)
+
+type frozen
+(** A packed image's bytes and its pack's backend statistics. *)
+
+val freeze : manifest -> frozen Hostos.Errno.result
+(** [freeze m] is {!pack}[ m] with no clock and the default headroom,
+    frozen ([Hostos.Mem.freeze] of its backing) together with its
+    backend stats. *)
+
+val instance : clock:Hostos.Clock.t -> frozen -> Backend.t
+(** A fresh backend over a {!Hostos.Mem.cow} view of the frozen bytes,
+    its stats set to the pack's, its pack charges replayed on [clock].
+    Writes and trims stay private to the instance; siblings and the
+    frozen bytes never see them. *)
+
 val strip : manifest -> keep:(string -> bool) -> manifest
 (** Remove entries whose path the predicate rejects. *)
 

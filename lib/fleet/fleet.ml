@@ -74,7 +74,7 @@ type session_report = {
   s_fork_ns : float;
   s_total_ns : float;
   s_host : H.Host.t;
-  s_digest : string;
+  s_digest : string Lazy.t;
 }
 
 type report = {
@@ -178,7 +178,7 @@ let run_validated (cfg : Config.t) =
                 s_fork_ns = Float.nan;
                 s_total_ns = H.Clock.now_ns host.H.Host.clock;
                 s_host = host;
-                s_digest = "";
+                s_digest = Lazy.from_val "";
               }
       | _ -> ())
     outcomes;
@@ -276,7 +276,9 @@ let fork_p r p = percentile_of (fork_latencies r) p
    session order — the fleet-wide half of the replay-diff oracle. *)
 let digest r =
   Digest.to_hex
-    (Digest.string (String.concat ";" (List.map (fun s -> s.s_digest) r.r_sessions)))
+    (Digest.string
+       (String.concat ";"
+          (List.map (fun s -> Lazy.force s.s_digest) r.r_sessions)))
 
 (* The fleet's merged flight recording: each session's events in
    session order (each already tagged with its session id). Sessions

@@ -36,11 +36,17 @@ module Baseline = Baseline
     fork thousands of linked clones through per-page overlays. *)
 
 module Machine = Machine
-(** The machine every session boots: root disk, tools image, fd count. *)
+(** The machine every session boots: root disk, tools image, fd count.
+    The tools image is frozen once per process ([Machine.tools]) and
+    each [Machine.tools_image clock] is a copy-on-write
+    {!Blockdev.Image.instance} of it, charged like a fresh pack. *)
 
 module Session = Session
 (** The one attach pipeline (boot or fork through the rollback oracle)
-    and its verdict; the fleet, sweep, service and fuzzer all run it. *)
+    and its verdict; the fleet, sweep, service and fuzzer all run it.
+    A report's [digest] is lazy: it is computed only when forced
+    (the fleet digest, replay, the sweep), exact however late, and
+    until forced it retains the guest memory it will hash. *)
 
 (** Fleet configuration: a builder mirroring {!Vmsh.Attach.Config}
     (make / with_* / validate). *)
@@ -92,9 +98,13 @@ type session_report = {
   s_host : Hostos.Host.t;
       (** the session's simulated machine — carries its metrics
           registry and flight recorder for post-run aggregation *)
-  s_digest : string;
-      (** {!Vmsh.Snapshot.digest} of the guest after detach; [""] when
-          the session died before filing its report *)
+  s_digest : string Lazy.t;
+      (** {!Vmsh.Snapshot.digest} of the guest after detach, computed
+          when first forced ({!digest} forces every session's);
+          [""] when the session died before filing its report. Forcing
+          it late is exact, but until it is forced it keeps the
+          session's guest memory alive — a report that drops its
+          sessions must force or drop their digests too. *)
 }
 
 type report = {

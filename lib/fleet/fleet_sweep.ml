@@ -25,7 +25,8 @@ type point = {
   pt_class : string;  (** armed fault class, or ["fault-free"] *)
   pt_yield : int;  (** k of [abort-at-yield(k)]; the probe uses [-1] *)
   pt_report : Session.report;
-      (** outcome, oracle discrepancies, fd delta, digest and verdict *)
+      (** outcome, oracle discrepancies, fd delta, digest (already
+          forced) and verdict *)
   pt_events : Trace.event list;  (** the point's flight recording *)
   pt_virtual_ns : float;  (** the point's virtual clock at the end *)
 }
@@ -99,6 +100,9 @@ let run_point ?log_level ?plan ?baseline ?hostile ~seed ~cls ~k () =
       (Session.spec ~plan ?hostile:(Option.map (fun h -> (h, seed)) hostile)
          boot)
   in
+  (* a point outlives its host: force the digest now so the point
+     retains no guest memory *)
+  ignore (Lazy.force r.Session.digest : string);
   let point =
     {
       pt_class =

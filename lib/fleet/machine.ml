@@ -18,12 +18,19 @@ let boot_disk h ~hostname =
   Sfs.sync fs;
   disk
 
-let tools_image clock =
-  match
-    Blockdev.Image.pack ~clock [ Blockdev.Image.file "/bin/busybox" 800_000 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith (H.Errno.show e)
+(* The tools image is packed once per process, on the first session that
+   needs it, and every session serves a copy-on-write instance of it:
+   the same bytes and the same clock charges as a fresh pack, without
+   re-packing or copying 800 KB per session. *)
+let tools =
+  lazy
+    (match
+       Blockdev.Image.freeze [ Blockdev.Image.file "/bin/busybox" 800_000 ]
+     with
+    | Ok frozen -> frozen
+    | Error e -> failwith (H.Errno.show e))
+
+let tools_image clock = Blockdev.Image.instance ~clock (Lazy.force tools)
 
 let open_fds h =
   List.fold_left

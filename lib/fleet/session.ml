@@ -9,7 +9,7 @@
 
      boot or fork -> snapshot + fd watermark -> attach -> console
      "hostname" round trip -> detach -> rollback oracle -> fd-leak
-     check -> guest digest
+     check -> guest digest (lazy: computed only when read)
 
    and [verdict] files it under one {!Faults.Abort.verdict}. The fleet,
    the crash-point sweep, the job service and the trace-mutation fuzzer
@@ -59,7 +59,11 @@ type report = {
   yields : int;  (* yield points the attach crossed (0 if it failed) *)
   oracle : string list;
   leaked_fds : int;
-  digest : string;  (* "" without a machine *)
+  digest : string Lazy.t;
+      (* [Snapshot.digest] of the after-detach capture, computed when
+         first forced and exact however late: a capture answers each
+         page as of its mark. Until forced it keeps the guest memory
+         alive; "" without a machine. *)
 }
 
 (* Every bounded retry loop gives up long before this, so a session
@@ -178,7 +182,7 @@ let run ~host spec =
   let clock = host.H.Host.clock in
   let t_start = H.Clock.now_ns clock in
   let report ?(boot_ns = Float.nan) ?(attach_ns = Float.nan) ?(yields = 0)
-      ?(oracle = []) ?(leaked_fds = 0) ?(digest = "") outcome =
+      ?(oracle = []) ?(leaked_fds = 0) ?(digest = Lazy.from_val "") outcome =
     let r =
       {
         outcome;
@@ -219,5 +223,5 @@ let run ~host spec =
           (Vmsh.Snapshot.diff ~before ~after
              ~exclude:(Vmsh.Snapshot.dirty_since vm before @ !late))
         ~leaked_fds:(Machine.open_fds host - fds_before)
-        ~digest:(Vmsh.Snapshot.digest after)
+        ~digest:(lazy (Vmsh.Snapshot.digest after))
         outcome

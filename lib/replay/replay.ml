@@ -163,7 +163,7 @@ let rec execute ?log_level = function
           Ok
             {
               run_events = pt.Fleet.Sweep.pt_events;
-              run_digest = pt.Fleet.Sweep.pt_report.Fleet.Session.digest;
+              run_digest = Lazy.force pt.Fleet.Sweep.pt_report.Fleet.Session.digest;
             })
   | Serve_job { job; start_ns; ram_mb; worker; warm_cache } ->
       let host =

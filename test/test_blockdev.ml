@@ -250,6 +250,107 @@ let test_tools_image_golden () =
   check cstr "image digest" "354abc3c521c6c3875599ec2a9c512c0"
     (Digest.to_hex (Digest.bytes (Hostos.Mem.read_bytes m 0 (Hostos.Mem.length m))))
 
+(* --- Frozen images and their instances --- *)
+
+let tools_manifest = [ Image.file "/bin/busybox" 800_000 ]
+
+let nested_manifest =
+  [
+    Image.file ~content:"#!/bin/sh\necho hi\n" "/usr/local/bin/hello" 19;
+    Image.file "/usr/lib/x86_64/libbig.so" 70_000;
+    Image.file ~content:"v1\n" "/etc/deep/er/still/release" 3;
+    Image.file "/usr/local/share/blob" 4096;
+  ]
+
+let freeze_ok m =
+  match Image.freeze m with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "freeze: %a" H.Errno.pp e
+
+let image_bytes b = H.Mem.freeze (Backend.mem b)
+
+(* An instance is a fresh pack in every observable: bytes, stats, the
+   exact clock (bit for bit, from a non-round start) and counters, and
+   a file system that reads every file back. *)
+let test_instance_is_a_pack () =
+  List.iter
+    (fun (name, m) ->
+      let start () =
+        let c = H.Clock.create () in
+        H.Clock.advance c 1234.5678;
+        c
+      in
+      let pack_clock = start () and inst_clock = start () in
+      let packed =
+        match Image.pack ~clock:pack_clock m with
+        | Ok (b, _) -> b
+        | Error e -> Alcotest.failf "%s: pack: %a" name H.Errno.pp e
+      in
+      let inst = Image.instance ~clock:inst_clock (freeze_ok m) in
+      check cbool (name ^ ": same bytes") true
+        (Bytes.equal (image_bytes packed) (image_bytes inst));
+      check cbool (name ^ ": same stats") true
+        (Backend.stats packed = Backend.stats inst);
+      check Alcotest.int64 (name ^ ": same clock, bit for bit")
+        (Int64.bits_of_float (H.Clock.now_ns pack_clock))
+        (Int64.bits_of_float (H.Clock.now_ns inst_clock));
+      check cbool (name ^ ": same counters") true
+        (H.Clock.snapshot pack_clock = H.Clock.snapshot inst_clock);
+      match Sfs.mount (Backend.dev inst) with
+      | Error e -> Alcotest.failf "%s: mount: %a" name H.Errno.pp e
+      | Ok fs ->
+          List.iter
+            (fun { Image.path; size; content } ->
+              let want =
+                match content with
+                | Some c -> c
+                | None -> Image.synthetic_content ~path size
+              in
+              match Sfs.read_file fs path with
+              | Ok got ->
+                  check cstr (name ^ ": " ^ path) want (Bytes.to_string got)
+              | Error err ->
+                  Alcotest.failf "%s: read %s: %a" name path H.Errno.pp err)
+            m)
+    [ ("tools", tools_manifest); ("nested", nested_manifest) ]
+
+(* A write and a trim through one instance stay in that instance: a
+   sibling, a later instance and the frozen bytes (as a fresh pack
+   shows them) never see either. *)
+let test_instances_are_isolated () =
+  let frozen = freeze_ok nested_manifest in
+  let pristine =
+    match Image.pack nested_manifest with
+    | Ok (b, _) -> image_bytes b
+    | Error e -> Alcotest.failf "pack: %a" H.Errno.pp e
+  in
+  let instance () = Image.instance ~clock:(H.Clock.create ()) frozen in
+  let a = instance () and sibling = instance () in
+  let d = Backend.dev a in
+  let last = d.Dev.blocks - 1 in
+  d.Dev.write_block 1 (Bytes.make d.Dev.block_size 'W');
+  d.Dev.trim 2 (last - 1);
+  check cbool "the writer sees its write" true
+    (Bytes.get (d.Dev.read_block 1) 0 = 'W');
+  check cbool "the writer sees its trim" true
+    (Bytes.for_all (fun c -> c = '\000') (d.Dev.read_block 3));
+  check cbool "the write and trim changed the instance" false
+    (Bytes.equal (image_bytes a) pristine);
+  check cbool "sibling unchanged" true
+    (Bytes.equal (image_bytes sibling) pristine);
+  check cbool "later instance unchanged" true
+    (Bytes.equal (image_bytes (instance ())) pristine)
+
+(* A warm [tools_image] shares the frozen pack: it allocates a backend
+   and a page table, not 800 KB of image (a fresh pack allocates about
+   870 k words, most of them straight into the major heap). *)
+let test_warm_tools_image_allocation_bound () =
+  ignore (Fleet.Machine.tools_image (H.Clock.create ()));
+  let clock = H.Clock.create () in
+  let _, words = Alloc.words (fun () -> Fleet.Machine.tools_image clock) in
+  if words >= 10_000. then
+    Alcotest.failf "a warm tools image allocated %.0f words" words
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -277,5 +378,9 @@ let suite =
         t "strip" test_image_strip;
         t "synthetic deterministic" test_image_synthetic_deterministic;
         t "tools image golden bytes" test_tools_image_golden;
+        t "an instance is a pack" test_instance_is_a_pack;
+        t "instances are isolated" test_instances_are_isolated;
+        t "warm tools image allocation bound"
+          test_warm_tools_image_allocation_bound;
       ] );
   ]

@@ -602,6 +602,56 @@ let test_fleet_merged_metrics () =
   check cstr "stable fleet digest" (Fleet.digest r)
     (Fleet.digest (cold ~seed:9 ~vms:3))
 
+(* --- the lazy session digest --- *)
+
+(* A digest forced late equals one forced at once: the capture answers
+   every page as of its mark, so a byte written into guest RAM after
+   the session (through the hypervisor's own mapping) must not reach
+   it. *)
+let test_late_digest_is_exact () =
+  let run () =
+    let host = H.Host.create ~seed:23 () in
+    let spec = Fleet.Session.spec (Fleet.Session.cold "late") in
+    (host, Fleet.Session.run ~host spec)
+  in
+  let _, twin = run () in
+  let at_once = Lazy.force twin.Fleet.Session.digest in
+  let host, r = run () in
+  check cbool "session survived" true
+    (r.Fleet.Session.verdict = Faults.Abort.Survived);
+  check cbool "digest not computed yet" false
+    (Lazy.is_val r.Fleet.Session.digest);
+  let ram_len = 64 * 1024 * 1024 in
+  let aspace, ram =
+    List.find_map
+      (fun p ->
+        List.find_opt
+          (fun m -> m.H.Mem.Addr_space.len = ram_len)
+          (H.Mem.Addr_space.mappings p.H.Proc.aspace)
+        |> Option.map (fun m -> (p.H.Proc.aspace, m)))
+      host.H.Host.procs
+    |> Option.get
+  in
+  let va = ram.H.Mem.Addr_space.base + 0x1234 in
+  let old = Char.code (Bytes.get (H.Mem.Addr_space.read aspace va 1) 0) in
+  H.Mem.Addr_space.write aspace va (Bytes.make 1 (Char.chr (old lxor 0x5a)));
+  check cstr "late digest equals the twin's" at_once
+    (Lazy.force r.Fleet.Session.digest)
+
+(* A sweep point outlives its host, so it must hold its digest as a
+   string, never the guest memory an unforced digest would retain. *)
+let test_sweep_points_retain_no_guest () =
+  let r = Fleet.Sweep.run ~seed:5 ~classes:[ None ] ~max_yields:3 () in
+  check cint "probe + swept points" 4 (List.length r.Fleet.Sweep.sw_points);
+  List.iter
+    (fun p ->
+      let d = p.Fleet.Sweep.pt_report.Fleet.Session.digest in
+      check cbool
+        (Printf.sprintf "point k=%d digest forced" p.Fleet.Sweep.pt_yield)
+        true (Lazy.is_val d);
+      check cbool "a real digest" true (Lazy.force d <> ""))
+    r.Fleet.Sweep.sw_points
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -655,5 +705,7 @@ let suite =
         t "sharing can be disabled" test_fleet_no_sharing_all_miss;
         t "vms=8 byte-identical runs" test_fleet_deterministic;
         t "merged metrics document" test_fleet_merged_metrics;
+        t "a late digest is exact" test_late_digest_is_exact;
+        t "sweep points retain no guest" test_sweep_points_retain_no_guest;
       ] );
   ]

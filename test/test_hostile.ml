@@ -54,8 +54,9 @@ let test_cell_determinism () =
       Alcotest.(check string)
         (Hostile.name h ^ " outcome") (Sweep.outcome a) (Sweep.outcome b);
       Alcotest.(check string)
-        (Hostile.name h ^ " digest") a.Sweep.pt_report.Fleet.Session.digest
-        b.Sweep.pt_report.Fleet.Session.digest;
+        (Hostile.name h ^ " digest")
+        (Lazy.force a.Sweep.pt_report.Fleet.Session.digest)
+        (Lazy.force b.Sweep.pt_report.Fleet.Session.digest);
       Alcotest.(check int)
         (Hostile.name h ^ " events")
         (List.length a.Sweep.pt_events)

@@ -356,7 +356,7 @@ let test_forked_sweep_cell_replays_forked () =
     Fleet.Sweep.run_point ~baseline:(Fleet.Baseline.bake ()) ~seed:5 ~cls:None
       ~k:(Some 4) ()
   in
-  let digest = pt.Fleet.Sweep.pt_report.Fleet.Session.digest in
+  let digest = Lazy.force pt.Fleet.Sweep.pt_report.Fleet.Session.digest in
   let meta =
     Fleet.Sweep.cell_meta ~seed:5 ~cls:Fleet.Sweep.fault_free ~k:4 ~fork:true
       ~hostile:""
