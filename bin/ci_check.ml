@@ -7,7 +7,8 @@
      ci_check trace FILE         chrome trace: every attach phase as a
                                  matched B/E span, an ioregionfd exit,
                                  no legacy kvm.exit: names
-     ci_check net-metrics FILE   vmsh-net counters + echo histogram
+     ci_check net-metrics FILE   vmsh-net counters + echo histogram +
+                                 the console, net and blk driver meters
      ci_check bench FILE         BENCH_results.json scenarios
      ci_check fuzz FILE          fault-matrix gate: 0 hangs, 0 unclean,
                                  every fault class exercised
@@ -300,7 +301,16 @@ let check_net_metrics path =
     field_exn ~ctx:path (field_exn ~ctx:path j "histograms") "net-echo.request_ns"
   in
   let count = int_field ~ctx:path hist "count" in
-  if count <> 1000 then fail "%s: echo histogram count: %d" path count
+  if count <> 1000 then fail "%s: echo histogram count: %d" path count;
+  (* every virtio driver meter on the path recorded under its name *)
+  List.iter
+    (fun name ->
+      match field (field_exn ~ctx:path j "histograms") name with
+      | None -> fail "%s: missing driver histogram %S" path name
+      | Some h ->
+          let n = int_field ~ctx:path h "count" in
+          if n < 1 then fail "%s: driver histogram %S count %d < 1" path name n)
+    [ "vmsh-console.tx_ns"; "vmsh-net.tx_ns"; "vmsh-blk.read_ns"; "guest-blk.read_ns" ]
 
 let check_bench path =
   let j = load path in

@@ -158,6 +158,11 @@ let signal t fd =
   Bytes.set_int64_le b 0 1L;
   ignore (fd.Fd.ops.write b)
 
+(* Raise the device's interrupt: set its status bit, signal its irqfd. *)
+let interrupt t h =
+  Mmio.Device.assert_irq h.regs;
+  signal t h.irqfd
+
 let host_observe t = (Tracee.host t.tracee).Hostos.Host.observe
 
 let incr_counter t name ~by =
@@ -208,8 +213,7 @@ let process_blk t h =
       if n > 0 then begin
         t.requests <- t.requests + n;
         incr_counter t "vmsh-blk.requests" ~by:n;
-        Mmio.Device.assert_irq h.regs;
-        signal t h.irqfd
+        interrupt t h
       end
 
 (* --- the network device --- *)
@@ -238,8 +242,7 @@ let try_feed_net_h t h =
       go ();
       if !delivered > 0 then begin
         incr_counter t "vmsh-net.rx_frames" ~by:!delivered;
-        Mmio.Device.assert_irq h.regs;
-        signal t h.irqfd
+        interrupt t h
       end
 
 let process_net_tx t h =
@@ -257,8 +260,7 @@ let process_net_tx t h =
       in
       if n > 0 then begin
         incr_counter t "vmsh-net.tx_frames" ~by:n;
-        Mmio.Device.assert_irq h.regs;
-        signal t h.irqfd;
+        interrupt t h;
         (* The fabric runs inside the kick: frames propagate, peers
            respond, and responses land back in [net_pending] before the
            guest resumes — keeping the whole exchange deterministic. *)
@@ -269,71 +271,7 @@ let process_net_tx t h =
         | None -> ()
       end
 
-(* --- the 9p device (serves the tools image as a file tree) --- *)
-
-let ninep_backend t fs =
-  let module Sfs = Blockdev.Simplefs in
-  let charge_pages len =
-    for _ = 1 to max 1 ((len + 4095) / 4096) do
-      Clock.page_cache_hit t.clock
-    done
-  in
-  {
-    Virtio.Ninep.Device.handle =
-      (fun req ->
-        (* path walk + open + IO against VMSH's own file system — the
-           same per-message syscall tax as the hypervisor's 9p server *)
-        Clock.context_switch t.clock;
-        for _ = 1 to 4 do
-          Clock.syscall t.clock;
-          Clock.fs_op t.clock
-        done;
-        Clock.context_switch t.clock;
-        let ok payload = { Virtio.Ninep.status = 0; payload } in
-        let err e =
-          {
-            Virtio.Ninep.status = Hostos.Errno.to_code e;
-            payload = Bytes.empty;
-          }
-        in
-        match req with
-        | Virtio.Ninep.Read { path; off; len } -> (
-            charge_pages len;
-            match Sfs.lookup fs path with
-            | Error e -> err e
-            | Ok ino -> (
-                match Sfs.read fs ino ~off ~len with
-                | Ok data -> ok data
-                | Error e -> err e))
-        | Virtio.Ninep.Write { path; off; data } -> (
-            charge_pages (Bytes.length data);
-            let ino =
-              match Sfs.lookup fs path with
-              | Ok ino -> Ok ino
-              | Error Hostos.Errno.ENOENT -> Sfs.create fs path
-              | Error e -> Error e
-            in
-            match ino with
-            | Error e -> err e
-            | Ok ino -> (
-                match Sfs.write fs ino ~off data with
-                | Ok n ->
-                    let b = Bytes.create 8 in
-                    Bytes.set_int64_le b 0 (Int64.of_int n);
-                    ok b
-                | Error e -> err e))
-        | Virtio.Ninep.Create path -> (
-            match Sfs.create fs path with
-            | Ok _ | Error Hostos.Errno.EEXIST -> ok Bytes.empty
-            | Error e -> err e)
-        | Virtio.Ninep.Stat path -> (
-            match Sfs.stat fs path with
-            | Ok st ->
-                let b = Bytes.create 16 in
-                Bytes.set_int64_le b 0 (Int64.of_int st.Sfs.st_size);
-                ok b
-            | Error e -> err e));
-  }
+(* --- the 9p device: the hypervisor's 9p server, over the tools image --- *)
 
 let process_ninep t h =
   pump_stage t "ninep";
@@ -344,12 +282,12 @@ let process_ninep t h =
       | None -> ()
       | Some q ->
           let n =
-            Virtio.Ninep.Device.process q (remote_gmem t) (ninep_backend t fs)
+            Virtio.Ninep.Device.process q (remote_gmem t)
+              (Virtio.Ninep.Device.backend_of_simplefs ~clock:t.clock fs)
           in
           if n > 0 then begin
             incr_counter t "vmsh-9p.requests" ~by:n;
-            Mmio.Device.assert_irq h.regs;
-            signal t h.irqfd
+            interrupt t h
           end)
 
 let try_feed_console t h =
@@ -367,10 +305,7 @@ let try_feed_console t h =
             ignore
               (Chan.write t.console_in
                  (Bytes.sub pending delivered (Bytes.length pending - delivered)));
-          if delivered > 0 then begin
-            Mmio.Device.assert_irq h.regs;
-            signal t h.irqfd
-          end
+          if delivered > 0 then interrupt t h
       | _ -> ())
 
 let process_console_tx t h =
@@ -382,10 +317,7 @@ let process_console_tx t h =
         Virtio.Console.Device.process_tx txq (remote_gmem t) ~sink:(fun b ->
             ignore (Chan.write t.console_out b))
       in
-      if n > 0 then begin
-        Mmio.Device.assert_irq h.regs;
-        signal t h.irqfd
-      end
+      if n > 0 then interrupt t h
 
 let default_mac = Net.Frame.make_mac ~vendor:0x0566 ~serial:1
 

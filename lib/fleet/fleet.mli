@@ -137,6 +137,10 @@ val record : Observe.Metrics.t -> label:string -> report -> unit
     the successful sessions, plus [symcache.hits] / [symcache.misses]
     / [fleet.yields.<label>] / [fleet.failures.<label>] counters. *)
 
+val percentile_of : float list -> float -> float
+(** [percentile_of xs 0.99]: nearest-rank percentile (the
+    [⌈p·n⌉]-th smallest value); [nan] for an empty list. *)
+
 val attach_p : report -> float -> float
 (** [attach_p r 0.99]: percentile over the successful sessions' attach
     latencies (virtual ns); [nan] when none succeeded. *)

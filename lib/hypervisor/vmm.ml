@@ -157,75 +157,15 @@ let process_blk t slot =
 
 (* --- the 9p device --- *)
 
-let ninep_backend t root =
-  let module Sfs = Blockdev.Simplefs in
-  let clock = t.h.Host.clock in
-  let charge_pages len =
-    for _ = 1 to max 1 ((len + 4095) / 4096) do
-      Clock.page_cache_hit clock
-    done
-  in
-  {
-    Virtio.Ninep.Device.handle =
-      (fun req ->
-        (* the 9p server re-resolves the path (walk), opens and touches
-           the host file system and its page cache on every message —
-           the double-stack the paper blames for qemu-9p's IOPS *)
-        Clock.context_switch clock;
-        for _ = 1 to 4 do
-          Clock.syscall clock;
-          Clock.fs_op clock
-        done;
-        Clock.context_switch clock;
-        let ok payload = { Virtio.Ninep.status = 0; payload } in
-        let err e =
-          { Virtio.Ninep.status = Errno.to_code e; payload = Bytes.empty }
-        in
-        match req with
-        | Virtio.Ninep.Read { path; off; len } -> (
-            charge_pages len;
-            match Sfs.lookup root path with
-            | Error e -> err e
-            | Ok ino -> (
-                match Sfs.read root ino ~off ~len with
-                | Ok data -> ok data
-                | Error e -> err e))
-        | Virtio.Ninep.Write { path; off; data } -> (
-            charge_pages (Bytes.length data);
-            let ino =
-              match Sfs.lookup root path with
-              | Ok ino -> Ok ino
-              | Error Errno.ENOENT -> Sfs.create root path
-              | Error e -> Error e
-            in
-            match ino with
-            | Error e -> err e
-            | Ok ino -> (
-                match Sfs.write root ino ~off data with
-                | Ok n ->
-                    let b = Bytes.create 8 in
-                    Bytes.set_int64_le b 0 (Int64.of_int n);
-                    ok b
-                | Error e -> err e))
-        | Virtio.Ninep.Create path -> (
-            match Sfs.create root path with
-            | Ok _ | Error Errno.EEXIST -> ok Bytes.empty
-            | Error e -> err e)
-        | Virtio.Ninep.Stat path -> (
-            match Sfs.stat root path with
-            | Ok st ->
-                let b = Bytes.create 16 in
-                Bytes.set_int64_le b 0 (Int64.of_int st.Sfs.st_size);
-                ok b
-            | Error e -> err e));
-  }
-
 let process_ninep root t slot =
   drain_eventfd t slot;
   match create_queue t slot 0 with
   | None -> ()
   | Some q ->
-      let n = Virtio.Ninep.Device.process q (vmm_gmem t) (ninep_backend t root) in
+      let n =
+        Virtio.Ninep.Device.process q (vmm_gmem t)
+          (Virtio.Ninep.Device.backend_of_simplefs ~clock:t.h.Host.clock root)
+      in
       if n > 0 then signal_completion t slot
 
 (* --- setup --- *)

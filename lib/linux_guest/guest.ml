@@ -288,39 +288,26 @@ let register_device_at t ~device_type ~base ~via =
     printk t (Printf.sprintf "%s: probe failed: %s" what e);
     neg_errno Errno.ENODEV
   in
+  let probe name init store =
+    match
+      probe_device t ~base ~expect:device_type
+        ~init:(init ~obs:(observe_of t) ~name)
+    with
+    | Ok drv ->
+        store drv;
+        registered name
+    | Error e -> failed name e
+  in
   if device_type = Virtio.Blk.device_id then
-    match probe_device t ~base ~expect:device_type ~init:Virtio.Blk.Driver.init with
-    | Ok drv ->
-        Virtio.Blk.Driver.set_observe drv (observe_of t) ~name:"vmsh-blk";
-        t.vmsh_blk_drv <- Some drv;
-        registered "vmsh-blk"
-    | Error e -> failed "vmsh-blk" e
+    probe "vmsh-blk" Virtio.Blk.Driver.init (fun d -> t.vmsh_blk_drv <- Some d)
   else if device_type = Virtio.Console.device_id then
-    match
-      probe_device t ~base ~expect:device_type ~init:Virtio.Console.Driver.init
-    with
-    | Ok drv ->
-        Virtio.Console.Driver.set_observe drv (observe_of t)
-          ~name:"vmsh-console";
-        t.vmsh_console_drv <- Some drv;
-        registered "vmsh-console"
-    | Error e -> failed "vmsh-console" e
+    probe "vmsh-console" Virtio.Console.Driver.init (fun d ->
+        t.vmsh_console_drv <- Some d)
   else if device_type = Virtio.Net.device_id then
-    match probe_device t ~base ~expect:device_type ~init:Virtio.Net.Driver.init with
-    | Ok drv ->
-        Virtio.Net.Driver.set_observe drv (observe_of t) ~name:"vmsh-net";
-        t.vmsh_net_drv <- Some drv;
-        registered "vmsh-net"
-    | Error e -> failed "vmsh-net" e
+    probe "vmsh-net" Virtio.Net.Driver.init (fun d -> t.vmsh_net_drv <- Some d)
   else if device_type = Virtio.Ninep.device_id then
-    match
-      probe_device t ~base ~expect:device_type ~init:Virtio.Ninep.Driver.init
-    with
-    | Ok drv ->
-        Virtio.Ninep.Driver.set_observe drv (observe_of t) ~name:"vmsh-9p";
-        t.vmsh_ninep_drv <- Some drv;
-        registered "vmsh-9p"
-    | Error e -> failed "vmsh-9p" e
+    probe "vmsh-9p" Virtio.Ninep.Driver.init (fun d ->
+        t.vmsh_ninep_drv <- Some d)
   else neg_errno Errno.ENODEV
 
 let install_kfuns t =
@@ -745,10 +732,10 @@ let probe_pci_boot_blk t =
   | Some cfg when cfg.Virtio.Pci.Config.device_type = Virtio.Blk.device_id -> (
       match
         probe_device t ~base:cfg.Virtio.Pci.Config.bar0
-          ~expect:Virtio.Blk.device_id ~init:Virtio.Blk.Driver.init
+          ~expect:Virtio.Blk.device_id
+          ~init:(Virtio.Blk.Driver.init ~obs:(observe_of t) ~name:"guest-blk")
       with
       | Ok drv ->
-          Virtio.Blk.Driver.set_observe drv (observe_of t) ~name:"guest-blk";
           t.boot_blk_drv <- Some drv;
           printk t "virtio-pci: block device at 0000:00:00.0";
           mount_root_from t drv
@@ -759,20 +746,19 @@ let mount_boot_devices t =
   (* Probe the hypervisor-emulated devices at the standard window. *)
   (match
      probe_device t ~base:Layout.virtio_mmio_base ~expect:Virtio.Blk.device_id
-       ~init:Virtio.Blk.Driver.init
+       ~init:(Virtio.Blk.Driver.init ~obs:(observe_of t) ~name:"guest-blk")
    with
   | Ok drv ->
-      Virtio.Blk.Driver.set_observe drv (observe_of t) ~name:"guest-blk";
       t.boot_blk_drv <- Some drv;
       mount_root_from t drv
   | Error _ -> probe_pci_boot_blk t);
   (match
      probe_device t
        ~base:(Layout.virtio_mmio_base + (2 * Layout.virtio_mmio_stride))
-       ~expect:Virtio.Ninep.device_id ~init:Virtio.Ninep.Driver.init
+       ~expect:Virtio.Ninep.device_id
+       ~init:(Virtio.Ninep.Driver.init ~obs:(observe_of t) ~name:"guest-9p")
    with
   | Ok drv ->
-      Virtio.Ninep.Driver.set_observe drv (observe_of t) ~name:"guest-9p";
       t.boot_ninep_drv <- Some drv;
       printk t "9p: host file sharing mounted on /host"
   | Error _ -> ());

@@ -213,15 +213,6 @@ type flood_report = {
   fl_resident_bytes : int;
 }
 
-let percentile xs q =
-  match xs with
-  | [] -> Float.nan
-  | xs ->
-      let a = Array.of_list xs in
-      Array.sort compare a;
-      let n = Array.length a in
-      a.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
-
 let serve_flood p ~handler ~requests =
   for id = 0 to requests - 1 do
     ignore
@@ -231,7 +222,7 @@ let serve_flood p ~handler ~requests =
     fl_requests = requests;
     fl_served = p.cp_served;
     fl_errors = p.cp_errors;
-    fl_fork_p50_ns = percentile p.cp_fork_ns 0.50;
-    fl_fork_p99_ns = percentile p.cp_fork_ns 0.99;
+    fl_fork_p50_ns = Fleet.percentile_of p.cp_fork_ns 0.50;
+    fl_fork_p99_ns = Fleet.percentile_of p.cp_fork_ns 0.99;
     fl_resident_bytes = p.cp_resident_bytes;
   }

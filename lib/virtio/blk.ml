@@ -48,82 +48,57 @@ module Device = struct
     (typ, sector)
 
   let process q g backend =
-    let completed = ref 0 in
-    let rec loop () =
-      match Queue.Device.pop q with
-      | None -> ()
-      | Some (head, buffers) ->
-          (match buffers with
-          | hdr_buf :: rest when not hdr_buf.Queue.Device.writable -> (
-              let typ, sector = parse_header g hdr_buf in
-              (* last writable buffer is the status byte *)
-              let rec split_status acc = function
-                | [] -> (List.rev acc, None)
-                | [ last ] when last.Queue.Device.writable -> (List.rev acc, Some last)
-                | b :: more -> split_status (b :: acc) more
+    Plumbing.Device.serve q (fun buffers ->
+        match buffers with
+        | hdr_buf :: rest when not hdr_buf.Queue.Device.writable ->
+            let typ, sector = parse_header g hdr_buf in
+            (* last writable buffer is the status byte *)
+            let rec split_status acc = function
+              | [] -> (List.rev acc, None)
+              | [ last ] when last.Queue.Device.writable -> (List.rev acc, Some last)
+              | b :: more -> split_status (b :: acc) more
+            in
+            let data_bufs, status_buf = split_status [] rest in
+            let put_status code =
+              match status_buf with
+              | Some sb ->
+                  g.Gmem.write ~addr:sb.Queue.Device.addr
+                    (Bytes.make 1 (Char.chr code))
+              | None -> ()
+            in
+            let in_range len =
+              sector >= 0
+              && sector + ((len + sector_size - 1) / sector_size)
+                 <= backend.capacity_sectors
+            in
+            if typ = t_in then begin
+              let data_len =
+                List.fold_left (fun a b -> a + b.Queue.Device.len) 0 data_bufs
               in
-              let data_bufs, status_buf = split_status [] rest in
-              let put_status code =
-                match status_buf with
-                | Some sb ->
-                    g.Gmem.write ~addr:sb.Queue.Device.addr
-                      (Bytes.make 1 (Char.chr code))
-                | None -> ()
-              in
-              if typ = t_in then begin
-                let data_len =
-                  List.fold_left (fun a b -> a + b.Queue.Device.len) 0 data_bufs
-                in
-                let valid =
-                  sector >= 0
-                  && sector + ((data_len + sector_size - 1) / sector_size)
-                     <= backend.capacity_sectors
-                in
-                if not valid then put_status status_ioerr
-                else begin
-                  let data = backend.read ~sector ~len:data_len in
-                  let rec scatter off = function
-                    | [] -> ()
-                    | [ b ] when off = 0 ->
-                        (* the whole request in one buffer: no sub-copy *)
-                        g.Gmem.write ~addr:b.Queue.Device.addr data
-                    | b :: more ->
-                        g.Gmem.write ~addr:b.Queue.Device.addr
-                          (Bytes.sub data off b.Queue.Device.len);
-                        scatter (off + b.Queue.Device.len) more
-                  in
-                  scatter 0 data_bufs;
-                  put_status status_ok;
-                  Queue.Device.push_used q ~head ~written:(data_len + 1)
-                end;
-                if not valid then Queue.Device.push_used q ~head ~written:1
+              if not (in_range data_len) then begin
+                put_status status_ioerr;
+                1
               end
-              else if typ = t_out then begin
-                let gather b =
-                  g.Gmem.read ~addr:b.Queue.Device.addr ~len:b.Queue.Device.len
-                in
-                let data =
-                  match data_bufs with
-                  | [ b ] -> gather b
-                  | bufs -> Bytes.concat Bytes.empty (List.map gather bufs)
-                in
-                let valid =
-                  sector >= 0
-                  && sector
-                     + ((Bytes.length data + sector_size - 1) / sector_size)
-                     <= backend.capacity_sectors
-                in
-                if valid then begin
+              else begin
+                ignore
+                  (Plumbing.Device.scatter g data_bufs
+                     (backend.read ~sector ~len:data_len));
+                put_status status_ok;
+                data_len + 1
+              end
+            end
+            else begin
+              if typ = t_out then begin
+                let data = Plumbing.Device.gather g data_bufs in
+                if in_range (Bytes.length data) then begin
                   backend.write ~sector data;
                   put_status status_ok
                 end
-                else put_status status_ioerr;
-                Queue.Device.push_used q ~head ~written:1
+                else put_status status_ioerr
               end
               else if typ = t_flush then begin
                 backend.flush ();
-                put_status status_ok;
-                Queue.Device.push_used q ~head ~written:1
+                put_status status_ok
               end
               else if typ = t_discard then begin
                 (match data_bufs with
@@ -135,24 +110,19 @@ module Device = struct
                     in
                     backend.discard ~sector:dsec ~len:(dcount * sector_size)
                 | [] -> ());
-                put_status status_ok;
-                Queue.Device.push_used q ~head ~written:1
+                put_status status_ok
               end
-              else begin
-                put_status status_unsupp;
-                Queue.Device.push_used q ~head ~written:1
-              end)
-          | _ ->
-              (* malformed request: complete it with no status *)
-              Queue.Device.push_used q ~head ~written:0);
-          incr completed;
-          loop ()
-    in
-    loop ();
-    !completed
+              else put_status status_unsupp;
+              1
+            end
+        | _ ->
+            (* malformed request: complete it with no status *)
+            0)
 end
 
 module Driver = struct
+  module P = Plumbing.Driver
+
   type slot = {
     hdr_addr : int;
     data_addr : int;
@@ -166,12 +136,12 @@ module Driver = struct
     queue : Queue.Driver.t;
     slots : slot array;
     capacity : int;
-    mutable obs : (Observe.t * string) option;
+    meter : P.meter;
   }
 
   let num_slots = 8
 
-  let init ~gmem ~access ~alloc =
+  let init ~obs ~name ~gmem ~access ~alloc =
     match Mmio.probe access ~gmem ~expect_device:device_id ~alloc ~queues:1 with
     | Error e -> Error e
     | Ok queues ->
@@ -194,32 +164,11 @@ module Driver = struct
             queue = queues.(0);
             slots;
             capacity = Mmio.read_config_u64 access 0;
-            obs = None;
+            meter = P.meter obs ~name;
           }
 
   let capacity_sectors t = t.capacity
   let queue t = t.queue
-  let set_observe t obs ~name = t.obs <- Some (obs, name)
-
-  (* Queue-in to completion latency in virtual ns, recorded per request
-     kind into "<name>.<op>_ns". *)
-  let measure t op ~bytes f =
-    match t.obs with
-    | None -> f ()
-    | Some (obs, name) ->
-        let t0 = Observe.now obs in
-        let r = f () in
-        let dt = Observe.now obs -. t0 in
-        Observe.Metrics.observe
-          (Observe.Metrics.histogram (Observe.metrics obs)
-             (name ^ "." ^ op ^ "_ns"))
-          dt;
-        if Observe.enabled obs then
-          Trace.Recorder.record (Observe.recorder obs) ~phase:Trace.Instant
-            ~kind:(name ^ "." ^ op)
-            ~args:[ ("ns", Trace.I (int_of_float dt)); ("bytes", Trace.I bytes) ]
-            ();
-        r
 
   let take_slot t =
     let find () = Array.find_opt (fun s -> not s.busy) t.slots in
@@ -238,81 +187,62 @@ module Driver = struct
     Bytes.set_int64_le hdr 8 (Int64.of_int sector);
     t.g.Gmem.write ~addr:slot.hdr_addr hdr
 
-  let kick t =
-    t.access.Mmio.mwrite ~off:Mmio.reg_queue_notify
-      (let b = Bytes.create 4 in
-       Bytes.set_int32_le b 0 0l;
-       b)
-
-  let submit_and_wait t ~out ~in_ =
-    let head =
-      match Queue.Driver.add t.queue ~out ~in_ with
-      | Some h -> h
-      | None ->
-          Effect.perform
-            (Kvm.Vm.Yield_until (fun () -> Queue.Driver.in_flight t.queue < Queue.Driver.qsz t.queue));
-          (match Queue.Driver.add t.queue ~out ~in_ with
-          | Some h -> h
-          | None -> failwith "virtio-blk driver: ring full after wakeup")
-    in
-    kick t;
-    Effect.perform
-      (Kvm.Vm.Yield_until (fun () -> Queue.Driver.completed t.queue ~head))
-
   let status_of t slot =
     Char.code (Bytes.get (t.g.Gmem.read ~addr:slot.status_addr ~len:1) 0)
 
-  let check t slot op =
-    let st = status_of t slot in
-    slot.busy <- false;
-    if st <> status_ok then
-      failwith (Printf.sprintf "virtio-blk %s failed with status %d" op st)
+  (* One request through a free slot: the header, then [data] (if any)
+     copied into the slot, then a chain of the header, that data, a
+     [read_len]-byte answer (if any) and the status byte. Returns the
+     answer read back out of the slot. *)
+  let request t op ~typ ~sector ~bytes ~data ~read_len =
+    P.measure t.meter op ~bytes:(Some bytes) (fun () ->
+        let slot = take_slot t in
+        write_header t slot ~typ ~sector;
+        let out =
+          match data with
+          | None -> []
+          | Some d ->
+              t.g.Gmem.write ~addr:slot.data_addr d;
+              [ (slot.data_addr, Bytes.length d) ]
+        in
+        let answer = Option.map (fun len -> (slot.data_addr, len)) read_len in
+        P.submit t.access t.queue ~queue:0
+          ~out:((slot.hdr_addr, header_size) :: out)
+          ~in_:(Option.to_list answer @ [ (slot.status_addr, 1) ]);
+        let r =
+          Option.map (fun (addr, len) -> t.g.Gmem.read ~addr ~len) answer
+        in
+        let st = status_of t slot in
+        slot.busy <- false;
+        if st <> status_ok then
+          failwith (Printf.sprintf "virtio-blk %s failed with status %d" op st);
+        r)
 
   let read t ~sector ~len =
     if len > max_data then invalid_arg "virtio-blk read: request too large";
-    measure t "read" ~bytes:len (fun () ->
-        let slot = take_slot t in
-        write_header t slot ~typ:t_in ~sector;
-        submit_and_wait t
-          ~out:[ (slot.hdr_addr, header_size) ]
-          ~in_:[ (slot.data_addr, len); (slot.status_addr, 1) ];
-        let data = t.g.Gmem.read ~addr:slot.data_addr ~len in
-        check t slot "read";
-        data)
+    Option.get
+      (request t "read" ~typ:t_in ~sector ~bytes:len ~data:None
+         ~read_len:(Some len))
 
   let write t ~sector data =
     let len = Bytes.length data in
     if len > max_data then invalid_arg "virtio-blk write: request too large";
-    measure t "write" ~bytes:len (fun () ->
-        let slot = take_slot t in
-        write_header t slot ~typ:t_out ~sector;
-        t.g.Gmem.write ~addr:slot.data_addr data;
-        submit_and_wait t
-          ~out:[ (slot.hdr_addr, header_size); (slot.data_addr, len) ]
-          ~in_:[ (slot.status_addr, 1) ];
-        check t slot "write")
+    ignore
+      (request t "write" ~typ:t_out ~sector ~bytes:len ~data:(Some data)
+         ~read_len:None)
 
   let flush t =
-    measure t "flush" ~bytes:0 (fun () ->
-        let slot = take_slot t in
-        write_header t slot ~typ:t_flush ~sector:0;
-        submit_and_wait t
-          ~out:[ (slot.hdr_addr, header_size) ]
-          ~in_:[ (slot.status_addr, 1) ];
-        check t slot "flush")
+    ignore
+      (request t "flush" ~typ:t_flush ~sector:0 ~bytes:0 ~data:None
+         ~read_len:None)
 
   let discard t ~sector ~count =
-    measure t "discard" ~bytes:(count * sector_size) (fun () ->
-        let slot = take_slot t in
-        write_header t slot ~typ:t_discard ~sector:0;
-        let seg = Bytes.make 16 '\000' in
-        Bytes.set_int64_le seg 0 (Int64.of_int sector);
-        Bytes.set_int32_le seg 8 (Int32.of_int count);
-        t.g.Gmem.write ~addr:slot.data_addr seg;
-        submit_and_wait t
-          ~out:[ (slot.hdr_addr, header_size); (slot.data_addr, 16) ]
-          ~in_:[ (slot.status_addr, 1) ];
-        check t slot "discard")
+    let seg = Bytes.make 16 '\000' in
+    Bytes.set_int64_le seg 0 (Int64.of_int sector);
+    Bytes.set_int32_le seg 8 (Int32.of_int count);
+    ignore
+      (request t "discard" ~typ:t_discard ~sector:0
+         ~bytes:(count * sector_size) ~data:(Some seg) ~read_len:None)
 
   let to_blockdev t =
     let bs = Blockdev.Dev.block_size in

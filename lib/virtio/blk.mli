@@ -45,21 +45,24 @@ module Driver : sig
   type t
 
   val init :
-    gmem:Gmem.t -> access:Mmio.access -> alloc:(size:int -> int) ->
+    obs:Observe.t ->
+    name:string ->
+    gmem:Gmem.t ->
+    access:Mmio.access ->
+    alloc:(size:int -> int) ->
     (t, string) result
   (** Probe the transport, set up queue 0 and the DMA slot pool, read
-      the capacity from config space. Runs as guest code. *)
+      the capacity from config space. Runs as guest code. Each request's
+      latency (queue-in to completion, virtual ns) goes into
+      ["<name>.read_ns"], ["<name>.write_ns"], ["<name>.flush_ns"] or
+      ["<name>.discard_ns"] on [obs]'s metrics; with tracing on, a
+      ["<name>.<op>"] instant carries [ns] and [bytes]. *)
 
   val capacity_sectors : t -> int
 
   val queue : t -> Queue.Driver.t
   (** The request queue — exposed so an in-guest adversary (the
       hostile-guest engine) can reach its own ring addresses. *)
-
-  val set_observe : t -> Observe.t -> name:string -> unit
-  (** Record per-request latency (queue-in to completion, virtual ns)
-      into histograms ["<name>.read_ns"], ["<name>.write_ns"], etc. on
-      the given tracer's metrics registry. Off by default. *)
 
   val read : t -> sector:int -> len:int -> bytes
   (** Issue one request (up to 256 KiB); blocks the calling guest

@@ -20,13 +20,16 @@ module Driver : sig
   type t
 
   val init :
-    gmem:Gmem.t -> access:Mmio.access -> alloc:(size:int -> int) ->
+    obs:Observe.t ->
+    name:string ->
+    gmem:Gmem.t ->
+    access:Mmio.access ->
+    alloc:(size:int -> int) ->
     (t, string) result
-  (** Probe and post the initial receive buffers. Guest code. *)
-
-  val set_observe : t -> Observe.t -> name:string -> unit
-  (** Record transmit latency (virtual ns) into ["<name>.tx_ns"] on the
-      given tracer's metrics registry. Off by default. *)
+  (** Probe and post the initial receive buffers. Guest code. Transmit
+      latency (virtual ns) goes into ["<name>.tx_ns"] on [obs]'s
+      metrics; with tracing on, a ["<name>.tx"] instant carries [ns]
+      and [bytes]. *)
 
   val write : t -> bytes -> unit
   (** Transmit, blocking until the device consumed the buffer. *)

@@ -24,63 +24,49 @@ module Device = struct
      when the guest has no buffer posted (the frame is dropped, exactly
      like a real NIC with an empty ring). *)
   let feed_rx q g frame =
-    match Queue.Device.pop q with
+    let data = Bytes.cat (Bytes.make hdr_size '\000') frame in
+    match
+      Plumbing.Device.serve_one q (fun buffers ->
+          Plumbing.Device.scatter g buffers data)
+    with
     | None -> false
-    | Some (head, buffers) ->
-        let data = Bytes.cat (Bytes.make hdr_size '\000') frame in
-        let total = Bytes.length data in
-        let delivered = ref 0 in
-        List.iter
-          (fun (b : Queue.Device.buffer) ->
-            if b.writable && !delivered < total then begin
-              let chunk = min b.len (total - !delivered) in
-              g.Gmem.write ~addr:b.addr (Bytes.sub data !delivered chunk);
-              delivered := !delivered + chunk
-            end)
-          buffers;
-        Queue.Device.push_used q ~head ~written:!delivered;
-        !delivered = total
+    | Some delivered -> delivered = Bytes.length data
 
   (* Pop every pending transmit chain, strip the virtio-net header and
-     hand the frame to [sink]. Returns the number of frames sent. *)
+     hand the frame to [sink] once the chain is used. Returns the number
+     of frames sent. *)
   let process_tx q g ~sink =
-    let n = ref 0 in
-    let rec loop () =
-      match Queue.Device.pop q with
-      | None -> ()
-      | Some (head, buffers) ->
-          let buf = Buffer.create 256 in
-          List.iter
-            (fun (b : Queue.Device.buffer) ->
-              if not b.writable then
-                Buffer.add_bytes buf (g.Gmem.read ~addr:b.addr ~len:b.len))
-            buffers;
-          Queue.Device.push_used q ~head ~written:0;
-          let raw = Buffer.to_bytes buf in
-          if Bytes.length raw > hdr_size then begin
-            sink (Bytes.sub raw hdr_size (Bytes.length raw - hdr_size));
-            incr n
-          end;
-          loop ()
+    let rec loop sent =
+      let raw = ref Bytes.empty in
+      match
+        Plumbing.Device.serve_one q (fun buffers ->
+            raw := Plumbing.Device.gather g buffers;
+            0)
+      with
+      | None -> sent
+      | Some _ ->
+          let len = Bytes.length !raw in
+          if len > hdr_size then begin
+            sink (Bytes.sub !raw hdr_size (len - hdr_size));
+            loop (sent + 1)
+          end
+          else loop sent
     in
-    loop ();
-    !n
+    loop 0
 end
 
 module Driver = struct
+  module P = Plumbing.Driver
+
   type t = {
     g : Gmem.t;
     access : Mmio.access;
-    rxq : Queue.Driver.t;
+    rx : P.rx_pool;
     txq : Queue.Driver.t;
-    rx_bufs : int array;
-    rx_buf_size : int;
     tx_buf : int;
-    tx_buf_size : int;
-    rx_heads : (int, int) Hashtbl.t;  (** posted chain head -> buffer addr *)
     pending : bytes Stdlib.Queue.t;  (** whole received frames, FIFO *)
     mac : int;  (** 48-bit station address from config space *)
-    mutable obs : (Observe.t * string) option;
+    meter : P.meter;
   }
 
   let rx_count = 16
@@ -88,85 +74,34 @@ module Driver = struct
 
   let mac t = t.mac
 
-  let kick t ~queue =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 (Int32.of_int queue);
-    t.access.Mmio.mwrite ~off:Mmio.reg_queue_notify b
-
-  let post_rx t addr =
-    match Queue.Driver.add t.rxq ~out:[] ~in_:[ (addr, t.rx_buf_size) ] with
-    | Some head ->
-        Hashtbl.replace t.rx_heads head addr;
-        kick t ~queue:0
-    | None -> ()
-
-  let init ~gmem ~access ~alloc =
+  let init ~obs ~name ~gmem ~access ~alloc =
     match Mmio.probe access ~gmem ~expect_device:device_id ~alloc ~queues:2 with
     | Error e -> Error e
     | Ok queues ->
         let region = alloc ~size:((rx_count + 1) * buf_size) in
-        let rx_bufs = Array.init rx_count (fun i -> region + (i * buf_size)) in
-        let t =
+        let bufs = Array.init rx_count (fun i -> region + (i * buf_size)) in
+        (* the MAC is read before the receive buffers are posted *)
+        let mac = Mmio.read_config_u64 access 0 land 0xffff_ffff_ffff in
+        Ok
           {
             g = gmem;
             access;
-            rxq = queues.(0);
+            rx = P.rx_pool access queues.(0) ~bufs ~buf_size;
             txq = queues.(1);
-            rx_bufs;
-            rx_buf_size = buf_size;
             tx_buf = region + (rx_count * buf_size);
-            tx_buf_size = buf_size;
-            rx_heads = Hashtbl.create 32;
             pending = Stdlib.Queue.create ();
-            mac = Mmio.read_config_u64 access 0 land 0xffff_ffff_ffff;
-            obs = None;
+            mac;
+            meter = P.meter obs ~name;
           }
-        in
-        Array.iter (fun addr -> post_rx t addr) t.rx_bufs;
-        Ok t
-
-  let set_observe t obs ~name = t.obs <- Some (obs, name)
-
-  let measure t op ~bytes f =
-    match t.obs with
-    | None -> f ()
-    | Some (obs, name) ->
-        let t0 = Observe.now obs in
-        let r = f () in
-        let dt = Observe.now obs -. t0 in
-        Observe.Metrics.observe
-          (Observe.Metrics.histogram (Observe.metrics obs)
-             (Printf.sprintf "%s.%s_ns" name op))
-          dt;
-        if Observe.enabled obs then
-          Trace.Recorder.record (Observe.recorder obs) ~phase:Trace.Instant
-            ~kind:(Printf.sprintf "%s.%s" name op)
-            ~args:[ ("ns", Trace.I (int_of_float dt)); ("bytes", Trace.I bytes) ]
-            ();
-        r
 
   (* Drain completed rx chains into [pending] (one frame each, header
      stripped) and repost their buffers. *)
   let drain_rx t =
-    let rec go () =
-      match Queue.Driver.poll_used t.rxq with
-      | None -> ()
-      | Some (head, written) ->
-          (match Hashtbl.find_opt t.rx_heads head with
-          | Some addr ->
-              Hashtbl.remove t.rx_heads head;
-              let written = min written t.rx_buf_size in
-              if written > hdr_size then begin
-                let raw = t.g.Gmem.read ~addr ~len:written in
-                Stdlib.Queue.add
-                  (Bytes.sub raw hdr_size (written - hdr_size))
-                  t.pending
-              end;
-              post_rx t addr
-          | None -> ());
-          go ()
-    in
-    go ()
+    P.drain_rx t.rx (fun addr written ->
+        if written > hdr_size then begin
+          let raw = t.g.Gmem.read ~addr ~len:written in
+          Stdlib.Queue.add (Bytes.sub raw hdr_size (written - hdr_size)) t.pending
+        end)
 
   (* Transmit one frame, blocking until the device consumed the chain.
      Because device processing (and any synchronous peer response) runs
@@ -174,29 +109,15 @@ module Driver = struct
      already sitting in the rx ring — when this returns. *)
   let send t raw =
     let len = Bytes.length raw + hdr_size in
-    if len > t.tx_buf_size then failwith "virtio-net: frame too large";
-    measure t "tx" ~bytes:(Bytes.length raw) (fun () ->
+    if len > buf_size then failwith "virtio-net: frame too large";
+    P.measure t.meter "tx" ~bytes:(Some (Bytes.length raw)) (fun () ->
         t.g.Gmem.write ~addr:t.tx_buf (Bytes.make hdr_size '\000');
         t.g.Gmem.write ~addr:(t.tx_buf + hdr_size) raw;
-        let rec submit () =
-          match Queue.Driver.add t.txq ~out:[ (t.tx_buf, len) ] ~in_:[] with
-          | Some head ->
-              kick t ~queue:1;
-              Effect.perform
-                (Kvm.Vm.Yield_until
-                   (fun () -> Queue.Driver.completed t.txq ~head))
-          | None ->
-              Effect.perform
-                (Kvm.Vm.Yield_until
-                   (fun () ->
-                     Queue.Driver.in_flight t.txq < Queue.Driver.qsz t.txq));
-              submit ()
-        in
-        submit ())
+        P.submit t.access t.txq ~queue:1 ~out:[ (t.tx_buf, len) ] ~in_:[])
 
   (* Effect-free: safe to call from a scheduler wake-up predicate. *)
   let rx_ready t =
-    (not (Stdlib.Queue.is_empty t.pending)) || Queue.Driver.used_pending t.rxq
+    (not (Stdlib.Queue.is_empty t.pending)) || P.rx_pending t.rx
 
   let try_recv t =
     drain_rx t;

@@ -31,16 +31,19 @@ module Driver : sig
   type t
 
   val init :
-    gmem:Gmem.t -> access:Mmio.access -> alloc:(size:int -> int) ->
+    obs:Observe.t ->
+    name:string ->
+    gmem:Gmem.t ->
+    access:Mmio.access ->
+    alloc:(size:int -> int) ->
     (t, string) result
   (** Probe, read the MAC from config space and post the initial
-      receive buffers. Guest code. *)
+      receive buffers. Guest code. Transmit latency (virtual ns) goes
+      into ["<name>.tx_ns"] on [obs]'s metrics; with tracing on, a
+      ["<name>.tx"] instant carries [ns] and [bytes]. *)
 
   val mac : t -> int
   (** The station address the device advertised. *)
-
-  val set_observe : t -> Observe.t -> name:string -> unit
-  (** Record transmit latency (virtual ns) into ["<name>.tx_ns"]. *)
 
   val send : t -> bytes -> unit
   (** Transmit one encoded frame, blocking until the device consumed

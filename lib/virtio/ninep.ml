@@ -86,56 +86,84 @@ let decode_response b =
 module Device = struct
   type backend = { handle : request -> response }
 
-  let process q g backend =
-    let n = ref 0 in
-    let rec loop () =
-      match Queue.Device.pop q with
-      | None -> ()
-      | Some (head, buffers) ->
-          let out_bufs =
-            List.filter (fun b -> not b.Queue.Device.writable) buffers
-          in
-          let in_bufs = List.filter (fun b -> b.Queue.Device.writable) buffers in
-          let reqb =
-            List.map
-              (fun (b : Queue.Device.buffer) -> g.Gmem.read ~addr:b.addr ~len:b.len)
-              out_bufs
-            |> Bytes.concat Bytes.empty
-          in
-          let resp =
-            match decode_request reqb with
-            | Some req -> backend.handle req
-            | None -> { status = Hostos.Errno.to_code Hostos.Errno.EINVAL; payload = Bytes.empty }
-          in
-          let respb = encode_response resp in
-          let written = ref 0 in
-          List.iter
-            (fun (b : Queue.Device.buffer) ->
-              if !written < Bytes.length respb then begin
-                let chunk = min b.len (Bytes.length respb - !written) in
-                g.Gmem.write ~addr:b.addr (Bytes.sub respb !written chunk);
-                written := !written + chunk
-              end)
-            in_bufs;
-          Queue.Device.push_used q ~head ~written:!written;
-          incr n;
-          loop ()
+  let err e = { status = Hostos.Errno.to_code e; payload = Bytes.empty }
+
+  let backend_of_simplefs ~clock fs =
+    let module Sfs = Blockdev.Simplefs in
+    let module Clock = Hostos.Clock in
+    let charge_pages len =
+      for _ = 1 to max 1 ((len + 4095) / 4096) do
+        Clock.page_cache_hit clock
+      done
     in
-    loop ();
-    !n
+    let ok payload = { status = 0; payload } in
+    let u64_payload ~size n =
+      let b = Bytes.make size '\000' in
+      Bytes.set_int64_le b 0 (Int64.of_int n);
+      ok b
+    in
+    {
+      handle =
+        (fun req ->
+          (* the 9p server re-resolves the path (walk), opens and
+             touches the host file system and its page cache on every
+             message — the double stack the paper blames for qemu-9p's
+             IOPS *)
+          Clock.context_switch clock;
+          for _ = 1 to 4 do
+            Clock.syscall clock;
+            Clock.fs_op clock
+          done;
+          Clock.context_switch clock;
+          match req with
+          | Read { path; off; len } -> (
+              charge_pages len;
+              match Result.bind (Sfs.lookup fs path) (Sfs.read fs ~off ~len) with
+              | Ok data -> ok data
+              | Error e -> err e)
+          | Write { path; off; data } -> (
+              charge_pages (Bytes.length data);
+              let ino =
+                match Sfs.lookup fs path with
+                | Error Hostos.Errno.ENOENT -> Sfs.create fs path
+                | r -> r
+              in
+              match Result.bind ino (fun ino -> Sfs.write fs ino ~off data) with
+              | Ok n -> u64_payload ~size:8 n
+              | Error e -> err e)
+          | Create path -> (
+              match Sfs.create fs path with
+              | Ok _ | Error Hostos.Errno.EEXIST -> ok Bytes.empty
+              | Error e -> err e)
+          | Stat path -> (
+              match Sfs.stat fs path with
+              | Ok st -> u64_payload ~size:16 st.Sfs.st_size
+              | Error e -> err e));
+    }
+
+  let process q g backend =
+    Plumbing.Device.serve q (fun buffers ->
+        let resp =
+          match decode_request (Plumbing.Device.gather g buffers) with
+          | Some req -> backend.handle req
+          | None -> err Hostos.Errno.EINVAL
+        in
+        Plumbing.Device.scatter g buffers (encode_response resp))
 end
 
 module Driver = struct
+  module P = Plumbing.Driver
+
   type t = {
     g : Gmem.t;
     access : Mmio.access;
     queue : Queue.Driver.t;
     req_addr : int;
     resp_addr : int;
-    mutable obs : (Observe.t * string) option;
+    meter : P.meter;
   }
 
-  let init ~gmem ~access ~alloc =
+  let init ~obs ~name ~gmem ~access ~alloc =
     match Mmio.probe access ~gmem ~expect_device:device_id ~alloc ~queues:1 with
     | Error e -> Error e
     | Ok queues ->
@@ -148,10 +176,8 @@ module Driver = struct
             queue = queues.(0);
             req_addr;
             resp_addr;
-            obs = None;
+            meter = P.meter obs ~name;
           }
-
-  let set_observe t obs ~name = t.obs <- Some (obs, name)
 
   let op_name = function
     | Read _ -> "read"
@@ -160,46 +186,13 @@ module Driver = struct
     | Stat _ -> "stat"
 
   (* Per-request latency, one histogram per 9p message type. *)
-  let measure t req f =
-    match t.obs with
-    | None -> f ()
-    | Some (obs, name) ->
-        let op = op_name req in
-        let t0 = Observe.now obs in
-        let r = f () in
-        let dt = Observe.now obs -. t0 in
-        Observe.Metrics.observe
-          (Observe.Metrics.histogram (Observe.metrics obs)
-             (Printf.sprintf "%s.%s_ns" name op))
-          dt;
-        if Observe.enabled obs then
-          Trace.Recorder.record (Observe.recorder obs) ~phase:Trace.Instant
-            ~kind:(Printf.sprintf "%s.%s" name op)
-            ~args:[ ("ns", Trace.I (int_of_float dt)) ]
-            ();
-        r
-
-  let kick t =
-    let b = Bytes.create 4 in
-    Bytes.set_int32_le b 0 0l;
-    t.access.Mmio.mwrite ~off:Mmio.reg_queue_notify b
-
   let roundtrip t req ~resp_len =
-    measure t req (fun () ->
+    P.measure t.meter (op_name req) ~bytes:None (fun () ->
         let reqb = encode_request req in
         t.g.Gmem.write ~addr:t.req_addr reqb;
-        let head =
-          match
-            Queue.Driver.add t.queue
-              ~out:[ (t.req_addr, Bytes.length reqb) ]
-              ~in_:[ (t.resp_addr, resp_len + 8) ]
-          with
-          | Some h -> h
-          | None -> failwith "9p driver: ring full"
-        in
-        kick t;
-        Effect.perform
-          (Kvm.Vm.Yield_until (fun () -> Queue.Driver.completed t.queue ~head));
+        P.submit t.access t.queue ~queue:0
+          ~out:[ (t.req_addr, Bytes.length reqb) ]
+          ~in_:[ (t.resp_addr, resp_len + 8) ];
         match
           decode_response (t.g.Gmem.read ~addr:t.resp_addr ~len:(resp_len + 8))
         with

@@ -28,20 +28,34 @@ module Device : sig
   (** Host-side handler executing operations (over the host FS). *)
   type backend = { handle : request -> response }
 
+  val backend_of_simplefs :
+    clock:Hostos.Clock.t -> Blockdev.Simplefs.t -> backend
+  (** The 9p server both qemu-9p and vmsh-9p run, over a SimpleFS tree.
+      Every message charges [clock] 2 context switches, 4 syscalls and
+      4 fs ops (path walk, open and I/O through the host's file
+      system), and Read and Write add [max 1 ⌈len/4096⌉] page-cache
+      hits: the double stack that costs qemu-9p its IOPS. Write creates
+      a missing file; Create of an existing path succeeds. *)
+
   val process : Queue.Device.t -> Gmem.t -> backend -> int
+  (** Serve every available request; returns the number served. *)
 end
 
 module Driver : sig
   type t
 
   val init :
-    gmem:Gmem.t -> access:Mmio.access -> alloc:(size:int -> int) ->
+    obs:Observe.t ->
+    name:string ->
+    gmem:Gmem.t ->
+    access:Mmio.access ->
+    alloc:(size:int -> int) ->
     (t, string) result
-
-  val set_observe : t -> Observe.t -> name:string -> unit
-  (** Record per-request latency (virtual ns) into ["<name>.<op>_ns"]
-      histograms — one per 9p message type — on the given tracer's
-      metrics registry. Off by default. *)
+  (** Probe and allocate the request and response buffers. Guest code.
+      Each message's latency (virtual ns) goes into ["<name>.<op>_ns"]
+      on [obs]'s metrics, one histogram per message type (read, write,
+      create, stat); with tracing on, a ["<name>.<op>"] instant carries
+      [ns] only. *)
 
   val read : t -> path:string -> off:int -> len:int -> bytes Hostos.Errno.result
   val write : t -> path:string -> off:int -> bytes -> int Hostos.Errno.result

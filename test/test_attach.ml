@@ -310,9 +310,11 @@ let test_attach_leaves_existing_guest_files_intact () =
 let test_ninep_side_loaded_share () =
   (* the attach also hot-plugs a virtio-9p share of the tools image:
      read a known file through the side-loaded driver's virtqueue and
-     check the per-request latency histograms were recorded *)
+     check the per-request latency histograms were recorded — and,
+     with tracing on, the instants every driver meter writes *)
   let env = setup () in
   let h, vmm, g = env in
+  Observe.enable h.H.Host.observe;
   match do_attach env with
   | Error e -> Alcotest.failf "attach: %s" e
   | Ok _ -> (
@@ -349,7 +351,34 @@ let test_ninep_side_loaded_share () =
           check cbool "host processed 9p requests" true
             (Observe.Metrics.counter_value
                (Observe.Metrics.counter mx "vmsh-9p.requests")
-            >= 2))
+            >= 2);
+          (* every driver meter under its pinned name (perf/rig.ml
+             reads vmsh-console.tx_ns) *)
+          List.iter
+            (fun name ->
+              check cbool (name ^ " recorded") true
+                (Observe.Metrics.count (Observe.Metrics.histogram mx name)
+                >= 1))
+            [ "vmsh-blk.read_ns"; "guest-blk.read_ns"; "vmsh-console.tx_ns" ];
+          let instant_args kind =
+            match
+              List.rev
+                (List.filter_map
+                   (fun (phase, (ev : Trace.event)) ->
+                     if phase = Trace.Instant && ev.kind = kind then
+                       Some (List.map fst ev.args)
+                     else None)
+                   (Trace.Recorder.stream
+                      (Observe.recorder h.H.Host.observe)))
+            with
+            | args :: _ -> args
+            | [] -> Alcotest.failf "no %s instant" kind
+          in
+          check (Alcotest.list cstr) "9p instants carry ns only" [ "ns" ]
+            (instant_args "vmsh-9p.read");
+          check (Alcotest.list cstr) "blk instants carry ns and bytes"
+            [ "ns"; "bytes" ]
+            (instant_args "vmsh-blk.read"))
 
 let test_privileges_dropped_after_discovery () =
   let env = setup () in

@@ -293,6 +293,175 @@ let test_ninep_through_virtqueue () =
   let miss = roundtrip (Virtio.Ninep.Read { path = "/nope"; off = 0; len = 1 }) in
   check cint "missing file errors" 2 miss.Virtio.Ninep.status
 
+(* The SimpleFS-backed server qemu-9p and vmsh-9p both run: payloads,
+   status codes, and the exact host charges of every message. *)
+let test_ninep_simplefs_server () =
+  let module N = Virtio.Ninep in
+  let module C = Hostos.Clock in
+  let fs =
+    match
+      Blockdev.Simplefs.mkfs
+        (Blockdev.Backend.dev (Blockdev.Backend.create ~blocks:256 ()))
+        ()
+    with
+    | Ok fs -> fs
+    | Error _ -> Alcotest.fail "mkfs"
+  in
+  let clock = C.create () in
+  let server = N.Device.backend_of_simplefs ~clock fs in
+  (* every message: 2 context switches, 4 syscalls, 4 fs ops, plus
+     [pages] page-cache hits *)
+  let send req ~pages =
+    let before = C.snapshot clock in
+    let r = server.N.Device.handle req in
+    let after = C.snapshot clock in
+    let expected =
+      {
+        before with
+        C.context_switches = before.C.context_switches + 2;
+        syscalls = before.C.syscalls + 4;
+        fs_ops = before.C.fs_ops + 4;
+        page_cache_hits = before.C.page_cache_hits + pages;
+      }
+    in
+    check cbool "counter deltas" true (after = expected);
+    r
+  in
+  let u64 b = Int64.to_int (Bytes.get_int64_le b 0) in
+  let ok what r = check cint (what ^ " status") 0 r.N.status in
+  let r = send (N.Create "/a") ~pages:0 in
+  ok "create" r;
+  check cint "create payload" 0 (Bytes.length r.N.payload);
+  let data = Bytes.init 5000 (fun i -> Char.chr (i land 0xff)) in
+  (* writing a missing path creates it *)
+  let r = send (N.Write { path = "/b"; off = 0; data }) ~pages:2 in
+  ok "write" r;
+  check cint "write payload size" 8 (Bytes.length r.N.payload);
+  check cint "bytes written" 5000 (u64 r.N.payload);
+  let r = send (N.Write { path = "/a"; off = 0; data = Bytes.of_string "hi" }) ~pages:1 in
+  ok "small write" r;
+  check cint "small write count" 2 (u64 r.N.payload);
+  (* an empty transfer still touches one page *)
+  let r = send (N.Write { path = "/a"; off = 2; data = Bytes.empty }) ~pages:1 in
+  check cint "empty write count" 0 (u64 r.N.payload);
+  let r = send (N.Read { path = "/a"; off = 0; len = 0 }) ~pages:1 in
+  ok "empty read" r;
+  check cint "empty read payload" 0 (Bytes.length r.N.payload);
+  let r = send (N.Read { path = "/b"; off = 0; len = 6000 }) ~pages:2 in
+  ok "read" r;
+  check cbool "read payload" true (Bytes.equal r.N.payload data);
+  let r = send (N.Read { path = "/b"; off = 4096; len = 100 }) ~pages:1 in
+  ok "offset read" r;
+  check cbool "offset read payload" true
+    (Bytes.equal r.N.payload (Bytes.sub data 4096 100));
+  let r = send (N.Stat "/b") ~pages:0 in
+  ok "stat" r;
+  check cint "stat payload size" 16 (Bytes.length r.N.payload);
+  check cint "stat size" 5000 (u64 r.N.payload);
+  let r = send (N.Read { path = "/missing"; off = 0; len = 10 }) ~pages:1 in
+  check cint "missing read is ENOENT"
+    (Hostos.Errno.to_code Hostos.Errno.ENOENT)
+    r.N.status;
+  check cint "error payload" 0 (Bytes.length r.N.payload);
+  ok "create existing" (send (N.Create "/a") ~pages:0)
+
+(* --- the shared device-side gather/scatter --- *)
+
+(* A Gmem over raw memory that logs every call, keeping the bytes each
+   read returned and each write was handed. *)
+type gmem_call = Read of int * bytes | Write of int * bytes
+
+let logging_gmem size =
+  let m, g = raw_gmem size in
+  let log = ref [] in
+  ( m,
+    {
+      Gmem.read =
+        (fun ~addr ~len ->
+          let b = g.Gmem.read ~addr ~len in
+          log := Read (addr, b) :: !log;
+          b);
+      write =
+        (fun ~addr b ->
+          log := Write (addr, b) :: !log;
+          g.Gmem.write ~addr b);
+    },
+    fun () -> List.rev !log )
+
+(* Chains of 1-6 buffers laid out back to back, with mixed writability
+   and lengths 1-5000; [seed] fills guest memory, [dlen] sizes the data
+   to scatter. *)
+let prop_gather_scatter =
+  QCheck.Test.make ~name:"gather/scatter follow the chain" ~count:200
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 1 6) (pair bool (int_range 1 5000)))
+        (int_range 0 1_000_000) (int_range 0 12_000))
+    (fun (shape, seed, dlen) ->
+      let size = 6 * 5000 + 4096 in
+      let m, g, calls = logging_gmem size in
+      let rng = Random.State.make [| seed |] in
+      Mem.write_bytes m 0 (Bytes.init size (fun _ -> Char.chr (Random.State.int rng 256)));
+      let chain, _ =
+        List.fold_left
+          (fun (acc, addr) (writable, len) ->
+            ({ Q.Device.addr; len; writable } :: acc, addr + len))
+          ([], 0) shape
+      in
+      let chain = List.rev chain in
+      let readable = List.filter (fun b -> not b.Q.Device.writable) chain in
+      (* gather: the readable buffers in order, one read each *)
+      let got = Virtio.Plumbing.Device.gather g chain in
+      let gather_calls = calls () in
+      let gather_ok =
+        Bytes.equal got
+          (Bytes.concat Bytes.empty
+             (List.map
+                (fun b -> Mem.read_bytes m b.Q.Device.addr b.Q.Device.len)
+                readable))
+        && List.length gather_calls = List.length readable
+        && List.for_all2
+             (fun call b ->
+               match call with
+               | Read (addr, r) ->
+                   addr = b.Q.Device.addr && Bytes.length r = b.Q.Device.len
+               | Write _ -> false)
+             gather_calls readable
+        && (match (readable, gather_calls) with
+           | [ _ ], [ Read (_, r) ] -> got == r
+           | _ -> true)
+      in
+      (* scatter: [min len remaining] at each writable buffer, in order *)
+      let data = Bytes.init dlen (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let written = Virtio.Plumbing.Device.scatter g chain data in
+      let scatter_calls =
+        List.filteri (fun i _ -> i >= List.length gather_calls) (calls ())
+      in
+      let rec expect off = function
+        | [] -> []
+        | b :: rest when (not b.Q.Device.writable) || off >= dlen -> expect off rest
+        | b :: rest ->
+            let n = min b.Q.Device.len (dlen - off) in
+            (b.Q.Device.addr, off, n) :: expect (off + n) rest
+      in
+      let expected = expect 0 chain in
+      let scatter_ok =
+        written = List.fold_left (fun a (_, _, n) -> a + n) 0 expected
+        && List.length scatter_calls = List.length expected
+        && List.for_all2
+             (fun call (addr, off, n) ->
+               match call with
+               | Write (a, b) ->
+                   a = addr
+                   && Bytes.equal b (Bytes.sub data off n)
+                   && Bytes.equal (Mem.read_bytes m addr n) (Bytes.sub data off n)
+                   (* a buffer that takes the whole request gets it uncopied *)
+                   && (n <> dlen || b == data)
+               | Read _ -> false)
+             scatter_calls expected
+      in
+      gather_ok && scatter_ok)
+
 (* --- hostile-guest hardening: forged rings and malformed chains ---
 
    These own both ring halves directly, which lets them mount the
@@ -514,5 +683,8 @@ let suite =
       [
         t "codec" test_ninep_codec;
         t "end-to-end through a virtqueue" test_ninep_through_virtqueue;
+        t "the SimpleFS server" test_ninep_simplefs_server;
       ] );
+    ( "virtio.plumbing",
+      [ QCheck_alcotest.to_alcotest prop_gather_scatter ] );
   ]
