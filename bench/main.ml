@@ -723,22 +723,37 @@ let run_latency () =
       ~mode:Workloads.Traffic.Echo ()
   in
   Format.printf "vmsh-net echo: %a@." Workloads.Traffic.pp_result r;
+  (* One attach on a fresh qemu guest (Linux 5.10, a 4096-block disk,
+     a small tools image): [host] adjusts the new host before anything
+     boots, and [config] builds the attach config from the booted VMM.
+     Returns the host, the VMM, the attach result and the virtual time
+     the attach started at. *)
+  let rig ?(host = ignore) ?(config = fun _ -> Vmsh.Attach.Config.make ())
+      seed =
+    let h = H.Host.create ~seed () in
+    host h;
+    let disk = make_disk ~blocks:4096 h in
+    let vmm = Vmm.create h ~profile:Profile.qemu ~disk () in
+    let _g = Vmm.boot vmm ~version:KV.V5_10 in
+    let config = config vmm in
+    let t0 = Clock.now_ns h.H.Host.clock in
+    let outcome =
+      Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
+        ~fs_image:(vmsh_image ~clock:h.H.Host.clock ~extra_blocks:64 ())
+        ~config
+        ~pump:(fun () -> Vmm.run_until_idle vmm)
+        ()
+    in
+    (h, vmm, outcome, t0)
+  in
   (* recovery-path latency: attaches under seeded fault schedules vs a
      fault-free baseline, aggregated into a dedicated registry *)
   let fm = Observe.Metrics.create () in
   let timed_attach ~seed ~plan hist =
-    let h = H.Host.create ~seed () in
-    (match plan with Some p -> H.Host.arm_faults h p | None -> ());
-    let disk = make_disk ~blocks:4096 h in
-    let vmm = Vmm.create h ~profile:Profile.qemu ~disk () in
-    let _g = Vmm.boot vmm ~version:KV.V5_10 in
-    let t0 = Clock.now_ns h.H.Host.clock in
-    (match
-       Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-         ~fs_image:(vmsh_image ~clock:h.H.Host.clock ~extra_blocks:64 ())
-         ~pump:(fun () -> Vmm.run_until_idle vmm)
-         ()
-     with
+    let h, _, outcome, t0 =
+      rig seed ~host:(fun h -> Option.iter (H.Host.arm_faults h) plan)
+    in
+    (match outcome with
     | Error e ->
         (* a schedule hostile enough to exhaust the bounded retries: a
            clean failure, counted rather than timed *)
@@ -872,22 +887,15 @@ let run_latency () =
      journal's fault-free overhead vs the with_journal-false ablation *)
   let dm = Observe.Metrics.create () in
   let detach_cycle ~seed ~journal =
-    let h = H.Host.create ~seed () in
-    let disk = make_disk ~blocks:4096 h in
-    let vmm = Vmm.create h ~profile:Profile.qemu ~disk () in
-    let _g = Vmm.boot vmm ~version:KV.V5_10 in
-    let vm = Vmm.kvm_vm vmm in
-    let before = Vmsh.Snapshot.capture vm in
-    let t0 = Clock.now_ns h.H.Host.clock in
-    match
-      Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(vmsh_image ~clock:h.H.Host.clock ~extra_blocks:64 ())
-        ~config:
-          (Vmsh.Attach.Config.with_journal journal
-             (Vmsh.Attach.Config.make ()))
-        ~pump:(fun () -> Vmm.run_until_idle vmm)
-        ()
-    with
+    (* the snapshot is taken on the booted guest, before the attach *)
+    let before = ref None in
+    let h, vmm, outcome, t0 =
+      rig seed ~config:(fun vmm ->
+          before := Some (Vmsh.Snapshot.capture (Vmm.kvm_vm vmm));
+          Vmsh.Attach.Config.with_journal journal (Vmsh.Attach.Config.make ()))
+    in
+    let vm = Vmm.kvm_vm vmm and before = Option.get !before in
+    match outcome with
     | Error e -> failwith ("vmsh-detach attach: " ^ Vmsh.Vmsh_error.to_string e)
     | Ok s ->
         let late =
@@ -904,12 +912,11 @@ let run_latency () =
           Observe.Metrics.observe
             (Observe.Metrics.histogram dm "detach.roundtrip_ns")
             elapsed;
-          let exclude = Vmsh.Snapshot.dirty_since vm before @ late in
           Observe.Metrics.incr
             (Observe.Metrics.counter dm
                (if
                   Vmsh.Snapshot.check ~before
-                    ~after:(Vmsh.Snapshot.capture vm) ~exclude
+                    ~after:(Vmsh.Snapshot.capture vm) ~exclude:late
                 then "detach.oracle_pass"
                 else "detach.oracle_fail"))
         end;
@@ -935,18 +942,11 @@ let run_latency () =
      replay-diff oracle folded into counters *)
   let tm = Observe.Metrics.create () in
   let smoke_attach ~recording ~seed =
-    let h = H.Host.create ~seed () in
-    Trace.Recorder.set_enabled h.H.Host.recorder recording;
-    let disk = make_disk ~blocks:4096 h in
-    let vmm = Vmm.create h ~profile:Profile.qemu ~disk () in
-    let _g = Vmm.boot vmm ~version:KV.V5_10 in
-    let t0 = Clock.now_ns h.H.Host.clock in
-    (match
-       Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-         ~fs_image:(vmsh_image ~clock:h.H.Host.clock ~extra_blocks:64 ())
-         ~pump:(fun () -> Vmm.run_until_idle vmm)
-         ()
-     with
+    let h, _, outcome, t0 =
+      rig seed ~host:(fun h ->
+          Trace.Recorder.set_enabled h.H.Host.recorder recording)
+    in
+    (match outcome with
     | Error e -> failwith ("vmsh-trace attach: " ^ Vmsh.Vmsh_error.to_string e)
     | Ok _ -> ());
     (h, Clock.now_ns h.H.Host.clock -. t0)
@@ -1138,11 +1138,7 @@ let run_latency () =
      holds: use-time symbol revalidation on vs off on a clean guest. *)
   let hm = Observe.Metrics.create () in
   let hostile_attach ?hostile ?(revalidate = true) ~seed () =
-    let h = H.Host.create ~seed () in
-    let disk = make_disk ~blocks:4096 h in
-    let vmm = Vmm.create h ~profile:Profile.qemu ~disk () in
-    let _g = Vmm.boot vmm ~version:KV.V5_10 in
-    let config =
+    let config vmm =
       let c =
         Vmsh.Attach.Config.with_revalidate revalidate
           (Vmsh.Attach.Config.make ())
@@ -1155,14 +1151,7 @@ let run_latency () =
           Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng));
           Vmsh.Attach.Config.with_faults plan c
     in
-    let t0 = Clock.now_ns h.H.Host.clock in
-    let outcome =
-      Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(vmsh_image ~clock:h.H.Host.clock ~extra_blocks:64 ())
-        ~config
-        ~pump:(fun () -> Vmm.run_until_idle vmm)
-        ()
-    in
+    let h, _, outcome, t0 = rig seed ~config in
     (outcome, Clock.now_ns h.H.Host.clock -. t0)
   in
   let h_clean = Observe.Metrics.histogram hm "hostile.clean_attach_ns" in

@@ -223,8 +223,8 @@ let attach_cmd =
           Format.printf "net echo over vmsh-net: %a@."
             Workloads.Traffic.pp_result r
         end;
-        (* grab the journal's late-write intervals before detach replays
-           and drops the log *)
+        (* grab the journal's late-write pages before detach replays and
+           drops the log *)
         let late_writes =
           match Vmsh.Attach.journal session with
           | Some j -> Vmsh.Journal.late_writes j
@@ -241,11 +241,10 @@ let attach_cmd =
           match before with
           | None -> true
           | Some snap ->
-              let vm = Vmm.kvm_vm vmm in
-              let exclude = Vmsh.Snapshot.dirty_since vm snap @ late_writes in
               let problems =
                 Vmsh.Snapshot.diff ~before:snap
-                  ~after:(Vmsh.Snapshot.capture vm) ~exclude
+                  ~after:(Vmsh.Snapshot.capture (Vmm.kvm_vm vmm))
+                  ~exclude:late_writes
               in
               (match problems with
               | [] ->

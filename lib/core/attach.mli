@@ -149,7 +149,7 @@ val console_roundtrip : session -> string -> string
 
 val journal : session -> Journal.t option
 (** The session's sealed mutation journal (None when the session was
-    configured with [with_journal false]). Its late-write intervals
+    configured with [with_journal false]). Its late-write pages
     feed the snapshot oracle's exclusion set. *)
 
 val detach : session -> (unit, Vmsh_error.t) result

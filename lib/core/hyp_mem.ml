@@ -251,7 +251,7 @@ let write_phys_raw t ~gpa b =
    an overlay-owned range (the fresh vmsh memslot and its page-table
    arena) are exempt — removing the slot undoes them wholesale. After
    the journal seals (attach committed), steady-state device writes are
-   only noted as late-write intervals for the snapshot oracle. *)
+   only noted as late-write pages for the snapshot oracle. *)
 let write_phys t ~gpa b =
   let len = Bytes.length b in
   (match t.journal with

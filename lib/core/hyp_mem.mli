@@ -44,7 +44,7 @@ val set_mode : t -> copy_mode -> unit
 val set_journal : t -> Journal.t option -> unit
 (** Attach a guest-mutation journal: every subsequent {!write_phys}
     first records the overwritten bytes as an undo entry (or, once the
-    journal is sealed, a late-write interval). [None] detaches it —
+    journal is sealed, its late-write pages). [None] detaches it —
     rollback itself writes through the raw path. *)
 
 val journal : t -> Journal.t option

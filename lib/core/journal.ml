@@ -22,10 +22,12 @@
    - [seal] freezes the log once the attach transaction commits.
      Steady-state device activity after a successful attach (virtqueue
      used-ring updates while the overlay serves requests) appends no
-     undo entries; those writes are tracked as [late_writes] intervals
-     instead, which the snapshot oracle excludes alongside pages the
-     guest itself dirtied — in-flight ring updates are jointly owned
-     with the guest that requested the I/O.
+     undo entries; the pages those writes touch are collected as
+     [late_writes] instead, which the snapshot oracle excludes
+     alongside pages the guest itself wrote — in-flight ring updates
+     are jointly owned with the guest that requested the I/O. A page
+     set, so it stays as small as the pages the devices write, however
+     long the session serves.
 
    Rollback counters ([rollback.replays], [rollback.entries]) are
    registered lazily at replay time, mirroring the recovery.* pattern:
@@ -38,10 +40,11 @@ type t = {
   mutable entries : entry list; (* newest first = replay order *)
   mutable sealed : bool;
   mutable owned : (int * int) list; (* (gpa, len) overlay-owned ranges *)
-  mutable late_writes : (int * int) list; (* post-seal device writes *)
+  late_pages : (int, unit) Hashtbl.t; (* page gpas of post-seal writes *)
 }
 
-let create () = { entries = []; sealed = false; owned = []; late_writes = [] }
+let create () =
+  { entries = []; sealed = false; owned = []; late_pages = Hashtbl.create 16 }
 
 let record t ~what undo =
   if not t.sealed then t.entries <- { what; undo } :: t.entries
@@ -57,8 +60,17 @@ let note_owned t ~gpa ~len = t.owned <- (gpa, len) :: t.owned
 let owns t ~gpa ~len =
   List.exists (fun (base, sz) -> gpa >= base && gpa + len <= base + sz) t.owned
 
-let note_late_write t ~gpa ~len = t.late_writes <- (gpa, len) :: t.late_writes
-let late_writes t = t.late_writes
+let page_size = Hostos.Mem.page_size
+
+let note_late_write t ~gpa ~len =
+  if len > 0 then
+    for p = gpa / page_size to (gpa + len - 1) / page_size do
+      Hashtbl.replace t.late_pages (p * page_size) ()
+    done
+
+let late_writes t =
+  Hashtbl.fold (fun gpa () acc -> (gpa, page_size) :: acc) t.late_pages []
+  |> List.sort compare
 
 (* Replay newest-first. A failing undo does not stop the replay — the
    remaining (older) entries still restore as much state as possible —

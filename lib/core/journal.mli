@@ -9,8 +9,11 @@
     The log is kept small by {!note_owned} (writes wholly inside
     overlay-owned ranges are undone wholesale by the range's own
     teardown entry) and frozen by {!seal} once the attach commits:
-    post-seal device writes only accumulate {!late_writes} intervals
-    for the snapshot oracle's exclusion set. *)
+    post-seal device writes only add their pages to {!late_writes},
+    the snapshot oracle's exclusion set.
+
+    Memory bound: the undo entries of one attach, plus one table entry
+    per guest page written after the seal. *)
 
 type t
 
@@ -38,9 +41,12 @@ val note_owned : t -> gpa:int -> len:int -> unit
 val owns : t -> gpa:int -> len:int -> bool
 
 val note_late_write : t -> gpa:int -> len:int -> unit
-(** Record a post-seal device write for the oracle's exclusion set. *)
+(** Record the pages of a post-seal device write for the oracle's
+    exclusion set. *)
 
 val late_writes : t -> (int * int) list
+(** Every page a post-seal write touched so far, as
+    [(page_gpa, 4096)] intervals in ascending order. *)
 
 val replay : ?metrics:Observe.Metrics.t -> t -> (unit, Vmsh_error.t) result
 (** Run every undo newest-first and consume the log (an entry never

@@ -11,12 +11,12 @@
    both, so [diff] checks only the pages the log says were written,
    and [digest] hashes a page only when it is asked for one.
 
-   The exclusion set is page-granular and comes from two sources the
-   caller supplies: intervals the guest itself dirtied while VMSH was
-   attached (ground truth from [Kvm.Vm.dirty_intervals], windowed with
-   {!dirty_since}) and the journal's post-seal late-write intervals
-   (device ring updates jointly owned with the guest that requested
-   the I/O). *)
+   The exclusion set is page-granular. For two captures of one buffer,
+   the log itself excludes the pages the guest wrote in between: every
+   [Kvm.Vm.write_phys] attributes its pages ([Hostos.Mem.attribute]).
+   The caller supplies only what the log cannot know: the journal's
+   post-seal late writes (device ring updates jointly owned with the
+   guest that requested the I/O) and any intervals of its own. *)
 
 module Mem = Hostos.Mem
 
@@ -33,7 +33,6 @@ type slot = {
 type t = {
   slots : slot list;  (* sorted by slot *)
   regs : (int * string) list; (* (vcpu index, digest of register file) *)
-  dirty_seen : int; (* length of the VM's dirty-interval list at capture *)
 }
 
 let digest_regs regs = Digest.bytes (Kvm.Api.regs_to_bytes regs)
@@ -67,14 +66,19 @@ let capture vm =
            (Kvm.Vm.vcpu_index v, digest_regs (Kvm.Vm.vcpu_regs v)))
     |> List.sort compare
   in
-  { slots; regs; dirty_seen = List.length (Kvm.Vm.dirty_intervals vm) }
+  { slots; regs }
 
-(* Guest-write intervals accumulated since [snap] was captured. The
-   VM's list is prepend-only, so the delta is its newest prefix. *)
-let dirty_since vm snap =
-  let all = Kvm.Vm.dirty_intervals vm in
-  let fresh = List.length all - snap.dirty_seen in
-  List.filteri (fun i _ -> i < fresh) all
+(* The guest's pages since [snap], read from the attribution bitmaps
+   of each slot's backing. *)
+let dirty_since _vm snap =
+  List.sort (fun a b -> compare a.gpa b.gpa) snap.slots
+  |> List.concat_map (fun s ->
+         let pages = ref [] in
+         Mem.iter_attributed s.mark ~first:s.first ~count:(s.size / page_size)
+           (fun i ->
+             let gpa = s.gpa + ((i - s.first) * page_size) in
+             pages := (gpa, page_size) :: !pages);
+         List.rev !pages)
 
 (* Page indices of [slot] covered by any (gpa, len) interval. *)
 let excluded_pages ~gpa ~size intervals =
@@ -95,7 +99,8 @@ let excluded_pages ~gpa ~size intervals =
 (* Every discrepancy between two snapshots, as human-readable lines;
    [] means the guest state is byte-identical modulo excluded pages.
    Two captures of one slot on one buffer compare only the pages
-   written since the earlier one; any other pair compares every page. *)
+   written since the earlier one, and skip those the guest wrote in
+   between; any other pair compares every page. *)
 let diff ~before ~after ~exclude =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun m -> problems := m :: !problems) fmt in
@@ -128,9 +133,13 @@ let diff ~before ~after ~exclude =
                 (b.gpa + (p * page_size))
           in
           let count = b.size / page_size in
-          if Mem.marked b.mark == Mem.marked a.mark && b.first = a.first then
+          if Mem.marked b.mark == Mem.marked a.mark && b.first = a.first
+          then begin
+            Mem.iter_attributed b.mark ~until:a.mark ~first:b.first ~count
+              (fun i -> Hashtbl.replace excl (i - b.first) ());
             Mem.iter_written b.mark a.mark ~first:b.first ~count (fun i ->
                 check (i - b.first))
+          end
           else
             for p = 0 to count - 1 do
               check p

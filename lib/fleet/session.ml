@@ -220,8 +220,7 @@ let run ~host spec =
       let after = Vmsh.Snapshot.capture vm in
       report ~boot_ns:(t_attach -. t_start) ~attach_ns ~yields:!yields
         ~oracle:
-          (Vmsh.Snapshot.diff ~before ~after
-             ~exclude:(Vmsh.Snapshot.dirty_since vm before @ !late))
+          (Vmsh.Snapshot.diff ~before ~after ~exclude:!late)
         ~leaked_fds:(Machine.open_fds host - fds_before)
         ~digest:(lazy (Vmsh.Snapshot.digest after))
         outcome

@@ -5,7 +5,7 @@
 
    - the engine only does what a real guest could do: writes to its own
      physical memory, its own page tables, its own virtqueue rings. All
-     writes go through [Kvm.Vm.write_phys], so they are dirty-marked
+     writes go through [Kvm.Vm.write_phys], so they are attributed
      exactly like any guest store and the snapshot oracle excludes
      them — the oracle keeps judging *vmsh's* rollback, not the
      adversary's vandalism;

@@ -7,8 +7,9 @@
     exactly the seams where a real guest races a real attach. All
     mischief is performed through the guest's own state (its physical
     memory, its page tables, its virtqueue rings), every write is
-    dirty-marked like any guest write (so the snapshot oracle excludes
-    it), and every decision comes from a private splitmix64 stream —
+    attributed to the guest like any guest write (so the snapshot
+    oracle excludes it), and every decision comes from a private
+    splitmix64 stream —
     the same seed replays the same attack byte-identically.
 
     The engine never touches vmsh-side state: the hardened victim paths

@@ -30,7 +30,16 @@
    changes no content. Once a buffer has a [mark], a page's first write
    after the newest mark records the page's digest into every mark
    taken since the page was last written; a page in no mark's table
-   still holds what it held at that mark. *)
+   still holds what it held at that mark.
+
+   Attribution: a writer that must be told apart from the rest (the
+   guest, through [Kvm.Vm.write_phys]) calls [attribute], which sets the
+   page's bit in the newest mark's bitmap, as KVM's dirty log does. A
+   page's bit lands in exactly one mark: the newest when it was written.
+   So the pages attributed between two marks are the union of the
+   bitmaps of the marks from the older up to, not including, the newer;
+   silent writes count, since attribution is about who wrote, not about
+   what changed. *)
 
 let page_size = 4096
 
@@ -63,6 +72,9 @@ and mark = {
   log : overlay;  (* [buf]'s overlay *)
   serial : int;
   before : (int, Digest.t) Hashtbl.t;
+  mutable attributed : bytes;
+      (* one bit per page attributed while this was the newest mark;
+         empty until the first *)
 }
 
 and backing = Flat of bytes | Cow of overlay
@@ -333,7 +345,15 @@ let mark t =
       if Array.length c.stamps = 0 then
         c.stamps <- Array.make (Array.length c.pages) 0;
       let serial = match c.marks with m :: _ -> m.serial + 1 | [] -> 1 in
-      let m = { buf = t; log = c; serial; before = Hashtbl.create 16 } in
+      let m =
+        {
+          buf = t;
+          log = c;
+          serial;
+          before = Hashtbl.create 16;
+          attributed = Bytes.empty;
+        }
+      in
       c.marks <- m :: c.marks;
       m
 
@@ -351,6 +371,58 @@ let iter_written a b ~first ~count f =
   for pi = first to first + count - 1 do
     if a.log.stamps.(pi) >= since then f pi
   done
+
+let attribute t off len =
+  match t.backing with
+  | Flat _ -> ()
+  | Cow c -> (
+      check_range t.len off len;
+      match c.marks with
+      | newest :: _ when len > 0 ->
+          if Bytes.length newest.attributed = 0 then
+            newest.attributed <-
+              Bytes.make ((Array.length c.pages + 7) / 8) '\000';
+          let bits = newest.attributed in
+          for pi = off / page_size to (off + len - 1) / page_size do
+            let i = pi lsr 3 in
+            Bytes.set_uint8 bits i
+              (Bytes.get_uint8 bits i lor (1 lsl (pi land 7)))
+          done
+      | _ -> ())
+
+(* Byte [i] of the union of [maps]. *)
+let rec union_byte i acc = function
+  | [] -> acc
+  | m :: rest -> union_byte i (acc lor Bytes.get_uint8 m i) rest
+
+let iter_attributed ?until k ~first ~count f =
+  let lo, hi =
+    match until with
+    | None -> (k.serial, max_int)
+    | Some u ->
+        if u.buf != k.buf then
+          invalid_arg "Mem.iter_attributed: marks of two buffers";
+        (min k.serial u.serial, max k.serial u.serial)
+  in
+  let maps =
+    List.filter_map
+      (fun m ->
+        if m.serial >= lo && m.serial < hi && Bytes.length m.attributed > 0
+        then Some m.attributed
+        else None)
+      k.log.marks
+  in
+  if maps <> [] then begin
+    let last = first + count - 1 in
+    for i = first asr 3 to last asr 3 do
+      let b = union_byte i 0 maps in
+      if b <> 0 then
+        for bit = 0 to 7 do
+          let pi = (i lsl 3) + bit in
+          if b land (1 lsl bit) <> 0 && pi >= first && pi <= last then f pi
+        done
+    done
+  end
 
 (* --- scalar accessors ---
 

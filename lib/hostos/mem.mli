@@ -77,9 +77,15 @@ val page_digest : t -> int -> int -> Digest.t
     at the mark. So comparing a buffer at two marks costs one digest
     per page written in between.
 
+    The log also answers {i who} wrote a page, for one writer the
+    caller singles out (the guest, through [Kvm.Vm.write_phys]): each
+    {!attribute}d write sets the page's bit in the newest mark's
+    bitmap, as KVM's [KVM_GET_DIRTY_LOG] does.
+
     Memory bound: a buffer's first mark allocates one [int] per page;
     each mark then holds at most one digest per page first written
-    after it, and lives as long as its buffer. *)
+    after it, plus one bit per page of the buffer from its first
+    attributed write on, and lives as long as its buffer. *)
 
 type mark
 (** One point in a buffer's write history. *)
@@ -106,6 +112,23 @@ val iter_written : mark -> mark -> first:int -> count:int -> (int -> unit) -> un
     since the earlier of the two marks; every other page in the window
     held the same bytes at both. Raises [Invalid_argument] for marks of
     two buffers. *)
+
+val attribute : t -> int -> int -> unit
+(** [attribute m off len] records every page overlapping
+    \[[off], [off + len]) as written by the attributed writer, whether
+    or not the write changes its bytes. Call it for each such write;
+    it does not write. Records nothing before [m]'s first mark, and
+    nothing on an {!of_bytes} buffer. Raises [Invalid_argument] for a
+    range outside the buffer. *)
+
+val iter_attributed :
+  ?until:mark -> mark -> first:int -> count:int -> (int -> unit) -> unit
+(** [iter_attributed k ~first ~count f] calls [f i], once each and in
+    ascending order, for every page [i] in \[[first], [first + count])
+    {!attribute}d since [k] was taken. With [until], only those
+    attributed between the two marks, whichever is older. Reads one bit
+    per page of each mark in between, never the pages. Raises
+    [Invalid_argument] for marks of two buffers. *)
 
 val resident_pages : t -> int
 (** Pages held privately: the materialised pages of an overlay, every

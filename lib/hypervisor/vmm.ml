@@ -73,10 +73,10 @@ let vmm_gmem t =
     write =
       (fun ~addr b ->
         Clock.copy_bytes t.h.Host.clock (Bytes.length b);
-        (* device completions serve guest-initiated requests: record the
-           interval so the rollback oracle blames the guest, not VMSH *)
-        Vm.mark_dirty t.vm ~pa:addr ~len:(Bytes.length b);
-        Mem.Addr_space.write t.p.Proc.aspace (t.ram_hva + addr) b);
+        (* device completions serve guest-initiated requests: write them
+           as the guest's, so the rollback oracle blames the guest, not
+           VMSH *)
+        Vm.write_phys t.vm addr b);
   }
 
 (* --- the block device iothread --- *)

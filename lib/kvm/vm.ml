@@ -56,10 +56,6 @@ type t = {
   mutable next_pump_id : int;
   mutable current : vcpu option;
   mutable gsi_irqfd_supported : bool;
-  mutable dirty_writes : (int * int) list;
-      (** (gpa, len) of every in-guest write since boot — the ground
-          truth "pages the guest itself dirtied" that the rollback
-          snapshot oracle excludes *)
 }
 
 and vcpu = {
@@ -162,12 +158,11 @@ let memslot_backing t (s : memslot) =
   | Some i -> (i.backing, i.boff)
   | None -> invalid_arg (Printf.sprintf "Vm.memslot_backing: no slot %d" s.slot)
 
-let mark_dirty t ~pa ~len =
-  if len > 0 then t.dirty_writes <- (pa, len) :: t.dirty_writes
-
+(* Guest writes are attributed in the backing's write log, which is how
+   the rollback oracle tells the guest's own writes from VMSH's. *)
 let write_phys t pa b =
   let m, off = resolve_phys t pa in
-  mark_dirty t ~pa ~len:(Bytes.length b);
+  Mem.attribute m off (Bytes.length b);
   Mem.write_bytes m off b
 
 let read_phys_u64 t pa =
@@ -176,7 +171,7 @@ let read_phys_u64 t pa =
 
 let write_phys_u64 t pa v =
   let m, off = resolve_phys t pa in
-  mark_dirty t ~pa ~len:8;
+  Mem.attribute m off 8;
   Mem.write_u64 m off v
 
 let pt_access t =
@@ -203,7 +198,6 @@ let remove_ioregion_pump t id =
   t.ioregion_pumps <- List.filter (fun (i, _) -> i <> id) t.ioregion_pumps
 
 let remove_msi_route t ~gsi = Hashtbl.remove t.msi_routes gsi
-let dirty_intervals t = t.dirty_writes
 
 (* A dropped doorbell signal leaves the iothread unaware that the ring
    has work. Real device backends recover by re-kicking pending queues
@@ -666,7 +660,6 @@ let create_vm host owner =
     ioregions = [];
     ioregion_pumps = [];
     next_pump_id = 0;
-    dirty_writes = [];
     current = None;
     gsi_irqfd_supported = true;
   }

@@ -91,8 +91,18 @@ val memslot_backing : t -> memslot -> Hostos.Mem.t * int
     [Invalid_argument] for a slot the VM does not hold. *)
 
 val write_phys : t -> int -> bytes -> unit
+(** A write by the guest itself (its kernel, or a device completing
+    the guest's own request): besides writing, it attributes the pages
+    in the backing's write log ({!Hostos.Mem.attribute}), which is how
+    the rollback oracle excludes the guest's own writes. Writes through
+    the hypervisor's mapping of the same RAM (VMSH's path) are not
+    attributed. *)
+
 val read_phys_u64 : t -> int -> int
+
 val write_phys_u64 : t -> int -> int -> unit
+(** {!write_phys} of 8 little-endian bytes. *)
+
 val is_ram : t -> int -> bool
 
 val pt_access : t -> X86.Page_table.access
@@ -130,18 +140,6 @@ val remove_ioregion_pump : t -> int -> unit
 
 val remove_msi_route : t -> gsi:int -> unit
 (** Drop an MSI route installed via KVM_SET_GSI_ROUTING (rollback). *)
-
-val mark_dirty : t -> pa:int -> len:int -> unit
-(** Record a guest-initiated write interval without performing it —
-    used by VMM device emulation that writes guest RAM through its own
-    process mapping rather than {!write_phys}. *)
-
-val dirty_intervals : t -> (int * int) list
-(** (gpa, len) intervals the guest itself has written through
-    {!write_phys} / {!write_phys_u64} (or noted via {!mark_dirty})
-    since the VM was created — the ground truth the rollback snapshot
-    oracle uses to exclude pages the guest legitimately dirtied while
-    VMSH was attached. *)
 
 (** {1 Creation and the ioctl surface} *)
 

@@ -384,6 +384,65 @@ let test_mem_log_rejects_flat () =
   raises_invalid "marks of two buffers" (fun () ->
       Mem.iter_written a b ~first:0 ~count:1 ignore)
 
+(* Attribution: which pages one writer wrote, per mark. *)
+
+let attributed ?until k =
+  let pages = ref [] in
+  Mem.iter_attributed ?until k ~first:0 ~count:4 (fun i -> pages := i :: !pages);
+  List.rev !pages
+
+let cpages = Alcotest.(list int)
+
+let test_mem_attribution_needs_a_mark () =
+  let m = Mem.create (4 * 4096) in
+  Mem.write_bytes m 100 (Bytes.make 8 'a');
+  Mem.attribute m 100 8;
+  let k = Mem.mark m in
+  check cpages "a write before the first mark is not attributed" []
+    (attributed k);
+  Mem.attribute m 100 8;
+  check cpages "one after it is" [ 0 ] (attributed k)
+
+let test_mem_attribution_between_marks () =
+  let m = Mem.create (4 * 4096) in
+  let m1 = Mem.mark m in
+  (* straddles pages 0 and 1 *)
+  Mem.write_bytes m 4090 (Bytes.make 10 'b');
+  Mem.attribute m 4090 10;
+  let m2 = Mem.mark m in
+  Mem.write_u8 m (3 * 4096) 7;
+  Mem.attribute m (3 * 4096) 1;
+  check cpages "since m1" [ 0; 1; 3 ] (attributed m1);
+  check cpages "since m2" [ 3 ] (attributed m2);
+  check cpages "between m1 and m2" [ 0; 1 ] (attributed ~until:m2 m1);
+  check cpages "either order" [ 0; 1 ] (attributed ~until:m1 m2);
+  let m3 = Mem.mark m in
+  check cpages "nothing since m3" [] (attributed m3);
+  check cpages "between m2 and m3" [ 3 ] (attributed ~until:m3 m2);
+  raises_invalid "a range past the end" (fun () ->
+      Mem.attribute m ((4 * 4096) - 1) 2);
+  let other = Mem.mark (Mem.create 4096) in
+  raises_invalid "marks of two buffers" (fun () ->
+      Mem.iter_attributed ~until:other m1 ~first:0 ~count:1 ignore)
+
+let test_mem_attribution_counts_silent_writes () =
+  let m = Mem.create (4 * 4096) in
+  let k = Mem.mark m in
+  (* zeros onto an untouched zero page change nothing *)
+  Mem.write_bytes m (2 * 4096) (Bytes.make 16 '\000');
+  Mem.attribute m (2 * 4096) 16;
+  check cint "the write was silent" 0 (Mem.resident_pages m);
+  let written = ref [] in
+  Mem.iter_written k k ~first:0 ~count:4 (fun i -> written := i :: !written);
+  check cpages "so the log saw no change" [] !written;
+  check cpages "but it is attributed" [ 2 ] (attributed k)
+
+let test_mem_attribution_ignores_flat () =
+  let b = Bytes.make 16 'x' in
+  Mem.attribute (Mem.of_bytes b) 0 16;
+  Mem.attribute (Mem.of_bytes b) 0 1_000_000;
+  check cstr "the bytes are untouched" "xxxxxxxxxxxxxxxx" (Bytes.to_string b)
+
 (* --- Chan --- *)
 
 let test_chan_fifo () =
@@ -801,6 +860,11 @@ let suite =
         QCheck_alcotest.to_alcotest prop_aspace_find_free_never_overlaps;
         QCheck_alcotest.to_alcotest prop_write_log_matches_copies;
         t "write log rejects flat buffers" test_mem_log_rejects_flat;
+        t "attribution needs a mark" test_mem_attribution_needs_a_mark;
+        t "attribution between marks" test_mem_attribution_between_marks;
+        t "attribution counts silent writes"
+          test_mem_attribution_counts_silent_writes;
+        t "attribution ignores flat buffers" test_mem_attribution_ignores_flat;
       ] );
     ( "hostos.chan",
       [

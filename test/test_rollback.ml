@@ -57,8 +57,9 @@ let test_journal_seal_owned_late_writes () =
   check cint "post-seal record is a no-op" 1 (J.length j);
   J.note_late_write j ~gpa:0x5000 ~len:16;
   J.note_late_write j ~gpa:0x6000 ~len:8;
-  check cbool "late writes accumulate for the oracle" true
-    (J.late_writes j = [ (0x6000, 8); (0x5000, 16) ]);
+  J.note_late_write j ~gpa:0x5ff0 ~len:0x20;
+  check cbool "late writes collect their pages, ascending" true
+    (J.late_writes j = [ (0x5000, 4096); (0x6000, 4096) ]);
   match J.replay j with
   | Ok () -> check cint "sealed log still replays" 0 (J.length j)
   | Error e -> Alcotest.failf "replay: %s" (E.to_string e)
@@ -179,13 +180,17 @@ let reference_digest vm =
 let lines = Alcotest.(list string)
 
 (* [Snapshot.diff] of [before] against a capture taken now, checked
-   against the full-hash reference over the same two points. *)
+   against the full-hash reference over the same two points. The
+   reference skips the guest's pages as [dirty_since] lists them; the
+   property below checks that list against guest writes the test
+   records itself. *)
 let oracle_diff vm (before, ref_before) ~exclude =
   let got =
     Vmsh.Snapshot.diff ~before ~after:(Vmsh.Snapshot.capture vm) ~exclude
   in
   check lines "log diff equals the full-hash diff"
-    (reference_diff ref_before (reference_capture vm) ~exclude)
+    (reference_diff ref_before (reference_capture vm)
+       ~exclude:(Vmsh.Snapshot.dirty_since vm before @ exclude))
     got;
   got
 
@@ -196,7 +201,7 @@ let capture_both vm = (Vmsh.Snapshot.capture vm, reference_capture vm)
 let test_detach_restores_guest_byte_for_byte () =
   let ((_, vmm, _) as env) = Test_attach.setup ~seed:61 () in
   let vm = Vmm.kvm_vm vmm in
-  let ((before, _) as snap) = capture_both vm in
+  let snap = capture_both vm in
   match Test_attach.do_attach env with
   | Error e -> Alcotest.failf "attach: %s" e
   | Ok session ->
@@ -209,8 +214,7 @@ let test_detach_restores_guest_byte_for_byte () =
       (match Vmsh.Attach.detach session with
       | Ok () -> ()
       | Error e -> Alcotest.failf "detach: %s" (E.to_string e));
-      let exclude = Vmsh.Snapshot.dirty_since vm before @ late in
-      (match oracle_diff vm snap ~exclude with
+      (match oracle_diff vm snap ~exclude:late with
       | [] -> ()
       | d :: _ as all ->
           Alcotest.failf "oracle: %s (%d discrepancies)" d (List.length all))
@@ -220,7 +224,7 @@ let test_crash_point_aborts_and_rolls_back () =
   let vm = Vmm.kvm_vm vmm in
   let plan = Faults.create ~seed:1 ~rate:0.0 () in
   Faults.set_abort_at_yield plan (Some 3);
-  let ((before, _) as snap) = capture_both vm in
+  let snap = capture_both vm in
   let fds = open_fds h in
   let config = Vmsh.Attach.Config.(with_faults plan (make ())) in
   match
@@ -236,9 +240,8 @@ let test_crash_point_aborts_and_rolls_back () =
       check cstr "rendered crash point" "attach aborted: crash point at yield 3"
         (E.to_string e);
       check cint "no descriptors leaked host-wide" fds (open_fds h);
-      let exclude = Vmsh.Snapshot.dirty_since vm before in
       check lines "guest restored byte-for-byte" []
-        (oracle_diff vm snap ~exclude)
+        (oracle_diff vm snap ~exclude:[])
 
 let test_journal_off_reverts_to_legacy_detach () =
   let env = Test_attach.setup ~seed:71 () in
@@ -289,8 +292,8 @@ let test_snapshot_digest_matches_reference () =
       same "after attach + detach"
 
 (* The oracle must be able to fail. A byte written through the
-   hypervisor's own mapping of guest RAM (VMSH's path, which
-   [Kvm.Vm.dirty_intervals] never sees) must show up as exactly its
+   hypervisor's own mapping of guest RAM (VMSH's path, which the write
+   log never attributes to the guest) must show up as exactly its
    page — one the boot wrote and one it never touched — unless the
    caller excludes it, and writing the old byte back is clean again. *)
 let test_oracle_reports_a_hypervisor_write () =
@@ -309,20 +312,19 @@ let test_oracle_reports_a_hypervisor_write () =
   let poke gpa c =
     H.Mem.Addr_space.write aspace (ram.Kvm.Vm.hva + gpa) (Bytes.make 1 c)
   in
-  let ((before, _) as snap) = capture_both vm in
+  let snap = capture_both vm in
   List.iter (fun (gpa, c) -> poke gpa (Char.chr (Char.code c lxor 0x5a))) olds;
-  let exclude = Vmsh.Snapshot.dirty_since vm before in
   check lines "both pages differ, in page order"
     [
       Printf.sprintf "memslot 0 page %d (gpa 0x%x) differs" bp (bp * page);
       Printf.sprintf "memslot 0 page %d (gpa 0x%x) differs" last (last * page);
     ]
-    (oracle_diff vm snap ~exclude);
+    (oracle_diff vm snap ~exclude:[]);
   check lines "excluded intervals are not blamed" []
     (oracle_diff vm snap ~exclude:[ (boot_page, 1); (untouched, 1) ]);
   List.iter (fun (gpa, c) -> poke gpa c) olds;
   check lines "the old bytes restore the guest" []
-    (oracle_diff vm snap ~exclude)
+    (oracle_diff vm snap ~exclude:[])
 
 (* Two captures on different guests compare every page. *)
 let test_oracle_across_guests () =
@@ -369,17 +371,148 @@ let test_oracle_allocation_bound () =
       match Vmsh.Attach.detach session with
       | Error e -> Alcotest.failf "detach: %s" (E.to_string e)
       | Ok () ->
-          let exclude = Vmsh.Snapshot.dirty_since vm before @ late in
           let problems, diff_words =
             words (fun () ->
                 Vmsh.Snapshot.diff ~before
                   ~after:(Vmsh.Snapshot.capture vm)
-                  ~exclude)
+                  ~exclude:late)
           in
           check lines "clean" [] problems;
           if diff_words >= 20_000. then
             Alcotest.failf "capture + diff allocated %.0f minor words"
               diff_words))
+
+(* --- the oracle against guest writes the test records itself ---
+
+   On a bare VM with one 1 MiB slot, interleave guest writes
+   ([Kvm.Vm.write_phys], which the write log attributes), writes
+   through the hypervisor's mapping (which it does not) and captures.
+   For every pair of captures, [Snapshot.diff ~exclude:[]] must equal
+   the full-hash reference told to skip the guest writes the test
+   recorded between the two, and [dirty_since] must list the pages of
+   the guest writes since each capture. Silent writes (bytes RAM
+   already holds) are drawn often. *)
+
+type oracle_op = Guest of int * int * int | Poke of int * int * int | Capture
+
+let oracle_op_to_string = function
+  | Guest (g, n, v) -> Printf.sprintf "guest 0x%x+%d=%d" g n v
+  | Poke (g, n, v) -> Printf.sprintf "poke 0x%x+%d=%d" g n v
+  | Capture -> "capture"
+
+(* writes stay in the first 8 pages, so they collide often *)
+let window = 8 * page
+
+let gen_oracle_ops =
+  let open QCheck.Gen in
+  let write mk =
+    map3
+      (fun g n v -> mk g (min n (window - g)) v)
+      (int_bound (window - 1)) (int_range 1 6000) (int_bound 2)
+  in
+  list_size (int_bound 24)
+    (frequency
+       [
+         (3, write (fun g n v -> Guest (g, n, v)));
+         (3, write (fun g n v -> Poke (g, n, v)));
+         (1, return Capture);
+       ])
+
+(* The pages of [intervals], as ascending [(page_gpa, page)]. *)
+let pages_of intervals =
+  List.concat_map
+    (fun (gpa, n) ->
+      List.init (((gpa + n - 1) / page) - (gpa / page) + 1) (fun i ->
+          (((gpa / page) + i) * page, page)))
+    intervals
+  |> List.sort_uniq compare
+
+let prop_oracle_matches_recorded_guest_writes =
+  QCheck.Test.make
+    ~name:"diff skips exactly the guest writes the test recorded" ~count:100
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map oracle_op_to_string ops))
+       gen_oracle_ops)
+    (fun ops ->
+      let h, p, th, vm_fd, vm = Test_kvm.make_vm_env () in
+      let hva = Test_kvm.add_ram h p th vm_fd ~mb:1 in
+      let caps = ref [] and guest = ref [] in
+      let capture () = caps := capture_both vm :: !caps in
+      capture ();
+      List.iter
+        (function
+          | Guest (gpa, n, v) ->
+              Kvm.Vm.write_phys vm gpa (Bytes.make n (Char.chr v));
+              (* tagged with the number of captures taken before it *)
+              guest := (List.length !caps, (gpa, n)) :: !guest
+          | Poke (gpa, n, v) ->
+              H.Mem.Addr_space.write p.H.Proc.aspace (hva + gpa)
+                (Bytes.make n (Char.chr v))
+          | Capture -> capture ())
+        ops;
+      capture ();
+      let caps = Array.of_list (List.rev !caps) in
+      (* guest writes after capture [i] and before capture [j] *)
+      let between i j =
+        List.filter_map
+          (fun (t, iv) -> if t > i && t <= j then Some iv else None)
+          !guest
+      in
+      let last = Array.length caps - 1 in
+      List.for_all
+        (fun i ->
+          let before, ref_before = caps.(i) in
+          Vmsh.Snapshot.dirty_since vm before = pages_of (between i last)
+          && List.for_all
+               (fun j ->
+                 let after, ref_after = caps.(j) in
+                 Vmsh.Snapshot.diff ~before ~after ~exclude:[]
+                 = reference_diff ref_before ref_after ~exclude:(between i j))
+               (List.init (last - i) (fun k -> i + 1 + k)))
+        (List.init (last + 1) Fun.id))
+
+(* A long attach must not grow the heap with its guest's writes: each
+   vmsh-blk request has the guest write its ring and the device
+   complete into guest memory, and the write log keeps that in
+   per-page state. The event recorder is off, so its ring does not
+   fill up inside the measured window. *)
+let test_guest_writes_keep_heap_flat () =
+  let ((h, vmm, g) as env) = Test_attach.setup ~seed:103 () in
+  Trace.Recorder.set_enabled h.H.Host.recorder false;
+  let _before = Vmsh.Snapshot.capture (Vmm.kvm_vm vmm) in
+  match Test_attach.do_attach env with
+  | Error e -> Alcotest.failf "attach: %s" e
+  | Ok _session ->
+      let module Drv = Virtio.Blk.Driver in
+      let drv =
+        match Linux_guest.Guest.vmsh_blk g with
+        | Some d -> d
+        | None -> Alcotest.fail "vmsh-blk did not probe"
+      in
+      (* the last 8 blocks of the tools image are free headroom *)
+      let spb = Virtio.Blk.sectors_per_block in
+      let first = (Drv.capacity_sectors drv / spb) - 8 in
+      let block = Bytes.make 4096 'w' in
+      let requests n =
+        Vmm.in_guest vmm (fun () ->
+            for i = 0 to n - 1 do
+              let sector = (first + (i mod 8)) * spb in
+              if i mod 2 = 0 then Drv.write drv ~sector block
+              else ignore (Drv.read drv ~sector ~len:4096)
+            done)
+      in
+      let live () =
+        Gc.full_major ();
+        (Gc.stat ()).Gc.live_words
+      in
+      let n = 2000 in
+      requests n;
+      let w0 = live () in
+      requests n;
+      let grown = live () - w0 in
+      if grown > 2_000 then
+        Alcotest.failf "%d more 4 KiB requests grew the live heap by %d words"
+          n grown
 
 (* --- the sweep gate --- *)
 
@@ -471,6 +604,8 @@ let suite =
           test_oracle_reports_a_hypervisor_write;
         t "oracle compares captures across guests" test_oracle_across_guests;
         t "oracle allocation bound" test_oracle_allocation_bound;
+        QCheck_alcotest.to_alcotest prop_oracle_matches_recorded_guest_writes;
+        t "guest writes keep the heap flat" test_guest_writes_keep_heap_flat;
       ] );
     ( "rollback.sweep",
       [
