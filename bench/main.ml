@@ -10,7 +10,6 @@
    come from the virtual clock. *)
 
 module H = Hostos
-module Clock = H.Clock
 module Sfs = Blockdev.Simplefs
 module Guest = Linux_guest.Guest
 module KV = Linux_guest.Kernel_version
@@ -680,561 +679,6 @@ let run_ablation () =
     [ 256; 512; 1024 ]
 
 (* ------------------------------------------------------------------ *)
-(* Latency — per-request distributions from the driver histograms,      *)
-(* exported machine-readable to BENCH_results.json                      *)
-(* ------------------------------------------------------------------ *)
-
-let run_latency () =
-  section
-    "Latency — per-request distributions (virtual ns) -> BENCH_results.json";
-  (* Mixed request sizes so the distribution is non-degenerate. *)
-  let mixed_io vmm drv ~n =
-    let sizes = [| 4096; 16384; 65536 |] in
-    Vmm.in_guest vmm (fun () ->
-        for i = 0 to n - 1 do
-          let len = sizes.(i mod Array.length sizes) in
-          let sector = i * 17 mod 512 * Virtio.Blk.sectors_per_block in
-          ignore (Virtio.Blk.Driver.read drv ~sector ~len);
-          if i mod 2 = 0 then
-            Virtio.Blk.Driver.write drv ~sector (Bytes.make len 'b')
-        done;
-        Virtio.Blk.Driver.flush drv)
-  in
-  let hq, vmmq, gq = boot_qemu ~seed:1401 () in
-  mixed_io vmmq (Guest.boot_blk_exn gq) ~n:96;
-  let env = boot_qemu ~seed:1402 () in
-  let _s = attach env in
-  let hv, vmmv, gv = env in
-  mixed_io vmmv (Option.get (Guest.vmsh_blk gv)) ~n:96;
-  (* throughput/latency over the side-loaded NIC: a closed-loop echo
-     workload through the RX/TX virtqueues and the simulated fabric *)
-  let envn = boot_qemu ~seed:1403 () in
-  let hn, vmmn, gn = envn in
-  let netcfg =
-    let fabric, port =
-      Workloads.Traffic.make_network hn ~mode:Workloads.Traffic.Echo ()
-    in
-    Vmsh.Attach.Config.with_net { Vmsh.Attach.fabric; port }
-      (Vmsh.Attach.Config.make ())
-  in
-  let _s = attach ~config:netcfg envn in
-  let r =
-    Workloads.Traffic.run_client vmmn gn ~requests:1000 ~payload_size:64
-      ~mode:Workloads.Traffic.Echo ()
-  in
-  Format.printf "vmsh-net echo: %a@." Workloads.Traffic.pp_result r;
-  (* One attach on a fresh qemu guest (Linux 5.10, a 4096-block disk,
-     a small tools image): [host] adjusts the new host before anything
-     boots, and [config] builds the attach config from the booted VMM.
-     Returns the host, the VMM, the attach result and the virtual time
-     the attach started at. *)
-  let rig ?(host = ignore) ?(config = fun _ -> Vmsh.Attach.Config.make ())
-      seed =
-    let h = H.Host.create ~seed () in
-    host h;
-    let disk = make_disk ~blocks:4096 h in
-    let vmm = Vmm.create h ~profile:Profile.qemu ~disk () in
-    let _g = Vmm.boot vmm ~version:KV.V5_10 in
-    let config = config vmm in
-    let t0 = Clock.now_ns h.H.Host.clock in
-    let outcome =
-      Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(vmsh_image ~clock:h.H.Host.clock ~extra_blocks:64 ())
-        ~config
-        ~pump:(fun () -> Vmm.run_until_idle vmm)
-        ()
-    in
-    (h, vmm, outcome, t0)
-  in
-  (* recovery-path latency: attaches under seeded fault schedules vs a
-     fault-free baseline, aggregated into a dedicated registry *)
-  let fm = Observe.Metrics.create () in
-  let timed_attach ~seed ~plan hist =
-    let h, _, outcome, t0 =
-      rig seed ~host:(fun h -> Option.iter (H.Host.arm_faults h) plan)
-    in
-    (match outcome with
-    | Error e ->
-        (* a schedule hostile enough to exhaust the bounded retries: a
-           clean failure, counted rather than timed *)
-        Observe.Metrics.incr
-          (Observe.Metrics.counter fm "faults.attach_failed");
-        Printf.printf "vmsh-faults: attach failed cleanly under seed %d: %s\n"
-          seed (Vmsh.Vmsh_error.to_string e)
-    | Ok _ ->
-        Observe.Metrics.observe
-          (Observe.Metrics.histogram fm hist)
-          (Clock.now_ns h.H.Host.clock -. t0));
-    List.iter
-      (fun c ->
-        let cname = Observe.Metrics.counter_name c in
-        let prefixed p =
-          String.length cname >= String.length p
-          && String.sub cname 0 (String.length p) = p
-        in
-        if prefixed "recovery." || prefixed "faults.injected." then
-          Observe.Metrics.incr
-            ~by:(Observe.Metrics.counter_value c)
-            (Observe.Metrics.counter fm cname))
-      (Observe.Metrics.counters (Observe.metrics h.H.Host.observe))
-  in
-  for seed = 0 to 1 do
-    timed_attach ~seed:(1500 + seed) ~plan:None "attach.baseline_ns"
-  done;
-  (* cap 4 injections per class: fewer consecutive faults than the
-     6-attempt retry bound, so every attach completes through the
-     recovery path rather than aborting *)
-  for seed = 0 to 7 do
-    timed_attach ~seed:(1510 + seed)
-      ~plan:(Some (Faults.create ~seed ~rate:0.3 ~cap:4 ()))
-      "faults.attach_ns"
-  done;
-  let mean name = Observe.Metrics.mean (Observe.Metrics.histogram fm name) in
-  Printf.printf
-    "vmsh-faults: attach %.2f ms fault-free -> %.2f ms under a 0.3-rate fault \
-     schedule\n"
-    (mean "attach.baseline_ns" /. 1e6)
-    (mean "faults.attach_ns" /. 1e6);
-  (* fleet attach scaling: N concurrent sessions over virtual time with
-     the shared build-id symbol cache; per-N latency histograms plus the
-     cache counters land in their own registry *)
-  let flm = Observe.Metrics.create () in
-  let cold_reports = ref [] in
-  List.iter
-    (fun n ->
-      let r =
-        match
-          Fleet.run
-            (Fleet.Config.make ~vms:n () |> Fleet.Config.with_seed 1600)
-        with
-        | Ok r -> r
-        | Error e -> failwith ("vmsh-fleet: " ^ Vmsh.Vmsh_error.to_string e)
-      in
-      cold_reports := (n, r) :: !cold_reports;
-      Fleet.record flm ~label:(Printf.sprintf "n%d" n) r;
-      let ok =
-        List.length
-          (List.filter
-             (fun sr -> Result.is_ok sr.Fleet.s_result)
-             r.Fleet.r_sessions)
-      in
-      Printf.printf
-        "vmsh-fleet: n=%-3d %d/%d attached, %d slices, cache %d hits; p50 \
-         %.2f ms p99 %.2f ms\n"
-        n ok n r.Fleet.r_yields r.Fleet.r_cache_hits
-        (Fleet.attach_p r 0.50 /. 1e6)
-        (Fleet.attach_p r 0.99 /. 1e6))
-    [ 1; 8; 64 ];
-  (* copy-on-write fork scaling: bake one baseline, stand whole fleets
-     up as linked clones, and hold the fork cost against the cold boots
-     above. Cold references reuse the vmsh-fleet runs (same seed); the
-     largest size is fork-only — 512 cold boots would hold ~16 GiB of
-     private RAM images, the very cost the overlay removes. *)
-  let fkm = Observe.Metrics.create () in
-  let fork_img = Fleet.Baseline.bake ~seed:1650 () in
-  List.iter
-    (fun (n, r) ->
-      if n > 1 then Fleet.record fkm ~label:(Printf.sprintf "cold.n%d" n) r)
-    (List.rev !cold_reports);
-  Printf.printf
-    "vmsh-fork: cold reference at n=512 skipped (unbounded private RAM); \
-     cold.n8/cold.n64 reuse the vmsh-fleet runs\n";
-  List.iter
-    (fun n ->
-      let cfg =
-        Fleet.Config.make ~vms:n ()
-        |> Fleet.Config.with_seed 1600
-        |> Fleet.Config.with_boot_source (Fleet.Config.Fork_of fork_img)
-      in
-      let r =
-        match Fleet.run cfg with
-        | Ok r -> r
-        | Error e -> failwith ("vmsh-fork: " ^ Vmsh.Vmsh_error.to_string e)
-      in
-      Fleet.record fkm ~label:(Printf.sprintf "fork.n%d" n) r;
-      (* overlay occupancy summed over the fleet's sessions *)
-      let total name =
-        List.fold_left
-          (fun acc s ->
-            acc
-            + Observe.Metrics.counter_value
-                (Observe.Metrics.counter
-                   (Observe.metrics s.Fleet.s_host.H.Host.observe)
-                   name))
-          0 r.Fleet.r_sessions
-      in
-      let copied = total "overlay.pages_copied"
-      and shared = total "overlay.pages_shared"
-      and resident = total "overlay.resident_bytes" in
-      let set name v =
-        Observe.Metrics.set_counter (Observe.Metrics.counter fkm name) v
-      in
-      set (Printf.sprintf "overlay.pages_copied.n%d" n) copied;
-      set (Printf.sprintf "overlay.pages_shared.n%d" n) shared;
-      set (Printf.sprintf "overlay.resident_bytes.n%d" n) resident;
-      Printf.printf
-        "vmsh-fork: n=%-3d attach p50 %.2f ms p99 %.2f ms; fork p50 %.2f us \
-         p99 %.2f us; %d pages copied / %d shared (%d KiB resident)\n"
-        n
-        (Fleet.attach_p r 0.50 /. 1e6)
-        (Fleet.attach_p r 0.99 /. 1e6)
-        (Fleet.fork_p r 0.50 /. 1e3)
-        (Fleet.fork_p r 0.99 /. 1e3)
-        copied shared (resident / 1024))
-    [ 8; 64; 512 ];
-  (* transactional detach: attach+detach round-trip latency with the
-     journal on, the snapshot oracle re-checked per cycle, and the
-     journal's fault-free overhead vs the with_journal-false ablation *)
-  let dm = Observe.Metrics.create () in
-  let detach_cycle ~seed ~journal =
-    (* the snapshot is taken on the booted guest, before the attach *)
-    let before = ref None in
-    let h, vmm, outcome, t0 =
-      rig seed ~config:(fun vmm ->
-          before := Some (Vmsh.Snapshot.capture (Vmm.kvm_vm vmm));
-          Vmsh.Attach.Config.with_journal journal (Vmsh.Attach.Config.make ()))
-    in
-    let vm = Vmm.kvm_vm vmm and before = Option.get !before in
-    match outcome with
-    | Error e -> failwith ("vmsh-detach attach: " ^ Vmsh.Vmsh_error.to_string e)
-    | Ok s ->
-        let late =
-          match Vmsh.Attach.journal s with
-          | Some j -> Vmsh.Journal.late_writes j
-          | None -> []
-        in
-        (match Vmsh.Attach.detach s with
-        | Ok () -> ()
-        | Error e ->
-            failwith ("vmsh-detach detach: " ^ Vmsh.Vmsh_error.to_string e));
-        let elapsed = Clock.now_ns h.H.Host.clock -. t0 in
-        if journal then begin
-          Observe.Metrics.observe
-            (Observe.Metrics.histogram dm "detach.roundtrip_ns")
-            elapsed;
-          Observe.Metrics.incr
-            (Observe.Metrics.counter dm
-               (if
-                  Vmsh.Snapshot.check ~before
-                    ~after:(Vmsh.Snapshot.capture vm) ~exclude:late
-                then "detach.oracle_pass"
-                else "detach.oracle_fail"))
-        end;
-        elapsed
-  in
-  let sum = List.fold_left ( +. ) 0.0 in
-  let journaled = sum (List.init 4 (fun i -> detach_cycle ~seed:(1700 + i) ~journal:true)) in
-  let bare = sum (List.init 4 (fun i -> detach_cycle ~seed:(1700 + i) ~journal:false)) in
-  let overhead_permille =
-    int_of_float ((journaled -. bare) /. bare *. 1000.)
-  in
-  Observe.Metrics.set_counter
-    (Observe.Metrics.counter dm "detach.journal_overhead_permille")
-    (max 0 overhead_permille);
-  Printf.printf
-    "vmsh-detach: attach+detach %.2f ms journaled vs %.2f ms bare (journal \
-     overhead %+.1f%%)\n"
-    (journaled /. 4. /. 1e6) (bare /. 4. /. 1e6)
-    (float_of_int overhead_permille /. 10.);
-  (* flight recorder: per-stage pipeline profile, the recording-overhead
-     ablation (always-on recording vs a disabled recorder — virtual
-     time, so the expected overhead is exactly zero), and the
-     replay-diff oracle folded into counters *)
-  let tm = Observe.Metrics.create () in
-  let smoke_attach ~recording ~seed =
-    let h, _, outcome, t0 =
-      rig seed ~host:(fun h ->
-          Trace.Recorder.set_enabled h.H.Host.recorder recording)
-    in
-    (match outcome with
-    | Error e -> failwith ("vmsh-trace attach: " ^ Vmsh.Vmsh_error.to_string e)
-    | Ok _ -> ());
-    (h, Clock.now_ns h.H.Host.clock -. t0)
-  in
-  let p50 xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let recorded_hosts, on_ns =
-    List.split (List.init 4 (fun i -> smoke_attach ~recording:true ~seed:(1800 + i)))
-  in
-  let off_ns =
-    List.map
-      (fun i -> snd (smoke_attach ~recording:false ~seed:(1800 + i)))
-      [ 0; 1; 2; 3 ]
-  in
-  let on50 = p50 on_ns and off50 = p50 off_ns in
-  Observe.Metrics.set_counter
-    (Observe.Metrics.counter tm "trace.overhead_permille")
-    (max 0 (int_of_float ((on50 -. off50) /. off50 *. 1000.)));
-  (* the stage profile (stage.attach.*_ns histograms, stage.exit.* and
-     stage.pump.* counters) from the recorded attaches *)
-  List.iter
-    (fun h -> Observe.Metrics.merge_into ~into:tm (Observe.metrics h.H.Host.observe))
-    recorded_hosts;
-  Observe.Metrics.set_counter
-    (Observe.Metrics.counter tm "trace.events")
-    (Trace.Recorder.total (List.hd recorded_hosts).H.Host.recorder);
-  (* replay-diff oracle: two independent executions of the same recipe
-     must produce identical event streams and guest digests *)
-  (match
-     (Replay.execute (Replay.Attach { seed = 1850 }),
-      Replay.execute (Replay.Attach { seed = 1850 }))
-   with
-  | Ok a, Ok b ->
-      let clean =
-        Trace.diff a.Replay.run_events b.Replay.run_events = []
-        && a.Replay.run_digest = b.Replay.run_digest
-      in
-      Observe.Metrics.set_counter
-        (Observe.Metrics.counter tm
-           (if clean then "trace.replay_match" else "trace.replay_mismatch"))
-        1
-  | _ ->
-      Observe.Metrics.set_counter
-        (Observe.Metrics.counter tm "trace.replay_mismatch")
-        1);
-  Printf.printf
-    "vmsh-trace: attach p50 %.2f ms recording vs %.2f ms disabled (overhead \
-     %d permille); replay-diff %s\n"
-    (on50 /. 1e6) (off50 /. 1e6)
-    (Observe.Metrics.counter_value
-       (Observe.Metrics.counter tm "trace.overhead_permille"))
-    (if
-       Observe.Metrics.counter_value
-         (Observe.Metrics.counter tm "trace.replay_match")
-       = 1
-     then "clean"
-     else "DIVERGED");
-  (* the job service under sustained open-loop load: a rate sweep to
-     locate the saturation knee, plus the calibrated-point run whose
-     latency distribution and admission counters the CI gates check *)
-  let sm = Observe.Metrics.create () in
-  let module SD = Service.Dispatch in
-  let serve_at ~rate ~jobs =
-    let r =
-      SD.run { SD.default_config with SD.jobs; rate; seed = 2000; ram_mb = 16 }
-    in
-    let last_submit =
-      Array.fold_left
-        (fun acc jr ->
-          if Float.is_finite jr.SD.jr_submit_ns then
-            Float.max acc jr.SD.jr_submit_ns
-          else acc)
-        0. r.SD.rp_records
-    in
-    (* the service kept up if the backlog drained with the arrivals:
-       the last completion lands within 5% of the last submission *)
-    let kept_up = r.SD.rp_makespan_ns <= 1.05 *. last_submit in
-    (r, kept_up)
-  in
-  let knee = ref 0. in
-  List.iter
-    (fun rate ->
-      let r, kept_up = serve_at ~rate ~jobs:150 in
-      if kept_up then knee := Float.max !knee rate;
-      let h =
-        Observe.Metrics.histogram sm (Printf.sprintf "serve.e2e_ns.r%.0f" rate)
-      in
-      Array.iter
-        (fun jr ->
-          if Float.is_finite jr.SD.jr_start_ns then
-            Observe.Metrics.observe h (jr.SD.jr_end_ns -. jr.SD.jr_submit_ns))
-        r.SD.rp_records;
-      Printf.printf
-        "vmsh-serve: rate %5.0f/s %s (completed %d, p99 %.2f ms, makespan \
-         %.1f ms)\n"
-        rate
-        (if kept_up then "kept up" else "SATURATED")
-        (SD.completed r)
-        (Observe.Metrics.percentile h 99.0 /. 1e6)
-        (r.SD.rp_makespan_ns /. 1e6))
-    [ 400.; 800.; 1200.; 1600. ];
-  Observe.Metrics.set_counter
-    (Observe.Metrics.counter sm "serve.knee_rps")
-    (int_of_float !knee);
-  (* the calibrated point: the default tenant set at the default 600/s —
-     below the knee, hot tenant over its bucket. Its full service
-     registry (service.e2e_ns, queue-depth gauge, per-tenant shed
-     counters, merged per-stage aggregates) IS the scenario export. *)
-  let rc, _ = serve_at ~rate:600. ~jobs:200 in
-  Observe.Metrics.merge_into ~into:sm
-    (Observe.metrics rc.SD.rp_host.H.Host.observe);
-  Observe.Metrics.set_counter
-    (Observe.Metrics.counter sm "serve.calibrated_rps")
-    600;
-  Printf.printf
-    "vmsh-serve: knee %.0f/s; calibrated 600/s: %d/%d completed, e2e p50 \
-     %.2f ms p99 %.2f ms p999 %.2f ms\n"
-    !knee (SD.completed rc)
-    (Array.length rc.SD.rp_records)
-    (Observe.Metrics.percentile
-       (Observe.Metrics.histogram sm "service.e2e_ns")
-       50.0
-    /. 1e6)
-    (Observe.Metrics.percentile
-       (Observe.Metrics.histogram sm "service.e2e_ns")
-       99.0
-    /. 1e6)
-    (Observe.Metrics.percentile
-       (Observe.Metrics.histogram sm "service.e2e_ns")
-       99.9
-    /. 1e6);
-  (* trace-mutation fuzzing: a short real campaign over a recorded
-     attach. The engine's bookkeeping (mutation application, protocol
-     validation, n-gram coverage hashing, corpus plumbing) must stay
-     within 5% of the pure attack-execution time — the fuzzer's cost
-     is the replays, not the harness around them. *)
-  let fzm = Observe.Metrics.create () in
-  let fuzz_spec = Replay.Attach { seed = 1900 } in
-  let fuzz_base =
-    match Replay.execute fuzz_spec with
-    | Ok r -> r.Replay.run_events
-    | Error e -> failwith ("vmsh-fuzz: " ^ e)
-  in
-  let fuzz_exec_wall = ref 0.0 in
-  let fuzz_replay_hist = Observe.Metrics.histogram fzm "fuzz.replay_ns" in
-  let fuzz_execute _mutant muts =
-    let t0 = Unix.gettimeofday () in
-    let plan = Faults.create ~seed:0 ~rate:0.0 () in
-    Faults.set_script plan (Fuzz.script_of_mutations fuzz_base muts);
-    let atk = Replay.execute_attack ~plan fuzz_spec in
-    fuzz_exec_wall := !fuzz_exec_wall +. (Unix.gettimeofday () -. t0);
-    Observe.Metrics.observe fuzz_replay_hist atk.Replay.at_virtual_ns;
-    atk.Replay.at_verdict
-  in
-  let fuzz_t0 = Unix.gettimeofday () in
-  let fuzz_rep =
-    Fuzz.run_campaign ~base:fuzz_base ~seed:9 ~rounds:8 ~execute:fuzz_execute
-      ()
-  in
-  let fuzz_total = Unix.gettimeofday () -. fuzz_t0 in
-  let fuzz_bookkeeping = Float.max 0. (fuzz_total -. !fuzz_exec_wall) in
-  let fuzz_overhead =
-    int_of_float
-      (fuzz_bookkeeping /. Float.max 1e-9 !fuzz_exec_wall *. 1000.)
-  in
-  let fz_set name v =
-    Observe.Metrics.set_counter (Observe.Metrics.counter fzm name) v
-  in
-  fz_set "fuzz.mutants" fuzz_rep.Fuzz.fz_mutants_run;
-  fz_set "fuzz.bugs" fuzz_rep.Fuzz.fz_bugs;
-  fz_set "fuzz.corpus.kept" fuzz_rep.Fuzz.fz_corpus_kept;
-  fz_set "fuzz.corpus.ngrams" (List.length fuzz_rep.Fuzz.fz_coverage);
-  fz_set "fuzz.corpus_overhead_permille" fuzz_overhead;
-  Printf.printf
-    "vmsh-fuzz: %d mutants at %.1f/s wall (%d survived, %d clean aborts, %d \
-     bugs); corpus bookkeeping %.2f ms vs %.0f ms of replays (%d permille)\n"
-    fuzz_rep.Fuzz.fz_mutants_run
-    (float_of_int fuzz_rep.Fuzz.fz_mutants_run /. Float.max 1e-9 fuzz_total)
-    fuzz_rep.Fuzz.fz_survived fuzz_rep.Fuzz.fz_clean_aborts
-    fuzz_rep.Fuzz.fz_bugs (fuzz_bookkeeping *. 1e3) (!fuzz_exec_wall *. 1e3)
-    fuzz_overhead;
-  (* adversarial-guest attach: the latency a hostile guest costs the
-     attach path, and what the hardening itself costs a clean one. Two
-     distributions (clean attach vs attach under descriptor chaos — the
-     noisiest class that still completes) plus the ablation the 5% gate
-     holds: use-time symbol revalidation on vs off on a clean guest. *)
-  let hm = Observe.Metrics.create () in
-  let hostile_attach ?hostile ?(revalidate = true) ~seed () =
-    let config vmm =
-      let c =
-        Vmsh.Attach.Config.with_revalidate revalidate
-          (Vmsh.Attach.Config.make ())
-      in
-      match hostile with
-      | None -> c
-      | Some cls ->
-          let plan = Faults.create ~seed ~rate:0.0 () in
-          let eng = Hostile.create ~seed ~cls vmm in
-          Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng));
-          Vmsh.Attach.Config.with_faults plan c
-    in
-    let h, _, outcome, t0 = rig seed ~config in
-    (outcome, Clock.now_ns h.H.Host.clock -. t0)
-  in
-  let h_clean = Observe.Metrics.histogram hm "hostile.clean_attach_ns" in
-  let h_attacked = Observe.Metrics.histogram hm "hostile.attach_ns" in
-  let hostile_survived = ref 0 in
-  let samples = 5 in
-  let clean_ns =
-    List.init samples (fun i ->
-        let outcome, dt = hostile_attach ~seed:(2100 + i) () in
-        (match outcome with
-        | Ok _ -> ()
-        | Error e ->
-            failwith ("vmsh-hostile clean: " ^ Vmsh.Vmsh_error.to_string e));
-        Observe.Metrics.observe h_clean dt;
-        dt)
-  in
-  List.iter
-    (fun i ->
-      let outcome, dt =
-        hostile_attach ~hostile:Hostile.Desc_chaos ~seed:(2100 + i) ()
-      in
-      (match outcome with
-      | Ok _ -> incr hostile_survived
-      | Error _ ->
-          (* a typed abort is a clean, acceptable outcome under attack;
-             an escaped exception fails the bench by propagating *)
-          ());
-      Observe.Metrics.observe h_attacked dt)
-    [ 0; 1; 2; 3; 4 ];
-  let bare_ns =
-    List.init samples (fun i ->
-        snd (hostile_attach ~revalidate:false ~seed:(2100 + i) ()))
-  in
-  let clean50 = p50 clean_ns and bare50 = p50 bare_ns in
-  let hardening_overhead =
-    max 0 (int_of_float ((clean50 -. bare50) /. bare50 *. 1000.))
-  in
-  let hm_set name v =
-    Observe.Metrics.set_counter (Observe.Metrics.counter hm name) v
-  in
-  hm_set "hostile.overhead_permille" hardening_overhead;
-  hm_set "hostile.survived" !hostile_survived;
-  Printf.printf
-    "vmsh-hostile: clean attach p50 %.2f ms vs %.2f ms under desc-chaos \
-     (%d/%d survived); hardening %.2f ms hardened vs %.2f ms ablated (%d \
-     permille)\n"
-    (clean50 /. 1e6)
-    (Observe.Metrics.percentile h_attacked 50. /. 1e6)
-    !hostile_survived samples (clean50 /. 1e6) (bare50 /. 1e6)
-    hardening_overhead;
-  let scenarios =
-    [
-      ("qemu-blk", Observe.metrics hq.H.Host.observe);
-      ("vmsh-blk", Observe.metrics hv.H.Host.observe);
-      ("vmsh-net", Observe.metrics hn.H.Host.observe); ("vmsh-faults", fm);
-      ("vmsh-fleet", flm); ("vmsh-fork", fkm); ("vmsh-detach", dm);
-      ("vmsh-trace", tm);
-      ("vmsh-serve", sm); ("vmsh-fuzz", fzm); ("vmsh-hostile", hm);
-    ]
-  in
-  let oc = open_out "BENCH_results.json" in
-  output_string oc
-    (Printf.sprintf "{\"scenarios\": {%s}}\n"
-       (String.concat ", "
-          (List.map
-             (fun (label, mx) ->
-               Printf.sprintf "%S: %s" label (Observe.Export.metrics_json mx))
-             scenarios)));
-  close_out oc;
-  List.iter
-    (fun (label, mx) ->
-      List.iter
-        (fun hist ->
-          let p q = Observe.Metrics.percentile hist q in
-          Printf.printf
-            "%-11s %-26s n=%4d  p50 %10.0f  p95 %10.0f  p99 %10.0f ns\n" label
-            (Observe.Metrics.histogram_name hist)
-            (Observe.Metrics.count hist) (p 50.0) (p 95.0) (p 99.0))
-        (Observe.Metrics.histograms mx))
-    scenarios;
-  Printf.printf "written: BENCH_results.json\n"
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks (wall-clock cost of simulator hot paths;    *)
 (* one Test.make per experiment family)                                 *)
 (* ------------------------------------------------------------------ *)
@@ -1323,7 +767,6 @@ let experiments =
     ("e9", run_e9);
     ("e10", run_e10);
     ("ablation", run_ablation);
-    ("latency", run_latency);
     ("bechamel", run_bechamel);
   ]
 

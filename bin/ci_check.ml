@@ -4,12 +4,15 @@
 
    Usage:
      ci_check json FILE...       well-formed JSON
-     ci_check trace FILE         chrome trace: every attach phase as a
+     ci_check trace TRACE METRICS
+                                 chrome trace: every attach phase as a
                                  matched B/E span, an ioregionfd exit,
-                                 no legacy kvm.exit: names
+                                 no legacy kvm.exit: names; the same
+                                 attach's metrics carry its stage
+                                 profile (exit classes, blk pump, every
+                                 stage.attach.*_ns histogram)
      ci_check net-metrics FILE   vmsh-net counters + echo histogram +
                                  the console, net and blk driver meters
-     ci_check bench FILE         BENCH_results.json scenarios
      ci_check fuzz FILE          fault-matrix gate: 0 hangs, 0 unclean,
                                  every fault class exercised
      ci_check fuzz-trace FILE    trace-mutation gate: verdicts account
@@ -27,7 +30,9 @@
                                  (copied < shared), zero session failures
      ci_check serve FILE         job-service gate: per-tenant admission
                                  enforced, wire replies account for every
-                                 submission, zero failures/leaked workers
+                                 submission, zero failures/leaked workers,
+                                 at least 100 completions, end-to-end p99
+                                 within 110 ms
      ci_check hostile FILE       chaos-matrix gate: every hostile guest
                                  class swept, every cell restored the
                                  guest, leaked nothing, aborted cleanly
@@ -290,6 +295,28 @@ let check_trace path =
          events)
   then fail "%s: trace has no kvm.exit.ioregionfd instant" path
 
+(* The attach's per-stage pipeline profile in its metrics document:
+   both MMIO exit classes and a blk pump were counted, and every
+   attach phase (plus the total) has a stage.attach.*_ns sample. *)
+let check_stage_profile path =
+  let j = load path in
+  let counters = field_exn ~ctx:path j "counters" in
+  List.iter
+    (fun c ->
+      if int_field ~ctx:path counters c < 1 then
+        fail "%s: stage profile counter %S is empty" path c)
+    [ "stage.exit.ioregionfd"; "stage.exit.mmio-userspace"; "stage.pump.blk" ];
+  let hists = field_exn ~ctx:path j "histograms" in
+  List.iter
+    (fun name ->
+      let h = field_exn ~ctx:path hists ("stage.attach." ^ name ^ "_ns") in
+      if int_field ~ctx:path h "count" < 1 then
+        fail "%s: stage profile histogram %S is empty" path name)
+    [
+      "ptrace-attach"; "fd-discovery"; "memslot-dump"; "register-read";
+      "symbol-analysis"; "device-setup"; "klib-sideload"; "total";
+    ]
+
 let check_net_metrics path =
   let j = load path in
   let counters = field_exn ~ctx:path j "counters" in
@@ -312,191 +339,6 @@ let check_net_metrics path =
           if n < 1 then fail "%s: driver histogram %S count %d < 1" path name n)
     [ "vmsh-console.tx_ns"; "vmsh-net.tx_ns"; "vmsh-blk.read_ns"; "guest-blk.read_ns" ]
 
-let check_bench path =
-  let j = load path in
-  let scen = field_exn ~ctx:path j "scenarios" in
-  List.iter
-    (fun required ->
-      if field scen required = None then
-        fail "%s: missing scenario %S" path required)
-    [
-      "qemu-blk"; "vmsh-blk"; "vmsh-net"; "vmsh-faults"; "vmsh-fleet";
-      "vmsh-fork"; "vmsh-detach"; "vmsh-trace"; "vmsh-serve"; "vmsh-fuzz";
-      "vmsh-hostile";
-    ];
-  let net = field_exn ~ctx:path scen "vmsh-net" in
-  let hist =
-    field_exn ~ctx:path (field_exn ~ctx:path net "histograms") "net-echo.request_ns"
-  in
-  if int_field ~ctx:path hist "count" < 1000 then
-    fail "%s: vmsh-net echo histogram count < 1000" path;
-  let faults = field_exn ~ctx:path scen "vmsh-faults" in
-  let rhist =
-    field_exn ~ctx:path
-      (field_exn ~ctx:path faults "histograms")
-      "faults.attach_ns"
-  in
-  if int_field ~ctx:path rhist "count" < 1 then
-    fail "%s: vmsh-faults recorded no attach latencies" path;
-  (* fleet scaling: a per-N attach histogram for every swept fleet
-     size, and proof the shared symbol cache actually hit *)
-  let fleet = field_exn ~ctx:path scen "vmsh-fleet" in
-  let fhists = field_exn ~ctx:path fleet "histograms" in
-  List.iter
-    (fun (n, expect) ->
-      let h = field_exn ~ctx:path fhists (Printf.sprintf "fleet.attach_ns.n%d" n) in
-      let c = int_field ~ctx:path h "count" in
-      if c <> expect then
-        fail "%s: fleet.attach_ns.n%d count: %d (want %d)" path n c expect)
-    [ (1, 1); (8, 8); (64, 64) ];
-  let fcounters = field_exn ~ctx:path fleet "counters" in
-  if int_field ~ctx:path fcounters "symcache.hits" < 1 then
-    fail "%s: vmsh-fleet symbol cache never hit" path;
-  (* the fork scenario: per-N fork histograms for every forked fleet
-     size, and an overlay that stays mostly shared at the largest one *)
-  let forksc = field_exn ~ctx:path scen "vmsh-fork" in
-  let fkhists = field_exn ~ctx:path forksc "histograms" in
-  List.iter
-    (fun n ->
-      let h =
-        field_exn ~ctx:path fkhists (Printf.sprintf "fleet.fork_ns.fork.n%d" n)
-      in
-      let c = int_field ~ctx:path h "count" in
-      if c <> n then
-        fail "%s: fleet.fork_ns.fork.n%d count: %d (want %d)" path n c n)
-    [ 8; 64; 512 ];
-  let fkcounters = field_exn ~ctx:path forksc "counters" in
-  let fkcopied = int_field ~ctx:path fkcounters "overlay.pages_copied.n512" in
-  let fkshared = int_field ~ctx:path fkcounters "overlay.pages_shared.n512" in
-  if fkcopied >= fkshared then
-    fail "%s: vmsh-fork n512 copied %d pages vs %d shared" path fkcopied
-      fkshared;
-  (* transactional detach: round-trips recorded, oracle clean, and the
-     journal's fault-free overhead within the 5%% acceptance bound *)
-  let detach = field_exn ~ctx:path scen "vmsh-detach" in
-  let dhist =
-    field_exn ~ctx:path
-      (field_exn ~ctx:path detach "histograms")
-      "detach.roundtrip_ns"
-  in
-  if int_field ~ctx:path dhist "count" < 1 then
-    fail "%s: vmsh-detach recorded no round-trips" path;
-  let dcounters = field_exn ~ctx:path detach "counters" in
-  if int_field ~ctx:path dcounters "detach.oracle_pass" < 1 then
-    fail "%s: vmsh-detach oracle never passed" path;
-  if opt_int_field ~ctx:path dcounters "detach.oracle_fail" > 0 then
-    fail "%s: vmsh-detach oracle failures" path;
-  let overhead =
-    int_field ~ctx:path dcounters "detach.journal_overhead_permille"
-  in
-  if overhead > 50 then
-    fail "%s: journal overhead %d permille exceeds the 5%% bound" path overhead;
-  (* flight recorder: always-on recording within the 5%% attach-p50
-     bound, the replay-diff oracle clean, and the per-stage pipeline
-     profile (attach phases, exit classes, pump stages) present *)
-  let trace = field_exn ~ctx:path scen "vmsh-trace" in
-  let tcounters = field_exn ~ctx:path trace "counters" in
-  let toverhead = int_field ~ctx:path tcounters "trace.overhead_permille" in
-  if toverhead > 50 then
-    fail "%s: recording overhead %d permille exceeds the 5%% bound" path
-      toverhead;
-  if int_field ~ctx:path tcounters "trace.events" < 1 then
-    fail "%s: the flight recorder captured no events" path;
-  if opt_int_field ~ctx:path tcounters "trace.replay_mismatch" > 0 then
-    fail "%s: replay-diff oracle diverged" path;
-  if opt_int_field ~ctx:path tcounters "trace.replay_match" < 1 then
-    fail "%s: replay-diff oracle never ran" path;
-  List.iter
-    (fun c ->
-      if int_field ~ctx:path tcounters c < 1 then
-        fail "%s: stage profile counter %S is empty" path c)
-    [ "stage.exit.ioregionfd"; "stage.exit.mmio-userspace"; "stage.pump.blk" ];
-  let thists = field_exn ~ctx:path trace "histograms" in
-  List.iter
-    (fun name ->
-      let h = field_exn ~ctx:path thists ("stage.attach." ^ name ^ "_ns") in
-      if int_field ~ctx:path h "count" < 1 then
-        fail "%s: stage profile histogram %S is empty" path name)
-    [
-      "ptrace-attach"; "fd-discovery"; "memslot-dump"; "register-read";
-      "symbol-analysis"; "device-setup"; "klib-sideload"; "total";
-    ];
-  (* the job service under sustained load: the rate sweep found a knee,
-     the calibrated point's latency distribution is present and within
-     its bound, the hot tenant shed while the others rode clean, and no
-     worker leaked *)
-  let serve = field_exn ~ctx:path scen "vmsh-serve" in
-  let scounters = field_exn ~ctx:path serve "counters" in
-  let shists = field_exn ~ctx:path serve "histograms" in
-  List.iter
-    (fun rate ->
-      let h = field_exn ~ctx:path shists (Printf.sprintf "serve.e2e_ns.r%d" rate) in
-      if int_field ~ctx:path h "count" < 1 then
-        fail "%s: serve sweep point %d/s has no latency samples" path rate)
-    [ 400; 800; 1200; 1600 ];
-  if int_field ~ctx:path scounters "serve.knee_rps" < 400 then
-    fail "%s: serve rate sweep found no saturation knee (knee < lowest rate)"
-      path;
-  let se2e = field_exn ~ctx:path shists "service.e2e_ns" in
-  if int_field ~ctx:path se2e "count" < 100 then
-    fail "%s: calibrated serve point ran fewer than 100 jobs" path;
-  (* calibrated: p99 measured ~53 ms at 600/s with 8 workers; the gate
-     allows 2x headroom before declaring a latency regression *)
-  if int_field ~ctx:path se2e "p99" > 110_000_000 then
-    fail "%s: calibrated serve p99 %d ns exceeds the 110 ms bound" path
-      (int_field ~ctx:path se2e "p99");
-  if opt_int_field ~ctx:path scounters "service.workers.leaked" > 0 then
-    fail "%s: serve leaked workers" path;
-  if opt_int_field ~ctx:path scounters "service.failed" > 0 then
-    fail "%s: serve jobs failed at the calibrated point" path;
-  if opt_int_field ~ctx:path scounters "service.shed.rate.t0" < 1 then
-    fail "%s: hot tenant t0 was never rate-shed (admission vacuous)" path;
-  List.iter
-    (fun t ->
-      List.iter
-        (fun reason ->
-          let k = Printf.sprintf "service.shed.%s.%s" reason t in
-          if opt_int_field ~ctx:path scounters k > 0 then
-            fail "%s: light tenant %s was shed (%s)" path t k)
-        [ "rate"; "queue-full"; "evicted" ])
-    [ "t1"; "t2"; "t3" ];
-  (* trace-mutation fuzzing: the campaign ran real mutants through the
-     attack executor, none of them broke the pipeline, and the corpus
-     bookkeeping (mutation, validation, coverage hashing, minimizer
-     plumbing) stays within 5%% of the pure execution time *)
-  let fz = field_exn ~ctx:path scen "vmsh-fuzz" in
-  let fzc = field_exn ~ctx:path fz "counters" in
-  if int_field ~ctx:path fzc "fuzz.mutants" < 1 then
-    fail "%s: vmsh-fuzz ran no mutants" path;
-  if opt_int_field ~ctx:path fzc "fuzz.bugs" > 0 then
-    fail "%s: vmsh-fuzz found BUG verdicts in a clean build" path;
-  let fov = int_field ~ctx:path fzc "fuzz.corpus_overhead_permille" in
-  if fov > 50 then
-    fail "%s: fuzz corpus bookkeeping %d permille exceeds the 5%% bound" path
-      fov;
-  let fzh =
-    field_exn ~ctx:path (field_exn ~ctx:path fz "histograms") "fuzz.replay_ns"
-  in
-  if int_field ~ctx:path fzh "count" < 1 then
-    fail "%s: vmsh-fuzz recorded no per-mutant replay times" path;
-  (* adversarial-guest attach: both latency distributions populated,
-     and the hardening ablation (use-time revalidation on vs off on a
-     clean guest) within the 5%% acceptance bound *)
-  let ho = field_exn ~ctx:path scen "vmsh-hostile" in
-  let hoh = field_exn ~ctx:path ho "histograms" in
-  List.iter
-    (fun name ->
-      let h = field_exn ~ctx:path hoh name in
-      if int_field ~ctx:path h "count" < 1 then
-        fail "%s: vmsh-hostile histogram %S is empty" path name)
-    [ "hostile.clean_attach_ns"; "hostile.attach_ns" ];
-  let hoc = field_exn ~ctx:path ho "counters" in
-  let hov = int_field ~ctx:path hoc "hostile.overhead_permille" in
-  if hov > 50 then
-    fail "%s: hardening overhead %d permille exceeds the 5%% bound" path hov;
-  if int_field ~ctx:path hoc "hostile.survived" < 1 then
-    fail "%s: no attach ever completed under the hostile guest" path
-
 (* The serve metrics document (vmsh serve --metrics-out): per-tenant
    admission enforced, every submission accounted for on the wire, no
    failures, no leaked workers, and the latency histograms populated. *)
@@ -513,7 +355,8 @@ let check_serve path =
   let shed = opt_int_field ~ctx:path counters "service.shed" in
   let completed = opt_int_field ~ctx:path counters "service.completed" in
   if admitted < 1 then fail "%s: admission admitted nothing" path;
-  if completed < 1 then fail "%s: no job ever completed" path;
+  if completed < 100 then
+    fail "%s: only %d jobs completed (want at least 100)" path completed;
   (* the wire protocol is observable end to end: every admission was a
      202 at the client, every rejection a 429 *)
   let accepted = opt_int_field ~ctx:path counters "service.client.accepted" in
@@ -570,7 +413,12 @@ let check_serve path =
   then
     fail "%s: e2e histogram count %d does not match executed jobs %d" path
       (int_field ~ctx:path e2e "count")
-      completed
+      completed;
+  (* a latency regression bound, not a target: the 600/s calibrated
+     point measures well under it *)
+  let p99 = int_field ~ctx:path e2e "p99" in
+  if p99 > 110_000_000 then
+    fail "%s: end-to-end p99 %d ns exceeds the 110 ms bound" path p99
 
 (* The fleet metrics document is one merged object: fleet-wide
    aggregates (every session's counters and histogram buckets folded
@@ -771,9 +619,10 @@ let check_hostile path =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "json" :: (_ :: _ as files) -> List.iter (fun f -> ignore (load f)) files
-  | [ _; "trace"; f ] -> check_trace f
+  | [ _; "trace"; f; m ] ->
+      check_trace f;
+      check_stage_profile m
   | [ _; "net-metrics"; f ] -> check_net_metrics f
-  | [ _; "bench"; f ] -> check_bench f
   | [ _; "fuzz"; f ] -> check_fuzz f
   | [ _; "fuzz-trace"; f ] -> check_fuzz_trace f
   | [ _; "fleet"; f ] -> check_fleet f
@@ -783,7 +632,7 @@ let () =
   | [ _; "hostile"; f ] -> check_hostile f
   | _ ->
       prerr_endline
-        "usage: ci_check {json FILE... | trace FILE | net-metrics FILE | \
-         bench FILE | fuzz FILE | fuzz-trace FILE | fleet FILE | \
+        "usage: ci_check {json FILE... | trace TRACE METRICS | \
+         net-metrics FILE | fuzz FILE | fuzz-trace FILE | fleet FILE | \
          fleet-fork COLD FORK | sweep FILE | serve FILE | hostile FILE}";
       exit 2

@@ -19,8 +19,6 @@ module Config = struct
     net : net_attachment option;
     faults : Faults.t option;
     symbol_cache : Symbol_analysis.Cache.t option;
-    journal : bool;
-    revalidate : bool;
   }
 
   let make () =
@@ -34,8 +32,6 @@ module Config = struct
       net = None;
       faults = None;
       symbol_cache = None;
-      journal = true;
-      revalidate = true;
     }
 
   let with_transport transport t = { t with transport }
@@ -47,8 +43,6 @@ module Config = struct
   let with_net net t = { t with net = Some net }
   let with_faults plan t = { t with faults = Some plan }
   let with_symbol_cache cache t = { t with symbol_cache = Some cache }
-  let with_journal journal t = { t with journal }
-  let with_revalidate revalidate t = { t with revalidate }
   let transport t = t.transport
   let copy_mode t = t.copy_mode
   let container_pid t = t.container_pid
@@ -58,8 +52,6 @@ module Config = struct
   let net t = t.net
   let faults t = t.faults
   let symbol_cache t = t.symbol_cache
-  let journal t = t.journal
-  let revalidate t = t.revalidate
 
   let validate t =
     if t.pci && t.transport = Devices.Wrap_syscall then
@@ -87,7 +79,7 @@ type session = {
   anal : Symbol_analysis.analysis;
   loaded : Loader.loaded;
   pump : unit -> unit;
-  journal : Journal.t option;
+  journal : Journal.t;
       (** sealed on success; replayed by {!detach} to restore the guest *)
 }
 
@@ -97,23 +89,16 @@ let transport s = Config.transport s.cfg
 let config s = s.cfg
 let analysis s = s.anal
 let status s = Loader.poll_status ~mem:s.mem s.loaded
-let journal s = s.journal
+let journal s = Some s.journal
 
 let ( let* ) = Result.bind
 
 (* Journal plumbing: [jrec] records an undo whose failure matters (the
-   closure returns a result; failures surface as [Rollback_failed]),
-   [jrec_u] one that cannot fail. Both are no-ops when the transaction
-   journal is disabled. *)
+   closure returns a result; failures surface as [Rollback_failed]);
+   undos that cannot fail go to [Journal.record] directly. *)
 let jrec j ~what undo =
-  match j with
-  | Some j ->
-      Journal.record j ~what (fun () ->
-          match undo () with Ok _ -> () | Error e -> E.fail e)
-  | None -> ()
-
-let jrec_u j ~what undo =
-  match j with Some j -> Journal.record j ~what undo | None -> ()
+  Journal.record j ~what (fun () ->
+      match undo () with Ok _ -> () | Error e -> E.fail e)
 
 (* Virtual-time watchdog budgets. Generously above what any fault-free
    phase spends, so they only fire when the guest or the handshake
@@ -356,7 +341,7 @@ let setup_ioregionfd host vmsh tracee devs ~j ~hypervisor_pid =
   let pump_id =
     Kvm.Vm.add_ioregion_pump vm (Devices.ioregion_pump devs ~sock:local_sock)
   in
-  jrec_u j ~what:"ioregion pump" (fun () ->
+  Journal.record j ~what:"ioregion pump" (fun () ->
       Kvm.Vm.remove_ioregion_pump vm pump_id);
   Ok ()
 
@@ -420,8 +405,8 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
     (match Config.faults cfg with
     | Some plan -> Host.arm_faults host plan
     | None -> ());
-    let j = if Config.journal cfg then Some (Journal.create ()) else None in
-    jref := j;
+    let j = Journal.create () in
+    jref := Some j;
     (* VMSH starts with the privileges it needs for discovery and drops
        them afterwards (paper §4.5). *)
     let vmsh =
@@ -450,7 +435,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
       Hyp_mem.create host ~vmsh ~hypervisor_pid ~slots
         ~mode:(Config.copy_mode cfg) ()
     in
-    Hyp_mem.set_journal mem j;
+    Hyp_mem.set_journal mem (Some j);
     memr := Some mem;
     let* regs =
       Tracee.phase host "register-read" (fun () ->
@@ -492,7 +477,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
                 let* () = install_msi_route tracee ~gsi in
                 (* KVM_SET_GSI_ROUTING has no removal encoding; the undo
                    drops the route from the simulated irqchip directly *)
-                jrec_u j ~what:(Printf.sprintf "MSI route gsi %d" gsi)
+                Journal.record j ~what:(Printf.sprintf "MSI route gsi %d" gsi)
                   (fun () -> Kvm.Vm.remove_msi_route vm ~gsi);
                 route rest
           in
@@ -522,7 +507,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
       List.iter2
         (fun kind irqfd ->
           let h = Devices.register devs kind ~irqfd in
-          jrec_u j
+          Journal.record j
             ~what:(Printf.sprintf "%s device" (Devices.kind_name kind))
             (fun () -> Devices.unregister devs h))
         device_plan fds;
@@ -530,7 +515,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
         match Config.transport cfg with
         | Devices.Wrap_syscall ->
             Devices.install_wrap_syscall devs;
-            jrec_u j ~what:"wrap_syscall hook" (fun () ->
+            Journal.record j ~what:"wrap_syscall hook" (fun () ->
                 Devices.uninstall_wrap_syscall devs);
             Ok ()
         | Devices.Ioregionfd ->
@@ -544,11 +529,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
       Tracee.phase host "klib-sideload" @@ fun () ->
       (* the scan is stale by now if the guest raced it: re-check the
          witnessed structures before trusting any symbol address *)
-      let* anal =
-        if Config.revalidate cfg then
-          revalidated_analysis host mem ~cr3:regs.X86.Regs.cr3 anal
-        else Ok anal
-      in
+      let* anal = revalidated_analysis host mem ~cr3:regs.X86.Regs.cr3 anal in
       (* guest program + kernel library *)
       let program =
         Overlay.register
@@ -598,7 +579,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
       (* Commit: freeze the log. Steady-state device writes from here on
          are tracked only as oracle-exclusion intervals; [detach] replays
          the sealed log to restore the guest. *)
-      (match s.journal with Some j -> Journal.seal j | None -> ());
+      Journal.seal s.journal;
       observe_total ();
       Trace.Recorder.record host.Host.recorder ~kind:"attach.commit"
         ~args:[ ("dur_ns", Trace.I (int_of_float (total_ns ()))) ]
@@ -616,6 +597,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
       Observe.log obs Observe.Info "attach aborted: %s" (E.to_string err);
       match !jref with
       | None ->
+          (* the config failed validation before the journal existed *)
           Trace.Recorder.record host.Host.recorder ~kind:"attach.abort"
             ~args:[ ("entries", Trace.I 0) ]
             ();
@@ -651,28 +633,19 @@ let console_roundtrip s line =
    first, then the memslot and its mmap, then device registrations and
    irqfd/ioregionfd wiring, sockets and fds, the scratch page last.
    Ptrace must go last of all — every injected undo still needs the
-   tracee stopped. (The pre-journal detach dropped ptrace first, which
-   left the irqfds and the ioregion registration dangling in KVM.) *)
+   tracee stopped. *)
 let detach s =
   let host = Hyp_mem.host s.mem in
+  Hyp_mem.set_journal s.mem None;
+  Trace.Recorder.record host.Host.recorder ~kind:"journal.rollback"
+    ~args:
+      [
+        ("entries", Trace.I (Journal.length s.journal));
+        ("origin", Trace.S "detach");
+      ]
+    ();
   let replayed =
-    match s.journal with
-    | Some j ->
-        Hyp_mem.set_journal s.mem None;
-        Trace.Recorder.record host.Host.recorder ~kind:"journal.rollback"
-          ~args:
-            [
-              ("entries", Trace.I (Journal.length j));
-              ("origin", Trace.S "detach");
-            ]
-          ();
-        Journal.replay ~metrics:(Observe.metrics host.Host.observe) j
-    | None ->
-        (* journal disabled: legacy teardown, transport hook only *)
-        (match Config.transport s.cfg with
-        | Devices.Wrap_syscall -> Devices.uninstall_wrap_syscall s.devs
-        | Devices.Ioregionfd -> ());
-        Ok ()
+    Journal.replay ~metrics:(Observe.metrics host.Host.observe) s.journal
   in
   (* ptrace goes even when an undo failed — a half-restored guest with a
      dangling tracer would be strictly worse *)

@@ -43,7 +43,9 @@ module Config : sig
 
   val make : unit -> t
   (** ioregionfd transport, bulk copies, interactive shell, privileges
-      dropped after discovery, journal and use-time revalidation on. *)
+      dropped after discovery. Every attach journals its mutations and
+      re-validates the scanned kernel structures at use time; neither
+      can be turned off. *)
 
   val with_transport : Devices.transport -> t -> t
   val with_copy_mode : Hyp_mem.copy_mode -> t -> t
@@ -78,21 +80,6 @@ module Config : sig
   (** Share a build-id-keyed symbol cache across attaches; see
       {!Symbol_analysis.Cache}. *)
 
-  val with_journal : bool -> t -> t
-  (** Record every guest/hypervisor mutation on a per-session undo
-      journal (default [true]), giving transactional attach: any abort
-      — and {!detach} — restores the guest byte-for-byte. [false]
-      reverts to the journal-free attach of the previous release (the
-      bench ablation knob). *)
-
-  val with_revalidate : bool -> t -> t
-  (** Re-validate the scanned kernel structures (ksymtab + strings
-      region) against their witness at use time, just before the loader
-      patches the guest (default [true]). A mismatch earns the guest
-      one cache-bypassing rescan; a second mismatch aborts with
-      {!Vmsh_error.Guest_misbehavior}. [false] is the bench ablation
-      knob that measures the hardening's clean-path overhead. *)
-
   val validate : t -> (t, string) result
   (** Reject combinations no attach can serve: PCI over the
       wrap_syscall transport, a net port cabled on a different fabric
@@ -108,8 +95,6 @@ module Config : sig
   val net : t -> net_attachment option
   val faults : t -> Faults.t option
   val symbol_cache : t -> Symbol_analysis.Cache.t option
-  val journal : t -> bool
-  val revalidate : t -> bool
 end
 
 type session
@@ -128,7 +113,13 @@ val attach :
     including a {!Faults.Crash_point} from the sweep harness and the
     virtual-time watchdogs on the guest-ready poll and the device
     handshake — replays the journal in reverse before returning its
-    [Error]. A failed undo surfaces as {!Vmsh_error.Rollback_failed}. *)
+    [Error]. A failed undo surfaces as {!Vmsh_error.Rollback_failed}.
+
+    Just before the loader patches the guest, the scanned kernel
+    structures (ksymtab + strings region) are re-validated against
+    their witness. A mismatch earns the guest one cache-bypassing
+    rescan; a second mismatch aborts with
+    {!Vmsh_error.Guest_misbehavior}. *)
 
 val vmsh_process : session -> Hostos.Proc.t
 val devices : session -> Devices.t
@@ -148,9 +139,9 @@ val console_roundtrip : session -> string -> string
 (** [console_send] + [console_recv]: one command, its output. *)
 
 val journal : session -> Journal.t option
-(** The session's sealed mutation journal (None when the session was
-    configured with [with_journal false]). Its late-write pages
-    feed the snapshot oracle's exclusion set. *)
+(** The session's sealed mutation journal; always [Some], since every
+    attach journals (the option type is kept for existing callers).
+    Its late-write pages feed the snapshot oracle's exclusion set. *)
 
 val detach : session -> (unit, Vmsh_error.t) result
 (** Replay the mutation journal in reverse — unwinding device

@@ -53,8 +53,7 @@ module Recorder : sig
   val now : t -> float
 
   val set_enabled : t -> bool -> unit
-  (** Disabling turns boundary {!record}s into no-ops (used by the
-      bench recording-overhead ablation). *)
+  (** Disabling turns boundary {!record}s into no-ops. *)
 
   val detail : t -> bool
 

@@ -26,8 +26,8 @@ let populate fs files =
     files
 
 (* Root disk for the guest: must contain /dev for the exec drop. *)
-let make_root_disk ?(extra = []) h =
-  let backend = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:2048 () in
+let make_root_disk ?(blocks = 2048) ?(extra = []) h =
+  let backend = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks () in
   let fs =
     match Sfs.mkfs (Blockdev.Backend.dev backend) () with
     | Ok fs -> fs
@@ -58,9 +58,10 @@ let make_fs_image () =
   | Error e -> Alcotest.failf "image pack: %a" H.Errno.pp e
 
 let setup ?(profile = Profile.qemu) ?(version = KV.V5_10) ?(seed = 23)
-    ?disable_seccomp ?extra_root () =
+    ?(host = ignore) ?root_blocks ?disable_seccomp ?extra_root () =
   let h = H.Host.create ~seed () in
-  let disk = make_root_disk ?extra:extra_root h in
+  host h;
+  let disk = make_root_disk ?blocks:root_blocks ?extra:extra_root h in
   let vmm = Vmm.create h ~profile ~disk ?disable_seccomp () in
   let g = Vmm.boot vmm ~version in
   check cbool "booted" true (Guest.crashed g = None);
@@ -72,6 +73,33 @@ let do_attach ?config (h, vmm, _g) =
        ~fs_image:(make_fs_image ()) ?config
        ~pump:(fun () -> Vmm.run_until_idle vmm)
        ())
+
+(* The rig the attach cost bounds share: a qemu guest on Linux 5.10
+   with a 4096-block root disk. [host] adjusts the new host before
+   anything boots. *)
+let rig ?host seed = setup ?host ~seed ~root_blocks:4096 ()
+
+(* Attach to a rig with a small tools image (packed against the host
+   clock before the attach starts); returns the session and the
+   attach's virtual ns. *)
+let timed_attach (h, vmm, _) =
+  let clock = h.H.Host.clock in
+  let fs_image =
+    match
+      Blockdev.Image.pack ~clock ~extra_blocks:64
+        [ Blockdev.Image.file "/bin/busybox" 600000 ]
+    with
+    | Ok (backend, _) -> backend
+    | Error e -> Alcotest.failf "image pack: %a" H.Errno.pp e
+  in
+  let t0 = H.Clock.now_ns clock in
+  match
+    Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm) ~fs_image
+      ~pump:(fun () -> Vmm.run_until_idle vmm)
+      ()
+  with
+  | Ok s -> (s, H.Clock.now_ns clock -. t0)
+  | Error e -> Alcotest.failf "attach: %s" (Vmsh.Vmsh_error.to_string e)
 
 let test_attach_ioregionfd () =
   let env = setup () in
@@ -556,12 +584,9 @@ let test_analysis_rejects_corrupted_ksymtab () =
           | None -> ())
         anal.Vmsh.Symbol_analysis.symbols
 
-(* Boot + analyze, returning the handles the revalidation tests poke. *)
-let analysis_fixture ~seed =
-  let h = H.Host.create ~seed () in
-  let disk = make_root_disk h in
-  let vmm = Vmm.create h ~profile:Profile.qemu ~disk () in
-  let g = Vmm.boot vmm ~version:KV.V5_10 in
+(* Analyze a booted guest from a fresh VMSH process, returning the
+   handles the revalidation tests poke. *)
+let analyze_guest (h, vmm, g) =
   let vm = Guest.vm g in
   let vmsh = H.Host.spawn h ~name:"vmsh-reval" ~uid:1000 () in
   let slots =
@@ -575,6 +600,8 @@ let analysis_fixture ~seed =
   match Vmsh.Symbol_analysis.analyze mem ~cr3 with
   | Error e -> Alcotest.failf "analyze: %s" e
   | Ok anal -> (g, vm, cr3, mem, anal)
+
+let analysis_fixture ~seed = analyze_guest (setup ~seed ())
 
 (* Guest-physical offset of an exported name inside .ksymtab_strings,
    found the way the adversary would: by scanning its own memory. *)
@@ -633,6 +660,30 @@ let test_revalidate_catches_moved_table () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "corrupted table must fail full revalidation"
 
+(* The use-time check every attach makes must stay cheap on a clean
+   guest: on five rigs, one revalidation costs at most 5% of a clean
+   attach in virtual time. *)
+let test_revalidation_cost_bound () =
+  let reval_ns, attach_ns =
+    List.fold_left
+      (fun (rv, at) seed ->
+        let ((h, _, _) as env) = rig seed in
+        let _, _, cr3, mem, anal = analyze_guest env in
+        let clock = h.H.Host.clock in
+        let t0 = H.Clock.now_ns clock in
+        (match Vmsh.Symbol_analysis.revalidate mem ~cr3 anal with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "revalidate on a clean guest: %s" e);
+        let dt = H.Clock.now_ns clock -. t0 in
+        let _, attach_ns = timed_attach env in
+        (rv +. dt, at +. attach_ns))
+      (0., 0.)
+      [ 2100; 2101; 2102; 2103; 2104 ]
+  in
+  if reval_ns > 0.05 *. attach_ns then
+    Alcotest.failf "revalidation %.0f ns exceeds 5%% of attach %.0f ns"
+      reval_ns attach_ns
+
 let robustness_suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -647,5 +698,6 @@ let robustness_suite =
           test_revalidate_catches_mutated_symbol;
         t "revalidate: corrupted table caught"
           test_revalidate_catches_moved_table;
+        t "revalidate: cost bound" test_revalidation_cost_bound;
       ] );
   ]

@@ -288,7 +288,7 @@ let test_fleet_shims_retired () =
   (* the replacement APIs are present *)
   check cbool "Fleet.run present" true (contains fleet_mli "val run :");
   check cbool "Config builder present" true
-    (contains attach_mli "val with_revalidate")
+    (contains attach_mli "val with_symbol_cache")
 
 (* --- copy-on-write overlays & baseline forking --- *)
 

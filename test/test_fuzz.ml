@@ -351,6 +351,36 @@ let test_real_trace_validates_and_survives () =
       check cbool "scripted notify drop is survivable or a clean abort" true
         (not (Faults.Abort.is_bug v))
 
+(* A short real campaign over a recorded attach: its mutants run clean,
+   and the engine's bookkeeping (mutation, validation, coverage
+   hashing, corpus plumbing) costs at most 5% of the replays it drives.
+   This is the suite's one wall-clock bound: bookkeeping is host work
+   that never touches the virtual clock. *)
+let test_campaign_bookkeeping_bound () =
+  let spec = Replay.Attach { seed = 1900 } in
+  let base =
+    match Replay.execute spec with
+    | Ok r -> r.Replay.run_events
+    | Error e -> Alcotest.failf "attach execute failed: %s" e
+  in
+  let exec_wall = ref 0.0 in
+  let execute _mutant muts =
+    let t0 = Unix.gettimeofday () in
+    let plan = Faults.create ~seed:0 ~rate:0.0 () in
+    Faults.set_script plan (Fuzz.script_of_mutations base muts);
+    let atk = Replay.execute_attack ~plan spec in
+    exec_wall := !exec_wall +. (Unix.gettimeofday () -. t0);
+    atk.Replay.at_verdict
+  in
+  let t0 = Unix.gettimeofday () in
+  let rep = Fuzz.run_campaign ~base ~seed:9 ~rounds:8 ~execute () in
+  let bookkeeping = Unix.gettimeofday () -. t0 -. !exec_wall in
+  check cbool "mutants ran" true (rep.Fuzz.fz_mutants_run >= 1);
+  check cint "no bugs" 0 rep.Fuzz.fz_bugs;
+  if bookkeeping > 0.05 *. !exec_wall then
+    Alcotest.failf "bookkeeping %.2f ms exceeds 5%% of %.2f ms of replays"
+      (bookkeeping *. 1e3) (!exec_wall *. 1e3)
+
 (* --- ci.sh regression: an unknown --stage must list stages and exit 2
    (the old substring match let "build test" run zero stages, exit 0) --- *)
 
@@ -427,6 +457,8 @@ let suite =
           test_campaign_counts_hangs;
         Alcotest.test_case "reproducer metadata round-trips" `Quick
           test_mutant_meta_roundtrip;
+        Alcotest.test_case "campaign bookkeeping bound" `Quick
+          test_campaign_bookkeeping_bound;
         Alcotest.test_case "recorded attach validates and survives attack"
           `Quick test_real_trace_validates_and_survives;
         Alcotest.test_case "ci.sh rejects unknown stages" `Quick

@@ -35,6 +35,11 @@ let test_probe_cells () =
   List.iter
     (fun h ->
       let p = check_cell h in
+      (* descriptor chaos is noisy but must not stop the attach *)
+      if h = Hostile.Desc_chaos then
+        Alcotest.(check string)
+          "desc-chaos completes" "survived"
+          (Faults.Abort.label p.Sweep.pt_report.Fleet.Session.verdict);
       (* the adversary must actually have acted, not silently no-oped *)
       Alcotest.(check bool)
         (Hostile.name h ^ " stepped")

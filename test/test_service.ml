@@ -424,6 +424,24 @@ let test_verdict_table () =
     ~want:"BUG: escaped exception: Not_found" ~plain_ok:false
     ~survival_ok:false
 
+(* The service keeps up with 400 arrivals/s: the backlog drains with
+   the arrivals, so the last completion lands within 5% of the last
+   submission. *)
+let test_serve_keeps_up_at_400 () =
+  let r =
+    D.run { D.default_config with D.jobs = 150; rate = 400.; seed = 2000; ram_mb = 16 }
+  in
+  let last_submit =
+    Array.fold_left
+      (fun acc jr ->
+        if Float.is_finite jr.D.jr_submit_ns then Float.max acc jr.D.jr_submit_ns
+        else acc)
+      0. r.D.rp_records
+  in
+  if r.D.rp_makespan_ns > 1.05 *. last_submit then
+    Alcotest.failf "makespan %.0f ns exceeds 1.05 x last submit %.0f ns"
+      r.D.rp_makespan_ns last_submit
+
 let suite =
   [
     ( "service.units",
@@ -456,5 +474,7 @@ let suite =
           test_serve_hostile_tenant_isolated;
         Alcotest.test_case "verdict table, every outcome and kind" `Quick
           test_verdict_table;
+        Alcotest.test_case "keeps up at 400 jobs/s" `Quick
+          test_serve_keeps_up_at_400;
       ] );
   ]

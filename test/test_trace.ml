@@ -390,6 +390,25 @@ let test_forked_sweep_cell_replays_forked () =
       check cbool "a cold re-run is a different machine" true
         (cold.Replay.run_digest <> digest)
 
+(* Recording is free in virtual time: on four rigs, an attach with the
+   flight recorder on ends at exactly the virtual ns of one with it
+   off. *)
+let test_recording_costs_no_virtual_time () =
+  List.iter
+    (fun seed ->
+      let ends_at recording =
+        let ((h, _, _) as env) =
+          Test_attach.rig seed ~host:(fun h ->
+              Trace.Recorder.set_enabled h.Hostos.Host.recorder recording)
+        in
+        ignore (Test_attach.timed_attach env);
+        Hostos.Clock.now_ns h.Hostos.Host.clock
+      in
+      check (Alcotest.float 0.)
+        (Printf.sprintf "seed %d: recorder on = off" seed)
+        (ends_at false) (ends_at true))
+    [ 1800; 1801; 1802; 1803 ]
+
 let suite =
   [
     ( "trace",
@@ -416,5 +435,7 @@ let suite =
           test_detail_records;
         Alcotest.test_case "tracing leaves the flight recording unchanged"
           `Quick test_tracing_leaves_recording_unchanged;
+        Alcotest.test_case "recording costs no virtual time" `Quick
+          test_recording_costs_no_virtual_time;
       ] );
   ]
