@@ -13,6 +13,7 @@
                                  stage.attach.*_ns histogram)
      ci_check net-metrics FILE   vmsh-net counters + echo histogram +
                                  the console, net and blk driver meters
+                                 + the vmsh-blk backend meter
      ci_check fuzz FILE          fault-matrix gate: 0 hangs, 0 unclean,
                                  every fault class exercised
      ci_check fuzz-trace FILE    trace-mutation gate: verdicts account
@@ -337,7 +338,13 @@ let check_net_metrics path =
       | Some h ->
           let n = int_field ~ctx:path h "count" in
           if n < 1 then fail "%s: driver histogram %S count %d < 1" path name n)
-    [ "vmsh-console.tx_ns"; "vmsh-net.tx_ns"; "vmsh-blk.read_ns"; "guest-blk.read_ns" ]
+    [
+      "vmsh-console.tx_ns";
+      "vmsh-net.tx_ns";
+      "vmsh-blk.read_ns";
+      "guest-blk.read_ns";
+      "vmsh-blk.backend.read_ns";
+    ]
 
 (* The serve metrics document (vmsh serve --metrics-out): per-tenant
    admission enforced, every submission accounted for on the wire, no

@@ -17,8 +17,9 @@
 #   smoke-net     networked attach pushing 1000 echo requests through
 #                 the side-loaded NIC; the console, net and both blk
 #                 driver meters (vmsh-console.tx_ns, vmsh-net.tx_ns,
-#                 vmsh-blk.read_ns, guest-blk.read_ns) must each have
-#                 recorded at least once
+#                 vmsh-blk.read_ns, guest-blk.read_ns) and the vmsh-blk
+#                 device's backend meter (vmsh-blk.backend.read_ns) must
+#                 each have recorded at least once
 #   fault-matrix  `vmsh fuzz --seeds 25`: 0 hangs, 0 unclean failures,
 #                 every fault class exercised — then a double-run
 #                 determinism check (same seeds => byte-identical

@@ -96,7 +96,7 @@ let fd_ops t =
       (fun ~off b ->
         if off < 0 || off + Bytes.length b > size then Error Hostos.Errno.ENOSPC
         else begin
-          Dev.write_range d ~off b;
+          Dev.write_range d ~off b ~len:(Bytes.length b);
           Ok (Bytes.length b)
         end);
   }

@@ -26,37 +26,40 @@ let make ~block_size ~blocks ~read_block ~write_block ~flush ~trim =
     trim;
   }
 
-let read_range t ~off ~len =
+let read_range_into t ~off dst ~len =
   let bs = t.block_size in
-  let out = Bytes.create len in
-  let rec go off dst remaining =
+  let rec go off pos remaining =
     if remaining > 0 then begin
       let blk = off / bs and boff = off mod bs in
       let chunk = min remaining (bs - boff) in
-      if chunk = bs then t.read_into blk out dst
-      else Bytes.blit (t.read_block blk) boff out dst chunk;
-      go (off + chunk) (dst + chunk) (remaining - chunk)
+      if chunk = bs then t.read_into blk dst pos
+      else Bytes.blit (t.read_block blk) boff dst pos chunk;
+      go (off + chunk) (pos + chunk) (remaining - chunk)
     end
   in
-  go off 0 len;
+  go off 0 len
+
+let read_range t ~off ~len =
+  let out = Bytes.create len in
+  read_range_into t ~off out ~len;
   out
 
-let write_range t ~off b =
+let write_range t ~off src ~len =
   let bs = t.block_size in
-  let rec go off src remaining =
+  let rec go off pos remaining =
     if remaining > 0 then begin
       let blk = off / bs and boff = off mod bs in
       let chunk = min remaining (bs - boff) in
-      if chunk = bs then t.write_from blk b src
+      if chunk = bs then t.write_from blk src pos
       else begin
         let data = t.read_block blk in
-        Bytes.blit b src data boff chunk;
+        Bytes.blit src pos data boff chunk;
         t.write_block blk data
       end;
-      go (off + chunk) (src + chunk) (remaining - chunk)
+      go (off + chunk) (pos + chunk) (remaining - chunk)
     end
   in
-  go off 0 (Bytes.length b)
+  go off 0 len
 
 let observe obs ~name t =
   let mx = Observe.metrics obs in
@@ -81,13 +84,23 @@ let observe obs ~name t =
 
 let sub t ~first_block ~blocks =
   if first_block + blocks > t.blocks then invalid_arg "Dev.sub: out of range";
+  (* the window's own bounds: an index past it must not reach the
+     parent's next block *)
+  let at what i =
+    if i < 0 || i >= blocks then
+      invalid_arg (Printf.sprintf "Dev.sub.%s %d out of %d" what i blocks);
+    first_block + i
+  in
   {
     block_size = t.block_size;
     blocks;
-    read_block = (fun i -> t.read_block (first_block + i));
-    write_block = (fun i b -> t.write_block (first_block + i) b);
-    read_into = (fun i dst off -> t.read_into (first_block + i) dst off);
-    write_from = (fun i src off -> t.write_from (first_block + i) src off);
+    read_block = (fun i -> t.read_block (at "read_block" i));
+    write_block = (fun i b -> t.write_block (at "write_block" i) b);
+    read_into = (fun i dst off -> t.read_into (at "read_block" i) dst off);
+    write_from = (fun i src off -> t.write_from (at "write_block" i) src off);
     flush = t.flush;
-    trim = (fun first count -> t.trim (first_block + first) count);
+    trim =
+      (fun first count ->
+        let lo = max 0 first and hi = min blocks (first + count) in
+        t.trim (first_block + lo) (max 0 (hi - lo)));
   }

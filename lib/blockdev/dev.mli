@@ -37,11 +37,18 @@ val make :
 
 val size_bytes : t -> int
 
-val read_range : t -> off:int -> len:int -> bytes
-(** Byte-granular helper built on block reads (read-modify for edges);
-    whole blocks go through [read_into] and [write_from]. *)
+val read_range_into : t -> off:int -> bytes -> len:int -> unit
+(** [read_range_into t ~off dst ~len] copies [len] bytes at byte offset
+    [off] into [dst] from its start: whole blocks through [read_into],
+    the partial edges through [read_block]. *)
 
-val write_range : t -> off:int -> bytes -> unit
+val read_range : t -> off:int -> len:int -> bytes
+(** {!read_range_into} a fresh buffer. *)
+
+val write_range : t -> off:int -> bytes -> len:int -> unit
+(** [write_range t ~off src ~len] writes the first [len] bytes of [src]
+    at byte offset [off]: whole blocks through [write_from], the
+    partial edges as a read-modify-write of the block. *)
 
 val observe : Observe.t -> name:string -> t -> t
 (** A transparent wrapper recording per-block-operation latency
@@ -49,4 +56,7 @@ val observe : Observe.t -> name:string -> t -> t
     and ["<name>.flush_ns"] on the tracer's metrics registry. *)
 
 val sub : t -> first_block:int -> blocks:int -> t
-(** A window onto a contiguous range of an existing device (partition). *)
+(** A window onto a contiguous range of an existing device (partition).
+    Block [i] is the parent's block [first_block + i]; an [i] outside
+    [\[0, blocks)] raises [Invalid_argument], and a trim is clamped to
+    the window. *)

@@ -323,8 +323,8 @@ let read_node t node ~off ~len =
         let chunk = min remaining (bs - boff) in
         (match map_block t node ~ino:(-1) ~n ~alloc:false with
         | Ok (Some blk) ->
-            let data = t.dev.Dev.read_block blk in
-            Bytes.blit data boff out dst chunk
+            if chunk = bs then t.dev.Dev.read_into blk out dst
+            else Bytes.blit (t.dev.Dev.read_block blk) boff out dst chunk
         | Ok None | Error _ -> () (* hole: zeros *));
         go (off + chunk) (dst + chunk) (remaining - chunk)
       end
@@ -346,7 +346,7 @@ let write_node t node ~ino ~off data =
         | Error e -> Error e
         | Ok None -> Error Errno.EIO
         | Ok (Some blk) ->
-            if chunk = bs then t.dev.Dev.write_block blk (Bytes.sub data src chunk)
+            if chunk = bs then t.dev.Dev.write_from blk data src
             else begin
               let cur = t.dev.Dev.read_block blk in
               Bytes.blit data src cur boff chunk;

@@ -54,6 +54,8 @@ type t = {
   mac : int;
   mutable requests : int;
   clock : Clock.t;
+  blk : Virtio.Blk.Device.t;
+      (** the blk device over [image]: its backend and payload buffer *)
 }
 
 let gsi_base = 24
@@ -97,8 +99,12 @@ let max_desc_len = 1 lsl 20
 (* Remote view of guest memory for the device-side queue halves. *)
 let remote_gmem t =
   {
-    Gmem.read = (fun ~addr ~len -> Hyp_mem.read_phys t.mem ~gpa:addr ~len);
-    write = (fun ~addr b -> Hyp_mem.write_phys t.mem ~gpa:addr b);
+    Gmem.read_into =
+      (fun ~addr buf ~off ~len ->
+        Hyp_mem.read_phys_into t.mem ~gpa:addr buf ~off ~len);
+    write_from =
+      (fun ~addr buf ~off ~len ->
+        Hyp_mem.write_phys_from t.mem ~gpa:addr buf ~off ~len);
   }
 
 let ensure_queue t h slot =
@@ -181,35 +187,35 @@ let pump_stage t name =
    prototype's device is single-threaded), so each request pays the full
    device latency again instead of overlapping with its neighbours —
    the main reason vmsh-blk runs at about half of qemu-blk (§6.3C). *)
-let blk_backend t =
-  let obs = host_observe t in
+let blk_device ~clock ~obs image =
   let b =
     Virtio.Blk.Device.backend_of_blockdev
       (Blockdev.Dev.observe obs ~name:"vmsh-blk.backend"
-         (Blockdev.Backend.dev t.image))
+         (Blockdev.Backend.dev image))
   in
   let sync_penalty len =
-    Clock.context_switch t.clock;
-    Clock.device_op t.clock ~blocks:(max 1 (len / Blockdev.Dev.block_size))
+    Clock.context_switch clock;
+    Clock.device_op clock ~blocks:(max 1 (len / Blockdev.Dev.block_size))
   in
-  {
-    b with
-    Virtio.Blk.Device.read =
-      (fun ~sector ~len ->
-        sync_penalty len;
-        b.Virtio.Blk.Device.read ~sector ~len);
-    write =
-      (fun ~sector data ->
-        sync_penalty (Bytes.length data);
-        b.Virtio.Blk.Device.write ~sector data);
-  }
+  Virtio.Blk.Device.create
+    {
+      b with
+      Virtio.Blk.Device.read_into =
+        (fun ~sector buf ~len ->
+          sync_penalty len;
+          b.Virtio.Blk.Device.read_into ~sector buf ~len);
+      write_from =
+        (fun ~sector buf ~len ->
+          sync_penalty len;
+          b.Virtio.Blk.Device.write_from ~sector buf ~len);
+    }
 
 let process_blk t h =
   pump_stage t "blk";
   match ensure_queue t h 0 with
   | None -> ()
   | Some q ->
-      let n = Virtio.Blk.Device.process q (remote_gmem t) (blk_backend t) in
+      let n = Virtio.Blk.Device.process q (remote_gmem t) t.blk in
       if n > 0 then begin
         t.requests <- t.requests + n;
         incr_counter t "vmsh-blk.requests" ~by:n;
@@ -330,6 +336,7 @@ let create ~mem ~tracee ~image ?(pci = false) ?net ?(mac = default_mac) () =
      puts the config windows in the first [max_devices] strides and the
      BARs after them; MMIO uses the strides directly. *)
   let region_len = (if pci then 2 * max_devices else max_devices) * stride in
+  let host = Tracee.host tracee in
   {
     mem;
     tracee;
@@ -348,7 +355,10 @@ let create ~mem ~tracee ~image ?(pci = false) ?net ?(mac = default_mac) () =
       | Error _ -> None);
     mac;
     requests = 0;
-    clock = (Tracee.host tracee).Hostos.Host.clock;
+    clock = host.Hostos.Host.clock;
+    blk =
+      blk_device ~clock:host.Hostos.Host.clock ~obs:host.Hostos.Host.observe
+        image;
   }
 
 let make_regs t = function

@@ -67,108 +67,60 @@ let backed t ~gpa ~len =
 
 let fail_errno what e = Vmsh_error.fail (Vmsh_error.substrate ("Hyp_mem." ^ what) e)
 
-(* All remote-memory traffic goes through the bounded-retry wrappers: a
+(* All remote-memory traffic goes through the bounded-retry wrapper: a
    transient EFAULT (page mid-remap under the hypervisor) or EAGAIN is
-   retried with virtual-time backoff; a persistent one still fails. *)
-let vm_read t ~addr ~len =
-  Retry.with_backoff t.host ~counter:"recovery.vm_rw_retry"
-    ~should_retry:(function
-      | Error (Hostos.Errno.EFAULT | Hostos.Errno.EAGAIN) -> true
-      | _ -> false)
-    (fun () -> Host.process_vm_read t.host ~caller:t.vmsh ~pid:t.pid ~addr ~len)
+   retried with virtual-time backoff; a persistent one still fails.
+   Each call copies between [buf] at [off] and the remote segments. *)
+let vm_rw rw t ~what ~iov buf ~off =
+  match
+    Retry.with_backoff t.host ~counter:"recovery.vm_rw_retry"
+      ~should_retry:(function
+        | Error (Hostos.Errno.EFAULT | Hostos.Errno.EAGAIN) -> true
+        | _ -> false)
+      (fun () -> rw t.host ~caller:t.vmsh ~pid:t.pid ~iov buf ~off)
+  with
+  | Ok () -> ()
+  | Error e -> fail_errno what e
 
-let vm_write t ~addr b =
-  Retry.with_backoff t.host ~counter:"recovery.vm_rw_retry"
-    ~should_retry:(function
-      | Error (Hostos.Errno.EFAULT | Hostos.Errno.EAGAIN) -> true
-      | _ -> false)
-    (fun () -> Host.process_vm_write t.host ~caller:t.vmsh ~pid:t.pid ~addr b)
+let vm_readv = vm_rw Host.process_vm_readv
+let vm_writev = vm_rw Host.process_vm_writev
 
-let vm_readv t ~iov =
-  Retry.with_backoff t.host ~counter:"recovery.vm_rw_retry"
-    ~should_retry:(function
-      | Error (Hostos.Errno.EFAULT | Hostos.Errno.EAGAIN) -> true
-      | _ -> false)
-    (fun () -> Host.process_vm_readv t.host ~caller:t.vmsh ~pid:t.pid ~iov)
+(* One hypervisor-virtual range in the current copy mode: Bulk is one
+   call; Chunked_4k bounces through a local buffer 4 KiB at a time (the
+   extra pread/pwrite syscall and the extra memcpy of the unoptimised
+   path); Peek_u64 is one call per 8 bytes. *)
+let hva_rw t rw ~what ~hva buf ~off ~len =
+  let pieces ~what ~step ~bounce =
+    let rec go o =
+      if o < len then begin
+        let chunk = min step (len - o) in
+        if bounce then begin
+          Hostos.Clock.syscall t.host.Host.clock;
+          Hostos.Clock.copy_bytes t.host.Host.clock chunk
+        end;
+        rw t ~what ~iov:[ (hva + o, chunk) ] buf ~off:(off + o);
+        go (o + step)
+      end
+    in
+    go 0
+  in
+  match t.cmode with
+  | Bulk -> rw t ~what ~iov:[ (hva, len) ] buf ~off
+  | Chunked_4k -> pieces ~what:(what ^ "(chunked)") ~step:4096 ~bounce:true
+  | Peek_u64 -> pieces ~what:(what ^ "(peek)") ~step:8 ~bounce:false
 
-let vm_writev t ~iov =
-  Retry.with_backoff t.host ~counter:"recovery.vm_rw_retry"
-    ~should_retry:(function
-      | Error (Hostos.Errno.EFAULT | Hostos.Errno.EAGAIN) -> true
-      | _ -> false)
-    (fun () -> Host.process_vm_writev t.host ~caller:t.vmsh ~pid:t.pid ~iov)
+let read_hva_into t ~hva buf ~off ~len =
+  hva_rw t vm_readv ~what:"read_hva" ~hva buf ~off ~len
+
+let write_hva_from t ~hva buf ~off ~len =
+  hva_rw t vm_writev ~what:"write_hva" ~hva buf ~off ~len
 
 let read_hva t ~hva ~len =
-  match t.cmode with
-  | Bulk -> (
-      match vm_read t ~addr:hva ~len with
-      | Ok b -> b
-      | Error e -> fail_errno "read_hva" e)
-  | Chunked_4k ->
-      let clock = t.host.Host.clock in
-      let out = Bytes.create len in
-      let rec go off =
-        if off < len then begin
-          let chunk = min 4096 (len - off) in
-          (* bounce through a local buffer: the extra pread syscall and
-             the extra memcpy of the unoptimised path *)
-          Hostos.Clock.syscall clock;
-          Hostos.Clock.copy_bytes clock chunk;
-          (match vm_read t ~addr:(hva + off) ~len:chunk with
-          | Ok b -> Bytes.blit b 0 out off chunk
-          | Error e -> fail_errno "read_hva(chunked)" e);
-          go (off + chunk)
-        end
-      in
-      go 0;
-      out
-  | Peek_u64 ->
-      let out = Bytes.create len in
-      let rec go off =
-        if off < len then begin
-          let chunk = min 8 (len - off) in
-          (match vm_read t ~addr:(hva + off) ~len:chunk with
-          | Ok b -> Bytes.blit b 0 out off chunk
-          | Error e -> fail_errno "read_hva(peek)" e);
-          go (off + 8)
-        end
-      in
-      go 0;
-      out
+  let b = Bytes.create len in
+  read_hva_into t ~hva b ~off:0 ~len;
+  b
 
-let write_hva t ~hva b =
-  match t.cmode with
-  | Bulk -> (
-      match vm_write t ~addr:hva b with
-      | Ok () -> ()
-      | Error e -> fail_errno "write_hva" e)
-  | Chunked_4k ->
-      let clock = t.host.Host.clock in
-      let len = Bytes.length b in
-      let rec go off =
-        if off < len then begin
-          let chunk = min 4096 (len - off) in
-          Hostos.Clock.syscall clock;
-          Hostos.Clock.copy_bytes clock chunk;
-          (match vm_write t ~addr:(hva + off) (Bytes.sub b off chunk) with
-          | Ok () -> ()
-          | Error e -> fail_errno "write_hva(chunked)" e);
-          go (off + chunk)
-        end
-      in
-      go 0
-  | Peek_u64 ->
-      let len = Bytes.length b in
-      let rec go off =
-        if off < len then begin
-          let chunk = min 8 (len - off) in
-          (match vm_write t ~addr:(hva + off) (Bytes.sub b off chunk) with
-          | Ok () -> ()
-          | Error e -> fail_errno "write_hva(peek)" e);
-          go (off + 8)
-        end
-      in
-      go 0
+let write_hva t ~hva b = write_hva_from t ~hva b ~off:0 ~len:(Bytes.length b)
 
 (* Physical accesses may cross slot boundaries. [segments] resolves a
    gpa range to host-virtual (hva, len) pieces, merging pieces whose
@@ -200,50 +152,33 @@ let segments t ~what ~gpa ~len =
   in
   go gpa len []
 
-let read_phys t ~gpa ~len =
-  if len = 0 then Bytes.empty
-  else
-    let segs = segments t ~what:"read_phys" ~gpa ~len in
-    let join = function
-      | [ part ] -> part
-      | parts -> Bytes.concat Bytes.empty parts
-    in
-    match t.cmode with
-    | Bulk -> (
-        (* one vectored syscall for the whole access, however many
-           memslots back it *)
-        match vm_readv t ~iov:segs with
-        | Ok parts -> join parts
-        | Error e -> fail_errno "read_phys" e)
-    | _ -> join (List.map (fun (hva, len) -> read_hva t ~hva ~len) segs)
-
-let write_phys_raw t ~gpa b =
-  let len = Bytes.length b in
+(* A guest-physical range: Bulk issues one vectored syscall for the
+   whole access, however many memslots back it; the other modes copy
+   segment by segment. *)
+let phys_rw t rw hva_rw ~what ~gpa buf ~off ~len =
   if len > 0 then begin
-    let segs = segments t ~what:"write_phys" ~gpa ~len in
-    (* a single segment spanning the whole access needs no sub-buffer *)
-    let piece off seg_len =
-      if seg_len = len then b else Bytes.sub b off seg_len
-    in
+    let segs = segments t ~what ~gpa ~len in
     match t.cmode with
-    | Bulk -> (
-        let _, iov =
-          List.fold_left
-            (fun (off, acc) (hva, len) ->
-              (off + len, (hva, piece off len) :: acc))
-            (0, []) segs
-        in
-        match vm_writev t ~iov:(List.rev iov) with
-        | Ok () -> ()
-        | Error e -> fail_errno "write_phys" e)
+    | Bulk -> rw t ~what ~iov:segs buf ~off
     | _ ->
         ignore
           (List.fold_left
-             (fun off (hva, len) ->
-               write_hva t ~hva (piece off len);
-               off + len)
-             0 segs)
+             (fun o (hva, len) ->
+               hva_rw t ~hva buf ~off:o ~len;
+               o + len)
+             off segs)
   end
+
+let read_phys_into t ~gpa buf ~off ~len =
+  phys_rw t vm_readv read_hva_into ~what:"read_phys" ~gpa buf ~off ~len
+
+let read_phys t ~gpa ~len =
+  let b = Bytes.create len in
+  read_phys_into t ~gpa b ~off:0 ~len;
+  b
+
+let write_phys_raw t ~gpa buf ~off ~len =
+  phys_rw t vm_writev write_hva_from ~what:"write_phys" ~gpa buf ~off ~len
 
 (* Journal hook: before overwriting guest-physical bytes, read and
    record the old content so rollback can restore them (PTE installs
@@ -252,8 +187,7 @@ let write_phys_raw t ~gpa b =
    arena) are exempt — removing the slot undoes them wholesale. After
    the journal seals (attach committed), steady-state device writes are
    only noted as late-write pages for the snapshot oracle. *)
-let write_phys t ~gpa b =
-  let len = Bytes.length b in
+let write_phys_from t ~gpa buf ~off ~len =
   (match t.journal with
   | Some j when len > 0 ->
       if Journal.sealed j then Journal.note_late_write j ~gpa ~len
@@ -261,10 +195,12 @@ let write_phys t ~gpa b =
         let old = read_phys t ~gpa ~len in
         Journal.record j
           ~what:(Printf.sprintf "guest bytes 0x%x+%d" gpa len)
-          (fun () -> write_phys_raw t ~gpa old)
+          (fun () -> write_phys_raw t ~gpa old ~off:0 ~len)
       end
   | _ -> ());
-  write_phys_raw t ~gpa b
+  write_phys_raw t ~gpa buf ~off ~len
+
+let write_phys t ~gpa b = write_phys_from t ~gpa b ~off:0 ~len:(Bytes.length b)
 
 let read_phys_u64 t gpa =
   Int64.to_int (Bytes.get_int64_le (read_phys t ~gpa ~len:8) 0)
@@ -289,7 +225,7 @@ let read_virt t ~cr3 ~va ~len =
       match X86.Page_table.translate acc ~root:cr3 va with
       | None -> None
       | Some pa ->
-          Bytes.blit (read_phys t ~gpa:pa ~len:chunk) 0 out dst chunk;
+          read_phys_into t ~gpa:pa out ~off:dst ~len:chunk;
           go (va + chunk) (dst + chunk) (remaining - chunk)
   in
   go va 0 len

@@ -65,10 +65,24 @@ val backed : t -> gpa:int -> len:int -> bool
     descriptor bounds check, free of side effects (no syscalls, no
     raises). *)
 
+val read_phys_into : t -> gpa:int -> bytes -> off:int -> len:int -> unit
+(** [read_phys_into t ~gpa buf ~off ~len] copies [len] guest-physical
+    bytes into [buf] at [off]: under [Bulk], one vectored
+    process_vm_readv for the whole range, however many memslots back
+    it. The one read path; raises [Failure] on unbacked addresses or
+    access errors. *)
+
 val read_phys : t -> gpa:int -> len:int -> bytes
-(** Raises [Failure] on unbacked addresses or access errors. *)
+(** {!read_phys_into} a fresh buffer. *)
+
+val write_phys_from : t -> gpa:int -> bytes -> off:int -> len:int -> unit
+(** [write_phys_from t ~gpa buf ~off ~len] writes [len] bytes of [buf]
+    from [off]. With a journal set, the overwritten bytes are recorded
+    first (see {!set_journal}). *)
 
 val write_phys : t -> gpa:int -> bytes -> unit
+(** {!write_phys_from} all of a buffer. *)
+
 val read_phys_u64 : t -> int -> int
 val write_phys_u64 : t -> int -> int -> unit
 
@@ -81,6 +95,7 @@ val read_virt : t -> cr3:int -> va:int -> len:int -> bytes option
     any page is unmapped. *)
 
 val read_hva : t -> hva:int -> len:int -> bytes
-(** Raw hypervisor-virtual read (e.g. the kvm_run pages). *)
+(** Raw hypervisor-virtual read (e.g. the kvm_run pages), in the
+    current {!copy_mode}. *)
 
 val write_hva : t -> hva:int -> bytes -> unit

@@ -222,7 +222,14 @@ let may_access caller target =
   || caller.Proc.uid = 0
   || Proc.has_cap caller CAP_SYS_PTRACE
 
-let process_vm_read t ~caller ~pid ~addr ~len =
+(* Remote copies between a caller buffer and the target's address
+   space: the whole iovec batch is one syscall entry — one permission
+   check, one fault-injection draw, copy cost charged on the summed
+   byte count. Segments map to consecutive bytes of [buf] from [off].
+   A bad segment fails the batch with EFAULT: a read leaves [buf]
+   partly filled, a write leaves earlier segments written, as with the
+   real syscall's partial transfer. *)
+let remote_copy t ~caller ~pid ~iov copy =
   match find_proc t ~pid with
   | None -> Error Errno.ESRCH
   | Some target ->
@@ -234,73 +241,32 @@ let process_vm_read t ~caller ~pid ~addr ~len =
       end
       else begin
         Clock.syscall t.clock;
-        Clock.copy_bytes_remote t.clock len;
-        match Mem.Addr_space.read target.Proc.aspace addr len with
-        | b -> Ok b
-        | exception Invalid_argument _ -> Error Errno.EFAULT
-      end
-
-(* Vectored remote copies: the whole iovec batch is one syscall entry —
-   one permission check, one fault-injection draw, copy cost charged on
-   the summed byte count. A bad segment fails the batch atomically
-   (nothing observable was transferred), mirroring the partial-transfer
-   guard our callers would otherwise need. *)
-let process_vm_readv t ~caller ~pid ~iov =
-  match find_proc t ~pid with
-  | None -> Error Errno.ESRCH
-  | Some target ->
-      if not (may_access caller target) then Error Errno.EPERM
-      else if Faults.fire t.faults Faults.Vm_rw_efault then begin
-        Clock.syscall t.clock;
-        Error Errno.EFAULT
-      end
-      else begin
-        Clock.syscall t.clock;
         Clock.copy_bytes_remote t.clock
           (List.fold_left (fun acc (_, len) -> acc + len) 0 iov);
         try
-          Ok
-            (List.map
-               (fun (addr, len) ->
-                 Mem.Addr_space.read target.Proc.aspace addr len)
-               iov)
-        with Invalid_argument _ -> Error Errno.EFAULT
-      end
-
-let process_vm_write t ~caller ~pid ~addr b =
-  match find_proc t ~pid with
-  | None -> Error Errno.ESRCH
-  | Some target ->
-      if not (may_access caller target) then Error Errno.EPERM
-      else if Faults.fire t.faults Faults.Vm_rw_efault then begin
-        Clock.syscall t.clock;
-        Error Errno.EFAULT
-      end
-      else begin
-        Clock.syscall t.clock;
-        Clock.copy_bytes_remote t.clock (Bytes.length b);
-        match Mem.Addr_space.write target.Proc.aspace addr b with
-        | () -> Ok ()
-        | exception Invalid_argument _ -> Error Errno.EFAULT
-      end
-
-let process_vm_writev t ~caller ~pid ~iov =
-  match find_proc t ~pid with
-  | None -> Error Errno.ESRCH
-  | Some target ->
-      if not (may_access caller target) then Error Errno.EPERM
-      else if Faults.fire t.faults Faults.Vm_rw_efault then begin
-        Clock.syscall t.clock;
-        Error Errno.EFAULT
-      end
-      else begin
-        Clock.syscall t.clock;
-        Clock.copy_bytes_remote t.clock
-          (List.fold_left (fun acc (_, b) -> acc + Bytes.length b) 0 iov);
-        try
-          List.iter
-            (fun (addr, b) -> Mem.Addr_space.write target.Proc.aspace addr b)
-            iov;
+          ignore
+            (List.fold_left
+               (fun off (addr, len) ->
+                 copy target.Proc.aspace addr off len;
+                 off + len)
+               0 iov);
           Ok ()
         with Invalid_argument _ -> Error Errno.EFAULT
       end
+
+let process_vm_readv t ~caller ~pid ~iov buf ~off =
+  remote_copy t ~caller ~pid ~iov (fun aspace addr boff len ->
+      Mem.Addr_space.read_into aspace addr buf (off + boff) len)
+
+let process_vm_writev t ~caller ~pid ~iov buf ~off =
+  remote_copy t ~caller ~pid ~iov (fun aspace addr boff len ->
+      Mem.Addr_space.write_from aspace addr buf (off + boff) len)
+
+let process_vm_read t ~caller ~pid ~addr ~len =
+  let b = Bytes.create len in
+  Result.map
+    (fun () -> b)
+    (process_vm_readv t ~caller ~pid ~iov:[ (addr, len) ] b ~off:0)
+
+let process_vm_write t ~caller ~pid ~addr b =
+  process_vm_writev t ~caller ~pid ~iov:[ (addr, Bytes.length b) ] b ~off:0

@@ -87,31 +87,39 @@ val recv_fd : t -> Proc.t -> sock:Fd.t -> Fd.t Errno.result
 
 (** {1 Remote process memory (process_vm_readv / process_vm_writev)} *)
 
-val process_vm_read :
-  t -> caller:Proc.t -> pid:int -> addr:int -> len:int -> bytes Errno.result
-(** Requires same uid or CAP_SYS_PTRACE; charges remote-copy cost. *)
-
-val process_vm_write :
-  t -> caller:Proc.t -> pid:int -> addr:int -> bytes -> unit Errno.result
-
 val process_vm_readv :
   t ->
   caller:Proc.t ->
   pid:int ->
   iov:(int * int) list ->
-  bytes list Errno.result
-(** Vectored read: one syscall entry covering every [(addr, len)]
-    segment — one permission/fault check, copy cost charged on the
-    summed length. Fails atomically: any unreadable segment fails the
-    whole call. *)
+  bytes ->
+  off:int ->
+  unit Errno.result
+(** [process_vm_readv t ~caller ~pid ~iov buf ~off] copies every
+    remote [(addr, len)] segment, in order, into consecutive bytes of
+    [buf] from [off]. One syscall entry covers the batch: one
+    permission check (same uid or CAP_SYS_PTRACE), one fault-injection
+    draw, remote-copy cost charged on the summed length. Any unreadable
+    segment fails the whole call with EFAULT; [buf] may then be partly
+    written. *)
 
 val process_vm_writev :
   t ->
   caller:Proc.t ->
   pid:int ->
-  iov:(int * bytes) list ->
+  iov:(int * int) list ->
+  bytes ->
+  off:int ->
   unit Errno.result
-(** Vectored write: one syscall entry for the batch. Segments are
-    written in order; a faulting segment stops the batch with EFAULT
-    (earlier segments stay written, as with the real syscall's partial
-    transfer). *)
+(** The write direction: consecutive bytes of [buf] from [off] go to
+    the remote segments in order. A faulting segment stops the batch
+    with EFAULT; earlier segments stay written, as with the real
+    syscall's partial transfer. *)
+
+val process_vm_read :
+  t -> caller:Proc.t -> pid:int -> addr:int -> len:int -> bytes Errno.result
+(** {!process_vm_readv} of one segment into a fresh buffer. *)
+
+val process_vm_write :
+  t -> caller:Proc.t -> pid:int -> addr:int -> bytes -> unit Errno.result
+(** {!process_vm_writev} of all of a buffer to one segment. *)

@@ -586,30 +586,37 @@ module Addr_space = struct
     | None -> None
     | Some m -> Some (m.backing, m.backing_off + (va - m.base))
 
-  let rec read t va len =
-    if len = 0 then Bytes.empty
-    else
-      match find t va with
-      | None -> invalid_arg (Printf.sprintf "Addr_space.read: 0x%x unmapped" va)
-      | Some m ->
-          let avail = m.base + m.len - va in
-          let chunk = min avail len in
-          let part = read_bytes m.backing (m.backing_off + (va - m.base)) chunk in
-          if chunk = len then part
-          else Bytes.cat part (read t (va + chunk) (len - chunk))
+  (* The mapping-by-mapping walk both directions share: [f backing
+     backing_off buf_off chunk] for each piece of [va, va + len). *)
+  let walk t ~what va len f =
+    let rec go va boff len =
+      if len > 0 then
+        match find t va with
+        | None ->
+            invalid_arg (Printf.sprintf "Addr_space.%s: 0x%x unmapped" what va)
+        | Some m ->
+            let chunk = min (m.base + m.len - va) len in
+            f m.backing (m.backing_off + (va - m.base)) boff chunk;
+            go (va + chunk) (boff + chunk) (len - chunk)
+    in
+    go va 0 len
 
-  let rec write t va b =
-    let len = Bytes.length b in
-    if len > 0 then
-      match find t va with
-      | None -> invalid_arg (Printf.sprintf "Addr_space.write: 0x%x unmapped" va)
-      | Some m ->
-          let avail = m.base + m.len - va in
-          let chunk = min avail len in
-          blit ~src:(of_bytes b) ~src_off:0 ~dst:m.backing
-            ~dst_off:(m.backing_off + (va - m.base)) ~len:chunk;
-          if chunk < len then
-            write t (va + chunk) (Bytes.sub b chunk (len - chunk))
+  let read_into t va dst off len =
+    let d = of_bytes dst in
+    walk t ~what:"read" va len (fun m moff boff chunk ->
+        blit ~src:m ~src_off:moff ~dst:d ~dst_off:(off + boff) ~len:chunk)
+
+  let write_from t va src off len =
+    let s = of_bytes src in
+    walk t ~what:"write" va len (fun m moff boff chunk ->
+        blit ~src:s ~src_off:(off + boff) ~dst:m ~dst_off:moff ~len:chunk)
+
+  let read t va len =
+    let b = Bytes.create len in
+    read_into t va b 0 len;
+    b
+
+  let write t va b = write_from t va b 0 (Bytes.length b)
 
   let read_u64 t va =
     match resolve t va with

@@ -209,11 +209,22 @@ module Addr_space : sig
   val resolve : t -> int -> (mem * int) option
   (** [resolve t va] is the backing buffer and offset for [va]. *)
 
-  val read : t -> int -> int -> bytes
-  (** [read t va len] reads across mapping boundaries. Raises
+  val read_into : t -> int -> bytes -> int -> int -> unit
+  (** [read_into t va dst off len] copies [len] bytes at [va], across
+      mapping boundaries, into [dst] at [off]. Raises
       [Invalid_argument] on an unmapped address. *)
 
+  val write_from : t -> int -> bytes -> int -> int -> unit
+  (** [write_from t va src off len] copies [len] bytes of [src] at
+      [off] to [va]. Mappings before an unmapped address are written
+      before it raises [Invalid_argument]. *)
+
+  val read : t -> int -> int -> bytes
+  (** {!read_into} a fresh buffer. *)
+
   val write : t -> int -> bytes -> unit
+  (** {!write_from} all of a buffer. *)
+
   val read_u64 : t -> int -> int
   val write_u64 : t -> int -> int -> unit
 

@@ -66,17 +66,17 @@ let sys t th ~nr ~args = Syscall.call t.h t.p th ~nr ~args
    charging memory-copy cost. *)
 let vmm_gmem t =
   {
-    Gmem.read =
-      (fun ~addr ~len ->
+    Gmem.read_into =
+      (fun ~addr buf ~off ~len ->
         Clock.copy_bytes t.h.Host.clock len;
-        Mem.Addr_space.read t.p.Proc.aspace (t.ram_hva + addr) len);
-    write =
-      (fun ~addr b ->
-        Clock.copy_bytes t.h.Host.clock (Bytes.length b);
+        Mem.Addr_space.read_into t.p.Proc.aspace (t.ram_hva + addr) buf off len);
+    write_from =
+      (fun ~addr buf ~off ~len ->
+        Clock.copy_bytes t.h.Host.clock len;
         (* device completions serve guest-initiated requests: write them
            as the guest's, so the rollback oracle blames the guest, not
            VMSH *)
-        Vm.write_phys t.vm addr b);
+        Vm.write_phys_from t.vm addr buf ~off ~len);
   }
 
 (* --- the block device iothread --- *)
@@ -117,42 +117,40 @@ let drain_eventfd t slot =
   | None -> ()
 
 (* Disk backend routed through pread64/pwrite64 syscalls of the
-   iothread, with a bounce buffer in VMM memory (QEMU's aio path). *)
+   iothread, with a bounce buffer in VMM memory (QEMU's aio path). A
+   failed read yields zeros. *)
 let syscall_blk_backend t =
   let sector_size = Virtio.Blk.sector_size in
+  let disk = Blockdev.Backend.dev t.diskb in
+  let io nr ~sector ~len =
+    sys t t.io_thread ~nr
+      ~args:[| t.disk_fd.Fd.num; t.databuf; len; sector * sector_size |]
+  in
   {
     Virtio.Blk.Device.capacity_sectors =
-      Blockdev.Dev.size_bytes (Blockdev.Backend.dev t.diskb) / sector_size;
-    read =
-      (fun ~sector ~len ->
-        let ret =
-          sys t t.io_thread ~nr:Syscall.Nr.pread64
-            ~args:[| t.disk_fd.Fd.num; t.databuf; len; sector * sector_size |]
-        in
-        if ret < 0 then Bytes.make len '\000'
-        else Mem.Addr_space.read t.p.Proc.aspace t.databuf ret);
-    write =
-      (fun ~sector data ->
-        Mem.Addr_space.write t.p.Proc.aspace t.databuf data;
-        ignore
-          (sys t t.io_thread ~nr:Syscall.Nr.pwrite64
-             ~args:
-               [| t.disk_fd.Fd.num; t.databuf; Bytes.length data;
-                  sector * sector_size |]));
-    flush = (fun () -> (Blockdev.Backend.dev t.diskb).Blockdev.Dev.flush ());
+      Blockdev.Dev.size_bytes disk / sector_size;
+    read_into =
+      (fun ~sector buf ~len ->
+        let got = max 0 (io Syscall.Nr.pread64 ~sector ~len) in
+        Mem.Addr_space.read_into t.p.Proc.aspace t.databuf buf 0 got;
+        Bytes.fill buf got (len - got) '\000');
+    write_from =
+      (fun ~sector buf ~len ->
+        Mem.Addr_space.write_from t.p.Proc.aspace t.databuf buf 0 len;
+        ignore (io Syscall.Nr.pwrite64 ~sector ~len));
+    flush = (fun () -> disk.Blockdev.Dev.flush ());
     discard =
       (fun ~sector ~len ->
         let bs = Blockdev.Dev.block_size in
-        (Blockdev.Backend.dev t.diskb).Blockdev.Dev.trim
-          (sector * sector_size / bs) (len / bs));
+        disk.Blockdev.Dev.trim (sector * sector_size / bs) (len / bs));
   }
 
-let process_blk t slot =
+let process_blk blk t slot =
   drain_eventfd t slot;
   match create_queue t slot 0 with
   | None -> ()
   | Some q ->
-      let n = Virtio.Blk.Device.process q (vmm_gmem t) (syscall_blk_backend t) in
+      let n = Virtio.Blk.Device.process q (vmm_gmem t) blk in
       if n > 0 then signal_completion t slot
 
 (* --- the 9p device --- *)
@@ -363,7 +361,9 @@ let create h ~profile:profx ~disk:diskb ?(ram_mb = 64) ?(vcpus = 1)
         ~config:(Virtio.Blk.Device.config ~capacity_sectors:capacity)
         ()
     in
-    add_device t ~slot_index:0 ~regs ~process:process_blk ~want_irqfd:true;
+    add_device t ~slot_index:0 ~regs
+      ~process:(process_blk (Virtio.Blk.Device.create (syscall_blk_backend t)))
+      ~want_irqfd:true;
     match (profx.Profile.has_ninep, ninep_root) with
     | true, Some root ->
         let regs9 =

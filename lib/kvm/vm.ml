@@ -149,9 +149,14 @@ let resolve_phys t pa =
 
 let is_ram t pa = find_slot t pa <> None
 
+let read_phys_into t pa buf ~off ~len =
+  let m, moff = resolve_phys t pa in
+  Mem.blit ~src:m ~src_off:moff ~dst:(Mem.of_bytes buf) ~dst_off:off ~len
+
 let read_phys t pa len =
-  let m, off = resolve_phys t pa in
-  Mem.read_bytes m off len
+  let b = Bytes.create len in
+  read_phys_into t pa b ~off:0 ~len;
+  b
 
 let memslot_backing t (s : memslot) =
   match List.find_opt (fun i -> i.s = s) t.islots with
@@ -160,10 +165,12 @@ let memslot_backing t (s : memslot) =
 
 (* Guest writes are attributed in the backing's write log, which is how
    the rollback oracle tells the guest's own writes from VMSH's. *)
-let write_phys t pa b =
-  let m, off = resolve_phys t pa in
-  Mem.attribute m off (Bytes.length b);
-  Mem.write_bytes m off b
+let write_phys_from t pa buf ~off ~len =
+  let m, moff = resolve_phys t pa in
+  Mem.attribute m moff len;
+  Mem.blit ~src:(Mem.of_bytes buf) ~src_off:off ~dst:m ~dst_off:moff ~len
+
+let write_phys t pa b = write_phys_from t pa b ~off:0 ~len:(Bytes.length b)
 
 let read_phys_u64 t pa =
   let m, off = resolve_phys t pa in

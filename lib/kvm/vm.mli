@@ -78,9 +78,14 @@ val overlay_stats : t -> Hostos.Mem.cow_stats
     the private footprint of a forked (linked-clone) VM over its
     shared baseline. All zeros for a cold-booted VM. *)
 
+val read_phys_into : t -> int -> bytes -> off:int -> len:int -> unit
+(** [read_phys_into t pa buf ~off ~len]: the in-guest view of RAM,
+    [len] bytes at [pa] copied into [buf] at [off]. Resolves through
+    the memslots to the hypervisor memory backing them. Raises on
+    unbacked addresses. *)
+
 val read_phys : t -> int -> int -> bytes
-(** In-guest view of RAM: resolves through the memslots to the
-    hypervisor memory backing them. Raises on unbacked addresses. *)
+(** {!read_phys_into} a fresh buffer. *)
 
 val memslot_backing : t -> memslot -> Hostos.Mem.t * int
 (** The buffer behind a registered memslot and the slot's offset in it:
@@ -90,13 +95,17 @@ val memslot_backing : t -> memslot -> Hostos.Mem.t * int
     offset is page-aligned and the buffer has a write log. Raises
     [Invalid_argument] for a slot the VM does not hold. *)
 
-val write_phys : t -> int -> bytes -> unit
+val write_phys_from : t -> int -> bytes -> off:int -> len:int -> unit
 (** A write by the guest itself (its kernel, or a device completing
     the guest's own request): besides writing, it attributes the pages
     in the backing's write log ({!Hostos.Mem.attribute}), which is how
     the rollback oracle excludes the guest's own writes. Writes through
     the hypervisor's mapping of the same RAM (VMSH's path) are not
-    attributed. *)
+    attributed. [write_phys_from t pa buf ~off ~len] writes [len]
+    bytes of [buf] from [off]. *)
+
+val write_phys : t -> int -> bytes -> unit
+(** {!write_phys_from} all of a buffer. *)
 
 val read_phys_u64 : t -> int -> int
 

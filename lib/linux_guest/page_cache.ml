@@ -56,15 +56,19 @@ let insert t key entry =
 
 let readahead_blocks = 32
 
+(* The cached view moves whole blocks between the caller's buffer and
+   the entries: a hit is one blit, into the caller's buffer or into the
+   entry's own. An entry's bytes are never aliased — [read_block] hands
+   out copies and every insertion stores a fresh buffer — so a write
+   hit may overwrite them in place. *)
 let wrap ?bulk_read t ~dev_id dev =
   let key i = (dev_id, i) in
   let bs = dev.Blockdev.Dev.block_size in
-  let fetch_miss i =
+  let fetch_miss i dst off =
     match bulk_read with
     | None ->
-        let data = dev.Blockdev.Dev.read_block i in
-        insert t (key i) { data = Bytes.copy data; dirty = false; dev };
-        data
+        dev.Blockdev.Dev.read_into i dst off;
+        insert t (key i) { data = Bytes.sub dst off bs; dirty = false; dev }
     | Some bulk ->
         (* readahead: one device request for the whole window. Blocks
            cached at *fetch time* must never be replaced by the window's
@@ -80,54 +84,66 @@ let wrap ?bulk_read t ~dev_id dev =
               (key (i + k))
               { data = Bytes.sub data (k * bs) bs; dirty = false; dev }
         done;
-        Bytes.sub data 0 bs
+        Bytes.blit data 0 dst off bs
   in
-  let read_block i =
+  let read_into i dst off =
     if t.bypassing then begin
       (* O_DIRECT read: coherent with dirty cached data *)
       match Hashtbl.find_opt t.table (key i) with
-      | Some e when e.dirty -> Bytes.copy e.data
-      | _ -> dev.Blockdev.Dev.read_block i
+      | Some e when e.dirty -> Bytes.blit e.data 0 dst off bs
+      | _ -> dev.Blockdev.Dev.read_into i dst off
     end
     else
       match Hashtbl.find_opt t.table (key i) with
       | Some e ->
           t.stats.hits <- t.stats.hits + 1;
           Clock.page_cache_hit t.clock;
-          Bytes.copy e.data
+          Bytes.blit e.data 0 dst off bs
       | None ->
           t.stats.misses <- t.stats.misses + 1;
           Clock.page_cache_miss t.clock;
-          fetch_miss i
+          fetch_miss i dst off
   in
-  let write_block i b =
+  let write_from i src off =
     if t.bypassing then begin
       Hashtbl.remove t.table (key i);
-      dev.Blockdev.Dev.write_block i b
+      dev.Blockdev.Dev.write_from i src off
     end
     else begin
       (match Hashtbl.find_opt t.table (key i) with
       | Some e ->
           t.stats.hits <- t.stats.hits + 1;
           Clock.page_cache_hit t.clock;
-          e.data <- Bytes.copy b;
+          Bytes.blit src off e.data 0 bs;
           e.dirty <- true
       | None ->
           t.stats.misses <- t.stats.misses + 1;
           Clock.page_cache_hit t.clock;
-          insert t (key i) { data = Bytes.copy b; dirty = true; dev })
+          insert t (key i) { data = Bytes.sub src off bs; dirty = true; dev })
     end
   in
-  Blockdev.Dev.make ~block_size:dev.Blockdev.Dev.block_size
-    ~blocks:dev.Blockdev.Dev.blocks ~read_block ~write_block
-    ~flush:(fun () ->
-      Hashtbl.iter (fun k e -> writeback_key t k e) t.table;
-      dev.Blockdev.Dev.flush ())
-    ~trim:(fun first count ->
-      for i = first to first + count - 1 do
-        Hashtbl.remove t.table (key i)
-      done;
-      dev.Blockdev.Dev.trim first count)
+  {
+    Blockdev.Dev.block_size = bs;
+    blocks = dev.Blockdev.Dev.blocks;
+    read_block =
+      (fun i ->
+        let b = Bytes.create bs in
+        read_into i b 0;
+        b);
+    write_block = (fun i b -> write_from i b 0);
+    read_into;
+    write_from;
+    flush =
+      (fun () ->
+        Hashtbl.iter (fun k e -> writeback_key t k e) t.table;
+        dev.Blockdev.Dev.flush ());
+    trim =
+      (fun first count ->
+        for i = first to first + count - 1 do
+          Hashtbl.remove t.table (key i)
+        done;
+        dev.Blockdev.Dev.trim first count);
+  }
 
 let flush t = Hashtbl.iter (fun k e -> writeback_key t k e) t.table
 

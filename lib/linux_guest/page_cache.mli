@@ -30,7 +30,9 @@ val wrap :
     When [bulk_read] is given (e.g. a VirtIO driver's multi-sector
     read), a miss fetches the whole readahead window in one device
     request — the mechanism that lets buffered sequential file IO
-    approach raw device IOPS. *)
+    approach raw device IOPS. The view's [read_into] and [write_from]
+    move a hit in one blit between the caller's buffer and the cached
+    block; [read_block] and [write_block] go through them. *)
 
 val flush : t -> unit
 (** Write back every dirty block (fsync / unmount). *)

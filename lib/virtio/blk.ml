@@ -14,8 +14,8 @@ let max_data = 256 * 1024
 module Device = struct
   type backend = {
     capacity_sectors : int;
-    read : sector:int -> len:int -> bytes;
-    write : sector:int -> bytes -> unit;
+    read_into : sector:int -> bytes -> len:int -> unit;
+    write_from : sector:int -> bytes -> len:int -> unit;
     flush : unit -> unit;
     discard : sector:int -> len:int -> unit;
   }
@@ -24,10 +24,12 @@ module Device = struct
     let open Blockdev in
     {
       capacity_sectors = Dev.size_bytes dev / sector_size;
-      read =
-        (fun ~sector ~len -> Dev.read_range dev ~off:(sector * sector_size) ~len);
-      write =
-        (fun ~sector data -> Dev.write_range dev ~off:(sector * sector_size) data);
+      read_into =
+        (fun ~sector buf ~len ->
+          Dev.read_range_into dev ~off:(sector * sector_size) buf ~len);
+      write_from =
+        (fun ~sector buf ~len ->
+          Dev.write_range dev ~off:(sector * sector_size) buf ~len);
       flush = (fun () -> dev.Dev.flush ());
       discard =
         (fun ~sector ~len ->
@@ -36,21 +38,47 @@ module Device = struct
           dev.Dev.trim first count);
     }
 
+  type t = { backend : backend; mutable payload : bytes }
+
+  let create backend = { backend; payload = Bytes.empty }
+
+  (* The buffer a request's data moves through: the device's own,
+     allocated at the first request and doubled from 4 KiB, up to
+     [max_data], whenever a request needs more, so a device that only
+     ever serves small requests keeps a small buffer. Only a hostile
+     driver posts a chain longer than [max_data]; it gets a transient
+     buffer of its own size. *)
+  let payload t len =
+    if len > max_data then Bytes.create len
+    else begin
+      if Bytes.length t.payload < len then begin
+        let rec fit n = if n >= len then n else fit (2 * n) in
+        t.payload <- Bytes.create (fit 4096)
+      end;
+      t.payload
+    end
+
   let config ~capacity_sectors =
     let b = Bytes.make 8 '\000' in
     Bytes.set_int64_le b 0 (Int64.of_int capacity_sectors);
     b
 
   let parse_header g (buf : Queue.Device.buffer) =
-    let hdr = g.Gmem.read ~addr:buf.Queue.Device.addr ~len:header_size in
+    let hdr = Gmem.read g ~addr:buf.Queue.Device.addr ~len:header_size in
     let typ = Int32.to_int (Bytes.get_int32_le hdr 0) land 0xffffffff in
     let sector = Int64.to_int (Bytes.get_int64_le hdr 8) in
     (typ, sector)
 
-  let process q g backend =
+  (* A header or discard segment is read only when its descriptor holds
+     all 16 bytes of it: validation checked the descriptor's own bytes,
+     not what lies past them. *)
+  let process q g t =
+    let backend = t.backend in
     Plumbing.Device.serve q (fun buffers ->
         match buffers with
-        | hdr_buf :: rest when not hdr_buf.Queue.Device.writable ->
+        | hdr_buf :: rest
+          when (not hdr_buf.Queue.Device.writable)
+               && hdr_buf.Queue.Device.len >= header_size ->
             let typ, sector = parse_header g hdr_buf in
             (* last writable buffer is the status byte *)
             let rec split_status acc = function
@@ -62,7 +90,7 @@ module Device = struct
             let put_status code =
               match status_buf with
               | Some sb ->
-                  g.Gmem.write ~addr:sb.Queue.Device.addr
+                  Gmem.write g ~addr:sb.Queue.Device.addr
                     (Bytes.make 1 (Char.chr code))
               | None -> ()
             in
@@ -80,18 +108,19 @@ module Device = struct
                 1
               end
               else begin
-                ignore
-                  (Plumbing.Device.scatter g data_bufs
-                     (backend.read ~sector ~len:data_len));
+                let buf = payload t data_len in
+                backend.read_into ~sector buf ~len:data_len;
+                ignore (Plumbing.Device.scatter g data_bufs buf ~len:data_len);
                 put_status status_ok;
                 data_len + 1
               end
             end
             else begin
               if typ = t_out then begin
-                let data = Plumbing.Device.gather g data_bufs in
-                if in_range (Bytes.length data) then begin
-                  backend.write ~sector data;
+                let buf = payload t (Plumbing.Device.readable_len data_bufs) in
+                let len = Plumbing.Device.gather_into g data_bufs buf in
+                if in_range len then begin
+                  backend.write_from ~sector buf ~len;
                   put_status status_ok
                 end
                 else put_status status_ioerr
@@ -101,22 +130,25 @@ module Device = struct
                 put_status status_ok
               end
               else if typ = t_discard then begin
-                (match data_bufs with
+                match data_bufs with
+                | seg :: _ when seg.Queue.Device.len < 16 ->
+                    put_status status_ioerr
                 | seg :: _ ->
-                    let sb = g.Gmem.read ~addr:seg.Queue.Device.addr ~len:16 in
+                    let sb = Gmem.read g ~addr:seg.Queue.Device.addr ~len:16 in
                     let dsec = Int64.to_int (Bytes.get_int64_le sb 0) in
                     let dcount =
                       Int32.to_int (Bytes.get_int32_le sb 8) land 0xffffffff
                     in
-                    backend.discard ~sector:dsec ~len:(dcount * sector_size)
-                | [] -> ());
-                put_status status_ok
+                    backend.discard ~sector:dsec ~len:(dcount * sector_size);
+                    put_status status_ok
+                | [] -> put_status status_ok
               end
               else put_status status_unsupp;
               1
             end
         | _ ->
-            (* malformed request: complete it with no status *)
+            (* malformed request (no readable header, or one shorter
+               than [header_size]): complete it with no status *)
             0)
 end
 
@@ -185,10 +217,10 @@ module Driver = struct
     let hdr = Bytes.make header_size '\000' in
     Bytes.set_int32_le hdr 0 (Int32.of_int typ);
     Bytes.set_int64_le hdr 8 (Int64.of_int sector);
-    t.g.Gmem.write ~addr:slot.hdr_addr hdr
+    Gmem.write t.g ~addr:slot.hdr_addr hdr
 
   let status_of t slot =
-    Char.code (Bytes.get (t.g.Gmem.read ~addr:slot.status_addr ~len:1) 0)
+    Char.code (Bytes.get (Gmem.read t.g ~addr:slot.status_addr ~len:1) 0)
 
   (* One request through a free slot: the header, then [data] (if any)
      copied into the slot, then a chain of the header, that data, a
@@ -202,7 +234,7 @@ module Driver = struct
           match data with
           | None -> []
           | Some d ->
-              t.g.Gmem.write ~addr:slot.data_addr d;
+              Gmem.write t.g ~addr:slot.data_addr d;
               [ (slot.data_addr, Bytes.length d) ]
         in
         let answer = Option.map (fun len -> (slot.data_addr, len)) read_len in
@@ -210,7 +242,7 @@ module Driver = struct
           ~out:((slot.hdr_addr, header_size) :: out)
           ~in_:(Option.to_list answer @ [ (slot.status_addr, 1) ]);
         let r =
-          Option.map (fun (addr, len) -> t.g.Gmem.read ~addr ~len) answer
+          Option.map (fun (addr, len) -> Gmem.read t.g ~addr ~len) answer
         in
         let st = status_of t slot in
         slot.busy <- false;

@@ -20,25 +20,44 @@ val status_ioerr : int
 val status_unsupp : int
 
 module Device : sig
-  (** What the device does with sectors — the storage behind it. *)
+  (** What the device does with sectors — the storage behind it. Data
+      moves between the storage and the first [len] bytes of the
+      device's payload buffer. *)
   type backend = {
     capacity_sectors : int;
-    read : sector:int -> len:int -> bytes;
-    write : sector:int -> bytes -> unit;
+    read_into : sector:int -> bytes -> len:int -> unit;
+    write_from : sector:int -> bytes -> len:int -> unit;
     flush : unit -> unit;
     discard : sector:int -> len:int -> unit;
   }
 
   val backend_of_blockdev : Blockdev.Dev.t -> backend
-  (** Serve a host block device (or packed image). *)
+  (** Serve a host block device (or packed image) through
+      {!Blockdev.Dev.read_range_into} and {!Blockdev.Dev.write_range}. *)
+
+  (** A device: its backend and the buffer every request's data moves
+      through. *)
+  type t
+
+  val create : backend -> t
+  (** The payload buffer is allocated at the first request and reused
+      by every later one. It doubles from 4 KiB, up to 256 KiB (the
+      largest request the driver posts), when a request needs more. A
+      chain whose data is longer, which only a hostile driver posts,
+      gets a transient buffer of its own size. *)
 
   val config : capacity_sectors:int -> bytes
   (** Device config space (capacity at offset 0). *)
 
-  val process : Queue.Device.t -> Gmem.t -> backend -> int
+  val process : Queue.Device.t -> Gmem.t -> t -> int
   (** Drain the available ring: execute every pending request, post used
       entries. Returns the number of requests completed (caller raises
-      the interrupt if positive). *)
+      the interrupt if positive). A read is copied from the backend
+      into the payload buffer and scattered from it; a write is
+      gathered into it and handed to the backend. A header descriptor
+      shorter than 16 bytes is malformed (completed with [written = 0]
+      and no status); a discard segment shorter than 16 bytes completes
+      with [status_ioerr]. *)
 end
 
 module Driver : sig

@@ -14,7 +14,7 @@ module Device = struct
         let rest = Bytes.sub data delivered (total - delivered) in
         match
           Plumbing.Device.serve_one q (fun buffers ->
-              Plumbing.Device.scatter g buffers rest)
+              Plumbing.Device.scatter g buffers rest ~len:(Bytes.length rest))
         with
         | None -> delivered
         | Some n -> loop (delivered + n)
@@ -59,12 +59,12 @@ module Driver = struct
   let drain_rx t =
     P.drain_rx t.rx (fun addr written ->
         if written > 0 then
-          Buffer.add_bytes t.pending (t.g.Gmem.read ~addr ~len:written))
+          Buffer.add_bytes t.pending (Gmem.read t.g ~addr ~len:written))
 
   let write t data =
     let len = min (Bytes.length data) buf_size in
     P.measure t.meter "tx" ~bytes:(Some len) (fun () ->
-        t.g.Gmem.write ~addr:t.tx_buf (Bytes.sub data 0 len);
+        t.g.Gmem.write_from ~addr:t.tx_buf data ~off:0 ~len;
         P.submit t.access t.txq ~queue:1 ~out:[ (t.tx_buf, len) ] ~in_:[])
 
   let read_line t =

@@ -8,9 +8,21 @@
     cost). *)
 
 type t = {
-  read : addr:int -> len:int -> bytes;
-  write : addr:int -> bytes -> unit;
+  read_into : addr:int -> bytes -> off:int -> len:int -> unit;
+      (** [read_into ~addr buf ~off ~len] copies [len] bytes at guest
+          address [addr] into [buf] at [off]. *)
+  write_from : addr:int -> bytes -> off:int -> len:int -> unit;
+      (** [write_from ~addr buf ~off ~len] copies [len] bytes of [buf]
+          from [off] to [addr]. *)
 }
+(** The two copies every access path provides: between guest memory
+    and a caller's buffer, with no intermediate buffer of its own. *)
+
+val read : t -> addr:int -> len:int -> bytes
+(** {!field-read_into} a fresh buffer. *)
+
+val write : t -> addr:int -> bytes -> unit
+(** {!field-write_from} all of a buffer. *)
 
 val read_u16 : t -> int -> int
 val write_u16 : t -> int -> int -> unit

@@ -27,7 +27,7 @@ module Device = struct
     let data = Bytes.cat (Bytes.make hdr_size '\000') frame in
     match
       Plumbing.Device.serve_one q (fun buffers ->
-          Plumbing.Device.scatter g buffers data)
+          Plumbing.Device.scatter g buffers data ~len:(Bytes.length data))
     with
     | None -> false
     | Some delivered -> delivered = Bytes.length data
@@ -99,7 +99,7 @@ module Driver = struct
   let drain_rx t =
     P.drain_rx t.rx (fun addr written ->
         if written > hdr_size then begin
-          let raw = t.g.Gmem.read ~addr ~len:written in
+          let raw = Gmem.read t.g ~addr ~len:written in
           Stdlib.Queue.add (Bytes.sub raw hdr_size (written - hdr_size)) t.pending
         end)
 
@@ -111,8 +111,8 @@ module Driver = struct
     let len = Bytes.length raw + hdr_size in
     if len > buf_size then failwith "virtio-net: frame too large";
     P.measure t.meter "tx" ~bytes:(Some (Bytes.length raw)) (fun () ->
-        t.g.Gmem.write ~addr:t.tx_buf (Bytes.make hdr_size '\000');
-        t.g.Gmem.write ~addr:(t.tx_buf + hdr_size) raw;
+        Gmem.write t.g ~addr:t.tx_buf (Bytes.make hdr_size '\000');
+        Gmem.write t.g ~addr:(t.tx_buf + hdr_size) raw;
         P.submit t.access t.txq ~queue:1 ~out:[ (t.tx_buf, len) ] ~in_:[])
 
   (* Effect-free: safe to call from a scheduler wake-up predicate. *)

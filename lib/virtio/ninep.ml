@@ -148,7 +148,8 @@ module Device = struct
           | Some req -> backend.handle req
           | None -> err Hostos.Errno.EINVAL
         in
-        Plumbing.Device.scatter g buffers (encode_response resp))
+        let out = encode_response resp in
+        Plumbing.Device.scatter g buffers out ~len:(Bytes.length out))
 end
 
 module Driver = struct
@@ -189,12 +190,12 @@ module Driver = struct
   let roundtrip t req ~resp_len =
     P.measure t.meter (op_name req) ~bytes:None (fun () ->
         let reqb = encode_request req in
-        t.g.Gmem.write ~addr:t.req_addr reqb;
+        Gmem.write t.g ~addr:t.req_addr reqb;
         P.submit t.access t.queue ~queue:0
           ~out:[ (t.req_addr, Bytes.length reqb) ]
           ~in_:[ (t.resp_addr, resp_len + 8) ];
         match
-          decode_response (t.g.Gmem.read ~addr:t.resp_addr ~len:(resp_len + 8))
+          decode_response (Gmem.read t.g ~addr:t.resp_addr ~len:(resp_len + 8))
         with
         | Some r -> r
         | None -> failwith "9p driver: bad response")

@@ -104,21 +104,33 @@ module Device = struct
     in
     loop 0
 
-  let gather (g : Gmem.t) buffers =
-    let read (b : Queue.Device.buffer) = g.read ~addr:b.addr ~len:b.len in
-    match List.filter (fun (b : Queue.Device.buffer) -> not b.writable) buffers with
-    | [ b ] -> read b
-    | bufs -> Bytes.concat Bytes.empty (List.map read bufs)
+  let readable_len buffers =
+    List.fold_left
+      (fun n (b : Queue.Device.buffer) -> if b.writable then n else n + b.len)
+      0 buffers
 
-  let scatter (g : Gmem.t) buffers data =
-    let total = Bytes.length data in
+  let gather_into (g : Gmem.t) buffers dst =
     List.fold_left
       (fun off (b : Queue.Device.buffer) ->
-        if (not b.writable) || off >= total then off
+        if b.writable then off
         else begin
-          let n = min b.len (total - off) in
-          (* the whole request in one buffer: no sub-copy *)
-          g.write ~addr:b.addr (if n = total then data else Bytes.sub data off n);
+          g.read_into ~addr:b.addr dst ~off ~len:b.len;
+          off + b.len
+        end)
+      0 buffers
+
+  let gather g buffers =
+    let dst = Bytes.create (readable_len buffers) in
+    ignore (gather_into g buffers dst);
+    dst
+
+  let scatter (g : Gmem.t) buffers src ~len =
+    List.fold_left
+      (fun off (b : Queue.Device.buffer) ->
+        if (not b.writable) || off >= len then off
+        else begin
+          let n = min b.len (len - off) in
+          g.write_from ~addr:b.addr src ~off ~len:n;
           off + n
         end)
       0 buffers

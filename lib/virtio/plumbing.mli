@@ -67,13 +67,21 @@ module Device : sig
   val serve : Queue.Device.t -> (Queue.Device.buffer list -> int) -> int
   (** {!serve_one} until the ring is empty; returns the chains served. *)
 
-  val gather : Gmem.t -> Queue.Device.buffer list -> bytes
-  (** The chain's readable buffers concatenated in chain order, one
-      read each. A lone readable buffer is returned as read. *)
+  val readable_len : Queue.Device.buffer list -> int
+  (** The summed length of the chain's readable buffers. *)
 
-  val scatter : Gmem.t -> Queue.Device.buffer list -> bytes -> int
-  (** Write [data] into the chain's writable buffers in order,
-      [min len remaining] bytes each, and return the bytes written. A
-      buffer that takes all of [data] is written [data] itself, with
-      no sub-copy. *)
+  val gather_into : Gmem.t -> Queue.Device.buffer list -> bytes -> int
+  (** [gather_into g chain dst] copies the chain's readable buffers, in
+      chain order and one read each, to consecutive bytes of [dst] from
+      offset 0, and returns {!readable_len}. [dst] must hold that
+      many. *)
+
+  val gather : Gmem.t -> Queue.Device.buffer list -> bytes
+  (** {!gather_into} a fresh buffer of exactly {!readable_len} bytes. *)
+
+  val scatter : Gmem.t -> Queue.Device.buffer list -> bytes -> len:int -> int
+  (** [scatter g chain src ~len] writes the first [len] bytes of [src]
+      into the chain's writable buffers in order, [min len remaining]
+      bytes each, straight from [src], and returns the bytes
+      written. *)
 end

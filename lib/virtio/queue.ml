@@ -52,11 +52,12 @@ module Driver = struct
     avail : int;
     used : int;
     mutable free : int list;  (** free descriptor indices *)
+    is_free : bool array;  (** membership of [free], by index *)
     mutable next_avail : int;  (** shadow of avail idx *)
     mutable last_used : int;  (** last seen used idx *)
     mutable live : int;
-    completed_heads : (int, unit) Hashtbl.t;
-    outstanding : (int, unit) Hashtbl.t;
+    completed_heads : bool array;
+    outstanding : bool array;
         (** heads posted and not yet completed; used-ring entries for
             any other id are forged and dropped *)
   }
@@ -71,15 +72,17 @@ module Driver = struct
       avail;
       used;
       free = List.init qsz Fun.id;
+      is_free = Array.make qsz true;
       next_avail = 0;
       last_used = 0;
       live = 0;
-      completed_heads = Hashtbl.create 16;
-      outstanding = Hashtbl.create 16;
+      completed_heads = Array.make qsz false;
+      outstanding = Array.make qsz false;
     }
 
   let qsz t = t.qsz
   let rings t = (t.desc, t.avail, t.used)
+  let free_list t = t.free
 
   let add t ~out ~in_ =
     let bufs =
@@ -94,7 +97,9 @@ module Driver = struct
         else
           match free with
           | [] -> assert false
-          | d :: rest -> take (k - 1) (d :: acc) rest
+          | d :: rest ->
+              t.is_free.(d) <- false;
+              take (k - 1) (d :: acc) rest
       in
       let descs, free = take n [] t.free in
       t.free <- free;
@@ -109,7 +114,7 @@ module Driver = struct
       in
       link (List.combine descs bufs);
       let head = List.hd descs in
-      Hashtbl.replace t.outstanding head ();
+      t.outstanding.(head) <- true;
       set_avail_ring t.g ~avail:t.avail ~qsz:t.qsz t.next_avail head;
       t.next_avail <- t.next_avail + 1;
       set_avail_idx t.g ~avail:t.avail t.next_avail;
@@ -119,23 +124,22 @@ module Driver = struct
 
   (* Walk the chain from guest memory to return its descriptors to the
      free list. The chain lives in shared memory a hostile guest can
-     rewrite, so the walk is bounded and never frees an index twice or
-     out of range — a corrupted [next] must not poison the free list. *)
+     rewrite, so the walk stops at an index out of range or already
+     free (including one this walk freed): it never frees an index
+     twice, so a corrupted [next] cannot poison the free list, and it
+     takes at most [qsz] hops. *)
   let free_chain t head =
-    let seen = Hashtbl.create 8 in
-    List.iter (fun d -> Hashtbl.replace seen d ()) t.free;
-    let rec go d acc guard =
-      if guard > t.qsz || d >= t.qsz || d < 0 || Hashtbl.mem seen d then acc
+    let rec go d acc =
+      if d < 0 || d >= t.qsz || t.is_free.(d) then acc
       else begin
-        Hashtbl.replace seen d ();
+        t.is_free.(d) <- true;
         let flags = desc_flags t.g ~desc:t.desc d in
         let acc = d :: acc in
-        if flags land desc_f_next <> 0 then
-          go (desc_next t.g ~desc:t.desc d) acc (guard + 1)
+        if flags land desc_f_next <> 0 then go (desc_next t.g ~desc:t.desc d) acc
         else acc
       end
     in
-    t.free <- go head [] 0 @ t.free
+    t.free <- go head [] @ t.free
 
   let used_pending t = used_idx t.g ~used:t.used <> t.last_used land 0xffff
 
@@ -145,15 +149,15 @@ module Driver = struct
     else begin
       let id, len = used_elem t.g ~used:t.used ~qsz:t.qsz t.last_used in
       t.last_used <- (t.last_used + 1) land 0xffff;
-      if not (Hashtbl.mem t.outstanding id) then
+      if id >= t.qsz || not t.outstanding.(id) then
         (* completion for a head we never posted (a forged used element):
            freeing it would corrupt the free list, so drop it *)
         poll_used t
       else begin
-        Hashtbl.remove t.outstanding id;
+        t.outstanding.(id) <- false;
         free_chain t id;
         t.live <- t.live - 1;
-        Hashtbl.replace t.completed_heads id ();
+        t.completed_heads.(id) <- true;
         Some (id, len)
       end
     end
@@ -161,8 +165,8 @@ module Driver = struct
   let completed t ~head =
     let rec drain () = match poll_used t with Some _ -> drain () | None -> () in
     drain ();
-    if Hashtbl.mem t.completed_heads head then begin
-      Hashtbl.remove t.completed_heads head;
+    if head >= 0 && head < t.qsz && t.completed_heads.(head) then begin
+      t.completed_heads.(head) <- false;
       true
     end
     else false
@@ -190,43 +194,30 @@ module Device = struct
     mutable quarantined_since_reset : int;
     mutable quarantined_total : int;
     mutable ring_resets : int;
+    visited : int array;
+        (** [visited.(d) = walk] iff descriptor [d] was reached by the
+            chain walk numbered [walk] *)
+    mutable walk : int;
   }
 
   let create ?torn ?on_requeue ?validate ?on_quarantine ?on_ring_reset
       ?(quarantine_limit = 8) g ~qsz ~desc ~avail ~used =
     { g; qsz; desc; avail; used; last_avail = 0; used_count = 0; torn;
       on_requeue; validate; on_quarantine; on_ring_reset; quarantine_limit;
-      quarantined_since_reset = 0; quarantined_total = 0; ring_resets = 0 }
+      quarantined_since_reset = 0; quarantined_total = 0; ring_resets = 0;
+      visited = Array.make qsz 0; walk = 0 }
 
-  let read_chain t head =
-    let rec go d acc guard =
-      if guard > t.qsz then List.rev acc (* malformed chain: stop *)
-      else
-        let flags = desc_flags t.g ~desc:t.desc d in
-        let buf =
-          {
-            addr = desc_addr t.g ~desc:t.desc d;
-            len = desc_len t.g ~desc:t.desc d;
-            writable = flags land desc_f_write <> 0;
-          }
-        in
-        if flags land desc_f_next <> 0 then
-          go (desc_next t.g ~desc:t.desc d) (buf :: acc) (guard + 1)
-        else List.rev (buf :: acc)
-    in
-    go head [] 0
-
-  (* [read_chain] with shape checking: flags a chain whose [next] links
-     loop, leave the table, or run past [qsz] hops — the self-modifying
+  (* The chain from [head], flagged malformed when its [next] links
+     loop, revisit a descriptor or leave the table — the self-modifying
      descriptor attacks a guest can mount between our validation and
-     our use of the chain. *)
+     our use of the chain. A walk visits each index at most once, so it
+     takes at most [qsz] hops. *)
   let read_chain_checked t head =
-    let visited = Hashtbl.create 8 in
-    let rec go d acc guard =
-      if d < 0 || d >= t.qsz || Hashtbl.mem visited d || guard > t.qsz then
-        (List.rev acc, true)
+    t.walk <- t.walk + 1;
+    let rec go d acc =
+      if d < 0 || d >= t.qsz || t.visited.(d) = t.walk then (List.rev acc, true)
       else begin
-        Hashtbl.replace visited d ();
+        t.visited.(d) <- t.walk;
         let flags = desc_flags t.g ~desc:t.desc d in
         let buf =
           {
@@ -236,11 +227,11 @@ module Device = struct
           }
         in
         if flags land desc_f_next <> 0 then
-          go (desc_next t.g ~desc:t.desc d) (buf :: acc) (guard + 1)
+          go (desc_next t.g ~desc:t.desc d) (buf :: acc)
         else (List.rev (buf :: acc), false)
       end
     in
-    go head [] 0
+    go head []
 
   let push_used t ~head ~written =
     set_used_elem t.g ~used:t.used ~qsz:t.qsz t.used_count ~id:head ~len:written;

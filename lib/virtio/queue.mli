@@ -33,6 +33,9 @@ module Driver : sig
       in-guest adversary knows about its own queues (the hostile-guest
       engine corrupts rings through this). *)
 
+  val free_list : t -> int list
+  (** The free descriptor indices, in the order {!add} takes them. *)
+
   val add :
     t -> out:(int * int) list -> in_:(int * int) list -> int option
   (** [add q ~out ~in_] links the device-readable [(addr, len)] buffers
@@ -47,7 +50,10 @@ module Driver : sig
 
   val poll_used : t -> (int * int) option
   (** Next unseen used element as [(head, written)]; frees the chain's
-      descriptors. *)
+      descriptors, walking it from guest memory. The walk stops at an
+      index that is out of range or already free, and the indices it
+      freed go to the front of the free list, head last. A used element
+      for a head not in flight is dropped. *)
 
   val completed : t -> head:int -> bool
   (** Whether a given chain head has been returned by the device
@@ -99,8 +105,11 @@ module Device : sig
       from an invalid descriptor index. Malformed or out-of-bounds
       chains are quarantined (see {!create}) and skipped. *)
 
-  val read_chain : t -> int -> buffer list
-  (** The raw bounded chain walk (no validation); exposed for tests. *)
+  val read_chain_checked : t -> int -> buffer list * bool
+  (** [read_chain_checked q head] walks the chain from [head] as {!pop}
+      does: the buffers up to the first bad link, and whether there was
+      one (a [next] that loops, revisits a descriptor or leaves the
+      table). No bounds validation; exposed for tests. *)
 
   val push_used : t -> head:int -> written:int -> unit
 

@@ -59,7 +59,7 @@ let run_native backend ~clock ~rng j =
       Clock.copy_bytes clock j.block_size;
       if is_read j.pattern then
         ignore (Blockdev.Dev.read_range dev ~off ~len:j.block_size)
-      else Blockdev.Dev.write_range dev ~off payload;
+      else Blockdev.Dev.write_range dev ~off payload ~len:(Bytes.length payload);
       incr ops)
     (offsets rng j);
   (!ops, Clock.now_ns clock -. start)

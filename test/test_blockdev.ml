@@ -22,13 +22,21 @@ let fresh_fs ?(blocks = 1024) () =
 let test_dev_ranges () =
   let b = Backend.create ~blocks:8 () in
   let d = Backend.dev b in
-  Dev.write_range d ~off:1000 (Bytes.of_string "cross-block-data");
+  Dev.write_range d ~off:1000 (Bytes.of_string "cross-block-data") ~len:16;
   check cstr "range roundtrip" "cross-block-data"
     (Bytes.to_string (Dev.read_range d ~off:1000 ~len:16));
   (* unaligned write crossing a block boundary *)
-  Dev.write_range d ~off:4090 (Bytes.of_string "0123456789AB");
+  Dev.write_range d ~off:4090 (Bytes.of_string "0123456789AB") ~len:12;
   check cstr "boundary crossing" "0123456789AB"
-    (Bytes.to_string (Dev.read_range d ~off:4090 ~len:12))
+    (Bytes.to_string (Dev.read_range d ~off:4090 ~len:12));
+  (* only the first [len] bytes of the source are written *)
+  Dev.write_range d ~off:8192 (Bytes.of_string "keep-rest") ~len:4;
+  check cstr "length-taking write" "keep\000"
+    (Bytes.to_string (Dev.read_range d ~off:8192 ~len:5));
+  (* a whole-block range lands at the start of the caller's buffer *)
+  let dst = Bytes.make 4100 '#' in
+  Dev.read_range_into d ~off:4090 dst ~len:12;
+  check cstr "read into" "0123456789AB#" (Bytes.sub_string dst 0 13)
 
 let test_dev_sub_window () =
   let b = Backend.create ~blocks:16 () in
@@ -38,7 +46,35 @@ let test_dev_sub_window () =
   check cint "sub maps to parent block 4" (Char.code 'S')
     (Char.code (Bytes.get (d.Dev.read_block 4) 0));
   Alcotest.check_raises "oversized sub" (Invalid_argument "Dev.sub: out of range")
-    (fun () -> ignore (Dev.sub d ~first_block:14 ~blocks:4))
+    (fun () -> ignore (Dev.sub d ~first_block:14 ~blocks:4));
+  (* an index outside the window never reaches a parent block *)
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let blk = Bytes.make 4096 'X' in
+  raises "read past the window" (fun () -> ignore (sub.Dev.read_block 4));
+  raises "read before the window" (fun () -> ignore (sub.Dev.read_block (-1)));
+  raises "write past the window" (fun () -> sub.Dev.write_block 4 blk);
+  raises "read_into past the window" (fun () -> sub.Dev.read_into 4 blk 0);
+  raises "write_from past the window" (fun () -> sub.Dev.write_from 4 blk 0);
+  check cint "parent block 8 untouched" 0
+    (Char.code (Bytes.get (d.Dev.read_block 8) 0));
+  (* a trim is clamped to the window *)
+  for i = 3 to 8 do
+    d.Dev.write_block i (Bytes.make 4096 'T')
+  done;
+  sub.Dev.trim 2 100;
+  let first_byte i = Bytes.get (d.Dev.read_block i) 0 in
+  check cbool "blocks before the window kept" true (first_byte 3 = 'T');
+  check cbool "window head kept" true (first_byte 5 = 'T');
+  check cbool "window tail trimmed" true
+    (first_byte 6 = '\000' && first_byte 7 = '\000');
+  check cbool "blocks past the window kept" true (first_byte 8 = 'T');
+  sub.Dev.trim (-2) 3;
+  check cbool "a trim from before the window starts at its head" true
+    (first_byte 3 = 'T' && first_byte 4 = '\000' && first_byte 5 = 'T')
 
 let test_backend_stats_and_trim () =
   let b = Backend.create ~blocks:8 () in

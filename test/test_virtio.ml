@@ -15,8 +15,12 @@ let raw_gmem size =
   let m = Mem.create size in
   ( m,
     {
-      Gmem.read = (fun ~addr ~len -> Mem.read_bytes m addr len);
-      write = (fun ~addr b -> Mem.write_bytes m addr b);
+      Gmem.read_into =
+        (fun ~addr buf ~off ~len ->
+          Mem.blit ~src:m ~src_off:addr ~dst:(Mem.of_bytes buf) ~dst_off:off ~len);
+      write_from =
+        (fun ~addr buf ~off ~len ->
+          Mem.blit ~src:(Mem.of_bytes buf) ~src_off:off ~dst:m ~dst_off:addr ~len);
     } )
 
 let make_queue ?(qsz = 8) () =
@@ -164,7 +168,7 @@ let test_blk_device_serves_requests () =
     (Q.Driver.add driver
        ~out:[ (0x100, 16) ]
        ~in_:[ (0x1000, 4096); (0x2000, 1) ]);
-  let n = Virtio.Blk.Device.process device g backend in
+  let n = Virtio.Blk.Device.process device g (Virtio.Blk.Device.create backend) in
   check cint "one request served" 1 n;
   check cint "status ok" Virtio.Blk.status_ok (Mem.read_u8 m 0x2000);
   check cbool "data landed" true
@@ -188,7 +192,7 @@ let test_blk_device_rejects_out_of_range () =
   Mem.write_bytes m 0x100 hdr;
   Mem.write_bytes m 0x1000 (Bytes.make 512 'w');
   ignore (Q.Driver.add driver ~out:[ (0x100, 16); (0x1000, 512) ] ~in_:[ (0x2000, 1) ]);
-  ignore (Virtio.Blk.Device.process device g backend);
+  ignore (Virtio.Blk.Device.process device g (Virtio.Blk.Device.create backend));
   check cint "status ioerr" Virtio.Blk.status_ioerr (Mem.read_u8 m 0x2000)
 
 let test_blk_device_unknown_type () =
@@ -204,7 +208,7 @@ let test_blk_device_unknown_type () =
   Bytes.set_int32_le hdr 0 99l;
   Mem.write_bytes m 0x100 hdr;
   ignore (Q.Driver.add driver ~out:[ (0x100, 16) ] ~in_:[ (0x2000, 1) ]);
-  ignore (Virtio.Blk.Device.process device g backend);
+  ignore (Virtio.Blk.Device.process device g (Virtio.Blk.Device.create backend));
   check cint "status unsupported" Virtio.Blk.status_unsupp (Mem.read_u8 m 0x2000)
 
 (* --- 9p codec --- *)
@@ -367,24 +371,25 @@ let test_ninep_simplefs_server () =
 
 (* --- the shared device-side gather/scatter --- *)
 
-(* A Gmem over raw memory that logs every call, keeping the bytes each
-   read returned and each write was handed. *)
-type gmem_call = Read of int * bytes | Write of int * bytes
+(* A Gmem over raw memory that logs every call: the guest range, the
+   caller's buffer and offset, and (for writes) the bytes handed over. *)
+type gmem_call =
+  | Read of { addr : int; buf : bytes; off : int; len : int }
+  | Write of { addr : int; buf : bytes; off : int; data : bytes }
 
 let logging_gmem size =
   let m, g = raw_gmem size in
   let log = ref [] in
   ( m,
     {
-      Gmem.read =
-        (fun ~addr ~len ->
-          let b = g.Gmem.read ~addr ~len in
-          log := Read (addr, b) :: !log;
-          b);
-      write =
-        (fun ~addr b ->
-          log := Write (addr, b) :: !log;
-          g.Gmem.write ~addr b);
+      Gmem.read_into =
+        (fun ~addr buf ~off ~len ->
+          log := Read { addr; buf; off; len } :: !log;
+          g.Gmem.read_into ~addr buf ~off ~len);
+      write_from =
+        (fun ~addr buf ~off ~len ->
+          log := Write { addr; buf; off; data = Bytes.sub buf off len } :: !log;
+          g.Gmem.write_from ~addr buf ~off ~len);
     },
     fun () -> List.rev !log )
 
@@ -410,32 +415,41 @@ let prop_gather_scatter =
       in
       let chain = List.rev chain in
       let readable = List.filter (fun b -> not b.Q.Device.writable) chain in
-      (* gather: the readable buffers in order, one read each *)
-      let got = Virtio.Plumbing.Device.gather g chain in
-      let gather_calls = calls () in
-      let gather_ok =
-        Bytes.equal got
-          (Bytes.concat Bytes.empty
-             (List.map
-                (fun b -> Mem.read_bytes m b.Q.Device.addr b.Q.Device.len)
-                readable))
-        && List.length gather_calls = List.length readable
-        && List.for_all2
-             (fun call b ->
-               match call with
-               | Read (addr, r) ->
-                   addr = b.Q.Device.addr && Bytes.length r = b.Q.Device.len
-               | Write _ -> false)
-             gather_calls readable
-        && (match (readable, gather_calls) with
-           | [ _ ], [ Read (_, r) ] -> got == r
-           | _ -> true)
+      let expected_gather =
+        Bytes.concat Bytes.empty
+          (List.map
+             (fun b -> Mem.read_bytes m b.Q.Device.addr b.Q.Device.len)
+             readable)
       in
-      (* scatter: [min len remaining] at each writable buffer, in order *)
-      let data = Bytes.init dlen (fun _ -> Char.chr (Random.State.int rng 256)) in
-      let written = Virtio.Plumbing.Device.scatter g chain data in
+      (* gather: the readable buffers in order, one read each, straight
+         into consecutive bytes of the caller's buffer *)
+      let dst = Bytes.make (Bytes.length expected_gather + 7) '#' in
+      let n = Virtio.Plumbing.Device.gather_into g chain dst in
+      let gather_calls = calls () in
+      let rec reads_follow off calls bufs =
+        match (calls, bufs) with
+        | [], [] -> true
+        | Read r :: calls, b :: bufs ->
+            r.addr = b.Q.Device.addr && r.len = b.Q.Device.len && r.buf == dst
+            && r.off = off
+            && reads_follow (off + r.len) calls bufs
+        | _ -> false
+      in
+      let gather_ok =
+        n = Bytes.length expected_gather
+        && n = Virtio.Plumbing.Device.readable_len chain
+        && Bytes.equal (Bytes.sub dst 0 n) expected_gather
+        && Bytes.sub_string dst n 7 = "#######"
+        && reads_follow 0 gather_calls readable
+        && Bytes.equal (Virtio.Plumbing.Device.gather g chain) expected_gather
+      in
+      let before_scatter = List.length (calls ()) in
+      (* scatter: [min len remaining] at each writable buffer, in order,
+         each straight from the caller's buffer *)
+      let data = Bytes.init (dlen + 5) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let written = Virtio.Plumbing.Device.scatter g chain data ~len:dlen in
       let scatter_calls =
-        List.filteri (fun i _ -> i >= List.length gather_calls) (calls ())
+        List.filteri (fun i _ -> i >= before_scatter) (calls ())
       in
       let rec expect off = function
         | [] -> []
@@ -451,12 +465,10 @@ let prop_gather_scatter =
         && List.for_all2
              (fun call (addr, off, n) ->
                match call with
-               | Write (a, b) ->
-                   a = addr
-                   && Bytes.equal b (Bytes.sub data off n)
+               | Write w ->
+                   w.addr = addr && w.buf == data && w.off = off
+                   && Bytes.equal w.data (Bytes.sub data off n)
                    && Bytes.equal (Mem.read_bytes m addr n) (Bytes.sub data off n)
-                   (* a buffer that takes the whole request gets it uncopied *)
-                   && (n <> dlen || b == data)
                | Read _ -> false)
              scatter_calls expected
       in
@@ -616,6 +628,166 @@ let test_free_list_survives_corrupt_next () =
   check cint "all distinct" (List.length heads)
     (List.length (List.sort_uniq compare heads))
 
+(* --- the chain walks against Hashtbl references ---
+
+   The references are the walks as first written, with a Hashtbl per
+   chain: [ref_read_chain] from the device half, [ref_free_chain] from
+   the driver's completion path. They read the descriptor table
+   straight from memory. *)
+
+let desc_entry m ~desc i =
+  let e = desc + (i * 16) in
+  ( Mem.read_u64 m e,
+    Mem.read_u32 m (e + 8),
+    Mem.read_u16 m (e + 12),
+    Mem.read_u16 m (e + 14) )
+
+let ref_read_chain m ~desc ~qsz head =
+  let visited = Hashtbl.create 8 in
+  let rec go d acc guard =
+    if d < 0 || d >= qsz || Hashtbl.mem visited d || guard > qsz then
+      (List.rev acc, true)
+    else begin
+      Hashtbl.replace visited d ();
+      let addr, len, flags, next = desc_entry m ~desc d in
+      let buf = { Q.Device.addr; len; writable = flags land Q.desc_f_write <> 0 } in
+      if flags land Q.desc_f_next <> 0 then go next (buf :: acc) (guard + 1)
+      else (List.rev (buf :: acc), false)
+    end
+  in
+  go head [] 0
+
+let ref_free_chain m ~desc ~qsz free head =
+  let seen = Hashtbl.create 8 in
+  List.iter (fun d -> Hashtbl.replace seen d ()) free;
+  let rec go d acc guard =
+    if guard > qsz || d >= qsz || d < 0 || Hashtbl.mem seen d then acc
+    else begin
+      Hashtbl.replace seen d ();
+      let _, _, flags, next = desc_entry m ~desc d in
+      let acc = d :: acc in
+      if flags land Q.desc_f_next <> 0 then go next acc (guard + 1) else acc
+    end
+  in
+  go head [] 0 @ free
+
+(* Random rounds on one queue: post chains, corrupt descriptors
+   ([next] inside or past the table, random flags), complete posted
+   and forged heads. After every step the driver's free list must
+   equal the reference's, and the device's walk from every head must
+   equal the reference walk. *)
+let prop_chain_walks_match_reference =
+  QCheck.Test.make ~name:"chain walks match the Hashtbl references" ~count:300
+    QCheck.(pair (int_range 0 2) (int_range 0 1_000_000))
+    (fun (qi, seed) ->
+      let qsz = [| 4; 8; 16 |].(qi) in
+      let rng = Random.State.make [| seed |] in
+      let m, driver, device, (desc, _, _) = make_hostile_queue ~qsz () in
+      let ref_free = ref (List.init qsz Fun.id) in
+      let ref_out = Hashtbl.create 8 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      for _ = 1 to 40 do
+        (match Random.State.int rng 4 with
+        | 0 -> (
+            let n = 1 + Random.State.int rng 3 in
+            let out = List.init n (fun i -> (0x1000 + (i * 64), 8)) in
+            match Q.Driver.add driver ~out ~in_:[] with
+            | Some head ->
+                expect (List.length !ref_free >= n && List.hd !ref_free = head);
+                ref_free := List.filteri (fun i _ -> i >= n) !ref_free;
+                Hashtbl.replace ref_out head ()
+            | None -> expect (List.length !ref_free < n))
+        | 1 ->
+            let e = desc + (Random.State.int rng qsz * 16) in
+            Mem.write_u16 m (e + 14) (Random.State.int rng (qsz + 3));
+            Mem.write_u16 m (e + 12) (Random.State.int rng 4)
+        | _ -> (
+            (* complete a posted head, or forge one *)
+            let posted = Hashtbl.fold (fun h () acc -> h :: acc) ref_out [] in
+            let head =
+              if posted <> [] && Random.State.int rng 4 > 0 then
+                List.nth posted (Random.State.int rng (List.length posted))
+              else Random.State.int rng (qsz + 2)
+            in
+            Q.Device.push_used device ~head ~written:0;
+            match Q.Driver.poll_used driver with
+            | Some (h, _) ->
+                expect (h = head && Hashtbl.mem ref_out head);
+                Hashtbl.remove ref_out head;
+                ref_free := ref_free_chain m ~desc ~qsz !ref_free head
+            | None -> expect (not (Hashtbl.mem ref_out head))));
+        expect (Q.Driver.free_list driver = !ref_free);
+        for head = 0 to qsz - 1 do
+          expect
+            (Q.Device.read_chain_checked device head
+            = ref_read_chain m ~desc ~qsz head)
+        done
+      done;
+      !ok)
+
+(* A header or discard segment in the last bytes of guest memory,
+   shorter than the 16 bytes the codec reads: the descriptor itself is
+   in bounds, so validation passes it, and the device must not read
+   past it. *)
+let blk_rig () =
+  let m, g = raw_gmem 65536 in
+  let qsz = 4 in
+  let desc, avail, used, _ = Q.bytes_needed ~qsz in
+  let base = 0x8000 in
+  let driver = Q.Driver.create g ~qsz ~desc:(base + desc) ~avail:(base + avail) ~used:(base + used) in
+  let device =
+    Q.Device.create
+      ~validate:(fun b -> b.Q.Device.addr + b.Q.Device.len <= 65536)
+      g ~qsz ~desc:(base + desc) ~avail:(base + avail) ~used:(base + used)
+  in
+  let store = Blockdev.Backend.create ~blocks:4 () in
+  let dev =
+    Virtio.Blk.Device.create
+      (Virtio.Blk.Device.backend_of_blockdev (Blockdev.Backend.dev store))
+  in
+  (m, driver, fun () -> Virtio.Blk.Device.process device g dev), store
+
+let test_blk_short_header () =
+  let (m, driver, process), _ = blk_rig () in
+  Mem.write_u8 m 0x2000 0xaa;
+  let head =
+    Option.get (Q.Driver.add driver ~out:[ (65532, 4) ] ~in_:[ (0x2000, 1) ])
+  in
+  check cint "completed" 1 (process ());
+  (match Q.Driver.poll_used driver with
+  | Some (h, w) ->
+      check cint "same head" head h;
+      check cint "nothing written" 0 w
+  | None -> Alcotest.fail "short header never completed");
+  check cint "status untouched" 0xaa (Mem.read_u8 m 0x2000)
+
+let test_blk_short_discard () =
+  let (m, driver, process), store = blk_rig () in
+  let hdr = Bytes.make 16 '\000' in
+  Bytes.set_int32_le hdr 0 (Int32.of_int Virtio.Blk.t_discard);
+  Mem.write_bytes m 0x100 hdr;
+  ignore
+    (Option.get
+       (Q.Driver.add driver
+          ~out:[ (0x100, 16); (65532, 4) ]
+          ~in_:[ (0x2000, 1) ]));
+  check cint "completed" 1 (process ());
+  check cint "status ioerr" Virtio.Blk.status_ioerr (Mem.read_u8 m 0x2000);
+  check cint "nothing trimmed" 0 (Blockdev.Backend.stats store).Blockdev.Backend.trims;
+  (* a whole segment still discards *)
+  let seg = Bytes.make 16 '\000' in
+  Bytes.set_int64_le seg 0 8L;
+  Bytes.set_int32_le seg 8 8l;
+  Mem.write_bytes m 0x200 seg;
+  ignore (Q.Driver.poll_used driver);
+  ignore
+    (Option.get
+       (Q.Driver.add driver ~out:[ (0x100, 16); (0x200, 16) ] ~in_:[ (0x2000, 1) ]));
+  check cint "completed" 1 (process ());
+  check cint "status ok" Virtio.Blk.status_ok (Mem.read_u8 m 0x2000);
+  check cint "trimmed once" 1 (Blockdev.Backend.stats store).Blockdev.Backend.trims
+
 let prop_queue_chains_roundtrip =
   QCheck.Test.make ~name:"descriptor chains survive add/pop" ~count:100
     QCheck.(
@@ -666,6 +838,9 @@ let suite =
         t "ring reset after quarantine storm"
           test_ring_reset_after_quarantine_storm;
         t "free list survives corrupt next" test_free_list_survives_corrupt_next;
+        t "short blk header is malformed" test_blk_short_header;
+        t "short discard segment fails" test_blk_short_discard;
+        QCheck_alcotest.to_alcotest prop_chain_walks_match_reference;
       ] );
     ( "virtio.mmio",
       [
