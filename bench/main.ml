@@ -700,10 +700,7 @@ let run_bechamel () =
       (Staged.stage (fun () ->
            let vmsh = H.Host.spawn h ~name:"bench-vmsh" ~uid:1000 () in
            let slots =
-             List.map
-               (fun (s : Kvm.Vm.memslot) ->
-                 { Vmsh.Hyp_mem.gpa = s.Kvm.Vm.gpa; size = s.size; hva = s.hva })
-               (Kvm.Vm.memslots (Guest.vm g))
+             (Kvm.Vm.memslots (Guest.vm g))
            in
            let mem =
              Vmsh.Hyp_mem.create h ~vmsh

@@ -1,6 +1,7 @@
 (* CI output validator: the JSON assertions ci.sh used to delegate to
    python3 (and silently skipped when python was absent), as a small
-   dune-built executable with a hand-rolled JSON reader.
+   dune-built executable that reads JSON with the benchmark's parser
+   (perf/json.ml).
 
    Usage:
      ci_check json FILE...       well-formed JSON
@@ -42,159 +43,9 @@
    Note: the metrics exporter writes counter values as JSON strings;
    [int_field] accepts both numbers and numeric strings. *)
 
-(* --- minimal JSON --- *)
+(* --- JSON, through the benchmark's parser --- *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
-
-exception Bad of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> fail "bad escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | '/' -> Buffer.add_char b '/'
-              | 'n' -> Buffer.add_char b '\n'
-              | 't' -> Buffer.add_char b '\t'
-              | 'r' -> Buffer.add_char b '\r'
-              | 'b' -> Buffer.add_char b '\b'
-              | 'f' -> Buffer.add_char b '\012'
-              | 'u' ->
-                  if !pos + 4 > n then fail "bad \\u escape";
-                  let code = int_of_string ("0x" ^ String.sub s !pos 4) in
-                  pos := !pos + 4;
-                  (* non-BMP escapes don't occur in our exports *)
-                  if code < 0x80 then Buffer.add_char b (Char.chr code)
-                  else Buffer.add_char b '?'
-              | _ -> fail "bad escape");
-              go ())
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "malformed number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          List []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elements []
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Json
 
 let load path =
   let ic =
@@ -207,7 +58,7 @@ let load path =
   let data = really_input_string ic len in
   close_in ic;
   try parse data
-  with Bad msg ->
+  with Parse_error msg ->
     Printf.eprintf "ci_check: %s: invalid JSON: %s\n" path msg;
     exit 1
 
@@ -261,7 +112,7 @@ let check_trace path =
   let j = load path in
   let events =
     match field_exn ~ctx:path j "traceEvents" with
-    | List l -> l
+    | Arr l -> l
     | _ -> fail "%s: traceEvents is not a list" path
   in
   let str e k = match field e k with Some (Str s) -> s | _ -> "" in

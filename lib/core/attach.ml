@@ -532,7 +532,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
       let* anal = revalidated_analysis host mem ~cr3:regs.X86.Regs.cr3 anal in
       (* guest program + kernel library *)
       let program =
-        Overlay.register
+        Overlay.program_bytes
           {
             Overlay.container_pid = Config.container_pid cfg;
             command = Config.command cfg;

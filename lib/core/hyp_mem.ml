@@ -1,7 +1,7 @@
 module Host = Hostos.Host
 module Proc = Hostos.Proc
 
-type slot = { gpa : int; size : int; hva : int }
+type slot = Kvm.Vm.memslot = { slot : int; gpa : int; size : int; hva : int }
 type copy_mode = Bulk | Chunked_4k | Peek_u64
 
 type t = {

@@ -8,7 +8,8 @@
     optimisation ("doubles the performance", §5) — selectable for the
     ablation benchmark. *)
 
-type slot = { gpa : int; size : int; hva : int }
+type slot = Kvm.Vm.memslot = { slot : int; gpa : int; size : int; hva : int }
+(** One KVM memslot, id included, as the eBPF dump reports it. *)
 
 type copy_mode =
   | Bulk

@@ -13,10 +13,15 @@ type loaded = {
 
 let memslot_base_index = 61
 
-(* Each attach claims a fresh slot: replacing a previous attach's slot
-   would unback guest memory that still holds that attach's library and
-   the page-table pages it allocated. *)
-let next_memslot = ref memslot_base_index
+(* The lowest id from [memslot_base_index] up that the VM's memslot dump
+   leaves free. A second attach to a VM still attached thus takes a new
+   slot: replacing the first one's would unback its library and the
+   page-table pages it allocated. *)
+let free_memslot slots =
+  let rec go id =
+    if List.exists (fun s -> s.Hyp_mem.slot = id) slots then go (id + 1) else id
+  in
+  go memslot_base_index
 
 let pt_arena_pages = 16
 
@@ -52,8 +57,7 @@ let load ~tracee ~mem ~analysis ~image ~layout =
   | Some j -> Journal.note_owned j ~gpa:gpa_base ~len:region_len
   | None -> ());
   (* 2. register it as a memslot *)
-  let slot_index = !next_memslot in
-  incr next_memslot;
+  let slot_index = free_memslot (Hyp_mem.slots mem) in
   let memslot_arg ~size =
     let b = Bytes.make Kvm.Api.memory_region_size '\000' in
     Bytes.set_int32_le b 0 (Int32.of_int slot_index);
@@ -67,7 +71,8 @@ let load ~tracee ~mem ~analysis ~image ~layout =
       ~code:Kvm.Api.set_user_memory_region ~arg:(memslot_arg ~size:region_len)
       ()
   in
-  Hyp_mem.add_slot mem { Hyp_mem.gpa = gpa_base; size = region_len; hva };
+  Hyp_mem.add_slot mem
+    { Hyp_mem.slot = slot_index; gpa = gpa_base; size = region_len; hva };
   record_undo mem ~what:"vmsh memslot" (fun () ->
       (* size 0 deletes the slot in KVM; then forget our remote view *)
       let r =

@@ -19,6 +19,13 @@ type loaded = {
   saved_regs : X86.Regs.t;  (** the interrupted context *)
 }
 
+val memslot_base_index : int
+(** 61: the lowest memslot id the library's region may take. *)
+
+val free_memslot : Hyp_mem.slot list -> int
+(** The slot id {!load} claims: the lowest from {!memslot_base_index}
+    up that the VM's memslots leave free. *)
+
 val load :
   tracee:Tracee.t -> mem:Hyp_mem.t ->
   analysis:Symbol_analysis.analysis ->

@@ -3,32 +3,30 @@ module Ebpf = Hostos.Ebpf
 
 let program_name = "vmsh_memslot_dump"
 
+(* One 32-byte record per slot: id, gpa, size, hva. *)
+let record_len = 32
+
 let encode_slots slots =
-  let b = Bytes.create (4 + (24 * List.length slots)) in
+  let fields =
+    List.concat_map (fun (s : Hyp_mem.slot) -> [ s.slot; s.gpa; s.size; s.hva ]) slots
+  in
+  let b = Bytes.create (4 + (8 * List.length fields)) in
   Bytes.set_int32_le b 0 (Int32.of_int (List.length slots));
-  List.iteri
-    (fun i (s : Hyp_mem.slot) ->
-      let base = 4 + (24 * i) in
-      Bytes.set_int64_le b base (Int64.of_int s.Hyp_mem.gpa);
-      Bytes.set_int64_le b (base + 8) (Int64.of_int s.Hyp_mem.size);
-      Bytes.set_int64_le b (base + 16) (Int64.of_int s.Hyp_mem.hva))
-    slots;
+  List.iteri (fun k v -> Bytes.set_int64_le b (4 + (8 * k)) (Int64.of_int v)) fields;
   b
 
 let decode_slots b =
   if Bytes.length b < 4 then None
   else
     let n = Int32.to_int (Bytes.get_int32_le b 0) in
-    if n < 0 || Bytes.length b < 4 + (24 * n) then None
+    if n < 0 || Bytes.length b < 4 + (record_len * n) then None
     else
       Some
         (List.init n (fun i ->
-             let base = 4 + (24 * i) in
-             {
-               Hyp_mem.gpa = Int64.to_int (Bytes.get_int64_le b base);
-               size = Int64.to_int (Bytes.get_int64_le b (base + 8));
-               hva = Int64.to_int (Bytes.get_int64_le b (base + 16));
-             }))
+             let field k =
+               Int64.to_int (Bytes.get_int64_le b (4 + (record_len * i) + (8 * k)))
+             in
+             { Hyp_mem.slot = field 0; gpa = field 1; size = field 2; hva = field 3 }))
 
 (* The "program": reads the memslot table from the kvm_vm_ioctl context
    and streams it into a perf buffer the attacher polls. [ring] plays
@@ -42,13 +40,7 @@ let make_prog ring =
       (fun ctx ->
         match ctx.Ebpf.kdata with
         | Kvm.Vm.Kvm_memslots slots ->
-            let converted =
-              List.map
-                (fun (s : Kvm.Vm.memslot) ->
-                  { Hyp_mem.gpa = s.Kvm.Vm.gpa; size = s.size; hva = s.hva })
-                slots
-            in
-            let encoded = encode_slots converted in
+            let encoded = encode_slots slots in
             ctx.Ebpf.output <- Some encoded;
             ring := Some encoded
         | _ -> ());

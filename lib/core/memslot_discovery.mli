@@ -4,7 +4,7 @@
     a small eBPF program to the [kvm_vm_ioctl] kernel entry point and
     then injects a harmless VM ioctl to trigger it. The program walks
     the kernel's memslot table reachable from its context and streams
-    (gpa, size, hva) triples back through its output buffer. Attaching
+    (id, gpa, size, hva) records back through its output buffer. Attaching
     requires CAP_BPF — the privilege VMSH drops right afterwards. *)
 
 val discover :

@@ -9,11 +9,32 @@ type cfg = { container_pid : int option; command : string option }
 
 let default_cfg = { container_pid = None; command = None }
 
+let magic = "#!vmsh-guest-program v1"
+
 let program_bytes cfg =
   Bytes.of_string
-    (Printf.sprintf "#!vmsh-guest-program v1\ncontainer=%s\ncommand=%s\n"
+    (Printf.sprintf "%s\ncontainer=%s\ncommand=%s\n" magic
        (match cfg.container_pid with Some p -> string_of_int p | None -> "-")
        (Option.value cfg.command ~default:"-"))
+
+(* The inverse of [program_bytes]. The command runs to the final newline,
+   so it may hold spaces and newlines of its own. *)
+let cfg_of_program content =
+  let s = Bytes.to_string content and head = magic ^ "\ncontainer=" in
+  let n = String.length s and h = String.length head in
+  let opt = function "-" -> None | v -> Some v in
+  if not (String.starts_with ~prefix:head s && String.ends_with ~suffix:"\n" s) then None
+  else
+    match String.index_from_opt s h '\n' with
+    | Some i when String.sub s i (min 9 (n - i)) = "\ncommand=" -> (
+        let command = opt (String.sub s (i + 9) (n - i - 10)) in
+        match opt (String.sub s h (i - h)) with
+        | None -> Some { container_pid = None; command }
+        | Some c ->
+            Option.map
+              (fun p -> { container_pid = Some p; command })
+              (int_of_string_opt c))
+    | _ -> None
 
 let setup_namespace guest proc cfg ~image_fs =
   let vfs = Guest.vfs guest in
@@ -78,7 +99,6 @@ let guest_main cfg guest proc =
               w "vmsh: command finished\n"
           | None -> Shell.run guest proc console))
 
-let register cfg =
-  let content = program_bytes cfg in
-  Guest.register_global_program ~content (guest_main cfg);
-  content
+let () =
+  Guest.register_interpreter ~magic (fun content ->
+      Option.map guest_main (cfg_of_program content))

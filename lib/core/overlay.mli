@@ -19,14 +19,16 @@ type cfg = {
 val default_cfg : cfg
 
 val program_bytes : cfg -> bytes
-(** The serialized guest program "binary": its content encodes the
-    configuration, so distinct configurations are distinct binaries
-    (and hash to distinct program identities in the guest). *)
+(** The serialized guest program "binary" the side-loaded library writes
+    to disk: a [#!vmsh-guest-program v1] line, then the configuration.
+    This module registers the interpreter for that first line with
+    {!Linux_guest.Guest.register_interpreter} once, when it initialises;
+    the interpreter reads the configuration back with
+    {!cfg_of_program}. *)
 
-val register : cfg -> bytes
-(** Make the program content executable in any guest
-    ({!Linux_guest.Guest.register_global_program}) and return the bytes
-    the side-loaded library must write to disk. *)
+val cfg_of_program : bytes -> cfg option
+(** The configuration {!program_bytes} encoded ([None] for anything
+    else). A command or container of ["-"] reads back as absent. *)
 
 val setup_namespace :
   Linux_guest.Guest.t -> Linux_guest.Gproc.t -> cfg ->

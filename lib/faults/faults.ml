@@ -49,7 +49,7 @@ type t = {
   counts : int array;
   decisions : int array;
   mutable script : (cls * int) list;
-  mutable state : int64;
+  rng : Splitmix.t;
   mutable metrics : Observe.Metrics.t option;
   mutable abort_at_yield : int option;
   mutable yield_seen : int;
@@ -68,7 +68,7 @@ let disabled =
     counts = [||];
     decisions = [||];
     script = [];
-    state = 0L;
+    rng = Splitmix.create ~seed:0;
     metrics = None;
     abort_at_yield = None;
     yield_seen = 0;
@@ -80,18 +80,7 @@ let disabled =
 (* Private splitmix64 stream: the plan must not perturb the host's RNG,
    or arming faults would shift every downstream draw and break the
    no-faults neutrality invariant. *)
-let golden_gamma = 0x9E3779B97F4A7C15L
-
-let mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let next t =
-  t.state <- Int64.add t.state golden_gamma;
-  Int64.to_int (Int64.shift_right_logical (mix64 t.state) 2)
-
-let draw_unit t = Float.of_int (next t) /. Float.ldexp 1.0 62
+let draw_unit t = Splitmix.float t.rng 1.0
 
 let create ~seed ?(rate = 0.15) ?(cap = max_int) ?(classes = all) ?(burst = 3) () =
   let rates = Array.make n_cls 0.0 in
@@ -110,7 +99,7 @@ let create ~seed ?(rate = 0.15) ?(cap = max_int) ?(classes = all) ?(burst = 3) (
     counts = Array.make n_cls 0;
     decisions = Array.make n_cls 0;
     script = [];
-    state = Int64.of_int seed;
+    rng = Splitmix.create ~seed;
     metrics = None;
     abort_at_yield = None;
     yield_seen = 0;
@@ -187,8 +176,10 @@ let total_injected t = if t.armed then Array.fold_left ( + ) 0 t.counts else 0
 exception Crash_point of int
 
 let set_abort_at_yield t k =
-  t.abort_at_yield <- k;
-  t.yield_seen <- 0
+  if t.armed then begin
+    t.abort_at_yield <- k;
+    t.yield_seen <- 0
+  end
 
 let abort_at_yield t = t.abort_at_yield
 let yield_ticks t = t.yield_seen

@@ -102,7 +102,8 @@ exception Crash_point of int
 
 val set_abort_at_yield : t -> int option -> unit
 (** Arm ([Some k]) or disarm ([None]) the crash point and reset the
-    yield counter. Never arm {!disabled} — it is a shared constant. *)
+    yield counter. A no-op on {!disabled}, which is a shared constant
+    every host without a plan points at. *)
 
 val abort_at_yield : t -> int option
 

@@ -40,34 +40,12 @@
 type verdict = Faults.Abort.verdict
 
 (* ------------------------------------------------------------------ *)
-(* Private RNG (same splitmix64 discipline as lib/faults)              *)
+(* Private RNG stream over the shared splitmix64                      *)
 (* ------------------------------------------------------------------ *)
 
 module Rng = struct
-  type t = { mutable state : int64 }
-
-  let golden_gamma = 0x9E3779B97F4A7C15L
-
-  let mix64 z =
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul
-        (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    Int64.logxor z (Int64.shift_right_logical z 31)
-
-  let create seed = { state = Int64.of_int seed }
-
-  let next t =
-    t.state <- Int64.add t.state golden_gamma;
-    Int64.to_int (Int64.shift_right_logical (mix64 t.state) 2)
-
-  let int t n = if n <= 0 then 0 else next t mod n
+  let create seed = Splitmix.create ~seed
+  let int t n = if n <= 0 then 0 else Splitmix.int t n
   let pick t l = List.nth l (int t (List.length l))
 end
 

@@ -39,7 +39,7 @@ type t = {
   vm : Vm.t;
   host : H.Host.t;
   budget : int;
-  mutable state : int64;
+  rng : H.Rng.t;
   mutable steps_done : int;
   mutable saved : (int * bytes) list;  (** Toctou: phys -> original bytes *)
   mutable unmapped : (int * int) list;  (** Balloon: pte slot -> original *)
@@ -59,7 +59,7 @@ let create ~seed ~cls vmm =
     vm = Vmm.kvm_vm vmm;
     host = Vmm.host vmm;
     budget = default_budget;
-    state = Int64.of_int ((seed * 2) + 1);
+    rng = H.Rng.create ~seed:((seed * 2) + 1);
     steps_done = 0;
     saved = [];
     unmapped = [];
@@ -69,21 +69,8 @@ let create ~seed ~cls vmm =
 let cls t = t.cls
 let steps t = t.steps_done
 
-(* Private splitmix64 stream (same construction as Faults). *)
-let golden_gamma = 0x9E3779B97F4A7C15L
-
-let mix64 z =
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let draw t n =
-  t.state <- Int64.add t.state golden_gamma;
-  Int64.to_int (Int64.shift_right_logical (mix64 t.state) 2) mod n
+(* [next mod n], not [H.Rng.int]: a non-positive [n] raises as before *)
+let draw t n = H.Rng.next t.rng mod n
 
 let read_u16 t pa =
   let b = Vm.read_phys t.vm pa 2 in

@@ -26,6 +26,8 @@ let name code =
   else if code = get_vcpu_mmap_size then "KVM_GET_VCPU_MMAP_SIZE"
   else Printf.sprintf "KVM_0x%X" code
 
+let user_mem_slots = 509
+
 let exit_hlt = 5
 let exit_mmio = 6
 let exit_shutdown = 8

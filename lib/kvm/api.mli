@@ -24,6 +24,11 @@ val get_vcpu_mmap_size : int
 val name : int -> string
 (** Human-readable name of a request code (for logs and eBPF hooks). *)
 
+val user_mem_slots : int
+(** 509: KVM_SET_USER_MEMORY_REGION rejects slot ids from here up with
+    EINVAL. x86's KVM_USER_MEM_SLOTS in the paper's kernels
+    (arch/x86/include/asm/kvm_host.h: 512 slots less 3 private ones). *)
+
 (** {1 Exit reasons (kvm_run.exit_reason)} *)
 
 val exit_hlt : int

@@ -532,7 +532,8 @@ let vm_ioctl t ~code ~arg : int Errno.result =
     match Api.read_memory_region t.owner.Proc.aspace ~ptr:arg with
     | exception Invalid_argument _ -> Error Errno.EFAULT
     | r ->
-        if r.Api.memory_size = 0 then begin
+        if r.Api.slot >= Api.user_mem_slots then Error Errno.EINVAL
+        else if r.Api.memory_size = 0 then begin
           t.islots <- List.filter (fun i -> i.s.slot <> r.Api.slot) t.islots;
           Ok 0
         end

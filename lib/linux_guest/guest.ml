@@ -216,11 +216,12 @@ let spawn_container t ~name ~image =
     ~caps:Gproc.container_caps
     ~apparmor:("docker-default-" ^ name) ()
 
-let global_programs : (string, t -> Gproc.t -> unit) Hashtbl.t =
-  Hashtbl.create 8
+(* Interpreters by the first line of the programs they run: written only
+   while modules initialise, so no session can add to it. *)
+let interpreters : (string, bytes -> (t -> Gproc.t -> unit) option) Hashtbl.t =
+  Hashtbl.create 1
 
-let register_global_program ~content closure =
-  Hashtbl.replace global_programs (Digest.bytes content |> Digest.to_hex) closure
+let register_interpreter ~magic interp = Hashtbl.replace interpreters magic interp
 
 (* --- struct codecs (shared with the library builder) --- *)
 
@@ -555,8 +556,13 @@ let install_kfuns t =
                             printk t ("exec: cannot read " ^ path);
                             neg_errno e
                         | Ok content -> (
-                            let h = Digest.bytes content |> Digest.to_hex in
-                            match Hashtbl.find_opt global_programs h with
+                            let magic =
+                              List.hd (String.split_on_char '\n' (Bytes.to_string content))
+                            in
+                            match
+                              Option.bind (Hashtbl.find_opt interpreters magic) (fun f ->
+                                  f content)
+                            with
                             | None ->
                                 printk t ("exec: unknown binary " ^ path);
                                 neg_errno Errno.ENOENT

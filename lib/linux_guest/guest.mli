@@ -99,12 +99,13 @@ val exports : t -> (string * int) list
 (** Ground-truth exported symbol table (tests compare the analyzer's
     result against this; VMSH itself never reads it). *)
 
-val register_global_program : content:bytes -> (t -> Gproc.t -> unit) -> unit
-(** Declare the semantics of a guest userspace binary: when a file with
-    exactly [content] is executed inside any guest, the closure runs as
-    the new process. This is the simulation stand-in for machine code in
-    the embedded guest program (see DESIGN.md); it is known before VMSH
-    has any handle on the guest it attaches to. *)
+val register_interpreter :
+  magic:string -> (bytes -> (t -> Gproc.t -> unit) option) -> unit
+(** Exec of a file whose first line is [magic] hands its bytes to the
+    interpreter; the closure it returns runs as the new process ([None]:
+    an unknown binary). The simulation's stand-in for machine code (see
+    DESIGN.md). Call it only while a module initialises: every guest in
+    the process shares the table. *)
 
 val vmsh_blk : t -> Virtio.Blk.Driver.t option
 (** The driver instance the side-loaded library registered, if any. *)

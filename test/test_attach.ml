@@ -564,10 +564,7 @@ let test_analysis_rejects_corrupted_ksymtab () =
   done;
   let vmsh = H.Host.spawn h ~name:"vmsh-corrupt" ~uid:1000 () in
   let slots =
-    List.map
-      (fun (s : Kvm.Vm.memslot) ->
-        { Vmsh.Hyp_mem.gpa = s.Kvm.Vm.gpa; size = s.size; hva = s.hva })
-      (Kvm.Vm.memslots vm)
+    (Kvm.Vm.memslots vm)
   in
   let mem = Vmsh.Hyp_mem.create h ~vmsh ~hypervisor_pid:(Vmm.pid vmm) ~slots () in
   let cr3 = (Kvm.Vm.vcpu_regs (List.hd (Kvm.Vm.vcpus vm))).X86.Regs.cr3 in
@@ -590,10 +587,7 @@ let analyze_guest (h, vmm, g) =
   let vm = Guest.vm g in
   let vmsh = H.Host.spawn h ~name:"vmsh-reval" ~uid:1000 () in
   let slots =
-    List.map
-      (fun (s : Kvm.Vm.memslot) ->
-        { Vmsh.Hyp_mem.gpa = s.Kvm.Vm.gpa; size = s.size; hva = s.hva })
-      (Kvm.Vm.memslots vm)
+    (Kvm.Vm.memslots vm)
   in
   let mem = Vmsh.Hyp_mem.create h ~vmsh ~hypervisor_pid:(Vmm.pid vmm) ~slots () in
   let cr3 = (Kvm.Vm.vcpu_regs (List.hd (Kvm.Vm.vcpus vm))).X86.Regs.cr3 in

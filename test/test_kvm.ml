@@ -99,6 +99,24 @@ let test_memslot_must_be_logged_pages () =
   check cint "offset into the mapping" 4096 off;
   check cint "the mapping's buffer" 65536 (H.Mem.length backing)
 
+(* KVM takes user memslot ids below KVM_USER_MEM_SLOTS only. *)
+let test_memslot_id_ceiling () =
+  let h, p, th, vm_fd, vm = make_vm_env () in
+  let scratch = H.Syscall.call h p th ~nr:H.Syscall.Nr.mmap ~args:[| 0; 4096 |] in
+  let hva = H.Syscall.call h p th ~nr:H.Syscall.Nr.mmap ~args:[| 0; 8192 |] in
+  let register ~slot ~gpa =
+    Api.write_memory_region p.H.Proc.aspace ~ptr:scratch
+      { Api.slot; flags = 0; guest_phys_addr = gpa; memory_size = 4096;
+        userspace_addr = hva + gpa };
+    H.Syscall.call h p th ~nr:H.Syscall.Nr.ioctl
+      ~args:[| vm_fd.H.Fd.num; Api.set_user_memory_region; scratch |]
+  in
+  check cint "the ceiling is x86's" 509 Api.user_mem_slots;
+  check cint "id 508 accepted" 0 (register ~slot:508 ~gpa:0);
+  check cint "id 509 rejected" (-22) (register ~slot:509 ~gpa:4096);
+  check (Alcotest.list cint) "only slot 508 added" [ 508 ]
+    (List.map (fun s -> s.Vm.slot) (Vm.memslots vm))
+
 let test_regs_struct_roundtrip () =
   let h, p, th, _vm_fd, _ = make_vm_env () in
   ignore th;
@@ -290,6 +308,7 @@ let suite =
         t "creation + labels" test_vm_creation_labels;
         t "memslot phys access" test_memslot_phys_access;
         t "memslot must be logged pages" test_memslot_must_be_logged_pages;
+        t "memslot id ceiling" test_memslot_id_ceiling;
         t "regs codec" test_regs_struct_roundtrip;
         t "exit codec" test_exit_codec;
         t "mmio exit + resume" test_guest_execution_mmio_exit;

@@ -19,8 +19,9 @@ let cstr = Alcotest.string
 let test_memslot_codec () =
   let slots =
     [
-      { Vmsh.Hyp_mem.gpa = 0; size = 1 lsl 26; hva = 0x5000_0000_0000 };
-      { Vmsh.Hyp_mem.gpa = 1 lsl 32; size = 4096; hva = 0x5000_4000_0000 };
+      { Vmsh.Hyp_mem.slot = 0; gpa = 0; size = 1 lsl 26; hva = 0x5000_0000_0000 };
+      { Vmsh.Hyp_mem.slot = 61; gpa = 1 lsl 32; size = 4096; hva = 0x5000_4000_0000 };
+      { Vmsh.Hyp_mem.slot = 508; gpa = 1 lsl 33; size = 8192; hva = 0x5000_8000_0000 };
     ]
   in
   match Vmsh.Memslot_discovery.decode_slots (Vmsh.Memslot_discovery.encode_slots slots) with
@@ -50,10 +51,7 @@ let boot_env ?(seed = 61) () =
 let hyp_mem_of (h, vmm, g) =
   let vmsh = H.Host.spawn h ~name:"vmsh-test" ~uid:1000 () in
   let slots =
-    List.map
-      (fun (s : Kvm.Vm.memslot) ->
-        { Vmsh.Hyp_mem.gpa = s.Kvm.Vm.gpa; size = s.size; hva = s.hva })
-      (Kvm.Vm.memslots (Guest.vm g))
+    (Kvm.Vm.memslots (Guest.vm g))
   in
   Vmsh.Hyp_mem.create h ~vmsh ~hypervisor_pid:(Vmm.pid vmm) ~slots ()
 
@@ -97,7 +95,8 @@ let test_top_of_guest_phys () =
   let mem = hyp_mem_of env in
   let top = Vmsh.Hyp_mem.top_of_guest_phys mem in
   check cint "top is RAM end" (64 * 1024 * 1024) top;
-  Vmsh.Hyp_mem.add_slot mem { Vmsh.Hyp_mem.gpa = 1 lsl 30; size = 4096; hva = 0 };
+  Vmsh.Hyp_mem.add_slot mem
+    { Vmsh.Hyp_mem.slot = 61; gpa = 1 lsl 30; size = 4096; hva = 0 };
   check cint "top follows new slot" ((1 lsl 30) + 4096)
     (Vmsh.Hyp_mem.top_of_guest_phys mem)
 
@@ -585,7 +584,20 @@ let test_program_bytes_distinct_per_cfg () =
     Vmsh.Overlay.program_bytes
       { Vmsh.Overlay.container_pid = Some 3; command = None }
   in
-  check cbool "configs hash differently" false (Bytes.equal a b)
+  check cbool "configs hash differently" false (Bytes.equal a b);
+  (* the interpreter reads the cfg back from the bytes alone *)
+  List.iter
+    (fun cfg ->
+      check cbool "parses back" true
+        (Vmsh.Overlay.cfg_of_program (Vmsh.Overlay.program_bytes cfg) = Some cfg))
+    [
+      Vmsh.Overlay.default_cfg;
+      { Vmsh.Overlay.container_pid = Some 3; command = None };
+      { Vmsh.Overlay.container_pid = None; command = Some "cat /etc/hostname" };
+      { Vmsh.Overlay.container_pid = Some 42; command = Some "echo a  b\nc" };
+    ];
+  check cbool "other bytes are no program" true
+    (Vmsh.Overlay.cfg_of_program (Bytes.of_string "#!/bin/sh\necho hi\n") = None)
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
