@@ -10,7 +10,8 @@
 #                 one attach per LTS kernel (4.4 … 5.10), each of which
 #                 must report its ksymtab layout: absolute (value
 #                 first) for 4.4/4.9, absolute (name first) for 4.14,
-#                 prel32 for 4.19/5.4/5.10 — then the CLI's own
+#                 prel32 for 4.19/5.4/5.10, and detach with a clean
+#                 rollback oracle — then the CLI's own
 #                 rollback oracle: `attach --detach-after` plain and
 #                 under the mem-churn and balloon hostile classes must
 #                 each exit 0 and report the guest restored
@@ -150,14 +151,15 @@ stage_smoke_attach() {
     > /dev/null
   ci_check json "$trace" "$metrics" || return 1
   ci_check trace "$trace" "$metrics" || return 1
-  # every ksymtab layout through the symbol-analysis scans
+  # every ksymtab layout through the symbol-analysis scans, and every
+  # kernel's library rolled back under the oracle
   for kv in 4.4 4.9 4.14 4.19 5.4 5.10; do
     case $kv in
       4.4|4.9) want="absolute (value first)" ;;
       4.14) want="absolute (name first)" ;;
       *) want="prel32" ;;
     esac
-    out=$(vmsh attach --kernel "$kv" -e hostname) || {
+    out=$(vmsh attach --kernel "$kv" --detach-after -e hostname) || {
       echo "ci: attach to a v$kv guest failed" >&2
       return 1
     }
@@ -165,6 +167,13 @@ stage_smoke_attach() {
       *"ksymtab layout $want"*) ;;
       *)
         echo "ci: v$kv guest: expected ksymtab layout $want" >&2
+        return 1
+        ;;
+    esac
+    case $out in
+      *"rollback oracle: guest restored byte-for-byte"*) ;;
+      *)
+        echo "ci: v$kv guest: no clean rollback oracle after detach" >&2
         return 1
         ;;
     esac

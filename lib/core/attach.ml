@@ -122,10 +122,6 @@ let required_symbols =
     "schedule";
   ]
 
-(* The devices every attach stands up, in registration order; the
-   registry derives windows and GSIs from this order. *)
-let device_plan = [ Devices.Console; Devices.Blk; Devices.Net; Devices.Ninep ]
-
 let missing_symbols anal =
   List.filter (fun s -> Symbol_analysis.resolve anal s = None) required_symbols
 
@@ -374,6 +370,23 @@ let wait_ready ~mem ~loaded ~pump =
   in
   go 16
 
+(* The one teardown behind {!detach} and every abort: replay the
+   journal, then drop ptrace. The replay unwinds in reverse mutation
+   order: vCPU redirect and guest bytes first, then the memslot and its
+   mmap, then device registrations and irqfd/ioregionfd wiring, sockets
+   and fds, the scratch page last. Ptrace goes after all of them, since
+   every injected undo still needs the tracee stopped, and it goes even
+   when an undo failed: a half-restored guest with a dangling tracer
+   would be strictly worse, and no later attach could trace it. *)
+let teardown host j ~origin tracee =
+  Trace.Recorder.record host.Host.recorder ~kind:"journal.rollback"
+    ~args:
+      [ ("entries", Trace.I (Journal.length j)); ("origin", Trace.S origin) ]
+    ();
+  let replayed = Journal.replay ~metrics:(Observe.metrics host.Host.observe) j in
+  Option.iter Tracee.detach tracee;
+  Result.map_error (fun re -> E.Rollback_failed re) replayed
+
 let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
   let cfg = match config with Some c -> c | None -> Config.make () in
   let obs = host.Host.observe in
@@ -395,6 +408,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
      journal before returning. *)
   let jref = ref None in
   let memr = ref None in
+  let tracer = ref None in
   let result =
     try
     let* cfg =
@@ -418,6 +432,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
         ~seccomp_heuristic:(Config.seccomp_heuristic cfg)
         host ~vmsh ~pid:hypervisor_pid
     in
+    tracer := Some tracee;
     (* recorded first, so it replays last: every other injected undo
        still needs the scratch page for its ioctl arguments *)
     jrec j ~what:"scratch mmap" (fun () ->
@@ -467,7 +482,12 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
       Tracee.phase host "device-setup" @@ fun () ->
       (* interrupt plumbing; the PCI transport routes the GSIs as MSIs
          first, so the irqfds work on MSI-X-only irqchips *)
-      let gsis = Devices.gsi_plan device_plan in
+      let gsis =
+        Devices.gsi_plan
+          (List.map
+             (fun (d : Klib_builder.device) -> d.kind)
+             Klib_builder.devices)
+      in
       let* () =
         if Config.pci cfg then
           let* vm = vm_of_tracee host tracee ~hypervisor_pid in
@@ -493,7 +513,7 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
             (Printf.sprintf "/run/vmsh-%d-%d.sock" hypervisor_pid vmsh.Proc.pid)
       in
       let* () =
-        if List.length fds = List.length device_plan then Ok ()
+        if List.length fds = List.length gsis then Ok ()
         else Error (E.Msg "fd passing returned the wrong number of descriptors")
       in
       let devs =
@@ -505,12 +525,11 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
           ()
       in
       List.iter2
-        (fun kind irqfd ->
-          let h = Devices.register devs kind ~irqfd in
-          Journal.record j
-            ~what:(Printf.sprintf "%s device" (Devices.kind_name kind))
-            (fun () -> Devices.unregister devs h))
-        device_plan fds;
+        (fun (d : Klib_builder.device) irqfd ->
+          let h = Devices.register devs d.kind ~irqfd in
+          Journal.record j ~what:(d.name ^ " device") (fun () ->
+              Devices.unregister devs h))
+        Klib_builder.devices fds;
       let* () =
         match Config.transport cfg with
         | Devices.Wrap_syscall ->
@@ -539,17 +558,9 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
           }
       in
       let image, layout =
-        (* the klib drives each device through its PCI config window
-           when the PCI transport is active, through the register
-           window itself otherwise — handle_window picks *)
-        let win kind = Devices.handle_window (Devices.handle_exn devs kind) in
-        let gsi kind = Devices.handle_gsi (Devices.handle_exn devs kind) in
         Klib_builder.build ~version:anal.Symbol_analysis.version
           ~guest_program:program ~pci:(Config.pci cfg)
-          ~console_base:(win Devices.Console) ~blk_base:(win Devices.Blk)
-          ~net_base:(win Devices.Net) ~ninep_base:(win Devices.Ninep)
-          ~console_gsi:(gsi Devices.Console) ~blk_gsi:(gsi Devices.Blk)
-          ~net_gsi:(gsi Devices.Net) ~ninep_gsi:(gsi Devices.Ninep) ()
+          (List.map Devices.placement (Devices.handles devs))
       in
       let* loaded = Loader.load ~tracee ~mem ~analysis:anal ~image ~layout in
       let* () = Loader.redirect ~tracee ~mem loaded in
@@ -602,17 +613,9 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
             ~args:[ ("entries", Trace.I 0) ]
             ();
           Error err
-      | Some j -> (
-          Trace.Recorder.record host.Host.recorder ~kind:"journal.rollback"
-            ~args:
-              [
-                ("entries", Trace.I (Journal.length j));
-                ("origin", Trace.S "abort");
-              ]
-            ();
-          match Journal.replay ~metrics:(Observe.metrics obs) j with
-          | Ok () -> Error err
-          | Error re -> Error (E.Rollback_failed re)))
+      | Some j ->
+          let* () = teardown host j ~origin:"abort" !tracer in
+          Error err)
 
 let console_send s line =
   Devices.feed_console_input s.devs (Bytes.of_string (line ^ "\n"));
@@ -628,28 +631,7 @@ let console_roundtrip s line =
   console_send s line;
   console_recv s
 
-(* Detach = replay the sealed journal, then drop ptrace. The replay
-   unwinds in reverse mutation order: vCPU redirect and guest bytes
-   first, then the memslot and its mmap, then device registrations and
-   irqfd/ioregionfd wiring, sockets and fds, the scratch page last.
-   Ptrace must go last of all — every injected undo still needs the
-   tracee stopped. *)
+(* Detach = the abort's teardown over the sealed journal. *)
 let detach s =
-  let host = Hyp_mem.host s.mem in
   Hyp_mem.set_journal s.mem None;
-  Trace.Recorder.record host.Host.recorder ~kind:"journal.rollback"
-    ~args:
-      [
-        ("entries", Trace.I (Journal.length s.journal));
-        ("origin", Trace.S "detach");
-      ]
-    ();
-  let replayed =
-    Journal.replay ~metrics:(Observe.metrics host.Host.observe) s.journal
-  in
-  (* ptrace goes even when an undo failed — a half-restored guest with a
-     dangling tracer would be strictly worse *)
-  Tracee.detach s.tracee;
-  match replayed with
-  | Ok () -> Ok ()
-  | Error re -> Error (E.Rollback_failed re)
+  teardown (Hyp_mem.host s.mem) s.journal ~origin:"detach" (Some s.tracee)

@@ -112,8 +112,9 @@ val attach :
     irqfd/ioregionfd wiring) is journaled, and every abort path —
     including a {!Faults.Crash_point} from the sweep harness and the
     virtual-time watchdogs on the guest-ready poll and the device
-    handshake — replays the journal in reverse before returning its
-    [Error]. A failed undo surfaces as {!Vmsh_error.Rollback_failed}.
+    handshake — replays the journal in reverse and drops ptrace, as
+    {!detach} does, before returning its [Error]. A failed undo
+    surfaces as {!Vmsh_error.Rollback_failed}.
 
     Just before the loader patches the guest, the scanned kernel
     structures (ksymtab + strings region) are re-validated against

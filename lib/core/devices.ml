@@ -12,13 +12,9 @@ let show_transport = function
   | Wrap_syscall -> "wrap_syscall"
   | Ioregionfd -> "ioregionfd"
 
-type kind = Console | Blk | Net | Ninep
+type kind = Klib_builder.kind = Console | Blk | Net | Ninep
 
-let kind_name = function
-  | Console -> "console"
-  | Blk -> "blk"
-  | Net -> "net"
-  | Ninep -> "9p"
+let kind_name kind = (Klib_builder.device kind).name
 
 (* One registered device: its register window, interrupt route and
    queue state. Window base, config window and GSI all derive from the
@@ -59,35 +55,21 @@ type t = {
 }
 
 let gsi_base = 24
-let max_devices = 4
+let max_devices = List.length Klib_builder.devices
 let gsi_plan kinds = List.mapi (fun i k -> (k, gsi_base + i)) kinds
 let handles t = t.handles
-let handle_of t kind = List.find_opt (fun h -> h.kind = kind) t.handles
-
-let handle_exn t kind =
-  match handle_of t kind with
-  | Some h -> h
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Devices.handle_exn: no %s device registered"
-           (kind_name kind))
-
-let handle_gsi h = h.gsi
 
 (* The window the kernel library drives: the PCI config space when the
    device sits behind the PCI transport, the raw register window
    otherwise. *)
-let handle_window h = match h.cfg_base with Some c -> c | None -> h.base
+let placement h =
+  {
+    Klib_builder.kind = h.kind;
+    window = (match h.cfg_base with Some c -> c | None -> h.base);
+    gsi = h.gsi;
+  }
 
-let console_base t = (handle_exn t Console).base
-let blk_base t = (handle_exn t Blk).base
-let net_base t = (handle_exn t Net).base
-let ninep_base t = (handle_exn t Ninep).base
 let region t = (t.region_base, t.region_len)
-let console_gsi t = (handle_exn t Console).gsi
-let blk_gsi t = (handle_exn t Blk).gsi
-let net_gsi t = (handle_exn t Net).gsi
-let ninep_gsi t = (handle_exn t Ninep).gsi
 let stats_requests t = t.requests
 
 (* Upper bound on a single descriptor buffer. No legitimate driver in
@@ -361,30 +343,21 @@ let create ~mem ~tracee ~image ?(pci = false) ?net ?(mac = default_mac) () =
         image;
   }
 
-let make_regs t = function
-  | Console ->
-      Mmio.Device.create ~device_id:Virtio.Console.device_id ~num_queues:2
-        ~config:(Bytes.make 8 '\000') ()
-  | Blk ->
-      let capacity =
-        Blockdev.Dev.size_bytes (Blockdev.Backend.dev t.image)
-        / Virtio.Blk.sector_size
-      in
-      Mmio.Device.create ~device_id:Virtio.Blk.device_id ~num_queues:1
-        ~config:(Virtio.Blk.Device.config ~capacity_sectors:capacity)
-        ()
-  | Net ->
-      Mmio.Device.create ~device_id:Virtio.Net.device_id ~num_queues:2
-        ~config:(Virtio.Net.config ~mac:t.mac) ()
-  | Ninep ->
-      Mmio.Device.create ~device_id:Virtio.Ninep.device_id ~num_queues:1
-        ~config:(Bytes.make 8 '\000') ()
-
-let device_type = function
-  | Console -> Virtio.Console.device_id
-  | Blk -> Virtio.Blk.device_id
-  | Net -> Virtio.Net.device_id
-  | Ninep -> Virtio.Ninep.device_id
+let make_regs t kind =
+  let num_queues, config =
+    match kind with
+    | Console -> (2, Bytes.make 8 '\000')
+    | Blk ->
+        let capacity =
+          Blockdev.Dev.size_bytes (Blockdev.Backend.dev t.image)
+          / Virtio.Blk.sector_size
+        in
+        (1, Virtio.Blk.Device.config ~capacity_sectors:capacity)
+    | Net -> (2, Virtio.Net.config ~mac:t.mac)
+    | Ninep -> (1, Bytes.make 8 '\000')
+  in
+  Mmio.Device.create ~device_id:(Klib_builder.device kind).virtio_id
+    ~num_queues ~config ()
 
 let register t kind ~irqfd =
   let index = List.length t.handles in
@@ -403,7 +376,8 @@ let register t kind ~irqfd =
   let cfg_header =
     if t.pci then
       Some
-        (Virtio.Pci.Config.encode ~device_type:(device_type kind) ~bar0:base
+        (Virtio.Pci.Config.encode
+           ~device_type:(Klib_builder.device kind).virtio_id ~bar0:base
            ~msix_gsi:gsi)
     else None
   in
@@ -570,7 +544,7 @@ let ioregion_pump t ~sock () =
 
 let feed_console_input t b =
   ignore (Chan.write t.console_in b);
-  match handle_of t Console with
+  match List.find_opt (fun h -> h.kind = Console) t.handles with
   | Some h -> try_feed_console t h
   | None -> ()
 

@@ -21,25 +21,18 @@ type transport = Wrap_syscall | Ioregionfd
 
 val show_transport : transport -> string
 
-type kind = Console | Blk | Net | Ninep
-
-val kind_name : kind -> string
+type kind = Klib_builder.kind = Console | Blk | Net | Ninep
+(** The devices of {!Klib_builder.devices}. *)
 
 type t
 
 type handle
 (** One registered device: window, interrupt route, queue state. *)
 
-val gsi_base : int
-(** First GSI the registry hands out (registration index [i] gets
-    [gsi_base + i]). *)
-
-val max_devices : int
-(** Windows available in the claimed region. *)
-
 val gsi_plan : kind list -> (kind * int) list
-(** The GSIs {!register} will assign to this registration order —
-    lets the attach sequence create irqfds before the devices exist. *)
+(** The GSIs {!register} will assign to this registration order
+    (registration index [i] gets GSI [24 + i]) — lets the attach
+    sequence create irqfds before the devices exist. *)
 
 val create :
   mem:Hyp_mem.t -> tracee:Tracee.t ->
@@ -69,31 +62,13 @@ val unregister : t -> handle -> unit
 val handles : t -> handle list
 (** Registration order. *)
 
-val handle_of : t -> kind -> handle option
-val handle_exn : t -> kind -> handle
-val handle_gsi : handle -> int
-
-val handle_window : handle -> int
-(** The window the kernel library drives: config window under PCI,
-    register window otherwise. *)
-
-val console_base : t -> int
-(** Base of the console's *register* window (its BAR0 under PCI).
-    Raises when no console is registered (likewise the other per-kind
-    accessors below). *)
-
-val blk_base : t -> int
-val net_base : t -> int
-val ninep_base : t -> int
+val placement : handle -> Klib_builder.placement
+(** Where the kernel library drives the device: its PCI config window
+    under PCI, its register window otherwise, and its GSI. *)
 
 val region : t -> int * int
 (** [(base, len)] of the full guest-physical region VMSH claims — the
     range to trap (register windows, plus config spaces under PCI). *)
-
-val console_gsi : t -> int
-val blk_gsi : t -> int
-val net_gsi : t -> int
-val ninep_gsi : t -> int
 
 val handle_mmio_read : t -> addr:int -> len:int -> bytes option
 (** [None] when the address is outside VMSH's windows. *)

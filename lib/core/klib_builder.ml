@@ -1,7 +1,6 @@
 module KV = Linux_guest.Kernel_version
 module Klib = Linux_guest.Klib
 module Guest = Linux_guest.Guest
-module Layout = X86.Layout
 
 type layout = {
   text_len : int;
@@ -12,16 +11,59 @@ type layout = {
 
 let status_devices_ready = 1
 let status_done = 2
-let status_err_console = 0x81
-let status_err_blk = 0x82
 let status_err_open = 0x83
 let status_err_write = 0x84
 let status_err_spawn = 0x85
-let status_err_net = 0x86
-let status_err_ninep = 0x87
+
+type kind = Console | Blk | Net | Ninep
+
+type device = {
+  kind : kind;
+  name : string;
+  virtio_id : int;
+  err_status : int;
+  note : string;
+}
+
+let devices =
+  [
+    {
+      kind = Console;
+      name = "console";
+      virtio_id = Virtio.Console.device_id;
+      err_status = 0x81;
+      note = "console device registration";
+    };
+    {
+      kind = Blk;
+      name = "blk";
+      virtio_id = Virtio.Blk.device_id;
+      err_status = 0x82;
+      note = "block device registration";
+    };
+    {
+      kind = Net;
+      name = "net";
+      virtio_id = Virtio.Net.device_id;
+      err_status = 0x86;
+      note = "net device registration";
+    };
+    {
+      kind = Ninep;
+      name = "9p";
+      virtio_id = Virtio.Ninep.device_id;
+      err_status = 0x87;
+      note = "9p device registration";
+    };
+  ]
+
+let device kind = List.find (fun d -> d.kind = kind) devices
+
+type placement = { kind : kind; window : int; gsi : int }
 
 let base_symbol = "__vmsh_lib"
 let entry_symbol = "vmsh_entry"
+let exec_path = "/dev/.vmsh-exec"
 
 let required_imports =
   [
@@ -62,59 +104,30 @@ module Data = struct
   let pointer_fixup t ~field_off ~target = t.relocs <- (field_off, target) :: t.relocs
 end
 
-let build ~version ~guest_program ?(pci = false)
-    ?console_base ?blk_base ?net_base ?ninep_base
-    ?(console_gsi = 24) ?(blk_gsi = 25) ?(net_gsi = 26) ?(ninep_gsi = 27)
-    ?(exec_path = "/dev/.vmsh-exec")
-    ?force_rw_abi ?force_struct_version () =
-  let region_base = if pci then Layout.vmsh_pci_base else Layout.vmsh_mmio_base in
-  let default_base i =
-    region_base + (i * Layout.virtio_mmio_stride)
-  in
-  let console_base = Option.value console_base ~default:(default_base 0) in
-  let blk_base = Option.value blk_base ~default:(default_base 1) in
-  let net_base = Option.value net_base ~default:(default_base 2) in
-  let ninep_base = Option.value ninep_base ~default:(default_base 3) in
+let build ~version ~guest_program ~pci placements =
   let register_import =
     if pci then "register_virtio_pci_dev" else "register_virtio_mmio_dev"
-  in
-  let rw_abi = Option.value force_rw_abi ~default:(KV.rw_abi version) in
-  let desc_version =
-    Option.value force_struct_version ~default:(KV.virtio_desc_version version)
-  in
-  let thread_version =
-    Option.value force_struct_version
-      ~default:(KV.thread_struct_version version)
   in
   let data = Data.create () in
   let msg_loading = Data.add_string data "vmsh: side-loaded library starting" in
   let msg_done = Data.add_string data "vmsh: guest overlay process spawned" in
   let path_off = Data.add_string data exec_path in
-  let console_desc =
-    Data.add_bytes data
-      (Guest.encode_virtio_desc ~version_tag:desc_version
-         ~device_type:Virtio.Console.device_id ~mmio_base:console_base
-         ~gsi:console_gsi)
-  in
-  let blk_desc =
-    Data.add_bytes data
-      (Guest.encode_virtio_desc ~version_tag:desc_version
-         ~device_type:Virtio.Blk.device_id ~mmio_base:blk_base ~gsi:blk_gsi)
-  in
-  let net_desc =
-    Data.add_bytes data
-      (Guest.encode_virtio_desc ~version_tag:desc_version
-         ~device_type:Virtio.Net.device_id ~mmio_base:net_base ~gsi:net_gsi)
-  in
-  let ninep_desc =
-    Data.add_bytes data
-      (Guest.encode_virtio_desc ~version_tag:desc_version
-         ~device_type:Virtio.Ninep.device_id ~mmio_base:ninep_base
-         ~gsi:ninep_gsi)
+  let descs =
+    List.map
+      (fun (p : placement) ->
+        let d = device p.kind in
+        ( d.err_status,
+          Data.add_bytes data
+            (Guest.encode_virtio_desc
+               ~version_tag:(KV.virtio_desc_version version)
+               ~device_type:d.virtio_id ~mmio_base:p.window ~gsi:p.gsi) ))
+      placements
   in
   let thread_struct =
     Data.add_bytes data
-      (Guest.encode_thread_struct ~version_tag:thread_version ~kind:1 ~arg:0)
+      (Guest.encode_thread_struct
+         ~version_tag:(KV.thread_struct_version version)
+         ~kind:1 ~arg:0)
   in
   (* thread_struct.arg (offset +8) must point at the exec path *)
   Data.pointer_fixup data ~field_off:(thread_struct + 8) ~target:path_off;
@@ -135,13 +148,8 @@ let build ~version ~guest_program ?(pci = false)
   and push_import s = ops := `Push_import s :: !ops
   and push_data off = ops := `Push_data off :: !ops in
   let pc () = List.length !ops in
-  (* status offsets are only known after the ops are counted; statuses
-     are written via data-relative pushes patched with the final status
-     offset, so we must reserve it now: we compute sizes iteratively.
-     Simpler: the status page is addressed via a dedicated data slot? No:
-     we push it as `Push_data status_off` once status_off is known. To
-     break the circularity we do a two-pass assembly with a fixed
-     placeholder and patch after layout. *)
+  (* the status page's offset is only known once the ops are counted:
+     status writes push a placeholder that the second pass patches *)
   let status_pushes = ref [] in
   let push_status () =
     status_pushes := pc () :: !status_pushes;
@@ -165,26 +173,13 @@ let build ~version ~guest_program ?(pci = false)
   push_import "printk";
   emit (Klib.Call 1);
   emit Klib.Drop;
-  (* register console *)
-  push_data console_desc;
-  push_import register_import;
-  emit (Klib.Call 1);
-  jneg_err status_err_console;
-  (* register blk *)
-  push_data blk_desc;
-  push_import register_import;
-  emit (Klib.Call 1);
-  jneg_err status_err_blk;
-  (* register net *)
-  push_data net_desc;
-  push_import register_import;
-  emit (Klib.Call 1);
-  jneg_err status_err_net;
-  (* register 9p *)
-  push_data ninep_desc;
-  push_import register_import;
-  emit (Klib.Call 1);
-  jneg_err status_err_ninep;
+  List.iter
+    (fun (err_status, desc) ->
+      push_data desc;
+      push_import register_import;
+      emit (Klib.Call 1);
+      jneg_err err_status)
+    descs;
   write_status status_devices_ready;
   (* fd = filp_open(path, O_CREAT|O_WRONLY, 0755) *)
   push_data path_off;
@@ -201,7 +196,7 @@ let build ~version ~guest_program ?(pci = false)
   (* kernel_write(fd, prog, len) with the version's ABI *)
   push_data fd_slot;
   emit Klib.Read64;
-  (match rw_abi with
+  (match KV.rw_abi version with
   | KV.Rw_old ->
       (* (fd, pos, buf, count) *)
       push_imm 0;

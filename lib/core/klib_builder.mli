@@ -10,7 +10,11 @@
     The builder conditions two things on the detected kernel version,
     exactly as the paper reports having to: the [kernel_write] call ABI
     (old: offset by value; new: position pointer) and the version tags
-    of the two structures passed to driver/thread creation. *)
+    of the two structures passed to driver/thread creation.
+
+    The set of devices the library registers is declared here once, as
+    {!devices}: the host-side registry ({!Devices}), the attach
+    sequence and the error notes ({!Vmsh_error}) all read it. *)
 
 type layout = {
   text_len : int;  (** bytecode + data bytes *)
@@ -23,13 +27,32 @@ type layout = {
 val status_devices_ready : int
 
 val status_done : int
-val status_err_console : int
-val status_err_blk : int
 val status_err_open : int
 val status_err_write : int
 val status_err_spawn : int
-val status_err_net : int
-val status_err_ninep : int
+
+(** {1 The side-loaded device set} *)
+
+type kind = Console | Blk | Net | Ninep
+
+type device = {
+  kind : kind;
+  name : string;  (** short name in metrics, events and journal entries *)
+  virtio_id : int;  (** VirtIO device type *)
+  err_status : int;  (** status the library stores when registration fails *)
+  note : string;  (** what {!Vmsh_error} says failed at [err_status] *)
+}
+
+val devices : device list
+(** Every device the library registers, once each, in registration
+    order. *)
+
+val device : kind -> device
+
+type placement = { kind : kind; window : int; gsi : int }
+(** Where the host placed one registered device: the window the library
+    drives (the PCI config window under PCI, the register window
+    otherwise) and its GSI. *)
 
 val required_imports : string list
 (** The kernel functions the library links against. *)
@@ -37,16 +60,11 @@ val required_imports : string list
 val build :
   version:Linux_guest.Kernel_version.t ->
   guest_program:bytes ->
-  ?pci:bool ->
-  ?console_base:int -> ?blk_base:int -> ?net_base:int -> ?ninep_base:int ->
-  ?console_gsi:int -> ?blk_gsi:int -> ?net_gsi:int -> ?ninep_gsi:int ->
-  ?exec_path:string ->
-  ?force_rw_abi:Linux_guest.Kernel_version.rw_abi ->
-  ?force_struct_version:int ->
-  unit -> Elfkit.Elf.t * layout
-(** With [pci], the library registers the devices through
-    [register_virtio_pci_dev] and the base addresses are PCI config
-    spaces rather than MMIO windows (the VirtIO-over-PCI transport for
-    Cloud Hypervisor). [force_rw_abi] / [force_struct_version]
-    deliberately mis-build the library (for the version-compatibility
-    failure tests). *)
+  pci:bool ->
+  placement list ->
+  Elfkit.Elf.t * layout
+(** Registers each placed device in list order, failing with its
+    [err_status], then writes [guest_program] to disk and spawns it.
+    With [pci], the library registers the devices through
+    [register_virtio_pci_dev] and the windows are PCI config spaces
+    (the VirtIO-over-PCI transport for Cloud Hypervisor). *)

@@ -11,26 +11,40 @@ let default_cfg = { container_pid = None; command = None }
 
 let magic = "#!vmsh-guest-program v1"
 
+(* An absent field is written "-". A command that starts with "-" or a
+   backslash gets one more backslash in front, so "-" alone always means
+   no command and every command reads back as itself. *)
 let program_bytes cfg =
+  let command =
+    match cfg.command with
+    | None -> "-"
+    | Some c when c <> "" && (c.[0] = '-' || c.[0] = '\\') -> "\\" ^ c
+    | Some c -> c
+  in
   Bytes.of_string
     (Printf.sprintf "%s\ncontainer=%s\ncommand=%s\n" magic
        (match cfg.container_pid with Some p -> string_of_int p | None -> "-")
-       (Option.value cfg.command ~default:"-"))
+       command)
 
 (* The inverse of [program_bytes]. The command runs to the final newline,
    so it may hold spaces and newlines of its own. *)
 let cfg_of_program content =
   let s = Bytes.to_string content and head = magic ^ "\ncontainer=" in
   let n = String.length s and h = String.length head in
-  let opt = function "-" -> None | v -> Some v in
   if not (String.starts_with ~prefix:head s && String.ends_with ~suffix:"\n" s) then None
   else
     match String.index_from_opt s h '\n' with
     | Some i when String.sub s i (min 9 (n - i)) = "\ncommand=" -> (
-        let command = opt (String.sub s (i + 9) (n - i - 10)) in
-        match opt (String.sub s h (i - h)) with
-        | None -> Some { container_pid = None; command }
-        | Some c ->
+        let command =
+          match String.sub s (i + 9) (n - i - 10) with
+          | "-" -> None
+          | c when c <> "" && c.[0] = '\\' ->
+              Some (String.sub c 1 (String.length c - 1))
+          | c -> Some c
+        in
+        match String.sub s h (i - h) with
+        | "-" -> Some { container_pid = None; command }
+        | c ->
             Option.map
               (fun p -> { container_pid = Some p; command })
               (int_of_string_opt c))

@@ -28,7 +28,9 @@ val program_bytes : cfg -> bytes
 
 val cfg_of_program : bytes -> cfg option
 (** The configuration {!program_bytes} encoded ([None] for anything
-    else). A command or container of ["-"] reads back as absent. *)
+    else). Only an absent field is encoded as ["-"]: a command that
+    starts with ['-'] or ['\\'] is written with one more ['\\'] in
+    front, and every command reads back as itself. *)
 
 val setup_namespace :
   Linux_guest.Guest.t -> Linux_guest.Gproc.t -> cfg ->

@@ -164,17 +164,26 @@ let attach ?(seccomp_heuristic = false) h ~vmsh ~pid =
             Ok s
         | Error e -> Error (Vmsh_error.Injection ("ptrace attach", e)))
   in
-  let* vm_fd_num, vcpu_list, scratch_hva =
-    phase h "fd-discovery" (fun () ->
-        let* vm_fd_num, vcpu_list = discover_kvm h ~pid in
-        let* scratch_hva =
-          if seccomp_heuristic then
-            inject_any_thread h session pid ~nr:Syscall.Nr.mmap
-              ~args:[| 0; 8192 |]
-          else inject_session h session ~nr:Syscall.Nr.mmap ~args:[| 0; 8192 |]
-        in
-        Ok (vm_fd_num, vcpu_list, scratch_hva))
+  (* a failed discovery hands the caller no session to detach: release
+     the tracee here, or it stays traced and refuses every later attach *)
+  let discovered =
+    try
+      phase h "fd-discovery" (fun () ->
+          let* vm_fd_num, vcpu_list = discover_kvm h ~pid in
+          let* scratch_hva =
+            if seccomp_heuristic then
+              inject_any_thread h session pid ~nr:Syscall.Nr.mmap
+                ~args:[| 0; 8192 |]
+            else
+              inject_session h session ~nr:Syscall.Nr.mmap ~args:[| 0; 8192 |]
+          in
+          Ok (vm_fd_num, vcpu_list, scratch_hva))
+    with e ->
+      Ptrace.detach h session;
+      raise e
   in
+  if Result.is_error discovered then Ptrace.detach h session;
+  let* vm_fd_num, vcpu_list, scratch_hva = discovered in
   Ok
     {
       h;

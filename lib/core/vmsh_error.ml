@@ -24,15 +24,14 @@ let fail e = raise (Error e)
 let substrate what e = Context (what, Substrate e)
 
 let guest_status_note s =
-  match s with
-  | s when s = Klib_builder.status_err_console -> " (console device registration)"
-  | s when s = Klib_builder.status_err_blk -> " (block device registration)"
-  | s when s = Klib_builder.status_err_net -> " (net device registration)"
-  | s when s = Klib_builder.status_err_ninep -> " (9p device registration)"
-  | s when s = Klib_builder.status_err_open -> " (opening exec file)"
-  | s when s = Klib_builder.status_err_write -> " (writing program)"
-  | s when s = Klib_builder.status_err_spawn -> " (spawning process)"
-  | _ -> ""
+  match
+    List.find_opt (fun d -> d.Klib_builder.err_status = s) Klib_builder.devices
+  with
+  | Some d -> " (" ^ d.note ^ ")"
+  | None when s = Klib_builder.status_err_open -> " (opening exec file)"
+  | None when s = Klib_builder.status_err_write -> " (writing program)"
+  | None when s = Klib_builder.status_err_spawn -> " (spawning process)"
+  | None -> ""
 
 let rec to_string = function
   | Attach_aborted e -> "attach aborted: " ^ to_string e

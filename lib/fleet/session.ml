@@ -8,8 +8,9 @@
    business). [run] executes the one pipeline
 
      boot or fork -> snapshot + fd watermark -> attach -> console
-     "hostname" round trip -> detach -> rollback oracle -> fd-leak
-     check -> guest digest (lazy: computed only when read)
+     "hostname" round trip -> detach -> rollback oracle and tracer
+     check -> fd-leak check -> guest digest (lazy: computed only when
+     read)
 
    and [verdict] files it under one {!Faults.Abort.verdict}. The fleet,
    the crash-point sweep, the job service and the trace-mutation fuzzer
@@ -178,6 +179,14 @@ let attach_roundtrip_detach ~host ~vmm spec ~yields ~late =
                hostname)
       | Ok (), _ -> Completed)
 
+(* Whatever the outcome, VMSH must leave the hypervisor untraced: a
+   dangling tracer makes every later attach to the VM fail. *)
+let still_traced host vmm =
+  match H.Host.find_proc host ~pid:(Vmm.pid vmm) with
+  | Some { H.Proc.tracer = Some pid; _ } ->
+      [ Printf.sprintf "hypervisor still ptrace-attached (tracer pid %d)" pid ]
+  | _ -> []
+
 let run ~host spec =
   let clock = host.H.Host.clock in
   let t_start = H.Clock.now_ns clock in
@@ -220,7 +229,8 @@ let run ~host spec =
       let after = Vmsh.Snapshot.capture vm in
       report ~boot_ns:(t_attach -. t_start) ~attach_ns ~yields:!yields
         ~oracle:
-          (Vmsh.Snapshot.diff ~before ~after ~exclude:!late)
+          (Vmsh.Snapshot.diff ~before ~after ~exclude:!late
+          @ still_traced host vmm)
         ~leaked_fds:(Machine.open_fds host - fds_before)
         ~digest:(lazy (Vmsh.Snapshot.digest after))
         outcome

@@ -311,10 +311,37 @@ let register_device_at t ~device_type ~base ~via =
         t.vmsh_ninep_drv <- Some d)
   else neg_errno Errno.ENODEV
 
+(* Shared by the MMIO and PCI register kfuns: read the descriptor at the
+   one argument, refuse a version tag this kernel does not expect, and
+   hand its device type and base (a register window or a PCI config
+   window) to [register]. Faults reading guest memory fail with EFAULT. *)
+let with_virtio_desc t ~bus register ~args =
+  match args with
+  | [ desc_va ] -> (
+      try
+        let tag =
+          Int32.to_int (Bytes.get_int32_le (vread t ~va:desc_va ~len:4) 0)
+        in
+        let expected = Kernel_version.virtio_desc_version t.ver in
+        if tag <> expected then begin
+          printk t
+            (Printf.sprintf
+               "%s: bad device descriptor version %d (kernel expects %d)" bus
+               tag expected);
+          neg_errno Errno.EINVAL
+        end
+        else
+          let hdr = vread t ~va:desc_va ~len:16 in
+          register
+            ~device_type:(Int32.to_int (Bytes.get_int32_le hdr 4) land 0xffffffff)
+            ~base:(Int64.to_int (Bytes.get_int64_le hdr 8))
+      with Failure msg ->
+        printk t (bus ^ ": fault reading descriptor: " ^ msg);
+        neg_errno Errno.EFAULT)
+  | _ -> neg_errno Errno.EINVAL
+
 let install_kfuns t =
   let reg name impl va = Hashtbl.replace t.kfun_tbl va (name, impl) in
-  let badv = ref 0 in
-  ignore badv;
   let funs : (string * (args:int list -> int)) list =
     [
       ( "printk",
@@ -325,72 +352,22 @@ let install_kfuns t =
               0
           | _ -> neg_errno Errno.EINVAL );
       ( "register_virtio_mmio_dev",
-        fun ~args ->
-          match args with
-          | [ desc_va ] -> (
-              try
-                let tag =
-                  Int32.to_int (Bytes.get_int32_le (vread t ~va:desc_va ~len:4) 0)
-                in
-                let expected = Kernel_version.virtio_desc_version t.ver in
-                if tag <> expected then begin
-                  printk t
-                    (Printf.sprintf
-                       "virtio_mmio: bad device descriptor version %d (kernel \
-                        expects %d)"
-                       tag expected);
-                  neg_errno Errno.EINVAL
-                end
-                else begin
-                  let hdr = vread t ~va:desc_va ~len:16 in
-                  let device_type =
-                    Int32.to_int (Bytes.get_int32_le hdr 4) land 0xffffffff
-                  in
-                  let mmio_base = Int64.to_int (Bytes.get_int64_le hdr 8) in
-                  register_device_at t ~device_type ~base:mmio_base ~via:""
-                end
-              with Failure msg ->
-                printk t ("virtio_mmio: fault reading descriptor: " ^ msg);
-                neg_errno Errno.EFAULT)
-          | _ -> neg_errno Errno.EINVAL );
+        with_virtio_desc t ~bus:"virtio_mmio" (fun ~device_type ~base ->
+            register_device_at t ~device_type ~base ~via:"") );
       ( "register_virtio_pci_dev",
-        fun ~args ->
-          match args with
-          | [ desc_va ] -> (
-              try
-                let tag =
-                  Int32.to_int (Bytes.get_int32_le (vread t ~va:desc_va ~len:4) 0)
-                in
-                let expected = Kernel_version.virtio_desc_version t.ver in
-                if tag <> expected then begin
-                  printk t
-                    (Printf.sprintf
-                       "virtio_pci: bad device descriptor version %d (kernel \
-                        expects %d)"
-                       tag expected);
-                  neg_errno Errno.EINVAL
-                end
-                else begin
-                  let hdr = vread t ~va:desc_va ~len:16 in
-                  let cfg_base = Int64.to_int (Bytes.get_int64_le hdr 8) in
-                  (* walk the PCI config space of the device *)
-                  let cfg_read ~off ~len =
-                    Effect.perform
-                      (Vm.Mmio (Vm.Mmio_read { addr = cfg_base + off; len }))
-                  in
-                  match Virtio.Pci.Config.probe ~read:cfg_read with
-                  | None ->
-                      printk t "virtio_pci: no virtio device in config space";
-                      neg_errno Errno.ENODEV
-                  | Some cfg ->
-                      register_device_at t
-                        ~device_type:cfg.Virtio.Pci.Config.device_type
-                        ~base:cfg.Virtio.Pci.Config.bar0 ~via:"-pci (MSI-X)"
-                end
-              with Failure msg ->
-                printk t ("virtio_pci: fault reading descriptor: " ^ msg);
-                neg_errno Errno.EFAULT)
-          | _ -> neg_errno Errno.EINVAL );
+        with_virtio_desc t ~bus:"virtio_pci" (fun ~device_type:_ ~base ->
+            (* walk the PCI config space of the device *)
+            let cfg_read ~off ~len =
+              Effect.perform (Vm.Mmio (Vm.Mmio_read { addr = base + off; len }))
+            in
+            match Virtio.Pci.Config.probe ~read:cfg_read with
+            | None ->
+                printk t "virtio_pci: no virtio device in config space";
+                neg_errno Errno.ENODEV
+            | Some cfg ->
+                register_device_at t
+                  ~device_type:cfg.Virtio.Pci.Config.device_type
+                  ~base:cfg.Virtio.Pci.Config.bar0 ~via:"-pci (MSI-X)") );
       ( "unregister_virtio_mmio_dev",
         fun ~args ->
           match args with

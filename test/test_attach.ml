@@ -296,30 +296,31 @@ let test_symbol_analysis_matches_ground_truth () =
         truth
 
 let test_wrong_struct_version_fails_cleanly () =
-  (* a mis-built library must be rejected by the guest kernel's tag
-     check, reported through the status page — not crash the guest *)
+  (* a 5.10 guest whose banner claims 4.19 gets a library built for
+     4.19: version-1 device descriptors, which the kernel's tag check
+     must refuse. The refusal surfaces as the first registration's
+     status, not as a guest crash *)
   let h, vmm, g = setup () in
-  let fs_image = make_fs_image () in
-  ignore fs_image;
-  (* build a library with the wrong struct version and check the guest
-     rejects the device registration *)
-  let bad_tag = if KV.virtio_desc_version KV.V5_10 = 2 then 1 else 2 in
-  let image, _layout =
-    Vmsh.Klib_builder.build ~version:KV.V5_10
-      ~guest_program:(Bytes.of_string "bogus") ~force_struct_version:bad_tag ()
-  in
-  ignore image;
-  (* full-path variant: attach with a builder override is not exposed in
-     the public API, so exercise the kernel-side check directly *)
-  let desc =
-    Guest.encode_virtio_desc ~version_tag:bad_tag
-      ~device_type:Virtio.Blk.device_id ~mmio_base:X86.Layout.vmsh_mmio_base
-      ~gsi:25
-  in
-  Vmm.run_task vmm ~name:"bad-register" (fun () ->
-      ignore desc);
-  check cbool "guest alive" true (Guest.crashed g = None);
-  ignore h
+  check cint "4.19 descriptors are version 1" 1 (KV.virtio_desc_version KV.V4_19);
+  check cint "5.10 expects version 2" 2 (KV.virtio_desc_version KV.V5_10);
+  Guest.vwrite g
+    ~va:(List.assoc "linux_banner" (Guest.exports g))
+    (Bytes.of_string (KV.banner KV.V4_19));
+  (match
+     Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
+       ~fs_image:(make_fs_image ())
+       ~pump:(fun () -> Vmm.run_until_idle vmm)
+       ()
+   with
+  | Error (Vmsh.Vmsh_error.Guest_error s) ->
+      check cint "console registration status" 0x81 s
+  | Error e ->
+      Alcotest.failf "wrong failure: %s" (Vmsh.Vmsh_error.to_string e)
+  | Ok _ -> Alcotest.fail "a mis-versioned library attached");
+  check cbool "tag check logged" true
+    (List.mem "virtio_mmio: bad device descriptor version 1 (kernel expects 2)"
+       (Guest.dmesg g));
+  check cbool "guest alive" true (Guest.crashed g = None)
 
 let test_attach_leaves_existing_guest_files_intact () =
   let env = setup () in

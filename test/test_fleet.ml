@@ -159,7 +159,7 @@ let test_error_golden_renderings () =
     [
       (E.Attach_aborted (E.Msg "tracee has no threads"),
        "attach aborted: tracee has no threads");
-      (E.Guest_error Vmsh.Klib_builder.status_err_blk,
+      (E.Guest_error (Vmsh.Klib_builder.device Blk).err_status,
        "guest library failed with status 0x82 (block device registration)");
       (E.Guest_fault "bad opcode", "guest error: bad opcode");
       (E.Substrate H.Errno.EPERM, "Errno.EPERM");
@@ -186,7 +186,7 @@ let test_error_golden_renderings () =
 let test_error_strings_preserve_legacy_messages () =
   check cstr "guest status note"
     "guest library failed with status 0x82 (block device registration)"
-    (E.to_string (E.Guest_error Vmsh.Klib_builder.status_err_blk));
+    (E.to_string (E.Guest_error (Vmsh.Klib_builder.device Blk).err_status));
   check cstr "attach aborted prefix" "attach aborted: guest error: boom"
     (E.to_string (E.Attach_aborted (E.Guest_fault "boom")));
   check cstr "injection style"

@@ -243,6 +243,58 @@ let test_crash_point_aborts_and_rolls_back () =
       check lines "guest restored byte-for-byte" []
         (oracle_diff vm snap ~exclude:[])
 
+(* An abort releases ptrace like a detach does: the next attach to the
+   same VM succeeds (a leaked tracer refuses it with EPERM) and its
+   detach leaves the guest as the first attach found it. *)
+let test_abort_then_reattach () =
+  let h, vmm, _ = Test_attach.setup ~seed:71 () in
+  let vm = Vmm.kvm_vm vmm in
+  let snap = capture_both vm in
+  let attach config =
+    Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
+      ~fs_image:(Test_attach.make_fs_image ()) ~config
+      ~pump:(fun () -> Vmm.run_until_idle vmm)
+      ()
+  in
+  let plan = Faults.create ~seed:1 ~rate:0.0 () in
+  Faults.set_abort_at_yield plan (Some 5);
+  (match attach Vmsh.Attach.Config.(with_faults plan (make ())) with
+  | Ok _ -> Alcotest.fail "an armed crash point must abort the attach"
+  | Error e ->
+      check cbool "aborted at yield 5" true
+        (e = E.Attach_aborted (E.Crash_point 5)));
+  let traced () = (H.Host.proc_exn h ~pid:(Vmm.pid vmm)).H.Proc.tracer in
+  check cbool "the abort released ptrace" true (traced () = None);
+  match attach (Vmsh.Attach.Config.make ()) with
+  | Error e -> Alcotest.failf "attach after an abort: %s" (E.to_string e)
+  | Ok session ->
+      check cbool "console answers" true
+        (contains (Vmsh.Attach.console_roundtrip session "hostname") "target-vm");
+      let late =
+        match Vmsh.Attach.journal session with
+        | Some j -> J.late_writes j
+        | None -> Alcotest.fail "every session carries a journal"
+      in
+      (match Vmsh.Attach.detach session with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "detach: %s" (E.to_string e));
+      check cbool "the detach released ptrace" true (traced () = None);
+      check lines "guest restored byte-for-byte" []
+        (oracle_diff vm snap ~exclude:late)
+
+(* Discovery failing after ptrace-attach (here: the target runs no VM)
+   hands the attach no session, so Tracee.attach releases ptrace. *)
+let test_failed_discovery_releases_ptrace () =
+  let h = H.Host.create ~seed:3 () in
+  let p = H.Host.spawn h ~name:"not-a-vmm" ~uid:1000 ~caps:[] () in
+  (match
+     Vmsh.Attach.attach h ~hypervisor_pid:p.H.Proc.pid
+       ~fs_image:(Test_attach.make_fs_image ()) ~pump:ignore ()
+   with
+  | Ok _ -> Alcotest.fail "attached to a process without KVM descriptors"
+  | Error _ -> ());
+  check cbool "ptrace released" true (p.H.Proc.tracer = None)
+
 (* Detach is cheap next to the attach it undoes: over four rigs it
    takes at most 5% of attach + detach in virtual time, and every round
    trip leaves the guest as it found it. *)
@@ -615,6 +667,9 @@ let suite =
           test_detach_restores_guest_byte_for_byte;
         t "crash point aborts and rolls back"
           test_crash_point_aborts_and_rolls_back;
+        t "abort releases ptrace for the next attach" test_abort_then_reattach;
+        t "failed discovery releases ptrace"
+          test_failed_discovery_releases_ptrace;
         t "detach cost bound" test_detach_cost_bound;
         t "rollback counters stay lazy" test_rollback_counters_stay_lazy;
         t "snapshot digest matches read-and-hash"

@@ -469,7 +469,8 @@ let test_analysis_resolve () =
 let test_builder_output_is_valid_elf () =
   let image, layout =
     Vmsh.Klib_builder.build ~version:KV.V5_10
-      ~guest_program:(Bytes.of_string "#!prog") ()
+      ~guest_program:(Bytes.of_string "#!prog") ~pci:false
+      (Test_pins.placements ~pci:false)
   in
   let bytes = Elfkit.Elf.to_bytes image in
   (match Elfkit.Elf.of_bytes bytes with
@@ -486,17 +487,20 @@ let test_builder_output_is_valid_elf () =
 
 let test_builder_abi_differs_by_version () =
   let img_old, _ =
-    Vmsh.Klib_builder.build ~version:KV.V4_4 ~guest_program:(Bytes.of_string "p") ()
+    Vmsh.Klib_builder.build ~version:KV.V4_4 ~guest_program:(Bytes.of_string "p")
+      ~pci:false (Test_pins.placements ~pci:false)
   in
   let img_new, _ =
-    Vmsh.Klib_builder.build ~version:KV.V5_10 ~guest_program:(Bytes.of_string "p") ()
+    Vmsh.Klib_builder.build ~version:KV.V5_10 ~guest_program:(Bytes.of_string "p")
+      ~pci:false (Test_pins.placements ~pci:false)
   in
   check cbool "different text for different ABIs" false
     (Bytes.equal img_old.Elfkit.Elf.text img_new.Elfkit.Elf.text)
 
 let test_builder_links_cleanly () =
   let image, _ =
-    Vmsh.Klib_builder.build ~version:KV.V4_19 ~guest_program:(Bytes.of_string "p") ()
+    Vmsh.Klib_builder.build ~version:KV.V4_19 ~guest_program:(Bytes.of_string "p")
+      ~pci:false (Test_pins.placements ~pci:false)
   in
   let resolve name =
     (* fake kernel addresses *)
@@ -595,7 +599,14 @@ let test_program_bytes_distinct_per_cfg () =
       { Vmsh.Overlay.container_pid = Some 3; command = None };
       { Vmsh.Overlay.container_pid = None; command = Some "cat /etc/hostname" };
       { Vmsh.Overlay.container_pid = Some 42; command = Some "echo a  b\nc" };
+      { Vmsh.Overlay.container_pid = None; command = Some "-" };
+      { Vmsh.Overlay.container_pid = None; command = Some "\\x" };
+      { Vmsh.Overlay.container_pid = Some 7; command = Some "-v\n-" };
+      { Vmsh.Overlay.container_pid = None; command = None };
     ];
+  check cstr "an absent command is written as -"
+    "#!vmsh-guest-program v1\ncontainer=-\ncommand=-\n"
+    (Bytes.to_string (Vmsh.Overlay.program_bytes Vmsh.Overlay.default_cfg));
   check cbool "other bytes are no program" true
     (Vmsh.Overlay.cfg_of_program (Bytes.of_string "#!/bin/sh\necho hi\n") = None)
 
