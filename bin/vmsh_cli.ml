@@ -160,9 +160,11 @@ let attach_cmd =
       else None
     in
     let config =
+      (* VirtIO over PCI where the hypervisor offers no MMIO transport *)
       let c =
-        Vmsh.Attach.Config.with_transport transport
-          (Vmsh.Attach.Config.make ())
+        Vmsh.Attach.Config.make ()
+        |> Vmsh.Attach.Config.with_transport transport
+        |> Vmsh.Attach.Config.with_pci (not profile.Profile.mmio_transport)
       in
       match net with
       | Some (fabric, port) ->

@@ -14,7 +14,10 @@
 #                 rollback oracle — then the CLI's own
 #                 rollback oracle: `attach --detach-after` plain and
 #                 under the mem-churn and balloon hostile classes must
-#                 each exit 0 and report the guest restored
+#                 each exit 0 and report the guest restored — then one
+#                 `attach --detach-after` per hypervisor (qemu, kvmtool,
+#                 firecracker, crosvm, cloud-hypervisor over PCI), each
+#                 with the same clean oracle line
 #   smoke-net     networked attach pushing 1000 echo requests through
 #                 the side-loaded NIC; the console, net and both blk
 #                 driver meters (vmsh-console.tx_ns, vmsh-net.tx_ns,
@@ -190,6 +193,21 @@ stage_smoke_attach() {
       *"rollback oracle: guest restored byte-for-byte"*) ;;
       *)
         echo "ci: attach --detach-after ${hostile:-plain}: no clean oracle" >&2
+        return 1
+        ;;
+    esac
+  done
+  # every hypervisor, cloud-hypervisor over its VirtIO-over-PCI
+  # transport, attaches and rolls back cleanly
+  for hyp in qemu kvmtool firecracker crosvm cloud-hypervisor; do
+    out=$(vmsh attach --hypervisor "$hyp" --detach-after -e hostname) || {
+      echo "ci: attach to $hyp failed" >&2
+      return 1
+    }
+    case $out in
+      *"rollback oracle: guest restored byte-for-byte"*) ;;
+      *)
+        echo "ci: $hyp: no clean rollback oracle after detach" >&2
         return 1
         ;;
     esac

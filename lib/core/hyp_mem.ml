@@ -11,11 +11,12 @@ type t = {
   mutable slot_list : slot list;
   mutable cmode : copy_mode;
   mutable journal : Journal.t option;
+  u64 : Bytes.t;  (** [read_phys_u64]'s buffer, reused by every call *)
 }
 
 let create host ~vmsh ~hypervisor_pid ~slots ?(mode = Bulk) () =
   { host; vmsh; pid = hypervisor_pid; slot_list = slots; cmode = mode;
-    journal = None }
+    journal = None; u64 = Bytes.create 8 }
 
 let host t = t.host
 let slots t = t.slot_list
@@ -126,31 +127,26 @@ let write_hva t ~hva b = write_hva_from t ~hva b ~off:0 ~len:(Bytes.length b)
    gpa range to host-virtual (hva, len) pieces, merging pieces whose
    hva ranges happen to be contiguous so the Bulk path can hand the
    whole access to one vectored process_vm_readv/writev call. *)
+let rec segments_from slots ~what ~gpa ~len acc = function
+  | [] ->
+      Vmsh_error.fail
+        (Vmsh_error.Msg (Printf.sprintf "Hyp_mem.%s: 0x%x unbacked" what gpa))
+  | s :: rest when gpa < s.gpa || gpa >= s.gpa + s.size ->
+      segments_from slots ~what ~gpa ~len acc rest
+  | s :: _ ->
+      let chunk = min (s.gpa + s.size - gpa) len in
+      let hva = s.hva + (gpa - s.gpa) in
+      let acc =
+        match acc with
+        | (phva, plen) :: rest when phva + plen = hva -> (phva, plen + chunk) :: rest
+        | _ -> (hva, chunk) :: acc
+      in
+      if chunk = len then List.rev acc
+      else
+        segments_from slots ~what ~gpa:(gpa + chunk) ~len:(len - chunk) acc slots
+
 let segments t ~what ~gpa ~len =
-  let rec go gpa len acc =
-    if len = 0 then List.rev acc
-    else
-      match
-        List.find_opt
-          (fun s -> gpa >= s.gpa && gpa < s.gpa + s.size)
-          t.slot_list
-      with
-      | None ->
-          Vmsh_error.fail
-            (Vmsh_error.Msg (Printf.sprintf "Hyp_mem.%s: 0x%x unbacked" what gpa))
-      | Some s ->
-          let avail = s.gpa + s.size - gpa in
-          let chunk = min avail len in
-          let hva = s.hva + (gpa - s.gpa) in
-          let acc =
-            match acc with
-            | (phva, plen) :: rest when phva + plen = hva ->
-                (phva, plen + chunk) :: rest
-            | _ -> (hva, chunk) :: acc
-          in
-          go (gpa + chunk) (len - chunk) acc
-  in
-  go gpa len []
+  if len = 0 then [] else segments_from t.slot_list ~what ~gpa ~len [] t.slot_list
 
 (* A guest-physical range: Bulk issues one vectored syscall for the
    whole access, however many memslots back it; the other modes copy
@@ -203,7 +199,8 @@ let write_phys_from t ~gpa buf ~off ~len =
 let write_phys t ~gpa b = write_phys_from t ~gpa b ~off:0 ~len:(Bytes.length b)
 
 let read_phys_u64 t gpa =
-  Int64.to_int (Bytes.get_int64_le (read_phys t ~gpa ~len:8) 0)
+  read_phys_into t ~gpa t.u64 ~off:0 ~len:8;
+  Int64.to_int (Bytes.get_int64_le t.u64 0)
 
 let write_phys_u64 t gpa v =
   let b = Bytes.create 8 in

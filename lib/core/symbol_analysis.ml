@@ -98,33 +98,61 @@ let anchor_shift =
     anchor_pattern;
   Bytes.unsafe_to_string t
 
-(* One Horspool skip scan for "\000printk\000": each window is tested,
-   then moves by the shift of its last byte, which never jumps over a
-   match, so every match (overlapping ones too) is seen in order. The
+(* The anchor pattern is exactly 8 bytes, so a window matches when its
+   one little-endian 64-bit load equals this word. *)
+let anchor_word = String.get_int64_le anchor_pattern 0
+
+(* The widest strings region seen so far by one scan cursor. *)
+type region_best = { mutable found : bool; mutable lo : int; mutable hi : int }
+
+(* Widen the match at window [j] to its strings region; keep it when it
+   is strictly wider than [best]'s, so the first of equally wide ones
+   stays. *)
+let widen img best j =
+  best.found <- true;
+  let lo, hi = expand_strings_region img (j + 1) in
+  if hi - lo > best.hi - best.lo then begin
+    best.lo <- lo;
+    best.hi <- hi
+  end
+
+(* One Horspool step at window [j]: test it, then return the next
+   window, moved by the shift of [j]'s last byte. *)
+let[@inline] horspool_step img best j =
+  let last = Bytes.unsafe_get img (j + 7) in
+  if last = '\000' && Bytes.get_int64_le img j = anchor_word then widen img best j;
+  j + Char.code (String.unsafe_get anchor_shift (Char.code last))
+
+(* Horspool skip scans for "\000printk\000". A skip never jumps over a
+   match, so a scan started at any window sees every match (overlapping
+   ones too) from there on, in order. Two cursors split the windows
+   [0, last]: A takes [0, half] and B starts exactly at [half + 1], and
+   one loop steps both, so the two chains of loads overlap. Each keeps
+   its widest region, the first of equally wide ones; B's wins only
+   when strictly wider, since every match of A's comes first. The
    anchor counts only after a NUL, so a name at image offset 0 never
-   matches. Every match expands to its strings region; the widest
-   region wins, the first of equally wide ones. *)
+   matches. *)
 let find_strings_region img =
-  let m = String.length anchor_pattern in
-  let found = ref false in
-  let best_lo = ref 0 and best_hi = ref 0 in
-  let j = ref 0 in
-  while !j <= Bytes.length img - m do
-    let last = Bytes.unsafe_get img (!j + m - 1) in
-    if last = '\000' && bytes_match img !j anchor_pattern 0 then begin
-      found := true;
-      let lo, hi = expand_strings_region img (!j + 1) in
-      if hi - lo > !best_hi - !best_lo then begin
-        best_lo := lo;
-        best_hi := hi
-      end
-    end;
-    j := !j + Char.code (String.unsafe_get anchor_shift (Char.code last))
+  let last = Bytes.length img - String.length anchor_pattern in
+  let half = last asr 1 in
+  let a = { found = false; lo = 0; hi = 0 }
+  and b = { found = false; lo = 0; hi = 0 } in
+  let ja = ref 0 and jb = ref (half + 1) in
+  while !ja <= half && !jb <= last do
+    ja := horspool_step img a !ja;
+    jb := horspool_step img b !jb
   done;
-  if not !found then
+  while !ja <= half do
+    ja := horspool_step img a !ja
+  done;
+  while !jb <= last do
+    jb := horspool_step img b !jb
+  done;
+  let best = if b.hi - b.lo > a.hi - a.lo then b else a in
+  if not (a.found || b.found) then
     Error (Printf.sprintf "anchor symbol %S not found in kernel image" anchor_symbol)
-  else if !best_hi - !best_lo < 16 then Error "strings region too small"
-  else Ok (!best_lo, !best_hi)
+  else if best.hi - best.lo < 16 then Error "strings region too small"
+  else Ok (best.lo, best.hi)
 
 (* Is [off] the start of a plausible symbol name inside the region? *)
 let string_start img (lo, hi) off =
@@ -181,45 +209,51 @@ let layout_bit = function
   | KV.Absolute_name_first -> 2
   | KV.Prel32 -> 4
 
-(* 1 when [x >= 0], else 0: the complement's sign bit, no branch. *)
-let non_negative x = lnot x lsr (Sys.int_size - 1)
-
 (* One pass over the 8-byte slots: the layouts whose entry test holds
-   at each slot, as [(offset, layout bits)] in ascending order. For
-   every slot, each layout's two range tests (value inside the image,
-   name offset inside the strings region) fold into one sign test,
-   [d lor (len - 1 - d) >= 0] for [0 <= d < len], so random bytes cost
-   no mispredicted branch; only a slot that passes one of them pays for
-   [entry_valid]'s full test. *)
+   at each slot, as [(offset, layout bits)] in ascending order. Each
+   slot costs one 64-bit load and two byte tests, necessary conditions
+   derived from [n] that random bytes rarely meet; only a slot that
+   passes one pays for [entry_valid]'s full test of that layout.
+   - An all-zero word is no entry: its value (absolute) or name
+     pointer (absolute, name first) is 0, outside a kernel at
+     [kbase > 0], and its PREL32 name is the NUL at [o + 4].
+   - An absolute entry's word at [o] (its value or its name pointer)
+     points into [\[kbase, kbase + n)], so the word's top byte, as
+     [i64] reads it, is that of [kbase] or of [kbase + n - 1].
+   - A PREL32 entry's two halves are offsets within [(-n, n)], so with
+     [n <= 2^23] each half's top byte (bytes 3 and 7) is 0x00 or 0xff.
+   Past 2^23 bytes, or at [kbase <= 0], every slot takes the full
+   tests. *)
 let valid_slots img ~kbase ~region =
   let n = Bytes.length img in
-  let lo, hi = region in
-  let range v name =
-    let dv = v - kbase and dn = name - kbase - lo in
-    dv lor (n - 1 - dv) lor dn lor (hi - lo - 1 - dn)
-  in
+  let filtered = n <= 1 lsl 23 && kbase > 0 in
+  let top_lo = kbase asr 56 and top_hi = (kbase + n - 1) asr 56 in
   let slots = ref [] in
   let o = ref 0 in
   while !o + 8 <= n do
     let o' = !o in
-    let wide = o' + 16 <= n in
-    let w0 = i64 img o' and w1 = if wide then i64 img (o' + 8) else 0 in
-    let bits =
-      (non_negative (range w0 w1) lor (non_negative (range w1 w0) lsl 1))
-      land (if wide then 3 else 0)
-      lor (non_negative
-             (range (kbase + o' + i32 img o') (kbase + o' + 4 + i32 img (o' + 4)))
-          lsl 2)
+    let w = Bytes.get_int64_le img o' in
+    let v = Int64.to_int w in
+    let top = v asr 56 in
+    let nonzero = w <> 0L in
+    let absolute =
+      o' + 16 <= n
+      && ((not filtered) || (nonzero && (top = top_lo || top = top_hi)))
+    and prel32 =
+      (not filtered)
+      || nonzero
+         && (top + 1) land lnot 1 = 0
+         && ((v lsr 24) + 1) land 0xfe = 0
     in
-    if bits <> 0 then begin
+    if absolute || prel32 then begin
       let valid =
-        List.fold_left
-          (fun acc layout ->
-            if bits land layout_bit layout <> 0
-               && entry_valid img ~kbase ~region layout o'
-            then acc lor layout_bit layout
-            else acc)
-          0 layouts
+        (if absolute && entry_valid img ~kbase ~region KV.Absolute_value_first o'
+         then 1
+         else 0)
+        lor (if absolute && entry_valid img ~kbase ~region KV.Absolute_name_first o'
+             then 2
+             else 0)
+        lor (if prel32 && entry_valid img ~kbase ~region KV.Prel32 o' then 4 else 0)
       in
       if valid <> 0 then slots := (o', valid) :: !slots
     end;

@@ -38,8 +38,12 @@ val find_strings_region : Bytes.t -> (int * int, string) result
 (** The [.ksymtab_strings] region of a copied kernel image, as image
     offsets [(lo, hi)]: every ["\000printk\000"] match is widened to
     the maximal span of NUL-separated printable names around it, and
-    the widest span wins (the first of equally wide ones). One
-    allocation-free Horspool skip scan over the image. *)
+    the widest span wins (the first of equally wide ones). Two
+    Horspool skip scans, stepped in one loop: one over the windows
+    [\[0, half\]], one from exactly [half + 1] to the last window
+    ([half] is half the last window's offset), each keeping its
+    widest region, the first cursor's winning ties. The result is a
+    single scan's; nothing is allocated but the matches' regions. *)
 
 val find_tables :
   Bytes.t ->
@@ -54,8 +58,9 @@ val find_tables :
     offset and its (name, value) pairs — [(0, [])] when no entry is
     valid. Starts are tried every 8 bytes; the first of equally long
     runs wins, and the search resumes past each new best run. One pass
-    over the image finds the slots where any layout's entry is valid;
-    each layout then visits only those. *)
+    over the image finds the slots where any layout's entry is valid
+    (one 64-bit load per slot, and byte prefilters that skip most
+    slots); each layout then visits only those. *)
 
 (** Memoization across attaches to identically-built kernels, keyed by
     the build-id note found in the image's first page. A hit skips the

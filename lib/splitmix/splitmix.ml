@@ -5,7 +5,7 @@ let copy t = { state = t.state }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -20,19 +20,42 @@ let int t bound =
   assert (bound > 0);
   next t mod bound
 
-(* [int t 256] per byte, with [next64] and [mix64] inlined on unboxed
-   locals: byte [i] is bits 2–9 of the [i]th mixed word ([next] is
-   non-negative, so [mod 256] is [land 255]), and [t] ends where the
+(* Byte [k] (from 0) of the [int t 256] stream that starts at state
+   [s] — bits 2–9 of [mix64 (s + (k+1)·gamma)], since [next] is
+   non-negative and [mod 256] is [land 255] — placed at bits [8k] ..
+   [8k+7] of a 64-bit word. Inlined with a constant [k], so the shifts
+   fold and the [int64] locals stay unboxed. *)
+let[@inline] lane s k =
+  let z = mix64 (Int64.add s (Int64.mul (Int64.of_int (k + 1)) golden_gamma)) in
+  if k = 0 then Int64.logand (Int64.shift_right_logical z 2) 0xffL
+  else Int64.logand (Int64.shift_left z ((8 * k) - 2)) (Int64.shift_left 0xffL (8 * k))
+
+(* [int t 256] per byte, eight bytes per step: a step's eight mixes
+   depend only on the state it starts from, so they run side by side,
+   and their bytes go out in one little-endian 64-bit store. A scalar
+   tail takes the last [length mod 8] bytes, and [t] ends where the
    per-byte loop leaves it. Allocates nothing. *)
 let fill_bytes t b =
+  let n = Bytes.length b in
   let s = ref t.state in
-  for i = 0 to Bytes.length b - 1 do
-    let z = Int64.add !s golden_gamma in
-    s := z;
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-    Bytes.unsafe_set b i (Char.unsafe_chr ((Int64.to_int z lsr 2) land 255))
+  let i = ref 0 in
+  while !i + 8 <= n do
+    let s0 = !s in
+    Bytes.set_int64_le b !i
+      (Int64.logor
+         (Int64.logor
+            (Int64.logor (lane s0 0) (lane s0 1))
+            (Int64.logor (lane s0 2) (lane s0 3)))
+         (Int64.logor
+            (Int64.logor (lane s0 4) (lane s0 5))
+            (Int64.logor (lane s0 6) (lane s0 7))));
+    s := Int64.add s0 (Int64.mul 8L golden_gamma);
+    i := !i + 8
+  done;
+  while !i < n do
+    Bytes.unsafe_set b !i (Char.unsafe_chr (Int64.to_int (lane !s 0)));
+    s := Int64.add !s golden_gamma;
+    incr i
   done;
   t.state <- !s
 

@@ -805,7 +805,8 @@ let prop_aspace_find_free_never_overlaps =
       true)
 
 (* [fill_bytes] must give the per-byte [int r 256] loop's bytes and
-   leave the generator where that loop does, at every length. *)
+   leave the generator where that loop does, at every length: whole
+   8-byte steps, a scalar tail of 1 to 7 bytes, or both. *)
 let test_rng_fill_bytes_matches_int_loop () =
   List.iter
     (fun seed ->
@@ -818,7 +819,7 @@ let test_rng_fill_bytes_matches_int_loop () =
           let what = Printf.sprintf "seed %d, %d bytes" seed len in
           check cbool (what ^ ": same bytes") true (Bytes.equal filled looped);
           check cint (what ^ ": same next draw") (Rng.next b) (Rng.next a))
-        [ 0; 1; 7; 8; 4097; 2 * 1024 * 1024 ])
+        [ 0; 1; 7; 8; 9; 15; 16; 23; 4097; 2 * 1024 * 1024 ])
     [ 0; 1; 3; 42; -5 ]
 
 let test_rng_fill_bytes_allocates_nothing () =

@@ -147,7 +147,9 @@ let test_analysis_on_all_layouts () =
 
 (* A return to per-offset allocation in the scans (a list per probed
    offset, a substring per NUL) costs tens of millions of minor words
-   per analysis; the allocation-free scans need well under a million. *)
+   per analysis. The allocation-free scans take 486,766–491,269 minor
+   words, almost all of it the page-table walks' remote reads; the
+   bound is the largest plus 25%. *)
 let test_analysis_allocation_bound () =
   List.iter
     (fun version ->
@@ -157,8 +159,29 @@ let test_analysis_allocation_bound () =
       let r = Vmsh.Symbol_analysis.analyze mem ~cr3 in
       let words = Gc.minor_words () -. before in
       check cbool (KV.to_string version ^ " analyzed") true (Result.is_ok r);
-      if words >= 1_000_000. then
+      if words >= 614_100. then
         Alcotest.failf "%s: uncached analysis allocated %.0f minor words"
+          (KV.to_string version) words)
+    KV.all_lts
+
+(* The page-table walk that finds the kernel image: about 27,000
+   8-byte remote reads, each through one reused buffer. It allocates
+   269,219 words on every LTS kernel (the iovec lists, the syscall
+   path's closures and the clock's boxed floats); the bound is that
+   plus 25%. Counted after a minor collection, since one inside the
+   window skews [Alloc.words]. *)
+let test_kernel_base_allocation_bound () =
+  List.iter
+    (fun version ->
+      let ((_, _, g) as env) = boot_version version in
+      let mem = hyp_mem_of env and cr3 = cr3_of g in
+      Gc.minor ();
+      let r, words =
+        Alloc.words (fun () -> Vmsh.Symbol_analysis.find_kernel_base mem ~cr3)
+      in
+      check cbool (KV.to_string version ^ " found") true (Result.is_ok r);
+      if words >= 336_524. then
+        Alcotest.failf "%s: find_kernel_base allocated %.0f words"
           (KV.to_string version) words)
     KV.all_lts
 
@@ -440,6 +463,141 @@ let prop_scans_match_reference =
              && (off, entries) = Reference_scan.find_table img ~kbase ~region layout)
            layouts tables)
 
+(* Deterministic edge cases for the scans, each compared with
+   [Reference_scan]. The strings scan splits its windows [0, last] at
+   [half = last / 2] and starts its second cursor exactly at
+   [half + 1]; the anchor is planted at every window within 16 of that
+   start, at offset 1 and in the last window, and two equally wide
+   sections, one per cursor, must resolve to the first. A 3-entry run of each
+   layout is planted at every offset within 16 of the split too, at
+   offset 0 and ending at the image's last byte. Image lengths cover
+   both parities of [last] and lengths that are no multiple of 8. *)
+let test_scan_edge_cases () =
+  let kbase = 0x7fff_0040_0000 in
+  let noise n seed =
+    let st = Random.State.make [| n; seed |] in
+    Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
+  in
+  (* "\000" then [names] NUL-terminated, at [off]: the names and their
+     virtual addresses, and the blob's length *)
+  let plant_names img off names =
+    let blob, offs =
+      Linux_guest.Ksymtab.build_strings
+        (List.map (fun name -> { Linux_guest.Ksymtab.name; va = 0 }) names)
+    in
+    Bytes.set img off '\000';
+    Bytes.blit blob 0 img (off + 1) (Bytes.length blob);
+    (List.map (fun (name, o) -> (name, off + 1 + o)) offs, 1 + Bytes.length blob)
+  in
+  let layout_name = function
+    | KV.Absolute_value_first -> "value-first"
+    | KV.Absolute_name_first -> "name-first"
+    | KV.Prel32 -> "prel32"
+  in
+  let compare_scans what img =
+    let expected = Reference_scan.find_strings_region img in
+    if Vmsh.Symbol_analysis.find_strings_region img <> expected then
+      Alcotest.failf "%s: strings region differs from the reference" what;
+    let region = match expected with Ok r -> r | Error _ -> (0, 0) in
+    List.iter2
+      (fun layout (l, off, entries) ->
+        if l <> layout
+           || (off, entries) <> Reference_scan.find_table img ~kbase ~region layout
+        then Alcotest.failf "%s: %s table differs from the reference" what
+               (layout_name layout))
+      layouts
+      (Vmsh.Symbol_analysis.find_tables img ~kbase ~region)
+  in
+  let anchor = Reference_scan.anchor_symbol in
+  (* the anchor's window (the NUL before it) at [w] of an [n]-byte
+     image, with names on each side where they fit *)
+  let anchor_case n w =
+    let img = noise n w in
+    let before = if w >= 12 then [ "alpha"; "beta" ] else [] in
+    let after = if w + 8 + 12 <= n then [ "gamma"; "delta" ] else [] in
+    let lead = List.fold_left (fun acc s -> acc + String.length s + 1) 0 before in
+    let _ = plant_names img (w - lead) (before @ [ anchor ] @ after) in
+    let what = Printf.sprintf "n=%d, anchor window at %d" n w in
+    compare_scans what img;
+    if n >= 0x800 then
+      match Vmsh.Symbol_analysis.find_strings_region img with
+      | Ok (lo, hi) when lo <= w + 1 && w + 1 < hi -> ()
+      | _ -> Alcotest.failf "%s: the planted anchor's region was not found" what
+  in
+  (* two equally wide sections, fenced by non-name bytes: one at 64,
+     in the first cursor's windows, and one whose anchor window is
+     [w]; the first must win the tie *)
+  let tie_case n w =
+    let img = noise n (w + 3) in
+    let fenced at =
+      let lead = String.length "alpha" + 1 in
+      Bytes.set img (at - lead - 1) '\xff';
+      let _, len = plant_names img (at - lead) [ "alpha"; anchor; "beta" ] in
+      Bytes.set img (at - lead + len) '\xff'
+    in
+    fenced 64;
+    fenced w;
+    let what = Printf.sprintf "n=%d, tied sections at 64 and %d" n w in
+    compare_scans what img;
+    match Vmsh.Symbol_analysis.find_strings_region img with
+    | Ok (lo, _) when lo < 64 -> ()
+    | _ -> Alcotest.failf "%s: the first of two equal regions must win" what
+  in
+  (* a strings section at 16, and a 3-entry [layout] run at [at] *)
+  let table_case n at layout =
+    let img = noise n (at + 7) in
+    let names, _ = plant_names img 16 [ "alpha"; anchor; "beta"; "gamma" ] in
+    let syms =
+      List.map
+        (fun (name, _) -> { Linux_guest.Ksymtab.name; va = kbase + 8 })
+        (List.filter (fun (name, _) -> name <> anchor) names)
+    in
+    let tbl =
+      Linux_guest.Ksymtab.build_table layout ~syms ~strings_va:kbase
+        ~table_va:(kbase + at) ~name_offsets:names
+    in
+    Bytes.blit tbl 0 img at (Bytes.length tbl);
+    let what = Printf.sprintf "n=%d, %s run at %d" n (layout_name layout) at in
+    compare_scans what img;
+    (* starts are tried every 8 bytes, so only an aligned run counts *)
+    if at mod 8 = 0 then
+      let region = Result.get_ok (Vmsh.Symbol_analysis.find_strings_region img) in
+      let _, off, entries =
+        List.find
+          (fun (l, _, _) -> l = layout)
+          (Vmsh.Symbol_analysis.find_tables img ~kbase ~region)
+      in
+      if off <> at || List.length entries < 3 then
+        Alcotest.failf "%s: the planted run was not found" what
+  in
+  List.iter
+    (fun n ->
+      let last = n - 8 in
+      let half = last / 2 in
+      for d = -16 to 16 do
+        anchor_case n (half + 1 + d)
+      done;
+      anchor_case n 1;
+      anchor_case n last;
+      tie_case n (half + 1);
+      tie_case n (last - 16);
+      List.iter
+        (fun layout ->
+          let run = 3 * Linux_guest.Ksymtab.entry_size layout in
+          for d = -16 to 16 do
+            table_case n (half + 1 + d) layout
+          done;
+          table_case n 64 layout;
+          table_case n (n - run) layout)
+        layouts)
+    [ 0x800; 0x801; 0x802; 0x805; 0x807; 0x80f ];
+  (* images too short for every window *)
+  List.iter
+    (fun n -> compare_scans (Printf.sprintf "%d-byte image" n) (noise n 1))
+    [ 0; 1; 7; 8; 9; 15; 16; 17 ];
+  anchor_case 8 0;
+  anchor_case 9 1
+
 let test_analysis_fails_without_kernel () =
   (* a VM whose page tables map nothing in the KASLR range *)
   let ((h, vmm, g) as env) = boot_env () in
@@ -630,6 +788,8 @@ let suite =
         t "all layouts" test_analysis_on_all_layouts;
         t "uncached analysis allocation bound" test_analysis_allocation_bound;
         QCheck_alcotest.to_alcotest prop_scans_match_reference;
+        t "scan edge cases" test_scan_edge_cases;
+        t "kernel base allocation bound" test_kernel_base_allocation_bound;
         t "no kernel" test_analysis_fails_without_kernel;
         t "resolve" test_analysis_resolve;
       ] );
