@@ -54,6 +54,13 @@ let log_level_conv =
         | None -> Error (`Msg ("unknown log level: " ^ s))),
       fun ppf l -> Format.pp_print_string ppf (Observe.level_to_string l) )
 
+(* A flag with no default value, and an integer flag. *)
+let opt_string name ~docv ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv ~doc)
+
+let opt_int name default ~docv ~doc =
+  Arg.(value & opt int default & info [ name ] ~docv ~doc)
+
 let log_level_arg =
   Arg.(
     value
@@ -64,12 +71,57 @@ let log_level_arg =
            debug. Default quiet (stderr byte-identical to a build without \
            logging).")
 
-let boot_vm_on h ~profile ~version =
-  Fleet.Machine.cold_boot h ~profile ~version ~hostname:"cli-vm"
+(* A class name given on the command line; an unknown one lists the
+   valid names and exits 2. *)
+let parse_class ~verb ~what ~names of_name s =
+  match of_name s with
+  | Some c -> c
+  | None ->
+      Printf.eprintf "%s: unknown %s class %S (one of: %s)\n" verb what s
+        (String.concat ", " names);
+      exit 2
+
+let hostile_class verb =
+  parse_class ~verb ~what:"hostile"
+    ~names:(List.map Hostile.name Hostile.all)
+    Hostile.of_name
+
+(* A flag value out of range: one line and exit 2. *)
+let require_positive verb flag n =
+  if n <= 0 then begin
+    Printf.eprintf "%s: --%s must be positive\n" verb flag;
+    exit 2
+  end
+
+(* The one place the CLI writes files: [f] writes them, and an
+   unwritable path is one error line and [None] instead of an uncaught
+   Sys_error. *)
+let writing f =
+  match f () with
+  | v -> Some v
+  | exception Sys_error msg ->
+      Printf.eprintf "vmsh: cannot write output: %s\n" msg;
+      None
+
+let contents data path =
+  Out_channel.with_open_bin path (fun oc -> output_string oc data)
+
+let written path data = writing (fun () -> contents data path) <> None
+
+(* Write the optional output file with [save] and print "[what] written
+   to PATH"; exit 1 if it cannot be written. *)
+let output_file what path save =
+  Option.iter
+    (fun path ->
+      if writing (fun () -> save path) = None then exit 1;
+      Printf.printf "%s written to %s\n" what path)
+    path
 
 let boot_vm ~profile ~version ~seed =
   let h = H.Host.create ~seed () in
-  let vmm, g = boot_vm_on h ~profile ~version in
+  let vmm, g =
+    Fleet.Machine.cold_boot h ~profile ~version ~hostname:"cli-vm"
+  in
   (h, vmm, g)
 
 (* --- attach --- *)
@@ -104,15 +156,9 @@ let write_observe_outputs h ~verbose ~trace_out ~metrics_out =
       (Trace.Recorder.stream h.H.Host.recorder);
   let ok = ref true in
   let write path data =
-    match open_out path with
-    | oc ->
-        output_string oc data;
-        close_out oc;
-        true
-    | exception Sys_error msg ->
-        Printf.eprintf "vmsh: cannot write output: %s\n" msg;
-        ok := false;
-        false
+    let w = written path data in
+    ok := !ok && w;
+    w
   in
   (match trace_out with
   | None -> ()
@@ -131,18 +177,7 @@ let write_observe_outputs h ~verbose ~trace_out ~metrics_out =
 let attach_cmd =
   let run verbose profile version transport commands net_echo detach_after
       hostile trace_out metrics_out log_level =
-    let hostile =
-      Option.map
-        (fun s ->
-          match Hostile.of_name s with
-          | Some c -> c
-          | None ->
-              Printf.eprintf "attach: unknown hostile class %S (one of: %s)\n"
-                s
-                (String.concat ", " (List.map Hostile.name Hostile.all));
-              exit 2)
-        hostile
-    in
+    let hostile = Option.map (hostile_class "attach") hostile in
     let h, vmm, g = boot_vm ~profile ~version ~seed:11 in
     let obs = h.H.Host.observe in
     Option.iter (Observe.set_log_level obs) log_level;
@@ -202,8 +237,9 @@ let attach_cmd =
         mark "cli.attached";
         let anal = Vmsh.Attach.analysis session in
         Printf.printf
-          "attached (%s): kernel at 0x%x, %d symbols, ksymtab layout %s\n"
+          "attached (%s%s): kernel at 0x%x, %d symbols, ksymtab layout %s\n"
           (Vmsh.Devices.show_transport transport)
+          (if Vmsh.Attach.Config.pci config then " over pci" else "")
           anal.Vmsh.Symbol_analysis.kernel_base
           (List.length anal.Vmsh.Symbol_analysis.symbols)
           (match anal.Vmsh.Symbol_analysis.layout with
@@ -296,14 +332,10 @@ let attach_cmd =
            ~doc:"Shell command to run (repeatable).")
   in
   let net_echo =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "net-echo" ] ~docv:"N"
-          ~doc:
-            "Cable the side-loaded virtio-net NIC to a simulated network \
-             and run N echo request/response round-trips after the shell \
-             commands.")
+    opt_int "net-echo" 0 ~docv:"N"
+      ~doc:"Cable the side-loaded virtio-net NIC to a simulated network \
+            and run N echo request/response round-trips after the shell \
+            commands."
   in
   let detach_after =
     Arg.(
@@ -316,30 +348,19 @@ let attach_cmd =
              if the oracle finds a discrepancy.")
   in
   let hostile =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "hostile" ] ~docv:"CLASS"
-          ~doc:
-            "Attach while a seeded adversarial guest attacks from inside \
-             (toctou-scan, balloon, desc-chaos or mem-churn); combine with \
-             --detach-after to assert the rollback oracle under attack.")
+    opt_string "hostile" ~docv:"CLASS"
+      ~doc:"Attach while a seeded adversarial guest attacks from inside \
+            (toctou-scan, balloon, desc-chaos or mem-churn); combine with \
+            --detach-after to assert the rollback oracle under attack."
   in
   let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace_event JSON of the attach (virtual-ns \
-             timestamps; load in Perfetto or chrome://tracing).")
+    opt_string "trace-out" ~docv:"FILE"
+      ~doc:"Write a Chrome trace_event JSON of the attach (virtual-ns \
+            timestamps; load in Perfetto or chrome://tracing)."
   in
   let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write a flat JSON snapshot of counters/gauges/histograms.")
+    opt_string "metrics-out" ~docv:"FILE"
+      ~doc:"Write a flat JSON snapshot of counters/gauges/histograms."
   in
   Cmd.v
     (Cmd.info "attach" ~doc:"Boot a VM and attach a VMSH shell to it")
@@ -454,362 +475,74 @@ let rescue_cmd =
 
 (* --- fuzz --- *)
 
-(* The deterministic fault-matrix sweep: one seeded fault schedule per
-   seed, each exercising the full attach path (boot, ptrace attach,
-   injected syscalls, remote memory, device side-load, echo traffic over
-   the side-loaded NIC with bursty link loss). Every attach must either
-   complete or fail cleanly with a diagnosable error; because every
-   retry loop in the substrate is bounded, a run that exceeds the
-   virtual-time budget is reported as a hang. *)
-
-let fuzz_echo_requests = 20
-
-let fuzz_one ?log_level ~seed ~rate ~trace () =
-  let plan = Faults.create ~seed ~rate () in
-  (* Boost one class per seed to certainty (with a small cap so bounded
-     retries still win): 25 seeds sweep all 7 classes several times over
-     while the background rate keeps every other class in play. *)
-  let boosted = List.nth Faults.all (seed mod List.length Faults.all) in
-  Faults.set_class plan boosted ~rate:1.0 ~cap:2;
-  let h = H.Host.create ~seed:(0xf0 + seed) () in
-  (* the recipe a failure artifact needs to be replayed without us *)
-  List.iter
-    (fun (k, v) -> Trace.Recorder.set_meta h.H.Host.recorder k v)
-    [
-      ("scenario", "fuzz");
-      ("fuzz-seed", string_of_int seed);
-      ("rate", string_of_float rate);
-    ];
-  Option.iter (Observe.set_log_level h.H.Host.observe) log_level;
-  H.Host.arm_faults h plan;
-  if trace then Observe.enable h.H.Host.observe;
-  let verdict =
-    let open Faults.Abort in
-    match
-      let vmm, g = boot_vm_on h ~profile:Profile.qemu ~version:KV.V5_10 in
-      let net =
-        Workloads.Traffic.make_network h ~mode:Workloads.Traffic.Echo ()
-      in
-      let config =
-        let fabric, port = net in
-        Vmsh.Attach.Config.(make () |> with_net { Vmsh.Attach.fabric; port })
-      in
-      match
-        Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-          ~fs_image:(Fleet.Machine.tools_image h.H.Host.clock)
-          ~config
-          ~pump:(fun () -> Vmm.run_until_idle vmm)
-          ()
-      with
-      | Error e -> Clean_abort (Vmsh.Vmsh_error.to_string e)
-      | Ok session ->
-          ignore (Vmsh.Attach.console_recv session);
-          let out = Vmsh.Attach.console_roundtrip session "hostname" in
-          let echo =
-            Workloads.Traffic.run_client vmm g ~requests:fuzz_echo_requests
-              ~payload_size:64 ~mode:Workloads.Traffic.Echo ()
-          in
-          (match Vmsh.Attach.detach session with
-          | Error e -> Bug (Broken ("detach: " ^ Vmsh.Vmsh_error.to_string e))
-          | Ok () ->
-              if String.length out = 0 then
-                Bug
-                  (Broken "console dead after attach (guest state corrupted?)")
-              else if
-                echo.Workloads.Traffic.completed = 0
-                && Faults.injected plan Faults.Link_burst = 0
-              then Bug (Broken "echo made no progress despite a clean link")
-              else Survived)
-    with
-    | v -> v
-    | exception e -> Bug (Escaped (Printexc.to_string e))
-  in
-  let elapsed_ns = H.Clock.now_ns h.H.Host.clock in
-  let verdict =
-    if elapsed_ns > Fleet.Session.budget_ns then
-      Faults.Abort.Bug (Hang elapsed_ns)
-    else verdict
-  in
-  (h, plan, boosted, verdict)
-
-(* --- fuzz --from-trace: trace-mutation campaigns --- *)
-
-(* The session a mutation chain perturbs — the session of its first
-   site in the base stream. A fleet recording interleaves sessions;
-   the attack re-runs the one the mutation touched. *)
-let mutation_session base (ms : Fuzz.mutation list) =
-  let arr = Array.of_list base in
-  match ms with
-  | m :: _ when m.Fuzz.m_at >= 0 && m.Fuzz.m_at < Array.length arr ->
-      arr.(m.Fuzz.m_at).Trace.session
-  | _ -> 0
-
-(* A corpus entry or reproducer is a .vmshtrace holding the base-recipe
-   prefix the chain applies to, with the chain itself (and the verdict)
-   in the metadata — [vmsh trace replay] rebuilds the mutant and
-   re-executes the attack from the file alone. *)
-let write_mutant_trace ~path ~base_meta ~base_events ~muts ~verdict =
-  let events = Fuzz.truncate_base base_events muts in
-  let meta =
-    Fuzz.mutant_meta ~base_meta ~muts ~prefix:(List.length events) ~verdict
-  in
-  let oc = open_out_bin path in
-  output_string oc (Trace.encode ~meta events);
-  close_out oc
-
-let read_lines path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | l -> go (if l = "" then acc else l :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  end
-
-let write_lines path lines =
-  let oc = open_out path in
-  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-  close_out oc
-
-(* Build the executor the campaign judges protocol-consistent mutants
-   with: lower the chain to a scripted fault plan and re-run the
-   recipe's attach for real, oracle live. *)
-let attack_executor ?log_level ~base ~spec () =
-  let virtual_ns = ref 0.0 in
-  let noops = ref 0 in
-  let execute _mutant muts =
-    let plan = Faults.create ~seed:0 ~rate:0.0 () in
-    Faults.set_script plan (Fuzz.script_of_mutations base muts);
-    Faults.set_skew_script plan (Fuzz.skew_script_of_mutations base muts);
-    noops := !noops + Fuzz.lowering_noops muts;
-    let session = mutation_session base muts in
-    let atk = Replay.execute_attack ?log_level ~session ~plan spec in
-    virtual_ns := !virtual_ns +. atk.Replay.at_virtual_ns;
-    atk.Replay.at_verdict
-  in
-  (execute, virtual_ns, noops)
-
-let fuzz_from_trace ?log_level ~file ~rounds ~seed ~corpus ~minimize
-    ~metrics_out () =
-  let f =
-    match Trace.load file with
-    | Ok f -> f
-    | Error e ->
-        Printf.eprintf "fuzz: %s\n" e;
-        exit 1
-  in
-  let spec =
-    match Replay.spec_of_meta f.Trace.f_meta with
-    | Ok s -> s
-    | Error e ->
-        Printf.eprintf "fuzz: %s\n" e;
-        exit 1
-  in
-  let base = f.Trace.f_events in
-  (match Fuzz.validate base with
-  | [] -> ()
-  | p :: _ ->
-      Printf.eprintf "fuzz: base recording violates the protocol model: %s\n" p;
-      exit 1);
-  let seen =
-    match corpus with
-    | Some dir -> read_lines (Filename.concat dir "coverage.txt")
-    | None -> []
-  in
-  let execute, _, lowering_noops = attack_executor ?log_level ~base ~spec () in
-  let rep =
-    Fuzz.run_campaign ~base ~seed ~rounds ~minimize_bugs:minimize ~seen
-      ~execute ()
-  in
-  (* the verdict ledger: one deterministic line per mutant *)
-  let ledger =
-    List.map
-      (fun (r : Fuzz.round_result) ->
-        Printf.sprintf "round=%d op=%s chain=%d verdict=%s new-keys=%d muts=%s"
-          r.Fuzz.rr_round
-          (Fuzz.mutator_name r.Fuzz.rr_op)
-          (List.length r.Fuzz.rr_muts)
-          (Faults.Abort.label r.Fuzz.rr_verdict)
-          r.Fuzz.rr_new_keys
-          (Fuzz.mutations_to_string r.Fuzz.rr_muts))
-      rep.Fuzz.fz_rounds
-  in
-  List.iter print_endline ledger;
-  (* persist the corpus: coverage keys, the ledger, kept mutants and
-     minimized reproducers, all deterministic functions of (trace,
-     seed) so a double run is byte-identical *)
-  (match corpus with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      write_lines (Filename.concat dir "coverage.txt") rep.Fuzz.fz_coverage;
-      write_lines (Filename.concat dir "ledger.txt") ledger;
-      List.iter
-        (fun (r : Fuzz.round_result) ->
-          if r.Fuzz.rr_new_keys > 0 && not (Faults.Abort.is_bug r.Fuzz.rr_verdict)
-          then
-            write_mutant_trace
-              ~path:
-                (Filename.concat dir
-                   (Printf.sprintf "mutant-%d.vmshtrace" r.Fuzz.rr_round))
-              ~base_meta:f.Trace.f_meta ~base_events:base ~muts:r.Fuzz.rr_muts
-              ~verdict:r.Fuzz.rr_verdict;
-          match r.Fuzz.rr_minimized with
-          | None -> ()
-          | Some min_muts ->
-              (* the reproducer carries the minimized chain's own
-                 verdict (recomputed — minimization can land on a
-                 different failure message than the full chain) *)
-              let verdict =
-                Fuzz.judge ~execute (Fuzz.apply_all base min_muts) min_muts
-              in
-              write_mutant_trace
-                ~path:
-                  (Filename.concat dir
-                     (Printf.sprintf "repro-%d.vmshtrace" r.Fuzz.rr_round))
-                ~base_meta:f.Trace.f_meta ~base_events:base ~muts:min_muts
-                ~verdict)
-        rep.Fuzz.fz_rounds);
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-      let sm = Observe.Metrics.create () in
-      let set name v =
-        Observe.Metrics.set_counter (Observe.Metrics.counter sm name) v
-      in
-      set "fuzz.mutants_run" rep.Fuzz.fz_mutants_run;
-      set "fuzz.survived" rep.Fuzz.fz_survived;
-      set "fuzz.clean_aborts" rep.Fuzz.fz_clean_aborts;
-      set "fuzz.bugs" rep.Fuzz.fz_bugs;
-      set "fuzz.minimized_bugs" rep.Fuzz.fz_minimized_bugs;
-      set "fuzz.hangs" rep.Fuzz.fz_hangs;
-      set "fuzz.corpus.kept" rep.Fuzz.fz_corpus_kept;
-      set "fuzz.corpus.ngrams" (List.length rep.Fuzz.fz_coverage);
-      set "fuzz.lowering.noop" !lowering_noops;
-      List.iter
-        (fun (op, n) -> set ("fuzz.mutator_fired." ^ Fuzz.mutator_name op) n)
-        rep.Fuzz.fz_mutator_fired;
-      let oc = open_out path in
-      output_string oc (Observe.Export.metrics_json sm);
-      close_out oc;
-      Printf.printf "fuzz metrics written to %s\n" path);
-  Printf.printf
-    "fuzz --from-trace: %d mutants, %d survived, %d clean aborts, %d bugs \
-     (%d minimized), %d hangs, corpus +%d entries / %d n-grams\n"
-    rep.Fuzz.fz_mutants_run rep.Fuzz.fz_survived rep.Fuzz.fz_clean_aborts
-    rep.Fuzz.fz_bugs rep.Fuzz.fz_minimized_bugs rep.Fuzz.fz_hangs
-    rep.Fuzz.fz_corpus_kept
-    (List.length rep.Fuzz.fz_coverage);
-  if rep.Fuzz.fz_bugs > 0 then exit 1
+(* The deterministic fault-matrix sweep (one seeded fault schedule per
+   seed through the full attach path) and trace-mutation campaigns; both
+   drivers are [Replay.fuzz_seeds] and [Replay.fuzz_from_trace]. *)
 
 let fuzz_cmd =
   let run seeds rate metrics_out trace_out trace_seed from_trace
       rounds campaign_seed corpus minimize log_level =
-    (match from_trace with
-    | Some file ->
-        if rounds <= 0 then begin
-          Printf.eprintf "fuzz: --rounds must be positive\n";
-          exit 2
-        end;
-        fuzz_from_trace ?log_level ~file ~rounds ~seed:campaign_seed ~corpus
-          ~minimize ~metrics_out ();
-        exit 0
-    | None -> ());
-    if seeds <= 0 then begin
-      Printf.eprintf "fuzz: --seeds must be positive\n";
-      exit 2
-    end;
-    let sm = Observe.Metrics.create () in
-    let scount ?(by = 1) name =
-      Observe.Metrics.incr ~by (Observe.Metrics.counter sm name)
+    let write_metrics sm =
+      output_file "fuzz metrics" metrics_out (fun path ->
+          contents (Observe.Export.metrics_json sm) path)
     in
-    let attach_hist = Observe.Metrics.histogram sm "fuzz.attach_virtual_ns" in
-    let hangs = ref 0 and unclean = ref 0 in
-    for seed = 0 to seeds - 1 do
-      let trace = trace_out <> None && seed = trace_seed in
-      let h, plan, boosted, verdict =
-        fuzz_one ?log_level ~seed ~rate ~trace ()
-      in
-      scount "fuzz.seeds";
-      scount
-        (match verdict with
-        | Faults.Abort.Survived -> "fuzz.completed"
-        | Clean_abort _ -> "fuzz.clean_failures"
-        | Bug (Hang _) ->
-            incr hangs;
-            "fuzz.hangs"
-        | Bug _ ->
-            incr unclean;
-            "fuzz.unclean");
-      (* every fuzz failure leaves a replayable flight recording when
-         VMSH_TRACE_DIR is set *)
-      if Faults.Abort.is_bug verdict then
-        ignore
-          (Trace.dump_on_failure h.H.Host.recorder
-             ~name:(Printf.sprintf "fuzz-seed%d" seed)
-             ());
-      List.iter
-        (fun cls ->
-          let n = Faults.injected plan cls in
-          if n > 0 then begin
-            scount ("fuzz.class_seen." ^ Faults.name cls);
-            scount ~by:n ("faults.injected." ^ Faults.name cls)
-          end)
-        Faults.all;
-      List.iter
-        (fun c ->
-          let name = Observe.Metrics.counter_name c in
-          if String.length name >= 9 && String.sub name 0 9 = "recovery." then
-            scount ~by:(Observe.Metrics.counter_value c) name)
-        (Observe.Metrics.counters (Observe.metrics h.H.Host.observe));
-      Observe.Metrics.observe attach_hist (H.Clock.now_ns h.H.Host.clock);
-      Printf.printf "seed %2d: %-10s boosted=%-13s injected=%2d virtual=%6.1f ms%s\n"
-        seed (Faults.Abort.label verdict) (Faults.name boosted)
-        (Faults.total_injected plan)
-        (H.Clock.now_ns h.H.Host.clock /. 1e6)
-        (match Faults.Abort.detail verdict with "" -> "" | m -> " (" ^ m ^ ")");
-      if trace then
-        match trace_out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Observe.Export.chrome_trace h.H.Host.observe);
-            close_out oc
-        | None -> ()
-    done;
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Observe.Export.metrics_json sm);
-        close_out oc;
-        Printf.printf "fuzz metrics written to %s\n" path);
-    let classes_seen =
-      List.length
-        (List.filter
-           (fun cls ->
-             List.exists
-               (fun c ->
-                 Observe.Metrics.counter_name c
-                 = "fuzz.class_seen." ^ Faults.name cls
-                 && Observe.Metrics.counter_value c > 0)
-               (Observe.Metrics.counters sm))
-           Faults.all)
-    in
-    Printf.printf
-      "fuzz: %d seeds, %d hangs, %d unclean failures, %d/%d fault classes seen\n"
-      seeds !hangs !unclean classes_seen
-      (List.length Faults.all);
-    if !hangs > 0 || !unclean > 0 then exit 1
+    match from_trace with
+    | Some file -> (
+        require_positive "fuzz" "rounds" rounds;
+        match
+          writing (fun () ->
+              Replay.fuzz_from_trace ?log_level ~file ~rounds
+                ~seed:campaign_seed ~corpus ~minimize ())
+        with
+        | None -> exit 1
+        | Some (Error e) ->
+            Printf.eprintf "fuzz: %s\n" e;
+            exit 1
+        | Some (Ok c) ->
+            let rep = c.Replay.cp_report in
+            List.iter print_endline c.Replay.cp_ledger;
+            write_metrics c.Replay.cp_metrics;
+            Printf.printf
+              "fuzz --from-trace: %d mutants, %d survived, %d clean aborts, \
+               %d bugs (%d minimized), %d hangs, corpus +%d entries / %d \
+               n-grams\n"
+              rep.Fuzz.fz_mutants_run rep.Fuzz.fz_survived
+              rep.Fuzz.fz_clean_aborts rep.Fuzz.fz_bugs
+              rep.Fuzz.fz_minimized_bugs rep.Fuzz.fz_hangs
+              rep.Fuzz.fz_corpus_kept
+              (List.length rep.Fuzz.fz_coverage);
+            if rep.Fuzz.fz_bugs > 0 then exit 1)
+    | None ->
+        require_positive "fuzz" "seeds" seeds;
+        let trace_seed = Option.map (fun _ -> trace_seed) trace_out in
+        let r = Replay.fuzz_seeds ?log_level ~seeds ~rate ~trace_seed () in
+        List.iter
+          (fun s ->
+            let v = s.Replay.sd_verdict in
+            Printf.printf
+              "seed %2d: %-10s boosted=%-13s injected=%2d virtual=%6.1f ms%s\n"
+              s.Replay.sd_seed (Faults.Abort.label v)
+              (Faults.name s.Replay.sd_boosted)
+              s.Replay.sd_injected
+              (s.Replay.sd_virtual_ns /. 1e6)
+              (match Faults.Abort.detail v with "" -> "" | m -> " (" ^ m ^ ")"))
+          r.Replay.ss_runs;
+        Option.iter
+          (fun path ->
+            Option.iter
+              (fun t -> if not (written path t) then exit 1)
+              r.Replay.ss_trace)
+          trace_out;
+        write_metrics r.Replay.ss_metrics;
+        Printf.printf
+          "fuzz: %d seeds, %d hangs, %d unclean failures, %d/%d fault \
+           classes seen\n"
+          seeds r.Replay.ss_hangs r.Replay.ss_unclean r.Replay.ss_classes_seen
+          (List.length Faults.all);
+        if r.Replay.ss_hangs > 0 || r.Replay.ss_unclean > 0 then exit 1
   in
   let seeds =
-    Arg.(
-      value & opt int 25
-      & info [ "seeds" ] ~docv:"N" ~doc:"Number of fault schedules to sweep.")
+    opt_int "seeds" 25 ~docv:"N" ~doc:"Number of fault schedules to sweep."
   in
   let rate =
     Arg.(
@@ -818,61 +551,39 @@ let fuzz_cmd =
           ~doc:"Background per-decision fault probability for every class.")
   in
   let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the aggregate fuzz metrics (outcomes, per-class \
-             injection and recovery counters) as JSON.")
+    opt_string "metrics-out" ~docv:"FILE"
+      ~doc:"Write the aggregate fuzz metrics (outcomes, per-class \
+              injection and recovery counters) as JSON."
   in
   let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write the Chrome trace of the schedule chosen by --trace-seed.")
+    opt_string "trace-out" ~docv:"FILE"
+      ~doc:"Write the Chrome trace of the schedule chosen by --trace-seed."
   in
   let trace_seed =
-    Arg.(
-      value & opt int 0
-      & info [ "trace-seed" ] ~docv:"K"
-          ~doc:"Which schedule --trace-out captures (default 0).")
+    opt_int "trace-seed" 0 ~docv:"K"
+      ~doc:"Which schedule --trace-out captures (default 0)."
   in
   let from_trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "from-trace" ] ~docv:"FILE"
-          ~doc:
-            "Trace-mutation mode: mutate the recorded .vmshtrace with seeded \
-             structure-aware operators and judge every mutant through the \
-             causality validator and the live attach pipeline (journal + \
-             snapshot oracle). Replaces the --seeds sweep.")
+    opt_string "from-trace" ~docv:"FILE"
+      ~doc:"Trace-mutation mode: mutate the recorded .vmshtrace with seeded \
+            structure-aware operators and judge every mutant through the \
+            causality validator and the live attach pipeline (journal + \
+            snapshot oracle). Replaces the --seeds sweep."
   in
   let rounds =
-    Arg.(
-      value & opt int 32
-      & info [ "rounds" ] ~docv:"N"
-          ~doc:"Mutants per campaign (--from-trace mode).")
+    opt_int "rounds" 32 ~docv:"N"
+      ~doc:"Mutants per campaign (--from-trace mode)."
   in
   let campaign_seed =
-    Arg.(
-      value & opt int 1
-      & info [ "seed" ] ~docv:"S"
-          ~doc:
-            "Campaign seed (--from-trace mode); the whole campaign is a \
-             deterministic function of (trace bytes, seed, rounds).")
+    opt_int "seed" 1 ~docv:"S"
+      ~doc:"Campaign seed (--from-trace mode); the whole campaign is a \
+            deterministic function of (trace bytes, seed, rounds)."
   in
   let corpus =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "corpus" ] ~docv:"DIR"
-          ~doc:
-            "Corpus directory (--from-trace mode): pre-loads coverage.txt, \
-             then persists coverage, the verdict ledger, kept mutants and \
-             minimized reproducers as .vmshtrace files.")
+    opt_string "corpus" ~docv:"DIR"
+      ~doc:"Corpus directory (--from-trace mode): pre-loads coverage.txt, \
+            then persists coverage, the verdict ledger, kept mutants and \
+            minimized reproducers as .vmshtrace files."
   in
   let minimize =
     Arg.(
@@ -901,70 +612,36 @@ let fuzz_cmd =
 
 let sweep_cmd =
   let run verbose vms seed classes hostile metrics_out log_level =
-    if vms <= 0 then begin
-      Printf.eprintf "sweep: --vms must be positive\n";
-      exit 2
-    end;
+    require_positive "sweep" "vms" vms;
+    let parse_classes parse =
+      if classes = [] then None else Some (List.map parse classes)
+    in
     let r =
-      if hostile then begin
+      if hostile then
         (* the hostile-guest chaos matrix: --class names select hostile
            classes here, not fault classes *)
-        let classes =
-          match classes with
-          | [] -> None
-          | cs ->
-              Some
-                (List.map
-                   (fun s ->
-                     match Hostile.of_name s with
-                     | Some c -> c
-                     | None ->
-                         Printf.eprintf
-                           "sweep: unknown hostile class %S (one of: %s)\n" s
-                           (String.concat ", "
-                              (List.map Hostile.name Hostile.all));
-                         exit 2)
-                   cs)
-        in
-        Fleet.Sweep.run_hostile ~seed ?classes ~vms ?log_level ()
-      end
+        Fleet.Sweep.run_hostile ~seed
+          ?classes:(parse_classes (hostile_class "sweep"))
+          ~vms ?log_level ()
       else
-        let classes =
-          match classes with
-          | [] -> None
-          | cs ->
-              Some
-                (List.map
-                   (fun s ->
-                     if s = "fault-free" then None
-                     else
-                       match Faults.of_name s with
-                       | Some c -> Some c
-                       | None ->
-                           Printf.eprintf
-                             "sweep: unknown fault class %S (try fault-free \
-                              or: %s)\n"
-                             s
-                             (String.concat ", "
-                                (List.map Faults.name Faults.all));
-                           exit 2)
-                   cs)
-        in
-        Fleet.Sweep.run ~seed ?classes ~vms ?log_level ()
+        Fleet.Sweep.run ~seed
+          ?classes:
+            (parse_classes
+               (parse_class ~verb:"sweep" ~what:"fault"
+                  ~names:("fault-free" :: List.map Faults.name Faults.all)
+                  (function
+                    | "fault-free" -> Some None
+                    | s -> Option.map Option.some (Faults.of_name s))))
+          ~vms ?log_level ()
     in
     if verbose then
       List.iter
         (fun p -> Format.printf "%a@." Fleet.Sweep.pp_point p)
         r.Fleet.Sweep.sw_points;
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
+    output_file "sweep metrics" metrics_out (fun path ->
         let sm = Observe.Metrics.create () in
         Fleet.Sweep.record sm r;
-        let oc = open_out path in
-        output_string oc (Observe.Export.metrics_json sm);
-        close_out oc;
-        Printf.printf "sweep metrics written to %s\n" path);
+        contents (Observe.Export.metrics_json sm) path);
     Printf.printf
       "sweep: %d points over %d classes, oracle %d pass / %d FAIL, %d leaked \
        fds, %d unclean\n"
@@ -985,16 +662,12 @@ let sweep_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"One line per sweep point.")
   in
   let vms =
-    Arg.(
-      value & opt int 1
-      & info [ "vms" ] ~docv:"N"
-          ~doc:"Interleave N sweep points concurrently on the virtual-time \
-                scheduler (each point still gets its own machine).")
+    opt_int "vms" 1 ~docv:"N"
+      ~doc:"Interleave N sweep points concurrently on the virtual-time \
+            scheduler (each point still gets its own machine)."
   in
   let seed =
-    Arg.(
-      value & opt int 5
-      & info [ "seed" ] ~docv:"S" ~doc:"Base seed for the per-point hosts.")
+    opt_int "seed" 5 ~docv:"S" ~doc:"Base seed for the per-point hosts."
   in
   let classes =
     Arg.(
@@ -1018,12 +691,9 @@ let sweep_cmd =
              churning memory from inside.")
   in
   let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the sweep.* counters (points, oracle verdicts, leaked \
-                fds) as JSON.")
+    opt_string "metrics-out" ~docv:"FILE"
+      ~doc:"Write the sweep.* counters (points, oracle verdicts, leaked \
+            fds) as JSON."
   in
   Cmd.v
     (Cmd.info "sweep"
@@ -1041,11 +711,7 @@ let sweep_cmd =
 let bake_baseline_cmd =
   let run seed hostname out =
     let img = Fleet.Baseline.bake ~seed ~hostname () in
-    (match Fleet.Baseline.save img ~path:out with
-    | () -> ()
-    | exception Sys_error e ->
-        Printf.eprintf "bake-baseline: %s\n" e;
-        exit 1);
+    if writing (fun () -> Fleet.Baseline.save img ~path:out) = None then exit 1;
     Printf.printf "baked baseline (kernel %s, hostname %s, digest %s) to %s\n"
       (Linux_guest.Kernel_version.to_string (Fleet.Baseline.version img))
       (Fleet.Baseline.hostname img)
@@ -1053,9 +719,7 @@ let bake_baseline_cmd =
       out
   in
   let seed =
-    Arg.(
-      value & opt int 0xba5e
-      & info [ "seed" ] ~docv:"S" ~doc:"Seed for the baseline's boot host.")
+    opt_int "seed" 0xba5e ~docv:"S" ~doc:"Seed for the baseline's boot host."
   in
   let hostname =
     Arg.(
@@ -1138,23 +802,12 @@ let fleet_cmd =
         Printf.printf "fork latency:   p50 %.2f us, p99 %.2f us (virtual)\n"
           (f50 /. 1e3) (f99 /. 1e3)
     end;
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        (* one merged document: fleet-wide aggregates (every session's
-           counters and histogram samples folded together) plus the
-           per-session breakdown *)
-        let oc = open_out path in
-        output_string oc (Fleet.metrics_json r);
-        close_out oc;
-        Printf.printf "fleet metrics written to %s\n" path);
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc r.Fleet.r_schedule;
-        close_out oc;
-        Printf.printf "fleet schedule written to %s\n" path);
+    (* one merged document: fleet-wide aggregates (every session's
+       counters and histogram samples folded together) plus the
+       per-session breakdown *)
+    output_file "fleet metrics" metrics_out (fun path ->
+        contents (Fleet.metrics_json r) path);
+    output_file "fleet schedule" trace_out (contents r.Fleet.r_schedule);
     (* clean runs must attach everything; under injected faults a clean
        per-session failure is an expected outcome *)
     if fault_rate = 0.0 && failures <> [] then begin
@@ -1168,15 +821,11 @@ let fleet_cmd =
   in
   let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-session lines.") in
   let vms =
-    Arg.(
-      value & opt int 8
-      & info [ "vms" ] ~docv:"N" ~doc:"Number of concurrent attach sessions.")
+    opt_int "vms" 8 ~docv:"N" ~doc:"Number of concurrent attach sessions."
   in
   let seed =
-    Arg.(
-      value & opt int 7
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Base seed; every per-session host derives its own stream.")
+    opt_int "seed" 7 ~docv:"S"
+      ~doc:"Base seed; every per-session host derives its own stream."
   in
   let fault_rate =
     Arg.(
@@ -1192,30 +841,21 @@ let fleet_cmd =
                 pays the full binary analysis).")
   in
   let from_baseline =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "from-baseline" ] ~docv:"FILE"
-          ~doc:"Fork every session from this baked baseline image (see \
-                $(b,vmsh bake-baseline)) through per-page copy-on-write \
-                overlays instead of cold-booting it.")
+    opt_string "from-baseline" ~docv:"FILE"
+      ~doc:"Fork every session from this baked baseline image (see \
+            $(b,vmsh bake-baseline)) through per-page copy-on-write \
+            overlays instead of cold-booting it."
   in
   let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write attach-latency histograms and cache counters as JSON \
-                (forked runs also carry fleet.fork_ns and the overlay.* \
-                occupancy counters).")
+    opt_string "metrics-out" ~docv:"FILE"
+      ~doc:"Write attach-latency histograms and cache counters as JSON \
+            (forked runs also carry fleet.fork_ns and the overlay.* \
+            occupancy counters)."
   in
   let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write the scheduler's slice-by-slice interleaving (byte-\
-                identical across runs with the same seed).")
+    opt_string "trace-out" ~docv:"FILE"
+      ~doc:"Write the scheduler's slice-by-slice interleaving (byte-\
+            identical across runs with the same seed)."
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1236,10 +876,7 @@ let serve_cmd =
   let module D = Service.Dispatch in
   let run verbose workers jobs seed rate arrivals deadline_ms ram_mb
       hot_rate hostile_tenant metrics_out results_out trace_out log_level =
-    if workers <= 0 then begin
-      Printf.eprintf "serve: --workers must be positive\n";
-      exit 2
-    end;
+    require_positive "serve" "workers" workers;
     let hostile_tenant =
       match hostile_tenant with
       | None -> None
@@ -1254,12 +891,7 @@ let serve_cmd =
               let cls =
                 String.sub spec (i + 1) (String.length spec - i - 1)
               in
-              if Hostile.of_name cls = None then begin
-                Printf.eprintf
-                  "serve: unknown hostile class %S (try %s)\n" cls
-                  (String.concat ", " (List.map Hostile.name Hostile.all));
-                exit 2
-              end;
+              ignore (hostile_class "serve" cls);
               Some (tenant, cls))
     in
     let arrivals =
@@ -1347,31 +979,12 @@ let serve_cmd =
             (Service.Job.kind_to_string j.Service.Job.kind)
             (Service.Job.status_to_string jr.D.jr_status))
         r.D.rp_records;
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (D.metrics_json r);
-        close_out oc;
-        Printf.printf "serve metrics written to %s\n" path);
-    (match results_out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (D.results_jsonl r);
-        close_out oc;
-        Printf.printf "serve results written to %s\n" path);
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-        let recorder = r.D.rp_host.H.Host.recorder in
-        let oc = open_out_bin path in
-        output_string oc
-          (Trace.encode
-             ~meta:(Trace.Recorder.meta recorder)
-             (Trace.Recorder.events recorder));
-        close_out oc;
-        Printf.printf "admission flight recording written to %s\n" path);
+    output_file "serve metrics" metrics_out (fun path ->
+        contents (D.metrics_json r) path);
+    output_file "serve results" results_out (fun path ->
+        contents (D.results_jsonl r) path);
+    output_file "admission flight recording" trace_out (fun path ->
+        Trace.save r.D.rp_host.H.Host.recorder path);
     if D.failed r > 0 || r.D.rp_leaked_workers > 0 then begin
       Array.iter
         (fun jr ->
@@ -1390,23 +1003,17 @@ let serve_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"One line per job.")
   in
   let workers =
-    Arg.(
-      value & opt int 8
-      & info [ "workers" ] ~docv:"K"
-          ~doc:"Bounded worker pool size: at most K job sessions run \
-                concurrently on the virtual-time scheduler.")
+    opt_int "workers" 8 ~docv:"K"
+      ~doc:"Bounded worker pool size: at most K job sessions run \
+            concurrently on the virtual-time scheduler."
   in
   let jobs =
-    Arg.(
-      value & opt int 1000
-      & info [ "jobs" ] ~docv:"N" ~doc:"Length of the arrival stream.")
+    opt_int "jobs" 1000 ~docv:"N" ~doc:"Length of the arrival stream."
   in
   let seed =
-    Arg.(
-      value & opt int 17
-      & info [ "seed" ] ~docv:"S"
-          ~doc:"Seeds the arrival process and every job's machine; the whole \
-                run is a deterministic function of it.")
+    opt_int "seed" 17 ~docv:"S"
+      ~doc:"Seeds the arrival process and every job's machine; the whole \
+            run is a deterministic function of it."
   in
   let rate =
     Arg.(
@@ -1430,11 +1037,9 @@ let serve_cmd =
                 disables.")
   in
   let ram_mb =
-    Arg.(
-      value & opt int 32
-      & info [ "ram-mb" ] ~docv:"MB"
-          ~doc:"Guest RAM per job VM (bounds the real memory of K \
-                concurrent sessions).")
+    opt_int "ram-mb" 32 ~docv:"MB"
+      ~doc:"Guest RAM per job VM (bounds the real memory of K \
+            concurrent sessions)."
   in
   let hot_rate =
     Arg.(
@@ -1445,39 +1050,27 @@ let serve_cmd =
                 are shed at admission.")
   in
   let hostile_tenant =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "hostile-tenant" ] ~docv:"TENANT:CLASS"
-          ~doc:"Turn every job of TENANT into an adversarial-guest attach \
-                of the named hostile class (e.g. t3:desc-chaos): the \
-                misbehaving tenant's guests race their own attaches while \
-                the other tenants' streams run unchanged.")
+    opt_string "hostile-tenant" ~docv:"TENANT:CLASS"
+      ~doc:"Turn every job of TENANT into an adversarial-guest attach \
+            of the named hostile class (e.g. t3:desc-chaos): the \
+            misbehaving tenant's guests race their own attaches while \
+            the other tenants' streams run unchanged."
   in
   let metrics_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-out" ] ~docv:"FILE"
-          ~doc:"Write the merged service metrics (latency histograms, \
-                queue-depth gauges, admission/shed counters, per-stage \
-                aggregates over every job session) as JSON.")
+    opt_string "metrics-out" ~docv:"FILE"
+      ~doc:"Write the merged service metrics (latency histograms, \
+            queue-depth gauges, admission/shed counters, per-stage \
+            aggregates over every job session) as JSON."
   in
   let results_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "results-out" ] ~docv:"FILE"
-          ~doc:"Write the durable per-job result log (JSON lines, one \
-                object per job in id order).")
+    opt_string "results-out" ~docv:"FILE"
+      ~doc:"Write the durable per-job result log (JSON lines, one \
+            object per job in id order)."
   in
   let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:"Write the frontend's admission flight recording \
-                (service.enqueue/admit/shed events) as .vmshtrace.")
+    opt_string "trace-out" ~docv:"FILE"
+      ~doc:"Write the frontend's admission flight recording \
+            (service.enqueue/admit/shed events) as .vmshtrace."
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1515,11 +1108,12 @@ let trace_record_cmd =
             "trace record: unknown scenario %S (try attach, fleet or sweep)\n" s;
           exit 2
     in
-    match Replay.record ?log_level spec ~path:out with
-    | Error e ->
+    match writing (fun () -> Replay.record ?log_level spec ~path:out) with
+    | None -> exit 1
+    | Some (Error e) ->
         Printf.eprintf "trace record: %s\n" e;
         exit 1
-    | Ok r ->
+    | Some (Ok r) ->
         Printf.printf "recorded %d events (guest digest %s) to %s\n"
           (List.length r.Replay.run_events)
           r.Replay.run_digest out
@@ -1531,14 +1125,10 @@ let trace_record_cmd =
           ~doc:"What to run and record: attach, fleet, or sweep (one cell).")
   in
   let seed =
-    Arg.(
-      value & opt int 5
-      & info [ "seed" ] ~docv:"N" ~doc:"Scenario seed (fleet default is 7).")
+    opt_int "seed" 5 ~docv:"N" ~doc:"Scenario seed (fleet default is 7)."
   in
   let vms =
-    Arg.(
-      value & opt int 8
-      & info [ "vms" ] ~docv:"N" ~doc:"Fleet size (fleet scenario only).")
+    opt_int "vms" 8 ~docv:"N" ~doc:"Fleet size (fleet scenario only)."
   in
   let from_baseline =
     Arg.(
@@ -1556,12 +1146,9 @@ let trace_record_cmd =
           ~doc:"Fault class of the sweep cell (sweep scenario only).")
   in
   let k =
-    Arg.(
-      value & opt int (-1)
-      & info [ "k" ] ~docv:"K"
-          ~doc:
-            "Abort-at-yield index of the sweep cell; -1 is the probe \
-             (sweep scenario only).")
+    opt_int "k" (-1) ~docv:"K"
+      ~doc:"Abort-at-yield index of the sweep cell; -1 is the probe \
+            (sweep scenario only)."
   in
   let hostile =
     Arg.(
@@ -1583,90 +1170,35 @@ let trace_record_cmd =
       const run $ scenario $ seed $ vms $ from_baseline $ cls $ k $ hostile
       $ out $ log_level_arg)
 
+(* Load a recording for [vmsh trace VERB]; exit 1 if it cannot be read. *)
+let load_trace verb file =
+  match Trace.load file with
+  | Ok f -> f
+  | Error e ->
+      Printf.eprintf "trace %s: %s\n" verb e;
+      exit 1
+
 let trace_replay_cmd =
   let run file log_level =
-    match Trace.load file with
+    let f = load_trace "replay" file in
+    match Replay.replay ?log_level ~path:file () with
     | Error e ->
         Printf.eprintf "trace replay: %s\n" e;
         exit 1
-    | Ok f -> (
-        (* fuzz artifacts replay through the CLI's own fuzz driver;
-           fuzz-mutant corpus entries and reproducers by rebuilding the
-           mutant from the stored base prefix + mutation chain and
-           re-executing the attack; every other scenario through the
-           recipe library *)
-        let diffs =
-          match List.assoc_opt "scenario" f.Trace.f_meta with
-          | Some s when s = Fuzz.mutant_scenario -> (
-              match Fuzz.parse_mutant_meta f.Trace.f_meta with
-              | Error _ as e -> e
-              | Ok mf -> (
-                  match Replay.spec_of_meta mf.Fuzz.mf_base_meta with
-                  | Error _ as e -> e
-                  | Ok spec ->
-                      let base = f.Trace.f_events in
-                      let execute, _, _ =
-                        attack_executor ?log_level ~base ~spec ()
-                      in
-                      let got =
-                        Faults.Abort.to_string
-                          (Fuzz.judge ~execute
-                             (Fuzz.apply_all base mf.Fuzz.mf_muts)
-                             mf.Fuzz.mf_muts)
-                      in
-                      let want = mf.Fuzz.mf_verdict in
-                      Ok
-                        (if got = want then []
-                         else
-                           [
-                             Printf.sprintf
-                               "mutant verdict diverges: recorded %S, replay \
-                                %S"
-                               want got;
-                           ])))
-          | Some "fuzz" ->
-              let geti key d =
-                Option.bind (List.assoc_opt key f.Trace.f_meta)
-                  int_of_string_opt
-                |> Option.value ~default:d
-              in
-              let rate =
-                Option.bind (List.assoc_opt "rate" f.Trace.f_meta)
-                  float_of_string_opt
-                |> Option.value ~default:0.15
-              in
-              let h, _, _, _ =
-                fuzz_one ?log_level ~seed:(geti "fuzz-seed" 0) ~rate
-                  ~trace:false ()
-              in
-              Ok
-                (Trace.diff f.Trace.f_events
-                   (Trace.Recorder.events h.H.Host.recorder))
-          | _ -> Replay.replay ?log_level ~path:file ()
-        in
-        match diffs with
-        | Error e ->
-            Printf.eprintf "trace replay: %s\n" e;
-            exit 1
-        | Ok [] ->
-            if
-              List.assoc_opt "scenario" f.Trace.f_meta
-              = Some Fuzz.mutant_scenario
-            then
-              Printf.printf
-                "mutant re-executes to its recorded verdict (%s; %d base \
-                 events)\n"
-                (Option.value
-                   (List.assoc_opt "verdict" f.Trace.f_meta)
-                   ~default:"?")
-                (List.length f.Trace.f_events)
-            else
-              Printf.printf
-                "replay matches recording: %d events, guest digest identical\n"
-                (List.length f.Trace.f_events)
-        | Ok lines ->
-            List.iter (Printf.eprintf "replay-diff: %s\n") lines;
-            exit 1)
+    | Ok [] ->
+        let meta k = List.assoc_opt k f.Trace.f_meta in
+        if meta "scenario" = Some Fuzz.mutant_scenario then
+          Printf.printf
+            "mutant re-executes to its recorded verdict (%s; %d base events)\n"
+            (Option.value (meta "verdict") ~default:"?")
+            (List.length f.Trace.f_events)
+        else
+          Printf.printf
+            "replay matches recording: %d events, guest digest identical\n"
+            (List.length f.Trace.f_events)
+    | Ok lines ->
+        List.iter (Printf.eprintf "replay-diff: %s\n") lines;
+        exit 1
   in
   Cmd.v
     (Cmd.info "replay"
@@ -1677,28 +1209,21 @@ let trace_replay_cmd =
 
 let trace_dump_cmd =
   let run file limit =
-    match Trace.load file with
-    | Error e ->
-        Printf.eprintf "trace dump: %s\n" e;
-        exit 1
-    | Ok f ->
-        List.iter (fun (k, v) -> Printf.printf "# %s = %s\n" k v) f.Trace.f_meta;
-        if f.Trace.f_dropped > 0 then
-          Printf.printf "# dropped = %d\n" f.Trace.f_dropped;
-        let n = List.length f.Trace.f_events in
-        List.iteri
-          (fun i e ->
-            if limit <= 0 || i < limit then
-              Format.printf "%a@." Trace.pp_event e)
-          f.Trace.f_events;
-        if limit > 0 && n > limit then
-          Printf.printf "... %d more events (raise --limit)\n" (n - limit)
+    let f = load_trace "dump" file in
+    List.iter (fun (k, v) -> Printf.printf "# %s = %s\n" k v) f.Trace.f_meta;
+    if f.Trace.f_dropped > 0 then
+      Printf.printf "# dropped = %d\n" f.Trace.f_dropped;
+    let n = List.length f.Trace.f_events in
+    List.iteri
+      (fun i e ->
+        if limit <= 0 || i < limit then Format.printf "%a@." Trace.pp_event e)
+      f.Trace.f_events;
+    if limit > 0 && n > limit then
+      Printf.printf "... %d more events (raise --limit)\n" (n - limit)
   in
   let limit =
-    Arg.(
-      value & opt int 0
-      & info [ "limit" ] ~docv:"N"
-          ~doc:"Print at most N events (0 = everything).")
+    opt_int "limit" 0 ~docv:"N"
+      ~doc:"Print at most N events (0 = everything)."
   in
   Cmd.v
     (Cmd.info "dump" ~doc:"Print a recording's metadata and events")
@@ -1706,17 +1231,13 @@ let trace_dump_cmd =
 
 let trace_stat_cmd =
   let run file =
-    match Trace.load file with
-    | Error e ->
-        Printf.eprintf "trace stat: %s\n" e;
-        exit 1
-    | Ok f ->
-        Printf.printf "%d events (%d dropped at record time)\n"
-          (List.length f.Trace.f_events)
-          f.Trace.f_dropped;
-        List.iter
-          (fun (kind, n) -> Printf.printf "%8d  %s\n" n kind)
-          (Trace.stat f.Trace.f_events)
+    let f = load_trace "stat" file in
+    Printf.printf "%d events (%d dropped at record time)\n"
+      (List.length f.Trace.f_events)
+      f.Trace.f_dropped;
+    List.iter
+      (fun (kind, n) -> Printf.printf "%8d  %s\n" n kind)
+      (Trace.stat f.Trace.f_events)
   in
   Cmd.v
     (Cmd.info "stat" ~doc:"Per-event-kind counts of a recording")

@@ -200,10 +200,21 @@ stage_smoke_attach() {
   # every hypervisor, cloud-hypervisor over its VirtIO-over-PCI
   # transport, attaches and rolls back cleanly
   for hyp in qemu kvmtool firecracker crosvm cloud-hypervisor; do
+    case $hyp in
+      cloud-hypervisor) want="attached (ioregionfd over pci)" ;;
+      *) want="attached (ioregionfd)" ;;
+    esac
     out=$(vmsh attach --hypervisor "$hyp" --detach-after -e hostname) || {
       echo "ci: attach to $hyp failed" >&2
       return 1
     }
+    case $out in
+      *"$want"*) ;;
+      *)
+        echo "ci: $hyp: expected \"$want\"" >&2
+        return 1
+        ;;
+    esac
     case $out in
       *"rollback oracle: guest restored byte-for-byte"*) ;;
       *)
@@ -212,6 +223,18 @@ stage_smoke_attach() {
         ;;
     esac
   done
+  # an unwritable output path is one error line and exit 1, not an
+  # uncaught exception (exit 125)
+  rc=0
+  err=$(vmsh fleet --vms 1 --metrics-out /nonexistent/x.json 2>&1 \
+    >/dev/null) || rc=$?
+  case $rc:$err in
+    1:*"vmsh: cannot write output: "*) ;;
+    *)
+      echo "ci: unwritable --metrics-out: exit $rc, $err" >&2
+      return 1
+      ;;
+  esac
 }
 
 stage_smoke_net() {

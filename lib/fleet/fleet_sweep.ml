@@ -28,7 +28,6 @@ type point = {
       (** outcome, oracle discrepancies, fd delta, digest (already
           forced) and verdict *)
   pt_events : Trace.event list;  (** the point's flight recording *)
-  pt_virtual_ns : float;  (** the point's virtual clock at the end *)
 }
 
 type report = {
@@ -112,7 +111,6 @@ let run_point ?log_level ?plan ?baseline ?hostile ~seed ~cls ~k () =
       pt_yield = Option.value k ~default:(-1);
       pt_report = r;
       pt_events = Trace.Recorder.events host.H.Host.recorder;
-      pt_virtual_ns = H.Clock.now_ns host.H.Host.clock;
     }
   in
   (* a bug verdict leaves a replayable artifact when

@@ -10,8 +10,8 @@
     The engine is a pure, deterministic function of
     [(trace, seed, rounds)] — it never touches the filesystem or wall
     clock, and the executor is injected, so tests drive campaigns with
-    stub executors and the CLI composes it with
-    [Replay.execute_attack]. *)
+    stub executors and [Replay.fuzz_from_trace] runs them with
+    [Replay.attack_executor]. *)
 
 type verdict = Faults.Abort.verdict
 

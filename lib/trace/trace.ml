@@ -349,15 +349,15 @@ let decode s =
     Ok { f_meta = meta; f_dropped = dropped; f_events = events }
   with Bad m -> Error m
 
-let save r ?(extra_meta = []) path =
-  let bytes =
-    encode
-      ~meta:(Recorder.meta r @ extra_meta)
-      ~dropped:(Recorder.dropped r) (Recorder.events r)
-  in
+let write path ~meta ~dropped events =
   let oc = open_out_bin path in
-  output_string oc bytes;
+  output_string oc (encode ~meta ~dropped events);
   close_out oc
+
+let save r ?(extra_meta = []) path =
+  write path
+    ~meta:(Recorder.meta r @ extra_meta)
+    ~dropped:(Recorder.dropped r) (Recorder.events r)
 
 let load path =
   match

@@ -125,9 +125,15 @@ val encode : meta:(string * string) list -> ?dropped:int -> event list -> string
 
 val decode : string -> (file, string) result
 
+val write :
+  string -> meta:(string * string) list -> dropped:int -> event list -> unit
+(** [write path ~meta ~dropped events]: {!encode} the events into a
+    [.vmshtrace] file at [path]. Every recording the program writes
+    goes through here. Raises [Sys_error] if [path] cannot be written. *)
+
 val save :
   Recorder.t -> ?extra_meta:(string * string) list -> string -> unit
-(** Write the recorder's boundary records to [path], appending
+(** {!write} the recorder's boundary records to [path], appending
     [extra_meta] after the recorder's own header entries. Detail
     records are never saved. *)
 

@@ -1,8 +1,10 @@
 (* lib/fuzz: the trace-mutation engine — seeded mutators, the causality
    validator, n-gram coverage, the deterministic campaign loop and the
    delta-debugging minimizer. Campaigns here run against stub executors
-   (the engine is executor-agnostic by construction); one test drives a
-   real recorded attach through the real attack executor. *)
+   (the engine is executor-agnostic by construction); the last tests
+   drive real recordings through the library's fuzz drivers
+   ([Replay.fuzz_seeds], [Replay.fuzz_from_trace]) and replay their
+   artifacts. *)
 
 let check = Alcotest.check
 let cbool = Alcotest.bool
@@ -342,12 +344,12 @@ let test_real_trace_validates_and_survives () =
       let attack plan = Replay.execute_attack ~plan spec in
       let empty = Faults.create ~seed:0 ~rate:0.0 () in
       check cbool "unperturbed attack survives" true
-        ((attack empty).Replay.at_verdict = Faults.Abort.Survived);
+        (attack empty = Faults.Abort.Survived);
       (* a scripted doorbell drop must be absorbed (retry/rekick), not
          break the pipeline *)
       let scripted = Faults.create ~seed:0 ~rate:0.0 () in
       Faults.set_script scripted [ (Faults.Notify_drop, 0) ];
-      let v = (attack scripted).Replay.at_verdict in
+      let v = attack scripted in
       check cbool "scripted notify drop is survivable or a clean abort" true
         (not (Faults.Abort.is_bug v))
 
@@ -364,13 +366,12 @@ let test_campaign_bookkeeping_bound () =
     | Error e -> Alcotest.failf "attach execute failed: %s" e
   in
   let exec_wall = ref 0.0 in
-  let execute _mutant muts =
+  let attack = Replay.attack_executor ~base spec in
+  let execute mutant muts =
     let t0 = Unix.gettimeofday () in
-    let plan = Faults.create ~seed:0 ~rate:0.0 () in
-    Faults.set_script plan (Fuzz.script_of_mutations base muts);
-    let atk = Replay.execute_attack ~plan spec in
+    let v = attack mutant muts in
     exec_wall := !exec_wall +. (Unix.gettimeofday () -. t0);
-    atk.Replay.at_verdict
+    v
   in
   let t0 = Unix.gettimeofday () in
   let rep = Fuzz.run_campaign ~base ~seed:9 ~rounds:8 ~execute () in
@@ -380,6 +381,139 @@ let test_campaign_bookkeeping_bound () =
   if bookkeeping > 0.05 *. !exec_wall then
     Alcotest.failf "bookkeeping %.2f ms exceeds 5%% of %.2f ms of replays"
       (bookkeeping *. 1e3) (!exec_wall *. 1e3)
+
+(* --- the drivers behind vmsh fuzz and their artifacts --- *)
+
+(* A fault-schedule seed is a recipe like any other: recorded, it
+   replays event for event and verdict for verdict. *)
+let test_fuzz_seed_replays () =
+  let path = Filename.temp_file "vmsh-fuzz-seed" ".vmshtrace" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let spec = Replay.Fuzz_seed { seed = 3; rate = 0.2 } in
+  (match Replay.record spec ~path with
+  | Ok run ->
+      check cbool "the seed recorded events" true
+        (run.Replay.run_events <> [])
+  | Error e -> Alcotest.failf "record failed: %s" e);
+  (match Trace.load path with
+  | Ok f ->
+      check cbool "the recipe round-trips" true
+        (Replay.spec_of_meta f.Trace.f_meta = Ok spec)
+  | Error e -> Alcotest.failf "load failed: %s" e);
+  match Replay.replay ~path () with
+  | Ok [] -> ()
+  | Ok lines -> Alcotest.failf "replay diverged: %s" (String.concat "; " lines)
+  | Error e -> Alcotest.failf "replay failed: %s" e
+
+(* Seed k boosts class k mod 7, so seeds 0-6 reach every class, and a
+   clean pipeline has no hang and no unclean failure among them. *)
+let test_fuzz_seeds_cover_classes () =
+  let r = Replay.fuzz_seeds ~seeds:7 ~rate:0.15 ~trace_seed:(Some 2) () in
+  check cint "seven runs" 7 (List.length r.Replay.ss_runs);
+  check cint "every fault class seen" (List.length Faults.all)
+    r.Replay.ss_classes_seen;
+  check cint "no hangs" 0 r.Replay.ss_hangs;
+  check cint "no unclean failures" 0 r.Replay.ss_unclean;
+  List.iter
+    (fun s ->
+      check cbool "the boosted class rotates" true
+        (s.Replay.sd_boosted = List.nth Faults.all s.Replay.sd_seed))
+    r.Replay.ss_runs;
+  let counter name =
+    List.find_map
+      (fun c ->
+        if Observe.Metrics.counter_name c = name then
+          Some (Observe.Metrics.counter_value c)
+        else None)
+      (Observe.Metrics.counters r.Replay.ss_metrics)
+  in
+  check (Alcotest.option cint) "fuzz.seeds" (Some 7) (counter "fuzz.seeds");
+  check cbool "the traced seed's trace is kept" true
+    (r.Replay.ss_trace <> None)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Record an attach base and run the pinned campaign over it into a
+   fresh corpus directory. *)
+let campaign_into ~base dir =
+  match
+    Replay.fuzz_from_trace ~file:base ~rounds:8 ~seed:9 ~corpus:(Some dir)
+      ~minimize:true ()
+  with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "campaign failed: %s" e
+
+let with_attach_base f =
+  let base = Filename.temp_file "vmsh-fuzz-base" ".vmshtrace" in
+  let a = Filename.temp_dir "vmsh-corpus" "" in
+  let b = Filename.temp_dir "vmsh-corpus" "" in
+  let rm dir =
+    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+    Sys.rmdir dir
+  in
+  Fun.protect ~finally:(fun () -> List.iter rm [ a; b ]; Sys.remove base)
+  @@ fun () ->
+  (match Replay.record (Replay.Attach { seed = 5 }) ~path:base with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "record failed: %s" e);
+  f ~base a b
+
+let test_campaign_double_run () =
+  with_attach_base @@ fun ~base a b ->
+  let ca = campaign_into ~base a and cb = campaign_into ~base b in
+  check (Alcotest.list cstr) "ledgers" ca.Replay.cp_ledger cb.Replay.cp_ledger;
+  check cstr "metrics JSON"
+    (Observe.Export.metrics_json ca.Replay.cp_metrics)
+    (Observe.Export.metrics_json cb.Replay.cp_metrics);
+  let files dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  check (Alcotest.list cstr) "corpus listings" (files a) (files b);
+  check cbool "coverage and ledger persisted" true
+    (List.mem "coverage.txt" (files a) && List.mem "ledger.txt" (files a));
+  check cbool "mutants kept" true
+    (List.exists (fun n -> String.starts_with ~prefix:"mutant-" n) (files a));
+  List.iter
+    (fun n ->
+      check cstr n (read_file (Filename.concat a n))
+        (read_file (Filename.concat b n)))
+    (files a);
+  check cint "no bugs" 0 ca.Replay.cp_report.Fuzz.fz_bugs
+
+(* Every kept corpus mutant re-executes to its recorded verdict through
+   the replay oracle, and a file whose recorded verdict was altered is
+   reported as a divergence. *)
+let test_corpus_entries_replay () =
+  with_attach_base @@ fun ~base a _ ->
+  ignore (campaign_into ~base a);
+  let mutants =
+    List.filter
+      (fun n -> Filename.check_suffix n ".vmshtrace")
+      (Array.to_list (Sys.readdir a))
+  in
+  check cbool "the campaign kept mutants" true (mutants <> []);
+  List.iter
+    (fun n ->
+      match Replay.replay ~path:(Filename.concat a n) () with
+      | Ok [] -> ()
+      | Ok lines ->
+          Alcotest.failf "%s diverged: %s" n (String.concat "; " lines)
+      | Error e -> Alcotest.failf "%s: %s" n e)
+    mutants;
+  let path = Filename.concat a (List.hd mutants) in
+  match Trace.load path with
+  | Error e -> Alcotest.failf "load failed: %s" e
+  | Ok f -> (
+      let meta =
+        List.map
+          (fun (k, v) -> if k = "verdict" then (k, "BUG: planted") else (k, v))
+          f.Trace.f_meta
+      in
+      Trace.write path ~meta ~dropped:0 f.Trace.f_events;
+      match Replay.replay ~path () with
+      | Ok [ line ] ->
+          check cbool "the divergence names the verdicts" true
+            (String.starts_with ~prefix:"mutant verdict diverges" line)
+      | Ok _ -> Alcotest.fail "an altered verdict replayed clean"
+      | Error e -> Alcotest.failf "replay failed: %s" e)
 
 (* --- ci.sh regression: an unknown --stage must list stages and exit 2
    (the old substring match let "build test" run zero stages, exit 0) --- *)
@@ -461,6 +595,14 @@ let suite =
           test_campaign_bookkeeping_bound;
         Alcotest.test_case "recorded attach validates and survives attack"
           `Quick test_real_trace_validates_and_survives;
+        Alcotest.test_case "a fuzz seed recording replays clean" `Quick
+          test_fuzz_seed_replays;
+        Alcotest.test_case "seeds 0-6 see every fault class" `Quick
+          test_fuzz_seeds_cover_classes;
+        Alcotest.test_case "campaign double run is byte-identical" `Quick
+          test_campaign_double_run;
+        Alcotest.test_case "corpus mutants replay to their verdicts" `Quick
+          test_corpus_entries_replay;
         Alcotest.test_case "ci.sh rejects unknown stages" `Quick
           test_ci_stage_exact_match;
         Alcotest.test_case "ci.sh stages fail on any command" `Quick
