@@ -15,6 +15,7 @@ module Vmm = Hypervisor.Vmm
 module Profile = Hypervisor.Profile
 module KV = Linux_guest.Kernel_version
 module Guest = Linux_guest.Guest
+module Config = Vmsh.Attach.Config
 open Cmdliner
 
 let profile_of_string = function
@@ -154,151 +155,120 @@ let write_observe_outputs h ~verbose ~trace_out ~metrics_out =
         | Trace.Boundary | Trace.Instant ->
             Format.eprintf "%a@." Trace.pp_event e)
       (Trace.Recorder.stream h.H.Host.recorder);
-  let ok = ref true in
-  let write path data =
-    let w = written path data in
-    ok := !ok && w;
-    w
+  (* both files are attempted; the result says whether both were written *)
+  let write path data said =
+    Option.fold path ~none:true ~some:(fun path ->
+        written path (data ()) && (Printf.printf said path; true))
   in
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-      if write path (Observe.Export.chrome_trace obs) then
-        Printf.printf
-          "trace written to %s (load it in Perfetto or chrome://tracing)\n" path);
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
+  let trace_ok =
+    write trace_out
+      (fun () -> Observe.Export.chrome_trace obs)
+      "trace written to %s (load it in Perfetto or chrome://tracing)\n"
+  in
+  write metrics_out
+    (fun () ->
       snapshot_clock_metrics h;
-      if write path (Observe.Export.metrics_json (Observe.metrics obs)) then
-        Printf.printf "metrics written to %s\n" path);
-  !ok
+      Observe.Export.metrics_json (Observe.metrics obs))
+    "metrics written to %s\n"
+  && trace_ok
 
 let attach_cmd =
   let run verbose profile version transport commands net_echo detach_after
       hostile trace_out metrics_out log_level =
+    let module S = Fleet.Session in
     let hostile = Option.map (hostile_class "attach") hostile in
-    let h, vmm, g = boot_vm ~profile ~version ~seed:11 in
-    let obs = h.H.Host.observe in
-    Option.iter (Observe.set_log_level obs) log_level;
-    if verbose || trace_out <> None || metrics_out <> None then
-      Observe.enable obs;
+    let h = H.Host.create ~seed:11 () in
+    let config = Config.with_transport transport (Config.make ()) in
+    let config =
+      if net_echo = 0 then config
+      else
+        let fabric, port =
+          Workloads.Traffic.make_network h ~mode:Workloads.Traffic.Echo ()
+        in
+        Config.with_net { Vmsh.Attach.fabric; port } config
+    in
     let mark kind =
       Trace.Recorder.record h.H.Host.recorder ~phase:Trace.Instant ~kind ()
     in
-    mark "cli.booted";
-    Printf.printf "booted %s with guest kernel v%s (hypervisor pid %d)\n"
-      profile.Profile.prof_name (KV.to_string version) (Vmm.pid vmm);
-    let net =
-      if net_echo > 0 then
-        Some (Workloads.Traffic.make_network h ~mode:Workloads.Traffic.Echo ())
-      else None
-    in
-    let config =
-      (* VirtIO over PCI where the hypervisor offers no MMIO transport *)
-      let c =
-        Vmsh.Attach.Config.make ()
-        |> Vmsh.Attach.Config.with_transport transport
-        |> Vmsh.Attach.Config.with_pci (not profile.Profile.mmio_transport)
-      in
-      match net with
-      | Some (fabric, port) ->
-          Vmsh.Attach.Config.with_net { Vmsh.Attach.fabric; port } c
-      | None -> c
+    let devices = ref None in
+    let step = function
+      | S.Booted vmm ->
+          Option.iter (Observe.set_log_level h.H.Host.observe) log_level;
+          if verbose || trace_out <> None || metrics_out <> None then
+            Observe.enable h.H.Host.observe;
+          mark "cli.booted";
+          Printf.printf "booted %s with guest kernel v%s (hypervisor pid %d)\n"
+            profile.Profile.prof_name (KV.to_string version) (Vmm.pid vmm);
+          Option.iter
+            (fun c -> Printf.printf "hostile guest armed: %s\n" (Hostile.name c))
+            hostile;
+          Ok ()
+      | S.Attached (vmm, session) ->
+          mark "cli.attached";
+          let anal = Vmsh.Attach.analysis session in
+          Printf.printf
+            "attached (%s%s): kernel at 0x%x, %d symbols, ksymtab layout %s\n"
+            (Vmsh.Devices.show_transport transport)
+            (if Config.pci (Vmsh.Attach.config session) then " over pci" else "")
+            anal.Vmsh.Symbol_analysis.kernel_base
+            (List.length anal.Vmsh.Symbol_analysis.symbols)
+            (match anal.Vmsh.Symbol_analysis.layout with
+            | KV.Prel32 -> "prel32"
+            | KV.Absolute_value_first -> "absolute (value first)"
+            | KV.Absolute_name_first -> "absolute (name first)");
+          ignore (Vmsh.Attach.console_recv session);
+          List.iter
+            (fun cmd ->
+              Printf.printf "vmsh> %s\n%s" cmd
+                (Vmsh.Attach.console_roundtrip session cmd))
+            (if commands = [] then [ "ls /"; "hostname"; "ps" ] else commands);
+          if net_echo > 0 then
+            Format.printf "net echo over vmsh-net: %a@."
+              Workloads.Traffic.pp_result
+              (Workloads.Traffic.run_client vmm (Vmm.guest_exn vmm)
+                 ~requests:net_echo ~payload_size:64
+                 ~mode:Workloads.Traffic.Echo ());
+          devices := Some (Vmsh.Attach.devices session);
+          Ok ()
     in
     (* an adversarial guest races the attach from inside: one seeded
        engine step at every cooperative yield point of the attach path *)
-    let config =
-      match hostile with
-      | None -> config
-      | Some cls ->
-          let plan = Faults.create ~seed:11 ~rate:0.0 () in
-          let eng = Hostile.create ~seed:11 ~cls vmm in
-          Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng));
-          Printf.printf "hostile guest armed: %s\n" (Hostile.name cls);
-          Vmsh.Attach.Config.with_faults plan config
+    let r =
+      S.run ~step ~host:h
+        (S.spec ~config
+           ?plan:
+             (Option.map (fun _ -> Faults.create ~seed:11 ~rate:0.0 ()) hostile)
+           ?hostile:(Option.map (fun c -> (c, 11)) hostile)
+           (S.cold ~profile ~version "cli-vm"))
     in
-    let before =
-      if detach_after then Some (Vmsh.Snapshot.capture (Vmm.kvm_vm vmm))
-      else None
+    let failed what e =
+      ignore (write_observe_outputs h ~verbose ~trace_out ~metrics_out);
+      Printf.eprintf "%s failed: %s\n" what (Vmsh.Vmsh_error.to_string e);
+      exit 1
     in
-    match
-      Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-        ~fs_image:(Fleet.Machine.tools_image h.H.Host.clock)
-        ~config
-        ~pump:(fun () -> Vmm.run_until_idle vmm)
-        ()
-    with
-    | Error e ->
-        ignore (write_observe_outputs h ~verbose ~trace_out ~metrics_out);
-        Printf.eprintf "attach failed: %s\n" (Vmsh.Vmsh_error.to_string e);
-        exit 1
-    | Ok session ->
-        mark "cli.attached";
-        let anal = Vmsh.Attach.analysis session in
-        Printf.printf
-          "attached (%s%s): kernel at 0x%x, %d symbols, ksymtab layout %s\n"
-          (Vmsh.Devices.show_transport transport)
-          (if Vmsh.Attach.Config.pci config then " over pci" else "")
-          anal.Vmsh.Symbol_analysis.kernel_base
-          (List.length anal.Vmsh.Symbol_analysis.symbols)
-          (match anal.Vmsh.Symbol_analysis.layout with
-          | KV.Prel32 -> "prel32"
-          | KV.Absolute_value_first -> "absolute (value first)"
-          | KV.Absolute_name_first -> "absolute (name first)");
-        ignore (Vmsh.Attach.console_recv session);
-        let commands = if commands = [] then [ "ls /"; "hostname"; "ps" ] else commands in
-        List.iter
-          (fun cmd ->
-            Printf.printf "vmsh> %s\n%s" cmd
-              (Vmsh.Attach.console_roundtrip session cmd))
-          commands;
-        if net_echo > 0 then begin
-          let r =
-            Workloads.Traffic.run_client vmm g ~requests:net_echo
-              ~payload_size:64 ~mode:Workloads.Traffic.Echo ()
-          in
-          Format.printf "net echo over vmsh-net: %a@."
-            Workloads.Traffic.pp_result r
-        end;
-        (* grab the journal's late-write pages before detach replays and
-           drops the log *)
-        let late_writes =
-          match Vmsh.Attach.journal session with
-          | Some j -> Vmsh.Journal.late_writes j
-          | None -> []
-        in
-        (match Vmsh.Attach.detach session with
-        | Ok () -> ()
-        | Error e ->
-            ignore (write_observe_outputs h ~verbose ~trace_out ~metrics_out);
-            Printf.eprintf "detach failed: %s\n" (Vmsh.Vmsh_error.to_string e);
-            exit 1);
+    match r.S.outcome with
+    | S.Escaped e -> raise e
+    | S.Aborted e -> failed "attach" e
+    | S.Detach_failed e -> failed "detach" e
+    | S.Completed | S.Broken _ (* the steps above never break *) ->
         mark "cli.detached";
-        let oracle_ok =
-          match before with
-          | None -> true
-          | Some snap ->
-              let problems =
-                Vmsh.Snapshot.diff ~before:snap
-                  ~after:(Vmsh.Snapshot.capture (Vmm.kvm_vm vmm))
-                  ~exclude:late_writes
-              in
-              (match problems with
-              | [] ->
-                  Printf.printf
-                    "rollback oracle: guest restored byte-for-byte (modulo \
-                     guest-dirtied pages)\n"
-              | ps ->
-                  List.iter (Printf.eprintf "rollback oracle: %s\n") ps);
-              problems = []
+        let problems =
+          r.S.oracle
+          @ if r.S.leaked_fds = 0 then []
+            else [ Printf.sprintf "%d descriptors leaked" r.S.leaked_fds ]
         in
+        if detach_after then
+          if problems = [] then
+            Printf.printf
+              "rollback oracle: guest restored byte-for-byte (modulo \
+               guest-dirtied pages)\n"
+          else List.iter (Printf.eprintf "rollback oracle: %s\n") problems;
         let outputs_ok =
           write_observe_outputs h ~verbose ~trace_out ~metrics_out
         in
         Printf.printf "detached; %d block requests served by vmsh-blk\n"
-          (Vmsh.Devices.stats_requests (Vmsh.Attach.devices session));
-        if not (outputs_ok && oracle_ok) then exit 1
+          (Vmsh.Devices.stats_requests (Option.get !devices));
+        if not (outputs_ok && (problems = [] || not detach_after)) then exit 1
   in
   let verbose =
     Arg.(
@@ -342,9 +312,9 @@ let attach_cmd =
       value & flag
       & info [ "detach-after" ]
           ~doc:
-            "Snapshot guest memory and vCPU registers before attaching and \
-             verify after detach that the journal replay restored the guest \
-             byte-for-byte (modulo pages the guest itself dirtied); exit 1 \
+            "Print the rollback oracle after detach: guest memory and vCPU \
+             registers restored byte-for-byte (modulo pages the guest itself \
+             dirtied), no tracer, process or descriptor left behind; exit 1 \
              if the oracle finds a discrepancy.")
   in
   let hostile =
@@ -1181,7 +1151,7 @@ let load_trace verb file =
 let trace_replay_cmd =
   let run file log_level =
     let f = load_trace "replay" file in
-    match Replay.replay ?log_level ~path:file () with
+    match Replay.replay ?log_level f with
     | Error e ->
         Printf.eprintf "trace replay: %s\n" e;
         exit 1

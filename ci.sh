@@ -17,7 +17,9 @@
 #                 each exit 0 and report the guest restored — then one
 #                 `attach --detach-after` per hypervisor (qemu, kvmtool,
 #                 firecracker, crosvm, cloud-hypervisor over PCI), each
-#                 with the same clean oracle line
+#                 with the same clean oracle line — then `vmsh matrix`,
+#                 whose 5 hypervisor and 6 kernel rows must all read
+#                 supported
 #   smoke-net     networked attach pushing 1000 echo requests through
 #                 the side-loaded NIC; the console, net and both blk
 #                 driver meters (vmsh-console.tx_ns, vmsh-net.tx_ns,
@@ -223,6 +225,18 @@ stage_smoke_attach() {
         ;;
     esac
   done
+  # Table 1 from the CLI: all five hypervisors (cloud-hypervisor over
+  # PCI) and all six LTS kernels attach as full sessions
+  out=$(vmsh matrix) || {
+    echo "ci: vmsh matrix failed" >&2
+    return 1
+  }
+  rows=$(printf '%s\n' "$out" | grep -v -e 'vmsh attach$' -e '^$')
+  if [ "$(printf '%s\n' "$rows" | grep -c ' supported$')" -ne 11 ]; then
+    echo "ci: vmsh matrix: want 11 rows reading supported, got:" >&2
+    printf '%s\n' "$rows" >&2
+    return 1
+  fi
   # an unwritable output path is one error line and exit 1, not an
   # uncaught exception (exit 125)
   rc=0

@@ -85,7 +85,6 @@ type session = {
 
 let vmsh_process s = s.vmsh
 let devices s = s.devs
-let transport s = Config.transport s.cfg
 let config s = s.cfg
 let analysis s = s.anal
 let status s = Loader.poll_status ~mem:s.mem s.loaded
@@ -377,14 +376,16 @@ let wait_ready ~mem ~loaded ~pump =
    and fds, the scratch page last. Ptrace goes after all of them, since
    every injected undo still needs the tracee stopped, and it goes even
    when an undo failed: a half-restored guest with a dangling tracer
-   would be strictly worse, and no later attach could trace it. *)
-let teardown host j ~origin tracee =
+   would be strictly worse, and no later attach could trace it. Last,
+   the vmsh helper is reaped ({!Host.reap}). *)
+let teardown host j ~origin ~vmsh tracee =
   Trace.Recorder.record host.Host.recorder ~kind:"journal.rollback"
     ~args:
       [ ("entries", Trace.I (Journal.length j)); ("origin", Trace.S origin) ]
     ();
   let replayed = Journal.replay ~metrics:(Observe.metrics host.Host.observe) j in
   Option.iter Tracee.detach tracee;
+  Host.reap host vmsh;
   Result.map_error (fun re -> E.Rollback_failed re) replayed
 
 let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
@@ -401,11 +402,11 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
         ("hypervisor_pid", Trace.I hypervisor_pid);
       ]
   @@ fun () ->
-  (* The attach is a transaction: [jref] collects an undo entry for
-     every guest/hypervisor mutation below (and [Hyp_mem] adds byte
-     entries for guest-memory writes once [memr] is set). Any abort —
-     error, escaped exception, or a swept crash point — replays the
-     journal before returning. *)
+  (* The attach is a transaction: [jref]'s journal collects an undo
+     entry for every guest/hypervisor mutation below (and [Hyp_mem]
+     adds byte entries for guest-memory writes once [memr] is set). Any
+     abort — error, escaped exception, or a swept crash point — replays
+     the journal and reaps [jref]'s vmsh helper before returning. *)
   let jref = ref None in
   let memr = ref None in
   let tracer = ref None in
@@ -420,13 +421,13 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
     | Some plan -> Host.arm_faults host plan
     | None -> ());
     let j = Journal.create () in
-    jref := Some j;
     (* VMSH starts with the privileges it needs for discovery and drops
        them afterwards (paper §4.5). *)
     let vmsh =
       Host.spawn host ~name:"vmsh" ~uid:1000
         ~caps:[ Proc.CAP_BPF; Proc.CAP_SYS_PTRACE ] ()
     in
+    jref := Some (j, vmsh);
     let* tracee =
       Tracee.attach
         ~seccomp_heuristic:(Config.seccomp_heuristic cfg)
@@ -613,8 +614,8 @@ let attach host ~hypervisor_pid ~fs_image ?config ~pump () =
             ~args:[ ("entries", Trace.I 0) ]
             ();
           Error err
-      | Some j ->
-          let* () = teardown host j ~origin:"abort" !tracer in
+      | Some (j, vmsh) ->
+          let* () = teardown host j ~origin:"abort" ~vmsh !tracer in
           Error err)
 
 let console_send s line =
@@ -634,4 +635,5 @@ let console_roundtrip s line =
 (* Detach = the abort's teardown over the sealed journal. *)
 let detach s =
   Hyp_mem.set_journal s.mem None;
-  teardown (Hyp_mem.host s.mem) s.journal ~origin:"detach" (Some s.tracee)
+  teardown (Hyp_mem.host s.mem) s.journal ~origin:"detach" ~vmsh:s.vmsh
+    (Some s.tracee)

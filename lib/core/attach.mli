@@ -124,7 +124,6 @@ val attach :
 
 val vmsh_process : session -> Hostos.Proc.t
 val devices : session -> Devices.t
-val transport : session -> Devices.transport
 val config : session -> Config.t
 val analysis : session -> Symbol_analysis.analysis
 val status : session -> int

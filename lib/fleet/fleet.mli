@@ -43,7 +43,9 @@ module Machine = Machine
 
 module Session = Session
 (** The one attach pipeline (boot or fork through the rollback oracle)
-    and its verdict; the fleet, sweep, service and fuzzer all run it.
+    and its verdict; the fleet, sweep, service, both fuzzers and the
+    CLI's [attach] and [matrix] run it. [run ?step] hands the caller
+    the booted machine and the attached session.
     A report's [digest] is lazy: it is computed only when forced
     (the fleet digest, replay, the sweep), exact however late, and
     until forced it retains the guest memory it will hash. *)

@@ -218,7 +218,8 @@ let ok r =
    other typed attach failure; a broken session did complete. *)
 let outcome p =
   match p.pt_report.Session.outcome with
-  | Session.Completed | Session.Broken _ -> "completed"
+  | Session.Completed | Session.Broken _ | Session.Detach_failed _ ->
+      "completed"
   | Session.Aborted (Vmsh.Vmsh_error.Attach_aborted (Crash_point _)) ->
       "aborted"
   | Session.Aborted _ -> "clean-fail"

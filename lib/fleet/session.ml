@@ -1,21 +1,22 @@
 (* One attach session, end to end: the one harness behind every attach
-   the fleet, the sweep, the service and the fuzzer run.
+   the fleet, the sweep, the service, both fuzzers and [vmsh attach]
+   run; each is a thin mapping onto [run].
 
    A spec names the machine (a cold boot or a CoW fork of a baked
-   baseline), the fault plan armed on the attach, an optional
-   adversarial guest and the shared symbol cache; the caller brings the
-   host (seed, clock offset, log level and trace tags are the caller's
-   business). [run] executes the one pipeline
+   baseline), the caller's attach config (transport, NIC cabling), the
+   fault plan armed on the attach, an optional adversarial guest and
+   the shared symbol cache; the caller brings the host (seed, clock
+   offset, log level and trace tags are the caller's business). [run]
+   executes the one pipeline
 
-     boot or fork -> snapshot + fd watermark -> attach -> console
-     "hostname" round trip -> detach -> rollback oracle and tracer
-     check -> fd-leak check -> guest digest (lazy: computed only when
-     read)
+     boot or fork -> [Booted] step -> snapshot + fd and pid watermarks
+     -> attach -> [Attached] step (default: console "hostname" round
+     trip) -> detach -> rollback oracle, tracer and process checks ->
+     fd-leak check -> guest digest (lazy: computed only when read)
 
-   and [verdict] files it under one {!Faults.Abort.verdict}. The fleet,
-   the crash-point sweep, the job service and the trace-mutation fuzzer
-   are thin mappings onto [run]. The oracle is unconditional: a capture
-   costs no virtual time, so it cannot perturb any run. *)
+   and [verdict] files it under one {!Faults.Abort.verdict}. The oracle
+   is unconditional: a capture costs no virtual time, so it cannot
+   perturb any run. *)
 
 module H = Hostos
 module Vmm = Hypervisor.Vmm
@@ -34,6 +35,9 @@ type boot =
 
 type spec = {
   boot : boot;
+  config : Vmsh.Attach.Config.t;
+      (* the caller's attach config; [run] adds the plan, the cache and
+         the PCI transport the boot's profile needs *)
   plan : Faults.t option;
   hostile : (Hostile.cls * int) option;  (* adversary class and seed *)
   cache : Vmsh.Symbol_analysis.Cache.t option;
@@ -43,13 +47,17 @@ let cold ?(profile = Profile.qemu) ?(version = KV.V5_10) ?(ram_mb = 64)
     hostname =
   Cold { profile; version; ram_mb; hostname }
 
-let spec ?plan ?hostile ?cache boot = { boot; plan; hostile; cache }
+let spec ?(config = Vmsh.Attach.Config.make ()) ?plan ?hostile ?cache boot =
+  { boot; config; plan; hostile; cache }
 
 type outcome =
-  | Completed  (* attached, answered on the console, detached *)
+  | Completed  (* attached, did the attached step's work, detached *)
   | Aborted of E.t  (* the fork or the attach failed with a typed error *)
-  | Broken of string  (* attached, then misbehaved *)
+  | Broken of string  (* a step reported the machine misbehaving *)
+  | Detach_failed of E.t  (* attached, then the detach's rollback failed *)
   | Escaped of exn
+
+type step = Booted of Vmm.t | Attached of Vmm.t * Vmsh.Attach.session
 
 type report = {
   outcome : outcome;
@@ -78,22 +86,27 @@ let verdict r =
     match r.outcome with
     | Escaped e -> Bug (Escaped (Printexc.to_string e))
     | Broken m -> Bug (Broken m)
+    | Detach_failed e -> Bug (Broken ("detach: " ^ E.to_string e))
     | _ when r.oracle <> [] -> Bug (Oracle (List.hd r.oracle))
     | _ when r.leaked_fds > 0 -> Bug (Leaked_fds r.leaked_fds)
     | Completed -> Survived
     | Aborted e -> Clean_abort (E.to_string e)
 
-let stand_up host = function
+(* A fork runs under the profile its baseline was baked with. *)
+let profile = function
+  | Cold { profile; _ } -> profile
+  | Fork { image; _ } ->
+      List.find_opt
+        (fun p -> p.Profile.prof_name = Baseline.profile_name image)
+        Profile.all
+      |> Option.value ~default:Profile.qemu
+
+let stand_up host boot =
+  match boot with
   | Cold { profile; version; ram_mb; hostname } ->
       Ok (fst (Machine.cold_boot ~ram_mb host ~profile ~version ~hostname), None)
   | Fork { image; hostname } -> (
-      let profile =
-        List.find_opt
-          (fun p -> p.Profile.prof_name = Baseline.profile_name image)
-          Profile.all
-        |> Option.value ~default:Profile.qemu
-      in
-      match Baseline.fork image ~host ~profile ~name:hostname with
+      match Baseline.fork image ~host ~profile:(profile boot) ~name:hostname with
       | Ok f ->
           Observe.Metrics.observe
             (Observe.Metrics.histogram
@@ -139,17 +152,34 @@ let arm_hooks ~host ~vmm spec =
           Faults.set_on_yield plan (Some (fun _ -> Hostile.step eng))
       | None -> ())
 
-(* Attach, prove the overlay answers on the console (a fork must answer
-   with its own per-clone hostname, the one write that diverged it from
-   the baseline and every sibling), detach. Fills [yields] and [late],
+(* The default attached step: prove the overlay answers on the console.
+   A fork must answer with its own per-clone hostname, the one write
+   that diverged it from the baseline and every sibling. *)
+let hostname_roundtrip boot = function
+  | Booted _ -> Ok ()
+  | Attached (_, session) -> (
+      ignore (Vmsh.Attach.console_recv session);
+      let out = Vmsh.Attach.console_roundtrip session "hostname" in
+      match boot with
+      | _ when out = "" -> Error "console dead after attach"
+      | Fork { hostname; _ }
+        when not (String.starts_with ~prefix:(hostname ^ "\n") out) ->
+          Error
+            (Printf.sprintf "fork isolation: console answered %S, want %S" out
+               hostname)
+      | _ -> Ok ())
+
+(* Attach, run the attached step, detach. Fills [yields] and [late],
    the journal's post-seal device writes the oracle must not blame on
-   VMSH. *)
-let attach_roundtrip_detach ~host ~vmm spec ~yields ~late =
+   VMSH, read after the step so its device traffic lands in them. A
+   failed detach outranks a failed step. *)
+let attach_step_detach ~host ~vmm ~step spec ~yields ~late =
   let config =
     let open Vmsh.Attach.Config in
-    let c = make () in
-    let c = match spec.cache with Some k -> with_symbol_cache k c | None -> c in
-    match spec.plan with Some p -> with_faults p c | None -> c
+    (* VirtIO over PCI where the hypervisor offers no MMIO transport *)
+    with_pci (not (profile spec.boot).Profile.mmio_transport) spec.config
+    |> Option.fold spec.cache ~none:Fun.id ~some:with_symbol_cache
+    |> Option.fold spec.plan ~none:Fun.id ~some:with_faults
   in
   match
     Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
@@ -161,33 +191,30 @@ let attach_roundtrip_detach ~host ~vmm spec ~yields ~late =
   | Error e -> Aborted e
   | Ok session -> (
       Option.iter (fun p -> yields := Faults.yield_ticks p) spec.plan;
-      ignore (Vmsh.Attach.console_recv session);
-      let out = Vmsh.Attach.console_roundtrip session "hostname" in
+      let work = step (Attached (vmm, session)) in
       Option.iter
         (fun j -> late := Vmsh.Journal.late_writes j)
         (Vmsh.Attach.journal session);
-      match (Vmsh.Attach.detach session, spec.boot) with
-      | Error e, _ -> Broken ("detach: " ^ E.to_string e)
-      | Ok (), _ when String.length out = 0 -> Broken "console dead after attach"
-      | Ok (), Fork { hostname; _ }
-        when not
-               (String.length out > String.length hostname
-               && String.sub out 0 (String.length hostname + 1)
-                  = hostname ^ "\n") ->
-          Broken
-            (Printf.sprintf "fork isolation: console answered %S, want %S" out
-               hostname)
-      | Ok (), _ -> Completed)
+      match (Vmsh.Attach.detach session, work) with
+      | Error e, _ -> Detach_failed e
+      | Ok (), Error m -> Broken m
+      | Ok (), Ok () -> Completed)
 
-(* Whatever the outcome, VMSH must leave the hypervisor untraced: a
-   dangling tracer makes every later attach to the VM fail. *)
-let still_traced host vmm =
-  match H.Host.find_proc host ~pid:(Vmm.pid vmm) with
+(* Whatever the outcome, VMSH must leave the hypervisor untraced (a
+   dangling tracer makes every later attach to the VM fail), and no
+   process behind: teardown reaps its helper. *)
+let host_leaks host vmm ~pids =
+  (match H.Host.find_proc host ~pid:(Vmm.pid vmm) with
   | Some { H.Proc.tracer = Some pid; _ } ->
       [ Printf.sprintf "hypervisor still ptrace-attached (tracer pid %d)" pid ]
-  | _ -> []
+  | _ -> [])
+  @ (List.filter (fun pid -> not (List.mem pid pids)) (H.Host.pids host)
+    |> List.map (fun pid ->
+           Printf.sprintf "host process %s (pid %d) outlived the session"
+             (H.Host.proc_exn host ~pid).H.Proc.proc_name pid))
 
-let run ~host spec =
+let run ?step ~host spec =
+  let step = Option.value step ~default:(hostname_roundtrip spec.boot) in
   let clock = host.H.Host.clock in
   let t_start = H.Clock.now_ns clock in
   let report ?(boot_ns = Float.nan) ?(attach_ns = Float.nan) ?(yields = 0)
@@ -210,27 +237,32 @@ let run ~host spec =
   match stand_up host spec.boot with
   | exception e -> report (Escaped e)
   | Error e -> report (Aborted e)
-  | Ok (vmm, fork) ->
-      let t_attach = H.Clock.now_ns clock in
-      let vm = Vmm.kvm_vm vmm in
-      let before = Vmsh.Snapshot.capture vm in
-      let fds_before = Machine.open_fds host in
-      let yields = ref 0 and late = ref [] in
-      let outcome =
-        match
-          arm_hooks ~host ~vmm spec;
-          attach_roundtrip_detach ~host ~vmm spec ~yields ~late
-        with
-        | o -> o
-        | exception e -> Escaped e
-      in
-      let attach_ns = H.Clock.now_ns clock -. t_attach in
-      Option.iter (observe_overlay host) fork;
-      let after = Vmsh.Snapshot.capture vm in
-      report ~boot_ns:(t_attach -. t_start) ~attach_ns ~yields:!yields
-        ~oracle:
-          (Vmsh.Snapshot.diff ~before ~after ~exclude:!late
-          @ still_traced host vmm)
-        ~leaked_fds:(Machine.open_fds host - fds_before)
-        ~digest:(lazy (Vmsh.Snapshot.digest after))
-        outcome
+  | Ok (vmm, fork) -> (
+      match step (Booted vmm) with
+      | exception e -> report (Escaped e)
+      | Error m -> report (Broken m)
+      | Ok () ->
+          let t_attach = H.Clock.now_ns clock in
+          let vm = Vmm.kvm_vm vmm in
+          let before = Vmsh.Snapshot.capture vm in
+          let fds_before = Machine.open_fds host in
+          let pids = H.Host.pids host in
+          let yields = ref 0 and late = ref [] in
+          let outcome =
+            match
+              arm_hooks ~host ~vmm spec;
+              attach_step_detach ~host ~vmm ~step spec ~yields ~late
+            with
+            | o -> o
+            | exception e -> Escaped e
+          in
+          let attach_ns = H.Clock.now_ns clock -. t_attach in
+          Option.iter (observe_overlay host) fork;
+          let after = Vmsh.Snapshot.capture vm in
+          report ~boot_ns:(t_attach -. t_start) ~attach_ns ~yields:!yields
+            ~oracle:
+              (Vmsh.Snapshot.diff ~before ~after ~exclude:!late
+              @ host_leaks host vmm ~pids)
+            ~leaked_fds:(Machine.open_fds host - fds_before)
+            ~digest:(lazy (Vmsh.Snapshot.digest after))
+            outcome)

@@ -50,6 +50,9 @@ let spawn t ~name ?(uid = 1000) ?(caps = []) () =
   t.procs <- t.procs @ [ p ];
   p
 
+let reap t p =
+  if Proc.fd_numbers p = [] then t.procs <- List.filter (( != ) p) t.procs
+
 let find_proc t ~pid = List.find_opt (fun p -> p.Proc.pid = pid) t.procs
 
 let proc_exn t ~pid =

@@ -36,6 +36,11 @@ val arm_faults : t -> Faults.t -> unit
 val spawn : t -> name:string -> ?uid:int -> ?caps:Proc.cap list -> unit -> Proc.t
 (** Create a process with a fresh pid and a single main thread. *)
 
+val reap : t -> Proc.t -> unit
+(** Drop a finished process from the table. One that still holds
+    descriptors stays, so a descriptor count over the table still sees
+    its leak. Charges nothing and records nothing. *)
+
 val find_proc : t -> pid:int -> Proc.t option
 val proc_exn : t -> pid:int -> Proc.t
 
@@ -46,6 +51,7 @@ val proc_comm : t -> pid:int -> string Errno.result
 (** /proc/<pid>/comm. *)
 
 val pids : t -> int list
+(** The pid of every process in the table, in spawn order. *)
 
 val proc_maps : t -> pid:int -> (int * int * string) list
 (** /proc/<pid>/maps: (base, length, tag) of every mapping, ascending.

@@ -4,9 +4,9 @@
    [pump] plays them in (deliver_at, sequence) order, advancing the
    virtual clock to each delivery instant — the same event-driven
    discipline as the rest of the simulation, so two runs with the same
-   RNG seed replay byte-identically (the IRIS property the ISSUE cites).
-   All randomness (loss draws) comes from one seeded [Hostos.Rng] split
-   off at creation. *)
+   RNG seed replay byte-identically (the IRIS property).
+   All randomness (loss draws) comes from one seeded [Hostos.Rng], split
+   off at the first draw: making a network draws nothing from the host. *)
 
 module Clock = Hostos.Clock
 module Rng = Hostos.Rng
@@ -15,7 +15,7 @@ type event = { deliver_at : float; seq : int; deliver : unit -> unit }
 
 type t = {
   clock : Clock.t;
-  rng : Rng.t;
+  rng : Rng.t Lazy.t;
   obs : Observe.t;
   mutable pending : event list;  (** sorted by (deliver_at, seq) *)
   mutable next_seq : int;
@@ -27,7 +27,7 @@ type t = {
 let create ~clock ~rng ~observe () =
   {
     clock;
-    rng = Rng.split rng;
+    rng = lazy (Rng.split rng);
     obs = observe;
     pending = [];
     next_seq = 0;
@@ -61,7 +61,7 @@ let burst_drop t =
   else false
 
 let clock t = t.clock
-let rng t = t.rng
+let rng t = Lazy.force t.rng
 let observe t = t.obs
 let idle t = t.pending = []
 let in_flight t = List.length t.pending

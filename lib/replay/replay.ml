@@ -134,13 +134,30 @@ let spec_of_meta meta =
    echo traffic over the side-loaded NIC with bursty link loss. Every
    attach must either complete or fail cleanly with a diagnosable error;
    because every retry loop in the substrate is bounded, a run that
-   exceeds the virtual-time budget is reported as a hang.
-
-   It is not a {!Fleet.Session} run: its plan is armed on the host
-   before boot, so boot itself draws from it, and it cables a network so
-   that link-burst faults can fire. *)
+   exceeds the virtual-time budget is reported as a hang. It is one
+   {!Fleet.Session} run whose attached step is [fuzz_work]; its plan is
+   armed on the host before the run, so boot itself draws from it, and
+   the attach config cables a network so that link-burst faults can
+   fire. *)
 
 let fuzz_echo_requests = 20
+
+let fuzz_work plan = function
+  | Fleet.Session.Booted _ -> Ok ()
+  | Fleet.Session.Attached (vmm, session) ->
+      ignore (Vmsh.Attach.console_recv session);
+      let out = Vmsh.Attach.console_roundtrip session "hostname" in
+      let echo =
+        Workloads.Traffic.run_client vmm (Hypervisor.Vmm.guest_exn vmm)
+          ~requests:fuzz_echo_requests ~payload_size:64
+          ~mode:Workloads.Traffic.Echo ()
+      in
+      if out = "" then Error "console dead after attach (guest state corrupted?)"
+      else if
+        echo.Workloads.Traffic.completed = 0
+        && Faults.injected plan Faults.Link_burst = 0
+      then Error "echo made no progress despite a clean link"
+      else Ok ()
 
 let fuzz_seed ?log_level ~trace ~seed ~rate () =
   let plan = Faults.create ~seed ~rate () in
@@ -157,56 +174,14 @@ let fuzz_seed ?log_level ~trace ~seed ~rate () =
   Option.iter (Observe.set_log_level h.H.Host.observe) log_level;
   H.Host.arm_faults h plan;
   if trace then Observe.enable h.H.Host.observe;
-  let verdict =
-    let open Faults.Abort in
-    match
-      let vmm, g =
-        Fleet.Machine.cold_boot h ~profile:Hypervisor.Profile.qemu
-          ~version:Linux_guest.Kernel_version.V5_10 ~hostname:"cli-vm"
-      in
-      let fabric, port =
-        Workloads.Traffic.make_network h ~mode:Workloads.Traffic.Echo ()
-      in
-      let config =
-        Vmsh.Attach.Config.(make () |> with_net { Vmsh.Attach.fabric; port })
-      in
-      match
-        Vmsh.Attach.attach h ~hypervisor_pid:(Hypervisor.Vmm.pid vmm)
-          ~fs_image:(Fleet.Machine.tools_image h.H.Host.clock)
-          ~config
-          ~pump:(fun () -> Hypervisor.Vmm.run_until_idle vmm)
-          ()
-      with
-      | Error e -> Clean_abort (Vmsh.Vmsh_error.to_string e)
-      | Ok session ->
-          ignore (Vmsh.Attach.console_recv session);
-          let out = Vmsh.Attach.console_roundtrip session "hostname" in
-          let echo =
-            Workloads.Traffic.run_client vmm g ~requests:fuzz_echo_requests
-              ~payload_size:64 ~mode:Workloads.Traffic.Echo ()
-          in
-          (match Vmsh.Attach.detach session with
-          | Error e -> Bug (Broken ("detach: " ^ Vmsh.Vmsh_error.to_string e))
-          | Ok () ->
-              if String.length out = 0 then
-                Bug
-                  (Broken "console dead after attach (guest state corrupted?)")
-              else if
-                echo.Workloads.Traffic.completed = 0
-                && Faults.injected plan Faults.Link_burst = 0
-              then Bug (Broken "echo made no progress despite a clean link")
-              else Survived)
-    with
-    | v -> v
-    | exception e -> Bug (Escaped (Printexc.to_string e))
+  let fabric, port =
+    Workloads.Traffic.make_network h ~mode:Workloads.Traffic.Echo ()
   in
-  let elapsed_ns = H.Clock.now_ns h.H.Host.clock in
-  let verdict =
-    if elapsed_ns > Fleet.Session.budget_ns then
-      Faults.Abort.Bug (Hang elapsed_ns)
-    else verdict
+  let config =
+    Vmsh.Attach.Config.(make () |> with_net { Vmsh.Attach.fabric; port })
   in
-  (h, plan, boosted, verdict)
+  let spec = Fleet.Session.spec ~config (Fleet.Session.cold "cli-vm") in
+  (h, plan, boosted, Fleet.Session.run ~step:(fuzz_work plan) ~host:h spec)
 
 (* A forked recipe needs no baseline file: baking is itself
    deterministic, so the replay re-bakes the identical image. *)
@@ -290,7 +265,9 @@ let rec execute ?log_level = function
             Digest.to_hex (Digest.string (Service.Job.status_to_string status));
         }
   | Fuzz_seed { seed; rate } ->
-      let h, _, _, verdict = fuzz_seed ?log_level ~trace:false ~seed ~rate () in
+      let h, _, _, { Fleet.Session.verdict; _ } =
+        fuzz_seed ?log_level ~trace:false ~seed ~rate ()
+      in
       (* the verdict stands in for the digest, as a job's status does *)
       Ok
         {
@@ -372,9 +349,8 @@ let record ?log_level spec ~path =
       Trace.write path ~meta ~dropped:0 run.run_events;
       Ok run
 
-let replay ?log_level ~path () =
+let replay ?log_level (f : Trace.file) =
   let ( let* ) = Result.bind in
-  let* f = Trace.load path in
   if List.assoc_opt "scenario" f.Trace.f_meta = Some Fuzz.mutant_scenario then
     replay_mutant ?log_level f
   else
@@ -401,6 +377,8 @@ type seed_run = {
   sd_injected : int;
   sd_virtual_ns : float;
   sd_verdict : Faults.Abort.verdict;
+  sd_oracle : string list;
+  sd_leaked_fds : int;
 }
 
 type seed_sweep = {
@@ -421,7 +399,7 @@ let fuzz_seeds ?log_level ~seeds ~rate ~trace_seed () =
   let trace = ref None and seen = ref [] in
   let run seed =
     let traced = trace_seed = Some seed in
-    let h, plan, boosted, verdict =
+    let h, plan, boosted, ({ Fleet.Session.verdict; _ } as r) =
       fuzz_seed ?log_level ~trace:traced ~seed ~rate ()
     in
     scount "fuzz.seeds";
@@ -462,6 +440,8 @@ let fuzz_seeds ?log_level ~seeds ~rate ~trace_seed () =
       sd_injected = Faults.total_injected plan;
       sd_virtual_ns = virtual_ns;
       sd_verdict = verdict;
+      sd_oracle = r.Fleet.Session.oracle;
+      sd_leaked_fds = r.Fleet.Session.leaked_fds;
     }
   in
   let runs = List.map run (List.init seeds Fun.id) in

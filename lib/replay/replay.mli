@@ -47,10 +47,10 @@ type spec =
           the dispatcher used, so any job's recording replays without
           the rest of the stream *)
   | Fuzz_seed of { seed : int; rate : float }
-      (** one [vmsh fuzz --seeds] schedule: a qemu/5.10 boot, an attach
-          with a network cabled, a console round trip, echo traffic and
-          a detach, under a fault plan armed on the host before boot
-          (background [rate], class [seed mod 7] boosted) *)
+      (** one [vmsh fuzz --seeds] schedule: a qemu/5.10 session with a
+          network cabled, a console round trip and echo traffic, under
+          a fault plan armed on the host before boot (background
+          [rate], class [seed mod 7] boosted) *)
 
 type run = {
   run_events : Trace.event list;  (** the fresh run's flight recording *)
@@ -111,13 +111,13 @@ val record :
     the metadata) as a [.vmshtrace] file at [path]. *)
 
 val replay :
-  ?log_level:Observe.level -> path:string -> unit -> (string list, string) result
-(** Load [path], re-run it, and diff. A recipe recording re-runs its
-    recipe and diffs events and digests; a fuzz-mutant file (a kept
-    corpus mutant or a reproducer) rebuilds the mutant from its stored
-    base prefix and chain, re-judges it with {!attack_executor} and
-    compares the verdict. [Ok []] means the replay matched;
-    [Ok lines] lists the divergences; [Error] means the file or its
+  ?log_level:Observe.level -> Trace.file -> (string list, string) result
+(** Re-run a recording ({!Trace.load}ed by the caller) and diff. A
+    recipe recording re-runs its recipe and diffs events and digests; a
+    fuzz-mutant file (a kept corpus mutant or a reproducer) rebuilds the
+    mutant from its stored base prefix and chain, re-judges it with
+    {!attack_executor} and compares the verdict. [Ok []] means the
+    replay matched; [Ok lines] lists the divergences; [Error] means its
     recipe could not be read. *)
 
 (** {2 Fault-schedule fuzzing ([vmsh fuzz --seeds])} *)
@@ -128,6 +128,8 @@ type seed_run = {
   sd_injected : int;  (** faults injected over the run *)
   sd_virtual_ns : float;  (** virtual time the run consumed *)
   sd_verdict : Faults.Abort.verdict;
+  sd_oracle : string list;  (** the session's rollback-oracle lines *)
+  sd_leaked_fds : int;  (** descriptors the session left open *)
 }
 
 type seed_sweep = {

@@ -638,6 +638,46 @@ let test_late_digest_is_exact () =
   check cstr "late digest equals the twin's" at_once
     (Lazy.force r.Fleet.Session.digest)
 
+(* The session picks VirtIO over PCI from the profile: Cloud
+   Hypervisor's irqchip is MSI-X only, so an MMIO attach cannot signal
+   its guest. *)
+let test_session_cloud_hypervisor () =
+  let r =
+    Fleet.Session.run ~host:(H.Host.create ~seed:21 ())
+      (Fleet.Session.spec
+         (Fleet.Session.cold ~profile:Hypervisor.Profile.cloud_hypervisor "ch"))
+  in
+  check cstr "verdict" "survived"
+    (Faults.Abort.to_string r.Fleet.Session.verdict)
+
+(* Every process a session starts is gone after it, whether the attach
+   completed or a crash point aborted it; the oracle would name one that
+   outlived it. *)
+let test_session_leaves_pids () =
+  let run plan =
+    let host = H.Host.create ~seed:29 () in
+    let booted = ref [] in
+    let step = function
+      | Fleet.Session.Booted _ ->
+          booted := H.Host.pids host;
+          Ok ()
+      | Fleet.Session.Attached _ -> Ok ()
+    in
+    let r =
+      Fleet.Session.run ~step ~host
+        (Fleet.Session.spec ?plan (Fleet.Session.cold "pids"))
+    in
+    check (Alcotest.list cint) "pids as at boot" !booted (H.Host.pids host);
+    check (Alcotest.list cstr) "oracle" [] r.Fleet.Session.oracle;
+    r.Fleet.Session.outcome
+  in
+  check cbool "completed" true (run None = Fleet.Session.Completed);
+  let plan = Faults.create ~seed:1 ~rate:0.0 () in
+  Faults.set_abort_at_yield plan (Some 2);
+  match run (Some plan) with
+  | Fleet.Session.Aborted _ -> ()
+  | _ -> Alcotest.fail "the crash point must abort the attach"
+
 (* A sweep point outlives its host, so it must hold its digest as a
    string, never the guest memory an unforced digest would retain. *)
 let test_sweep_points_retain_no_guest () =
@@ -707,5 +747,8 @@ let suite =
         t "merged metrics document" test_fleet_merged_metrics;
         t "a late digest is exact" test_late_digest_is_exact;
         t "sweep points retain no guest" test_sweep_points_retain_no_guest;
+        t "a cold session on cloud-hypervisor survives"
+          test_session_cloud_hypervisor;
+        t "a session leaves Host.pids as it found it" test_session_leaves_pids;
       ] );
   ]

@@ -400,7 +400,7 @@ let test_fuzz_seed_replays () =
       check cbool "the recipe round-trips" true
         (Replay.spec_of_meta f.Trace.f_meta = Ok spec)
   | Error e -> Alcotest.failf "load failed: %s" e);
-  match Replay.replay ~path () with
+  match Result.bind (Trace.load path) (fun f -> Replay.replay f) with
   | Ok [] -> ()
   | Ok lines -> Alcotest.failf "replay diverged: %s" (String.concat "; " lines)
   | Error e -> Alcotest.failf "replay failed: %s" e
@@ -430,6 +430,18 @@ let test_fuzz_seeds_cover_classes () =
   check (Alcotest.option cint) "fuzz.seeds" (Some 7) (counter "fuzz.seeds");
   check cbool "the traced seed's trace is kept" true
     (r.Replay.ss_trace <> None)
+
+(* A fuzz seed is a session run: its report carries the rollback
+   oracle and the fd check, and both are clean on every class. *)
+let test_fuzz_seeds_oracle_clean () =
+  let r = Replay.fuzz_seeds ~seeds:7 ~rate:0.15 ~trace_seed:None () in
+  List.iter
+    (fun s ->
+      let seed = Printf.sprintf "seed %d" s.Replay.sd_seed in
+      check (Alcotest.list Alcotest.string) (seed ^ " oracle") []
+        s.Replay.sd_oracle;
+      check cint (seed ^ " leaked fds") 0 s.Replay.sd_leaked_fds)
+    r.Replay.ss_runs
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -492,7 +504,11 @@ let test_corpus_entries_replay () =
   check cbool "the campaign kept mutants" true (mutants <> []);
   List.iter
     (fun n ->
-      match Replay.replay ~path:(Filename.concat a n) () with
+      match
+        Result.bind
+          (Trace.load (Filename.concat a n))
+          (fun f -> Replay.replay f)
+      with
       | Ok [] -> ()
       | Ok lines ->
           Alcotest.failf "%s diverged: %s" n (String.concat "; " lines)
@@ -507,8 +523,7 @@ let test_corpus_entries_replay () =
           (fun (k, v) -> if k = "verdict" then (k, "BUG: planted") else (k, v))
           f.Trace.f_meta
       in
-      Trace.write path ~meta ~dropped:0 f.Trace.f_events;
-      match Replay.replay ~path () with
+      match Replay.replay { f with Trace.f_meta = meta } with
       | Ok [ line ] ->
           check cbool "the divergence names the verdicts" true
             (String.starts_with ~prefix:"mutant verdict diverges" line)
@@ -599,6 +614,8 @@ let suite =
           test_fuzz_seed_replays;
         Alcotest.test_case "seeds 0-6 see every fault class" `Quick
           test_fuzz_seeds_cover_classes;
+        Alcotest.test_case "seeds 0-6 report a clean oracle" `Quick
+          test_fuzz_seeds_oracle_clean;
         Alcotest.test_case "campaign double run is byte-identical" `Quick
           test_campaign_double_run;
         Alcotest.test_case "corpus mutants replay to their verdicts" `Quick

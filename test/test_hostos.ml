@@ -493,6 +493,20 @@ let test_proc_fd_lifecycle () =
   | Error Errno.EBADF -> ()
   | _ -> Alcotest.fail "expected EBADF after close"
 
+(* A finished helper leaves the table, unless it still holds a
+   descriptor: then its leak stays countable. *)
+let test_proc_reap () =
+  let host = make_host () in
+  let keep = Host.spawn host ~name:"keep" () in
+  let p = Host.spawn host ~name:"helper" () in
+  let fd = Proc.install_fd p (fun ~num -> Fd.eventfd ~num) in
+  Host.reap host p;
+  check (Alcotest.list cint) "a holder stays" [ keep.Proc.pid; p.Proc.pid ]
+    (Host.pids host);
+  ignore (Proc.close_fd p fd.Fd.num);
+  Host.reap host p;
+  check (Alcotest.list cint) "reaped" [ keep.Proc.pid ] (Host.pids host)
+
 let test_eventfd_semantics () =
   let host = make_host () in
   let p = Host.spawn host ~name:"t" () in
@@ -879,6 +893,7 @@ let suite =
         t "fd lifecycle" test_proc_fd_lifecycle;
         t "eventfd" test_eventfd_semantics;
         t "fd labels" test_proc_fd_labels;
+        t "reap keeps descriptor holders" test_proc_reap;
       ] );
     ( "hostos.syscall",
       [

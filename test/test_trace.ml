@@ -171,7 +171,7 @@ let record_ok spec path =
   | Error e -> Alcotest.failf "record failed: %s" e
 
 let replay_clean path =
-  match Replay.replay ~path () with
+  match Result.bind (Trace.load path) (fun f -> Replay.replay f) with
   | Ok [] -> ()
   | Ok lines ->
       Alcotest.failf "replay diverged:\n%s" (String.concat "\n" lines)
