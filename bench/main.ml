@@ -559,17 +559,20 @@ let run_e8 () =
       Printf.printf "faulty lambda: %s (firecracker pid %d)\n"
         lam.Usecases.Serverless.fn_name
         (Vmm.pid lam.Usecases.Serverless.vmm);
-      match Usecases.Serverless.debug_shell h stack lam with
-      | Error e -> Printf.printf "FAILED to attach: %s\n" e
-      | Ok session ->
-          let out = Vmsh.Attach.console_roundtrip session "hostname" in
-          Printf.printf "debug shell reports instance: %s" out;
-          let reclaimed = Usecases.Serverless.scale_down stack in
-          Printf.printf
-            "scale-down reclaimed %d instances; debugged instance pinned: %b\n"
-            reclaimed
-            (not lam.Usecases.Serverless.reclaimed);
-          Usecases.Serverless.end_debug stack lam session)
+      match
+        Usecases.Serverless.debug_shell stack lam (fun session ->
+            let out = Vmsh.Attach.console_roundtrip session "hostname" in
+            Printf.printf "debug shell reports instance: %s" out;
+            let reclaimed = Usecases.Serverless.scale_down stack in
+            Printf.printf
+              "scale-down reclaimed %d instances; debugged instance pinned: %b\n"
+              reclaimed
+              (not lam.Usecases.Serverless.reclaimed);
+            Ok ())
+      with
+      | Ok () -> ()
+      | Error v ->
+          Printf.printf "FAILED debug shell: %s\n" (Faults.Abort.to_string v))
 
 let run_e9 () =
   section "E9 — use case #2: VM rescue (password reset, no reboot)";
@@ -584,7 +587,7 @@ let run_e9 () =
   match
     Usecases.Rescue.reset_password h ~vmm ~user:"root" ~password:"hunter2"
   with
-  | Error e -> Printf.printf "FAILED: %s\n" e
+  | Error v -> Printf.printf "FAILED: %s\n" (Faults.Abort.to_string v)
   | Ok _out ->
       Printf.printf
         "chpasswd ran in the overlay; password set: %b (VM never rebooted)\n"
@@ -609,7 +612,7 @@ let run_e10 () =
                      ])))
       | None -> ());
   match Usecases.Scanner.scan h ~vmm () with
-  | Error e -> Printf.printf "FAILED: %s\n" e
+  | Error v -> Printf.printf "FAILED: %s\n" (Faults.Abort.to_string v)
   | Ok vulns ->
       Printf.printf "%d vulnerable packages found:\n" (List.length vulns);
       List.iter

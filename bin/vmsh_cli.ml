@@ -118,13 +118,6 @@ let output_file what path save =
       Printf.printf "%s written to %s\n" what path)
     path
 
-let boot_vm ~profile ~version ~seed =
-  let h = H.Host.create ~seed () in
-  let vmm, g =
-    Fleet.Machine.cold_boot h ~profile ~version ~hostname:"cli-vm"
-  in
-  (h, vmm, g)
-
 (* --- attach --- *)
 
 (* Sync the virtual clock's counters into the metrics registry so the
@@ -403,15 +396,19 @@ let debloat_cmd =
 
 let monitor_cmd =
   let run () =
-    let h, vmm, g = boot_vm ~profile:Profile.qemu ~version:KV.V5_10 ~seed:51 in
+    let h = H.Host.create ~seed:51 () in
+    let vmm, g =
+      Fleet.Machine.cold_boot h ~profile:Profile.qemu ~version:KV.V5_10
+        ~hostname:"cli-vm"
+    in
     (* some workload to observe *)
     Vmm.in_guest vmm (fun () ->
         ignore
           (Guest.spawn_container g ~name:"web"
              ~image:[ ("/etc/nginx.conf", "worker_processes 4;\n") ]));
     match Usecases.Monitor.collect h ~vmm with
-    | Error e ->
-        Printf.eprintf "monitor failed: %s\n" e;
+    | Error v ->
+        Printf.eprintf "monitor failed: %s\n" (Faults.Abort.to_string v);
         exit 1
     | Ok report -> Format.printf "%a@." Usecases.Monitor.pp_report report
   in
@@ -424,14 +421,18 @@ let monitor_cmd =
 
 let rescue_cmd =
   let run user password =
-    let h, vmm, g = boot_vm ~profile:Profile.qemu ~version:KV.V5_10 ~seed:41 in
+    let h = H.Host.create ~seed:41 () in
+    let vmm, g =
+      Fleet.Machine.cold_boot h ~profile:Profile.qemu ~version:KV.V5_10
+        ~hostname:"cli-vm"
+    in
     Vmm.in_guest vmm (fun () ->
         ignore
           (Guest.file_write g ~ns:(Guest.root_ns g) "/etc/shadow"
              (Bytes.of_string (user ^ ":$6$lost$00000000:19000:0:99999:7:::\n"))));
     match Usecases.Rescue.reset_password h ~vmm ~user ~password with
-    | Error e ->
-        Printf.eprintf "rescue failed: %s\n" e;
+    | Error v ->
+        Printf.eprintf "rescue failed: %s\n" (Faults.Abort.to_string v);
         exit 1
     | Ok _ ->
         Printf.printf "password for %S reset on the running VM: %b\n" user

@@ -19,7 +19,11 @@
 #                 firecracker, crosvm, cloud-hypervisor over PCI), each
 #                 with the same clean oracle line — then `vmsh matrix`,
 #                 whose 5 hypervisor and 6 kernel rows must all read
-#                 supported
+#                 supported — then the use cases: `vmsh monitor`, `vmsh
+#                 rescue` (which must report the password reset on the
+#                 running VM) and the four examples must exit 0. No
+#                 `vmsh attach` transcript may glue a prompt to the
+#                 previous reply's (`vmsh> vmsh> `)
 #   smoke-net     networked attach pushing 1000 echo requests through
 #                 the side-loaded NIC; the console, net and both blk
 #                 driver meters (vmsh-console.tx_ns, vmsh-net.tx_ns,
@@ -149,11 +153,24 @@ stage_test() {
   dune runtest
 }
 
+# glued OUT LABEL: true (and a message) when a console transcript shows
+# a prompt glued to the previous reply's prompt
+glued() {
+  case $1 in
+    *"vmsh> vmsh> "*)
+      echo "ci: $2: prompt glued to the previous one" >&2
+      return 0
+      ;;
+  esac
+  return 1
+}
+
 stage_smoke_attach() {
   trace=$ARTIFACTS/trace.json
   metrics=$ARTIFACTS/metrics.json
-  vmsh attach --trace-out "$trace" --metrics-out "$metrics" -e hostname \
-    > /dev/null
+  out=$(vmsh attach --trace-out "$trace" --metrics-out "$metrics" \
+    -e hostname -e ps) || return 1
+  glued "$out" "attach" && return 1
   ci_check json "$trace" "$metrics" || return 1
   ci_check trace "$trace" "$metrics" || return 1
   # every ksymtab layout through the symbol-analysis scans, and every
@@ -168,6 +185,7 @@ stage_smoke_attach() {
       echo "ci: attach to a v$kv guest failed" >&2
       return 1
     }
+    glued "$out" "v$kv guest" && return 1
     case $out in
       *"ksymtab layout $want"*) ;;
       *)
@@ -191,6 +209,7 @@ stage_smoke_attach() {
       echo "ci: attach --detach-after ${hostile:-plain} failed" >&2
       return 1
     }
+    glued "$out" "attach ${hostile:-plain}" && return 1
     case $out in
       *"rollback oracle: guest restored byte-for-byte"*) ;;
       *)
@@ -210,6 +229,7 @@ stage_smoke_attach() {
       echo "ci: attach to $hyp failed" >&2
       return 1
     }
+    glued "$out" "$hyp" && return 1
     case $out in
       *"$want"*) ;;
       *)
@@ -237,6 +257,29 @@ stage_smoke_attach() {
     printf '%s\n' "$rows" >&2
     return 1
   fi
+  # the use cases, each one session on a VM that keeps running
+  vmsh monitor > /dev/null || {
+    echo "ci: vmsh monitor failed" >&2
+    return 1
+  }
+  out=$(vmsh rescue) || {
+    echo "ci: vmsh rescue failed" >&2
+    return 1
+  }
+  case $out in
+    *"reset on the running VM: true"*) ;;
+    *)
+      echo "ci: vmsh rescue: password not reset on the running VM" >&2
+      return 1
+      ;;
+  esac
+  for example in quickstart rescue_system security_scanner serverless_debug
+  do
+    dune exec --no-print-directory "examples/$example.exe" > /dev/null || {
+      echo "ci: example $example failed" >&2
+      return 1
+    }
+  done
   # an unwritable output path is one error line and exit 1, not an
   # uncaught exception (exit 125)
   rc=0

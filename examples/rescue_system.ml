@@ -40,7 +40,7 @@ let () =
      Usecases.Rescue.reset_password host ~vmm ~user:"root" ~password:"recovered"
    with
   | Ok out -> Printf.printf "rescue tool output: %s\n" (String.trim out)
-  | Error e -> failwith e);
+  | Error v -> failwith (Faults.Abort.to_string v));
 
   Printf.printf "\nshadow file after rescue (root line replaced in place):\n%s\n"
     (Bytes.to_string

@@ -38,7 +38,7 @@ let () =
   Printf.printf "\nattaching the scanner and reading the package database \
                  through the overlay...\n";
   match Usecases.Scanner.scan host ~vmm () with
-  | Error e -> failwith e
+  | Error v -> failwith (Faults.Abort.to_string v)
   | Ok [] -> Printf.printf "no vulnerable packages. \n"
   | Ok vulns ->
       Printf.printf "\n%-12s %-10s %-12s %s\n" "PACKAGE" "INSTALLED"

@@ -52,20 +52,21 @@ let () =
       Printf.printf "\nfaulty function: %s (firecracker pid %d)\n"
         lam.Serverless.fn_name
         (Hypervisor.Vmm.pid lam.Serverless.vmm);
-      match Serverless.debug_shell host stack lam with
-      | Error e -> failwith ("attach: " ^ e)
-      | Ok session ->
-          Printf.printf "debug shell attached; instance pinned against \
-                         scale-down.\n\n";
-          List.iter
-            (fun cmd ->
-              Printf.printf "vmsh> %s\n%s" cmd
-                (Vmsh.Attach.console_roundtrip session cmd))
-            [ "hostname"; "cat /var/lib/vmsh/var/log/lambda.log"; "ls /usr/bin" ];
-          let reclaimed = Serverless.scale_down stack in
-          Printf.printf
-            "\nautoscaler ran: %d idle instances reclaimed, the debugged one \
-             survives (pinned=%b).\n"
-            reclaimed lam.Serverless.pinned;
-          Serverless.end_debug stack lam session;
-          Printf.printf "session closed; pin released.\n")
+      let debug session =
+        Printf.printf "debug shell attached; instance pinned against \
+                       scale-down.\n\n";
+        List.iter
+          (fun cmd ->
+            Printf.printf "vmsh> %s\n%s" cmd
+              (Vmsh.Attach.console_roundtrip session cmd))
+          [ "hostname"; "cat /var/lib/vmsh/var/log/lambda.log"; "ls /usr/bin" ];
+        let reclaimed = Serverless.scale_down stack in
+        Printf.printf
+          "\nautoscaler ran: %d idle instances reclaimed, the debugged one \
+           survives (pinned=%b).\n"
+          reclaimed lam.Serverless.pinned;
+        Ok ()
+      in
+      match Serverless.debug_shell stack lam debug with
+      | Error v -> failwith ("debug shell: " ^ Faults.Abort.to_string v)
+      | Ok () -> Printf.printf "session closed; pin released.\n")

@@ -624,7 +624,10 @@ let console_send s line =
 
 let console_recv s =
   s.pump ();
-  Bytes.to_string (Devices.read_console_output s.devs)
+  let out = Bytes.to_string (Devices.read_console_output s.devs) in
+  let keep = String.length out - String.length Shell.prompt in
+  if String.ends_with ~suffix:Shell.prompt out then String.sub out 0 keep
+  else out
 
 let console_roundtrip s line =
   (* drain any pending output (e.g. the prompt) first *)

@@ -133,7 +133,8 @@ val console_send : session -> string -> unit
 (** Type a line into the attached console (appends the newline). *)
 
 val console_recv : session -> string
-(** Pump the VM and collect pending console output. *)
+(** Pump the VM and collect pending console output, without the
+    {!Shell.prompt} that ends it when the shell waits for input. *)
 
 val console_roundtrip : session -> string -> string
 (** [console_send] + [console_recv]: one command, its output. *)

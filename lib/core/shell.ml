@@ -166,6 +166,8 @@ let help =
   \  hostname         original guest's hostname\n\
   \  exit             leave the shell\n"
 
+let prompt = "vmsh> "
+
 let exec guest proc line =
   match split_words line with
   | [] -> ""
@@ -188,7 +190,7 @@ let run guest proc console =
   let w s = Virtio.Console.Driver.write console (Bytes.of_string s) in
   w "vmsh shell connected; original guest under /var/lib/vmsh\n";
   let rec loop () =
-    w "vmsh> ";
+    w prompt;
     let line = Virtio.Console.Driver.read_line console in
     let line = String.trim line in
     if line = "exit" then w "bye\n"

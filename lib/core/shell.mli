@@ -10,6 +10,10 @@
 val overlay_prefix : string
 (** Where the original guest mounts are moved: "/var/lib/vmsh". *)
 
+val prompt : string
+(** ["vmsh> "], written when the shell waits for the next command, so
+    every reply on the console ends with it. *)
+
 val exec : Linux_guest.Guest.t -> Linux_guest.Gproc.t -> string -> string
 (** Execute one command line and return its output (always newline-
     terminated for non-empty output). Unknown commands report an

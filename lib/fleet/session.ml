@@ -1,13 +1,13 @@
 (* One attach session, end to end: the one harness behind every attach
-   the fleet, the sweep, the service, both fuzzers and [vmsh attach]
-   run; each is a thin mapping onto [run].
+   the fleet, the sweep, the service, both fuzzers, the use cases and
+   [vmsh attach] run; each is a thin mapping onto [run].
 
-   A spec names the machine (a cold boot or a CoW fork of a baked
-   baseline), the caller's attach config (transport, NIC cabling), the
-   fault plan armed on the attach, an optional adversarial guest and
-   the shared symbol cache; the caller brings the host (seed, clock
-   offset, log level and trace tags are the caller's business). [run]
-   executes the one pipeline
+   A spec names the machine (a cold boot, a CoW fork of a baked
+   baseline or a running VM), the side-loaded image, the caller's
+   attach config (transport, NIC cabling), the fault plan armed on the
+   attach, an optional adversarial guest and the shared symbol cache;
+   the caller brings the host (seed, clock offset, log level and trace
+   tags are the caller's business). [run] executes the one pipeline
 
      boot or fork -> [Booted] step -> snapshot + fd and pid watermarks
      -> attach -> [Attached] step (default: console "hostname" round
@@ -32,9 +32,15 @@ type boot =
       hostname : string;
     }
   | Fork of { image : Baseline.image; hostname : string }
+  | Running of Vmm.t
+      (* a VM the caller booted and keeps: no boot cost, and the
+         session runs on the VM's own host *)
 
 type spec = {
   boot : boot;
+  image : Blockdev.Backend.t option;
+      (* what the attach side-loads; [None] is a fresh
+         [Machine.tools_image], instantiated just before the attach *)
   config : Vmsh.Attach.Config.t;
       (* the caller's attach config; [run] adds the plan, the cache and
          the PCI transport the boot's profile needs *)
@@ -47,8 +53,9 @@ let cold ?(profile = Profile.qemu) ?(version = KV.V5_10) ?(ram_mb = 64)
     hostname =
   Cold { profile; version; ram_mb; hostname }
 
-let spec ?(config = Vmsh.Attach.Config.make ()) ?plan ?hostile ?cache boot =
-  { boot; config; plan; hostile; cache }
+let spec ?image ?(config = Vmsh.Attach.Config.make ()) ?plan ?hostile ?cache
+    boot =
+  { boot; image; config; plan; hostile; cache }
 
 type outcome =
   | Completed  (* attached, did the attached step's work, detached *)
@@ -100,11 +107,15 @@ let profile = function
         (fun p -> p.Profile.prof_name = Baseline.profile_name image)
         Profile.all
       |> Option.value ~default:Profile.qemu
+  | Running vmm -> Vmm.profile vmm
 
 let stand_up host boot =
   match boot with
   | Cold { profile; version; ram_mb; hostname } ->
       Ok (fst (Machine.cold_boot ~ram_mb host ~profile ~version ~hostname), None)
+  | Running vmm when Vmm.host vmm != host ->
+      invalid_arg "Session.run: a running VM attaches from its own host"
+  | Running vmm -> Ok (vmm, None)
   | Fork { image; hostname } -> (
       match Baseline.fork image ~host ~profile:(profile boot) ~name:hostname with
       | Ok f ->
@@ -171,8 +182,9 @@ let hostname_roundtrip boot = function
 
 (* Attach, run the attached step, detach. Fills [yields] and [late],
    the journal's post-seal device writes the oracle must not blame on
-   VMSH, read after the step so its device traffic lands in them. A
-   failed detach outranks a failed step. *)
+   VMSH, read after the step so its device traffic lands in them. The
+   session detaches whatever the step did, raising included; a failed
+   detach outranks a failed step. *)
 let attach_step_detach ~host ~vmm ~step spec ~yields ~late =
   let config =
     let open Vmsh.Attach.Config in
@@ -183,7 +195,10 @@ let attach_step_detach ~host ~vmm ~step spec ~yields ~late =
   in
   match
     Vmsh.Attach.attach host ~hypervisor_pid:(Vmm.pid vmm)
-      ~fs_image:(Machine.tools_image host.H.Host.clock)
+      ~fs_image:
+        (match spec.image with
+        | Some i -> i
+        | None -> Machine.tools_image host.H.Host.clock)
       ~config
       ~pump:(fun () -> Vmm.run_until_idle vmm)
       ()
@@ -191,14 +206,18 @@ let attach_step_detach ~host ~vmm ~step spec ~yields ~late =
   | Error e -> Aborted e
   | Ok session -> (
       Option.iter (fun p -> yields := Faults.yield_ticks p) spec.plan;
-      let work = step (Attached (vmm, session)) in
+      let work =
+        match step (Attached (vmm, session)) with
+        | Ok () -> Completed
+        | Error m -> Broken m
+        | exception e -> Escaped e
+      in
       Option.iter
         (fun j -> late := Vmsh.Journal.late_writes j)
         (Vmsh.Attach.journal session);
-      match (Vmsh.Attach.detach session, work) with
-      | Error e, _ -> Detach_failed e
-      | Ok (), Error m -> Broken m
-      | Ok (), Ok () -> Completed)
+      match Vmsh.Attach.detach session with
+      | Error e -> Detach_failed e
+      | Ok () -> work)
 
 (* Whatever the outcome, VMSH must leave the hypervisor untraced (a
    dangling tracer makes every later attach to the VM fail), and no

@@ -1,5 +1,4 @@
 module Image = Blockdev.Image
-module Vmm = Hypervisor.Vmm
 
 type process = { m_pid : int; m_uid : int; m_name : string; m_cgroup : string }
 
@@ -49,37 +48,23 @@ let parse_df out =
          | _ -> None)
 
 let monitor_image () =
-  match
-    Image.pack
-      [ Image.file ~content:"#!vmsh-monitor v1\n" "/usr/bin/vmsh-monitor" 18 ]
-  with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith ("monitor image: " ^ Hostos.Errno.show e)
+  Usecase.image "monitor"
+    [ Image.file ~content:"#!vmsh-monitor v1\n" "/usr/bin/vmsh-monitor" 18 ]
 
 let collect h ~vmm =
-  match
-    Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-      ~fs_image:(monitor_image ())
-      ~pump:(fun () -> Vmm.run_until_idle vmm)
-      ()
-  with
-  | Error e -> Error (Vmsh.Vmsh_error.to_string e)
-  | Ok session ->
+  Usecase.attach ~image:(monitor_image ()) h vmm (fun session ->
       let ps = Vmsh.Attach.console_roundtrip session "ps" in
       let df = Vmsh.Attach.console_roundtrip session "df" in
       let dmesg = Vmsh.Attach.console_roundtrip session "dmesg" in
-      (match Vmsh.Attach.detach session with
-      | Ok () -> ()
-      | Error e -> failwith (Vmsh.Vmsh_error.to_string e));
       let dmesg_lines =
         String.split_on_char '\n' dmesg
-        |> List.filter (fun l -> String.trim l <> "" && l <> "vmsh> ")
+        |> List.filter (fun l -> String.trim l <> "")
       in
       let tail =
         let n = List.length dmesg_lines in
         List.filteri (fun i _ -> i >= n - 5) dmesg_lines
       in
-      Ok { processes = parse_ps ps; mounts = parse_df df; dmesg_tail = tail }
+      Ok { processes = parse_ps ps; mounts = parse_df df; dmesg_tail = tail })
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>%d guest processes:" (List.length r.processes);

@@ -28,7 +28,9 @@ val parse_ps : string -> process list
 val parse_df : string -> mount_usage list
 
 val collect :
-  Hostos.Host.t -> vmm:Hypervisor.Vmm.t -> (report, string) result
-(** Attach, sample, detach. *)
+  Hostos.Host.t -> vmm:Hypervisor.Vmm.t ->
+  (report, Faults.Abort.verdict) result
+(** Attach, sample, detach: one {!Usecase.attach} with the monitor
+    image. *)
 
 val pp_report : Format.formatter -> report -> unit

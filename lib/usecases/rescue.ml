@@ -3,16 +3,12 @@ module Guest = Linux_guest.Guest
 module Vmm = Hypervisor.Vmm
 
 let rescue_image () =
-  let manifest =
+  Usecase.image "rescue"
     [
       Image.file ~content:"#!chpasswd-from-shadow-utils\n" "/sbin/chpasswd" 29;
       Image.file "/bin/busybox" (600 * 1024);
       Image.file ~content:"vmsh rescue image v1\n" "/etc/vmsh-release" 21;
     ]
-  in
-  match Image.pack manifest with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith ("rescue image: " ^ Hostos.Errno.show e)
 
 let reset_password h ~vmm ~user ~password =
   let config =
@@ -20,18 +16,8 @@ let reset_password h ~vmm ~user ~password =
       make ()
       |> with_command (Printf.sprintf "chpasswd %s %s" user password))
   in
-  match
-    Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-      ~fs_image:(rescue_image ()) ~config
-      ~pump:(fun () -> Vmm.run_until_idle vmm)
-      ()
-  with
-  | Error e -> Error (Vmsh.Vmsh_error.to_string e)
-  | Ok session ->
-      let out = Vmsh.Attach.console_recv session in
-      (match Vmsh.Attach.detach session with
-      | Ok () -> Ok out
-      | Error e -> Error (Vmsh.Vmsh_error.to_string e))
+  Usecase.attach ~config ~image:(rescue_image ()) h vmm (fun session ->
+      Ok (Vmsh.Attach.console_recv session))
 
 let verify_password_set vmm guest ~user ~password =
   let expected = Vmsh.Shell.mkpasswd ~user ~password in

@@ -5,14 +5,12 @@
     chpasswd and rewrites /etc/shadow of the original guest through the
     overlay — no reboot, no guest agent, no SSH. *)
 
-val rescue_image : unit -> Blockdev.Backend.t
-(** The recovery image: chpasswd and a couple of diagnostics tools. *)
-
 val reset_password :
   Hostos.Host.t -> vmm:Hypervisor.Vmm.t -> user:string -> password:string ->
-  (string, string) result
-(** Attach, run [chpasswd user password] in the overlay, detach. Returns
-    the tool's output. The guest's /etc/shadow now carries the entry
+  (string, Faults.Abort.verdict) result
+(** Attach the recovery image (chpasswd and a couple of diagnostics
+    tools), run [chpasswd user password] in the overlay, detach: one
+    {!Usecase.attach}. Returns the tool's output. The guest's /etc/shadow now carries the entry
     {!Vmsh.Shell.mkpasswd} produces. *)
 
 val verify_password_set :

@@ -1,5 +1,4 @@
 module Image = Blockdev.Image
-module Vmm = Hypervisor.Vmm
 
 type vuln = {
   v_pkg : string;
@@ -55,45 +54,27 @@ let apk_db_content pkgs =
   ^ "\n"
 
 let scanner_image () =
-  let manifest =
+  Usecase.image "scanner"
     [
       Image.file ~content:"#!vmsh-secscan v1\n" "/usr/bin/secscan" 18;
       Image.file "/bin/busybox" (600 * 1024);
     ]
-  in
-  match Image.pack manifest with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith ("scanner image: " ^ Hostos.Errno.show e)
 
 let scan h ~vmm ?(secdb = default_secdb) () =
-  match
-    Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
-      ~fs_image:(scanner_image ())
-      ~pump:(fun () -> Vmm.run_until_idle vmm)
-      ()
-  with
-  | Error e -> Error (Vmsh.Vmsh_error.to_string e)
-  | Ok session ->
+  Usecase.attach ~image:(scanner_image ()) h vmm (fun session ->
       let out =
-        Vmsh.Attach.console_roundtrip session "cat /var/lib/vmsh/lib/apk/db/installed"
+        Vmsh.Attach.console_roundtrip session
+          "cat /var/lib/vmsh/lib/apk/db/installed"
       in
-      (match Vmsh.Attach.detach session with
-      | Ok () -> ()
-      | Error e -> failwith (Vmsh.Vmsh_error.to_string e));
-      if
-        String.length out >= 6
-        && String.sub out 0 6 = "error:"
-      then Error ("cannot read package database: " ^ out)
+      if String.starts_with ~prefix:"error:" out then
+        Error ("cannot read package database: " ^ out)
       else
-        let installed = parse_apk_db out in
         Ok
           (List.filter_map
              (fun (pkg, version) ->
-               match
-                 List.find_opt (fun (p, _, _) -> p = pkg) secdb
-               with
+               match List.find_opt (fun (p, _, _) -> p = pkg) secdb with
                | Some (_, fixed_in, cve)
                  when compare_versions version fixed_in < 0 ->
                    Some { v_pkg = pkg; installed = version; fixed_in; cve }
                | _ -> None)
-             installed)
+             (parse_apk_db out)))

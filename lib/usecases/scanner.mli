@@ -12,10 +12,6 @@ type vuln = {
   cve : string;
 }
 
-val default_secdb : (string * string * string) list
-(** (package, first fixed version, CVE id) — modelled on Alpine's
-    secdb. *)
-
 val compare_versions : string -> string -> int
 (** Dotted-numeric version comparison ("1.2.10" > "1.2.9"). *)
 
@@ -25,9 +21,11 @@ val parse_apk_db : string -> (string * string) list
 val apk_db_content : (string * string) list -> string
 (** Render an installed database (for building test guests). *)
 
-val scanner_image : unit -> Blockdev.Backend.t
-
 val scan :
   Hostos.Host.t -> vmm:Hypervisor.Vmm.t ->
-  ?secdb:(string * string * string) list -> unit -> (vuln list, string) result
-(** Attach, read the guest's package DB via the overlay, compare. *)
+  ?secdb:(string * string * string) list -> unit ->
+  (vuln list, Faults.Abort.verdict) result
+(** Attach, read the guest's package DB via the overlay, compare with
+    [secdb] (package, first fixed version, CVE id; the default is
+    modelled on Alpine's secdb): one {!Usecase.attach}. An unreadable
+    database is [Bug (Broken _)]. *)

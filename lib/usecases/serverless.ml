@@ -7,7 +7,6 @@ type lambda = {
   fn_name : string;
   vmm : Vmm.t;
   guest : Guest.t;
-  mutable invocations : int;
   mutable logs : string list;
   mutable pinned : bool;
   mutable reclaimed : bool;
@@ -50,7 +49,6 @@ let create_stack h ~functions =
           fn_name;
           vmm;
           guest;
-          invocations = 0;
           logs = [];
           pinned = false;
           reclaimed = false;
@@ -79,7 +77,6 @@ let invoke t ~fn ~payload =
   match List.find_opt (fun l -> l.fn_name = fn && not l.reclaimed) t.pool with
   | None -> Error ("no instance for function " ^ fn)
   | Some lam -> (
-      lam.invocations <- lam.invocations + 1;
       match List.assoc_opt fn t.handlers with
       | None -> Error "no handler"
       | Some handler -> (
@@ -100,36 +97,20 @@ let find_faulty t =
   List.find_opt (fun l -> has_error l && not l.reclaimed) t.pool
 
 let debug_image () =
-  let manifest =
+  Usecase.image "debug"
     [
       Image.file "/bin/busybox" (600 * 1024);
       Image.file ~content:"#!strace\n" "/usr/bin/strace" 9;
       Image.file ~content:"#!gdb\n" "/usr/bin/gdb" 6;
     ]
-  in
-  match Image.pack manifest with
-  | Ok (backend, _) -> backend
-  | Error e -> failwith ("debug image: " ^ Hostos.Errno.show e)
 
-let debug_shell h t lam =
-  match
-    Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid lam.vmm)
-      ~fs_image:(debug_image ())
-      ~pump:(fun () -> Vmm.run_until_idle lam.vmm)
-      ()
-  with
-  | Error e -> Error (Vmsh.Vmsh_error.to_string e)
-  | Ok session ->
+let debug_shell t lam work =
+  Usecase.attach ~image:(debug_image ()) t.h lam.vmm (fun session ->
       (* the integration prevents scale-down while the user debugs *)
       lam.pinned <- true;
-      ignore t;
-      Ok session
-
-let end_debug _t lam session =
-  (match Vmsh.Attach.detach session with
-  | Ok () -> ()
-  | Error e -> failwith (Vmsh.Vmsh_error.to_string e));
-  lam.pinned <- false
+      Fun.protect
+        ~finally:(fun () -> lam.pinned <- false)
+        (fun () -> work session))
 
 let scale_down t =
   let victims =
@@ -171,9 +152,7 @@ let serve_request p ~handler ~id ~payload =
   let host = Hostos.Host.create ~seed:(p.cp_seed + (id * 13)) () in
   let name = Printf.sprintf "fn-%d" id in
   match Fleet.Baseline.fork p.cp_image ~host ~profile:p.cp_profile ~name with
-  | Error e ->
-      p.cp_errors <- p.cp_errors + 1;
-      Error (Vmsh.Vmsh_error.to_string e)
+  | Error e -> Vmsh.Vmsh_error.fail e
   | Ok f ->
       p.cp_fork_ns <- f.Fleet.Baseline.fk_fork_ns :: p.cp_fork_ns;
       let vmm = f.Fleet.Baseline.fk_vmm and g = f.Fleet.Baseline.fk_guest in

@@ -12,7 +12,6 @@ type lambda = {
   fn_name : string;
   vmm : Hypervisor.Vmm.t;
   guest : Linux_guest.Guest.t;
-  mutable invocations : int;
   mutable logs : string list;  (** most recent last *)
   mutable pinned : bool;  (** debug session active: exempt from scale-down *)
   mutable reclaimed : bool;
@@ -35,10 +34,11 @@ val find_faulty : stack -> lambda option
 (** The first instance whose log contains an ERROR line. *)
 
 val debug_shell :
-  Hostos.Host.t -> stack -> lambda -> (Vmsh.Attach.session, string) result
-(** Attach an interactive shell to the lambda's VM and pin it. *)
-
-val end_debug : stack -> lambda -> Vmsh.Attach.session -> unit
+  stack -> lambda -> (Vmsh.Attach.session -> ('a, string) result) ->
+  ('a, Faults.Abort.verdict) result
+(** Attach a debug shell to the lambda's VM, run [work] on it with the
+    lambda pinned, then unpin and detach whatever [work] did: one
+    {!Usecase.attach}. *)
 
 val scale_down : stack -> int
 (** Reclaim idle unpinned instances; returns how many were reclaimed.
@@ -72,7 +72,9 @@ val serve_request :
   id:int -> payload:string -> (string, string) result
 (** Fork a clone, run [handler] inside it (request/response through the
     clone's private overlay pages), verify the clone's identity
-    diverged from the base, retire the clone. *)
+    diverged from the base, retire the clone. Raises
+    {!Vmsh.Vmsh_error.Error} when the pool's own baseline cannot be
+    forked: no request ran. *)
 
 type flood_report = {
   fl_requests : int;

@@ -9,7 +9,7 @@ let check = Alcotest.check
 let cbool = Alcotest.bool
 let cint = Alcotest.int
 
-let boot_guest ?(seed = 71) ~files () =
+let boot_guest ?(seed = 71) ?(profile = Hypervisor.Profile.qemu) ~files () =
   let h = H.Host.create ~seed () in
   let backend = Blockdev.Backend.create ~clock:h.H.Host.clock ~blocks:2048 () in
   let fs = Result.get_ok (Sfs.mkfs (Blockdev.Backend.dev backend) ()) in
@@ -20,7 +20,7 @@ let boot_guest ?(seed = 71) ~files () =
       ignore (Sfs.write_file fs p (Bytes.of_string c)))
     files;
   Sfs.sync fs;
-  let vmm = Vmm.create h ~profile:Hypervisor.Profile.qemu ~disk:backend () in
+  let vmm = Vmm.create h ~profile ~disk:backend () in
   let g = Vmm.boot vmm ~version:Linux_guest.Kernel_version.V5_10 in
   (h, vmm, g)
 
@@ -34,7 +34,7 @@ let test_rescue_resets_password () =
   in
   (match Usecases.Rescue.reset_password h ~vmm ~user:"root" ~password:"new" with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
+  | Error v -> Alcotest.fail (Faults.Abort.to_string v));
   check cbool "password set" true
     (Usecases.Rescue.verify_password_set vmm g ~user:"root" ~password:"new");
   check cbool "wrong password not verified" false
@@ -97,7 +97,7 @@ let test_scanner_finds_vulnerable () =
       ()
   in
   match Usecases.Scanner.scan h ~vmm () with
-  | Error e -> Alcotest.fail e
+  | Error v -> Alcotest.fail (Faults.Abort.to_string v)
   | Ok vulns ->
       let names = List.map (fun v -> v.Usecases.Scanner.v_pkg) vulns in
       check cbool "musl flagged" true (List.mem "musl" names);
@@ -116,7 +116,7 @@ let test_scanner_clean_guest () =
       ~seed:72 ()
   in
   match Usecases.Scanner.scan h ~vmm () with
-  | Error e -> Alcotest.fail e
+  | Error v -> Alcotest.fail (Faults.Abort.to_string v)
   | Ok vulns -> check cint "nothing to report" 0 (List.length vulns)
 
 (* --- serverless --- *)
@@ -147,23 +147,25 @@ let test_serverless_debug_and_pinning () =
   let stack = make_stack h in
   ignore (Usecases.Serverless.invoke stack ~fn:"bad-fn" ~payload:"x");
   let lam = Option.get (Usecases.Serverless.find_faulty stack) in
-  match Usecases.Serverless.debug_shell h stack lam with
-  | Error e -> Alcotest.fail e
-  | Ok session ->
-      (* logs are readable from inside the debug shell, via the overlay *)
-      let out =
-        Vmsh.Attach.console_roundtrip session "cat /var/lib/vmsh/var/log/lambda.log"
-      in
-      check cbool "error line visible" true
-        (try
-           ignore (Str.search_forward (Str.regexp_string "ERROR") out 0);
-           true
-         with Not_found -> false);
-      let reclaimed = Usecases.Serverless.scale_down stack in
-      check cint "one idle instance reclaimed" 1 reclaimed;
-      check cbool "debugged instance survives" false lam.Usecases.Serverless.reclaimed;
-      Usecases.Serverless.end_debug stack lam session;
-      check cbool "pin released" false lam.Usecases.Serverless.pinned
+  let debug session =
+    (* logs are readable from inside the debug shell, via the overlay *)
+    let out =
+      Vmsh.Attach.console_roundtrip session "cat /var/lib/vmsh/var/log/lambda.log"
+    in
+    check cbool "error line visible" true
+      (try
+         ignore (Str.search_forward (Str.regexp_string "ERROR") out 0);
+         true
+       with Not_found -> false);
+    let reclaimed = Usecases.Serverless.scale_down stack in
+    check cint "one idle instance reclaimed" 1 reclaimed;
+    check cbool "debugged instance survives" false lam.Usecases.Serverless.reclaimed;
+    Ok ()
+  in
+  (match Usecases.Serverless.debug_shell stack lam debug with
+  | Ok () -> ()
+  | Error v -> Alcotest.fail (Faults.Abort.to_string v));
+  check cbool "pin released" false lam.Usecases.Serverless.pinned
 
 let test_serverless_invoke_after_reclaim () =
   let h = H.Host.create ~seed:75 () in
@@ -192,6 +194,46 @@ let test_serverless_clone_on_request_flood () =
   | Ok out -> check Alcotest.string "handler output" "done:ping" out
   | Error e -> Alcotest.fail e
 
+(* --- every use case is one Fleet.Session --- *)
+
+let tracer h vmm =
+  Option.bind (H.Host.find_proc h ~pid:(Vmm.pid vmm)) (fun p -> p.H.Proc.tracer)
+
+let test_failed_work_detaches () =
+  let module S = Usecases.Serverless in
+  let h = H.Host.create ~seed:74 () in
+  let stack = make_stack h in
+  ignore (S.invoke stack ~fn:"bad-fn" ~payload:"x");
+  let lam = Option.get (S.find_faulty stack) in
+  (match S.debug_shell stack lam (fun _ -> Error "planted") with
+  | Error (Faults.Abort.Bug (Faults.Abort.Broken "planted")) -> ()
+  | Ok () -> Alcotest.fail "failed work reported success"
+  | Error v -> Alcotest.fail (Faults.Abort.to_string v));
+  check cbool "pin released" false lam.S.pinned;
+  check cbool "hypervisor untraced" true (tracer h lam.S.vmm = None);
+  (* detached for real: the next debug session attaches and answers *)
+  match
+    S.debug_shell stack lam (fun session ->
+        Ok (Vmsh.Attach.console_roundtrip session "hostname"))
+  with
+  | Ok out -> check Alcotest.string "second session" "bad-fn-host\n" out
+  | Error v -> Alcotest.fail (Faults.Abort.to_string v)
+
+let test_refused_attach_is_clean_abort () =
+  let h, vmm, _ =
+    boot_guest ~profile:Hypervisor.Profile.firecracker ~files:[] ~seed:80 ()
+  in
+  let pids = H.Host.pids h and fds = Fleet.Machine.open_fds h in
+  (* Firecracker's seccomp filters are on and the config carries no
+     thread-probing heuristic, so the attach is refused *)
+  (match Usecases.Monitor.collect h ~vmm with
+  | Error (Faults.Abort.Clean_abort _) -> ()
+  | Ok _ -> Alcotest.fail "attach went through seccomp"
+  | Error v -> Alcotest.fail (Faults.Abort.to_string v));
+  check Alcotest.(list int) "host processes" pids (H.Host.pids h);
+  check cint "host descriptors" fds (Fleet.Machine.open_fds h);
+  check cbool "hypervisor untraced" true (tracer h vmm = None)
+
 (* --- monitor --- *)
 
 let test_monitor_collects () =
@@ -203,7 +245,7 @@ let test_monitor_collects () =
     (Vmm.in_guest vmm (fun () ->
          Guest.spawn_container g ~name:"db" ~image:[ ("/etc/db.conf", "x\n") ]));
   match Usecases.Monitor.collect h ~vmm with
-  | Error e -> Alcotest.fail e
+  | Error v -> Alcotest.fail (Faults.Abort.to_string v)
   | Ok report ->
       check cbool "init listed" true
         (List.exists
@@ -302,6 +344,11 @@ let suite =
         t "debug + pinning" test_serverless_debug_and_pinning;
         t "invoke after reclaim" test_serverless_invoke_after_reclaim;
         t "clone-on-request flood" test_serverless_clone_on_request_flood;
+      ] );
+    ( "usecases.session",
+      [
+        t "failed work still detaches and unpins" test_failed_work_detaches;
+        t "refused attach is a clean abort" test_refused_attach_is_clean_abort;
       ] );
     ( "debloat",
       [
