@@ -9,9 +9,18 @@ let synthetic_content ~path size =
      across runs and distinguishable per file. *)
   let seed = Hashtbl.hash path in
   let b = Bytes.create size in
-  for i = 0 to size - 1 do
+  (* byte i is (seed + 131·i) land 0x7f, which repeats every 128 bytes
+     (131 ≡ 3 mod 128): compute one period, then double it by blits *)
+  for i = 0 to min size 128 - 1 do
     Bytes.unsafe_set b i (Char.unsafe_chr ((seed + (i * 131)) land 0x7f))
   done;
+  let rec double filled =
+    if filled < size then begin
+      Bytes.blit b 0 b filled (min filled (size - filled));
+      double (2 * filled)
+    end
+  in
+  double 128;
   Bytes.unsafe_to_string b
 
 let ( let* ) = Result.bind

@@ -7,7 +7,7 @@
 
    - [create] overlays the implicit all-zero base: every untouched page
      reads from one shared zero page, so a 32 MiB guest costs only the
-     pages it has written (a cold boot touches about 4% of them), and a
+     pages it has written (a cold boot touches under 1% of them), and a
      write of zeros onto an untouched page, such as a block-device trim,
      stays silent.
    - [cow] overlays the frozen RAM/disk of a baked baseline VM. Silent
@@ -17,20 +17,31 @@
      attach-time injections) becomes resident.
    - [of_bytes] wraps a caller's buffer flat, without an overlay.
 
+   A page of a [create]d buffer has a third state besides "equals its
+   base" and "materialised": [generate]d. A generated page holds its
+   generator's bytes but owns no memory until something looks at it;
+   [resident] materialises it from the generator on that first look,
+   and every path that reads, digests, writes or logs a page goes
+   through [resident] first. A guest's kernel-image noise is generated
+   this way, so a session that reads only a few image pages never pays
+   for the rest.
+
    Invariant: [t] is abstract and every mutation goes through this
    module, so a page that was never materialised still equals its base
-   window (all zeros under [create]). [page_digest] relies on that to
-   answer an untouched zero page with a precomputed digest.
+   window (all zeros under [create]) or, if generated, its generator's
+   bytes. [page_digest] relies on that to answer an untouched zero page
+   with a precomputed digest.
 
-   Write log: an overlay page changes in exactly three places — the two
+   Write log: an overlay page changes in exactly four places — the two
    mutating branches of [cow_write] (write into a private page;
-   materialise a diverging one) and the in-page fast path of
-   [scalar_write] — and each calls [log_write] before the bytes change.
-   [cow_reclaim] drops a page only when it equals its base, so it
-   changes no content. Once a buffer has a [mark], a page's first write
-   after the newest mark records the page's digest into every mark
-   taken since the page was last written; a page in no mark's table
-   still holds what it held at that mark.
+   materialise a diverging one), the in-page fast path of
+   [scalar_write], and [generate] — and each calls [log_write] before
+   the bytes change. Materialising a generated page changes no content,
+   nor does [cow_reclaim], which drops a page only when it equals its
+   base. Once a buffer has a [mark], a page's first write after the
+   newest mark records the page's digest into every mark taken since
+   the page was last written; a page in no mark's table still holds
+   what it held at that mark.
 
    Attribution: a writer that must be told apart from the rest (the
    guest, through [Kvm.Vm.write_phys]) calls [attribute], which sets the
@@ -57,12 +68,23 @@ type overlay = {
       (* offset of page i in [base] is i * stride: [page_size] over a
          baseline image, 0 over [zero_page], which every page aliases *)
   pages : bytes array;  (* page index -> private copy; empty if none *)
+  mutable gens : generator list;
+      (* generated ranges, newest first; only over the zero base *)
   mutable copied : int;
   mutable silent : int;
   mutable stamps : int array;
       (* page index -> serial of the newest mark the page has been
          written since (0: none); empty until the first mark *)
   mutable marks : mark list;  (* newest first *)
+}
+
+(* Bytes [\[g_off, g_off + g_len)] of the buffer, page-aligned: [g_fill
+   ~pos dst ~off ~len] writes the range's bytes [\[pos, pos + len)] into
+   [dst] at [off]. *)
+and generator = {
+  g_off : int;
+  g_len : int;
+  g_fill : pos:int -> bytes -> off:int -> len:int -> unit;
 }
 
 (* Mark [serial] of [buf]: the digest each page held at the mark,
@@ -93,7 +115,17 @@ let page_count len = (len + page_size - 1) / page_size
 let overlay ?(memo = [||]) ~base ~stride len =
   let pages = Array.make (page_count len) Bytes.empty in
   let c =
-    { base; memo; stride; pages; copied = 0; silent = 0; stamps = [||]; marks = [] }
+    {
+      base;
+      memo;
+      stride;
+      pages;
+      gens = [];
+      copied = 0;
+      silent = 0;
+      stamps = [||];
+      marks = [];
+    }
   in
   { backing = Cow c; len }
 
@@ -167,12 +199,41 @@ let page_rw t c pi =
     p
   end
 
+(* The newest generated range holding byte [off]. *)
+let rec covering off = function
+  | [] -> None
+  | g :: older ->
+      if off >= g.g_off && off < g.g_off + g.g_len then Some g
+      else covering off older
+
+(* Materialise page [pi] if a generated range holds it; [Bytes.empty]
+   otherwise. *)
+let materialise c pi =
+  let off = pi * page_size in
+  match covering off c.gens with
+  | None -> Bytes.empty
+  | Some g ->
+      let len = min page_size (g.g_off + g.g_len - off) in
+      let p = Bytes.create len in
+      g.g_fill ~pos:(off - g.g_off) p ~off:0 ~len;
+      c.pages.(pi) <- p;
+      p
+
+(* Page [pi]'s private copy, or [Bytes.empty] while it still equals its
+   base window. A generated page is materialised here, on its first
+   look: from then on it is an ordinary private page. *)
+let[@inline] resident c pi =
+  let p = c.pages.(pi) in
+  if materialised p then p
+  else match c.gens with [] -> p | _ -> materialise c pi
+
 (* Where the byte at [off] lives for reading: inside the page's private
    copy when one exists, else inside the page's window of the base.
    Buffer and offset come from two functions rather than one tuple, so
-   the scalar accessors allocate nothing. *)
+   the scalar accessors allocate nothing; [rd_buf] materialises a
+   generated page, so call it before [rd_off]. *)
 let rd_buf c off =
-  let p = c.pages.(off / page_size) in
+  let p = resident c (off / page_size) in
   if materialised p then p else c.base
 
 let rd_off c off =
@@ -203,8 +264,9 @@ let region_equal a aoff b boff len =
    even if it holds zeros or its base bytes again. *)
 let in_page_digest c off len =
   let pi = off / page_size in
-  if len < page_size || materialised c.pages.(pi) then
-    Digest.subbytes (rd_buf c off) (rd_off c off) len
+  if len < page_size || materialised (resident c pi) then
+    let b = rd_buf c off in
+    Digest.subbytes b (rd_off c off) len
   else if not (over_baseline c) then zero_page_digest
   else if Array.length c.memo = 0 then Digest.subbytes c.base off len
   else
@@ -244,7 +306,7 @@ let cow_write t c off src soff len =
       let pi = off / page_size in
       let poff = off mod page_size in
       let chunk = min len (page_size - poff) in
-      let p = c.pages.(pi) in
+      let p = resident c pi in
       if materialised p then begin
         log_write t c pi;
         Bytes.blit src soff p poff chunk
@@ -264,7 +326,8 @@ let cow_read c off dst doff len =
   let rec go off doff len =
     if len > 0 then begin
       let chunk = min len (page_size - (off mod page_size)) in
-      Bytes.blit (rd_buf c off) (rd_off c off) dst doff chunk;
+      let b = rd_buf c off in
+      Bytes.blit b (rd_off c off) dst doff chunk;
       go (off + chunk) (doff + chunk) (len - chunk)
     end
   in
@@ -278,11 +341,11 @@ let freeze t =
         if over_baseline c then Bytes.sub c.base 0 t.len
         else Bytes.make t.len '\000'
       in
-      Array.iteri
-        (fun pi p ->
-          if materialised p then
-            Bytes.blit p 0 out (pi * page_size) (Bytes.length p))
-        c.pages;
+      for pi = 0 to Array.length c.pages - 1 do
+        let p = resident c pi in
+        if materialised p then
+          Bytes.blit p 0 out (pi * page_size) (Bytes.length p)
+      done;
       out
 
 (* Drop private pages whose content re-converged with the base: a
@@ -438,7 +501,8 @@ let scalar_read t off n (get : bytes -> int -> int) =
   | Cow c ->
       check_range t.len off n;
       if (off mod page_size) + n <= page_size then
-        get (rd_buf c off) (rd_off c off)
+        let b = rd_buf c off in
+        get b (rd_off c off)
       else get (read_bytes t off n) 0
 
 let scalar_write t off n v (set : bytes -> int -> int -> unit) =
@@ -448,7 +512,7 @@ let scalar_write t off n v (set : bytes -> int -> int -> unit) =
       check_range t.len off n;
       let poff = off mod page_size in
       let pi = off / page_size in
-      let p = c.pages.(pi) in
+      let p = resident c pi in
       if poff + n <= page_size && materialised p then begin
         log_write t c pi;
         set p poff v
@@ -484,7 +548,8 @@ let read_u64 t off =
     | Cow c ->
         check_range t.len off 8;
         if (off mod page_size) + 8 <= page_size then
-          Bytes.get_int64_le (rd_buf c off) (rd_off c off)
+          let b = rd_buf c off in
+          Bytes.get_int64_le b (rd_off c off)
         else Bytes.get_int64_le (read_bytes t off 8) 0
   in
   if Int64.shift_right_logical v 62 <> 0L then
@@ -523,6 +588,21 @@ let fill t off len ch =
         end
       in
       go off len
+
+let generate t ~off ~len f =
+  match t.backing with
+  | Cow c when not (over_baseline c) ->
+      check_range t.len off len;
+      if off mod page_size <> 0 || (len mod page_size <> 0 && off + len <> t.len)
+      then invalid_arg "Mem.generate: range not page-aligned";
+      if len > 0 then begin
+        for pi = off / page_size to (off + len - 1) / page_size do
+          log_write t c pi;
+          c.pages.(pi) <- Bytes.empty
+        done;
+        c.gens <- { g_off = off; g_len = len; g_fill = f } :: c.gens
+      end
+  | _ -> invalid_arg "Mem.generate: only a zero-base buffer generates pages"
 
 let read_cstr t off ~max =
   let limit = min (off + max) (length t) in

@@ -9,12 +9,14 @@
 
     Memory is sparse: {!create} and {!cow} build a per-4 KiB-page
     overlay over an immutable base, and a page becomes resident only on
-    the first write that differs from its base. Because [t] is abstract
-    and every mutation goes through this module, a page that was never
-    materialised is equal to its base — all zeros for {!create} — by
-    construction. {!page_digest} relies on that invariant, and the
-    write log ({!mark}) relies on a second one: every overlay mutation
-    passes the log hook before the bytes change. *)
+    the first write that differs from its base, or, for a {!generate}d
+    page, on the first access of any kind. Because [t] is abstract and
+    every mutation goes through this module, a page that was never
+    materialised is equal to its base — all zeros for {!create} — or to
+    its generator's bytes, by construction. {!page_digest} relies on
+    that invariant, and the write log ({!mark}) relies on a second one:
+    every overlay mutation passes the log hook before the bytes
+    change. *)
 
 type t
 (** A contiguous byte buffer with little-endian accessors — a
@@ -55,6 +57,21 @@ val cow : ?digests:page_digests -> bytes -> t
     [digests] (which must be [page_digests base]), {!page_digest} of a
     whole still-shared page is hashed once across all views; raises
     [Invalid_argument] for a memo of another base. *)
+
+val generate :
+  t -> off:int -> len:int ->
+  (pos:int -> bytes -> off:int -> len:int -> unit) -> unit
+(** [generate m ~off ~len f] makes the range \[[off], [off + len]) of a
+    {!create}d buffer hold [f]'s bytes: byte [off + k] reads as the byte
+    [f ~pos:k dst ~off:o ~len:n] writes to [dst.(o)] when [pos <= k <
+    pos + n]. Nothing is materialised by the call; each page of the
+    range is materialised from [f] the first time anything reads,
+    digests, logs or writes it, so it behaves exactly as if the bytes
+    had been written. [f] must be deterministic and is kept until the
+    buffer dies. The call counts as a write for the write log. Raises
+    [Invalid_argument] on a {!cow} or {!of_bytes} buffer, on a range
+    outside the buffer, or on one that does not start on a page
+    boundary and end on one or at the buffer's end. *)
 
 val freeze : t -> bytes
 (** A private snapshot of the full current contents (base + overlay
@@ -131,8 +148,9 @@ val iter_attributed :
     [Invalid_argument] for marks of two buffers. *)
 
 val resident_pages : t -> int
-(** Pages held privately: the materialised pages of an overlay, every
-    page of a flat buffer. *)
+(** Pages held privately: the materialised pages of an overlay (a
+    {!generate}d page counts once it has been accessed), every page of
+    a flat buffer. *)
 
 val is_cow : t -> bool
 (** [true] only for {!cow} views over a baseline image. *)

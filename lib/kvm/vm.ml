@@ -172,6 +172,11 @@ let write_phys_from t pa buf ~off ~len =
 
 let write_phys t pa b = write_phys_from t pa b ~off:0 ~len:(Bytes.length b)
 
+let generate_phys t pa ~len f =
+  let m, moff = resolve_phys t pa in
+  Mem.attribute m moff len;
+  Mem.generate m ~off:moff ~len f
+
 let read_phys_u64 t pa =
   let m, off = resolve_phys t pa in
   Mem.read_u64 m off

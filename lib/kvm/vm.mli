@@ -107,6 +107,15 @@ val write_phys_from : t -> int -> bytes -> off:int -> len:int -> unit
 val write_phys : t -> int -> bytes -> unit
 (** {!write_phys_from} all of a buffer. *)
 
+val generate_phys :
+  t -> int -> len:int ->
+  (pos:int -> bytes -> off:int -> len:int -> unit) -> unit
+(** [generate_phys t pa ~len f]: a guest write of [f]'s bytes to the
+    [len] bytes at [pa], attributed like {!write_phys} but materialised
+    page by page on first access ({!Hostos.Mem.generate}). Raises
+    [Invalid_argument] under the conditions {!Hostos.Mem.generate}
+    does, e.g. on a forked VM's RAM. *)
+
 val read_phys_u64 : t -> int -> int
 
 val write_phys_u64 : t -> int -> int -> unit

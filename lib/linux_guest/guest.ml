@@ -62,9 +62,6 @@ type t = {
   mutable next_kfd : int;
   mutable pending_threads : (int * int * int) list;
       (** (handle, kind, arg) created but not woken *)
-  mutable kimage : bytes;
-      (** the encoded kernel image (shared, not copied, when booted
-          from a baseline's prebuilt image) *)
 }
 
 let vm t = t.vmh
@@ -77,7 +74,7 @@ let scanner_target_regions t =
     (kernel_phys + strings_off, t.kvirt + strings_off, table_off - strings_off);
     (kernel_phys + table_off, t.kvirt + table_off, image_size - table_off);
   ]
-let kernel_image t = t.kimage
+let kernel_image t = Vm.read_phys t.vmh kernel_phys image_size
 let observe_of t = (Vm.host t.vmh).Hostos.Host.observe
 let version t = t.ver
 let kernel_virt t = t.kvirt
@@ -579,33 +576,26 @@ let install_kfuns t =
 
 (* --- boot --- *)
 
-let build_image t ~syms =
-  let img = Bytes.create image_size in
-  (* deterministic noise text *)
-  Rng.fill_bytes (Rng.split t.rng) img;
-  (* idle loop marker *)
-  Bytes.blit_string "\xf4\xeb\xfd" 0 img idle_off 3;
-  (* hlt; jmp *)
+(* The kernel image's sections other than its noise text, as (image
+   offset, bytes) in write order; each later section overwrites what
+   the earlier ones left. *)
+let image_sections t ~syms =
   (* build-id note: identifies the kernel *build*, not this boot — the
-     per-VM rng noise above differs across VMs of the same build, so
-     the id is derived from the version banner alone (as a distro
-     kernel's NT_GNU_BUILD_ID is fixed per package) *)
-  let bid =
-    "VMSHBID0" ^ Digest.to_hex (Digest.string (Kernel_version.banner t.ver))
-  in
-  Bytes.blit_string bid 0 img buildid_off (String.length bid);
-  (* banner *)
+     per-VM rng noise differs across VMs of the same build, so the id
+     is derived from the version banner alone (as a distro kernel's
+     NT_GNU_BUILD_ID is fixed per package) *)
   let banner = Kernel_version.banner t.ver in
-  Bytes.blit_string banner 0 img banner_off (String.length banner);
-  Bytes.set img (banner_off + String.length banner) '\000';
-  (* symbol sections *)
+  let bid = "VMSHBID0" ^ Digest.to_hex (Digest.string banner) in
+  (* a zero window around each symbol section, so the scanner sees
+     clean boundaries (real sections are padded with zeros too) *)
+  let padded b =
+    let p = Bytes.make (Bytes.length b + 128) '\000' in
+    Bytes.blit b 0 p 64 (Bytes.length b);
+    p
+  in
   let strings, name_offsets = Ksymtab.build_strings syms in
   if Bytes.length strings > table_off - strings_off then
     failwith "guest image: strings section overflow";
-  (* clear a window around the strings so the scanner sees clean
-     boundaries (real sections are padded with zeros too) *)
-  Bytes.fill img (strings_off - 64) (Bytes.length strings + 128) '\000';
-  Bytes.blit strings 0 img strings_off (Bytes.length strings);
   let table =
     Ksymtab.build_table
       (Kernel_version.ksymtab_layout t.ver)
@@ -614,11 +604,26 @@ let build_image t ~syms =
       ~table_va:(t.kvirt + table_off)
       ~name_offsets
   in
-  if table_off + Bytes.length table > image_size then
+  if table_off + Bytes.length table + 64 > image_size then
     failwith "guest image: table section overflow";
-  Bytes.fill img (table_off - 64) (Bytes.length table + 128) '\000';
-  Bytes.blit table 0 img table_off (Bytes.length table);
-  img
+  [
+    (idle_off, Bytes.of_string "\xf4\xeb\xfd" (* hlt; jmp *));
+    (buildid_off, Bytes.of_string bid);
+    (banner_off, Bytes.of_string (banner ^ "\000"));
+    (strings_off - 64, padded strings);
+    (table_off - 64, padded table);
+  ]
+
+(* Encode the image into guest RAM: deterministic noise text, generated
+   page by page on first access (a session whose analysis hits the
+   build-id cache reads only a handful of the image's pages), then the
+   sections written over it. *)
+let install_image t ~syms =
+  let noise = Rng.split t.rng in
+  Vm.generate_phys t.vmh kernel_phys ~len:image_size (Rng.fill_bytes_at noise);
+  List.iter
+    (fun (off, b) -> Vm.write_phys t.vmh (kernel_phys + off) b)
+    (image_sections t ~syms)
 
 let decode_regs_blob b (regs : X86.Regs.t) =
   let f i = Int64.to_int (Bytes.get_int64_le b (8 * i)) in
@@ -805,7 +810,6 @@ let boot ~vm:vmh ~version:ver ~rng ?(cache_blocks = 4096) ?prebuilt_image () =
       kfiles = Hashtbl.create 16;
       next_kfd = 3;
       pending_threads = [];
-      kimage = Bytes.empty;
     }
   in
   (* kernel functions + exported symbols *)
@@ -823,20 +827,16 @@ let boot ~vm:vmh ~version:ver ~rng ?(cache_blocks = 4096) ?prebuilt_image () =
     Array.to_list arr
   in
   t.exports_list <- List.map (fun s -> (s.Ksymtab.name, s.Ksymtab.va)) all_syms;
-  (* encode the image into guest physical memory. A forked VM passes
-     the baseline's prebuilt image so the expensive noise-text build is
-     skipped; the [Rng.split] build_image would have drawn still
-     advances [t.rng] so every later draw stays aligned with the
-     baseline's boot. *)
-  let img =
-    match prebuilt_image with
-    | Some img ->
-        ignore (Rng.split t.rng : Rng.t);
-        img
-    | None -> build_image t ~syms:all_syms
-  in
-  t.kimage <- img;
-  Vm.write_phys vmh kernel_phys img;
+  (* encode the image into guest physical memory. A forked VM's RAM is
+     a CoW view of its baseline's, which cannot generate pages, so it
+     writes the baseline's prebuilt image instead; the [Rng.split]
+     install_image would have drawn still advances [t.rng] so every
+     later draw stays aligned with the baseline's boot. *)
+  (match prebuilt_image with
+  | Some img ->
+      ignore (Rng.split t.rng : Rng.t);
+      Vm.write_phys vmh kernel_phys img
+  | None -> install_image t ~syms:all_syms);
   (* page tables: zero root, direct map, kernel mapping. A forked VM's
      RAM view falls through to the frozen baseline, whose arena holds
      the *final* boot tables — and the mapper reads entries before

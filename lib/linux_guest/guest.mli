@@ -28,8 +28,10 @@ val boot :
     was built under, or the symbol layout will not match. *)
 
 val kernel_image : t -> bytes
-(** The encoded kernel image this guest booted — what a baseline
-    freezes so its forks can pass it back as [prebuilt_image]. *)
+(** The kernel image as guest RAM holds it now, read back from guest
+    memory (which materialises every page of its generated noise) —
+    what a baseline freezes right after boot so its forks can pass it
+    back as [prebuilt_image]. *)
 
 val vm : t -> Kvm.Vm.t
 val version : t -> Kernel_version.t

@@ -30,15 +30,16 @@ let[@inline] lane s k =
   if k = 0 then Int64.logand (Int64.shift_right_logical z 2) 0xffL
   else Int64.logand (Int64.shift_left z ((8 * k) - 2)) (Int64.shift_left 0xffL (8 * k))
 
-(* [int t 256] per byte, eight bytes per step: a step's eight mixes
-   depend only on the state it starts from, so they run side by side,
-   and their bytes go out in one little-endian 64-bit store. A scalar
-   tail takes the last [length mod 8] bytes, and [t] ends where the
-   per-byte loop leaves it. Allocates nothing. *)
-let fill_bytes t b =
-  let n = Bytes.length b in
+(* [int t 256] per byte into [b] at [\[off, off + len)], eight bytes per
+   step: a step's eight mixes depend only on the state it starts from,
+   so they run side by side, and their bytes go out in one
+   little-endian 64-bit store. A scalar tail takes the last
+   [len mod 8] bytes, and [t] ends where the per-byte loop leaves it.
+   Allocates nothing. *)
+let fill_into t b off len =
+  let n = off + len in
   let s = ref t.state in
-  let i = ref 0 in
+  let i = ref off in
   while !i + 8 <= n do
     let s0 = !s in
     Bytes.set_int64_le b !i
@@ -58,6 +59,17 @@ let fill_bytes t b =
     incr i
   done;
   t.state <- !s
+
+let fill_bytes t b = fill_into t b 0 (Bytes.length b)
+
+(* Byte [k] of the stream depends only on [state + (k+1)·gamma], so
+   the window at [pos] is the stream of a generator [pos] steps on. *)
+let fill_bytes_at t ~pos b ~off ~len =
+  if pos < 0 || off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Splitmix.fill_bytes_at";
+  fill_into
+    { state = Int64.add t.state (Int64.mul (Int64.of_int pos) golden_gamma) }
+    b off len
 
 (* NB: 2^62 is not representable as an OCaml int (63-bit), so the
    divisor must be built as a float. *)

@@ -26,6 +26,13 @@ val fill_bytes : t -> Bytes.t -> unit
     [Char.chr (int t 256)] and leaves [t] where that loop would, without
     allocating. *)
 
+val fill_bytes_at : t -> pos:int -> Bytes.t -> off:int -> len:int -> unit
+(** [fill_bytes_at t ~pos b ~off ~len] writes bytes [\[pos, pos + len)]
+    of the stream a {!fill_bytes} from [t]'s current state would draw
+    into [b] at [off], and leaves [t] unchanged. Costs [len] bytes of
+    work whatever [pos] is: the stream is counter-based. Raises
+    [Invalid_argument] on a negative [pos] or a range outside [b]. *)
+
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
 

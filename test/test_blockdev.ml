@@ -277,6 +277,22 @@ let test_image_synthetic_deterministic () =
   check cbool "different paths differ" true
     (Image.synthetic_content ~path:"/a" 64 <> Image.synthetic_content ~path:"/b" 64)
 
+(* The filler builds one 128-byte period and doubles it; every size,
+   short of a period, at one, just past one and over many, must read
+   as the per-byte formula. *)
+let test_image_synthetic_formula () =
+  List.iter
+    (fun size ->
+      let path = "/usr/lib/x" in
+      let seed = Hashtbl.hash path in
+      check cbool
+        (Printf.sprintf "%d bytes" size)
+        true
+        (String.equal
+           (String.init size (fun i -> Char.chr ((seed + (i * 131)) land 0x7f)))
+           (Image.synthetic_content ~path size)))
+    [ 0; 1; 127; 128; 129; 4097; 800_000 ]
+
 (* The tools image vmsh-blk serves, pinned byte for byte: a change to
    the filler or the packer must show up here first. *)
 let test_tools_image_golden () =
@@ -413,6 +429,7 @@ let suite =
         t "pack contents" test_image_pack_contents;
         t "strip" test_image_strip;
         t "synthetic deterministic" test_image_synthetic_deterministic;
+        t "synthetic content follows its formula" test_image_synthetic_formula;
         t "tools image golden bytes" test_tools_image_golden;
         t "an instance is a pack" test_instance_is_a_pack;
         t "instances are isolated" test_instances_are_isolated;

@@ -377,6 +377,195 @@ let prop_write_log_matches_copies =
       log_agrees zeros (Mem.create log_len) ops
       && log_agrees base (Mem.cow ~digests:(Mem.page_digests base) base) ops)
 
+(* --- generated pages ---
+
+   Differential property: a [Mem.generate]d range must behave exactly
+   as the same bytes written eagerly. Both buffers run one sequence of
+   write-log ops, marks and sparse reads (a read materialises only the
+   pages it touches, so later writes and marks still meet untouched
+   generated pages); every read must answer alike, and at the end so
+   must the contents and every mark's page digests and written set. *)
+
+type gen_read = R_bytes | R_u8 | R_u64 | R_blit | R_aspace | R_digest | R_freeze
+
+type gen_op = Op of log_op | Read of gen_read * int * int  (** off, len *)
+
+let log_pages = (log_len + 4095) / 4096
+
+let gen_op_to_string = function
+  | Op o -> log_op_to_string o
+  | Read (_, o, n) -> Printf.sprintf "read %d+%d" o n
+
+let gen_generated =
+  let open QCheck.Gen in
+  (* pages [a, b) of the buffer, the last one short *)
+  let range =
+    map2
+      (fun a n -> (a, min log_pages (a + n)))
+      (int_bound (log_pages - 1))
+      (int_range 1 log_pages)
+  in
+  let read =
+    map3
+      (fun k o n -> Read (k, o, min n (log_len - o)))
+      (oneofl [ R_bytes; R_u8; R_u64; R_blit; R_aspace; R_digest; R_freeze ])
+      (int_bound (log_len - 1))
+      (oneof [ int_range 1 64; int_range 1 9000 ])
+  in
+  let ops =
+    map2
+      (fun ops reads ->
+        let rec weave i = function
+          | [] -> List.filter_map (fun (p, r) -> if p >= i then Some r else None) reads
+          | o :: rest ->
+              List.filter_map (fun (p, r) -> if p = i then Some r else None) reads
+              @ (Op o :: weave (i + 1) rest)
+        in
+        weave 0 ops)
+      gen_log_ops
+      (list_size (int_bound 8) (pair (int_bound 40) read))
+  in
+  triple (int_bound 1000) range ops
+
+(* What [m] answers along [ops]: each read's result, then, per mark,
+   every page's digest and the written set, then the final contents
+   (digested first, so a page nothing touched is digested untouched). *)
+let observe_generated m ops =
+  let sp = Mem.Addr_space.create () in
+  let va = 0x10000 in
+  Mem.Addr_space.map sp
+    { Mem.Addr_space.base = va; len = log_len; backing = m; backing_off = 0; tag = "g" };
+  let read kind o n =
+    match kind with
+    | R_bytes -> Bytes.to_string (Mem.read_bytes m o n)
+    | R_u8 -> string_of_int (Mem.read_u8 m o)
+    | R_u64 -> (
+        match Mem.read_u64 m (min o (log_len - 8)) with
+        | v -> string_of_int v
+        | exception Invalid_argument e -> e)
+    | R_blit ->
+        let d = Bytes.make (n + 2) '?' in
+        Mem.blit ~src:m ~src_off:o ~dst:(Mem.of_bytes d) ~dst_off:1 ~len:n;
+        Bytes.to_string d
+    | R_aspace ->
+        let d = Bytes.create n in
+        Mem.Addr_space.read_into sp (va + o) d 0 n;
+        Bytes.to_string d
+    | R_digest -> Mem.page_digest m o n
+    | R_freeze -> Bytes.to_string (Mem.freeze m)
+  in
+  let zeros = Bytes.make log_len '\000' in
+  let marks, seen =
+    List.fold_left
+      (fun (marks, seen) op ->
+        match op with
+        | Op Mark -> (Mem.mark m :: marks, seen)
+        | Op o ->
+            apply_log_op zeros m o;
+            (marks, seen)
+        | Read (k, o, n) -> (marks, read k o n :: seen))
+      ([], []) ops
+  in
+  let log k =
+    let written = Buffer.create 16 in
+    Mem.iter_written k k ~first:0 ~count:log_pages (fun i ->
+        Buffer.add_string written (string_of_int i ^ ","));
+    Buffer.contents written
+    ^ String.concat "" (List.init log_pages (Mem.digest_at k))
+  in
+  let logs = List.map log marks in
+  List.rev_append seen (Bytes.to_string (Mem.freeze m) :: logs)
+
+let generated_buffers ~seed (a, b) =
+  let off = a * 4096 in
+  let len = min log_len (b * 4096) - off in
+  let gen = Mem.create log_len and eager = Mem.create log_len in
+  Mem.generate gen ~off ~len (Rng.fill_bytes_at (Rng.create ~seed));
+  let noise = Bytes.create len in
+  Rng.fill_bytes (Rng.create ~seed) noise;
+  Mem.write_bytes eager off noise;
+  (gen, eager)
+
+let prop_generated_reads_as_written =
+  QCheck.Test.make ~name:"a generated range reads as the same bytes written"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (seed, (a, b), ops) ->
+         Printf.sprintf "seed %d, pages %d-%d: %s" seed a b
+           (String.concat "; " (List.map gen_op_to_string ops)))
+       gen_generated)
+    (fun (seed, range, ops) ->
+      let gen, eager = generated_buffers ~seed range in
+      observe_generated gen ops = observe_generated eager ops)
+
+(* The two first touches the property meets only by chance: a write
+   after a mark onto a generated page nothing has read, and a scalar
+   write straddling a generated page and a zero page. *)
+let test_mem_generated_first_touch () =
+  let gen, eager = generated_buffers ~seed:5 (0, 2) in
+  check cint "generating materialises nothing" 0 (Mem.resident_pages gen);
+  let touch m =
+    let k = Mem.mark m in
+    Mem.write_u8 m 100 0xab;
+    Mem.write_u64 m ((2 * 4096) - 4) 0x1122334455667788;
+    let k' = Mem.mark m in
+    let written = ref [] in
+    Mem.iter_written k k' ~first:0 ~count:log_pages (fun i ->
+        written := i :: !written);
+    ( List.init log_pages (Mem.digest_at k),
+      !written,
+      Bytes.to_string (Mem.freeze m) )
+  in
+  let d, w, b = touch gen and d', w', b' = touch eager in
+  check Alcotest.(list string) "digests at the mark" d' d;
+  check Alcotest.(list int) "written pages" w' w;
+  check cbool "contents" true (String.equal b b');
+  check cint "three pages touched" 3 (Mem.resident_pages gen)
+
+(* [generate] over pages a mark has seen is a write: the mark keeps
+   their old digests and lists them as written. *)
+let test_mem_generate_is_logged () =
+  let m = Mem.create (3 * 4096) in
+  Mem.write_u8 m 4096 7;
+  let before = Mem.read_bytes m 0 (3 * 4096) in
+  let k = Mem.mark m in
+  Mem.generate m ~off:0 ~len:(2 * 4096) (Rng.fill_bytes_at (Rng.create ~seed:2));
+  let written = ref [] in
+  Mem.iter_written k k ~first:0 ~count:3 (fun i -> written := i :: !written);
+  check Alcotest.(list int) "written pages" [ 1; 0 ] !written;
+  List.iter
+    (fun i ->
+      check cstr
+        (Printf.sprintf "page %d at the mark" i)
+        (Digest.subbytes before (i * 4096) 4096)
+        (Mem.digest_at k i))
+    [ 0; 1; 2 ];
+  let noise = Bytes.create 4096 in
+  Rng.fill_bytes_at (Rng.create ~seed:2) ~pos:4096 noise ~off:0 ~len:4096;
+  check cstr "page 1 now holds the generator's bytes" (Bytes.to_string noise)
+    (Bytes.to_string (Mem.read_bytes m 4096 4096))
+
+let test_mem_generate_rejects () =
+  let f = Rng.fill_bytes_at (Rng.create ~seed:1) in
+  let rejects what m ~off ~len =
+    check cbool what true
+      (match Mem.generate m ~off ~len f with
+      | () -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "a CoW view" (Mem.cow (Bytes.make 8192 'x')) ~off:0 ~len:4096;
+  rejects "a flat buffer" (Mem.of_bytes (Bytes.create 8192)) ~off:0 ~len:4096;
+  rejects "an unaligned start" (Mem.create 8192) ~off:1 ~len:4096;
+  rejects "an unaligned end" (Mem.create 8192) ~off:0 ~len:4095;
+  rejects "a range past the end" (Mem.create 8192) ~off:4096 ~len:8192;
+  (* a range ending at a short last page ends on the buffer's end *)
+  let m = Mem.create 5000 in
+  Mem.generate m ~off:4096 ~len:904 f;
+  let noise = Bytes.create 904 in
+  Rng.fill_bytes (Rng.create ~seed:1) noise;
+  check cstr "short last page" (Bytes.to_string noise)
+    (Bytes.to_string (Mem.read_bytes m 4096 904))
+
 let test_mem_log_rejects_flat () =
   raises_invalid "a flat buffer has no log" (fun () ->
       Mem.mark (Mem.of_bytes (Bytes.create 16)));
@@ -836,6 +1025,28 @@ let test_rng_fill_bytes_matches_int_loop () =
         [ 0; 1; 7; 8; 9; 15; 16; 23; 4097; 2 * 1024 * 1024 ])
     [ 0; 1; 3; 42; -5 ]
 
+(* [fill_bytes_at] is a window of one whole [fill_bytes], at offsets
+   and lengths off the 8-byte step, into the middle of a buffer whose
+   other bytes it leaves alone, and it does not move the generator. *)
+let test_rng_fill_bytes_at_is_a_window () =
+  let whole = Bytes.create 20_000 in
+  Rng.fill_bytes (Rng.create ~seed:9) whole;
+  List.iter
+    (fun (pos, len) ->
+      let r = Rng.create ~seed:9 in
+      let b = Bytes.make (len + 6) '?' in
+      Rng.fill_bytes_at r ~pos b ~off:3 ~len;
+      let what = Printf.sprintf "bytes %d+%d" pos len in
+      check cstr what
+        (Bytes.sub_string whole pos len)
+        (Bytes.sub_string b 3 len);
+      check cstr (what ^ ": rest untouched") "??????"
+        (Bytes.sub_string b 0 3 ^ Bytes.sub_string b (len + 3) 3);
+      check cint (what ^ ": generator unmoved")
+        (Rng.next (Rng.create ~seed:9))
+        (Rng.next r))
+    [ (0, 13); (5, 3); (7, 4097); (4093, 11); (12_345, 1001); (19_999, 1) ]
+
 let test_rng_fill_bytes_allocates_nothing () =
   let r = Rng.create ~seed:3 and b = Bytes.create (1024 * 1024) in
   let before = Gc.minor_words () in
@@ -853,6 +1064,8 @@ let suite =
         t "split" test_rng_split_independent;
         t "fill_bytes equals the int loop" test_rng_fill_bytes_matches_int_loop;
         t "fill_bytes allocates nothing" test_rng_fill_bytes_allocates_nothing;
+        t "fill_bytes_at is a window of fill_bytes"
+          test_rng_fill_bytes_at_is_a_window;
       ] );
     ( "hostos.clock",
       [
@@ -875,6 +1088,11 @@ let suite =
         QCheck_alcotest.to_alcotest prop_aspace_find_free_never_overlaps;
         QCheck_alcotest.to_alcotest prop_write_log_matches_copies;
         t "write log rejects flat buffers" test_mem_log_rejects_flat;
+        QCheck_alcotest.to_alcotest prop_generated_reads_as_written;
+        t "generated pages on first touch" test_mem_generated_first_touch;
+        t "generate is a logged write" test_mem_generate_is_logged;
+        t "generate rejects CoW, flat and unaligned"
+          test_mem_generate_rejects;
         t "attribution needs a mark" test_mem_attribution_needs_a_mark;
         t "attribution between marks" test_mem_attribution_between_marks;
         t "attribution counts silent writes"

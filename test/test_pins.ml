@@ -1,8 +1,10 @@
-(* Pins of two outputs no other test fixes exactly: the side-loaded
-   library's bytes for every LTS kernel over both transports, and the
-   virtual cost of one cold attach and detach. A change to the library
-   builder or to an attach-path charge moves one of these values, so it
-   must update them on purpose. *)
+(* Pins of outputs no other test fixes exactly: the side-loaded
+   library's bytes for every LTS kernel over both transports, the
+   virtual cost of one cold attach and detach, the guest's bytes after
+   a boot and after a detach, and how many guest pages a boot leaves
+   resident. A change to the library builder, to an attach-path charge
+   or to how a guest's memory comes to hold its bytes moves one of
+   these values, so it must update them on purpose. *)
 
 module H = Hostos
 module KV = Linux_guest.Kernel_version
@@ -124,6 +126,93 @@ let test_attach_cost_cloud_hypervisor () =
       ] )
     (attach_detach_cost ~profile:Profile.cloud_hypervisor ~pci:true)
 
+(* --- guest memory --- *)
+
+let guest_digest vmm =
+  Vmsh.Snapshot.digest (Vmsh.Snapshot.capture (Vmm.kvm_vm vmm))
+
+let guest_ram vmm =
+  let vm = Vmm.kvm_vm vmm in
+  match List.find_opt (fun s -> s.Kvm.Vm.gpa = 0) (Kvm.Vm.memslots vm) with
+  | Some s -> fst (Kvm.Vm.memslot_backing vm s)
+  | None -> Alcotest.fail "no RAM at guest-physical 0"
+
+(* The whole guest's digest after a cold boot, and, on a second boot
+   whose memory nothing read in between, after one attach and detach:
+   every byte the guest holds, kernel image included, whichever way
+   its pages came to be. *)
+let guest_digests ~profile ~pci =
+  let boot () =
+    let h = H.Host.create ~seed:41 () in
+    let vmm, _ =
+      Fleet.Machine.cold_boot h ~profile ~version:KV.V5_10 ~hostname:"pin"
+    in
+    (h, vmm)
+  in
+  let booted = guest_digest (snd (boot ())) in
+  let h, vmm = boot () in
+  let config = Vmsh.Attach.Config.with_pci pci (Vmsh.Attach.Config.make ()) in
+  (match
+     Vmsh.Attach.attach h ~hypervisor_pid:(Vmm.pid vmm)
+       ~fs_image:(Fleet.Machine.tools_image h.H.Host.clock)
+       ~config
+       ~pump:(fun () -> Vmm.run_until_idle vmm)
+       ()
+   with
+  | Error e -> Alcotest.failf "attach: %s" (Vmsh.Vmsh_error.to_string e)
+  | Ok s -> (
+      match Vmsh.Attach.detach s with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "detach: %s" (Vmsh.Vmsh_error.to_string e)));
+  (booted, guest_digest vmm)
+
+let test_guest_digests () =
+  List.iter
+    (fun (what, profile, pci, (booted, detached)) ->
+      let booted', detached' = guest_digests ~profile ~pci in
+      check Alcotest.string (what ^ ": after boot") booted booted';
+      check Alcotest.string (what ^ ": after detach") detached detached')
+    [
+      ( "qemu, v5.10, MMIO", Profile.qemu, false,
+        ("48175e709386c306a86440a5de73ca9f", "140b8c487c15218d250b876aeff4b90c") );
+      ( "cloud-hypervisor, v5.10, PCI", Profile.cloud_hypervisor, true,
+        ("48175e709386c306a86440a5de73ca9f", "140b8c487c15218d250b876aeff4b90c") );
+    ]
+
+(* Resident guest-RAM pages of a cold 16 MiB boot (329 while the boot
+   wrote all 320 pages of its kernel image), and of VMs after a session
+   whose symbol analysis missed the build-id cache (it copies the whole
+   image, so every image page exists) and one that hit it: a hit reads
+   page 0 of the image and the witnessed ksymtab pages, so the image's
+   other noise pages never need to exist (365 pages when they did). *)
+let test_resident_pages () =
+  let h = H.Host.create ~seed:41 () in
+  let boot name =
+    fst
+      (Fleet.Machine.cold_boot ~ram_mb:16 h ~profile:Profile.qemu
+         ~version:KV.V5_10 ~hostname:name)
+  in
+  let resident vmm = H.Mem.resident_pages (guest_ram vmm) in
+  check Alcotest.int "cold boot" 15 (resident (boot "cold"));
+  let cache = Vmsh.Symbol_analysis.Cache.create () in
+  let session name =
+    let vmm = boot name in
+    let r =
+      Fleet.Session.run ~host:h
+        (Fleet.Session.spec ~cache (Fleet.Session.Running vmm))
+    in
+    check Alcotest.string (name ^ ": verdict") "survived"
+      (Faults.Abort.to_string r.Fleet.Session.verdict);
+    resident vmm
+  in
+  let miss = session "miss" in
+  if miss < 320 then
+    Alcotest.failf "a cache miss left %d pages resident, under the image's 320"
+      miss;
+  let hit = session "hit" in
+  if hit >= 100 then
+    Alcotest.failf "a cache hit left %d guest pages resident" hit
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -133,5 +222,7 @@ let suite =
         t "attach and detach cost, qemu" test_attach_cost_qemu;
         t "attach and detach cost, cloud-hypervisor over PCI"
           test_attach_cost_cloud_hypervisor;
+        t "guest digest after boot and after detach" test_guest_digests;
+        t "resident guest pages, cold and warm cache" test_resident_pages;
       ] );
   ]
