@@ -698,7 +698,8 @@ let run_bechamel () =
   in
   (* the uncached symbol analysis of E2/E3, one layer per test: the
      page-table walk, the image copy, the strings scan, the table scan,
-     and the noise fill that builds the 1.25 MiB kernel image at boot *)
+     and the noise fill that builds the 1.25 MiB kernel image at boot;
+     then the ksymtab table a 5.10 boot encodes for its 194 exports *)
   let tests_e23 =
     let h, vmm, g = boot_qemu ~seed:1301 ~blocks:4096 () in
     let vmsh = H.Host.spawn h ~name:"bench-vmsh" ~uid:1000 () in
@@ -716,6 +717,17 @@ let run_bechamel () =
     (* the guest kernel image's content: 1.25 MiB of a 2 MiB mapping *)
     let noise = Bytes.create 0x14_0000 in
     let rng = H.Rng.create ~seed:1301 in
+    let syms =
+      List.map
+        (fun (name, va) -> { Linux_guest.Ksymtab.name; va })
+        (Guest.exports g)
+    in
+    let _, name_offsets = Linux_guest.Ksymtab.build_strings syms in
+    let strings_va, table_va =
+      match Guest.scanner_target_regions g with
+      | [ (_, strings_va, _); (_, table_va, _) ] -> (strings_va, table_va)
+      | _ -> failwith "unexpected ksymtab regions"
+    in
     let stage name f = Test.make ~name (Staged.stage f) in
     [
       stage "e2e3-page-table-walk" (fun () ->
@@ -727,6 +739,10 @@ let run_bechamel () =
       stage "e2e3-table-scan" (fun () ->
           ignore (Vmsh.Symbol_analysis.find_tables img ~kbase ~region));
       stage "e2e3-noise-fill" (fun () -> H.Rng.fill_bytes rng noise);
+      stage "boot-ksymtab-build" (fun () ->
+          ignore
+            (Linux_guest.Ksymtab.build_table (KV.ksymtab_layout KV.V5_10)
+               ~syms ~strings_va ~table_va ~name_offsets));
     ]
   in
   let test_e5 =

@@ -78,8 +78,10 @@
 #                 then a double-run `cmp` on the metrics and per-job
 #                 results files
 #   bench         the paper's experiments other than E1 (Table 1, E4–E10
-#                 and the ablations): each must run to completion, and
-#                 the run must stay under 1 GiB peak RSS (see peak_rss)
+#                 and the ablations) plus the Bechamel microbenches: each
+#                 must run to completion (the microbenches' ns/op are
+#                 printed, not gated), and the run must stay under 1 GiB
+#                 peak RSS (see peak_rss)
 #   bench-e1      E1 (xfstests over native, qemu-blk and vmsh-blk): its
 #                 verdict line must read true, and the run must stay
 #                 under 256 MiB peak RSS (see peak_rss) — guest writes
@@ -535,7 +537,7 @@ stage_bench() {
   # E1 runs on its own in bench-e1; about 500 MiB measured
   peak_rss 1024 "bench experiments" main.exe \
     dune exec --no-print-directory bench/main.exe -- \
-    --only table1,e4,e5,e6,e7,e8,e9,e10,ablation \
+    --only table1,e4,e5,e6,e7,e8,e9,e10,ablation,bechamel \
     > "$ARTIFACTS/bench.txt" || return 1
 }
 

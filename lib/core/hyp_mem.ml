@@ -68,62 +68,75 @@ let backed t ~gpa ~len =
 
 let fail_errno what e = Vmsh_error.fail (Vmsh_error.substrate ("Hyp_mem." ^ what) e)
 
-(* All remote-memory traffic goes through the bounded-retry wrapper: a
+let transient = function
+  | Hostos.Errno.EFAULT | Hostos.Errno.EAGAIN -> true
+  | _ -> false
+
+(* All remote-memory traffic is one process_vm call each, [(addr,
+   len)] then [more] against [buf] from [off], under bounded retry: a
    transient EFAULT (page mid-remap under the hypervisor) or EAGAIN is
-   retried with virtual-time backoff; a persistent one still fails.
-   Each call copies between [buf] at [off] and the remote segments. *)
-let vm_rw rw t ~what ~iov buf ~off =
+   retried with virtual-time backoff; a persistent one still fails,
+   named by [what]. The first attempt is made here, so a call that
+   succeeds builds no retry closure. *)
+let vm_rw t dir ~what ~addr ~len ~more buf ~off =
   match
-    Retry.with_backoff t.host ~counter:"recovery.vm_rw_retry"
-      ~should_retry:(function
-        | Error (Hostos.Errno.EFAULT | Hostos.Errno.EAGAIN) -> true
-        | _ -> false)
-      (fun () -> rw t.host ~caller:t.vmsh ~pid:t.pid ~iov buf ~off)
+    Host.remote_copy t.host dir ~caller:t.vmsh ~pid:t.pid ~addr ~len ~more buf
+      ~off
   with
   | Ok () -> ()
-  | Error e -> fail_errno what e
+  | Error e when not (transient e) -> fail_errno what e
+  | first -> (
+      let copy () =
+        Host.remote_copy t.host dir ~caller:t.vmsh ~pid:t.pid ~addr ~len ~more
+          buf ~off
+      in
+      match
+        Retry.with_backoff t.host ~counter:"recovery.vm_rw_retry"
+          ~should_retry:(function Error e -> transient e | Ok () -> false)
+          copy first
+      with
+      | Ok () -> ()
+      | Error e -> fail_errno what e)
 
-let vm_readv = vm_rw Host.process_vm_readv
-let vm_writev = vm_rw Host.process_vm_writev
+(* [len] bytes at [hva] in pieces of [step]: Chunked_4k bounces each
+   piece through a local buffer (the extra pread/pwrite syscall and the
+   extra memcpy of the unoptimised path); Peek_u64 does not. *)
+let rec pieces t dir ~what ~step ~bounce ~hva buf ~off ~len o =
+  if o < len then begin
+    let chunk = Int.min step (len - o) in
+    if bounce then begin
+      Hostos.Clock.syscall t.host.Host.clock;
+      Hostos.Clock.copy_bytes t.host.Host.clock chunk
+    end;
+    vm_rw t dir ~what ~addr:(hva + o) ~len:chunk ~more:[] buf ~off:(off + o);
+    pieces t dir ~what ~step ~bounce ~hva buf ~off ~len (o + step)
+  end
+
+let hva_what = function Host.Read -> "read_hva" | Host.Write -> "write_hva"
 
 (* One hypervisor-virtual range in the current copy mode: Bulk is one
-   call; Chunked_4k bounces through a local buffer 4 KiB at a time (the
-   extra pread/pwrite syscall and the extra memcpy of the unoptimised
-   path); Peek_u64 is one call per 8 bytes. *)
-let hva_rw t rw ~what ~hva buf ~off ~len =
-  let pieces ~what ~step ~bounce =
-    let rec go o =
-      if o < len then begin
-        let chunk = min step (len - o) in
-        if bounce then begin
-          Hostos.Clock.syscall t.host.Host.clock;
-          Hostos.Clock.copy_bytes t.host.Host.clock chunk
-        end;
-        rw t ~what ~iov:[ (hva + o, chunk) ] buf ~off:(off + o);
-        go (o + step)
-      end
-    in
-    go 0
-  in
+   call, named [bulk] if it fails; Chunked_4k is one call per 4 KiB,
+   Peek_u64 one per 8 bytes. *)
+let hva_rw t dir ~bulk ~hva buf ~off ~len =
   match t.cmode with
-  | Bulk -> rw t ~what ~iov:[ (hva, len) ] buf ~off
-  | Chunked_4k -> pieces ~what:(what ^ "(chunked)") ~step:4096 ~bounce:true
-  | Peek_u64 -> pieces ~what:(what ^ "(peek)") ~step:8 ~bounce:false
-
-let read_hva_into t ~hva buf ~off ~len =
-  hva_rw t vm_readv ~what:"read_hva" ~hva buf ~off ~len
-
-let write_hva_from t ~hva buf ~off ~len =
-  hva_rw t vm_writev ~what:"write_hva" ~hva buf ~off ~len
+  | Bulk -> vm_rw t dir ~what:bulk ~addr:hva ~len ~more:[] buf ~off
+  | Chunked_4k ->
+      pieces t dir ~what:(hva_what dir ^ "(chunked)") ~step:4096 ~bounce:true
+        ~hva buf ~off ~len 0
+  | Peek_u64 ->
+      pieces t dir ~what:(hva_what dir ^ "(peek)") ~step:8 ~bounce:false ~hva
+        buf ~off ~len 0
 
 let read_hva t ~hva ~len =
   let b = Bytes.create len in
-  read_hva_into t ~hva b ~off:0 ~len;
+  hva_rw t Host.Read ~bulk:(hva_what Host.Read) ~hva b ~off:0 ~len;
   b
 
-let write_hva t ~hva b = write_hva_from t ~hva b ~off:0 ~len:(Bytes.length b)
+let write_hva t ~hva b =
+  hva_rw t Host.Write ~bulk:(hva_what Host.Write) ~hva b ~off:0
+    ~len:(Bytes.length b)
 
-(* Physical accesses may cross slot boundaries. [segments] resolves a
+(* Physical accesses may cross slot boundaries. [segments_from] resolves a
    gpa range to host-virtual (hva, len) pieces, merging pieces whose
    hva ranges happen to be contiguous so the Bulk path can hand the
    whole access to one vectored process_vm_readv/writev call. *)
@@ -134,7 +147,7 @@ let rec segments_from slots ~what ~gpa ~len acc = function
   | s :: rest when gpa < s.gpa || gpa >= s.gpa + s.size ->
       segments_from slots ~what ~gpa ~len acc rest
   | s :: _ ->
-      let chunk = min (s.gpa + s.size - gpa) len in
+      let chunk = Int.min (s.gpa + s.size - gpa) len in
       let hva = s.hva + (gpa - s.gpa) in
       let acc =
         match acc with
@@ -145,28 +158,35 @@ let rec segments_from slots ~what ~gpa ~len acc = function
       else
         segments_from slots ~what ~gpa:(gpa + chunk) ~len:(len - chunk) acc slots
 
-let segments t ~what ~gpa ~len =
-  if len = 0 then [] else segments_from t.slot_list ~what ~gpa ~len [] t.slot_list
+(* The slot holding [gpa]; [Not_found] if none. *)
+let rec slot_at gpa = function
+  | [] -> raise_notrace Not_found
+  | s :: rest -> if gpa >= s.gpa && gpa < s.gpa + s.size then s else slot_at gpa rest
 
-(* A guest-physical range: Bulk issues one vectored syscall for the
-   whole access, however many memslots back it; the other modes copy
-   segment by segment. *)
-let phys_rw t rw hva_rw ~what ~gpa buf ~off ~len =
-  if len > 0 then begin
-    let segs = segments t ~what ~gpa ~len in
-    match t.cmode with
-    | Bulk -> rw t ~what ~iov:segs buf ~off
-    | _ ->
-        ignore
-          (List.fold_left
-             (fun o (hva, len) ->
-               hva_rw t ~hva buf ~off:o ~len;
-               o + len)
-             off segs)
-  end
+(* A guest-physical range: a range inside one slot is one hypervisor-
+   virtual range, resolved without a segment list. Otherwise Bulk
+   issues one vectored syscall for the whole access, however many
+   memslots back it, and the other modes copy segment by segment. *)
+let phys_rw t dir ~what ~gpa buf ~off ~len =
+  if len > 0 then
+    match slot_at gpa t.slot_list with
+    | s when gpa + len <= s.gpa + s.size ->
+        hva_rw t dir ~bulk:what ~hva:(s.hva + (gpa - s.gpa)) buf ~off ~len
+    | _ | (exception Not_found) -> (
+        match segments_from t.slot_list ~what ~gpa ~len [] t.slot_list with
+        | [] -> ()
+        | (addr, len) :: more when t.cmode = Bulk ->
+            vm_rw t dir ~what ~addr ~len ~more buf ~off
+        | segs ->
+            ignore
+              (List.fold_left
+                 (fun o (hva, len) ->
+                   hva_rw t dir ~bulk:what ~hva buf ~off:o ~len;
+                   o + len)
+                 off segs))
 
 let read_phys_into t ~gpa buf ~off ~len =
-  phys_rw t vm_readv read_hva_into ~what:"read_phys" ~gpa buf ~off ~len
+  phys_rw t Host.Read ~what:"read_phys" ~gpa buf ~off ~len
 
 let read_phys t ~gpa ~len =
   let b = Bytes.create len in
@@ -174,7 +194,7 @@ let read_phys t ~gpa ~len =
   b
 
 let write_phys_raw t ~gpa buf ~off ~len =
-  phys_rw t vm_writev write_hva_from ~what:"write_phys" ~gpa buf ~off ~len
+  phys_rw t Host.Write ~what:"write_phys" ~gpa buf ~off ~len
 
 (* Journal hook: before overwriting guest-physical bytes, read and
    record the old content so rollback can restore them (PTE installs
@@ -218,7 +238,7 @@ let read_virt t ~cr3 ~va ~len =
     if remaining = 0 then Some out
     else
       let page_rem = page - (va land (page - 1)) in
-      let chunk = min remaining page_rem in
+      let chunk = Int.min remaining page_rem in
       match X86.Page_table.translate acc ~root:cr3 va with
       | None -> None
       | Some pa ->

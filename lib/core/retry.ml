@@ -15,14 +15,16 @@ module Clock = Hostos.Clock
 let max_attempts = 6
 let base_backoff_ns = 20_000.
 
-(* [with_backoff h ~counter ~should_retry f] runs [f] until
+(* [with_backoff h ~counter ~should_retry f first] continues from a
+   first attempt that returned [first], running [f] again until
    [should_retry] rejects its result or the attempt budget is spent.
    Each retry bumps the named [recovery.*] counter, records the backoff
    in the [recovery.backoff_ns] histogram, emits a trace instant, and
-   sleeps the (doubling) backoff in virtual time. *)
-let with_backoff h ~counter ~should_retry f =
-  let rec go attempt =
-    let r = f () in
+   sleeps the (doubling) backoff in virtual time. Taking the first
+   result lets a hot caller make its first attempt inline and build
+   [f] only once that attempt has failed. *)
+let with_backoff h ~counter ~should_retry f first =
+  let rec go attempt r =
     if should_retry r && attempt < max_attempts then begin
       let m = Observe.metrics h.Host.observe in
       Observe.Metrics.incr (Observe.Metrics.counter m counter);
@@ -39,8 +41,8 @@ let with_backoff h ~counter ~should_retry f =
           ]
         ();
       Clock.advance h.Host.clock delay;
-      go (attempt + 1)
+      go (attempt + 1) (f ())
     end
     else r
   in
-  go 1
+  go 1 first

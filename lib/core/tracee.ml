@@ -116,9 +116,10 @@ let transient_ret ret =
   | _ -> false
 
 let inject_raw h session ?tid ~nr ~args () =
+  let inject () = Ptrace.inject_syscall h session ?tid ~nr ~args () in
   Retry.with_backoff h ~counter:"recovery.syscall_retry"
     ~should_retry:(function Ok ret -> transient_ret ret | Error _ -> false)
-    (fun () -> Ptrace.inject_syscall h session ?tid ~nr ~args ())
+    inject (inject ())
 
 let inject_session h session ~nr ~args =
   match inject_raw h session ~nr ~args () with
@@ -152,12 +153,13 @@ let attach ?(seccomp_heuristic = false) h ~vmsh ~pid =
     phase h "ptrace-attach"
       ~attrs:[ ("pid", Trace.I pid) ]
       (fun () ->
+        let attach () = Ptrace.attach h ~tracer:vmsh ~pid in
         match
           Retry.with_backoff h ~counter:"recovery.attach_retry"
             ~should_retry:(function
               | Error Errno.EAGAIN -> true
               | _ -> false)
-            (fun () -> Ptrace.attach h ~tracer:vmsh ~pid)
+            attach (attach ())
         with
         | Ok s ->
             Ptrace.interrupt h s;
@@ -224,7 +226,7 @@ let retry_vm_rw h f =
     ~should_retry:(function
       | Error (Errno.EFAULT | Errno.EAGAIN) -> true
       | _ -> false)
-    f
+    f (f ())
 
 let write_scratch t ?(off = 0) b =
   match

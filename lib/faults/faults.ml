@@ -143,13 +143,17 @@ let count_injection t c i =
         (Observe.Metrics.counter m ("faults.injected." ^ name c))
   | None -> ()
 
+let rec scripted c d = function
+  | [] -> false
+  | (c', n) :: rest -> (c' = c && n = d) || scripted c d rest
+
 let fire t c =
   if not t.armed then false
   else begin
     let i = idx c in
     let d = t.decisions.(i) in
     t.decisions.(i) <- d + 1;
-    if List.exists (fun (c', n) -> c' = c && n = d) t.script then begin
+    if scripted c d t.script then begin
       count_injection t c i;
       true
     end

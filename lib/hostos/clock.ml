@@ -66,15 +66,20 @@ let zero_counters () =
     fs_ops = 0;
   }
 
-type t = { mutable now : float; counters : counters; costs : costs }
+(* The time sits alone in an all-float record, which OCaml stores
+   unboxed: a charge updates it in place and allocates nothing, where a
+   mutable float field beside the other fields would box every new
+   value. *)
+type time = { mutable ns : float }
+type t = { time : time; counters : counters; costs : costs }
 
 let create ?(costs = default_costs) () =
-  { now = 0.0; counters = zero_counters (); costs }
+  { time = { ns = 0.0 }; counters = zero_counters (); costs }
 
-let now_ns t = t.now
+let now_ns t = t.time.ns
 let counters t = t.counters
 let costs t = t.costs
-let advance t ns = t.now <- t.now +. ns
+let[@inline] advance t ns = t.time.ns <- t.time.ns +. ns
 
 let snapshot t =
   let c = t.counters in
@@ -159,10 +164,10 @@ let fs_op t =
    mechanism counters. The caller charges the true fork cost (a few
    syscalls mapping shared memory) afterwards. *)
 let restore_section t f =
-  let now = t.now in
+  let now = t.time.ns in
   let saved = snapshot t in
   let restore () =
-    t.now <- now;
+    t.time.ns <- now;
     let c = t.counters in
     c.context_switches <- saved.context_switches;
     c.syscalls <- saved.syscalls;

@@ -53,7 +53,15 @@ let spawn t ~name ?(uid = 1000) ?(caps = []) () =
 let reap t p =
   if Proc.fd_numbers p = [] then t.procs <- List.filter (( != ) p) t.procs
 
-let find_proc t ~pid = List.find_opt (fun p -> p.Proc.pid = pid) t.procs
+(* The process with [pid]; [Not_found] if none. A loop rather than a
+   [List.find_opt] closure, so a remote copy's lookup allocates
+   nothing. *)
+let rec proc_with pid = function
+  | [] -> raise_notrace Not_found
+  | p :: rest -> if p.Proc.pid = pid then p else proc_with pid rest
+
+let find_proc t ~pid =
+  match proc_with pid t.procs with p -> Some p | exception Not_found -> None
 
 let proc_exn t ~pid =
   match find_proc t ~pid with
@@ -225,17 +233,35 @@ let may_access caller target =
   || caller.Proc.uid = 0
   || Proc.has_cap caller CAP_SYS_PTRACE
 
-(* Remote copies between a caller buffer and the target's address
-   space: the whole iovec batch is one syscall entry — one permission
-   check, one fault-injection draw, copy cost charged on the summed
-   byte count. Segments map to consecutive bytes of [buf] from [off].
-   A bad segment fails the batch with EFAULT: a read leaves [buf]
-   partly filled, a write leaves earlier segments written, as with the
-   real syscall's partial transfer. *)
-let remote_copy t ~caller ~pid ~iov copy =
-  match find_proc t ~pid with
-  | None -> Error Errno.ESRCH
-  | Some target ->
+type direction = Read | Write
+
+let rec iov_bytes acc = function
+  | [] -> acc
+  | (_, len) :: rest -> iov_bytes (acc + len) rest
+
+(* Segment [(addr, len)] of a remote copy, at [buf]'s [off]. *)
+let copy_segment dir aspace addr len buf off =
+  match dir with
+  | Read -> Mem.Addr_space.read_into aspace addr buf off len
+  | Write -> Mem.Addr_space.write_from aspace addr buf off len
+
+let rec copy_segments dir aspace buf off = function
+  | [] -> ()
+  | (addr, len) :: rest ->
+      copy_segment dir aspace addr len buf off;
+      copy_segments dir aspace buf (off + len) rest
+
+(* The one syscall body of process_vm_readv/writev: lookup, permission
+   check, one fault-injection draw, one charge on the summed byte
+   count, then the copy of [(addr, len)] and the [more] segments after
+   it into consecutive bytes of [buf] from [off]. A bad segment fails
+   the call with EFAULT: a read leaves [buf] partly filled, a write
+   leaves earlier segments written, as with the real syscall's partial
+   transfer. Nothing here allocates on success. *)
+let remote_copy t dir ~caller ~pid ~addr ~len ~more buf ~off =
+  match proc_with pid t.procs with
+  | exception Not_found -> Error Errno.ESRCH
+  | target ->
       if not (may_access caller target) then Error Errno.EPERM
       else if Faults.fire t.faults Faults.Vm_rw_efault then begin
         (* Transient fault: the syscall entered the kernel and bounced. *)
@@ -244,32 +270,27 @@ let remote_copy t ~caller ~pid ~iov copy =
       end
       else begin
         Clock.syscall t.clock;
-        Clock.copy_bytes_remote t.clock
-          (List.fold_left (fun acc (_, len) -> acc + len) 0 iov);
-        try
-          ignore
-            (List.fold_left
-               (fun off (addr, len) ->
-                 copy target.Proc.aspace addr off len;
-                 off + len)
-               0 iov);
-          Ok ()
-        with Invalid_argument _ -> Error Errno.EFAULT
+        Clock.copy_bytes_remote t.clock (iov_bytes len more);
+        let aspace = target.Proc.aspace in
+        match
+          copy_segment dir aspace addr len buf off;
+          copy_segments dir aspace buf (off + len) more
+        with
+        | () -> Ok ()
+        | exception Invalid_argument _ -> Error Errno.EFAULT
       end
 
 let process_vm_readv t ~caller ~pid ~iov buf ~off =
-  remote_copy t ~caller ~pid ~iov (fun aspace addr boff len ->
-      Mem.Addr_space.read_into aspace addr buf (off + boff) len)
-
-let process_vm_writev t ~caller ~pid ~iov buf ~off =
-  remote_copy t ~caller ~pid ~iov (fun aspace addr boff len ->
-      Mem.Addr_space.write_from aspace addr buf (off + boff) len)
+  match iov with
+  | [] -> remote_copy t Read ~caller ~pid ~addr:0 ~len:0 ~more:[] buf ~off
+  | (addr, len) :: more -> remote_copy t Read ~caller ~pid ~addr ~len ~more buf ~off
 
 let process_vm_read t ~caller ~pid ~addr ~len =
   let b = Bytes.create len in
   Result.map
     (fun () -> b)
-    (process_vm_readv t ~caller ~pid ~iov:[ (addr, len) ] b ~off:0)
+    (remote_copy t Read ~caller ~pid ~addr ~len ~more:[] b ~off:0)
 
 let process_vm_write t ~caller ~pid ~addr b =
-  process_vm_writev t ~caller ~pid ~iov:[ (addr, Bytes.length b) ] b ~off:0
+  remote_copy t Write ~caller ~pid ~addr ~len:(Bytes.length b) ~more:[] b
+    ~off:0

@@ -93,6 +93,29 @@ val recv_fd : t -> Proc.t -> sock:Fd.t -> Fd.t Errno.result
 
 (** {1 Remote process memory (process_vm_readv / process_vm_writev)} *)
 
+type direction = Read | Write
+
+val remote_copy :
+  t ->
+  direction ->
+  caller:Proc.t ->
+  pid:int ->
+  addr:int ->
+  len:int ->
+  more:(int * int) list ->
+  bytes ->
+  off:int ->
+  unit Errno.result
+(** The one syscall body behind every call below: [remote_copy t dir
+    ~caller ~pid ~addr ~len ~more buf ~off] is a process_vm_readv
+    ([Read]) or process_vm_writev ([Write]) of the remote segment
+    [(addr, len)] followed by the [more] segments, against consecutive
+    bytes of [buf] from [off]. The lookup (ESRCH) and the permission
+    check (EPERM) come first and charge nothing; then one fault draw
+    (EFAULT, one syscall charged) or one syscall plus the remote-copy
+    cost of the summed length. A single-segment call ([more = \[\]])
+    allocates nothing on success. *)
+
 val process_vm_readv :
   t ->
   caller:Proc.t ->
@@ -109,23 +132,10 @@ val process_vm_readv :
     segment fails the whole call with EFAULT; [buf] may then be partly
     written. *)
 
-val process_vm_writev :
-  t ->
-  caller:Proc.t ->
-  pid:int ->
-  iov:(int * int) list ->
-  bytes ->
-  off:int ->
-  unit Errno.result
-(** The write direction: consecutive bytes of [buf] from [off] go to
-    the remote segments in order. A faulting segment stops the batch
-    with EFAULT; earlier segments stay written, as with the real
-    syscall's partial transfer. *)
-
 val process_vm_read :
   t -> caller:Proc.t -> pid:int -> addr:int -> len:int -> bytes Errno.result
 (** {!process_vm_readv} of one segment into a fresh buffer. *)
 
 val process_vm_write :
   t -> caller:Proc.t -> pid:int -> addr:int -> bytes -> unit Errno.result
-(** {!process_vm_writev} of all of a buffer to one segment. *)
+(** A process_vm_writev of all of a buffer to one segment. *)

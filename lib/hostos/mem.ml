@@ -185,7 +185,7 @@ let resident_pages t =
   | Flat _ -> (t.len + page_size - 1) / page_size
   | Cow c ->
       Array.fold_left (fun n p -> if materialised p then n + 1 else n) 0 c.pages
-let page_len t pi = min page_size (t.len - (pi * page_size))
+let page_len t pi = Int.min page_size (t.len - (pi * page_size))
 
 (* Private copy of page [pi], materialising it from the base first if
    needed (the caller has already decided the write diverges). *)
@@ -300,38 +300,32 @@ let log_write t c pi =
 (* Write [len] bytes of [src] at [soff] into an overlay at [off], page
    by page; per page, an identical write is recorded as silent and
    copies nothing. The range is already bounds-checked. *)
-let cow_write t c off src soff len =
-  let rec go off soff len =
-    if len > 0 then begin
-      let pi = off / page_size in
-      let poff = off mod page_size in
-      let chunk = min len (page_size - poff) in
-      let p = resident c pi in
-      if materialised p then begin
-        log_write t c pi;
-        Bytes.blit src soff p poff chunk
-      end
-      else if region_equal c.base ((pi * c.stride) + poff) src soff chunk then
-        c.silent <- c.silent + 1
-      else begin
-        log_write t c pi;
-        Bytes.blit src soff (page_rw t c pi) poff chunk
-      end;
-      go (off + chunk) (soff + chunk) (len - chunk)
+let rec cow_write t c off src soff len =
+  if len > 0 then begin
+    let pi = off / page_size in
+    let poff = off mod page_size in
+    let chunk = Int.min len (page_size - poff) in
+    let p = resident c pi in
+    if materialised p then begin
+      log_write t c pi;
+      Bytes.blit src soff p poff chunk
     end
-  in
-  go off soff len
+    else if region_equal c.base ((pi * c.stride) + poff) src soff chunk then
+      c.silent <- c.silent + 1
+    else begin
+      log_write t c pi;
+      Bytes.blit src soff (page_rw t c pi) poff chunk
+    end;
+    cow_write t c (off + chunk) src (soff + chunk) (len - chunk)
+  end
 
-let cow_read c off dst doff len =
-  let rec go off doff len =
-    if len > 0 then begin
-      let chunk = min len (page_size - (off mod page_size)) in
-      let b = rd_buf c off in
-      Bytes.blit b (rd_off c off) dst doff chunk;
-      go (off + chunk) (doff + chunk) (len - chunk)
-    end
-  in
-  go off doff len
+let rec cow_read c off dst doff len =
+  if len > 0 then begin
+    let chunk = Int.min len (page_size - (off mod page_size)) in
+    let b = rd_buf c off in
+    Bytes.blit b (rd_off c off) dst doff chunk;
+    cow_read c (off + chunk) dst (doff + chunk) (len - chunk)
+  end
 
 let freeze t =
   match t.backing with
@@ -561,17 +555,28 @@ let read_u64 t off =
 let write_u64 t off v =
   scalar_write t off 8 v (fun b o v -> Bytes.set_int64_le b o (Int64.of_int v))
 
+(* Copies between a buffer and plain bytes, the two halves of [blit]
+   that [Addr_space] calls with its caller's bytes directly. *)
+let blit_to_bytes t off dst doff len =
+  match t.backing with
+  | Flat s -> Bytes.blit s off dst doff len
+  | Cow c ->
+      check_range t.len off len;
+      check_range (Bytes.length dst) doff len;
+      cow_read c off dst doff len
+
+let blit_of_bytes src soff t off len =
+  match t.backing with
+  | Flat d -> Bytes.blit src soff d off len
+  | Cow c ->
+      check_range (Bytes.length src) soff len;
+      check_range t.len off len;
+      cow_write t c off src soff len
+
 let blit ~src ~src_off ~dst ~dst_off ~len =
   match (src.backing, dst.backing) with
-  | Flat s, Flat d -> Bytes.blit s src_off d dst_off len
-  | Flat s, Cow c ->
-      check_range (Bytes.length s) src_off len;
-      check_range dst.len dst_off len;
-      cow_write dst c dst_off s src_off len
-  | Cow c, Flat d ->
-      check_range src.len src_off len;
-      check_range (Bytes.length d) dst_off len;
-      cow_read c src_off d dst_off len
+  | Flat s, _ -> blit_of_bytes s src_off dst dst_off len
+  | Cow _, Flat d -> blit_to_bytes src src_off d dst_off len
   | Cow _, Cow _ -> write_bytes dst dst_off (read_bytes src src_off len)
 
 let fill t off len ch =
@@ -649,8 +654,15 @@ module Addr_space = struct
 
   let unmap t ~base = t.maps <- List.filter (fun m -> m.base <> base) t.maps
 
+  (* The mapping holding [va]; [Not_found] if none. A loop rather than
+     a [List.find_opt] closure, so the copies below allocate nothing. *)
+  let rec mapping_at va = function
+    | [] -> raise_notrace Not_found
+    | m :: rest ->
+        if va >= m.base && va < m.base + m.len then m else mapping_at va rest
+
   let find t va =
-    List.find_opt (fun m -> va >= m.base && va < m.base + m.len) t.maps
+    match mapping_at va t.maps with m -> Some m | exception Not_found -> None
 
   let find_free t ~hint ~len =
     let rec probe base = function
@@ -666,30 +678,28 @@ module Addr_space = struct
     | None -> None
     | Some m -> Some (m.backing, m.backing_off + (va - m.base))
 
-  (* The mapping-by-mapping walk both directions share: [f backing
-     backing_off buf_off chunk] for each piece of [va, va + len). *)
-  let walk t ~what va len f =
-    let rec go va boff len =
-      if len > 0 then
-        match find t va with
-        | None ->
-            invalid_arg (Printf.sprintf "Addr_space.%s: 0x%x unmapped" what va)
-        | Some m ->
-            let chunk = min (m.base + m.len - va) len in
-            f m.backing (m.backing_off + (va - m.base)) boff chunk;
-            go (va + chunk) (boff + chunk) (len - chunk)
-    in
-    go va 0 len
+  let unmapped what va =
+    invalid_arg (Printf.sprintf "Addr_space.%s: 0x%x unmapped" what va)
 
-  let read_into t va dst off len =
-    let d = of_bytes dst in
-    walk t ~what:"read" va len (fun m moff boff chunk ->
-        blit ~src:m ~src_off:moff ~dst:d ~dst_off:(off + boff) ~len:chunk)
+  (* Both directions copy mapping by mapping, straight between the
+     caller's bytes and each backing. *)
+  let rec read_into t va dst off len =
+    if len > 0 then
+      match mapping_at va t.maps with
+      | exception Not_found -> unmapped "read" va
+      | m ->
+          let chunk = Int.min (m.base + m.len - va) len in
+          blit_to_bytes m.backing (m.backing_off + (va - m.base)) dst off chunk;
+          read_into t (va + chunk) dst (off + chunk) (len - chunk)
 
-  let write_from t va src off len =
-    let s = of_bytes src in
-    walk t ~what:"write" va len (fun m moff boff chunk ->
-        blit ~src:s ~src_off:(off + boff) ~dst:m ~dst_off:moff ~len:chunk)
+  let rec write_from t va src off len =
+    if len > 0 then
+      match mapping_at va t.maps with
+      | exception Not_found -> unmapped "write" va
+      | m ->
+          let chunk = Int.min (m.base + m.len - va) len in
+          blit_of_bytes src off m.backing (m.backing_off + (va - m.base)) chunk;
+          write_from t (va + chunk) src (off + chunk) (len - chunk)
 
   let read t va len =
     let b = Bytes.create len in

@@ -17,12 +17,19 @@ let entry_size = function
   | Kernel_version.Absolute_value_first | Kernel_version.Absolute_name_first -> 16
   | Kernel_version.Prel32 -> 8
 
+(* Name offsets are looked up in a table built once per call; where a
+   name is bound twice, the first binding wins, as with [List.assoc]. *)
 let build_table layout ~syms ~strings_va ~table_va ~name_offsets =
   let esz = entry_size layout in
   let b = Bytes.make (esz * List.length syms) '\000' in
+  let offsets = Hashtbl.create (List.length name_offsets) in
+  List.iter
+    (fun (name, off) ->
+      if not (Hashtbl.mem offsets name) then Hashtbl.add offsets name off)
+    name_offsets;
   List.iteri
     (fun i s ->
-      let name_va = strings_va + List.assoc s.name name_offsets in
+      let name_va = strings_va + Hashtbl.find offsets s.name in
       let base = i * esz in
       match layout with
       | Kernel_version.Absolute_value_first ->

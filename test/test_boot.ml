@@ -214,15 +214,14 @@ let test_firecracker_seccomp_applied () =
    boot that wrote every image page allocated 423-435 k words; one
    that generates the noise and materialises only the pages the boot
    itself touches allocates at most 83,393, bounded here with 25%
-   headroom. A major cycle that ends inside the window adds about 21 k
-   words to the count, so each boot starts right after a full one. *)
+   headroom. [Alloc.words] starts each boot right after a full major
+   collection. *)
 let test_boot_allocation_bound () =
   List.iter
     (fun version ->
       let h = H.Host.create ~seed:7 () in
       let disk, _ = make_disk ~clock:h.H.Host.clock () in
       let vmm = Hypervisor.Vmm.create h ~profile:Hypervisor.Profile.qemu ~disk () in
-      Gc.full_major ();
       let g, words = Alloc.words (fun () -> Hypervisor.Vmm.boot vmm ~version) in
       check cbool (KV.to_string version ^ " booted") true (Guest.crashed g = None);
       if words > 1.25 *. 83_393. then

@@ -60,10 +60,10 @@ let attached ?(recorder = true) seed =
 
 (* KiB allocated per request on both heaps, averaged over 20 requests
    after 3 warm-ups, with the event recorder off. Each request is
-   counted alone after a minor collection: a 256 KiB buffer goes
-   straight to the major heap and can start one, and a minor collection
-   inside the window inflates [Alloc.words]' count (by up to 600 KiB
-   for one request on OCaml 5.1). *)
+   counted alone on a settled heap ([Alloc.words]): a 256 KiB buffer
+   goes straight to the major heap and can start a collection, and one
+   inside the window inflates the count (by up to 600 KiB for one
+   request on OCaml 5.1). *)
 let kib_per_request r f =
   Vmm.in_guest r.vmm (fun () ->
       for _ = 1 to 3 do
@@ -71,7 +71,6 @@ let kib_per_request r f =
       done);
   let total = ref 0. in
   for _ = 1 to 20 do
-    Gc.minor ();
     let (), words = Alloc.words (fun () -> Vmm.in_guest r.vmm f) in
     total := !total +. words
   done;

@@ -183,6 +183,33 @@ let test_abort_text () =
       (Bug (Leaked_fds 2), "BUG", "BUG: leaked 2 descriptors");
     ]
 
+(* --- the remote-copy path under faults, pinned ---
+
+   An attach under an EFAULT-only plan (rate 0.3, cap 4): every
+   injected fault is a process_vm call that bounced and was retried
+   with backoff. The trace, the metrics, the virtual time and the retry
+   count are pinned, so a change to the remote-copy path that moves a
+   fault draw, a backoff or a charge fails here. *)
+let test_vm_rw_efault_pin () =
+  let ((h, _, _) as env) = Test_attach.setup ~seed:91 () in
+  Observe.enable h.H.Host.observe;
+  let plan =
+    F.create ~seed:17 ~rate:0.3 ~cap:4 ~classes:[ F.Vm_rw_efault ] ()
+  in
+  H.Host.arm_faults h plan;
+  (match Test_attach.do_attach env with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "attach failed: %s" e);
+  let hex s = Digest.to_hex (Digest.string s) in
+  check cstr "chrome trace digest" "a11d3017cb7ee5e2eb47b157f61a29a8"
+    (hex (Observe.Export.chrome_trace h.H.Host.observe));
+  check cstr "metrics digest" "1506ba5daa4b2c38f54155f5ef16d36a"
+    (hex (Observe.Export.metrics_json (Observe.metrics h.H.Host.observe)));
+  check (Alcotest.float 0.) "virtual ns" 6050025.1600004556
+    (H.Clock.now_ns h.H.Host.clock);
+  check cint "vm_rw retries" 4 (counter_value h "recovery.vm_rw_retry");
+  check cint "EFAULTs injected" 4 (F.injected plan F.Vm_rw_efault)
+
 let suite =
   [
     ( "faults.plan",
@@ -215,5 +242,7 @@ let suite =
           test_same_seed_identical_trace;
         Alcotest.test_case "disabled plan is metrics-neutral" `Quick
           test_disabled_plan_is_neutral;
+        Alcotest.test_case "an EFAULT attach is pinned" `Quick
+          test_vm_rw_efault_pin;
       ] );
   ]

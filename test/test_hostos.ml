@@ -770,6 +770,42 @@ let test_process_vm_permissions () =
   | Error e -> Alcotest.failf "expected EFAULT, got %a" Errno.pp e
   | Ok _ -> Alcotest.fail "expected EFAULT"
 
+(* A refused process_vm_readv fails before the syscall body: no fault
+   draw (the plan fires on every draw), no charge, and the caller's
+   buffer untouched. [refuse] runs one single-segment read. *)
+let refused_readv expected refuse =
+  let host = make_host () in
+  let plan =
+    Faults.create ~seed:1 ~rate:1.0 ~classes:[ Faults.Vm_rw_efault ] ()
+  in
+  Host.arm_faults host plan;
+  let hyp = Host.spawn host ~name:"hyp" ~uid:1000 () in
+  let base =
+    Syscall.call host hyp (Proc.main_thread hyp) ~nr:Syscall.Nr.mmap
+      ~args:[| 0; 4096 |]
+  in
+  let buf = Bytes.make 8 'x' in
+  let clock = host.Host.clock in
+  let now = Clock.now_ns clock and calls = (Clock.counters clock).syscalls in
+  (match refuse host ~hyp ~iov:[ (base, 8) ] buf with
+  | Error e -> check errno "errno" expected e
+  | Ok () -> Alcotest.fail "the read was not refused");
+  check cint "no fault drawn" 0 (Faults.decisions plan Faults.Vm_rw_efault);
+  check cbool "no time charged" true (Clock.now_ns clock = now);
+  check cint "no syscall counted" calls (Clock.counters clock).syscalls;
+  check cstr "buffer untouched" "xxxxxxxx" (Bytes.to_string buf)
+
+let test_process_vm_readv_eperm () =
+  refused_readv Errno.EPERM (fun host ~hyp ~iov buf ->
+      let other = Host.spawn host ~name:"other" ~uid:2000 () in
+      Host.process_vm_readv host ~caller:other ~pid:hyp.Proc.pid ~iov buf
+        ~off:0)
+
+let test_process_vm_readv_esrch () =
+  refused_readv Errno.ESRCH (fun host ~hyp ~iov buf ->
+      Host.process_vm_readv host ~caller:hyp ~pid:(hyp.Proc.pid + 1000) ~iov
+        buf ~off:0)
+
 (* --- /proc --- *)
 
 let test_proc_fd_labels () =
@@ -1120,6 +1156,8 @@ let suite =
         t "seccomp" test_syscall_seccomp_blocks;
         t "process_vm rw" test_process_vm_rw;
         t "process_vm perms" test_process_vm_permissions;
+        t "process_vm_readv EPERM" test_process_vm_readv_eperm;
+        t "process_vm_readv ESRCH" test_process_vm_readv_esrch;
       ] );
     ( "hostos.ptrace",
       [

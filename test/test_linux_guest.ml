@@ -91,6 +91,67 @@ let test_ksymtab_prel32_layout () =
   check cint "value recovers" 0x7fff_0000_2000 (table_va + 8 + value_off);
   check cint "name recovers" (strings_va + 6) (table_va + 12 + name_off)
 
+(* The per-symbol [List.assoc] lookup [build_table] once made, kept as
+   the reference it must agree with: the first binding of a name wins. *)
+let reference_build_table layout ~syms ~strings_va ~table_va ~name_offsets =
+  let esz = Ksymtab.entry_size layout in
+  let b = Bytes.make (esz * List.length syms) '\000' in
+  List.iteri
+    (fun i s ->
+      let name_va = strings_va + List.assoc s.Ksymtab.name name_offsets in
+      let base = i * esz in
+      match layout with
+      | KV.Absolute_value_first ->
+          Bytes.set_int64_le b base (Int64.of_int s.va);
+          Bytes.set_int64_le b (base + 8) (Int64.of_int name_va)
+      | KV.Absolute_name_first ->
+          Bytes.set_int64_le b base (Int64.of_int name_va);
+          Bytes.set_int64_le b (base + 8) (Int64.of_int s.va)
+      | KV.Prel32 ->
+          Bytes.set_int32_le b base (Int32.of_int (s.va - (table_va + base)));
+          Bytes.set_int32_le b (base + 4)
+            (Int32.of_int (name_va - (table_va + base + 4))))
+    syms;
+  b
+
+(* Symbols drawn from a small pool, so names repeat; [name_offsets]
+   binds every name, shuffled out of [syms]' order, plus extra bindings
+   of pool names at other offsets, some of them ahead of the first. *)
+let prop_build_table_reference =
+  QCheck.Test.make ~name:"build_table equals the List.assoc reference"
+    ~count:300
+    QCheck.(make ~print:string_of_int Gen.(int_bound (1 lsl 29)))
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let pool = [| "printk"; "kmalloc"; "a"; "bb"; "d_path"; "x_1"; "z" |] in
+      let pick () = pool.(Random.State.int st (Array.length pool)) in
+      let syms =
+        List.init (Random.State.int st 40) (fun _ ->
+            {
+              Ksymtab.name = pick ();
+              va = 0x7fff_0000_0000 + Random.State.int st 0x10_0000;
+            })
+      in
+      let offset () = Random.State.int st 0x1000 in
+      let bindings =
+        List.map (fun s -> (s.Ksymtab.name, offset ())) syms
+        @ List.init (Random.State.int st 10) (fun _ -> (pick (), offset ()))
+      in
+      let name_offsets =
+        List.map (fun b -> (Random.State.bits st, b)) bindings
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      let strings_va = 0x7fff_0010_0000 and table_va = 0x7fff_0020_0000 in
+      List.for_all
+        (fun layout ->
+          Bytes.equal
+            (Ksymtab.build_table layout ~syms ~strings_va ~table_va
+               ~name_offsets)
+            (reference_build_table layout ~syms ~strings_va ~table_va
+               ~name_offsets))
+        [ KV.Absolute_value_first; KV.Absolute_name_first; KV.Prel32 ])
+
 let test_noise_avoids_reserved () =
   let rng = H.Rng.create ~seed:5 in
   let noise =
@@ -349,6 +410,7 @@ let suite =
         t "absolute layouts" test_ksymtab_absolute_layout;
         t "prel32 layout" test_ksymtab_prel32_layout;
         t "noise avoids reserved" test_noise_avoids_reserved;
+        QCheck_alcotest.to_alcotest prop_build_table_reference;
       ] );
     ( "guest.klib",
       [
