@@ -38,8 +38,9 @@
 #                 symbol cache hits, and two identical runs produce
 #                 byte-identical schedules and metrics — then a cold
 #                 64-VM fleet, which sparse guest memory, generated
-#                 kernel-image pages and the shared tools image keep
-#                 under 235 MiB peak RSS (see peak_rss)
+#                 kernel-image pages, the shared tools image and
+#                 flight-recorder rings that grow on demand keep
+#                 under 171 MiB peak RSS (see peak_rss)
 #   fleet-fork    linked clones: bake a baseline image, fork a 64-VM
 #                 fleet from it through the CoW overlay, gate fork p99
 #                 against the cold attach p50 and shared vs copied
@@ -346,12 +347,14 @@ stage_fleet() {
   # Scale: 64 cold-booted sessions at once. Each guest's RAM, boot disk
   # and mmaps hold only the pages it wrote, its kernel image only the
   # pages something read (3 of 4 sessions hit the symbol cache, which
-  # reads a handful), and every session serves one shared tools image,
-  # so this fits a small box: peak RSS must stay under 235 MiB (188 MiB
-  # measured, plus 25%; 373 MiB when boots wrote every image page).
+  # reads a handful), every session serves one shared tools image, and
+  # each host's flight-recorder ring holds only the events recorded, so
+  # this fits a small box: peak RSS must stay under 171 MiB (137 MiB
+  # measured, plus 25%; 188 MiB when every host allocated the whole
+  # 65,536-slot ring, 373 MiB when boots wrote every image page).
   # `dune exec` is called directly: the vmsh function would put a shell
   # between peak_rss and the CLI.
-  peak_rss 235 "cold 64-VM fleet" vmsh_cli.exe \
+  peak_rss 171 "cold 64-VM fleet" vmsh_cli.exe \
     dune exec --no-print-directory bin/vmsh_cli.exe -- fleet --vms 64 \
     --metrics-out "$ARTIFACTS/fleet-64-metrics.json" > /dev/null || return 1
   ci_check fleet "$ARTIFACTS/fleet-64-metrics.json" || return 1

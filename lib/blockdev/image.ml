@@ -62,7 +62,10 @@ let pack ?(extra_blocks = 64) ?clock manifest =
           | Some c -> c
           | None -> synthetic_content ~path:e.path e.size
         in
-        let* () = Simplefs.write_file fs e.path (Bytes.of_string content) in
+        (* write_file only reads its data, so the string needs no copy *)
+        let* () =
+          Simplefs.write_file fs e.path (Bytes.unsafe_of_string content)
+        in
         add rest
   in
   let* () = add manifest in

@@ -43,7 +43,39 @@ type t = {
   mutable free_inodes : int;
   mutable alloc_hint : int;
   mutable now : int;  (** monotonically bumped pseudo-mtime *)
+  mutable spare : bytes list;  (** free block buffers, see {!with_block} *)
 }
+
+(* --- block buffers --- *)
+
+(* Every read-modify-write of a block runs in a buffer taken from the
+   file system's free list and given back when done. One fixed buffer
+   would not do: [map_block] holds an index block across
+   [alloc_block]'s device ops, and a device op may park its guest task
+   while another task runs on the same file system ([Kvm.Vm]'s
+   [Yield_until]), so two operations can each be holding a block. *)
+let with_buffer t f =
+  let b =
+    match t.spare with
+    | b :: rest ->
+        t.spare <- rest;
+        b
+    | [] -> Bytes.create bs
+  in
+  let r = f b in
+  t.spare <- b :: t.spare;
+  r
+
+(* [f] of a buffer holding block [blk]. *)
+let with_block t blk f =
+  with_buffer t (fun b ->
+      t.dev.Dev.read_into blk b 0;
+      f b)
+
+let with_zeroed t f =
+  with_buffer t (fun b ->
+      Bytes.fill b 0 bs '\000';
+      f b)
 
 (* --- in-memory inode record and its on-disk codec --- *)
 
@@ -81,41 +113,38 @@ let inode_pos t ino =
 
 let read_inode t ino =
   let blk, off = inode_pos t ino in
-  let b = t.dev.Dev.read_block blk in
-  let g32 p = Int32.to_int (Bytes.get_int32_le b (off + p)) land 0xffffffff in
-  let g64 p = Int64.to_int (Bytes.get_int64_le b (off + p)) in
-  let node =
-    {
-      i_kind = g32 0;
-      i_mode = g32 4;
-      i_nlink = g32 8;
-      i_uid = g32 12;
-      i_gid = g32 16;
-      i_size = g64 24;
-      i_mtime = g64 32;
-      direct = Array.init ndirect (fun i -> g64 (40 + (8 * i)));
-      indirect = g64 (40 + (8 * ndirect));
-      dindirect = g64 (48 + (8 * ndirect));
-    }
-  in
-  node
+  with_block t blk (fun b ->
+      let g32 p = Int32.to_int (Bytes.get_int32_le b (off + p)) land 0xffffffff in
+      let g64 p = Int64.to_int (Bytes.get_int64_le b (off + p)) in
+      {
+        i_kind = g32 0;
+        i_mode = g32 4;
+        i_nlink = g32 8;
+        i_uid = g32 12;
+        i_gid = g32 16;
+        i_size = g64 24;
+        i_mtime = g64 32;
+        direct = Array.init ndirect (fun i -> g64 (40 + (8 * i)));
+        indirect = g64 (40 + (8 * ndirect));
+        dindirect = g64 (48 + (8 * ndirect));
+      })
 
 let write_inode t ino node =
   let blk, off = inode_pos t ino in
-  let b = t.dev.Dev.read_block blk in
-  let p32 p v = Bytes.set_int32_le b (off + p) (Int32.of_int v) in
-  let p64 p v = Bytes.set_int64_le b (off + p) (Int64.of_int v) in
-  p32 0 node.i_kind;
-  p32 4 node.i_mode;
-  p32 8 node.i_nlink;
-  p32 12 node.i_uid;
-  p32 16 node.i_gid;
-  p64 24 node.i_size;
-  p64 32 node.i_mtime;
-  Array.iteri (fun i v -> p64 (40 + (8 * i)) v) node.direct;
-  p64 (40 + (8 * ndirect)) node.indirect;
-  p64 (48 + (8 * ndirect)) node.dindirect;
-  t.dev.Dev.write_block blk b
+  with_block t blk (fun b ->
+      let p32 p v = Bytes.set_int32_le b (off + p) (Int32.of_int v) in
+      let p64 p v = Bytes.set_int64_le b (off + p) (Int64.of_int v) in
+      p32 0 node.i_kind;
+      p32 4 node.i_mode;
+      p32 8 node.i_nlink;
+      p32 12 node.i_uid;
+      p32 16 node.i_gid;
+      p64 24 node.i_size;
+      p64 32 node.i_mtime;
+      Array.iteri (fun i v -> p64 (40 + (8 * i)) v) node.direct;
+      p64 (40 + (8 * ndirect)) node.indirect;
+      p64 (48 + (8 * ndirect)) node.dindirect;
+      t.dev.Dev.write_from blk b 0)
 
 (* --- block bitmap --- *)
 
@@ -125,19 +154,19 @@ let bit_location t blk =
 
 let block_used t blk =
   let bblk, bit = bit_location t blk in
-  let b = t.dev.Dev.read_block bblk in
-  Char.code (Bytes.get b (bit / 8)) land (1 lsl (bit mod 8)) <> 0
+  with_block t bblk (fun b ->
+      Char.code (Bytes.get b (bit / 8)) land (1 lsl (bit mod 8)) <> 0)
 
 let set_block t blk used =
   let bblk, bit = bit_location t blk in
-  let b = t.dev.Dev.read_block bblk in
-  let cur = Char.code (Bytes.get b (bit / 8)) in
-  let v =
-    if used then cur lor (1 lsl (bit mod 8))
-    else cur land lnot (1 lsl (bit mod 8))
-  in
-  Bytes.set b (bit / 8) (Char.chr v);
-  t.dev.Dev.write_block bblk b
+  with_block t bblk (fun b ->
+      let cur = Char.code (Bytes.get b (bit / 8)) in
+      let v =
+        if used then cur lor (1 lsl (bit mod 8))
+        else cur land lnot (1 lsl (bit mod 8))
+      in
+      Bytes.set b (bit / 8) (Char.chr v);
+      t.dev.Dev.write_from bblk b 0)
 
 let alloc_block t =
   if t.free_blocks = 0 then Error Errno.ENOSPC
@@ -151,7 +180,7 @@ let alloc_block t =
           set_block t blk true;
           t.free_blocks <- t.free_blocks - 1;
           t.alloc_hint <- blk + 1;
-          t.dev.Dev.write_block blk (Bytes.make bs '\000');
+          with_zeroed t (fun z -> t.dev.Dev.write_from blk z 0);
           Ok blk
         end
         else probe (tried + 1) (blk + 1)
@@ -193,19 +222,18 @@ let rec map_block t node ~ino ~n ~alloc =
             write_inode t ino node;
             map_block t node ~ino ~n ~alloc
     end
-    else begin
-      let idx = t.dev.Dev.read_block node.indirect in
-      let cur = Int64.to_int (Bytes.get_int64_le idx (8 * slot)) in
-      if cur <> 0 then Ok (Some cur)
-      else if not alloc then Ok None
-      else
-        match alloc_block t with
-        | Error e -> Error e
-        | Ok blk ->
-            Bytes.set_int64_le idx (8 * slot) (Int64.of_int blk);
-            t.dev.Dev.write_block node.indirect idx;
-            Ok (Some blk)
-    end
+    else
+      with_block t node.indirect (fun idx ->
+          let cur = Int64.to_int (Bytes.get_int64_le idx (8 * slot)) in
+          if cur <> 0 then Ok (Some cur)
+          else if not alloc then Ok None
+          else
+            match alloc_block t with
+            | Error e -> Error e
+            | Ok blk ->
+                Bytes.set_int64_le idx (8 * slot) (Int64.of_int blk);
+                t.dev.Dev.write_from node.indirect idx 0;
+                Ok (Some blk))
   end
   else begin
     let n' = n - ndirect - ptrs_per_block in
@@ -222,32 +250,31 @@ let rec map_block t node ~ino ~n ~alloc =
               write_inode t ino node;
               map_block t node ~ino ~n ~alloc
       end
-      else begin
-        let oidx = t.dev.Dev.read_block node.dindirect in
-        let mid = Int64.to_int (Bytes.get_int64_le oidx (8 * outer)) in
-        let with_mid mid =
-          let iidx = t.dev.Dev.read_block mid in
-          let cur = Int64.to_int (Bytes.get_int64_le iidx (8 * inner)) in
-          if cur <> 0 then Ok (Some cur)
-          else if not alloc then Ok None
-          else
-            match alloc_block t with
-            | Error e -> Error e
-            | Ok blk ->
-                Bytes.set_int64_le iidx (8 * inner) (Int64.of_int blk);
-                t.dev.Dev.write_block mid iidx;
-                Ok (Some blk)
-        in
-        if mid <> 0 then with_mid mid
-        else if not alloc then Ok None
-        else
-          match alloc_block t with
-          | Error e -> Error e
-          | Ok blk ->
-              Bytes.set_int64_le oidx (8 * outer) (Int64.of_int blk);
-              t.dev.Dev.write_block node.dindirect oidx;
-              with_mid blk
-      end
+      else
+        with_block t node.dindirect (fun oidx ->
+            let mid = Int64.to_int (Bytes.get_int64_le oidx (8 * outer)) in
+            let with_mid mid =
+              with_block t mid (fun iidx ->
+                  let cur = Int64.to_int (Bytes.get_int64_le iidx (8 * inner)) in
+                  if cur <> 0 then Ok (Some cur)
+                  else if not alloc then Ok None
+                  else
+                    match alloc_block t with
+                    | Error e -> Error e
+                    | Ok blk ->
+                        Bytes.set_int64_le iidx (8 * inner) (Int64.of_int blk);
+                        t.dev.Dev.write_from mid iidx 0;
+                        Ok (Some blk))
+            in
+            if mid <> 0 then with_mid mid
+            else if not alloc then Ok None
+            else
+              match alloc_block t with
+              | Error e -> Error e
+              | Ok blk ->
+                  Bytes.set_int64_le oidx (8 * outer) (Int64.of_int blk);
+                  t.dev.Dev.write_from node.dindirect oidx 0;
+                  with_mid blk)
     end
   end
 
@@ -257,27 +284,21 @@ let iter_file_blocks t node ~f =
   for i = 0 to ndirect - 1 do
     if node.direct.(i) <> 0 then f node.direct.(i)
   done;
-  if node.indirect <> 0 then begin
-    let idx = t.dev.Dev.read_block node.indirect in
+  let each_ptr idx g =
     for i = 0 to ptrs_per_block - 1 do
       let p = Int64.to_int (Bytes.get_int64_le idx (8 * i)) in
-      if p <> 0 then f p
-    done;
+      if p <> 0 then g p
+    done
+  in
+  if node.indirect <> 0 then begin
+    with_block t node.indirect (fun idx -> each_ptr idx f);
     f node.indirect
   end;
   if node.dindirect <> 0 then begin
-    let oidx = t.dev.Dev.read_block node.dindirect in
-    for o = 0 to ptrs_per_block - 1 do
-      let mid = Int64.to_int (Bytes.get_int64_le oidx (8 * o)) in
-      if mid <> 0 then begin
-        let iidx = t.dev.Dev.read_block mid in
-        for i = 0 to ptrs_per_block - 1 do
-          let p = Int64.to_int (Bytes.get_int64_le iidx (8 * i)) in
-          if p <> 0 then f p
-        done;
-        f mid
-      end
-    done;
+    with_block t node.dindirect (fun oidx ->
+        each_ptr oidx (fun mid ->
+            with_block t mid (fun iidx -> each_ptr iidx f);
+            f mid));
     f node.dindirect
   end
 
@@ -324,7 +345,7 @@ let read_node t node ~off ~len =
         (match map_block t node ~ino:(-1) ~n ~alloc:false with
         | Ok (Some blk) ->
             if chunk = bs then t.dev.Dev.read_into blk out dst
-            else Bytes.blit (t.dev.Dev.read_block blk) boff out dst chunk
+            else with_block t blk (fun cur -> Bytes.blit cur boff out dst chunk)
         | Ok None | Error _ -> () (* hole: zeros *));
         go (off + chunk) (dst + chunk) (remaining - chunk)
       end
@@ -347,11 +368,10 @@ let write_node t node ~ino ~off data =
         | Ok None -> Error Errno.EIO
         | Ok (Some blk) ->
             if chunk = bs then t.dev.Dev.write_from blk data src
-            else begin
-              let cur = t.dev.Dev.read_block blk in
-              Bytes.blit data src cur boff chunk;
-              t.dev.Dev.write_block blk cur
-            end;
+            else
+              with_block t blk (fun cur ->
+                  Bytes.blit data src cur boff chunk;
+                  t.dev.Dev.write_from blk cur 0);
             go (off + chunk) (src + chunk) (remaining - chunk)
       end
     in
@@ -471,20 +491,20 @@ let layout ~total_blocks ~inodes =
   (bitmap_start, bitmap_blocks, itable_start, itable_blocks, data_start)
 
 let write_super t =
-  let b = Bytes.make bs '\000' in
-  let p64 off v = Bytes.set_int64_le b off (Int64.of_int v) in
-  Bytes.set_int32_le b 0 (Int32.of_int magic);
-  p64 8 t.total_blocks;
-  p64 16 t.inode_count;
-  p64 24 t.bitmap_start;
-  p64 32 t.bitmap_blocks;
-  p64 40 t.itable_start;
-  p64 48 t.itable_blocks;
-  p64 56 t.data_start;
-  p64 64 t.free_blocks;
-  p64 72 t.free_inodes;
-  p64 80 t.now;
-  t.dev.Dev.write_block 0 b
+  with_zeroed t (fun b ->
+      let p64 off v = Bytes.set_int64_le b off (Int64.of_int v) in
+      Bytes.set_int32_le b 0 (Int32.of_int magic);
+      p64 8 t.total_blocks;
+      p64 16 t.inode_count;
+      p64 24 t.bitmap_start;
+      p64 32 t.bitmap_blocks;
+      p64 40 t.itable_start;
+      p64 48 t.itable_blocks;
+      p64 56 t.data_start;
+      p64 64 t.free_blocks;
+      p64 72 t.free_inodes;
+      p64 80 t.now;
+      t.dev.Dev.write_from 0 b 0)
 
 let mkfs dev ?(inodes = 1024) () =
   let total_blocks = dev.Dev.blocks in
@@ -507,12 +527,14 @@ let mkfs dev ?(inodes = 1024) () =
         free_inodes = inodes - 2 (* null + root *);
         alloc_hint = data_start;
         now = 0;
+        spare = [];
       }
     in
     (* zero metadata *)
-    for blk = 0 to data_start - 1 do
-      dev.Dev.write_block blk (Bytes.make bs '\000')
-    done;
+    with_zeroed t (fun z ->
+        for blk = 0 to data_start - 1 do
+          dev.Dev.write_from blk z 0
+        done);
     (* mark metadata blocks used *)
     for blk = 0 to data_start - 1 do
       set_block t blk true
@@ -526,7 +548,8 @@ let mkfs dev ?(inodes = 1024) () =
   end
 
 let mount dev =
-  let b = dev.Dev.read_block 0 in
+  let b = Bytes.create bs in
+  dev.Dev.read_into 0 b 0;
   if Int32.to_int (Bytes.get_int32_le b 0) <> magic then Error Errno.EINVAL
   else begin
     let g64 off = Int64.to_int (Bytes.get_int64_le b off) in
@@ -544,6 +567,7 @@ let mount dev =
         free_inodes = g64 72;
         alloc_hint = g64 56;
         now = g64 80;
+        spare = [ b ];
       }
   end
 
@@ -717,30 +741,31 @@ let clear_mapping t node ~n =
   else if n < ndirect + ptrs_per_block then begin
     if node.indirect <> 0 then begin
       let slot = n - ndirect in
-      let idx = t.dev.Dev.read_block node.indirect in
-      let cur = Int64.to_int (Bytes.get_int64_le idx (8 * slot)) in
-      if cur <> 0 then begin
-        free_block t cur;
-        Bytes.set_int64_le idx (8 * slot) 0L;
-        t.dev.Dev.write_block node.indirect idx
-      end
+      with_block t node.indirect (fun idx ->
+          let cur = Int64.to_int (Bytes.get_int64_le idx (8 * slot)) in
+          if cur <> 0 then begin
+            free_block t cur;
+            Bytes.set_int64_le idx (8 * slot) 0L;
+            t.dev.Dev.write_from node.indirect idx 0
+          end)
     end
   end
   else begin
     let n' = n - ndirect - ptrs_per_block in
     if node.dindirect <> 0 && n' < ptrs_per_block * ptrs_per_block then begin
       let outer = n' / ptrs_per_block and inner = n' mod ptrs_per_block in
-      let oidx = t.dev.Dev.read_block node.dindirect in
-      let mid = Int64.to_int (Bytes.get_int64_le oidx (8 * outer)) in
-      if mid <> 0 then begin
-        let iidx = t.dev.Dev.read_block mid in
-        let cur = Int64.to_int (Bytes.get_int64_le iidx (8 * inner)) in
-        if cur <> 0 then begin
-          free_block t cur;
-          Bytes.set_int64_le iidx (8 * inner) 0L;
-          t.dev.Dev.write_block mid iidx
-        end
-      end
+      let mid =
+        with_block t node.dindirect (fun oidx ->
+            Int64.to_int (Bytes.get_int64_le oidx (8 * outer)))
+      in
+      if mid <> 0 then
+        with_block t mid (fun iidx ->
+            let cur = Int64.to_int (Bytes.get_int64_le iidx (8 * inner)) in
+            if cur <> 0 then begin
+              free_block t cur;
+              Bytes.set_int64_le iidx (8 * inner) 0L;
+              t.dev.Dev.write_from mid iidx 0
+            end)
     end
   end
 
@@ -761,9 +786,9 @@ let truncate t path new_size =
        if tail <> 0 then
          match map_block t node ~ino ~n:(new_size / bs) ~alloc:false with
          | Ok (Some blk) ->
-             let data = t.dev.Dev.read_block blk in
-             Bytes.fill data tail (bs - tail) '\000';
-             t.dev.Dev.write_block blk data
+             with_block t blk (fun data ->
+                 Bytes.fill data tail (bs - tail) '\000';
+                 t.dev.Dev.write_from blk data 0)
          | Ok None | Error _ -> ()
      end);
     node.i_size <- new_size;

@@ -230,19 +230,22 @@ let write_phys_u64 t gpa v =
 let pt_access t =
   { X86.Page_table.read_u64 = read_phys_u64 t; write_u64 = write_phys_u64 t }
 
-let read_virt t ~cr3 ~va ~len =
+let read_virt_into t ~cr3 ~va buf ~off ~len =
   let acc = pt_access t in
-  let out = Bytes.create len in
   let page = X86.Layout.page_size in
   let rec go va dst remaining =
-    if remaining = 0 then Some out
+    if remaining = 0 then true
     else
       let page_rem = page - (va land (page - 1)) in
       let chunk = Int.min remaining page_rem in
       match X86.Page_table.translate acc ~root:cr3 va with
-      | None -> None
+      | None -> false
       | Some pa ->
-          read_phys_into t ~gpa:pa out ~off:dst ~len:chunk;
+          read_phys_into t ~gpa:pa buf ~off:dst ~len:chunk;
           go (va + chunk) (dst + chunk) (remaining - chunk)
   in
-  go va 0 len
+  go va off len
+
+let read_virt t ~cr3 ~va ~len =
+  let out = Bytes.create len in
+  if read_virt_into t ~cr3 ~va out ~off:0 ~len then Some out else None

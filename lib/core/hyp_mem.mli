@@ -91,9 +91,14 @@ val pt_access : t -> X86.Page_table.access
 (** Page-table accessors over this remote view (what the sideloader's
     CR3 walk uses). *)
 
+val read_virt_into :
+  t -> cr3:int -> va:int -> bytes -> off:int -> len:int -> bool
+(** Guest-virtual read into [buf] at [off]: walk the tables, then read
+    each page. [false] if a page is unmapped; the pages before it have
+    been read by then. *)
+
 val read_virt : t -> cr3:int -> va:int -> len:int -> bytes option
-(** Guest-virtual read: walk the tables, then read each page. [None] if
-    any page is unmapped. *)
+(** {!read_virt_into} a fresh buffer; [None] if any page is unmapped. *)
 
 val read_hva : t -> hva:int -> len:int -> bytes
 (** Raw hypervisor-virtual read (e.g. the kvm_run pages), in the

@@ -29,23 +29,37 @@ module Metrics = struct
     mutable h_sum : float;
     mutable h_min : float;
     mutable h_max : float;
-    h_buckets : int array;
+    mutable h_buckets : int array;  (** [[||]] until the first observation *)
   }
 
+  (* The lists keep registration order for exports; the tables find a
+     metric by name. *)
   type t = {
     mutable cs : counter list;
     mutable gs : gauge list;
     mutable hs : histogram list;
+    c_tbl : (string, counter) Hashtbl.t;
+    g_tbl : (string, gauge) Hashtbl.t;
+    h_tbl : (string, histogram) Hashtbl.t;
   }
 
-  let create () = { cs = []; gs = []; hs = [] }
+  let create () =
+    {
+      cs = [];
+      gs = [];
+      hs = [];
+      c_tbl = Hashtbl.create 16;
+      g_tbl = Hashtbl.create 16;
+      h_tbl = Hashtbl.create 16;
+    }
 
   (* Find-or-create, preserving registration order for exports. *)
   let counter t name =
-    match List.find_opt (fun c -> c.c_name = name) t.cs with
+    match Hashtbl.find_opt t.c_tbl name with
     | Some c -> c
     | None ->
         let c = { c_name = name; c_count = 0 } in
+        Hashtbl.add t.c_tbl name c;
         t.cs <- t.cs @ [ c ];
         c
 
@@ -56,10 +70,11 @@ module Metrics = struct
   let histogram_name h = h.h_name
 
   let gauge t name =
-    match List.find_opt (fun g -> g.g_name = name) t.gs with
+    match Hashtbl.find_opt t.g_tbl name with
     | Some g -> g
     | None ->
         let g = { g_name = name; g_value = 0.0 } in
+        Hashtbl.add t.g_tbl name g;
         t.gs <- t.gs @ [ g ];
         g
 
@@ -67,7 +82,7 @@ module Metrics = struct
   let gauge_value g = g.g_value
 
   let histogram t name =
-    match List.find_opt (fun h -> h.h_name = name) t.hs with
+    match Hashtbl.find_opt t.h_tbl name with
     | Some h -> h
     | None ->
         let h =
@@ -77,11 +92,16 @@ module Metrics = struct
             h_sum = 0.0;
             h_min = infinity;
             h_max = neg_infinity;
-            h_buckets = Array.make nbuckets 0;
+            h_buckets = [||];
           }
         in
+        Hashtbl.add t.h_tbl name h;
         t.hs <- t.hs @ [ h ];
         h
+
+  let buckets h =
+    if Array.length h.h_buckets = 0 then h.h_buckets <- Array.make nbuckets 0;
+    h.h_buckets
 
   let bucket_of v =
     if v <= 1.0 then 0
@@ -97,8 +117,8 @@ module Metrics = struct
       h.h_sum <- h.h_sum +. v;
       if v < h.h_min then h.h_min <- v;
       if v > h.h_max then h.h_max <- v;
-      let i = bucket_of v in
-      h.h_buckets.(i) <- h.h_buckets.(i) + 1
+      let b = buckets h and i = bucket_of v in
+      b.(i) <- b.(i) + 1
     end
 
   let count h = h.h_count
@@ -151,8 +171,10 @@ module Metrics = struct
           if h.h_min < d.h_min then d.h_min <- h.h_min;
           if h.h_max > d.h_max then d.h_max <- h.h_max
         end;
-        Array.iteri (fun i n -> d.h_buckets.(i) <- d.h_buckets.(i) + n)
-          h.h_buckets)
+        if Array.length h.h_buckets > 0 then begin
+          let b = buckets d in
+          Array.iteri (fun i n -> b.(i) <- b.(i) + n) h.h_buckets
+        end)
       src.hs
 end
 

@@ -4,7 +4,7 @@
    Recording is pure observation. The recorder never reads the clock
    except through the [now] closure it was given (which does not
    advance it), never draws randomness, and allocates only inside its
-   fixed-capacity ring — so it can stay always-on without perturbing
+   capacity-bounded ring — so it can stay always-on without perturbing
    the simulation, and identically-seeded runs serialize to
    byte-identical files. *)
 
@@ -36,11 +36,16 @@ module Recorder = struct
      ([boundary], [dropped]) are kept apart so that switching detail
      records on never changes what {!save} writes. [seq] counts every
      record ever written; [mark] is its value at the last
-     [set_detail true]. *)
+     [set_detail true].
+
+     [buf] (and [phs], once allocated) start at [initial_slots] and
+     double when full, up to [cap]; the ring wraps only at [cap]. So
+     [start] stays 0 until the ring is [cap] long, and a host that
+     records a few hundred events never allocates the whole ring. *)
   type t = {
     now : unit -> float;
     cap : int;
-    buf : event array;
+    mutable buf : event array;
     mutable phs : phase array;
     mutable start : int;
     mutable len : int;
@@ -56,13 +61,16 @@ module Recorder = struct
 
   let default_capacity = 65536
 
+  (* 256 slots is the largest array the minor heap takes. *)
+  let initial_slots = 256
+  let dummy = { kind = ""; ts = 0.0; session = 0; args = [] }
+
   let create ?(capacity = default_capacity) ~now () =
-    let dummy = { kind = ""; ts = 0.0; session = 0; args = [] } in
     let cap = max 1 capacity in
     {
       now;
       cap;
-      buf = Array.make cap dummy;
+      buf = Array.make (min cap initial_slots) dummy;
       phs = [||];
       start = 0;
       len = 0;
@@ -82,7 +90,8 @@ module Recorder = struct
 
   let set_detail t b =
     if b then begin
-      if Array.length t.phs = 0 then t.phs <- Array.make t.cap Boundary;
+      if Array.length t.phs = 0 then
+        t.phs <- Array.make (Array.length t.buf) Boundary;
       t.mark <- t.seq
     end;
     t.detail <- b
@@ -99,11 +108,25 @@ module Recorder = struct
 
   let phase_at t i = if Array.length t.phs = 0 then Boundary else t.phs.(i)
 
+  (* Double the slots (at most to [cap]); only called while the ring
+     has not wrapped, so its records are the prefix [0, len). *)
+  let grow t =
+    let n = min t.cap (2 * Array.length t.buf) in
+    let buf = Array.make n dummy in
+    Array.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf;
+    if Array.length t.phs > 0 then begin
+      let phs = Array.make n Boundary in
+      Array.blit t.phs 0 phs 0 t.len;
+      t.phs <- phs
+    end
+
   let push t ph e =
     let i =
       if t.len < t.cap then begin
+        if t.len = Array.length t.buf then grow t;
         t.len <- t.len + 1;
-        (t.start + t.len - 1) mod t.cap
+        t.len - 1
       end
       else begin
         if phase_at t t.start = Boundary then t.dropped <- t.dropped + 1;

@@ -43,7 +43,9 @@ type phase =
   | Instant  (** tracing-only point event *)
 
 (** Bounded ring of records. Created once per {!Hostos.Host.t};
-    capacity bounds memory, oldest records are overwritten. *)
+    capacity bounds memory, oldest records are overwritten. The ring
+    starts small and doubles as records arrive, so memory follows what
+    a run records up to the capacity. *)
 module Recorder : sig
   type t
 

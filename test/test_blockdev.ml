@@ -183,6 +183,112 @@ let test_fs_chmod_chown_mtime () =
       check cint "mtime" 123456 st.Sfs.st_mtime
   | Error e -> Alcotest.failf "stat: %a" H.Errno.pp e
 
+(* --- block buffers under a second task --- *)
+
+(* [dev] with a second task cut in: on the [nth] write to block [blk],
+   [side ()] runs before the write reaches the device, as another guest
+   task runs on the same file system while this one is parked in a
+   device op. [fired] reports whether it ran. *)
+let cut_in dev ~blk ~nth side =
+  let seen = ref 0 and fired = ref false in
+  let at i =
+    if i = blk then begin
+      incr seen;
+      if !seen = nth then begin
+        fired := true;
+        side ()
+      end
+    end
+  in
+  ( {
+      dev with
+      Dev.write_block = (fun i b -> at i; dev.Dev.write_block i b);
+      write_from = (fun i src off -> at i; dev.Dev.write_from i src off);
+    },
+    fired )
+
+(* Used blocks per the on-disk bitmap (bitmap start and length from the
+   superblock, so [sync] first). *)
+let bitmap_used dev ~blocks =
+  let sb = dev.Dev.read_block 0 in
+  let start = Int64.to_int (Bytes.get_int64_le sb 24) in
+  let nbits = 8 * dev.Dev.block_size in
+  let used = ref 0 in
+  for blk = 0 to blocks - 1 do
+    let b = dev.Dev.read_block (start + (blk / nbits)) in
+    let bit = blk mod nbits in
+    if Char.code (Bytes.get b (bit / 8)) land (1 lsl (bit mod 8)) <> 0 then
+      incr used
+  done;
+  !used
+
+(* A 13-block-and-a-bit file /a is written while a second task writes
+   /b. On a fresh file system /a's blocks go in order from the first
+   data block [d]: the root directory's at [d], the 12 direct blocks at
+   [d+1 .. d+12], the indirect block at [d+13], then data at [d+14] and
+   the partial last block at [d+15]. The second task cuts in at the
+   indirect block's zero fill (its first write) and at the partial last
+   block's read-modify-write (the second write of [d+15]); in both, /a's
+   buffer holds bytes still to be written. Both files must read back
+   exactly, before and after a remount, and the bitmap must agree with
+   the free count, also after /a is unlinked. *)
+let test_fs_second_task_buffers () =
+  let a = Image.synthetic_content ~path:"/a" ((13 * 4096) + 100) in
+  let b = Image.synthetic_content ~path:"/b" ((3 * 4096) + 50) in
+  List.iter
+    (fun (what, delta, nth) ->
+      let backend = Backend.create ~blocks:1024 () in
+      let raw = Backend.dev backend in
+      let d =
+        match Sfs.mkfs raw () with
+        | Ok fs -> (Sfs.statfs fs).Sfs.f_blocks - (Sfs.statfs fs).Sfs.f_bfree
+        | Error _ -> Alcotest.fail "mkfs"
+      in
+      let fs_cell = ref None in
+      let dev, fired =
+        cut_in raw ~blk:(d + delta) ~nth (fun () ->
+            match Sfs.write_file (Option.get !fs_cell) "/b" (Bytes.of_string b) with
+            | Ok () -> ()
+            | Error e -> Alcotest.failf "%s: /b: %a" what H.Errno.pp e)
+      in
+      let fs = match Sfs.mkfs dev () with Ok fs -> fs | Error _ -> Alcotest.fail "mkfs" in
+      fs_cell := Some fs;
+      (match Sfs.write_file fs "/a" (Bytes.of_string a) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: /a: %a" what H.Errno.pp e);
+      check cbool (what ^ ": the second task ran") true !fired;
+      Sfs.sync fs;
+      let reads_back fs label =
+        List.iter
+          (fun (path, want) ->
+            match Sfs.read_file fs path with
+            | Ok got -> check cbool (Printf.sprintf "%s: %s %s" what label path) true
+                          (Bytes.to_string got = want)
+            | Error e -> Alcotest.failf "%s: read %s: %a" what path H.Errno.pp e)
+          [ ("/a", a); ("/b", b) ]
+      in
+      reads_back fs "reads back";
+      (match Sfs.mount raw with
+      | Ok fs2 -> reads_back fs2 "after remount"
+      | Error _ -> Alcotest.fail "remount");
+      let agrees label =
+        Sfs.sync fs;
+        let st = Sfs.statfs fs in
+        check cint
+          (Printf.sprintf "%s: bitmap agrees with the free count %s" what label)
+          (st.Sfs.f_blocks - st.Sfs.f_bfree)
+          (bitmap_used raw ~blocks:st.Sfs.f_blocks)
+      in
+      agrees "after both writes";
+      (* freeing /a walks every pointer in its indirect block *)
+      (match Sfs.unlink fs "/a" with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: unlink /a: %a" what H.Errno.pp e);
+      agrees "after unlinking /a";
+      check cbool (what ^ ": /b survives /a") true
+        (Sfs.read_file fs "/b" = Ok (Bytes.of_string b)))
+    [ ("indirect zero fill", 13, 1); ("partial last block", 15, 2) ]
+
 (* property: random op sequences against a model (assoc list of path ->
    content) stay consistent *)
 let prop_fs_model =
@@ -393,6 +499,41 @@ let test_instances_are_isolated () =
   check cbool "later instance unchanged" true
     (Bytes.equal (image_bytes (instance ())) pristine)
 
+(* A fresh pack of the tools manifest, pinned: its device ops, the
+   virtual ns they charge and the image bytes. Pooled block buffers
+   and the uncopied content must leave all three as they were. *)
+let test_pack_pinned () =
+  let clock = H.Clock.create () in
+  match Image.pack ~extra_blocks:64 ~clock tools_manifest with
+  | Error e -> Alcotest.failf "pack: %a" H.Errno.pp e
+  | Ok (b, _) ->
+      let s = Backend.stats b in
+      check cint "reads" 638 s.Backend.reads;
+      check cint "writes" 820 s.Backend.writes;
+      check cint "flushes" 1 s.Backend.flushes;
+      check cint "trims" 0 s.Backend.trims;
+      check (Alcotest.float 0.) "virtual ns" 3_939_300. (H.Clock.now_ns clock);
+      check cstr "image digest" "354abc3c521c6c3875599ec2a9c512c0"
+        (Digest.to_hex (Digest.bytes (image_bytes b)))
+
+(* What packing the tools image and formatting a boot disk allocate,
+   bounded at the measured count plus 25%: a fresh 4 KiB block per
+   metadata read and a copy of the content took 740,920 and 108,598
+   words. *)
+let test_fs_allocation_bounds () =
+  let pack () = ignore (Image.pack ~extra_blocks:64 tools_manifest) in
+  pack ();
+  let _, words = Alloc.words pack in
+  if words > 1.25 *. 209_114. then
+    Alcotest.failf "packing the tools image allocated %.0f words" words;
+  let h = H.Host.create () in
+  ignore (Fleet.Machine.boot_disk h ~hostname:"warm");
+  let _, words =
+    Alloc.words (fun () -> Fleet.Machine.boot_disk h ~hostname:"vm-1")
+  in
+  if words > 1.25 *. 8_617. then
+    Alcotest.failf "a boot disk allocated %.0f words" words
+
 (* A warm [tools_image] shares the frozen pack: it allocates a backend
    and a page table, not 800 KB of image (a fresh pack allocates about
    870 k words, most of them straight into the major heap). *)
@@ -422,6 +563,7 @@ let suite =
         t "statfs accounting" test_fs_statfs_accounting;
         t "quota ENOSYS" test_fs_quota_unsupported;
         t "chmod/chown/mtime" test_fs_chmod_chown_mtime;
+        t "a second task cuts in mid-operation" test_fs_second_task_buffers;
         QCheck_alcotest.to_alcotest prop_fs_model;
       ] );
     ( "blockdev.image",
@@ -435,5 +577,7 @@ let suite =
         t "instances are isolated" test_instances_are_isolated;
         t "warm tools image allocation bound"
           test_warm_tools_image_allocation_bound;
+        t "a fresh pack is pinned" test_pack_pinned;
+        t "pack and boot disk allocation bounds" test_fs_allocation_bounds;
       ] );
   ]

@@ -162,6 +162,89 @@ let test_merge_into () =
   check (Alcotest.float 0.001) "merged histogram max" 20.0
     (Observe.Metrics.max_value (Observe.Metrics.histogram a "h"))
 
+(* --- the registry: lookups by name, exports in registration order --- *)
+
+let test_registry_order () =
+  let module M = Observe.Metrics in
+  let mx = M.create () in
+  let names = [ "zeta"; "alpha"; "mid"; "beta" ] in
+  List.iter
+    (fun n ->
+      M.incr (M.counter mx ("c." ^ n));
+      M.set_gauge (M.gauge mx ("g." ^ n)) 1.0;
+      ignore (M.histogram mx ("h." ^ n)))
+    names;
+  (* finding a metric again neither re-registers nor reorders it *)
+  List.iter
+    (fun n ->
+      M.incr (M.counter mx ("c." ^ n));
+      M.observe (M.histogram mx ("h." ^ n)) 5.0)
+    (List.rev names);
+  let want prefix = List.map (fun n -> prefix ^ n) names in
+  check (Alcotest.list cstr) "counters in registration order" (want "c.")
+    (List.map M.counter_name (M.counters mx));
+  check (Alcotest.list cstr) "histograms in registration order" (want "h.")
+    (List.map M.histogram_name (M.histograms mx));
+  check cint "one gauge per name" 4 (List.length (M.gauges mx));
+  check cint "a found counter is the registered one" 2
+    (M.counter_value (M.counter mx "c.mid"));
+  let json = Observe.Export.metrics_json mx in
+  let pos needle =
+    let nl = String.length needle in
+    let rec go i =
+      if i + nl > String.length json then Alcotest.failf "%s not exported" needle
+      else if String.sub json i nl = needle then i
+      else go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun prefix ->
+      let ps = List.map (fun n -> pos ("\"" ^ prefix ^ n ^ "\"")) names in
+      check cbool (prefix ^ "* exported in registration order") true
+        (List.sort compare ps = ps))
+    [ "c."; "g."; "h." ]
+
+(* A histogram registered but never observed holds no buckets; merging
+   works whichever side it is on, and its stats read as they always
+   have: all zero. *)
+let test_unobserved_histograms () =
+  let module M = Observe.Metrics in
+  let mx = M.create () in
+  let h = M.histogram mx "empty" in
+  check cint "empty count" 0 (M.count h);
+  check (Alcotest.float 0.) "empty mean" 0.0 (M.mean h);
+  check (Alcotest.float 0.) "empty min" 0.0 (M.min_value h);
+  check (Alcotest.float 0.) "empty max" 0.0 (M.max_value h);
+  List.iter
+    (fun p ->
+      check (Alcotest.float 0.) (Printf.sprintf "empty p%g" p) 0.0
+        (M.percentile h p))
+    [ 0.; 50.; 99.; 99.9; 100. ];
+  (* an observed source into an unobserved destination *)
+  let src = M.create () in
+  List.iter (M.observe (M.histogram src "empty")) [ 10.0; 1000.0 ];
+  M.merge_into ~into:mx src;
+  check cint "merged into an unobserved histogram" 2 (M.count h);
+  check (Alcotest.float 0.001) "its max" 1000.0 (M.max_value h);
+  check (Alcotest.float 0.001) "its p50" (M.percentile (M.histogram src "empty") 50.0)
+    (M.percentile h 50.0);
+  (* an unobserved source into an observed destination, and into a
+     registry that lacks it *)
+  let idle = M.create () in
+  ignore (M.histogram idle "empty");
+  ignore (M.histogram idle "idle-only");
+  let p99 = M.percentile h 99.0 in
+  M.merge_into ~into:mx idle;
+  check cint "an unobserved source adds nothing" 2 (M.count h);
+  check (Alcotest.float 0.) "and leaves the quantiles" p99
+    (M.percentile h 99.0);
+  let fresh = M.histogram mx "idle-only" in
+  check cint "an unobserved source registers its name" 0 (M.count fresh);
+  check (Alcotest.float 0.) "with zero stats" 0.0 (M.percentile fresh 50.0);
+  M.observe fresh 3.0;
+  check cint "and can be observed afterwards" 1 (M.count fresh)
+
 (* --- leveled logging: default-quiet, parseable levels --- *)
 
 let test_log_levels () =
@@ -309,6 +392,10 @@ let suite =
         Alcotest.test_case "histogram edge cases (NaN, empty, p999)" `Quick
           test_histogram_edge_cases;
         Alcotest.test_case "merge_into aggregation" `Quick test_merge_into;
+        Alcotest.test_case "registry keeps registration order" `Quick
+          test_registry_order;
+        Alcotest.test_case "unobserved histograms merge and read zero" `Quick
+          test_unobserved_histograms;
         Alcotest.test_case "log levels parse and default quiet" `Quick
           test_log_levels;
         Alcotest.test_case "chrome trace is deterministic" `Quick

@@ -83,6 +83,179 @@ let test_ring_bounds () =
   Trace.Recorder.record r ~kind:"tick" ();
   check cint "disabled recorder drops nothing new" 10 (Trace.Recorder.total r)
 
+(* --- the growing ring records what a fixed ring records --- *)
+
+(* The recorder as a fixed array of [cap] slots, allocated up front:
+   the ring before it started small and grew. The property below runs
+   both on the same operations. *)
+module Fixed_ring = struct
+  type t = {
+    cap : int;
+    buf : Trace.event array;
+    mutable phs : Trace.phase array;
+    mutable start : int;
+    mutable len : int;
+    mutable seq : int;
+    mutable boundary : int;
+    mutable dropped : int;
+    mutable on : bool;
+    mutable detail : bool;
+    mutable mark : int;
+  }
+
+  let create cap =
+    let dummy = { Trace.kind = ""; ts = 0.0; session = 0; args = [] } in
+    {
+      cap;
+      buf = Array.make cap dummy;
+      phs = [||];
+      start = 0;
+      len = 0;
+      seq = 0;
+      boundary = 0;
+      dropped = 0;
+      on = true;
+      detail = false;
+      mark = 0;
+    }
+
+  let set_detail t b =
+    if b then begin
+      if Array.length t.phs = 0 then t.phs <- Array.make t.cap Trace.Boundary;
+      t.mark <- t.seq
+    end;
+    t.detail <- b
+
+  let phase_at t i = if Array.length t.phs = 0 then Trace.Boundary else t.phs.(i)
+
+  let push t ph e =
+    let i =
+      if t.len < t.cap then begin
+        t.len <- t.len + 1;
+        (t.start + t.len - 1) mod t.cap
+      end
+      else begin
+        if phase_at t t.start = Trace.Boundary then t.dropped <- t.dropped + 1;
+        let i = t.start in
+        t.start <- (t.start + 1) mod t.cap;
+        i
+      end
+    in
+    t.buf.(i) <- e;
+    if Array.length t.phs > 0 then t.phs.(i) <- ph;
+    t.seq <- t.seq + 1
+
+  let record t ph e =
+    if (match ph with Trace.Boundary -> t.on | _ -> t.detail) then begin
+      if ph = Trace.Boundary then t.boundary <- t.boundary + 1;
+      push t ph e
+    end
+
+  let slots t ~from f =
+    let acc = ref [] in
+    for i = t.len - 1 downto from do
+      let j = (t.start + i) mod t.cap in
+      match f (phase_at t j) t.buf.(j) with Some x -> acc := x :: !acc | None -> ()
+    done;
+    !acc
+
+  let events t =
+    slots t ~from:0 (fun ph e -> if ph = Trace.Boundary then Some e else None)
+
+  let stream t =
+    slots t ~from:(max 0 (t.mark - (t.seq - t.len))) (fun ph e -> Some (ph, e))
+
+  let stream_dropped t = max 0 (t.seq - t.len - t.mark)
+end
+
+type ring_op =
+  | Rec of Trace.phase
+  | Detail of bool
+  | Enabled of bool
+  | Compare
+
+let ring_op_str = function
+  | Rec Trace.Boundary -> "b"
+  | Rec Trace.Begin -> "B"
+  | Rec Trace.End -> "E"
+  | Rec Trace.Instant -> "i"
+  | Detail b -> if b then "D+" else "D-"
+  | Enabled b -> if b then "on" else "off"
+  | Compare -> "?"
+
+(* Capacities 1-64 wrap many times; 257-700 also grow the ring from
+   its first 256 slots (one or two doublings) before they wrap. *)
+let ring_case =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (12, return (Rec Trace.Boundary));
+        (6, oneofl [ Rec Trace.Begin; Rec Trace.End; Rec Trace.Instant ]);
+        (1, map (fun b -> Detail b) bool);
+        (1, map (fun b -> Enabled b) bool);
+        (1, return Compare);
+      ]
+  in
+  oneof
+    [
+      pair (int_range 1 64) (list_size (int_range 0 300) op);
+      pair (int_range 257 700) (list_size (int_range 200 2000) op);
+    ]
+
+let prop_ring_matches_fixed_ring =
+  QCheck.Test.make ~count:300 ~name:"growing ring records what a fixed ring records"
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat " " (List.map ring_op_str ops)))
+       ring_case)
+    (fun (cap, ops) ->
+      let clock = ref 0 in
+      let r =
+        Trace.Recorder.create ~capacity:cap ~now:(fun () -> float !clock) ()
+      in
+      let f = Fixed_ring.create cap in
+      let same () =
+        Trace.Recorder.events r = Fixed_ring.events f
+        && Trace.Recorder.stream r = Fixed_ring.stream f
+        && Trace.Recorder.dropped r = f.Fixed_ring.dropped
+        && Trace.Recorder.stream_dropped r = Fixed_ring.stream_dropped f
+        && Trace.Recorder.total r = f.Fixed_ring.boundary
+      in
+      List.for_all
+        (fun op ->
+          incr clock;
+          match op with
+          | Rec phase ->
+              let kind = Printf.sprintf "k%d" !clock in
+              let args = [ ("n", Trace.I !clock) ] in
+              Trace.Recorder.record r ~phase ~kind ~args ();
+              Fixed_ring.record f phase
+                { Trace.kind; ts = float !clock; session = 0; args };
+              true
+          | Detail b ->
+              Trace.Recorder.set_detail r b;
+              Fixed_ring.set_detail f b;
+              true
+          | Enabled b ->
+              Trace.Recorder.set_enabled r b;
+              f.Fixed_ring.on <- b;
+              true
+          | Compare -> same ())
+        ops
+      && same ())
+
+(* A host no longer allocates the 65,536-slot ring up front: creating
+   one took 65,553 words (the ring, straight into the major heap), and
+   the ring's first 256 slots now fit in the minor heap. The bound is
+   the measured count plus 25%. *)
+let test_host_create_allocation_bound () =
+  ignore (Hostos.Host.create ());
+  let _, words = Alloc.words (fun () -> Hostos.Host.create ~seed:5 ()) in
+  if words > 1.25 *. 57. then
+    Alcotest.failf "Host.create allocated %.0f words" words
+
 (* --- detail records share the ring but stay out of the recording --- *)
 
 let test_detail_records () =
@@ -437,5 +610,8 @@ let suite =
           `Quick test_tracing_leaves_recording_unchanged;
         Alcotest.test_case "recording costs no virtual time" `Quick
           test_recording_costs_no_virtual_time;
+        QCheck_alcotest.to_alcotest prop_ring_matches_fixed_ring;
+        Alcotest.test_case "host creation allocation bound" `Quick
+          test_host_create_allocation_bound;
       ] );
   ]
