@@ -763,6 +763,13 @@ let run_bechamel () =
       (Staged.stage (fun () ->
            ignore (Blockdev.Image.pack [ Blockdev.Image.file "/bin/tool" 65536 ])))
   in
+  (* the write SimpleFS makes to fill each fresh block: 4 KiB of zeros
+     onto an untouched page of a zero-base buffer, silent every time *)
+  let test_zero_block =
+    let m = H.Mem.create (2 * 4096) and zeros = Bytes.make 4096 '\000' in
+    Test.make ~name:"mem-zero-block-write"
+      (Staged.stage (fun () -> H.Mem.write_bytes m 4096 zeros))
+  in
   let benchmark test =
     let instance = Toolkit.Instance.monotonic_clock in
     let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) () in
@@ -780,7 +787,7 @@ let run_bechamel () =
           | Some [ est ] -> Printf.printf "%-30s %12.0f ns/op (wall)\n" name est
           | _ -> Printf.printf "%-30s (no estimate)\n" name)
         results)
-    ((test_e1 :: tests_e23) @ [ test_e5; test_e7 ])
+    ((test_e1 :: tests_e23) @ [ test_e5; test_e7; test_zero_block ])
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)

@@ -211,9 +211,10 @@ let layout_bit = function
 
 (* One pass over the 8-byte slots: the layouts whose entry test holds
    at each slot, as [(offset, layout bits)] in ascending order. Each
-   slot costs one 64-bit load and two byte tests, necessary conditions
-   derived from [n] that random bytes rarely meet; only a slot that
-   passes one pays for [entry_valid]'s full test of that layout.
+   slot costs one 64-bit load and byte tests, necessary conditions
+   derived from [n] that random bytes rarely meet, and most slots fail
+   the first; only a slot that passes one pays for [entry_valid]'s
+   full test of that layout.
    - An all-zero word is no entry: its value (absolute) or name
      pointer (absolute, name first) is 0, outside a kernel at
      [kbase > 0], and its PREL32 name is the NUL at [o + 4].
@@ -222,12 +223,18 @@ let layout_bit = function
      [i64] reads it, is that of [kbase] or of [kbase + n - 1].
    - A PREL32 entry's two halves are offsets within [(-n, n)], so with
      [n <= 2^23] each half's top byte (bytes 3 and 7) is 0x00 or 0xff.
-   Past 2^23 bytes, or at [kbase <= 0], every slot takes the full
-   tests. *)
+   A slot whose top byte is none of those four, or whose word is zero,
+   fails both filters; [tops] (one byte per top-byte value) rejects it
+   with one load and test before the per-layout filters run. Past 2^23
+   bytes, or at [kbase <= 0], every slot takes the full tests. *)
 let valid_slots img ~kbase ~region =
   let n = Bytes.length img in
   let filtered = n <= 1 lsl 23 && kbase > 0 in
   let top_lo = kbase asr 56 and top_hi = (kbase + n - 1) asr 56 in
+  let tops = Bytes.make 128 '\000' in
+  List.iter
+    (fun top -> Bytes.set tops (top land 0x7f) '\001')
+    [ top_lo; top_hi; 0; -1 ];
   let slots = ref [] in
   let o = ref 0 in
   while !o + 8 <= n do
@@ -235,27 +242,29 @@ let valid_slots img ~kbase ~region =
     let w = Bytes.get_int64_le img o' in
     let v = Int64.to_int w in
     let top = v asr 56 in
-    let nonzero = w <> 0L in
-    let absolute =
-      o' + 16 <= n
-      && ((not filtered) || (nonzero && (top = top_lo || top = top_hi)))
-    and prel32 =
+    if
       (not filtered)
-      || nonzero
-         && (top + 1) land lnot 1 = 0
-         && ((v lsr 24) + 1) land 0xfe = 0
-    in
-    if absolute || prel32 then begin
-      let valid =
-        (if absolute && entry_valid img ~kbase ~region KV.Absolute_value_first o'
-         then 1
-         else 0)
-        lor (if absolute && entry_valid img ~kbase ~region KV.Absolute_name_first o'
-             then 2
-             else 0)
-        lor (if prel32 && entry_valid img ~kbase ~region KV.Prel32 o' then 4 else 0)
+      || (Bytes.unsafe_get tops (top land 0x7f) <> '\000' && w <> 0L)
+    then begin
+      (* a filtered slot that gets here has a non-zero word *)
+      let absolute =
+        o' + 16 <= n && ((not filtered) || top = top_lo || top = top_hi)
+      and prel32 =
+        (not filtered)
+        || (top + 1) land lnot 1 = 0 && ((v lsr 24) + 1) land 0xfe = 0
       in
-      if valid <> 0 then slots := (o', valid) :: !slots
+      if absolute || prel32 then begin
+        let valid =
+          (if absolute && entry_valid img ~kbase ~region KV.Absolute_value_first o'
+           then 1
+           else 0)
+          lor (if absolute && entry_valid img ~kbase ~region KV.Absolute_name_first o'
+               then 2
+               else 0)
+          lor (if prel32 && entry_valid img ~kbase ~region KV.Prel32 o' then 4 else 0)
+        in
+        if valid <> 0 then slots := (o', valid) :: !slots
+      end
     end;
     o := o' + 8
   done;

@@ -19,12 +19,18 @@
 
    A page of a [create]d buffer has a third state besides "equals its
    base" and "materialised": [generate]d. A generated page holds its
-   generator's bytes but owns no memory until something looks at it;
-   [resident] materialises it from the generator on that first look,
-   and every path that reads, digests, writes or logs a page goes
-   through [resident] first. A guest's kernel-image noise is generated
-   this way, so a session that reads only a few image pages never pays
-   for the rest.
+   generator's bytes but owns no memory until something writes, logs,
+   digests or scalar-reads it; [resident] materialises it from the
+   generator then, and every such path goes through [resident] first.
+   A byte-range read ([cow_read]) does not: it runs the generator
+   straight into the caller's bytes and leaves the page generated. A
+   guest's kernel-image noise is generated this way, so even a session
+   that copies the whole image keeps none of its noise pages.
+
+   The silent-write test reads what it must, four 64-bit words per
+   step: over the zero base only the source, tested for zeros
+   ([is_zero]); over a baseline the source against the base window
+   ([region_equal]).
 
    Invariant: [t] is abstract and every mutation goes through this
    module, so a page that was never materialised still equals its base
@@ -199,25 +205,30 @@ let page_rw t c pi =
     p
   end
 
-(* The newest generated range holding byte [off]. *)
+(* No generated range: what [covering] answers for a byte none holds,
+   a sentinel rather than an option so a read allocates nothing. *)
+let no_gen = { g_off = 0; g_len = 0; g_fill = (fun ~pos:_ _ ~off:_ ~len:_ -> ()) }
+
+(* The newest generated range holding byte [off], or [no_gen]. *)
 let rec covering off = function
-  | [] -> None
+  | [] -> no_gen
   | g :: older ->
-      if off >= g.g_off && off < g.g_off + g.g_len then Some g
+      if off >= g.g_off && off < g.g_off + g.g_len then g
       else covering off older
 
 (* Materialise page [pi] if a generated range holds it; [Bytes.empty]
    otherwise. *)
 let materialise c pi =
   let off = pi * page_size in
-  match covering off c.gens with
-  | None -> Bytes.empty
-  | Some g ->
-      let len = min page_size (g.g_off + g.g_len - off) in
-      let p = Bytes.create len in
-      g.g_fill ~pos:(off - g.g_off) p ~off:0 ~len;
-      c.pages.(pi) <- p;
-      p
+  let g = covering off c.gens in
+  if g == no_gen then Bytes.empty
+  else begin
+    let len = min page_size (g.g_off + g.g_len - off) in
+    let p = Bytes.create len in
+    g.g_fill ~pos:(off - g.g_off) p ~off:0 ~len;
+    c.pages.(pi) <- p;
+    p
+  end
 
 (* Page [pi]'s private copy, or [Bytes.empty] while it still equals its
    base window. A generated page is materialised here, on its first
@@ -241,20 +252,45 @@ let rd_off c off =
   if materialised c.pages.(pi) then off mod page_size
   else (pi * c.stride) + (off mod page_size)
 
-let region_equal a aoff b boff len =
-  let rec bytes i =
-    i >= len
-    || (Bytes.get a (aoff + i) = Bytes.get b (boff + i) && bytes (i + 1))
-  in
-  let rec words i =
-    if i + 8 > len then bytes i
-    else
-      Int64.equal
-        (Bytes.get_int64_ne a (aoff + i))
-        (Bytes.get_int64_ne b (boff + i))
-      && words (i + 8)
-  in
-  words 0
+(* Do [len] bytes of [a] at [aoff] equal those of [b] at [boff]? Four
+   64-bit words per step, then single words, then bytes. *)
+let rec region_equal a aoff b boff len =
+  if len >= 32 then
+    Int64.equal (Bytes.get_int64_ne a aoff) (Bytes.get_int64_ne b boff)
+    && Int64.equal
+         (Bytes.get_int64_ne a (aoff + 8))
+         (Bytes.get_int64_ne b (boff + 8))
+    && Int64.equal
+         (Bytes.get_int64_ne a (aoff + 16))
+         (Bytes.get_int64_ne b (boff + 16))
+    && Int64.equal
+         (Bytes.get_int64_ne a (aoff + 24))
+         (Bytes.get_int64_ne b (boff + 24))
+    && region_equal a (aoff + 32) b (boff + 32) (len - 32)
+  else if len >= 8 then
+    Int64.equal (Bytes.get_int64_ne a aoff) (Bytes.get_int64_ne b boff)
+    && region_equal a (aoff + 8) b (boff + 8) (len - 8)
+  else
+    len <= 0
+    || Bytes.get a aoff = Bytes.get b boff
+       && region_equal a (aoff + 1) b (boff + 1) (len - 1)
+
+(* Are [len] bytes of [b] at [off] all zero? The silent-write test over
+   the zero base: it reads only the source, never a zero page, four
+   64-bit words OR-ed per step, then single words, then bytes. *)
+let rec is_zero b off len =
+  if len >= 32 then
+    Int64.equal
+      (Int64.logor
+         (Int64.logor (Bytes.get_int64_ne b off) (Bytes.get_int64_ne b (off + 8)))
+         (Int64.logor
+            (Bytes.get_int64_ne b (off + 16))
+            (Bytes.get_int64_ne b (off + 24))))
+      0L
+    && is_zero b (off + 32) (len - 32)
+  else if len >= 8 then
+    Int64.equal (Bytes.get_int64_ne b off) 0L && is_zero b (off + 8) (len - 8)
+  else len <= 0 || (Bytes.get b off = '\000' && is_zero b (off + 1) (len - 1))
 
 (* The digest of [len] bytes at [off], all inside one page, hashed in
    place. An untouched page equals its base window (see the invariant
@@ -310,8 +346,11 @@ let rec cow_write t c off src soff len =
       log_write t c pi;
       Bytes.blit src soff p poff chunk
     end
-    else if region_equal c.base ((pi * c.stride) + poff) src soff chunk then
-      c.silent <- c.silent + 1
+    else if
+      if over_baseline c then
+        region_equal c.base ((pi * c.stride) + poff) src soff chunk
+      else is_zero src soff chunk
+    then c.silent <- c.silent + 1
     else begin
       log_write t c pi;
       Bytes.blit src soff (page_rw t c pi) poff chunk
@@ -319,11 +358,22 @@ let rec cow_write t c off src soff len =
     cow_write t c (off + chunk) src (soff + chunk) (len - chunk)
   end
 
+(* Read [len] bytes at [off] into [dst] at [doff], page by page. An
+   untouched generated page is not materialised: its generator writes
+   the chunk straight into [dst], and the page stays generated. *)
 let rec cow_read c off dst doff len =
   if len > 0 then begin
-    let chunk = Int.min len (page_size - (off mod page_size)) in
-    let b = rd_buf c off in
-    Bytes.blit b (rd_off c off) dst doff chunk;
+    let pi = off / page_size in
+    let poff = off mod page_size in
+    let chunk = Int.min len (page_size - poff) in
+    let p = c.pages.(pi) in
+    if materialised p then Bytes.blit p poff dst doff chunk
+    else begin
+      let g = covering off c.gens in
+      if g == no_gen then
+        Bytes.blit c.base ((pi * c.stride) + poff) dst doff chunk
+      else g.g_fill ~pos:(off - g.g_off) dst ~off:doff ~len:chunk
+    end;
     cow_read c (off + chunk) dst (doff + chunk) (len - chunk)
   end
 

@@ -10,7 +10,9 @@
     Memory is sparse: {!create} and {!cow} build a per-4 KiB-page
     overlay over an immutable base, and a page becomes resident only on
     the first write that differs from its base, or, for a {!generate}d
-    page, on the first access of any kind. Because [t] is abstract and
+    page, on the first write, digest, log or scalar read; a byte-range
+    read of a generated page runs its generator straight into the
+    caller's bytes and leaves the page generated. Because [t] is abstract and
     every mutation goes through this module, a page that was never
     materialised is equal to its base — all zeros for {!create} — or to
     its generator's bytes, by construction. {!page_digest} relies on
@@ -28,7 +30,8 @@ val create : int -> t
 (** [create len] is [len] zero bytes, allocated sparsely: untouched
     pages read from one shared zero page; the first write that differs
     from zero materialises a private page, and a write of zeros onto an
-    untouched page stays silent. Not a CoW buffer in the sense of
+    untouched page stays silent (the test reads only the written bytes,
+    never a zero page). Not a CoW buffer in the sense of
     {!is_cow}/{!cow_stats}. *)
 
 val of_bytes : bytes -> t
@@ -65,9 +68,12 @@ val generate :
     {!create}d buffer hold [f]'s bytes: byte [off + k] reads as the byte
     [f ~pos:k dst ~off:o ~len:n] writes to [dst.(o)] when [pos <= k <
     pos + n]. Nothing is materialised by the call; each page of the
-    range is materialised from [f] the first time anything reads,
-    digests, logs or writes it, so it behaves exactly as if the bytes
-    had been written. [f] must be deterministic and is kept until the
+    range is materialised from [f] the first time anything writes,
+    digests, logs or scalar-reads it, so it behaves exactly as if the
+    bytes had been written. A byte-range read ({!read_bytes}, {!blit},
+    {!Addr_space.read_into}) of a page still generated calls [f] into
+    the destination instead and materialises nothing, so each such
+    read runs [f] again. [f] must be deterministic and is kept until the
     buffer dies. The call counts as a write for the write log. Raises
     [Invalid_argument] on a {!cow} or {!of_bytes} buffer, on a range
     outside the buffer, or on one that does not start on a page
@@ -149,8 +155,9 @@ val iter_attributed :
 
 val resident_pages : t -> int
 (** Pages held privately: the materialised pages of an overlay (a
-    {!generate}d page counts once it has been accessed), every page of
-    a flat buffer. *)
+    {!generate}d page counts once it has been written, digested, logged
+    or scalar-read; byte-range reads leave it out), every page of a
+    flat buffer. *)
 
 val is_cow : t -> bool
 (** [true] only for {!cow} views over a baseline image. *)

@@ -381,10 +381,13 @@ let prop_write_log_matches_copies =
 
    Differential property: a [Mem.generate]d range must behave exactly
    as the same bytes written eagerly. Both buffers run one sequence of
-   write-log ops, marks and sparse reads (a read materialises only the
-   pages it touches, so later writes and marks still meet untouched
-   generated pages); every read must answer alike, and at the end so
-   must the contents and every mark's page digests and written set. *)
+   write-log ops, marks and sparse reads; every read must answer alike,
+   and at the end so must the contents and every mark's page digests
+   and written set. A byte-range read ([read_bytes], [blit],
+   [Addr_space.read_into]) runs the generator into its own buffer and
+   must leave [resident_pages] as it was, so later writes, marks and
+   digests still meet untouched generated pages; a scalar read or a
+   digest materialises only the pages it touches. *)
 
 type gen_read = R_bytes | R_u8 | R_u64 | R_blit | R_aspace | R_digest | R_freeze
 
@@ -435,22 +438,30 @@ let observe_generated m ops =
   let va = 0x10000 in
   Mem.Addr_space.map sp
     { Mem.Addr_space.base = va; len = log_len; backing = m; backing_off = 0; tag = "g" };
+  (* a byte-range read, with the pages it materialised (none) *)
+  let range_read f =
+    let before = Mem.resident_pages m in
+    let got = f () in
+    got ^ Printf.sprintf " +%d" (Mem.resident_pages m - before)
+  in
   let read kind o n =
     match kind with
-    | R_bytes -> Bytes.to_string (Mem.read_bytes m o n)
+    | R_bytes -> range_read (fun () -> Bytes.to_string (Mem.read_bytes m o n))
     | R_u8 -> string_of_int (Mem.read_u8 m o)
     | R_u64 -> (
         match Mem.read_u64 m (min o (log_len - 8)) with
         | v -> string_of_int v
         | exception Invalid_argument e -> e)
     | R_blit ->
-        let d = Bytes.make (n + 2) '?' in
-        Mem.blit ~src:m ~src_off:o ~dst:(Mem.of_bytes d) ~dst_off:1 ~len:n;
-        Bytes.to_string d
+        range_read (fun () ->
+            let d = Bytes.make (n + 2) '?' in
+            Mem.blit ~src:m ~src_off:o ~dst:(Mem.of_bytes d) ~dst_off:1 ~len:n;
+            Bytes.to_string d)
     | R_aspace ->
-        let d = Bytes.create n in
-        Mem.Addr_space.read_into sp (va + o) d 0 n;
-        Bytes.to_string d
+        range_read (fun () ->
+            let d = Bytes.create n in
+            Mem.Addr_space.read_into sp (va + o) d 0 n;
+            Bytes.to_string d)
     | R_digest -> Mem.page_digest m o n
     | R_freeze -> Bytes.to_string (Mem.freeze m)
   in
@@ -625,6 +636,50 @@ let test_mem_attribution_counts_silent_writes () =
   Mem.iter_written k k ~first:0 ~count:4 (fun i -> written := i :: !written);
   check cpages "so the log saw no change" [] !written;
   check cpages "but it is attributed" [ 2 ] (attributed k)
+
+(* The silent-write test over the zero base reads only the source, 32
+   bytes per step, then 8, then single bytes. A non-zero byte in any of
+   those steps, at any source or buffer offset, must materialise the
+   page and log it; an all-zero write of any shape must stay silent and
+   log nothing. *)
+let test_mem_zero_source_test () =
+  let diverging what ~soff ~len ~at ~off =
+    let m = Mem.create (3 * 4096) in
+    let k = Mem.mark m in
+    let src = Bytes.make (soff + len) '\000' in
+    Bytes.set src (soff + at) '\x01';
+    Mem.blit ~src:(Mem.of_bytes src) ~src_off:soff ~dst:m ~dst_off:off ~len;
+    check cint (what ^ ": page materialised") 1 (Mem.resident_pages m);
+    let written = ref [] in
+    Mem.iter_written k k ~first:0 ~count:3 (fun i -> written := i :: !written);
+    check cpages (what ^ ": page logged") [ (off + at) / 4096 ] !written;
+    check cint (what ^ ": byte reads back") 1 (Mem.read_u8 m (off + at))
+  in
+  diverging "a page's last byte" ~soff:0 ~len:4096 ~at:4095 ~off:4096;
+  List.iter
+    (fun tail ->
+      diverging
+        (Printf.sprintf "a %d-byte tail" tail)
+        ~soff:0 ~len:(64 + tail) ~at:(64 + tail - 1) ~off:4096)
+    [ 1; 2; 3; 4; 5; 6; 7 ];
+  diverging "an unaligned offset" ~soff:3 ~len:1000 ~at:999 ~off:(4096 + 5);
+  diverging "a 20-byte chunk" ~soff:0 ~len:20 ~at:10 ~off:8192;
+  diverging "a word of a short chunk" ~soff:1 ~len:31 ~at:24 ~off:100;
+  (* a write straddling two pages materialises only the diverging one *)
+  diverging "the far side of a straddle" ~soff:0 ~len:200 ~at:150
+    ~off:(4096 - 100);
+  let m = Mem.create (3 * 4096) in
+  let k = Mem.mark m in
+  List.iter
+    (fun (soff, len, off) ->
+      let src = Bytes.make (soff + len) '\000' in
+      Mem.blit ~src:(Mem.of_bytes src) ~src_off:soff ~dst:m ~dst_off:off ~len)
+    [ (0, 4096, 4096); (3, 1000, 4101); (0, 20, 8192); (1, 7, 0); (0, 8192, 2048) ];
+  Mem.fill m 0 (3 * 4096) '\000';
+  check cint "all-zero writes stay silent" 0 (Mem.resident_pages m);
+  let written = ref [] in
+  Mem.iter_written k k ~first:0 ~count:3 (fun i -> written := i :: !written);
+  check cpages "and log nothing" [] !written
 
 let test_mem_attribution_ignores_flat () =
   let b = Bytes.make 16 'x' in
@@ -1134,6 +1189,7 @@ let suite =
         t "attribution counts silent writes"
           test_mem_attribution_counts_silent_writes;
         t "attribution ignores flat buffers" test_mem_attribution_ignores_flat;
+        t "zero-source silent-write test" test_mem_zero_source_test;
       ] );
     ( "hostos.chan",
       [
