@@ -88,6 +88,12 @@
 #                 under 256 MiB peak RSS (see peak_rss) — guest writes
 #                 live in the memory write log's per-page state, so a
 #                 long run's memory does not grow with them
+#   golden        every deterministic output, regenerated and digested
+#                 against the committed golden/MANIFEST (see
+#                 golden_manifest): attach, fleet, bake-baseline, sweep,
+#                 serve, trace, fuzz, matrix and the bench's stdout. A
+#                 change that means to move an output updates its
+#                 manifest line, so the diff names what moved
 #
 # peak_rss runs a command while polling its VmHWM from /proc, and fails
 # the stage above a bound; the fleet, bench and bench-e1 stages share
@@ -102,7 +108,7 @@
 set -u
 
 ARTIFACTS=${CI_ARTIFACTS:-/tmp/vmsh-ci}
-STAGES="build test smoke-attach smoke-net fault-matrix fleet fleet-fork crash-matrix hostile-matrix trace fuzz-trace serve bench bench-e1"
+STAGES="build test smoke-attach smoke-net fault-matrix fleet fleet-fork crash-matrix hostile-matrix trace fuzz-trace serve bench bench-e1 golden"
 
 usage() {
   echo "usage: ./ci.sh [--stage NAME]"
@@ -554,6 +560,86 @@ stage_bench_e1() {
   grep -q '^=> vmsh-blk fails exactly the tests qemu-blk fails .*: true$' \
     "$e1_out" || {
     echo "ci: E1 verdict is not true (see $e1_out)" >&2
+    return 1
+  }
+}
+
+# golden_filter FILE: FILE without its wall-clock lines, the one rule
+# every golden stdout passes through (the bench prints
+# `[NAME finished in 1.2s wall]`); output files are digested whole.
+golden_filter() {
+  case $1 in
+    */stdout) grep -a -v 'wall' "$1" || true ;;
+    *) cat "$1" ;;
+  esac
+}
+
+# golden_manifest DIR: run every golden command with the tree's built
+# CLI and bench, each in its own directory under DIR and with its
+# output paths relative to it, and print the manifest: per command one
+# `LABEL $ ARGS` line, then one `LABEL/FILE DIGEST` line per output
+# file (stdout included), the digest taken after golden_filter. Output
+# files from one command feed the next by relative path, so the
+# manifest names no directory of the machine it ran on.
+golden_manifest() {
+  dir=$1
+  root=$PWD
+  rm -rf "$dir"
+  mkdir -p "$dir"
+  golden() {
+    label=$1
+    shift
+    mkdir -p "$dir/$label"
+    echo "$label \$ $*"
+    (cd "$dir/$label" && "$root/_build/default/bin/vmsh_cli.exe" "$@" > stdout)
+  }
+  {
+    golden attach attach --trace-out trace.json --metrics-out metrics.json \
+      -e hostname
+    for k in 4.4 4.9 4.14 4.19 5.4 5.10; do
+      golden "attach-kernel-$k" attach --kernel "$k" --detach-after -e hostname
+    done
+    for h in qemu kvmtool firecracker crosvm cloud-hypervisor; do
+      golden "attach-$h" attach --hypervisor "$h" --detach-after -e hostname
+    done
+    golden bake bake-baseline -o baseline.vmshbase
+    for n in 8 64; do
+      golden "fleet-$n" fleet --vms "$n" --trace-out sched.txt \
+        --metrics-out metrics.json
+      golden "fleet-$n-fork" fleet --vms "$n" \
+        --from-baseline ../bake/baseline.vmshbase --trace-out sched.txt \
+        --metrics-out metrics.json
+    done
+    golden sweep sweep --metrics-out metrics.json
+    golden sweep-hostile sweep --hostile --metrics-out metrics.json
+    golden serve serve --workers 8 --jobs 1000 --seed 17 \
+      --metrics-out metrics.json --results-out results.jsonl
+    golden trace-record trace record --scenario attach --seed 5 \
+      -o attach.vmshtrace
+    golden trace-replay trace replay ../trace-record/attach.vmshtrace
+    golden fuzz-seeds fuzz --seeds 25 --metrics-out metrics.json
+    golden fuzz-trace fuzz --from-trace ../trace-record/attach.vmshtrace \
+      --rounds 12 --seed 9 --minimize --corpus corpus \
+      --metrics-out metrics.json
+    golden matrix matrix
+    echo "bench \$ --only table1,e4,e5,e6,e7,e8,e9,e10,ablation"
+    mkdir -p "$dir/bench"
+    "$root/_build/default/bench/main.exe" \
+      --only table1,e4,e5,e6,e7,e8,e9,e10,ablation > "$dir/bench/stdout"
+  } > "$dir/commands"
+  (cd "$dir" && find . -type f ! -name commands | sed 's|^\./||' | LC_ALL=C sort) |
+    while read -r f; do
+      printf '%s %s\n' "$f" "$(golden_filter "$dir/$f" | md5sum | cut -d' ' -f1)"
+    done > "$dir/digests"
+  cat "$dir/commands"
+  cat "$dir/digests"
+}
+
+stage_golden() {
+  dune build
+  golden_manifest "$ARTIFACTS/golden" > "$ARTIFACTS/golden-manifest"
+  diff -u golden/MANIFEST "$ARTIFACTS/golden-manifest" || {
+    echo "ci: outputs differ from golden/MANIFEST (lines above)" >&2
     return 1
   }
 }

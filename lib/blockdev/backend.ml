@@ -46,15 +46,13 @@ let dev t =
     in_range "read_block" i;
     t.stats.reads <- t.stats.reads + 1;
     charge t ~blocks:1;
-    Mem.blit ~src:t.backing ~src_off:(i * bs) ~dst:(Mem.of_bytes dst)
-      ~dst_off:off ~len:bs
+    Mem.read_into t.backing (i * bs) dst off bs
   in
   let write_from i src off =
     in_range "write_block" i;
     t.stats.writes <- t.stats.writes + 1;
     charge t ~blocks:1;
-    Mem.blit ~src:(Mem.of_bytes src) ~src_off:off ~dst:t.backing
-      ~dst_off:(i * bs) ~len:bs
+    Mem.write_from t.backing (i * bs) src off bs
   in
   {
     Dev.block_size = bs;

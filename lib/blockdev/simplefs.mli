@@ -9,7 +9,14 @@
 
     Quotas are intentionally not implemented: the three xfstests quota-
     reporting cases fail here exactly as they do in the paper (§6.1, on
-    both qemu-blk and vmsh-blk). *)
+    both qemu-blk and vmsh-blk).
+
+    Operations are not atomic against each other: a device op can park
+    the guest task that issued it, and a second task running an
+    operation on the same file system meanwhile can lose a directory
+    entry or take the same free block (each buffer keeps its own bytes,
+    nothing more). No shipped workload runs two guest tasks on one file
+    system at once. *)
 
 type t
 type ino = int
@@ -33,9 +40,6 @@ type statfs = {
   f_inodes : int;
   f_ifree : int;
 }
-
-val max_name : int
-val max_file_size : int
 
 (** {1 Formatting and mounting} *)
 
@@ -71,7 +75,6 @@ val rmdir : t -> string -> unit Hostos.Errno.result
 val rename : t -> src:string -> dst:string -> unit Hostos.Errno.result
 val readdir : t -> string -> (string * ino) list Hostos.Errno.result
 val stat : t -> string -> stat Hostos.Errno.result
-val stat_ino : t -> ino -> stat Hostos.Errno.result
 val statfs : t -> statfs
 val exists : t -> string -> bool
 

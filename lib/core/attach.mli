@@ -87,14 +87,10 @@ module Config : sig
       command. *)
 
   val transport : t -> Devices.transport
-  val copy_mode : t -> Hyp_mem.copy_mode
-  val container_pid : t -> int option
   val command : t -> string option
   val seccomp_heuristic : t -> bool
   val pci : t -> bool
   val net : t -> net_attachment option
-  val faults : t -> Faults.t option
-  val symbol_cache : t -> Symbol_analysis.Cache.t option
 end
 
 type session

@@ -490,11 +490,11 @@ let install_wrap_syscall t =
       | None -> Hostos.Proc.Deliver
       | Some v -> (
           (* read the kvm_run page remotely and look at the exit *)
-          let page =
-            Hostos.Mem.of_bytes
-              (Hyp_mem.read_hva t.mem ~hva:v.Tracee.run_hva ~len:32)
-          in
-          match Kvm.Api.read_exit page with
+          match
+            Kvm.Api.decode_exit
+              (Hyp_mem.read_hva t.mem ~hva:v.Tracee.run_hva
+                 ~len:Kvm.Api.exit_size)
+          with
           | Kvm.Api.Exit_mmio { phys_addr; len; is_write; data } -> (
               if is_write then
                 if handle_mmio_write t ~addr:phys_addr ~data then

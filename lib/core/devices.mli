@@ -70,12 +70,6 @@ val region : t -> int * int
 (** [(base, len)] of the full guest-physical region VMSH claims — the
     range to trap (register windows, plus config spaces under PCI). *)
 
-val handle_mmio_read : t -> addr:int -> len:int -> bytes option
-(** [None] when the address is outside VMSH's windows. *)
-
-val handle_mmio_write : t -> addr:int -> data:bytes -> bool
-(** [false] when the address is outside VMSH's windows. *)
-
 val install_wrap_syscall : t -> unit
 (** Hook the tracee's syscalls; KVM_RUN exits for VMSH's MMIO windows
     are serviced and transparently re-entered. *)

@@ -27,22 +27,6 @@ let set_mode t m = t.cmode <- m
 let set_journal t j = t.journal <- j
 let journal t = t.journal
 
-(* Overlay occupancy of the hypervisor process backing this fabric: a
-   forked VMM maps guest RAM as a CoW view over the shared baseline,
-   and every VMSH write lands in the clone's private overlay through
-   the same process_vm path — this is the attach-side measure of that
-   private footprint (all zeros for a cold-booted hypervisor). *)
-let overlay_stats t =
-  match Host.find_proc t.host ~pid:t.pid with
-  | None ->
-      {
-        Hostos.Mem.cs_pages_total = 0;
-        cs_pages_copied = 0;
-        cs_silent_writes = 0;
-        cs_resident_bytes = 0;
-      }
-  | Some p -> Hostos.Mem.Addr_space.cow_totals p.Proc.aspace
-
 let top_of_guest_phys t =
   List.fold_left (fun acc s -> max acc (s.gpa + s.size)) 0 t.slot_list
 

@@ -50,12 +50,6 @@ val set_journal : t -> Journal.t option -> unit
 
 val journal : t -> Journal.t option
 
-val overlay_stats : t -> Hostos.Mem.cow_stats
-(** Copy-on-write overlay occupancy of the hypervisor process this
-    fabric writes into — the forked clone's private memory footprint
-    over its shared baseline. All zeros for a cold-booted VMM (or an
-    exited process). *)
-
 val top_of_guest_phys : t -> int
 (** One past the highest guest-physical address backed by a slot — where
     VMSH places its own memory ("hypervisors allocate from low to

@@ -24,7 +24,6 @@ type layout = {
 }
 
 (** Values the guest library stores at [status_off]. *)
-val status_devices_ready : int
 
 val status_done : int
 val status_err_open : int

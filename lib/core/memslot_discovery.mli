@@ -12,8 +12,6 @@ val discover :
 (** Attach the program, trigger it, parse the slots, detach the
     program. Fails when the calling process lacks CAP_BPF. *)
 
-val program_name : string
-
 val encode_slots : Hyp_mem.slot list -> bytes
 (** The output wire format (also used by tests). *)
 

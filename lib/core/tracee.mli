@@ -52,13 +52,6 @@ val inject : t -> nr:int -> args:int array -> (int, Vmsh_error.t) result
 val scratch : t -> int
 (** Hypervisor-virtual address of the injected scratch page. *)
 
-val write_scratch : t -> ?off:int -> bytes -> int
-(** Copy bytes into the scratch page; returns their tracee address. *)
-
-val read_scratch : t -> ?off:int -> int -> bytes
-(** [read_scratch t len] copies [len] bytes back out of the scratch
-    page. *)
-
 val inject_ioctl :
   t -> fd:int -> code:int -> ?arg:bytes -> unit -> (int, Vmsh_error.t) result
 (** Write [arg] (if any) to scratch and inject ioctl(fd, code, scratch). *)

@@ -54,7 +54,3 @@ val substrate : string -> Hostos.Errno.t -> t
 
 val fail : t -> 'a
 (** [fail e] raises [Error e]. *)
-
-val guest_status_note : int -> string
-(** Human annotation for a guest library failure status (e.g.
-    [" (block device registration)"]); [""] when unknown. *)

@@ -19,9 +19,6 @@ val trace_in_vm : Hostos.Host.t -> Dataset.image -> string list
 (** Boot a VM whose disk holds the image, run the application's startup
     opens as guest code, return the successfully opened paths. *)
 
-val strip_image : Dataset.image -> traced:string list -> Blockdev.Image.manifest
-(** Keep only traced files (the minimal VM image). *)
-
 val analyze : Hostos.Host.t -> Dataset.image -> report
 
 val analyze_all : ?seed:int -> unit -> report list

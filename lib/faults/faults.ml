@@ -185,7 +185,6 @@ let set_abort_at_yield t k =
     t.yield_seen <- 0
   end
 
-let abort_at_yield t = t.abort_at_yield
 let yield_ticks t = t.yield_seen
 
 (* --- yield hooks ---

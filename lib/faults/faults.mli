@@ -105,8 +105,6 @@ val set_abort_at_yield : t -> int option -> unit
     yield counter. A no-op on {!disabled}, which is a shared constant
     every host without a plan points at. *)
 
-val abort_at_yield : t -> int option
-
 val yield_tick : t -> unit
 (** Count one yield point; raises {!Crash_point} when the armed index
     is reached. A no-op on an unarmed plan. *)

@@ -250,10 +250,6 @@ type stored = {
   st_digest : string;
 }
 
-let is_zero_page b off len =
-  let rec go i = i >= len || (Bytes.get b (off + i) = '\000' && go (i + 1)) in
-  go 0
-
 let sparse b =
   let len = Bytes.length b in
   let ps = H.Mem.page_size in
@@ -262,7 +258,7 @@ let sparse b =
     else
       let n = min ps (len - off) in
       let acc =
-        if is_zero_page b off n then acc
+        if H.Mem.is_zero b off n then acc
         else (off / ps, Bytes.sub b off n) :: acc
       in
       go (off + ps) acc

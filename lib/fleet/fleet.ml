@@ -47,9 +47,7 @@ module Config = struct
   let profile t = t.profile
   let version t = t.version
   let fault_rate t = t.fault_rate
-  let share_symbols t = t.share_symbols
   let log_level t = t.log_level
-  let boot_source t = t.boot_source
   let is_fork t = match t.boot_source with Fork_of _ -> true | Cold_boot -> false
 
   let validate t =

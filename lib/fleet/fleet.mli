@@ -10,7 +10,7 @@
     host.
 
     Sessions come up in one of two ways, chosen by
-    {!Config.boot_source}: a {e cold boot} builds disk, hypervisor and
+    {!Config.with_boot_source}: a {e cold boot} builds disk, hypervisor and
     guest from scratch, while {!Config.Fork_of} clones a baked
     {!Baseline.image} through per-4KiB-page copy-on-write overlays —
     boot once, fork thousands of times, each fork charged only the
@@ -78,9 +78,7 @@ module Config : sig
   val profile : t -> Hypervisor.Profile.t
   val version : t -> Linux_guest.Kernel_version.t
   val fault_rate : t -> float
-  val share_symbols : t -> bool
   val log_level : t -> Observe.level option
-  val boot_source : t -> boot_source
   val is_fork : t -> bool
 
   val validate : t -> (t, Vmsh.Vmsh_error.t) result

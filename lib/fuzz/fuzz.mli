@@ -25,11 +25,7 @@ type mutator =
   | Splice  (** graft a window from elsewhere (another session) *)
   | Timewarp  (** rescale the suffix's inter-event spacing *)
 
-val all_mutators : mutator list
-(** The six classes, in rotation order. *)
-
 val mutator_name : mutator -> string
-val mutator_of_name : string -> mutator option
 
 type mutation = {
   m_op : mutator;

@@ -67,7 +67,6 @@ let create ~seed ~cls vmm =
   }
 
 let cls t = t.cls
-let steps t = t.steps_done
 
 (* [next mod n], not [H.Rng.int]: a non-positive [n] raises as before *)
 let draw t n = H.Rng.next t.rng mod n

@@ -52,7 +52,4 @@ val step : t -> unit
     Records a [hostile.step] flight-recorder event and bumps the
     [hostile.steps] counter per action taken. *)
 
-val steps : t -> int
-(** Actions performed so far. *)
-
 val cls : t -> cls

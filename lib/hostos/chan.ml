@@ -29,5 +29,4 @@ let read t len =
     Ok (Bytes.of_string out)
   end
 
-let available t = Buffer.length t.buf
 let close t = t.closed <- true

@@ -14,5 +14,4 @@ val read : t -> int -> bytes Errno.result
 (** [read t len] removes and returns up to [len] buffered bytes;
     [Error EAGAIN] when empty. *)
 
-val available : t -> int
 val close : t -> unit

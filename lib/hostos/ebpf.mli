@@ -28,8 +28,5 @@ type prog = {
   run : ctx -> unit;
 }
 
-val max_insns : int
-(** Verifier limit on program size (4096, as for unprivileged eBPF). *)
-
 val verify : prog -> unit Errno.result
 (** Static admission check (size limit only in this model). *)

@@ -15,7 +15,6 @@
      against the overlay without copying anything — only state that
      genuinely differs from the baseline (a per-clone hostname block,
      attach-time injections) becomes resident.
-   - [of_bytes] wraps a caller's buffer flat, without an overlay.
 
    A page of a [create]d buffer has a third state besides "equals its
    base" and "materialised": [generate]d. A generated page holds its
@@ -31,6 +30,10 @@
    step: over the zero base only the source, tested for zeros
    ([is_zero]); over a baseline the source against the base window
    ([region_equal]).
+
+   Plain bytes are never a buffer: a caller copies between its own
+   bytes and a buffer with [read_into] and [write_from], the two halves
+   of [blit] that [Addr_space] calls too.
 
    Invariant: [t] is abstract and every mutation goes through this
    module, so a page that was never materialised still equals its base
@@ -65,7 +68,7 @@ let page_size = 4096
 let zero_page = Bytes.make page_size '\000'
 let zero_page_digest = Digest.bytes zero_page
 
-type overlay = {
+type t = {
   base : bytes;  (* frozen, shared across every fork; never written *)
   memo : Digest.t option array;
       (* per-page digests of [base], shared with every other view of the
@@ -74,6 +77,7 @@ type overlay = {
       (* offset of page i in [base] is i * stride: [page_size] over a
          baseline image, 0 over [zero_page], which every page aliases *)
   pages : bytes array;  (* page index -> private copy; empty if none *)
+  len : int;
   mutable gens : generator list;
       (* generated ranges, newest first; only over the zero base *)
   mutable copied : int;
@@ -97,17 +101,12 @@ and generator = {
    recorded on its first write after the mark. *)
 and mark = {
   buf : t;
-  log : overlay;  (* [buf]'s overlay *)
   serial : int;
   before : (int, Digest.t) Hashtbl.t;
   mutable attributed : bytes;
       (* one bit per page attributed while this was the newest mark;
          empty until the first *)
 }
-
-and backing = Flat of bytes | Cow of overlay
-
-and t = { backing : backing; len : int }
 
 type cow_stats = {
   cs_pages_total : int;
@@ -119,27 +118,22 @@ type cow_stats = {
 let page_count len = (len + page_size - 1) / page_size
 
 let overlay ?(memo = [||]) ~base ~stride len =
-  let pages = Array.make (page_count len) Bytes.empty in
-  let c =
-    {
-      base;
-      memo;
-      stride;
-      pages;
-      gens = [];
-      copied = 0;
-      silent = 0;
-      stamps = [||];
-      marks = [];
-    }
-  in
-  { backing = Cow c; len }
+  {
+    base;
+    memo;
+    stride;
+    pages = Array.make (page_count len) Bytes.empty;
+    len;
+    gens = [];
+    copied = 0;
+    silent = 0;
+    stamps = [||];
+    marks = [];
+  }
 
 let create len =
   if len < 0 then invalid_arg "Mem.create: negative length";
   overlay ~base:zero_page ~stride:0 len
-
-let of_bytes buf = { backing = Flat buf; len = Bytes.length buf }
 
 (* The digests of a frozen image's pages, computed on first use and
    owned by whoever owns the image: every fork of one baseline shares
@@ -164,22 +158,18 @@ let length t = t.len
    overlays over a baseline image: the zero-base overlay is an
    allocation strategy, not a fork, and must not show up in the
    overlay.* metrics. *)
-let over_baseline c = c.stride <> 0
-
-let is_cow t =
-  match t.backing with Cow c -> over_baseline c | Flat _ -> false
+let is_cow t = t.stride <> 0
 
 let cow_stats t =
-  match t.backing with
-  | Cow c when over_baseline c ->
-      Some
-        {
-          cs_pages_total = Array.length c.pages;
-          cs_pages_copied = c.copied;
-          cs_silent_writes = c.silent;
-          cs_resident_bytes = c.copied * page_size;
-        }
-  | _ -> None
+  if is_cow t then
+    Some
+      {
+        cs_pages_total = Array.length t.pages;
+        cs_pages_copied = t.copied;
+        cs_silent_writes = t.silent;
+        cs_resident_bytes = t.copied * page_size;
+      }
+  else None
 
 let check_range len off n =
   if off < 0 || n < 0 || off > len - n then invalid_arg "Mem: out of bounds"
@@ -187,21 +177,18 @@ let check_range len off n =
 let materialised p = Bytes.length p > 0
 
 let resident_pages t =
-  match t.backing with
-  | Flat _ -> (t.len + page_size - 1) / page_size
-  | Cow c ->
-      Array.fold_left (fun n p -> if materialised p then n + 1 else n) 0 c.pages
+  Array.fold_left (fun n p -> if materialised p then n + 1 else n) 0 t.pages
 let page_len t pi = Int.min page_size (t.len - (pi * page_size))
 
 (* Private copy of page [pi], materialising it from the base first if
    needed (the caller has already decided the write diverges). *)
-let page_rw t c pi =
-  let p = c.pages.(pi) in
+let page_rw t pi =
+  let p = t.pages.(pi) in
   if materialised p then p
   else begin
-    let p = Bytes.sub c.base (pi * c.stride) (page_len t pi) in
-    c.pages.(pi) <- p;
-    c.copied <- c.copied + 1;
+    let p = Bytes.sub t.base (pi * t.stride) (page_len t pi) in
+    t.pages.(pi) <- p;
+    t.copied <- t.copied + 1;
     p
   end
 
@@ -218,39 +205,39 @@ let rec covering off = function
 
 (* Materialise page [pi] if a generated range holds it; [Bytes.empty]
    otherwise. *)
-let materialise c pi =
+let materialise t pi =
   let off = pi * page_size in
-  let g = covering off c.gens in
+  let g = covering off t.gens in
   if g == no_gen then Bytes.empty
   else begin
     let len = min page_size (g.g_off + g.g_len - off) in
     let p = Bytes.create len in
     g.g_fill ~pos:(off - g.g_off) p ~off:0 ~len;
-    c.pages.(pi) <- p;
+    t.pages.(pi) <- p;
     p
   end
 
 (* Page [pi]'s private copy, or [Bytes.empty] while it still equals its
    base window. A generated page is materialised here, on its first
    look: from then on it is an ordinary private page. *)
-let[@inline] resident c pi =
-  let p = c.pages.(pi) in
+let[@inline] resident t pi =
+  let p = t.pages.(pi) in
   if materialised p then p
-  else match c.gens with [] -> p | _ -> materialise c pi
+  else match t.gens with [] -> p | _ -> materialise t pi
 
 (* Where the byte at [off] lives for reading: inside the page's private
    copy when one exists, else inside the page's window of the base.
    Buffer and offset come from two functions rather than one tuple, so
    the scalar accessors allocate nothing; [rd_buf] materialises a
    generated page, so call it before [rd_off]. *)
-let rd_buf c off =
-  let p = resident c (off / page_size) in
-  if materialised p then p else c.base
+let rd_buf t off =
+  let p = resident t (off / page_size) in
+  if materialised p then p else t.base
 
-let rd_off c off =
+let rd_off t off =
   let pi = off / page_size in
-  if materialised c.pages.(pi) then off mod page_size
-  else (pi * c.stride) + (off mod page_size)
+  if materialised t.pages.(pi) then off mod page_size
+  else (pi * t.stride) + (off mod page_size)
 
 (* Do [len] bytes of [a] at [aoff] equal those of [b] at [boff]? Four
    64-bit words per step, then single words, then bytes. *)
@@ -298,99 +285,93 @@ let rec is_zero b off len =
    zero-page digest under [create], the image's memoised digest under a
    [cow] view that was given one. A materialised page is always hashed,
    even if it holds zeros or its base bytes again. *)
-let in_page_digest c off len =
+let in_page_digest t off len =
   let pi = off / page_size in
-  if len < page_size || materialised (resident c pi) then
-    let b = rd_buf c off in
-    Digest.subbytes b (rd_off c off) len
-  else if not (over_baseline c) then zero_page_digest
-  else if Array.length c.memo = 0 then Digest.subbytes c.base off len
+  if len < page_size || materialised (resident t pi) then
+    let b = rd_buf t off in
+    Digest.subbytes b (rd_off t off) len
+  else if not (is_cow t) then zero_page_digest
+  else if Array.length t.memo = 0 then Digest.subbytes t.base off len
   else
-    match c.memo.(pi) with
+    match t.memo.(pi) with
     | Some d -> d
     | None ->
-        let d = Digest.subbytes c.base off len in
-        c.memo.(pi) <- Some d;
+        let d = Digest.subbytes t.base off len in
+        t.memo.(pi) <- Some d;
         d
 
 (* The log hook, called before page [pi] changes: on the page's first
    write since the newest mark, record its current digest in every
    mark taken since it was last written. *)
-let log_write t c pi =
-  match c.marks with
+let log_write t pi =
+  match t.marks with
   | [] -> ()
   | newest :: _ ->
-      let since = c.stamps.(pi) in
+      let since = t.stamps.(pi) in
       if since < newest.serial then begin
-        let d = in_page_digest c (pi * page_size) (page_len t pi) in
+        let d = in_page_digest t (pi * page_size) (page_len t pi) in
         let rec record = function
           | m :: older when m.serial > since ->
               Hashtbl.add m.before pi d;
               record older
           | _ -> ()
         in
-        record c.marks;
-        c.stamps.(pi) <- newest.serial
+        record t.marks;
+        t.stamps.(pi) <- newest.serial
       end
 
-(* Write [len] bytes of [src] at [soff] into an overlay at [off], page
+(* Write [len] bytes of [src] at [soff] into the buffer at [off], page
    by page; per page, an identical write is recorded as silent and
    copies nothing. The range is already bounds-checked. *)
-let rec cow_write t c off src soff len =
+let rec cow_write t off src soff len =
   if len > 0 then begin
     let pi = off / page_size in
     let poff = off mod page_size in
     let chunk = Int.min len (page_size - poff) in
-    let p = resident c pi in
+    let p = resident t pi in
     if materialised p then begin
-      log_write t c pi;
+      log_write t pi;
       Bytes.blit src soff p poff chunk
     end
     else if
-      if over_baseline c then
-        region_equal c.base ((pi * c.stride) + poff) src soff chunk
+      if is_cow t then region_equal t.base ((pi * t.stride) + poff) src soff chunk
       else is_zero src soff chunk
-    then c.silent <- c.silent + 1
+    then t.silent <- t.silent + 1
     else begin
-      log_write t c pi;
-      Bytes.blit src soff (page_rw t c pi) poff chunk
+      log_write t pi;
+      Bytes.blit src soff (page_rw t pi) poff chunk
     end;
-    cow_write t c (off + chunk) src (soff + chunk) (len - chunk)
+    cow_write t (off + chunk) src (soff + chunk) (len - chunk)
   end
 
 (* Read [len] bytes at [off] into [dst] at [doff], page by page. An
    untouched generated page is not materialised: its generator writes
    the chunk straight into [dst], and the page stays generated. *)
-let rec cow_read c off dst doff len =
+let rec cow_read t off dst doff len =
   if len > 0 then begin
     let pi = off / page_size in
     let poff = off mod page_size in
     let chunk = Int.min len (page_size - poff) in
-    let p = c.pages.(pi) in
+    let p = t.pages.(pi) in
     if materialised p then Bytes.blit p poff dst doff chunk
     else begin
-      let g = covering off c.gens in
+      let g = covering off t.gens in
       if g == no_gen then
-        Bytes.blit c.base ((pi * c.stride) + poff) dst doff chunk
+        Bytes.blit t.base ((pi * t.stride) + poff) dst doff chunk
       else g.g_fill ~pos:(off - g.g_off) dst ~off:doff ~len:chunk
     end;
-    cow_read c (off + chunk) dst (doff + chunk) (len - chunk)
+    cow_read t (off + chunk) dst (doff + chunk) (len - chunk)
   end
 
 let freeze t =
-  match t.backing with
-  | Flat buf -> Bytes.sub buf 0 t.len
-  | Cow c ->
-      let out =
-        if over_baseline c then Bytes.sub c.base 0 t.len
-        else Bytes.make t.len '\000'
-      in
-      for pi = 0 to Array.length c.pages - 1 do
-        let p = resident c pi in
-        if materialised p then
-          Bytes.blit p 0 out (pi * page_size) (Bytes.length p)
-      done;
-      out
+  let out =
+    if is_cow t then Bytes.sub t.base 0 t.len else Bytes.make t.len '\000'
+  in
+  for pi = 0 to Array.length t.pages - 1 do
+    let p = resident t pi in
+    if materialised p then Bytes.blit p 0 out (pi * page_size) (Bytes.length p)
+  done;
+  out
 
 (* Drop private pages whose content re-converged with the base: a
    fork's boot replay must rewrite the page-table arena from scratch
@@ -399,70 +380,57 @@ let freeze t =
    back keeps the clone's resident footprint at its true divergence.
    Returns the number of pages reclaimed. *)
 let cow_reclaim t =
-  match t.backing with
-  | Cow c when over_baseline c ->
-      let reclaimed = ref 0 in
-      Array.iteri
-        (fun pi p ->
-          if
-            materialised p
-            && region_equal c.base (pi * page_size) p 0 (Bytes.length p)
-          then begin
-            c.pages.(pi) <- Bytes.empty;
-            c.copied <- c.copied - 1;
-            incr reclaimed
-          end)
-        c.pages;
-      !reclaimed
-  | _ -> 0
+  if not (is_cow t) then 0
+  else begin
+    let reclaimed = ref 0 in
+    Array.iteri
+      (fun pi p ->
+        if
+          materialised p
+          && region_equal t.base (pi * page_size) p 0 (Bytes.length p)
+        then begin
+          t.pages.(pi) <- Bytes.empty;
+          t.copied <- t.copied - 1;
+          incr reclaimed
+        end)
+      t.pages;
+    !reclaimed
+  end
+
+(* Copies between a buffer and plain bytes: the two halves of [blit],
+   which [Addr_space] calls with its caller's bytes directly. *)
+let read_into t off dst doff len =
+  check_range t.len off len;
+  check_range (Bytes.length dst) doff len;
+  cow_read t off dst doff len
+
+let write_from t off src soff len =
+  check_range (Bytes.length src) soff len;
+  check_range t.len off len;
+  cow_write t off src soff len
 
 let read_bytes t off len =
-  match t.backing with
-  | Flat buf -> Bytes.sub buf off len
-  | Cow c ->
-      check_range t.len off len;
-      let out = Bytes.create len in
-      cow_read c off out 0 len;
-      out
+  check_range t.len off len;
+  let out = Bytes.create len in
+  cow_read t off out 0 len;
+  out
 
-let write_bytes t off b =
-  match t.backing with
-  | Flat buf -> Bytes.blit b 0 buf off (Bytes.length b)
-  | Cow c ->
-      check_range t.len off (Bytes.length b);
-      cow_write t c off b 0 (Bytes.length b)
+let write_bytes t off b = write_from t off b 0 (Bytes.length b)
 
 (* The digest of [len] bytes at [off], hashed in place unless the
    range straddles a page boundary. *)
 let page_digest t off len =
-  match t.backing with
-  | Flat buf -> Digest.subbytes buf off len
-  | Cow c ->
-      check_range t.len off len;
-      if (off mod page_size) + len > page_size then
-        Digest.bytes (read_bytes t off len)
-      else in_page_digest c off len
-
-let has_log t = match t.backing with Cow _ -> true | Flat _ -> false
+  check_range t.len off len;
+  if (off mod page_size) + len > page_size then
+    Digest.bytes (read_bytes t off len)
+  else in_page_digest t off len
 
 let mark t =
-  match t.backing with
-  | Flat _ -> invalid_arg "Mem.mark: a flat buffer has no write log"
-  | Cow c ->
-      if Array.length c.stamps = 0 then
-        c.stamps <- Array.make (Array.length c.pages) 0;
-      let serial = match c.marks with m :: _ -> m.serial + 1 | [] -> 1 in
-      let m =
-        {
-          buf = t;
-          log = c;
-          serial;
-          before = Hashtbl.create 16;
-          attributed = Bytes.empty;
-        }
-      in
-      c.marks <- m :: c.marks;
-      m
+  if Array.length t.stamps = 0 then t.stamps <- Array.make (Array.length t.pages) 0;
+  let serial = match t.marks with m :: _ -> m.serial + 1 | [] -> 1 in
+  let m = { buf = t; serial; before = Hashtbl.create 16; attributed = Bytes.empty } in
+  t.marks <- m :: t.marks;
+  m
 
 let marked m = m.buf
 
@@ -476,26 +444,21 @@ let iter_written a b ~first ~count f =
   if a.buf != b.buf then invalid_arg "Mem.iter_written: marks of two buffers";
   let since = min a.serial b.serial in
   for pi = first to first + count - 1 do
-    if a.log.stamps.(pi) >= since then f pi
+    if a.buf.stamps.(pi) >= since then f pi
   done
 
 let attribute t off len =
-  match t.backing with
-  | Flat _ -> ()
-  | Cow c -> (
-      check_range t.len off len;
-      match c.marks with
-      | newest :: _ when len > 0 ->
-          if Bytes.length newest.attributed = 0 then
-            newest.attributed <-
-              Bytes.make ((Array.length c.pages + 7) / 8) '\000';
-          let bits = newest.attributed in
-          for pi = off / page_size to (off + len - 1) / page_size do
-            let i = pi lsr 3 in
-            Bytes.set_uint8 bits i
-              (Bytes.get_uint8 bits i lor (1 lsl (pi land 7)))
-          done
-      | _ -> ())
+  check_range t.len off len;
+  match t.marks with
+  | newest :: _ when len > 0 ->
+      if Bytes.length newest.attributed = 0 then
+        newest.attributed <- Bytes.make ((Array.length t.pages + 7) / 8) '\000';
+      let bits = newest.attributed in
+      for pi = off / page_size to (off + len - 1) / page_size do
+        let i = pi lsr 3 in
+        Bytes.set_uint8 bits i (Bytes.get_uint8 bits i lor (1 lsl (pi land 7)))
+      done
+  | _ -> ()
 
 (* Byte [i] of the union of [maps]. *)
 let rec union_byte i acc = function
@@ -517,7 +480,7 @@ let iter_attributed ?until k ~first ~count f =
         if m.serial >= lo && m.serial < hi && Bytes.length m.attributed > 0
         then Some m.attributed
         else None)
-      k.log.marks
+      k.buf.marks
   in
   if maps <> [] then begin
     let last = first + count - 1 in
@@ -533,39 +496,33 @@ let iter_attributed ?until k ~first ~count f =
 
 (* --- scalar accessors ---
 
-   The Flat arm is a plain buffer. The overlay arm reads straight from
-   the private page or the base window, and writes straight into an
-   already-materialised page; a scalar that straddles a page boundary,
-   or a write to an untouched page (which may be silent or may
-   materialise it), goes through the byte-range path. *)
+   A read comes straight from the private page or the base window, and
+   a write goes straight into an already-materialised page; a scalar
+   that straddles a page boundary, or a write to an untouched page
+   (which may be silent or may materialise it), goes through the
+   byte-range path. *)
 
 let scalar_read t off n (get : bytes -> int -> int) =
-  match t.backing with
-  | Flat buf -> get buf off
-  | Cow c ->
-      check_range t.len off n;
-      if (off mod page_size) + n <= page_size then
-        let b = rd_buf c off in
-        get b (rd_off c off)
-      else get (read_bytes t off n) 0
+  check_range t.len off n;
+  if (off mod page_size) + n <= page_size then
+    let b = rd_buf t off in
+    get b (rd_off t off)
+  else get (read_bytes t off n) 0
 
 let scalar_write t off n v (set : bytes -> int -> int -> unit) =
-  match t.backing with
-  | Flat buf -> set buf off v
-  | Cow c ->
-      check_range t.len off n;
-      let poff = off mod page_size in
-      let pi = off / page_size in
-      let p = resident c pi in
-      if poff + n <= page_size && materialised p then begin
-        log_write t c pi;
-        set p poff v
-      end
-      else begin
-        let tmp = Bytes.create n in
-        set tmp 0 v;
-        cow_write t c off tmp 0 n
-      end
+  check_range t.len off n;
+  let poff = off mod page_size in
+  let pi = off / page_size in
+  let p = resident t pi in
+  if poff + n <= page_size && materialised p then begin
+    log_write t pi;
+    set p poff v
+  end
+  else begin
+    let tmp = Bytes.create n in
+    set tmp 0 v;
+    cow_write t off tmp 0 n
+  end
 
 let read_u8 t off = scalar_read t off 1 Bytes.get_uint8
 
@@ -585,79 +542,55 @@ let read_u32 t off =
 let write_u32 t off v =
   scalar_write t off 4 v (fun b o v -> Bytes.set_int32_le b o (Int32.of_int v))
 
-let read_u64 t off =
-  let v =
-    match t.backing with
-    | Flat buf -> Bytes.get_int64_le buf off
-    | Cow c ->
-        check_range t.len off 8;
-        if (off mod page_size) + 8 <= page_size then
-          let b = rd_buf c off in
-          Bytes.get_int64_le b (rd_off c off)
-        else Bytes.get_int64_le (read_bytes t off 8) 0
-  in
+(* Stored values fit in 62 bits; [off] names where [v] was read. *)
+let to_u62 v off =
   if Int64.shift_right_logical v 62 <> 0L then
     invalid_arg
       (Printf.sprintf "Mem.read_u64: value 0x%Lx at offset %d exceeds 62 bits"
          v off);
   Int64.to_int v
 
+let read_u64 t off =
+  check_range t.len off 8;
+  let v =
+    if (off mod page_size) + 8 <= page_size then
+      let b = rd_buf t off in
+      Bytes.get_int64_le b (rd_off t off)
+    else Bytes.get_int64_le (read_bytes t off 8) 0
+  in
+  to_u62 v off
+
 let write_u64 t off v =
   scalar_write t off 8 v (fun b o v -> Bytes.set_int64_le b o (Int64.of_int v))
 
-(* Copies between a buffer and plain bytes, the two halves of [blit]
-   that [Addr_space] calls with its caller's bytes directly. *)
-let blit_to_bytes t off dst doff len =
-  match t.backing with
-  | Flat s -> Bytes.blit s off dst doff len
-  | Cow c ->
-      check_range t.len off len;
-      check_range (Bytes.length dst) doff len;
-      cow_read c off dst doff len
-
-let blit_of_bytes src soff t off len =
-  match t.backing with
-  | Flat d -> Bytes.blit src soff d off len
-  | Cow c ->
-      check_range (Bytes.length src) soff len;
-      check_range t.len off len;
-      cow_write t c off src soff len
-
 let blit ~src ~src_off ~dst ~dst_off ~len =
-  match (src.backing, dst.backing) with
-  | Flat s, _ -> blit_of_bytes s src_off dst dst_off len
-  | Cow _, Flat d -> blit_to_bytes src src_off d dst_off len
-  | Cow _, Cow _ -> write_bytes dst dst_off (read_bytes src src_off len)
+  write_bytes dst dst_off (read_bytes src src_off len)
 
 let fill t off len ch =
-  match t.backing with
-  | Flat buf -> Bytes.fill buf off len ch
-  | Cow c ->
-      check_range t.len off len;
-      let tmp = Bytes.make (min len page_size) ch in
-      let rec go off len =
-        if len > 0 then begin
-          let chunk = min len (page_size - (off mod page_size)) in
-          cow_write t c off tmp 0 chunk;
-          go (off + chunk) (len - chunk)
-        end
-      in
-      go off len
+  check_range t.len off len;
+  let tmp = Bytes.make (min len page_size) ch in
+  let rec go off len =
+    if len > 0 then begin
+      let chunk = min len (page_size - (off mod page_size)) in
+      cow_write t off tmp 0 chunk;
+      go (off + chunk) (len - chunk)
+    end
+  in
+  go off len
 
 let generate t ~off ~len f =
-  match t.backing with
-  | Cow c when not (over_baseline c) ->
-      check_range t.len off len;
-      if off mod page_size <> 0 || (len mod page_size <> 0 && off + len <> t.len)
-      then invalid_arg "Mem.generate: range not page-aligned";
-      if len > 0 then begin
-        for pi = off / page_size to (off + len - 1) / page_size do
-          log_write t c pi;
-          c.pages.(pi) <- Bytes.empty
-        done;
-        c.gens <- { g_off = off; g_len = len; g_fill = f } :: c.gens
-      end
-  | _ -> invalid_arg "Mem.generate: only a zero-base buffer generates pages"
+  if is_cow t then
+    invalid_arg "Mem.generate: only a zero-base buffer generates pages";
+  check_range t.len off len;
+  if off mod page_size <> 0 || (len mod page_size <> 0 && off + len <> t.len)
+  then invalid_arg "Mem.generate: range not page-aligned";
+  if len > 0 then begin
+    for pi = off / page_size to (off + len - 1) / page_size do
+      log_write t pi;
+      t.pages.(pi) <- Bytes.empty
+    done;
+    t.gens <- { g_off = off; g_len = len; g_fill = f } :: t.gens
+  end
 
 let read_cstr t off ~max =
   let limit = min (off + max) (length t) in
@@ -674,6 +607,10 @@ let write_cstr t off s =
 
 module Addr_space = struct
   type mem = t
+
+  (* the buffer-side copies, under names the ones below shadow *)
+  let mem_read_into = read_into
+  let mem_write_from = write_from
 
   type mapping = {
     base : int;
@@ -739,7 +676,7 @@ module Addr_space = struct
       | exception Not_found -> unmapped "read" va
       | m ->
           let chunk = Int.min (m.base + m.len - va) len in
-          blit_to_bytes m.backing (m.backing_off + (va - m.base)) dst off chunk;
+          mem_read_into m.backing (m.backing_off + (va - m.base)) dst off chunk;
           read_into t (va + chunk) dst (off + chunk) (len - chunk)
 
   let rec write_from t va src off len =
@@ -748,7 +685,7 @@ module Addr_space = struct
       | exception Not_found -> unmapped "write" va
       | m ->
           let chunk = Int.min (m.base + m.len - va) len in
-          blit_of_bytes src off m.backing (m.backing_off + (va - m.base)) chunk;
+          mem_write_from m.backing (m.backing_off + (va - m.base)) src off chunk;
           write_from t (va + chunk) src (off + chunk) (len - chunk)
 
   let read t va len =
@@ -761,9 +698,7 @@ module Addr_space = struct
   let read_u64 t va =
     match resolve t va with
     | Some (m, off) when off + 8 <= length m -> read_u64 m off
-    | _ -> (
-        let b = read t va 8 in
-        match read_u64 (of_bytes b) 0 with v -> v)
+    | _ -> to_u62 (Bytes.get_int64_le (read t va 8) 0) 0
 
   let write_u64 t va v =
     match resolve t va with

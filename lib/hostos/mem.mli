@@ -17,14 +17,14 @@
     materialised is equal to its base — all zeros for {!create} — or to
     its generator's bytes, by construction. {!page_digest} relies on
     that invariant, and the write log ({!mark}) relies on a second one:
-    every overlay mutation passes the log hook before the bytes
-    change. *)
+    every mutation passes the log hook before the bytes change. Plain
+    [bytes] are never a buffer: {!read_into} and {!write_from} copy
+    between a caller's bytes and a buffer. *)
 
 type t
 (** A contiguous byte buffer with little-endian accessors — a
     per-4KiB-page overlay over the all-zero base ({!create}) or over a
-    frozen image ({!cow}), or a flat wrap of caller bytes
-    ({!of_bytes}). *)
+    frozen image ({!cow}). *)
 
 val create : int -> t
 (** [create len] is [len] zero bytes, allocated sparsely: untouched
@@ -33,9 +33,6 @@ val create : int -> t
     untouched page stays silent (the test reads only the written bytes,
     never a zero page). Not a CoW buffer in the sense of
     {!is_cow}/{!cow_stats}. *)
-
-val of_bytes : bytes -> t
-(** A flat buffer over [bytes] itself (no copy, no overlay). *)
 
 val length : t -> int
 
@@ -71,11 +68,11 @@ val generate :
     range is materialised from [f] the first time anything writes,
     digests, logs or scalar-reads it, so it behaves exactly as if the
     bytes had been written. A byte-range read ({!read_bytes}, {!blit},
-    {!Addr_space.read_into}) of a page still generated calls [f] into
+    {!read_into}, {!Addr_space.read_into}) of a page still generated calls [f] into
     the destination instead and materialises nothing, so each such
     read runs [f] again. [f] must be deterministic and is kept until the
     buffer dies. The call counts as a write for the write log. Raises
-    [Invalid_argument] on a {!cow} or {!of_bytes} buffer, on a range
+    [Invalid_argument] on a {!cow} buffer, on a range
     outside the buffer, or on one that does not start on a page
     boundary and end on one or at the buffer's end. *)
 
@@ -114,12 +111,7 @@ type mark
 (** One point in a buffer's write history. *)
 
 val mark : t -> mark
-(** [mark m] starts logging [m]'s writes from now on. Raises
-    [Invalid_argument] on an {!of_bytes} buffer, whose bytes the caller
-    may change without passing through this module. *)
-
-val has_log : t -> bool
-(** [false] only for an {!of_bytes} buffer. *)
+(** [mark m] starts logging [m]'s writes from now on. *)
 
 val marked : mark -> t
 (** The buffer the mark was taken on. *)
@@ -140,9 +132,8 @@ val attribute : t -> int -> int -> unit
 (** [attribute m off len] records every page overlapping
     \[[off], [off + len]) as written by the attributed writer, whether
     or not the write changes its bytes. Call it for each such write;
-    it does not write. Records nothing before [m]'s first mark, and
-    nothing on an {!of_bytes} buffer. Raises [Invalid_argument] for a
-    range outside the buffer. *)
+    it does not write. Records nothing before [m]'s first mark. Raises
+    [Invalid_argument] for a range outside the buffer. *)
 
 val iter_attributed :
   ?until:mark -> mark -> first:int -> count:int -> (int -> unit) -> unit
@@ -154,10 +145,9 @@ val iter_attributed :
     [Invalid_argument] for marks of two buffers. *)
 
 val resident_pages : t -> int
-(** Pages held privately: the materialised pages of an overlay (a
-    {!generate}d page counts once it has been written, digested, logged
-    or scalar-read; byte-range reads leave it out), every page of a
-    flat buffer. *)
+(** Pages held privately: the materialised pages (a {!generate}d page
+    counts once it has been written, digested, logged or scalar-read;
+    byte-range reads leave it out). *)
 
 val is_cow : t -> bool
 (** [true] only for {!cow} views over a baseline image. *)
@@ -171,8 +161,8 @@ type cow_stats = {
 }
 
 val cow_stats : t -> cow_stats option
-(** [None] unless {!is_cow}: flat and zero-base buffers have no
-    baseline to share. *)
+(** [None] unless {!is_cow}: a zero-base buffer has no baseline to
+    share. *)
 
 val cow_reclaim : t -> int
 (** Drop private overlay pages whose content re-converged with the
@@ -195,7 +185,21 @@ val read_u64 : t -> int -> int
 val write_u64 : t -> int -> int -> unit
 val read_bytes : t -> int -> int -> bytes
 val write_bytes : t -> int -> bytes -> unit
+
+val read_into : t -> int -> bytes -> int -> int -> unit
+(** [read_into m off dst doff len] copies [len] bytes at [off] into
+    [dst] at [doff], allocating nothing. Raises [Invalid_argument] when
+    either range is out of bounds. *)
+
+val write_from : t -> int -> bytes -> int -> int -> unit
+(** [write_from m off src soff len] copies [len] bytes of [src] from
+    [soff] to [off], page by page like every write: a page it leaves
+    equal to its base stays shared. Raises [Invalid_argument] when
+    either range is out of bounds. *)
+
 val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
+(** Copy between two buffers (the same one allowed), through a
+    temporary. *)
 val fill : t -> int -> int -> char -> unit
 
 val read_cstr : t -> int -> max:int -> string option
@@ -203,6 +207,11 @@ val read_cstr : t -> int -> max:int -> string option
     bytes; [None] if no terminator is found within [max] bytes. *)
 
 val write_cstr : t -> int -> string -> unit
+
+val is_zero : bytes -> int -> int -> bool
+(** [is_zero b off len]: are the [len] bytes of [b] at [off] all zero?
+    The test a write over the zero base makes to stay silent, four
+    64-bit words per step. *)
 
 module Addr_space : sig
   type mem = t

@@ -13,7 +13,6 @@ module Nr = struct
   let recvmsg = 47
   let eventfd2 = 290
   let process_vm_readv = 310
-  let process_vm_writev = 311
 
   let name = function
     | 0 -> "read"

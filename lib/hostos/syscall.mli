@@ -22,7 +22,6 @@ module Nr : sig
   val recvmsg : int
   val eventfd2 : int
   val process_vm_readv : int
-  val process_vm_writev : int
   val name : int -> string
 end
 
@@ -44,4 +43,3 @@ val call : Host.t -> Proc.t -> Proc.thread -> nr:int -> args:int array -> int
     many u32 descriptor numbers. Helpers to build/parse it: *)
 
 val encode_scm_rights : int list -> bytes
-val decode_scm_rights : bytes -> int list option

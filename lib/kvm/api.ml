@@ -208,18 +208,22 @@ let write_exit page info =
       Mem.fill page 24 8 '\000';
       Mem.write_bytes page 24 (Bytes.sub data 0 (min 8 (Bytes.length data)))
 
-let read_exit page =
-  let reason = Mem.read_u32 page 0 in
+let exit_size = 32
+
+let u32_at b off = Int32.to_int (Bytes.get_int32_le b off) land 0xffffffff
+
+let decode_exit b =
+  let reason = u32_at b 0 in
   if reason = exit_hlt then Exit_hlt
   else if reason = exit_shutdown then Exit_shutdown
   else if reason = exit_mmio then
-    let len = Mem.read_u32 page 16 in
+    let len = u32_at b 16 in
     Exit_mmio
       {
-        phys_addr = Mem.read_u64 page 8;
+        phys_addr = Int64.to_int (Bytes.get_int64_le b 8);
         len;
-        is_write = Mem.read_u32 page 20 = 1;
-        data = Mem.read_bytes page 24 (min 8 len);
+        is_write = u32_at b 20 = 1;
+        data = Bytes.sub b 24 (min 8 len);
       }
   else Exit_other reason
 

@@ -120,8 +120,13 @@ type exit_info =
 val write_exit : Hostos.Mem.t -> exit_info -> unit
 (** Encode into a run page (kernel side). *)
 
-val read_exit : Hostos.Mem.t -> exit_info
-(** Decode from a run page (hypervisor / VMSH side). *)
+val exit_size : int
+(** 32: the bytes of a run page that hold its exit. *)
+
+val decode_exit : bytes -> exit_info
+(** Decode the exit from the first {!exit_size} bytes of a run page,
+    as the hypervisor reads them from its mapping or VMSH reads them
+    from the hypervisor's memory. *)
 
 val write_mmio_response : Hostos.Mem.t -> bytes -> unit
 (** Store MMIO read data for completion on re-entry (hypervisor side). *)

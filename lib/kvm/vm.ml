@@ -63,6 +63,7 @@ and vcpu = {
   vm : t;
   vregs : X86.Regs.t;
   run_page : Mem.t;
+  exit_buf : bytes;  (* the run page's exit, read back on each KVM_RUN *)
   mutable pending_mmio : (bytes, slice_outcome) Effect.Deep.continuation option;
 }
 
@@ -100,37 +101,6 @@ let has_runnable t =
   (* a parked context whose predicate already holds can also run *)
   || List.exists (fun p -> p.pred ()) t.parked
 let memslots t = List.map (fun i -> i.s) t.islots
-
-(* Summed overlay occupancy over every distinct CoW-backed memslot: a
-   forked VM's RAM is an overlay over the shared baseline, so this is
-   the clone's private guest-memory footprint. All zeros for
-   cold-booted VMs (flat backings). *)
-let overlay_stats t =
-  let zero =
-    {
-      Mem.cs_pages_total = 0;
-      cs_pages_copied = 0;
-      cs_silent_writes = 0;
-      cs_resident_bytes = 0;
-    }
-  in
-  let seen = ref [] in
-  List.fold_left
-    (fun acc i ->
-      if List.memq i.backing !seen then acc
-      else begin
-        seen := i.backing :: !seen;
-        match Mem.cow_stats i.backing with
-        | None -> acc
-        | Some s ->
-            {
-              Mem.cs_pages_total = acc.Mem.cs_pages_total + s.Mem.cs_pages_total;
-              cs_pages_copied = acc.cs_pages_copied + s.cs_pages_copied;
-              cs_silent_writes = acc.cs_silent_writes + s.cs_silent_writes;
-              cs_resident_bytes = acc.cs_resident_bytes + s.cs_resident_bytes;
-            }
-      end)
-    zero t.islots
 let vcpus t = t.vcpu_list
 let vcpu_index v = v.index
 let vcpu_regs v = v.vregs
@@ -151,7 +121,7 @@ let is_ram t pa = find_slot t pa <> None
 
 let read_phys_into t pa buf ~off ~len =
   let m, moff = resolve_phys t pa in
-  Mem.blit ~src:m ~src_off:moff ~dst:(Mem.of_bytes buf) ~dst_off:off ~len
+  Mem.read_into m moff buf off len
 
 let read_phys t pa len =
   let b = Bytes.create len in
@@ -168,7 +138,7 @@ let memslot_backing t (s : memslot) =
 let write_phys_from t pa buf ~off ~len =
   let m, moff = resolve_phys t pa in
   Mem.attribute m moff len;
-  Mem.blit ~src:(Mem.of_bytes buf) ~src_off:off ~dst:m ~dst_off:moff ~len
+  Mem.write_from m moff buf off len
 
 let write_phys t pa b = write_phys_from t pa b ~off:0 ~len:(Bytes.length b)
 
@@ -505,7 +475,14 @@ let make_vcpu t ~index =
       tag = Printf.sprintf "kvm-vcpu-run:%d" index;
     };
   let vcpu =
-    { index; vm = t; vregs = X86.Regs.zero (); run_page; pending_mmio = None }
+    {
+      index;
+      vm = t;
+      vregs = X86.Regs.zero ();
+      run_page;
+      exit_buf = Bytes.create Api.exit_size;
+      pending_mmio = None;
+    }
   in
   t.vcpu_list <- t.vcpu_list @ [ vcpu ];
   vcpu
@@ -552,8 +529,7 @@ let vm_ioctl t ~code ~arg : int Errno.result =
           | None -> Error Errno.EFAULT
           | Some (backing, boff)
             when boff land (Mem.page_size - 1) <> 0
-                 || boff + r.Api.memory_size > Mem.length backing
-                 || not (Mem.has_log backing) ->
+                 || boff + r.Api.memory_size > Mem.length backing ->
               (* the rollback oracle reads a slot through its backing's
                  write log, page for page: the slot must start on a
                  page of one mmapped buffer and end inside it *)
@@ -714,4 +690,8 @@ let run_vcpu host proc thread ~vcpu_fd =
   match vcpu_of_fd vcpu_fd with
   | None -> invalid_arg "Vm.run_vcpu: not a vcpu fd"
   | Some vcpu ->
-      if ret < 0 then Api.Exit_other ret else Api.read_exit vcpu.run_page
+      if ret < 0 then Api.Exit_other ret
+      else begin
+        Mem.read_into vcpu.run_page 0 vcpu.exit_buf 0 Api.exit_size;
+        Api.decode_exit vcpu.exit_buf
+      end

@@ -73,11 +73,6 @@ val has_runnable : t -> bool
 
 val memslots : t -> memslot list
 
-val overlay_stats : t -> Hostos.Mem.cow_stats
-(** Summed copy-on-write overlay occupancy across the VM's memslots —
-    the private footprint of a forked (linked-clone) VM over its
-    shared baseline. All zeros for a cold-booted VM. *)
-
 val read_phys_into : t -> int -> bytes -> off:int -> len:int -> unit
 (** [read_phys_into t pa buf ~off ~len]: the in-guest view of RAM,
     [len] bytes at [pa] copied into [buf] at [off]. Resolves through
@@ -91,8 +86,7 @@ val memslot_backing : t -> memslot -> Hostos.Mem.t * int
 (** The buffer behind a registered memslot and the slot's offset in it:
     page [p] of the slot is page [off / page_size + p] of the buffer.
     KVM_SET_USER_MEMORY_REGION accepts only a page-aligned slot that
-    lies inside one overlay buffer ({!Hostos.Mem.has_log}), so the
-    offset is page-aligned and the buffer has a write log. Raises
+    lies inside one buffer, so the offset is page-aligned. Raises
     [Invalid_argument] for a slot the VM does not hold. *)
 
 val write_phys_from : t -> int -> bytes -> off:int -> len:int -> unit

@@ -49,7 +49,6 @@ val crashed : t -> string option
 (** A kernel-level fault (bad side-load, bad opcode...), if any. *)
 
 val dmesg : t -> string list
-val printk : t -> string -> unit
 
 (** {1 Memory services} *)
 
@@ -58,10 +57,6 @@ val alloc_pages : t -> count:int -> int
 
 val translate : t -> int -> int option
 (** Virtual-to-physical through the live page tables (vCPU 0 CR3). *)
-
-val vread : t -> va:int -> len:int -> bytes
-(** Read guest *virtual* memory (page-by-page translation). Raises
-    [Failure] on an unmapped address. *)
 
 val vwrite : t -> va:int -> bytes -> unit
 
@@ -82,9 +77,6 @@ val spawn_container : t -> name:string -> image:(string * string) list -> Gproc.
 (** A containerised process: fresh mount namespace (with the given
     extra files visible at /), restricted capabilities, its own cgroup
     and an AppArmor profile — the target of container-aware attach. *)
-
-val run_as : t -> proc:Gproc.t -> name:string -> (unit -> unit) -> unit
-(** Enqueue guest code attributed to [proc] (effects allowed). *)
 
 val file_read : t -> ns:int -> string -> bytes Hostos.Errno.result
 val file_write : t -> ns:int -> string -> bytes -> unit Hostos.Errno.result

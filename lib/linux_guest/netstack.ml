@@ -36,10 +36,6 @@ module Packet = struct
     { src_ip; dst_ip; proto = proto_udp; src_port; dst_port; seq = 0;
       flag = flag_data; data }
 
-  let ip_to_string ip =
-    Printf.sprintf "%d.%d.%d.%d" ((ip lsr 24) land 0xff) ((ip lsr 16) land 0xff)
-      ((ip lsr 8) land 0xff) (ip land 0xff)
-
   let make_ip a b c d =
     ((a land 0xff) lsl 24) lor ((b land 0xff) lsl 16)
     lor ((c land 0xff) lsl 8) lor (d land 0xff)
@@ -182,22 +178,6 @@ let udp_try_recv t ~port =
       | Some p -> Some (d.from_ip, d.from_port, p.Packet.data)
       | None -> None)
 
-(* Blocking receive: parks the vCPU until a datagram lands on [port]. *)
-let udp_recv t ~port =
-  let q = sock_exn t port in
-  let rec await () =
-    match udp_try_recv t ~port with
-    | Some r -> r
-    | None ->
-        Effect.perform
-          (Kvm.Vm.Yield_until
-             (fun () ->
-               (not (Stdlib.Queue.is_empty q))
-               || Virtio.Net.Driver.rx_ready t.nic));
-        await ()
-  in
-  await ()
-
 (* --- TCP-lite: stop-and-wait reliability over the same packets ---
 
    One outstanding segment; the peer acks each sequence number. Because
@@ -212,7 +192,6 @@ type stream = {
   peer_port : int;
   local_port : int;
   mutable tx_seq : int;
-  mutable rx_seq : int;  (** next sequence number expected from peer *)
 }
 
 let max_retries = 32
@@ -221,7 +200,7 @@ let tcp_connect t ~local_port ~peer_ip ~peer_port =
   match bind t ~port:local_port with
   | Error e -> Error e
   | Ok () ->
-      Ok { st = t; peer_ip; peer_port; local_port; tx_seq = 1; rx_seq = 1 }
+      Ok { st = t; peer_ip; peer_port; local_port; tx_seq = 1 }
 
 let stream_packet s ~seq ~flag data =
   {
@@ -234,39 +213,6 @@ let stream_packet s ~seq ~flag data =
     flag;
     data;
   }
-
-(* Scan the stream's queue for an ack of [seq]; requeue data packets
-   (they may arrive interleaved with the ack). *)
-let take_ack s ~seq =
-  let q = sock_exn s.st s.local_port in
-  let n = Stdlib.Queue.length q in
-  let found = ref false in
-  for _ = 1 to n do
-    let d = Stdlib.Queue.pop q in
-    match Packet.decode d.payload with
-    | Some p when p.Packet.flag = Packet.flag_ack && p.Packet.seq = seq ->
-        found := true
-    | _ -> Stdlib.Queue.add d q
-  done;
-  !found
-
-let tcp_send s data =
-  if Bytes.length data > Packet.max_data then
-    invalid_arg "Netstack.tcp_send: segment too large";
-  let seq = s.tx_seq in
-  let rec attempt n =
-    if n > max_retries then Error Hostos.Errno.EIO
-    else begin
-      if n > 1 then count s.st "netstack.retransmits";
-      send_packet s.st (stream_packet s ~seq ~flag:Packet.flag_data data);
-      if take_ack s ~seq then begin
-        s.tx_seq <- seq + 1;
-        Ok ()
-      end
-      else attempt (n + 1)
-    end
-  in
-  attempt 1
 
 (* One request/response exchange: send a segment, await the peer's
    data reply with the same sequence number. A reply-capable peer
@@ -306,39 +252,3 @@ let tcp_request s data =
     end
   in
   attempt 1
-
-(* Receive the next in-order segment, acking it (and re-acking
-   duplicates of already-received segments, whose acks were lost). *)
-let tcp_recv s =
-  let q = sock_exn s.st s.local_port in
-  let ack seq =
-    send_packet s.st (stream_packet s ~seq ~flag:Packet.flag_ack Bytes.empty)
-  in
-  let rec scan () =
-    match Stdlib.Queue.take_opt q with
-    | None ->
-        Effect.perform
-          (Kvm.Vm.Yield_until
-             (fun () ->
-               (not (Stdlib.Queue.is_empty q))
-               || Virtio.Net.Driver.rx_ready s.st.nic));
-        poll s.st;
-        scan ()
-    | Some d -> (
-        match Packet.decode d.payload with
-        | Some p when p.Packet.flag = Packet.flag_data ->
-            if p.Packet.seq = s.rx_seq then begin
-              s.rx_seq <- s.rx_seq + 1;
-              ack p.Packet.seq;
-              p.Packet.data
-            end
-            else if p.Packet.seq < s.rx_seq then begin
-              (* duplicate: our ack was lost — ack again, keep waiting *)
-              count s.st "netstack.dup_segments";
-              ack p.Packet.seq;
-              scan ()
-            end
-            else scan () (* out of window; stop-and-wait never does this *)
-        | _ -> scan ())
-  in
-  scan ()

@@ -19,10 +19,6 @@ type t
 val create : clock:Hostos.Clock.t -> capacity_blocks:int -> t
 val stats : t -> stats
 
-val readahead_blocks : int
-(** Window prefetched on a read miss (32 blocks = 128 KiB, Linux's
-    default readahead). *)
-
 val wrap :
   ?bulk_read:(first:int -> count:int -> bytes) ->
   t -> dev_id:int -> Blockdev.Dev.t -> Blockdev.Dev.t

@@ -39,7 +39,6 @@ let new_namespace t ~from =
   Hashtbl.replace t.namespaces_tbl nsid { nsid; table = src.table };
   nsid
 
-let namespaces t = Hashtbl.fold (fun k _ acc -> k :: acc) t.namespaces_tbl []
 let mounts t ~ns = (ns_exn t ns).table
 
 let mount t ~ns ~at ~source fs =

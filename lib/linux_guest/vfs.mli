@@ -21,7 +21,6 @@ val create : unit -> t * int
 val new_namespace : t -> from:int -> int
 (** Clone a namespace's mount table (CLONE_NEWNS). *)
 
-val namespaces : t -> int list
 val mounts : t -> ns:int -> (string * mount) list
 (** (mountpoint, mount) pairs, longest mountpoint first. *)
 

@@ -44,8 +44,6 @@ let of_host (h : Hostos.Host.t) =
   t.plan <- h.Hostos.Host.faults;
   t
 
-let set_fault_plan t plan = t.plan <- plan
-
 (* Bursty loss: one [Link_burst] firing condemns the next [burst] frames
    on any link of this fabric, modelling a congested or flapping wire
    rather than independent per-frame loss. *)

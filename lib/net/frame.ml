@@ -18,8 +18,6 @@ let mac_to_string m =
     ((m lsr 8) land 0xff)
     (m land 0xff)
 
-let pp_mac ppf m = Format.pp_print_string ppf (mac_to_string m)
-
 (* Ethertypes we use. *)
 let eth_ipv4 = 0x0800
 let eth_experimental = 0x88b5

@@ -42,5 +42,4 @@ let plug t (p : Link.port) =
   t.ports <- p :: t.ports;
   Link.set_handler p (fun raw -> forward t ~ingress:p raw)
 
-let ports t = List.rev t.ports
 let known_macs t = Hashtbl.fold (fun m _ acc -> m :: acc) t.table []

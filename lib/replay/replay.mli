@@ -57,12 +57,9 @@ type run = {
   run_digest : string;  (** its guest-state digest *)
 }
 
-val meta_of_spec : spec -> (string * string) list
-(** The scenario recipe as trace metadata ([scenario], [seed], …). *)
-
 val spec_of_meta : (string * string) list -> (spec, string) result
 (** Parse a recipe back out of trace metadata. Accepts both the keys
-    {!meta_of_spec} writes and the ones the in-tree dump-on-failure
+    {!record} writes and the ones the in-tree dump-on-failure
     sites write ([fleet-seed], [sweep-seed]). *)
 
 val execute : ?log_level:Observe.level -> spec -> (run, string) result

@@ -22,17 +22,6 @@ type policy =
       (** no token: admit with a future eligibility time; a full queue
           still rejects *)
 
-let policy_to_string = function
-  | Reject -> "reject"
-  | Shed_oldest -> "shed-oldest"
-  | Defer -> "defer"
-
-let policy_of_string = function
-  | "reject" -> Some Reject
-  | "shed-oldest" -> Some Shed_oldest
-  | "defer" -> Some Defer
-  | _ -> None
-
 type tenant_cfg = {
   tc_name : string;
   tc_share : int;

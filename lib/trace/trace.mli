@@ -108,10 +108,6 @@ val with_int_arg : event -> string -> int -> event
 val with_ts : event -> float -> event
 val with_session : event -> int -> event
 
-val lifecycle : event -> bool
-(** [attach.begin]/[attach.commit]/[attach.abort]/[journal.rollback]:
-    the events that anchor a session's transaction window. *)
-
 val commutes : event -> event -> bool
 (** May these two adjacent events be swapped without violating
     causality? Different sessions always commute; within a session,
@@ -152,17 +148,13 @@ val stat : event list -> (string * int) list
 
 val pp_event : Format.formatter -> event -> unit
 
-val dump_dir : unit -> string option
-(** [$VMSH_TRACE_DIR] if set and non-empty: where failure artifacts are
-    written. Unset means dump-on-failure is off (the default for unit
-    tests). *)
-
 val dump_on_failure :
   Recorder.t ->
   name:string ->
   ?extra_meta:(string * string) list ->
   unit ->
   string option
-(** If {!dump_dir} is set, write [<dir>/<name>.vmshtrace] and return
+(** If [VMSH_TRACE_DIR] is set and not empty, write
+    [<dir>/<name>.vmshtrace] and return
     the path. Never raises: I/O errors are swallowed (the artifact is
     best-effort; the failure being reported must survive). *)

@@ -13,7 +13,6 @@ val t_in : int  (** read from device *)
 
 val t_out : int  (** write to device *)
 
-val t_flush : int
 val t_discard : int
 val status_ok : int
 val status_ioerr : int

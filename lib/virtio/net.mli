@@ -1,6 +1,6 @@
 (** VirtIO network device (device id 1): queue 0 receives, queue 1
     transmits, one Ethernet frame per descriptor chain behind a
-    [hdr_size]-byte zeroed virtio-net header (no offloads negotiated).
+    12-byte zeroed virtio-net header (no offloads negotiated).
 
     The device half bridges chains to raw frame bytes for a host-side
     network (see [Net] in lib/net); the driver half gives guest code
@@ -9,9 +9,6 @@
     layer moves opaque octets. *)
 
 val device_id : int
-
-val hdr_size : int
-(** Bytes of virtio-net header preceding each frame on the wire. *)
 
 val config : mac:int -> bytes
 (** Device config space advertising the 48-bit station address. *)
@@ -49,10 +46,6 @@ module Driver : sig
   (** Transmit one encoded frame, blocking until the device consumed
       the chain (and, in a synchronous fabric, until any immediate
       response has been delivered back into the receive ring). *)
-
-  val rx_ready : t -> bool
-  (** Effect-free: frames pending or completions ready. Safe inside a
-      [Yield_until] predicate. *)
 
   val try_recv : t -> bytes option
   (** Drain the receive ring; pop the next whole frame if any. *)

@@ -12,9 +12,6 @@
 val vendor_virtio : int
 (** 0x1af4, Red Hat / virtio. *)
 
-val device_id_base : int
-(** Modern virtio PCI device ids are 0x1040 + virtio device type. *)
-
 val header_size : int
 
 module Config : sig

@@ -11,8 +11,6 @@
 (** {1 Driver (guest) half} *)
 
 module Driver : sig
-  val kick : Mmio.access -> queue:int -> unit
-  (** Write [queue] to the queue-notify register. *)
 
   val submit :
     Mmio.access ->
@@ -42,9 +40,6 @@ module Driver : sig
     Mmio.access -> Queue.Driver.t -> bufs:int array -> buf_size:int -> rx_pool
   (** Post every buffer in [bufs] (guest-physical addresses, each
       [buf_size] bytes), kicking queue 0 once per buffer. *)
-
-  val post_rx : rx_pool -> int -> unit
-  (** Post one receive buffer and kick queue 0. *)
 
   val drain_rx : rx_pool -> (int -> int -> unit) -> unit
   (** For every completed receive chain, call [f addr written] (with

@@ -9,14 +9,6 @@
     ssh are cost models of the same terminal path without/with the ssh
     stack. *)
 
-val pty_wakeup_ns : float
-(** One pty traversal: line discipline + reader process wake-up
-    (~0.2 ms; dominated by scheduler latency, not copying). *)
-
-val ssh_stack_ns : float
-(** Per-direction extra for ssh: loopback TCP + AES-CTR + sshd
-    scheduling (~0.23 ms). *)
-
 type measurement = { m_name : string; latency_ms : float }
 
 val native : Hostos.Clock.t -> measurement

@@ -8,8 +8,6 @@
 
 type pattern = Seq_read | Seq_write | Rand_read | Rand_write
 
-val is_read : pattern -> bool
-
 type target =
   | Native of Blockdev.Backend.t
       (** the host NVMe, no virtualisation *)

@@ -4,7 +4,6 @@ module Flags = struct
   let present = 0x1
   let writable = 0x2
   let user = 0x4
-  let dirty = 0x40
   let huge = 0x80
   let all = 0xfff
 end

@@ -17,7 +17,6 @@ module Flags : sig
   val present : int
   val writable : int
   val user : int
-  val dirty : int
   val huge : int  (** in an L2 entry: maps a 2 MiB page *)
 
   val all : int

@@ -165,81 +165,110 @@ let test_mem_zero_base_overlay () =
   check cbool "no CoW stats" true (Mem.cow_stats m = None);
   check cint "reclaim is a no-op" 0 (Mem.cow_reclaim m)
 
-let test_mem_zero_base_matches_flat () =
-  (* the same seeded mix of scalar, range, fill and blit writes — a
-     third of them zeros — on a sparse buffer and on a flat zeroed one;
-     reads and the frozen image must agree throughout *)
+let test_mem_zero_base_matches_bytes () =
+  (* the same seeded mix of scalar, range, fill, blit and bytes-side
+     writes — a third of them zeros — on a sparse buffer and, through
+     [Bytes], on a plain zeroed model; reads, bytes-side reads included,
+     and the frozen image must agree throughout *)
   let len = (5 * 4096) + 1000 in
-  let sparse = Mem.create len
-  and flat = Mem.of_bytes (Bytes.make len '\000') in
+  let sparse = Mem.create len and model = Bytes.make len '\000' in
   let rng = Random.State.make [| 7 |] in
   for _ = 1 to 2000 do
     let v = if Random.State.int rng 3 = 0 then 0 else Random.State.bits rng in
     let n = 1 + Random.State.int rng 6000 in
     let off = Random.State.int rng (len - 8) in
-    let op =
-      match Random.State.int rng 6 with
-      | 0 -> fun m -> Mem.write_u8 m off v
-      | 1 -> fun m -> Mem.write_u32 m off v
-      | 2 -> fun m -> Mem.write_u64 m off (v land 0xffff_ffff_ffff)
-      | 3 ->
-          let n = min n (len - off) in
-          let b = Bytes.init n (fun i -> Char.chr ((v + i) land 0xff)) in
-          fun m -> Mem.write_bytes m off b
-      | 4 -> fun m -> Mem.fill m off (min n (len - off)) (Char.chr (v land 0xff))
-      | _ ->
-          let src = Random.State.int rng (len - 8) in
-          let n = min n (min (len - off) (len - src)) in
-          fun m -> Mem.blit ~src:m ~src_off:src ~dst:m ~dst_off:off ~len:n
-    in
-    op sparse;
-    op flat;
+    let fit n = min n (len - off) in
+    let bytes_of n = Bytes.init n (fun i -> Char.chr ((v + i) land 0xff)) in
+    (match Random.State.int rng 8 with
+    | 0 ->
+        Mem.write_u8 sparse off v;
+        Bytes.set_uint8 model off (v land 0xff)
+    | 1 ->
+        Mem.write_u32 sparse off v;
+        Bytes.set_int32_le model off (Int32.of_int v)
+    | 2 ->
+        let v = v land 0xffff_ffff_ffff in
+        Mem.write_u64 sparse off v;
+        Bytes.set_int64_le model off (Int64.of_int v)
+    | 3 ->
+        let b = bytes_of (fit n) in
+        Mem.write_bytes sparse off b;
+        Bytes.blit b 0 model off (Bytes.length b)
+    | 4 ->
+        let c = Char.chr (v land 0xff) in
+        Mem.fill sparse off (fit n) c;
+        Bytes.fill model off (fit n) c
+    | 5 ->
+        let src = Random.State.int rng (len - 8) in
+        let n = min (fit n) (len - src) in
+        Mem.blit ~src:sparse ~src_off:src ~dst:sparse ~dst_off:off ~len:n;
+        Bytes.blit model src model off n
+    | 6 ->
+        let soff = Random.State.int rng 16 in
+        let b = bytes_of (soff + fit n) in
+        Mem.write_from sparse off b soff (fit n);
+        Bytes.blit b soff model off (fit n)
+    | _ ->
+        let doff = Random.State.int rng 16 in
+        let d = Bytes.make (doff + fit n) '?' in
+        Mem.read_into sparse off d doff (fit n);
+        check cstr "bytes-side reads agree"
+          (Bytes.sub_string model off (fit n))
+          (Bytes.sub_string d doff (fit n)));
     let probe = Random.State.int rng (len - 8) in
-    check cint "reads agree" (Mem.read_u32 flat probe)
+    check cint "reads agree"
+      (Int32.to_int (Bytes.get_int32_le model probe) land 0xffffffff)
       (Mem.read_u32 sparse probe)
   done;
-  check cbool "freeze equals the flat equivalent" true
-    (Bytes.equal (Mem.freeze flat) (Mem.freeze sparse))
+  check cbool "freeze equals the model" true
+    (Bytes.equal model (Mem.freeze sparse))
 
 let test_mem_page_digest () =
+  (* every buffer is paired with a plain bytes model that gets the same
+     writes through [Bytes]: a digest must equal the model's, and the
+     hash of the buffer's own bytes *)
   let len = (3 * 4096) + 100 in
-  let m = Mem.create len in
-  Mem.write_u8 m 4096 1;
-  (* materialised, then zero again: still hashed, still correct *)
-  Mem.write_u8 m ((2 * 4096) + 5) 1;
-  Mem.write_u8 m ((2 * 4096) + 5) 0;
-  let base = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
-  let cow = Mem.cow base in
-  Mem.write_u8 cow 4096 0xff;
-  let flat = Mem.of_bytes (Bytes.copy base) in
-  let same name m off n =
-    check cstr name
-      (Digest.to_hex (Digest.bytes (Mem.read_bytes m off n)))
-      (Digest.to_hex (Mem.page_digest m off n))
+  let m = Mem.create len and mb = Bytes.make len '\000' in
+  let write_u8 (m, b) off v =
+    Mem.write_u8 m off v;
+    Bytes.set_uint8 b off v
   in
-  same "untouched zero page" m 0 4096;
-  same "materialised page" m 4096 4096;
-  same "materialised page holding zeros again" m (2 * 4096) 4096;
-  same "untouched partial last page" m (3 * 4096) 100;
-  Mem.write_u8 m ((3 * 4096) + 99) 3;
-  same "materialised partial last page" m (3 * 4096) 100;
-  same "range inside a page" m 4000 96;
-  same "range across pages" m 4000 200;
-  same "CoW base page" cow 0 4096;
-  same "CoW private page" cow 4096 4096;
-  same "CoW partial last page" cow (3 * 4096) 100;
-  same "flat buffer" flat 4096 4096;
+  write_u8 (m, mb) 4096 1;
+  (* materialised, then zero again: still hashed, still correct *)
+  write_u8 (m, mb) ((2 * 4096) + 5) 1;
+  write_u8 (m, mb) ((2 * 4096) + 5) 0;
+  let base = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
+  let cow = Mem.cow base and cb = Bytes.copy base in
+  write_u8 (cow, cb) 4096 0xff;
+  let same name (m, b) off n =
+    let want = Digest.to_hex (Digest.subbytes b off n) in
+    check cstr (name ^ ": bytes") want
+      (Digest.to_hex (Digest.bytes (Mem.read_bytes m off n)));
+    check cstr name want (Digest.to_hex (Mem.page_digest m off n))
+  in
+  same "untouched zero page" (m, mb) 0 4096;
+  same "materialised page" (m, mb) 4096 4096;
+  same "materialised page holding zeros again" (m, mb) (2 * 4096) 4096;
+  same "untouched partial last page" (m, mb) (3 * 4096) 100;
+  write_u8 (m, mb) ((3 * 4096) + 99) 3;
+  same "materialised partial last page" (m, mb) (3 * 4096) 100;
+  same "range inside a page" (m, mb) 4000 96;
+  same "range across pages" (m, mb) 4000 200;
+  same "CoW base page" (cow, cb) 0 4096;
+  same "CoW private page" (cow, cb) 4096 4096;
+  same "CoW partial last page" (cow, cb) (3 * 4096) 100;
   (* two forks of one image share its digest memo: a still-shared page
      answers from it, a materialised page is hashed, and a page
      reclaimed back to the base answers from the memo again *)
   let digests = Mem.page_digests base in
-  let fork_a = Mem.cow ~digests base and fork_b = Mem.cow ~digests base in
+  let fork_a = (Mem.cow ~digests base, Bytes.copy base)
+  and fork_b = (Mem.cow ~digests base, Bytes.copy base) in
   same "memo filled by the first fork" fork_b 4096 4096;
-  Mem.write_u8 fork_a 4096 0xee;
+  write_u8 fork_a 4096 0xee;
   same "materialised page over the memo" fork_a 4096 4096;
   same "second fork still reads the base" fork_b 4096 4096;
-  Mem.write_u8 fork_a 4096 (Char.code (Bytes.get base 4096));
-  check cint "re-converged page reclaimed" 1 (Mem.cow_reclaim fork_a);
+  write_u8 fork_a 4096 (Char.code (Bytes.get base 4096));
+  check cint "re-converged page reclaimed" 1 (Mem.cow_reclaim (fst fork_a));
   same "reclaimed page" fork_a 4096 4096;
   same "partial last page with a memo" fork_a (3 * 4096) 100;
   raises_invalid "memo of another base" (fun () ->
@@ -261,7 +290,7 @@ type log_op =
   | Bytes_at of int * int * int  (** off, len, byte *)
   | Scalar of int * int * int  (** width, off, value *)
   | Fill of int * int * int  (** off, len, byte *)
-  | Blit_flat of int * int * int  (** off, len, byte: from a flat buffer *)
+  | Write_from of int * int * int  (** off, len, byte: from plain bytes *)
   | Blit_self of int * int * int  (** src, dst, len: overlay to overlay *)
   | Base_at of int * int  (** off, len: the base's own bytes *)
   | Reclaim
@@ -271,7 +300,7 @@ let log_op_to_string = function
   | Bytes_at (o, n, v) -> Printf.sprintf "bytes %d+%d=%d" o n v
   | Scalar (w, o, v) -> Printf.sprintf "u%d %d=%d" (8 * w) o v
   | Fill (o, n, v) -> Printf.sprintf "fill %d+%d=%d" o n v
-  | Blit_flat (o, n, v) -> Printf.sprintf "blit-flat %d+%d=%d" o n v
+  | Write_from (o, n, v) -> Printf.sprintf "write-from %d+%d=%d" o n v
   | Blit_self (src, o, n) -> Printf.sprintf "blit %d->%d+%d" src o n
   | Base_at (o, n) -> Printf.sprintf "base %d+%d" o n
   | Reclaim -> "reclaim"
@@ -301,7 +330,7 @@ let gen_log_ops =
             (fun w o v -> Scalar (w, min o (log_len - w), v))
             (oneofl [ 1; 2; 4; 8 ]) off byte );
         (1, map3 (fun o n v -> Fill (o, clamp o n, v)) off len byte);
-        (1, map3 (fun o n v -> Blit_flat (o, clamp o n, v)) off len byte);
+        (1, map3 (fun o n v -> Write_from (o, clamp o n, v)) off len byte);
         ( 1,
           map3
             (fun src o n -> Blit_self (src, o, min (clamp o n) (clamp src n)))
@@ -330,10 +359,7 @@ let apply_log_op base m = function
   | Scalar (4, o, v) -> Mem.write_u32 m o v
   | Scalar (_, o, v) -> Mem.write_u64 m o v
   | Fill (o, n, v) -> Mem.fill m o n (Char.chr v)
-  | Blit_flat (o, n, v) ->
-      Mem.blit
-        ~src:(Mem.of_bytes (Bytes.make n (Char.chr v)))
-        ~src_off:0 ~dst:m ~dst_off:o ~len:n
+  | Write_from (o, n, v) -> Mem.write_from m o (Bytes.make (n + 1) (Char.chr v)) 1 n
   | Blit_self (src, o, n) -> Mem.blit ~src:m ~src_off:src ~dst:m ~dst_off:o ~len:n
   | Base_at (o, n) -> Mem.write_bytes m o (Bytes.sub base o n)
   | Reclaim -> ignore (Mem.cow_reclaim m)
@@ -383,13 +409,13 @@ let prop_write_log_matches_copies =
    as the same bytes written eagerly. Both buffers run one sequence of
    write-log ops, marks and sparse reads; every read must answer alike,
    and at the end so must the contents and every mark's page digests
-   and written set. A byte-range read ([read_bytes], [blit],
+   and written set. A byte-range read ([read_bytes], [read_into],
    [Addr_space.read_into]) runs the generator into its own buffer and
    must leave [resident_pages] as it was, so later writes, marks and
    digests still meet untouched generated pages; a scalar read or a
    digest materialises only the pages it touches. *)
 
-type gen_read = R_bytes | R_u8 | R_u64 | R_blit | R_aspace | R_digest | R_freeze
+type gen_read = R_bytes | R_u8 | R_u64 | R_into | R_aspace | R_digest | R_freeze
 
 type gen_op = Op of log_op | Read of gen_read * int * int  (** off, len *)
 
@@ -411,7 +437,7 @@ let gen_generated =
   let read =
     map3
       (fun k o n -> Read (k, o, min n (log_len - o)))
-      (oneofl [ R_bytes; R_u8; R_u64; R_blit; R_aspace; R_digest; R_freeze ])
+      (oneofl [ R_bytes; R_u8; R_u64; R_into; R_aspace; R_digest; R_freeze ])
       (int_bound (log_len - 1))
       (oneof [ int_range 1 64; int_range 1 9000 ])
   in
@@ -452,10 +478,10 @@ let observe_generated m ops =
         match Mem.read_u64 m (min o (log_len - 8)) with
         | v -> string_of_int v
         | exception Invalid_argument e -> e)
-    | R_blit ->
+    | R_into ->
         range_read (fun () ->
             let d = Bytes.make (n + 2) '?' in
-            Mem.blit ~src:m ~src_off:o ~dst:(Mem.of_bytes d) ~dst_off:1 ~len:n;
+            Mem.read_into m o d 1 n;
             Bytes.to_string d)
     | R_aspace ->
         range_read (fun () ->
@@ -565,7 +591,6 @@ let test_mem_generate_rejects () =
       | exception Invalid_argument _ -> true)
   in
   rejects "a CoW view" (Mem.cow (Bytes.make 8192 'x')) ~off:0 ~len:4096;
-  rejects "a flat buffer" (Mem.of_bytes (Bytes.create 8192)) ~off:0 ~len:4096;
   rejects "an unaligned start" (Mem.create 8192) ~off:1 ~len:4096;
   rejects "an unaligned end" (Mem.create 8192) ~off:0 ~len:4095;
   rejects "a range past the end" (Mem.create 8192) ~off:4096 ~len:8192;
@@ -577,9 +602,7 @@ let test_mem_generate_rejects () =
   check cstr "short last page" (Bytes.to_string noise)
     (Bytes.to_string (Mem.read_bytes m 4096 904))
 
-let test_mem_log_rejects_flat () =
-  raises_invalid "a flat buffer has no log" (fun () ->
-      Mem.mark (Mem.of_bytes (Bytes.create 16)));
+let test_mem_log_rejects_two_buffers () =
   let a = Mem.mark (Mem.create 4096) and b = Mem.mark (Mem.create 4096) in
   raises_invalid "marks of two buffers" (fun () ->
       Mem.iter_written a b ~first:0 ~count:1 ignore)
@@ -648,7 +671,7 @@ let test_mem_zero_source_test () =
     let k = Mem.mark m in
     let src = Bytes.make (soff + len) '\000' in
     Bytes.set src (soff + at) '\x01';
-    Mem.blit ~src:(Mem.of_bytes src) ~src_off:soff ~dst:m ~dst_off:off ~len;
+    Mem.write_from m off src soff len;
     check cint (what ^ ": page materialised") 1 (Mem.resident_pages m);
     let written = ref [] in
     Mem.iter_written k k ~first:0 ~count:3 (fun i -> written := i :: !written);
@@ -673,19 +696,13 @@ let test_mem_zero_source_test () =
   List.iter
     (fun (soff, len, off) ->
       let src = Bytes.make (soff + len) '\000' in
-      Mem.blit ~src:(Mem.of_bytes src) ~src_off:soff ~dst:m ~dst_off:off ~len)
+      Mem.write_from m off src soff len)
     [ (0, 4096, 4096); (3, 1000, 4101); (0, 20, 8192); (1, 7, 0); (0, 8192, 2048) ];
   Mem.fill m 0 (3 * 4096) '\000';
   check cint "all-zero writes stay silent" 0 (Mem.resident_pages m);
   let written = ref [] in
   Mem.iter_written k k ~first:0 ~count:3 (fun i -> written := i :: !written);
   check cpages "and log nothing" [] !written
-
-let test_mem_attribution_ignores_flat () =
-  let b = Bytes.make 16 'x' in
-  Mem.attribute (Mem.of_bytes b) 0 16;
-  Mem.attribute (Mem.of_bytes b) 0 1_000_000;
-  check cstr "the bytes are untouched" "xxxxxxxxxxxxxxxx" (Bytes.to_string b)
 
 (* --- Chan --- *)
 
@@ -1174,21 +1191,19 @@ let suite =
         t "aspace find_free" test_aspace_find_free;
         t "aspace cross-mapping read" test_aspace_cross_mapping_read;
         t "zero-base overlay semantics" test_mem_zero_base_overlay;
-        t "zero-base overlay matches flat" test_mem_zero_base_matches_flat;
+        t "zero-base overlay matches flat bytes" test_mem_zero_base_matches_bytes;
         t "page digest per page kind" test_mem_page_digest;
         QCheck_alcotest.to_alcotest prop_aspace_find_free_never_overlaps;
         QCheck_alcotest.to_alcotest prop_write_log_matches_copies;
-        t "write log rejects flat buffers" test_mem_log_rejects_flat;
+        t "write log rejects marks of two buffers" test_mem_log_rejects_two_buffers;
         QCheck_alcotest.to_alcotest prop_generated_reads_as_written;
         t "generated pages on first touch" test_mem_generated_first_touch;
         t "generate is a logged write" test_mem_generate_is_logged;
-        t "generate rejects CoW, flat and unaligned"
-          test_mem_generate_rejects;
+        t "generate rejects CoW and unaligned ranges" test_mem_generate_rejects;
         t "attribution needs a mark" test_mem_attribution_needs_a_mark;
         t "attribution between marks" test_mem_attribution_between_marks;
         t "attribution counts silent writes"
           test_mem_attribution_counts_silent_writes;
-        t "attribution ignores flat buffers" test_mem_attribution_ignores_flat;
         t "zero-source silent-write test" test_mem_zero_source_test;
       ] );
     ( "hostos.chan",

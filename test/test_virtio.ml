@@ -17,10 +17,10 @@ let raw_gmem size =
     {
       Gmem.read_into =
         (fun ~addr buf ~off ~len ->
-          Mem.blit ~src:m ~src_off:addr ~dst:(Mem.of_bytes buf) ~dst_off:off ~len);
+          Mem.read_into m addr buf off len);
       write_from =
         (fun ~addr buf ~off ~len ->
-          Mem.blit ~src:(Mem.of_bytes buf) ~src_off:off ~dst:m ~dst_off:addr ~len);
+          Mem.write_from m addr buf off len);
     } )
 
 let make_queue ?(qsz = 8) () =
