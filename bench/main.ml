@@ -697,9 +697,10 @@ let run_bechamel () =
            ignore (Sfs.write_file fs "/f" (Bytes.make 4096 'x'))))
   in
   (* the uncached symbol analysis of E2/E3, one layer per test: the
-     page-table walk, the image copy, the strings scan, the table scan,
-     and the noise fill that builds the 1.25 MiB kernel image at boot;
-     then the ksymtab table a 5.10 boot encodes for its 194 exports *)
+     page-table walk, the image copy, the one pass over the image that
+     finds the strings region and the table, and the noise fill that
+     builds the 1.25 MiB kernel image at boot; then the ksymtab table a
+     5.10 boot encodes for its 194 exports *)
   let tests_e23 =
     let h, vmm, g = boot_qemu ~seed:1301 ~blocks:4096 () in
     let vmsh = H.Host.spawn h ~name:"bench-vmsh" ~uid:1000 () in
@@ -713,7 +714,6 @@ let run_bechamel () =
     let ok = function Ok v -> v | Error e -> failwith e in
     let kbase, len = ok (Vmsh.Symbol_analysis.find_kernel_base mem ~cr3) in
     let img = Option.get (Vmsh.Hyp_mem.read_virt mem ~cr3 ~va:kbase ~len) in
-    let region = ok (Vmsh.Symbol_analysis.find_strings_region img) in
     (* a digest of the guest materialises the image's generated pages
        here, once, so the image-copy stage times the copy and not the
        noise generator *)
@@ -742,10 +742,10 @@ let run_bechamel () =
       stage "e2e3-image-copy" (fun () ->
           ignore
             (Vmsh.Hyp_mem.read_virt_into mem ~cr3 ~va:kbase copy ~off:0 ~len));
-      stage "e2e3-strings-scan" (fun () ->
-          ignore (Vmsh.Symbol_analysis.find_strings_region img));
-      stage "e2e3-table-scan" (fun () ->
-          ignore (Vmsh.Symbol_analysis.find_tables img ~kbase ~region));
+      stage "e2e3-image-scan" (fun () ->
+          let scan = Vmsh.Symbol_analysis.scan_image img ~kbase in
+          let region = ok (Vmsh.Symbol_analysis.strings_region scan) in
+          ignore (Vmsh.Symbol_analysis.tables scan ~region));
       stage "e2e3-noise-fill" (fun () -> H.Rng.fill_bytes rng noise);
       stage "boot-ksymtab-build" (fun () ->
           ignore

@@ -115,30 +115,31 @@ usage() {
   echo "stages: $STAGES"
 }
 
-vmsh() { dune exec --no-print-directory bin/vmsh_cli.exe -- "$@"; }
-ci_check() { dune exec --no-print-directory bin/ci_check.exe -- "$@"; }
+# Stages run the executables one `dune build` made (main runs it
+# before a single --stage; a full run's first stage is the build), so
+# no stage takes dune's build lock.
+build=_build/default
+vmsh() { "$build/bin/vmsh_cli.exe" "$@"; }
+ci_check() { "$build/bin/ci_check.exe" "$@"; }
 
-# peak_rss LIMIT_MIB LABEL NAME CMD...: run CMD and fail unless it
-# exits 0 with a peak RSS at or under LIMIT_MIB. There is no
-# /usr/bin/time, so CMD runs in the background while the loop polls
-# /proc/PID/status for VmHWM (a high-water mark, so the last reading is
-# the peak) until it exits. `dune exec` builds and then execs the
-# program in place, so PID becomes the program itself with a fresh
-# VmHWM; readings whose `Name:` is not NAME (still dune) are skipped.
-# The gate is a sample: growth in the last 50 ms before exit goes
-# unseen, which each caller's margin absorbs. CMD's own output goes
-# wherever the caller sends the function's stdout; the verdict goes to
-# stderr.
+# peak_rss LIMIT_MIB LABEL CMD...: run CMD and fail unless it exits 0
+# with a peak RSS at or under LIMIT_MIB. There is no /usr/bin/time, so
+# CMD runs in the background while the loop polls /proc/PID/status for
+# VmHWM (a high-water mark, so the last reading is the peak) until it
+# exits. CMD must be the program itself, not a shell function or a
+# wrapper that forks it. The gate is a sample: growth in the last 50 ms
+# before exit goes unseen, which each caller's margin absorbs. CMD's
+# own output goes wherever the caller sends the function's stdout; the
+# verdict goes to stderr.
 peak_rss() {
-  limit_mib=$1 label=$2 name=$3
-  shift 3
+  limit_mib=$1 label=$2
+  shift 2
   "$@" &
   pid=$!
   hwm_kib=0
   while kill -0 "$pid" 2> /dev/null; do
-    kib=$(awk -v want="$name" '/^Name:/ { name = $2 }
-               /^VmHWM:/ && name == want { print $2 }' \
-      "/proc/$pid/status" 2> /dev/null) || kib=
+    kib=$(awk '/^VmHWM:/ { print $2 }' "/proc/$pid/status" 2> /dev/null) ||
+      kib=
     if [ -n "$kib" ]; then hwm_kib=$kib; fi
     sleep 0.05
   done
@@ -285,7 +286,7 @@ stage_smoke_attach() {
   esac
   for example in quickstart rescue_system security_scanner serverless_debug
   do
-    dune exec --no-print-directory "examples/$example.exe" > /dev/null || {
+    "$build/examples/$example.exe" > /dev/null || {
       echo "ci: example $example failed" >&2
       return 1
     }
@@ -358,10 +359,9 @@ stage_fleet() {
   # this fits a small box: peak RSS must stay under 171 MiB (137 MiB
   # measured, plus 25%; 188 MiB when every host allocated the whole
   # 65,536-slot ring, 373 MiB when boots wrote every image page).
-  # `dune exec` is called directly: the vmsh function would put a shell
+  # The CLI is called directly: the vmsh function would put a shell
   # between peak_rss and the CLI.
-  peak_rss 171 "cold 64-VM fleet" vmsh_cli.exe \
-    dune exec --no-print-directory bin/vmsh_cli.exe -- fleet --vms 64 \
+  peak_rss 171 "cold 64-VM fleet" "$build/bin/vmsh_cli.exe" fleet --vms 64 \
     --metrics-out "$ARTIFACTS/fleet-64-metrics.json" > /dev/null || return 1
   ci_check fleet "$ARTIFACTS/fleet-64-metrics.json" || return 1
 }
@@ -544,8 +544,7 @@ stage_serve() {
 
 stage_bench() {
   # E1 runs on its own in bench-e1; about 500 MiB measured
-  peak_rss 1024 "bench experiments" main.exe \
-    dune exec --no-print-directory bench/main.exe -- \
+  peak_rss 1024 "bench experiments" "$build/bench/main.exe" \
     --only table1,e4,e5,e6,e7,e8,e9,e10,ablation,bechamel \
     > "$ARTIFACTS/bench.txt" || return 1
 }
@@ -554,8 +553,7 @@ stage_bench_e1() {
   e1_out=$ARTIFACTS/bench-e1.txt
   # about 64 MiB measured; the kept interval lists this replaced cost
   # about 3.6 GiB here
-  peak_rss 256 "E1 (xfstests)" main.exe \
-    dune exec --no-print-directory bench/main.exe -- --only e1 \
+  peak_rss 256 "E1 (xfstests)" "$build/bench/main.exe" --only e1 \
     > "$e1_out" || return 1
   grep -q '^=> vmsh-blk fails exactly the tests qemu-blk fails .*: true$' \
     "$e1_out" || {
@@ -688,6 +686,15 @@ main() {
 
   mkdir -p "$ARTIFACTS"
 
+  # one stage alone runs on a fresh build; a full run builds in its
+  # first stage
+  if [ -n "$only_stage" ] && [ "$only_stage" != build ]; then
+    dune build || {
+      echo "ci: dune build failed" >&2
+      exit 1
+    }
+  fi
+
   summary=""
   failures=0
   for stage in $STAGES; do
@@ -706,6 +713,8 @@ main() {
     elapsed=$(( $(date +%s) - start ))
     summary="$summary$(printf '%-14s %-4s %4ds' "$stage" "$status" "$elapsed")
 "
+    # the later stages would run stale executables
+    if [ "$stage" = build ] && [ "$status" = FAIL ]; then break; fi
   done
 
   printf '\n=== ci summary ===\n%s' "$summary"

@@ -85,74 +85,26 @@ let expand_strings_region img pos =
 
 let anchor_pattern = "\000" ^ anchor_symbol ^ "\000"
 
-(* Horspool's bad-character table for [anchor_pattern]: how far the
-   window may move when its last byte is [c] — the distance from [c]'s
-   last occurrence among the pattern's first 7 bytes to the pattern's
-   end (NUL 7, then p r i n t k at 6 … 1), and the full 8 for a byte the
-   pattern does not hold. *)
-let anchor_shift =
-  let m = String.length anchor_pattern in
-  let t = Bytes.make 256 (Char.chr m) in
-  String.iteri
-    (fun k c -> if k < m - 1 then Bytes.set t (Char.code c) (Char.chr (m - 1 - k)))
-    anchor_pattern;
-  Bytes.unsafe_to_string t
-
 (* The anchor pattern is exactly 8 bytes, so a window matches when its
    one little-endian 64-bit load equals this word. *)
 let anchor_word = String.get_int64_le anchor_pattern 0
 
-(* The widest strings region seen so far by one scan cursor. *)
+(* The widest strings region seen so far. *)
 type region_best = { mutable found : bool; mutable lo : int; mutable hi : int }
 
-(* Widen the match at window [j] to its strings region; keep it when it
-   is strictly wider than [best]'s, so the first of equally wide ones
+(* The anchor window at [j], whose first two bytes are a NUL and 'p':
+   on a match, widen it to its strings region and keep that when it is
+   strictly wider than [best]'s, so the first of equally wide ones
    stays. *)
 let widen img best j =
-  best.found <- true;
-  let lo, hi = expand_strings_region img (j + 1) in
-  if hi - lo > best.hi - best.lo then begin
-    best.lo <- lo;
-    best.hi <- hi
+  if Bytes.get_int64_le img j = anchor_word then begin
+    best.found <- true;
+    let lo, hi = expand_strings_region img (j + 1) in
+    if hi - lo > best.hi - best.lo then begin
+      best.lo <- lo;
+      best.hi <- hi
+    end
   end
-
-(* One Horspool step at window [j]: test it, then return the next
-   window, moved by the shift of [j]'s last byte. *)
-let[@inline] horspool_step img best j =
-  let last = Bytes.unsafe_get img (j + 7) in
-  if last = '\000' && Bytes.get_int64_le img j = anchor_word then widen img best j;
-  j + Char.code (String.unsafe_get anchor_shift (Char.code last))
-
-(* Horspool skip scans for "\000printk\000". A skip never jumps over a
-   match, so a scan started at any window sees every match (overlapping
-   ones too) from there on, in order. Two cursors split the windows
-   [0, last]: A takes [0, half] and B starts exactly at [half + 1], and
-   one loop steps both, so the two chains of loads overlap. Each keeps
-   its widest region, the first of equally wide ones; B's wins only
-   when strictly wider, since every match of A's comes first. The
-   anchor counts only after a NUL, so a name at image offset 0 never
-   matches. *)
-let find_strings_region img =
-  let last = Bytes.length img - String.length anchor_pattern in
-  let half = last asr 1 in
-  let a = { found = false; lo = 0; hi = 0 }
-  and b = { found = false; lo = 0; hi = 0 } in
-  let ja = ref 0 and jb = ref (half + 1) in
-  while !ja <= half && !jb <= last do
-    ja := horspool_step img a !ja;
-    jb := horspool_step img b !jb
-  done;
-  while !ja <= half do
-    ja := horspool_step img a !ja
-  done;
-  while !jb <= last do
-    jb := horspool_step img b !jb
-  done;
-  let best = if b.hi - b.lo > a.hi - a.lo then b else a in
-  if not (a.found || b.found) then
-    Error (Printf.sprintf "anchor symbol %S not found in kernel image" anchor_symbol)
-  else if best.hi - best.lo < 16 then Error "strings region too small"
-  else Ok (best.lo, best.hi)
 
 (* Is [off] the start of a plausible symbol name inside the region? *)
 let string_start img (lo, hi) off =
@@ -183,16 +135,23 @@ let entry_name_va b ~base layout o =
   | KV.Absolute_name_first -> i64 b o
   | KV.Prel32 -> base + o + 4 + i32 b (o + 4)
 
-(* The consistency check for the entry at image offset [o]: it fits in
-   the image, its value points into the kernel, and its name pointer
-   lands exactly on a string start inside the strings region. *)
-let entry_valid img ~kbase ~region layout o =
+(* The region-free half of the consistency check for the entry at
+   image offset [o]: it fits in the image and its value points into the
+   kernel. *)
+let entry_in_image img ~kbase layout o =
   let n = Bytes.length img in
   o + Linux_guest.Ksymtab.entry_size layout <= n
   &&
   let value = entry_value img ~base:kbase layout o in
   value >= kbase && value < kbase + n
-  && string_start img region (entry_name_va img ~base:kbase layout o - kbase)
+
+(* The other half: its name pointer lands exactly on a string start
+   inside the strings region. *)
+let entry_named img ~kbase ~region layout o =
+  string_start img region (entry_name_va img ~base:kbase layout o - kbase)
+
+let entry_valid img ~kbase ~region layout o =
+  entry_in_image img ~kbase layout o && entry_named img ~kbase ~region layout o
 
 (* [len] plus the number of consecutive valid entries from [o] on. *)
 let rec run_length img ~kbase ~region layout o len =
@@ -209,12 +168,64 @@ let layout_bit = function
   | KV.Absolute_name_first -> 2
   | KV.Prel32 -> 4
 
-(* One pass over the 8-byte slots: the layouts whose entry test holds
-   at each slot, as [(offset, layout bits)] in ascending order. Each
-   slot costs one 64-bit load and byte tests, necessary conditions
-   derived from [n] that random bytes rarely meet, and most slots fail
-   the first; only a slot that passes one pays for [entry_valid]'s
-   full test of that layout.
+(* What one pass over a copied image finds: the widest strings region
+   around an anchor, and the slots where some layout's entry passes the
+   region-free half of its check, as [(o lsl 3) lor layout bits] in
+   ascending order in [cands.(0 .. n_cands - 1)]. *)
+type scan = {
+  img : Bytes.t;
+  kbase : int;
+  best : region_best;
+  mutable cands : int array;
+  mutable n_cands : int;
+}
+
+let push_cand s c =
+  if s.n_cands = Array.length s.cands then begin
+    let a = Array.make (2 * s.n_cands) 0 in
+    Array.blit s.cands 0 a 0 s.n_cands;
+    s.cands <- a
+  end;
+  s.cands.(s.n_cands) <- c;
+  s.n_cands <- s.n_cands + 1
+
+let low_bits = 0x0101_0101_0101_0101L
+let high_bits = 0x8080_8080_8080_8080L
+
+(* The slot at [o], whose word [v] (as [i64] reads it) passed the
+   top-byte filter: keep the layouts whose entry there fits and whose
+   value points into the image. *)
+let slot_tests s ~filtered ~top_lo ~top_hi o v =
+  let img = s.img and kbase = s.kbase in
+  let top = v asr 56 in
+  let absolute = (not filtered) || top = top_lo || top = top_hi
+  and prel32 =
+    (not filtered)
+    || (top + 1) land lnot 1 = 0 && ((v lsr 24) + 1) land 0xfe = 0
+  in
+  let bits =
+    (if absolute && entry_in_image img ~kbase KV.Absolute_value_first o then 1
+     else 0)
+    lor (if absolute && entry_in_image img ~kbase KV.Absolute_name_first o then 2
+         else 0)
+    lor if prel32 && entry_in_image img ~kbase KV.Prel32 o then 4 else 0
+  in
+  if bits <> 0 then push_cand s ((o lsl 3) lor bits)
+
+(* An unchecked little-endian 64-bit load; [scan_image]'s loop bound
+   keeps every load inside the image. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+(* One loop over the image's aligned 8-byte words, each loaded once.
+   Anchor search: every anchor window starts at a NUL followed by 'p'.
+   [(w - 0x01..01) land lnot w land 0x80..80] is non-zero exactly when
+   some byte of [w] is zero, so only such a word looks for a NUL
+   followed by 'p' among its bytes; an all-zero word can start a match
+   only at its last byte, the one NUL the next word's first byte may
+   follow. A window may run past its word, so every window up to
+   [n - 8] is tested, and in ascending order. Slot filter: necessary
+   conditions derived from [n] that random bytes rarely meet, and most
+   slots fail the first.
    - An all-zero word is no entry: its value (absolute) or name
      pointer (absolute, name first) is 0, outside a kernel at
      [kbase > 0], and its PREL32 name is the NUL at [o + 4].
@@ -223,52 +234,52 @@ let layout_bit = function
      [i64] reads it, is that of [kbase] or of [kbase + n - 1].
    - A PREL32 entry's two halves are offsets within [(-n, n)], so with
      [n <= 2^23] each half's top byte (bytes 3 and 7) is 0x00 or 0xff.
-   A slot whose top byte is none of those four, or whose word is zero,
+   A slot whose word is zero, or whose top byte is none of those four,
    fails both filters; [tops] (one byte per top-byte value) rejects it
-   with one load and test before the per-layout filters run. Past 2^23
-   bytes, or at [kbase <= 0], every slot takes the full tests. *)
-let valid_slots img ~kbase ~region =
+   with one load and test. Past 2^23 bytes, or at [kbase <= 0], every
+   slot takes [slot_tests]. *)
+let scan_image img ~kbase =
   let n = Bytes.length img in
+  let last = n - 8 in
   let filtered = n <= 1 lsl 23 && kbase > 0 in
   let top_lo = kbase asr 56 and top_hi = (kbase + n - 1) asr 56 in
   let tops = Bytes.make 128 '\000' in
   List.iter
     (fun top -> Bytes.set tops (top land 0x7f) '\001')
     [ top_lo; top_hi; 0; -1 ];
-  let slots = ref [] in
+  let best = { found = false; lo = 0; hi = 0 } in
+  let s = { img; kbase; best; cands = Array.make 64 0; n_cands = 0 } in
   let o = ref 0 in
-  while !o + 8 <= n do
+  while !o <= last do
     let o' = !o in
-    let w = Bytes.get_int64_le img o' in
+    let w = get64u img o' in
+    if w = 0L then begin
+      if o' + 7 <= last && Bytes.unsafe_get img (o' + 8) = 'p' then
+        widen img best (o' + 7)
+    end
+    else if
+      Int64.logand (Int64.logand (Int64.sub w low_bits) (Int64.lognot w)) high_bits
+      <> 0L
+    then
+      for j = o' to min (o' + 7) last do
+        if Bytes.unsafe_get img j = '\000' && Bytes.unsafe_get img (j + 1) = 'p'
+        then widen img best j
+      done;
     let v = Int64.to_int w in
-    let top = v asr 56 in
     if
-      (not filtered)
-      || (Bytes.unsafe_get tops (top land 0x7f) <> '\000' && w <> 0L)
-    then begin
-      (* a filtered slot that gets here has a non-zero word *)
-      let absolute =
-        o' + 16 <= n && ((not filtered) || top = top_lo || top = top_hi)
-      and prel32 =
-        (not filtered)
-        || (top + 1) land lnot 1 = 0 && ((v lsr 24) + 1) land 0xfe = 0
-      in
-      if absolute || prel32 then begin
-        let valid =
-          (if absolute && entry_valid img ~kbase ~region KV.Absolute_value_first o'
-           then 1
-           else 0)
-          lor (if absolute && entry_valid img ~kbase ~region KV.Absolute_name_first o'
-               then 2
-               else 0)
-          lor (if prel32 && entry_valid img ~kbase ~region KV.Prel32 o' then 4 else 0)
-        in
-        if valid <> 0 then slots := (o', valid) :: !slots
-      end
-    end;
+      (w <> 0L && Bytes.unsafe_get tops ((v asr 56) land 0x7f) <> '\000')
+      || not filtered
+    then slot_tests s ~filtered ~top_lo ~top_hi o' v;
     o := o' + 8
   done;
-  List.rev !slots
+  s
+
+let strings_region s =
+  let best = s.best in
+  if not best.found then
+    Error (Printf.sprintf "anchor symbol %S not found in kernel image" anchor_symbol)
+  else if best.hi - best.lo < 16 then Error "strings region too small"
+  else Ok (best.lo, best.hi)
 
 (* The longest run of valid [layout] entries, visiting only the slots
    where one starts: try starts every 8 bytes from offset 0, keep the
@@ -292,14 +303,33 @@ let best_run img ~kbase ~region slots layout =
   in
   go 0 0 0 slots
 
-(* Every layout's table candidate from one validity pass: for each of
-   [layouts], the offset of its longest valid run and the run's
-   (name, value) pairs — [(0, [])] when no entry is valid. *)
-let find_tables img ~kbase ~region =
-  let slots = valid_slots img ~kbase ~region in
+(* [cand]'s layout bit for [layout], if its entry is also named. *)
+let named_bit img ~kbase ~region cand layout =
+  let bit = layout_bit layout in
+  if cand land bit <> 0 && entry_named img ~kbase ~region layout (cand lsr 3)
+  then bit
+  else 0
+
+(* Every layout's table candidate: the candidates whose entries are
+   also named give the valid slots, as [(offset, layout bits)] in
+   ascending order; then for each of [layouts], the offset of its
+   longest valid run and the run's (name, value) pairs — [(0, [])] when
+   no entry is valid. *)
+let tables s ~region =
+  let img = s.img and kbase = s.kbase in
+  let slots = ref [] in
+  for i = s.n_cands - 1 downto 0 do
+    let c = s.cands.(i) in
+    let bits =
+      named_bit img ~kbase ~region c KV.Absolute_value_first
+      lor named_bit img ~kbase ~region c KV.Absolute_name_first
+      lor named_bit img ~kbase ~region c KV.Prel32
+    in
+    if bits <> 0 then slots := (c lsr 3, bits) :: !slots
+  done;
   List.map
     (fun layout ->
-      let off, len = best_run img ~kbase ~region slots layout in
+      let off, len = best_run img ~kbase ~region !slots layout in
       let esz = Linux_guest.Ksymtab.entry_size layout in
       let entry k =
         let o = off + (k * esz) in
@@ -361,12 +391,13 @@ let analyze_full ?cache ~build_id mem ~cr3 ~kernel_base ~image_len =
            saves), however few passes the host needs to compute them *)
         Hostos.Clock.copy_bytes (Hyp_mem.host mem).Hostos.Host.clock
           (4 * image_len);
-        let* region = find_strings_region img in
+        let scan = scan_image img ~kbase:kernel_base in
+        let* region = strings_region scan in
         (* all layout variants in parallel; the consistency checks keep
            only entries whose name pointers land exactly on string
            starts, so the wrong layouts produce shorter (usually empty)
            runs *)
-        let candidates = find_tables img ~kbase:kernel_base ~region in
+        let candidates = tables scan ~region in
         let layout, table_off, entries =
           List.fold_left
             (fun (bl, bo, be) (l, o, e) ->

@@ -34,33 +34,38 @@ val anchor_symbol : string
 val find_kernel_base : Hyp_mem.t -> cr3:int -> (int * int, string) result
 (** [(base, mapped_len)] of the kernel image within the KASLR range. *)
 
-val find_strings_region : Bytes.t -> (int * int, string) result
-(** The [.ksymtab_strings] region of a copied kernel image, as image
-    offsets [(lo, hi)]: every ["\000printk\000"] match is widened to
-    the maximal span of NUL-separated printable names around it, and
-    the widest span wins (the first of equally wide ones). Two
-    Horspool skip scans, stepped in one loop: one over the windows
-    [\[0, half\]], one from exactly [half + 1] to the last window
-    ([half] is half the last window's offset), each keeping its
-    widest region, the first cursor's winning ties. The result is a
-    single scan's; nothing is allocated but the matches' regions. *)
+type scan
+(** What one pass over a copied kernel image finds. *)
 
-val find_tables :
-  Bytes.t ->
-  kbase:int ->
+val scan_image : Bytes.t -> kbase:int -> scan
+(** [scan_image img ~kbase] reads [img] (mapped at [kbase]) once, one
+    aligned 64-bit word at a time, for both section scans. The anchor
+    search tests a ["\000printk\000"] window only where a word holds a
+    NUL followed by ['p'] (a zero-byte test per word; an all-zero word
+    only at its last byte). The slot filter keeps every 8-byte slot
+    where some layout's entry fits and its value points into the
+    image: the word's top byte rejects most slots with one lookup
+    first. Allocates the candidate slots and the matches' regions. *)
+
+val strings_region : scan -> (int * int, string) result
+(** The [.ksymtab_strings] region of the scanned image, as image offsets
+    [(lo, hi)]: every ["\000printk\000"] match is widened to the
+    maximal span of NUL-separated printable names around it, and the
+    widest span wins (the first of equally wide ones). *)
+
+val tables :
+  scan ->
   region:int * int ->
   (Linux_guest.Kernel_version.ksymtab_layout * int * (string * int) list) list
-(** [find_tables img ~kbase ~region] searches [img] (mapped at [kbase])
-    for each layout's longest run of entries whose values point into
-    the image and whose name pointers land on string starts inside
-    [region]. One triple per layout, in the order absolute (value
-    first), absolute (name first), PREL32: the layout, the run's image
-    offset and its (name, value) pairs — [(0, [])] when no entry is
-    valid. Starts are tried every 8 bytes; the first of equally long
-    runs wins, and the search resumes past each new best run. One pass
-    over the image finds the slots where any layout's entry is valid
-    (one 64-bit load per slot, and byte prefilters that skip most
-    slots); each layout then visits only those. *)
+(** [tables scan ~region] is, for each layout, the longest run of
+    entries whose values point into the image and whose name pointers
+    land on string starts inside [region]. One triple per layout, in
+    the order absolute (value first), absolute (name first), PREL32:
+    the layout, the run's image offset and its (name, value) pairs —
+    [(0, [])] when no entry is valid. Starts are tried every 8 bytes;
+    the first of equally long runs wins, and the search resumes past
+    each new best run. Only the scan's candidate slots whose name
+    pointers land on string starts are visited. *)
 
 (** Memoization across attaches to identically-built kernels, keyed by
     the build-id note found in the image's first page. A hit skips the

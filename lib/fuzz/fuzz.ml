@@ -481,37 +481,52 @@ let ngram = 3
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
+(* FNV-1a over [s], from [h]: a plain loop, so [h] stays unboxed. *)
 let fnv64 h s =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
+
+(* [Printf.sprintf "%016Lx" h] without the format interpreter. *)
+let hex64 h =
+  String.init 16 (fun i ->
+      "0123456789abcdef".[Int64.to_int
+                            (Int64.logand
+                               (Int64.shift_right_logical h (60 - (4 * i)))
+                               0xfL)])
 
 (* The coverage key set of a stream: every n-gram of consecutive event
    kinds (session-tagged, so a fleet interleaving differs from the
    same kinds in one session), deduplicated and sorted — a canonical
    form that is identical across identical double runs regardless of
-   discovery order. *)
+   discovery order. A window's key is the FNV-1a hash of its events'
+   ["SESSION\000KIND\001"] strings in order, in hex; each string is
+   built once per event, and a hash is formatted once per distinct
+   window. *)
 let coverage_keys (events : Trace.event list) : string list =
   let kinds =
     Array.of_list
       (List.map
          (fun (e : Trace.event) ->
-           Printf.sprintf "%d\000%s" e.Trace.session e.Trace.kind)
+           String.concat ""
+             [ string_of_int e.Trace.session; "\000"; e.Trace.kind; "\001" ])
          events)
   in
   let n = Array.length kinds in
-  let keys = Hashtbl.create 256 in
+  let hashes = Hashtbl.create 256 in
   for i = 0 to n - ngram do
     let h = ref fnv_offset in
     for j = i to i + ngram - 1 do
-      h := fnv64 (fnv64 !h kinds.(j)) "\001"
+      h := fnv64 !h kinds.(j)
     done;
-    Hashtbl.replace keys (Printf.sprintf "%016Lx" !h) ()
+    Hashtbl.replace hashes !h ()
   done;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) keys [])
+  List.sort compare (Hashtbl.fold (fun h () acc -> hex64 h :: acc) hashes [])
 
 (* ------------------------------------------------------------------ *)
 (* Minimization (delta debugging over the mutation list)               *)

@@ -20,56 +20,41 @@ let int t bound =
   assert (bound > 0);
   next t mod bound
 
-(* Byte [k] (from 0) of the [int t 256] stream that starts at state
-   [s] — bits 2–9 of [mix64 (s + (k+1)·gamma)], since [next] is
-   non-negative and [mod 256] is [land 255] — placed at bits [8k] ..
-   [8k+7] of a 64-bit word. Inlined with a constant [k], so the shifts
-   fold and the [int64] locals stay unboxed. *)
-let[@inline] lane s k =
-  let z = mix64 (Int64.add s (Int64.mul (Int64.of_int (k + 1)) golden_gamma)) in
-  if k = 0 then Int64.logand (Int64.shift_right_logical z 2) 0xffL
-  else Int64.logand (Int64.shift_left z ((8 * k) - 2)) (Int64.shift_left 0xffL (8 * k))
+(* The noise kernel (splitmix_stubs.c): [int t 256] per byte into [b]
+   at [\[off, off + len)] for a generator at state [s], which stays where
+   it is. Byte [k] of the stream depends only on [s + (k+1)·gamma], so
+   the C loop computes every byte independently. Allocates nothing. The
+   caller checks the range. *)
+external fill_into :
+  (int64[@unboxed]) -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "vmsh_splitmix_fill_byte" "vmsh_splitmix_fill"
+[@@noalloc]
 
-(* [int t 256] per byte into [b] at [\[off, off + len)], eight bytes per
-   step: a step's eight mixes depend only on the state it starts from,
-   so they run side by side, and their bytes go out in one
-   little-endian 64-bit store. A scalar tail takes the last
-   [len mod 8] bytes, and [t] ends where the per-byte loop leaves it.
-   Allocates nothing. *)
-let fill_into t b off len =
-  let n = off + len in
-  let s = ref t.state in
-  let i = ref off in
-  while !i + 8 <= n do
-    let s0 = !s in
-    Bytes.set_int64_le b !i
-      (Int64.logor
-         (Int64.logor
-            (Int64.logor (lane s0 0) (lane s0 1))
-            (Int64.logor (lane s0 2) (lane s0 3)))
-         (Int64.logor
-            (Int64.logor (lane s0 4) (lane s0 5))
-            (Int64.logor (lane s0 6) (lane s0 7))));
-    s := Int64.add s0 (Int64.mul 8L golden_gamma);
-    i := !i + 8
-  done;
-  while !i < n do
-    Bytes.unsafe_set b !i (Char.unsafe_chr (Int64.to_int (lane !s 0)));
-    s := Int64.add !s golden_gamma;
-    incr i
-  done;
-  t.state <- !s
+external portable_fill_into :
+  (int64[@unboxed]) -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "vmsh_splitmix_fill_portable_byte" "vmsh_splitmix_fill_portable"
+[@@noalloc]
 
-let fill_bytes t b = fill_into t b 0 (Bytes.length b)
+(* The state of a generator [k] steps on from [t]. *)
+let[@inline] state_at t k = Int64.add t.state (Int64.mul (Int64.of_int k) golden_gamma)
 
-(* Byte [k] of the stream depends only on [state + (k+1)·gamma], so
-   the window at [pos] is the stream of a generator [pos] steps on. *)
-let fill_bytes_at t ~pos b ~off ~len =
+let fill_bytes t b =
+  let len = Bytes.length b in
+  fill_into t.state b 0 len;
+  t.state <- state_at t len
+
+let check_window name b ~pos ~off ~len =
   if pos < 0 || off < 0 || len < 0 || off > Bytes.length b - len then
-    invalid_arg "Splitmix.fill_bytes_at";
-  fill_into
-    { state = Int64.add t.state (Int64.mul (Int64.of_int pos) golden_gamma) }
-    b off len
+    invalid_arg name
+
+(* The window at [pos] is the stream of a generator [pos] steps on. *)
+let fill_bytes_at t ~pos b ~off ~len =
+  check_window "Splitmix.fill_bytes_at" b ~pos ~off ~len;
+  fill_into (state_at t pos) b off len
+
+let portable_fill_bytes_at t ~pos b ~off ~len =
+  check_window "Splitmix.portable_fill_bytes_at" b ~pos ~off ~len;
+  portable_fill_into (state_at t pos) b off len
 
 (* NB: 2^62 is not representable as an OCaml int (63-bit), so the
    divisor must be built as a float. *)

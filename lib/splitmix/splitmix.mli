@@ -23,8 +23,13 @@ val int : t -> int -> int
 
 val fill_bytes : t -> Bytes.t -> unit
 (** [fill_bytes t b] overwrites every byte of [b] in order with
-    [Char.chr (int t 256)] and leaves [t] where that loop would, without
-    allocating. *)
+    [Char.chr (int t 256)] and leaves [t] where that loop would. The
+    bytes come from one C loop (the noise kernel), which computes byte
+    [k] from the counter [state + (k+1)·gamma] alone, so it vectorises:
+    built with GCC for x86-64, the loop exists in an x86-64-v4
+    (AVX-512) and a baseline build and the CPU picks one when the
+    program loads; elsewhere it is the portable loop. Allocates only
+    the new state. *)
 
 val fill_bytes_at : t -> pos:int -> Bytes.t -> off:int -> len:int -> unit
 (** [fill_bytes_at t ~pos b ~off ~len] writes bytes [\[pos, pos + len)]
@@ -32,6 +37,13 @@ val fill_bytes_at : t -> pos:int -> Bytes.t -> off:int -> len:int -> unit
     into [b] at [off], and leaves [t] unchanged. Costs [len] bytes of
     work whatever [pos] is: the stream is counter-based. Raises
     [Invalid_argument] on a negative [pos] or a range outside [b]. *)
+
+val portable_fill_bytes_at :
+  t -> pos:int -> Bytes.t -> off:int -> len:int -> unit
+(** {!fill_bytes_at} through the baseline-ISA build of the noise kernel,
+    whichever build this CPU picks for {!fill_bytes_at}; the two write
+    the same bytes. It exists so the unit suite can check both builds
+    on one machine. *)
 
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)

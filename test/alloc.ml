@@ -24,3 +24,13 @@ let words f =
   let minor1 = Gc.minor_words () in
   let _, promoted1, major1 = Gc.counters () in
   (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+(* [minor_words f] settles the heap, runs [f ()] and returns its result
+   with the minor term of [words] alone: what [f] allocated in small
+   blocks, which sees neither the 4 KiB pages nor the image buffers
+   that go straight into the major heap. *)
+let minor_words f =
+  settle ();
+  let minor0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. minor0)

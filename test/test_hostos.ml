@@ -1115,9 +1115,18 @@ let prop_aspace_find_free_never_overlaps =
       (* map never raised, so no overlap occurred *)
       true)
 
+(* The noise kernel's two builds: the one the CPU picks, and the
+   baseline-ISA loop whatever the CPU. *)
+let noise_fills =
+  [ ("picked", Rng.fill_bytes_at); ("portable", Rng.portable_fill_bytes_at) ]
+
 (* [fill_bytes] must give the per-byte [int r 256] loop's bytes and
    leave the generator where that loop does, at every length: whole
-   8-byte steps, a scalar tail of 1 to 7 bytes, or both. *)
+   8-byte steps, a tail of 1 to 7 bytes, or both. Both builds of the
+   kernel must give the same bytes as windows at [pos] 0, at every
+   length from 1 to 130 (each side of 64 and 128, the widths a vector
+   loop steps by) and at offsets off every alignment, leaving the
+   bytes around the window alone. *)
 let test_rng_fill_bytes_matches_int_loop () =
   List.iter
     (fun seed ->
@@ -1129,38 +1138,72 @@ let test_rng_fill_bytes_matches_int_loop () =
           let looped = Bytes.init len (fun _ -> Char.chr (Rng.int b 256)) in
           let what = Printf.sprintf "seed %d, %d bytes" seed len in
           check cbool (what ^ ": same bytes") true (Bytes.equal filled looped);
-          check cint (what ^ ": same next draw") (Rng.next b) (Rng.next a))
-        [ 0; 1; 7; 8; 9; 15; 16; 23; 4097; 2 * 1024 * 1024 ])
+          check cint (what ^ ": same next draw") (Rng.next b) (Rng.next a);
+          List.iter
+            (fun (build, fill) ->
+              let at = Bytes.make len '?' in
+              fill (Rng.create ~seed) ~pos:0 at ~off:0 ~len;
+              check cbool (what ^ ": same bytes, " ^ build) true
+                (Bytes.equal at looped))
+            noise_fills)
+        [ 0; 1; 7; 8; 9; 15; 16; 23; 4097; 2 * 1024 * 1024 ];
+      let r = Rng.create ~seed in
+      let looped = Bytes.init 130 (fun _ -> Char.chr (Rng.int r 256)) in
+      for len = 1 to 130 do
+        List.iter
+          (fun off ->
+            List.iter
+              (fun (build, fill) ->
+                let b = Bytes.make (off + len + 3) '?' in
+                fill (Rng.create ~seed) ~pos:0 b ~off ~len;
+                let what =
+                  Printf.sprintf "seed %d, %d bytes at %d, %s" seed len off build
+                in
+                check cstr what (Bytes.sub_string looped 0 len)
+                  (Bytes.sub_string b off len);
+                check cstr (what ^ ": rest untouched")
+                  (String.make off '?' ^ "???")
+                  (Bytes.sub_string b 0 off ^ Bytes.sub_string b (off + len) 3))
+              noise_fills)
+          [ 0; 1; 3; 7; 8; 13 ]
+      done)
     [ 0; 1; 3; 42; -5 ]
 
 (* [fill_bytes_at] is a window of one whole [fill_bytes], at offsets
    and lengths off the 8-byte step, into the middle of a buffer whose
-   other bytes it leaves alone, and it does not move the generator. *)
+   other bytes it leaves alone, and it does not move the generator;
+   through either build of the kernel. *)
 let test_rng_fill_bytes_at_is_a_window () =
   let whole = Bytes.create 20_000 in
   Rng.fill_bytes (Rng.create ~seed:9) whole;
   List.iter
-    (fun (pos, len) ->
-      let r = Rng.create ~seed:9 in
-      let b = Bytes.make (len + 6) '?' in
-      Rng.fill_bytes_at r ~pos b ~off:3 ~len;
-      let what = Printf.sprintf "bytes %d+%d" pos len in
-      check cstr what
-        (Bytes.sub_string whole pos len)
-        (Bytes.sub_string b 3 len);
-      check cstr (what ^ ": rest untouched") "??????"
-        (Bytes.sub_string b 0 3 ^ Bytes.sub_string b (len + 3) 3);
-      check cint (what ^ ": generator unmoved")
-        (Rng.next (Rng.create ~seed:9))
-        (Rng.next r))
-    [ (0, 13); (5, 3); (7, 4097); (4093, 11); (12_345, 1001); (19_999, 1) ]
+    (fun (build, fill) ->
+      List.iter
+        (fun (pos, len) ->
+          let r = Rng.create ~seed:9 in
+          let b = Bytes.make (len + 6) '?' in
+          fill r ~pos b ~off:3 ~len;
+          let what = Printf.sprintf "bytes %d+%d, %s" pos len build in
+          check cstr what
+            (Bytes.sub_string whole pos len)
+            (Bytes.sub_string b 3 len);
+          check cstr (what ^ ": rest untouched") "??????"
+            (Bytes.sub_string b 0 3 ^ Bytes.sub_string b (len + 3) 3);
+          check cint (what ^ ": generator unmoved")
+            (Rng.next (Rng.create ~seed:9))
+            (Rng.next r))
+        [ (0, 13); (5, 3); (7, 4097); (4093, 11); (12_345, 1001); (19_999, 1);
+          (63, 65); (129, 127) ])
+    noise_fills
 
+(* A fill allocates only the generator's new state, a boxed [int64]:
+   3 words on both heaps ([Alloc.words]); the bound is that plus 25%.
+   The per-byte [int r 256] loop boxes a state per byte, 3 words per
+   byte. *)
 let test_rng_fill_bytes_allocates_nothing () =
   let r = Rng.create ~seed:3 and b = Bytes.create (1024 * 1024) in
-  let before = Gc.minor_words () in
-  Rng.fill_bytes r b;
-  let words = Gc.minor_words () -. before in
-  if words >= 64. then Alcotest.failf "fill_bytes allocated %.0f minor words" words
+  let (), words = Alloc.words (fun () -> Rng.fill_bytes r b) in
+  if words > 1.25 *. 3. then Alcotest.failf "fill_bytes allocated %.0f words" words
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in

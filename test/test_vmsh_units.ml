@@ -149,17 +149,19 @@ let test_analysis_on_all_layouts () =
    offset, a substring per NUL) costs tens of millions of minor words
    per analysis, and a return to per-read allocation in the remote-copy
    path costs hundreds of thousands (486,766–494,409 before that path
-   stopped allocating). An uncached analysis now takes 22,428–26,931
-   minor words on a settled heap; the bound is the largest plus 25%. *)
+   stopped allocating). An uncached analysis took 21,828–26,331 minor
+   words on a settled heap before the one-pass scan and takes
+   19,189–23,113 with it ([Alloc.minor_words]; the 2 MiB image copy is
+   a major block, bounded by the next test). The bound is 26,931, an
+   earlier largest count, plus 25%. *)
 let test_analysis_allocation_bound () =
   List.iter
     (fun version ->
       let ((_, _, g) as env) = boot_version version in
       let mem = hyp_mem_of env and cr3 = cr3_of g in
-      Alloc.settle ();
-      let before = Gc.minor_words () in
-      let r = Vmsh.Symbol_analysis.analyze mem ~cr3 in
-      let words = Gc.minor_words () -. before in
+      let r, words =
+        Alloc.minor_words (fun () -> Vmsh.Symbol_analysis.analyze mem ~cr3)
+      in
       check cbool (KV.to_string version ^ " analyzed") true (Result.is_ok r);
       if words >= 33_664. then
         Alcotest.failf "%s: uncached analysis allocated %.0f minor words"
@@ -173,7 +175,8 @@ let test_analysis_allocation_bound () =
    and the VM kept the image's 320 pages for life. A copy now runs the
    generator into the caller's buffer: an analysis allocates
    283,974-288,477 words, most of them the 2 MiB copy of the kernel
-   mapping itself, and the bound is the largest plus 25%. *)
+   mapping itself, and the bound is the largest plus 25%. The one-pass
+   scan takes 281,335-285,772. *)
 let test_analysis_both_heaps_bound () =
   List.iter
     (fun version ->
@@ -470,14 +473,14 @@ let prop_scans_match_reference =
     QCheck.(make ~print:string_of_int Gen.(int_bound (1 lsl 29)))
     (fun seed ->
       let img, kbase = planted_image seed in
-      let strings = Vmsh.Symbol_analysis.find_strings_region img in
+      let scan = Vmsh.Symbol_analysis.scan_image img ~kbase in
       let expected = Reference_scan.find_strings_region img in
-      if strings <> expected then
+      if Vmsh.Symbol_analysis.strings_region scan <> expected then
         QCheck.Test.fail_reportf "strings region differs for seed %d" seed;
       let region =
         match expected with Ok r -> r | Error _ -> (0x100, 0x100 + 64)
       in
-      let tables = Vmsh.Symbol_analysis.find_tables img ~kbase ~region in
+      let tables = Vmsh.Symbol_analysis.tables scan ~region in
       List.length tables = List.length layouts
       && List.for_all2
            (fun layout (l, off, entries) ->
@@ -485,15 +488,29 @@ let prop_scans_match_reference =
              && (off, entries) = Reference_scan.find_table img ~kbase ~region layout)
            layouts tables)
 
-(* Deterministic edge cases for the scans, each compared with
-   [Reference_scan]. The strings scan splits its windows [0, last] at
-   [half = last / 2] and starts its second cursor exactly at
-   [half + 1]; the anchor is planted at every window within 16 of that
-   start, at offset 1 and in the last window, and two equally wide
-   sections, one per cursor, must resolve to the first. A 3-entry run of each
-   layout is planted at every offset within 16 of the split too, at
-   offset 0 and ending at the image's last byte. Image lengths cover
-   both parities of [last] and lengths that are no multiple of 8. *)
+(* Deterministic edge cases for the one-pass scan, each compared with
+   [Reference_scan]. The pass loads the image's aligned 8-byte words
+   and tests an anchor window only where a word holds a NUL; each case
+   names the bug (planted in a scratch copy) that it catches:
+   - the anchor window at every byte of a word, at 64 .. 79 and in the
+     last windows (a NUL-test loop over bytes 0-6 or 1-7 of a word);
+   - the anchor window at the last byte of an all-zero word (a zero
+     word that tests no window);
+   - a NUL followed by 'p' that fails later, ["\000print\000"] and
+     ["\000printx\000"], before the real anchor or alone (a match taken
+     on the NUL and 'p' alone);
+   - a word holding a second NUL that starts the anchor (a word that
+     tests only its first NUL);
+   - the last window of an image whose length is no multiple of 8 (a
+     window bound at the last whole word);
+   - a ksymtab entry right after a 3-entry run, named and with its
+     word's top byte right for the layout, whose value is one past the
+     image's end or one before its base (a value test that takes
+     [kbase + n] or [kbase - 1]).
+   Two equally wide sections must resolve to the first, and a 3-entry
+   run of each layout is found at every offset of two words, at offset
+   64 and ending at the image's last byte. Image lengths cover every
+   residue mod 8. *)
 let test_scan_edge_cases () =
   let kbase = 0x7fff_0040_0000 in
   let noise n seed =
@@ -501,7 +518,7 @@ let test_scan_edge_cases () =
     Bytes.init n (fun _ -> Char.chr (Random.State.int st 256))
   in
   (* "\000" then [names] NUL-terminated, at [off]: the names and their
-     virtual addresses, and the blob's length *)
+     image offsets, and the blob's length *)
   let plant_names img off names =
     let blob, offs =
       Linux_guest.Ksymtab.build_strings
@@ -516,9 +533,11 @@ let test_scan_edge_cases () =
     | KV.Absolute_name_first -> "name-first"
     | KV.Prel32 -> "prel32"
   in
+  let scan img = Vmsh.Symbol_analysis.scan_image img ~kbase in
   let compare_scans what img =
     let expected = Reference_scan.find_strings_region img in
-    if Vmsh.Symbol_analysis.find_strings_region img <> expected then
+    let scan = scan img in
+    if Vmsh.Symbol_analysis.strings_region scan <> expected then
       Alcotest.failf "%s: strings region differs from the reference" what;
     let region = match expected with Ok r -> r | Error _ -> (0, 0) in
     List.iter2
@@ -528,9 +547,17 @@ let test_scan_edge_cases () =
         then Alcotest.failf "%s: %s table differs from the reference" what
                (layout_name layout))
       layouts
-      (Vmsh.Symbol_analysis.find_tables img ~kbase ~region)
+      (Vmsh.Symbol_analysis.tables scan ~region)
   in
+  let strings_region img = Vmsh.Symbol_analysis.strings_region (scan img) in
   let anchor = Reference_scan.anchor_symbol in
+  (* compare, then require the region around the anchor window at [w] *)
+  let expect_anchor what img w =
+    compare_scans what img;
+    match strings_region img with
+    | Ok (lo, hi) when lo <= w + 1 && w + 1 < hi -> ()
+    | _ -> Alcotest.failf "%s: the planted anchor's region was not found" what
+  in
   (* the anchor's window (the NUL before it) at [w] of an [n]-byte
      image, with names on each side where they fit *)
   let anchor_case n w =
@@ -540,15 +567,44 @@ let test_scan_edge_cases () =
     let lead = List.fold_left (fun acc s -> acc + String.length s + 1) 0 before in
     let _ = plant_names img (w - lead) (before @ [ anchor ] @ after) in
     let what = Printf.sprintf "n=%d, anchor window at %d" n w in
-    compare_scans what img;
-    if n >= 0x800 then
-      match Vmsh.Symbol_analysis.find_strings_region img with
-      | Ok (lo, hi) when lo <= w + 1 && w + 1 < hi -> ()
-      | _ -> Alcotest.failf "%s: the planted anchor's region was not found" what
+    if n >= 0x800 then expect_anchor what img w else compare_scans what img
   in
-  (* two equally wide sections, fenced by non-name bytes: one at 64,
-     in the first cursor's windows, and one whose anchor window is
-     [w]; the first must win the tie *)
+  (* the anchor alone, its window at the last byte of an all-zero word
+     at [o] *)
+  let zero_word_case n o =
+    let img = noise n o in
+    Bytes.fill img o 8 '\000';
+    let rest = anchor ^ "\000omega\000" in
+    Bytes.blit_string rest 0 img (o + 8) (String.length rest);
+    expect_anchor (Printf.sprintf "n=%d, anchor after a zero word at %d" n o) img (o + 7)
+  in
+  (* [decoy] (a NUL, 'p' and a near miss) at [d], alone or before the
+     anchor at [w] *)
+  let near_miss_case n decoy d w =
+    let what = Printf.sprintf "n=%d, %S at %d" n decoy d in
+    let img = noise n d in
+    Bytes.blit_string decoy 0 img d (String.length decoy);
+    compare_scans (what ^ " alone") img;
+    if Result.is_ok (strings_region img) then
+      Alcotest.failf "%s alone: a near miss was taken for the anchor" what;
+    let _ = plant_names img (w - 6) [ "alpha"; anchor; "beta" ] in
+    expect_anchor (Printf.sprintf "%s, anchor at %d" what w) img w
+  in
+  (* a word at [o] whose byte [first] is a NUL ending a name and whose
+     byte [k > first] starts the anchor's window *)
+  let second_nul_case n o first k =
+    let img = noise n (o + k) in
+    let names =
+      "alpha\000" ^ String.make (k - first - 1) 'q' ^ "\000" ^ anchor
+      ^ "\000gamma\000"
+    in
+    Bytes.blit_string names 0 img (o + first - 5) (String.length names);
+    expect_anchor
+      (Printf.sprintf "n=%d, NULs at %d and %d" n (o + first) (o + k))
+      img (o + k)
+  in
+  (* two equally wide sections, fenced by non-name bytes: one at 64 and
+     one whose anchor window is [w]; the first must win the tie *)
   let tie_case n w =
     let img = noise n (w + 3) in
     let fenced at =
@@ -561,12 +617,13 @@ let test_scan_edge_cases () =
     fenced w;
     let what = Printf.sprintf "n=%d, tied sections at 64 and %d" n w in
     compare_scans what img;
-    match Vmsh.Symbol_analysis.find_strings_region img with
+    match strings_region img with
     | Ok (lo, _) when lo < 64 -> ()
     | _ -> Alcotest.failf "%s: the first of two equal regions must win" what
   in
-  (* a strings section at 16, and a 3-entry [layout] run at [at] *)
-  let table_case n at layout =
+  (* a strings section at 16, and a 3-entry [layout] run at [at];
+     [extra] may rewrite the image after the run is planted *)
+  let table_case ?(extra = fun _ _ -> ()) n at layout =
     let img = noise n (at + 7) in
     let names, _ = plant_names img 16 [ "alpha"; anchor; "beta"; "gamma" ] in
     let syms =
@@ -579,40 +636,68 @@ let test_scan_edge_cases () =
         ~table_va:(kbase + at) ~name_offsets:names
     in
     Bytes.blit tbl 0 img at (Bytes.length tbl);
+    extra img (List.assoc "beta" names);
     let what = Printf.sprintf "n=%d, %s run at %d" n (layout_name layout) at in
     compare_scans what img;
     (* starts are tried every 8 bytes, so only an aligned run counts *)
     if at mod 8 = 0 then
-      let region = Result.get_ok (Vmsh.Symbol_analysis.find_strings_region img) in
+      let region = Result.get_ok (strings_region img) in
       let _, off, entries =
         List.find
           (fun (l, _, _) -> l = layout)
-          (Vmsh.Symbol_analysis.find_tables img ~kbase ~region)
+          (Vmsh.Symbol_analysis.tables (scan img) ~region)
       in
-      if off <> at || List.length entries < 3 then
+      if off <> at || List.length entries <> 3 then
         Alcotest.failf "%s: the planted run was not found" what
+  in
+  (* the entry after a run at [at] names "beta" and has the value
+     [value]: a fourth entry in all but its value *)
+  let out_of_range_case n at layout value =
+    let esz = Linux_guest.Ksymtab.entry_size layout in
+    let o = at + (3 * esz) in
+    let extra img beta =
+      let set64 off v = Bytes.set_int64_le img off (Int64.of_int v) in
+      let set32 off v = Bytes.set_int32_le img off (Int32.of_int v) in
+      match layout with
+      | KV.Absolute_value_first -> set64 o value; set64 (o + 8) (kbase + beta)
+      | KV.Absolute_name_first -> set64 o (kbase + beta); set64 (o + 8) value
+      | KV.Prel32 ->
+          set32 o (value - (kbase + o));
+          set32 (o + 4) (beta - (o + 4))
+    in
+    table_case ~extra n at layout
   in
   List.iter
     (fun n ->
       let last = n - 8 in
-      let half = last / 2 in
-      for d = -16 to 16 do
-        anchor_case n (half + 1 + d)
+      for w = 64 to 79 do
+        anchor_case n w
+      done;
+      for w = last - 15 to last do
+        anchor_case n w
       done;
       anchor_case n 1;
-      anchor_case n last;
-      tie_case n (half + 1);
+      zero_word_case n 0x400;
+      zero_word_case n (last - 15 - ((last - 15) mod 8));
+      near_miss_case n "\000print\000" 0x300 0x500;
+      near_miss_case n "\000printx\000" 0x307 0x507;
+      List.iter
+        (fun (first, k) -> second_nul_case n 0x400 first k)
+        [ (0, 2); (1, 7); (3, 5); (0, 7) ];
+      tie_case n 0x400;
       tie_case n (last - 16);
       List.iter
         (fun layout ->
           let run = 3 * Linux_guest.Ksymtab.entry_size layout in
-          for d = -16 to 16 do
-            table_case n (half + 1 + d) layout
+          for at = 0x400 to 0x40f do
+            table_case n at layout
           done;
           table_case n 64 layout;
-          table_case n (n - run) layout)
+          table_case n (n - run) layout;
+          out_of_range_case n 0x400 layout (kbase + n);
+          out_of_range_case n 0x400 layout (kbase - 1))
         layouts)
-    [ 0x800; 0x801; 0x802; 0x805; 0x807; 0x80f ];
+    [ 0x800; 0x801; 0x802; 0x803; 0x804; 0x805; 0x806; 0x807; 0x80f ];
   (* images too short for every window *)
   List.iter
     (fun n -> compare_scans (Printf.sprintf "%d-byte image" n) (noise n 1))
