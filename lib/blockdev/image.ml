@@ -1,3 +1,8 @@
+(* Packing manifests into SimpleFS images, and frozen images: a
+   [Hostos.Mem.frozen] of a pack's backing (its non-zero pages) plus
+   the pack's backend stats, whose copy-on-write instances read, count
+   and cost exactly like a fresh pack. *)
+
 type entry = { path : string; size : int; content : string option }
 type manifest = entry list
 
@@ -76,13 +81,13 @@ let strip m ~keep = List.filter (fun e -> keep e.path) m
 
 (* [stats] belongs to a backend nothing else can reach, so it never
    changes after the freeze. *)
-type frozen = { bytes : bytes; stats : Backend.stats }
+type frozen = { image : Hostos.Mem.frozen; stats : Backend.stats }
 
 let freeze manifest =
   let* backend, _ = pack manifest in
   Ok
     {
-      bytes = Hostos.Mem.freeze (Backend.mem backend);
+      image = Hostos.Mem.freeze (Backend.mem backend);
       stats = Backend.stats backend;
     }
 
@@ -91,7 +96,7 @@ let freeze manifest =
    so replaying that many charges leaves the clock exactly where a
    fresh pack would. *)
 let instance ~clock f =
-  let backend = Backend.of_mem ~clock (Hostos.Mem.cow f.bytes) in
+  let backend = Backend.of_mem ~clock (Hostos.Mem.cow f.image) in
   let s = Backend.stats backend in
   s.reads <- f.stats.reads;
   s.writes <- f.stats.writes;

@@ -29,8 +29,9 @@ val pack :
 
 (** {1 Frozen images}
 
-    An image every session serves unchanged is packed once and frozen;
-    each user gets a copy-on-write {!instance} of it. An instance is
+    An image every session serves unchanged is packed once and frozen
+    into a {!Hostos.Mem.frozen}, which holds only the pack's non-zero
+    pages; each user gets a copy-on-write {!instance} of it. An instance is
     indistinguishable from a fresh {!pack} of the same manifest: the
     same bytes, the same {!Backend.stats}, and the same charges on its
     clock — a pack charges only through its backend, one
@@ -38,7 +39,7 @@ val pack :
     and an instance replays exactly that many. *)
 
 type frozen
-(** A packed image's bytes and its pack's backend statistics. *)
+(** A packed image's frozen pages and its pack's backend statistics. *)
 
 val freeze : manifest -> frozen Hostos.Errno.result
 (** [freeze m] is {!pack}[ m] with no clock and the default headroom,
@@ -46,10 +47,10 @@ val freeze : manifest -> frozen Hostos.Errno.result
     backend stats. *)
 
 val instance : clock:Hostos.Clock.t -> frozen -> Backend.t
-(** A fresh backend over a {!Hostos.Mem.cow} view of the frozen bytes,
+(** A fresh backend over a {!Hostos.Mem.cow} view of the frozen image,
     its stats set to the pack's, its pack charges replayed on [clock].
     Writes and trims stay private to the instance; siblings and the
-    frozen bytes never see them. *)
+    frozen image never see them. *)
 
 val strip : manifest -> keep:(string -> bool) -> manifest
 (** Remove entries whose path the predicate rejects. *)

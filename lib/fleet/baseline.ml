@@ -4,10 +4,14 @@
    root mounted, console answering) and freezes everything a clone
    needs: the guest RAM pages (the serialized page tables live inside
    them), the VMM's disk bounce buffer, the root disk blocks, the
-   encoded kernel image, and the boot RNG stream. [fork] then stands up
-   a session in microseconds of virtual time: the frozen regions are
-   mapped as per-4KiB-page CoW overlays (reads fall through to the
-   shared baseline; the first diverging write copies one page), and the
+   encoded kernel image, and the boot RNG stream. Each region is a
+   [Hostos.Mem.frozen]: only its non-zero pages exist, so an image
+   costs what the boot wrote (a few MiB for a 64 MiB guest), and
+   [load] hands the stored pages to it without a copy. [fork] then
+   stands up a session in microseconds of virtual time: the frozen
+   regions are mapped as per-4KiB-page CoW overlays (reads fall
+   through to the shared baseline; the first diverging write copies
+   one page), and the
    boot is *replayed* deterministically inside a clock-restore section —
    same RNG stream, same prebuilt kernel image, so every write the
    replay performs is byte-identical to the frozen content and the CoW
@@ -32,11 +36,9 @@ type image = {
   img_hostname : string;  (** hostname baked into the frozen disk *)
   img_boot_rng : H.Rng.t;  (** pristine boot stream (pre-KASLR draw) *)
   img_kernel : bytes;  (** encoded kernel image — shared, never copied *)
-  img_ram : bytes;  (** frozen guest RAM *)
-  img_ram_digests : H.Mem.page_digests;
-      (** per-page digests of [img_ram], filled once for every fork *)
-  img_databuf : bytes;  (** frozen VMM disk bounce buffer *)
-  img_disk : bytes;  (** frozen root disk blocks *)
+  img_ram : H.Mem.frozen;  (** guest RAM, [img_ram_mb] MiB *)
+  img_databuf : H.Mem.frozen;  (** VMM disk bounce buffer, 256 KiB *)
+  img_disk : H.Mem.frozen;  (** root disk blocks *)
   img_digest : string;  (** {!Vmsh.Snapshot.digest} at the freeze point *)
 }
 
@@ -75,12 +77,11 @@ let bake ?(seed = 0xba5e) ?(profile = Profile.qemu) ?(version = KV.V5_10)
     img_profile = profile.Profile.prof_name;
     img_version = version;
     img_build_id = build_id version;
-    img_ram_mb = Bytes.length fs.Vmm.fs_ram / (1024 * 1024);
+    img_ram_mb = H.Mem.frozen_length fs.Vmm.fs_ram / (1024 * 1024);
     img_hostname = hostname;
     img_boot_rng = boot_rng;
     img_kernel = Linux_guest.Guest.kernel_image g;
     img_ram = fs.Vmm.fs_ram;
-    img_ram_digests = fs.Vmm.fs_ram_digests;
     img_databuf = fs.Vmm.fs_databuf;
     img_disk = H.Mem.freeze (Blockdev.Backend.mem disk);
     img_digest = Vmsh.Snapshot.digest (Vmsh.Snapshot.capture (Vmm.kvm_vm vmm));
@@ -104,26 +105,6 @@ let validate img ~profile ~version =
             img.img_build_id (build_id img.img_version)))
   else Ok ()
 
-let check_regions img =
-  let ram = Bytes.length img.img_ram
-  and databuf = Bytes.length img.img_databuf
-  and disk = Bytes.length img.img_disk in
-  if ram <> img.img_ram_mb * 1024 * 1024 then
-    Error
-      (E.Overlay_fault
-         (Printf.sprintf "frozen RAM is %d bytes, header says %d MiB" ram
-            img.img_ram_mb))
-  else if databuf <> 256 * 1024 then
-    Error
-      (E.Overlay_fault
-         (Printf.sprintf "frozen bounce buffer is %d bytes, expected 256 KiB"
-            databuf))
-  else if disk = 0 || disk mod H.Mem.page_size <> 0 then
-    Error
-      (E.Overlay_fault
-         (Printf.sprintf "frozen disk is %d bytes, not block aligned" disk))
-  else Ok ()
-
 (* The virtual cost a real linked-clone fork pays that the boot replay
    does not model: clone(2), three MAP_PRIVATE mmaps of the shared
    regions, /dev/kvm open, CREATE_VM, SET_USER_MEMORY_REGION,
@@ -139,7 +120,6 @@ let ( let* ) = Result.bind
 
 let fork img ~host ~profile ~name =
   let* () = validate img ~profile ~version:img.img_version in
-  let* () = check_regions img in
   let clock = host.H.Host.clock in
   let t0 = H.Clock.now_ns clock in
   (* the clone's disk: a CoW view over the frozen blocks. Only its
@@ -180,12 +160,7 @@ let fork img ~host ~profile ~name =
         let vmm =
           Vmm.create host ~profile ~disk ~ram_mb:img.img_ram_mb
             ~disable_seccomp
-            ~fork:
-              {
-                Vmm.fs_ram = img.img_ram;
-                fs_ram_digests = img.img_ram_digests;
-                fs_databuf = img.img_databuf;
-              }
+            ~fork:{ Vmm.fs_ram = img.img_ram; fs_databuf = img.img_databuf }
             ()
         in
         let g =
@@ -250,29 +225,17 @@ type stored = {
   st_digest : string;
 }
 
-let sparse b =
-  let len = Bytes.length b in
-  let ps = H.Mem.page_size in
-  let rec go off acc =
-    if off >= len then List.rev acc
-    else
-      let n = min ps (len - off) in
-      let acc =
-        if H.Mem.is_zero b off n then acc
-        else (off / ps, Bytes.sub b off n) :: acc
-      in
-      go (off + ps) acc
-  in
-  go 0 []
+let databuf_len = 256 * 1024
 
-let densify len pages =
-  let b = Bytes.make len '\000' in
-  List.iter
-    (fun (idx, page) ->
-      let off = idx * H.Mem.page_size in
-      Bytes.blit page 0 b off (Bytes.length page))
-    pages;
-  b
+let stale fmt = Printf.ksprintf (fun m -> Error (E.Baseline_stale m)) fmt
+
+(* The frozen region a stored page list encodes, its pages kept without
+   a copy. The file is outside input: a page [Mem.of_pages] rejects is
+   a typed [Baseline_stale], never an exception. *)
+let thaw what len pages =
+  match H.Mem.of_pages len pages with
+  | f -> Ok f
+  | exception Invalid_argument m -> stale "%s: %s" what m
 
 let save img ~path =
   let st =
@@ -284,11 +247,11 @@ let save img ~path =
       st_hostname = img.img_hostname;
       st_boot_rng = img.img_boot_rng;
       st_kernel = img.img_kernel;
-      st_ram_len = Bytes.length img.img_ram;
-      st_ram_pages = sparse img.img_ram;
-      st_databuf = img.img_databuf;
-      st_disk_len = Bytes.length img.img_disk;
-      st_disk_pages = sparse img.img_disk;
+      st_ram_len = H.Mem.frozen_length img.img_ram;
+      st_ram_pages = H.Mem.frozen_pages img.img_ram;
+      st_databuf = H.Mem.read_bytes (H.Mem.cow img.img_databuf) 0 databuf_len;
+      st_disk_len = H.Mem.frozen_length img.img_disk;
+      st_disk_pages = H.Mem.frozen_pages img.img_disk;
       st_digest = img.img_digest;
     }
   in
@@ -301,28 +264,39 @@ let save img ~path =
 
 let load ~path =
   match open_in_bin path with
-  | exception Sys_error e -> Error (E.Baseline_stale ("cannot open: " ^ e))
+  | exception Sys_error e -> stale "cannot open: %s" e
   | ic -> (
       let r =
         try
           let m = really_input_string ic (String.length magic) in
-          if m <> magic then
-            Error (E.Baseline_stale ("bad magic in " ^ path))
+          if m <> magic then stale "bad magic in %s" path
           else Ok (Marshal.from_channel ic : stored)
-        with End_of_file | Failure _ ->
-          Error (E.Baseline_stale ("truncated baseline image: " ^ path))
+        with End_of_file | Failure _ -> stale "truncated baseline image: %s" path
       in
       close_in_noerr ic;
       let* st = r in
       let* ver =
         match KV.of_string st.st_version with
         | Some v -> Ok v
-        | None ->
-            Error
-              (E.Baseline_stale ("unknown kernel version: " ^ st.st_version))
+        | None -> stale "unknown kernel version: %s" st.st_version
       in
-      let ram = densify st.st_ram_len st.st_ram_pages in
-      let img =
+      let* () =
+        if st.st_ram_mb <= 0 || st.st_ram_len <> st.st_ram_mb * 1024 * 1024
+        then
+          stale "RAM is %d bytes, header says %d MiB" st.st_ram_len
+            st.st_ram_mb
+        else if st.st_disk_len <= 0 || st.st_disk_len mod H.Mem.page_size <> 0
+        then stale "disk is %d bytes, not block aligned" st.st_disk_len
+        else if Bytes.length st.st_databuf <> databuf_len then
+          stale "bounce buffer is %d bytes, expected 256 KiB"
+            (Bytes.length st.st_databuf)
+        else Ok ()
+      in
+      let* ram = thaw "RAM" st.st_ram_len st.st_ram_pages in
+      let* disk = thaw "disk" st.st_disk_len st.st_disk_pages in
+      let databuf = H.Mem.create databuf_len in
+      H.Mem.write_bytes databuf 0 st.st_databuf;
+      Ok
         {
           img_profile = st.st_profile;
           img_version = ver;
@@ -332,11 +306,7 @@ let load ~path =
           img_boot_rng = st.st_boot_rng;
           img_kernel = st.st_kernel;
           img_ram = ram;
-          img_ram_digests = H.Mem.page_digests ram;
-          img_databuf = st.st_databuf;
-          img_disk = densify st.st_disk_len st.st_disk_pages;
+          img_databuf = H.Mem.freeze databuf;
+          img_disk = disk;
           img_digest = st.st_digest;
-        }
-      in
-      let* () = check_regions img in
-      Ok img)
+        })

@@ -46,8 +46,8 @@ val fork :
     per-clone [/etc/hostname] provisioning ([name]), CoW RAM/bounce
     mappings, deterministic boot replay at zero net virtual cost.
     [Baseline_stale] when the image does not match the requested
-    profile or its kernel build id; [Overlay_fault] when a frozen
-    region is corrupt or fails to mount. *)
+    profile or its kernel build id; [Overlay_fault] when the frozen
+    disk fails to mount or to take the clone's hostname. *)
 
 val validate :
   image ->
@@ -74,11 +74,11 @@ val digest : image -> string
 
 val hostname : image -> string
 
-(** Raw frozen regions, for tests and oracles that diff a fork against
+(** Frozen regions, for tests and oracles that diff a fork against
     its baseline. *)
 module Debug : sig
-  val ram : image -> bytes
-  val disk : image -> bytes
+  val ram : image -> Hostos.Mem.frozen
+  val disk : image -> Hostos.Mem.frozen
 end
 
 val save : image -> path:string -> unit
@@ -86,6 +86,9 @@ val save : image -> path:string -> unit
     sparse (non-zero 4 KiB pages only) encoding of the frozen regions. *)
 
 val load : path:string -> (image, Vmsh.Vmsh_error.t) result
-(** Read an image back. [Baseline_stale] on a missing file, bad magic,
-    truncation or an unknown kernel version; [Overlay_fault] when the
-    decoded regions are malformed. *)
+(** Read an image back, keeping the stored pages as the frozen
+    regions' pages without a copy. [Baseline_stale] on a missing file,
+    bad magic, truncation, an unknown kernel version, region lengths
+    that disagree with the header or are not page-aligned, and a
+    stored page at a negative or out-of-range index, of another length
+    than its slot, or stored twice. *)

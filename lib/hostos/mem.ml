@@ -1,20 +1,20 @@
-(* Guest memory as per-4KiB-page overlays.
+(* Guest memory as per-4KiB-page overlays over frozen images.
 
-   Every buffer [create] or [cow] makes is an overlay over an immutable
-   base: pages materialise a private copy only on the first write that
-   *diverges* from the base; writing bytes identical to the base is a
-   "silent" write that copies nothing.
-
-   - [create] overlays the implicit all-zero base: every untouched page
-     reads from one shared zero page, so a 32 MiB guest costs only the
-     pages it has written (a cold boot touches under 1% of them), and a
-     write of zeros onto an untouched page, such as a block-device trim,
-     stays silent.
-   - [cow] overlays the frozen RAM/disk of a baked baseline VM. Silent
-     writes are what let a forked VM replay its deterministic boot
-     against the overlay without copying anything — only state that
-     genuinely differs from the baseline (a per-clone hostname block,
-     attach-time injections) becomes resident.
+   There is one kind of base. A [frozen] image is immutable: a length
+   and a page array whose every slot is the one shared [zero_page] (a
+   page never written, or all zeros) or a page of its own that nothing
+   ever writes. Every buffer is a [cow] overlay over one: a page
+   materialises a private copy only on the first write that *diverges*
+   from its base page; writing the base's bytes is a "silent" write
+   that copies nothing. That is what lets a forked VM replay its
+   deterministic boot over a baked baseline without copying anything.
+   [create len] overlays [zeros], the all-zero image, which holds no
+   page at all (an index past an image's array reads [zero_page]), so
+   a created buffer costs one page array plus the pages it has written,
+   and a write of zeros onto an untouched page, such as a trim, stays
+   silent. [freeze t] shares [t]'s base pages, copies its private ones
+   and folds all-zero ones into [zero_page], so an image costs its
+   written pages, not its length.
 
    A page of a [create]d buffer has a third state besides "equals its
    base" and "materialised": [generate]d. A generated page holds its
@@ -24,22 +24,26 @@
    A byte-range read ([cow_read]) does not: it runs the generator
    straight into the caller's bytes and leaves the page generated. A
    guest's kernel-image noise is generated this way, so even a session
-   that copies the whole image keeps none of its noise pages.
+   that copies the whole image keeps none of its noise pages. An image
+   keeps no generator: [freeze] runs it once into a page of the
+   image's own, so every view of the image reads and digests plain
+   bytes and [generate] stays a zero-base operation.
 
    The silent-write test reads what it must, four 64-bit words per
-   step: over the zero base only the source, tested for zeros
-   ([is_zero]); over a baseline the source against the base window
-   ([region_equal]).
+   step, and picks per base page: over [zero_page] only the source,
+   tested for zeros ([is_zero]); over any other page the source
+   against the base page ([region_equal]).
 
    Plain bytes are never a buffer: a caller copies between its own
    bytes and a buffer with [read_into] and [write_from], the two halves
    of [blit] that [Addr_space] calls too.
 
-   Invariant: [t] is abstract and every mutation goes through this
-   module, so a page that was never materialised still equals its base
-   window (all zeros under [create]) or, if generated, its generator's
-   bytes. [page_digest] relies on that to answer an untouched zero page
-   with a precomputed digest.
+   Invariant: [t] and [frozen] are abstract and every mutation goes
+   through this module, so a page that was never materialised still
+   equals its base page or, if generated, its generator's bytes.
+   [page_digest] relies on that to answer an untouched whole page
+   without hashing it: [zero_page_digest] for the zero page, the
+   image's memo for any other.
 
    Write log: an overlay page changes in exactly four places — the two
    mutating branches of [cow_write] (write into a private page;
@@ -63,23 +67,27 @@
 
 let page_size = 4096
 
-(* The all-zero base every untouched page of a [create]d buffer reads
-   from. Never written. *)
+(* The page every all-zero page of every image is. Never written. *)
 let zero_page = Bytes.make page_size '\000'
 let zero_page_digest = Digest.bytes zero_page
 
+type frozen = {
+  f_len : int;
+  f_pages : bytes array;
+      (* page index -> the page, never written: [zero_page] when all
+         zeros, else exactly the page's bytes; an index past the array
+         reads [zero_page] *)
+  f_digests : Digest.t option array;
+      (* per-page digests of the non-zero pages, filled on first use
+         and shared by every view of the image *)
+}
+
 type t = {
-  base : bytes;  (* frozen, shared across every fork; never written *)
-  memo : Digest.t option array;
-      (* per-page digests of [base], shared with every other view of the
-         same frozen image; empty when the view has none *)
-  stride : int;
-      (* offset of page i in [base] is i * stride: [page_size] over a
-         baseline image, 0 over [zero_page], which every page aliases *)
+  base : frozen;  (* shared across every view; never written *)
   pages : bytes array;  (* page index -> private copy; empty if none *)
   len : int;
   mutable gens : generator list;
-      (* generated ranges, newest first; only over the zero base *)
+      (* generated ranges, newest first; only over [zeros] *)
   mutable copied : int;
   mutable silent : int;
   mutable stamps : int array;
@@ -117,11 +125,17 @@ type cow_stats = {
 
 let page_count len = (len + page_size - 1) / page_size
 
-let overlay ?(memo = [||]) ~base ~stride len =
+(* Bytes of page [pi] of [len] bytes: [page_size] but for a short last
+   page. *)
+let page_len len pi = Int.min page_size (len - (pi * page_size))
+
+(* The all-zero image [create] overlays, shared by every such buffer:
+   it holds no page, so each buffer allocates one page array, its own. *)
+let zeros = { f_len = 0; f_pages = [||]; f_digests = [||] }
+
+let overlay base len =
   {
     base;
-    memo;
-    stride;
     pages = Array.make (page_count len) Bytes.empty;
     len;
     gens = [];
@@ -133,32 +147,17 @@ let overlay ?(memo = [||]) ~base ~stride len =
 
 let create len =
   if len < 0 then invalid_arg "Mem.create: negative length";
-  overlay ~base:zero_page ~stride:0 len
+  overlay zeros len
 
-(* The digests of a frozen image's pages, computed on first use and
-   owned by whoever owns the image: every fork of one baseline shares
-   them, so digesting a fork's memory hashes each still-shared page once
-   per image rather than once per fork. *)
-type page_digests = { of_base : bytes; digests : Digest.t option array }
-
-let page_digests base =
-  { of_base = base; digests = Array.make (page_count (Bytes.length base)) None }
-
-let cow ?digests base =
-  let memo =
-    match digests with
-    | None -> [||]
-    | Some d when d.of_base == base -> d.digests
-    | Some _ -> invalid_arg "Mem.cow: page digests belong to another base"
-  in
-  overlay ~memo ~base ~stride:page_size (Bytes.length base)
+let cow f = overlay f f.f_len
 let length t = t.len
+let frozen_length f = f.f_len
 
 (* The CoW API ([is_cow], [cow_stats], [cow_reclaim]) describes only
-   overlays over a baseline image: the zero-base overlay is an
-   allocation strategy, not a fork, and must not show up in the
+   overlays over an image other than [zeros]: the zero-base overlay is
+   an allocation strategy, not a fork, and must not show up in the
    overlay.* metrics. *)
-let is_cow t = t.stride <> 0
+let is_cow t = t.base != zeros
 
 let cow_stats t =
   if is_cow t then
@@ -178,7 +177,11 @@ let materialised p = Bytes.length p > 0
 
 let resident_pages t =
   Array.fold_left (fun n p -> if materialised p then n + 1 else n) 0 t.pages
-let page_len t pi = Int.min page_size (t.len - (pi * page_size))
+
+(* Page [pi] of the base. *)
+let[@inline] base_page t pi =
+  let b = t.base.f_pages in
+  if pi < Array.length b then b.(pi) else zero_page
 
 (* Private copy of page [pi], materialising it from the base first if
    needed (the caller has already decided the write diverges). *)
@@ -186,7 +189,7 @@ let page_rw t pi =
   let p = t.pages.(pi) in
   if materialised p then p
   else begin
-    let p = Bytes.sub t.base (pi * t.stride) (page_len t pi) in
+    let p = Bytes.sub (base_page t pi) 0 (page_len t.len pi) in
     t.pages.(pi) <- p;
     t.copied <- t.copied + 1;
     p
@@ -218,26 +221,20 @@ let materialise t pi =
   end
 
 (* Page [pi]'s private copy, or [Bytes.empty] while it still equals its
-   base window. A generated page is materialised here, on its first
+   base page. A generated page is materialised here, on its first
    look: from then on it is an ordinary private page. *)
 let[@inline] resident t pi =
   let p = t.pages.(pi) in
   if materialised p then p
   else match t.gens with [] -> p | _ -> materialise t pi
 
-(* Where the byte at [off] lives for reading: inside the page's private
-   copy when one exists, else inside the page's window of the base.
-   Buffer and offset come from two functions rather than one tuple, so
-   the scalar accessors allocate nothing; [rd_buf] materialises a
-   generated page, so call it before [rd_off]. *)
+(* The page the byte at [off] is read from, at [off mod page_size]:
+   the private copy when one exists, else the base page. A generated
+   page is materialised first. *)
 let rd_buf t off =
-  let p = resident t (off / page_size) in
-  if materialised p then p else t.base
-
-let rd_off t off =
   let pi = off / page_size in
-  if materialised t.pages.(pi) then off mod page_size
-  else (pi * t.stride) + (off mod page_size)
+  let p = resident t pi in
+  if materialised p then p else base_page t pi
 
 (* Do [len] bytes of [a] at [aoff] equal those of [b] at [boff]? Four
    64-bit words per step, then single words, then bytes. *)
@@ -263,7 +260,7 @@ let rec region_equal a aoff b boff len =
        && region_equal a (aoff + 1) b (boff + 1) (len - 1)
 
 (* Are [len] bytes of [b] at [off] all zero? The silent-write test over
-   the zero base: it reads only the source, never a zero page, four
+   the zero page: it reads only the source, never the zero page, four
    64-bit words OR-ed per step, then single words, then bytes. *)
 let rec is_zero b off len =
   if len >= 32 then
@@ -279,26 +276,33 @@ let rec is_zero b off len =
     Int64.equal (Bytes.get_int64_ne b off) 0L && is_zero b (off + 8) (len - 8)
   else len <= 0 || (Bytes.get b off = '\000' && is_zero b (off + 1) (len - 1))
 
+(* Do [len] bytes of [src] at [soff] equal page [pi]'s base bytes at
+   [poff]? Over the zero page only [src] is read. *)
+let base_equal t pi poff src soff len =
+  let b = base_page t pi in
+  if b == zero_page then is_zero src soff len
+  else region_equal b poff src soff len
+
 (* The digest of [len] bytes at [off], all inside one page, hashed in
-   place. An untouched page equals its base window (see the invariant
+   place. An untouched page equals its base page (see the invariant
    above), so a whole one answers without hashing: the precomputed
-   zero-page digest under [create], the image's memoised digest under a
-   [cow] view that was given one. A materialised page is always hashed,
-   even if it holds zeros or its base bytes again. *)
+   zero-page digest, or the image's memo. A materialised page is
+   always hashed, even if it holds zeros or its base bytes again. *)
 let in_page_digest t off len =
   let pi = off / page_size in
-  if len < page_size || materialised (resident t pi) then
-    let b = rd_buf t off in
-    Digest.subbytes b (rd_off t off) len
-  else if not (is_cow t) then zero_page_digest
-  else if Array.length t.memo = 0 then Digest.subbytes t.base off len
+  let p = resident t pi in
+  if materialised p then Digest.subbytes p (off mod page_size) len
   else
-    match t.memo.(pi) with
-    | Some d -> d
-    | None ->
-        let d = Digest.subbytes t.base off len in
-        t.memo.(pi) <- Some d;
-        d
+    let b = base_page t pi in
+    if len < page_size then Digest.subbytes b (off mod page_size) len
+    else if b == zero_page then zero_page_digest
+    else
+      match t.base.f_digests.(pi) with
+      | Some d -> d
+      | None ->
+          let d = Digest.bytes b in
+          t.base.f_digests.(pi) <- Some d;
+          d
 
 (* The log hook, called before page [pi] changes: on the page's first
    write since the newest mark, record its current digest in every
@@ -309,7 +313,7 @@ let log_write t pi =
   | newest :: _ ->
       let since = t.stamps.(pi) in
       if since < newest.serial then begin
-        let d = in_page_digest t (pi * page_size) (page_len t pi) in
+        let d = in_page_digest t (pi * page_size) (page_len t.len pi) in
         let rec record = function
           | m :: older when m.serial > since ->
               Hashtbl.add m.before pi d;
@@ -333,10 +337,7 @@ let rec cow_write t off src soff len =
       log_write t pi;
       Bytes.blit src soff p poff chunk
     end
-    else if
-      if is_cow t then region_equal t.base ((pi * t.stride) + poff) src soff chunk
-      else is_zero src soff chunk
-    then t.silent <- t.silent + 1
+    else if base_equal t pi poff src soff chunk then t.silent <- t.silent + 1
     else begin
       log_write t pi;
       Bytes.blit src soff (page_rw t pi) poff chunk
@@ -356,22 +357,54 @@ let rec cow_read t off dst doff len =
     if materialised p then Bytes.blit p poff dst doff chunk
     else begin
       let g = covering off t.gens in
-      if g == no_gen then
-        Bytes.blit t.base ((pi * t.stride) + poff) dst doff chunk
+      if g == no_gen then Bytes.blit (base_page t pi) poff dst doff chunk
       else g.g_fill ~pos:(off - g.g_off) dst ~off:doff ~len:chunk
     end;
     cow_read t (off + chunk) dst (doff + chunk) (len - chunk)
   end
 
+(* An image's page from bytes it now owns: [zero_page] if all zeros. *)
+let own p = if is_zero p 0 (Bytes.length p) then zero_page else p
+
+let image len f_pages =
+  { f_len = len; f_pages; f_digests = Array.make (Array.length f_pages) None }
+
+(* A base page is shared as it is; a private or generated page is read
+   into a page of the image's own, so a generator runs once here and
+   the source's later writes never reach the image. *)
 let freeze t =
-  let out =
-    if is_cow t then Bytes.sub t.base 0 t.len else Bytes.make t.len '\000'
-  in
-  for pi = 0 to Array.length t.pages - 1 do
-    let p = resident t pi in
-    if materialised p then Bytes.blit p 0 out (pi * page_size) (Bytes.length p)
-  done;
-  out
+  image t.len
+    (Array.init (Array.length t.pages) (fun pi ->
+         if materialised t.pages.(pi) || covering (pi * page_size) t.gens != no_gen
+         then begin
+           let p = Bytes.create (page_len t.len pi) in
+           cow_read t (pi * page_size) p 0 (Bytes.length p);
+           own p
+         end
+         else base_page t pi))
+
+(* The pages are placed as given and folded afterwards, so a slot that
+   already holds a given page, even an all-zero one, is a duplicate. *)
+let of_pages len pages =
+  let n = page_count len in
+  let f_pages = Array.make n zero_page in
+  let bad fmt = Printf.ksprintf invalid_arg ("Mem.of_pages: page %d " ^^ fmt) in
+  List.iter
+    (fun (pi, p) ->
+      if pi < 0 || pi >= n then bad "is outside the image's %d pages" pi n
+      else if Bytes.length p <> page_len len pi then
+        bad "holds %d bytes, not %d" pi (Bytes.length p) (page_len len pi)
+      else if f_pages.(pi) != zero_page then bad "is given twice" pi;
+      f_pages.(pi) <- p)
+    pages;
+  Array.map_inplace (fun p -> if p == zero_page then p else own p) f_pages;
+  image len f_pages
+
+let frozen_pages f =
+  Array.to_seqi f.f_pages
+  |> Seq.filter_map (fun (pi, p) ->
+         if p == zero_page then None else Some (pi, Bytes.copy p))
+  |> List.of_seq
 
 (* Drop private pages whose content re-converged with the base: a
    fork's boot replay must rewrite the page-table arena from scratch
@@ -385,10 +418,7 @@ let cow_reclaim t =
     let reclaimed = ref 0 in
     Array.iteri
       (fun pi p ->
-        if
-          materialised p
-          && region_equal t.base (pi * page_size) p 0 (Bytes.length p)
-        then begin
+        if materialised p && base_equal t pi 0 p 0 (Bytes.length p) then begin
           t.pages.(pi) <- Bytes.empty;
           t.copied <- t.copied - 1;
           incr reclaimed
@@ -438,7 +468,7 @@ let marked m = m.buf
 let digest_at m pi =
   match Hashtbl.find_opt m.before pi with
   | Some d -> d
-  | None -> page_digest m.buf (pi * page_size) (page_len m.buf pi)
+  | None -> page_digest m.buf (pi * page_size) (page_len m.buf.len pi)
 
 let iter_written a b ~first ~count f =
   if a.buf != b.buf then invalid_arg "Mem.iter_written: marks of two buffers";
@@ -496,7 +526,7 @@ let iter_attributed ?until k ~first ~count f =
 
 (* --- scalar accessors ---
 
-   A read comes straight from the private page or the base window, and
+   A read comes straight from the private page or the base page, and
    a write goes straight into an already-materialised page; a scalar
    that straddles a page boundary, or a write to an untouched page
    (which may be silent or may materialise it), goes through the
@@ -505,8 +535,7 @@ let iter_attributed ?until k ~first ~count f =
 let scalar_read t off n (get : bytes -> int -> int) =
   check_range t.len off n;
   if (off mod page_size) + n <= page_size then
-    let b = rd_buf t off in
-    get b (rd_off t off)
+    get (rd_buf t off) (off mod page_size)
   else get (read_bytes t off n) 0
 
 let scalar_write t off n v (set : bytes -> int -> int -> unit) =
@@ -554,8 +583,7 @@ let read_u64 t off =
   check_range t.len off 8;
   let v =
     if (off mod page_size) + 8 <= page_size then
-      let b = rd_buf t off in
-      Bytes.get_int64_le b (rd_off t off)
+      Bytes.get_int64_le (rd_buf t off) (off mod page_size)
     else Bytes.get_int64_le (read_bytes t off 8) 0
   in
   to_u62 v off

@@ -7,56 +7,74 @@
     appears inside the hypervisor's address space through one of these
     mappings (paper, Fig. 3).
 
-    Memory is sparse: {!create} and {!cow} build a per-4 KiB-page
-    overlay over an immutable base, and a page becomes resident only on
-    the first write that differs from its base, or, for a {!generate}d
+    Memory is sparse: every {!t} is a per-4 KiB-page overlay over an
+    immutable {!frozen} image, and a page becomes resident only on the
+    first write that differs from its base, or, for a {!generate}d
     page, on the first write, digest, log or scalar read; a byte-range
     read of a generated page runs its generator straight into the
-    caller's bytes and leaves the page generated. Because [t] is abstract and
-    every mutation goes through this module, a page that was never
-    materialised is equal to its base — all zeros for {!create} — or to
-    its generator's bytes, by construction. {!page_digest} relies on
-    that invariant, and the write log ({!mark}) relies on a second one:
-    every mutation passes the log hook before the bytes change. Plain
-    [bytes] are never a buffer: {!read_into} and {!write_from} copy
-    between a caller's bytes and a buffer. *)
+    caller's bytes and leaves the page generated. Because [t] and
+    [frozen] are abstract and every mutation goes through this module,
+    a page that was never materialised is equal to its base page — all
+    zeros for {!create} — or to its generator's bytes, by construction.
+    {!page_digest} relies on that invariant, and the write log
+    ({!mark}) relies on a second one: every mutation passes the log
+    hook before the bytes change. Plain [bytes] are never a buffer:
+    {!read_into} and {!write_from} copy between a caller's bytes and a
+    buffer. *)
 
 type t
 (** A contiguous byte buffer with little-endian accessors — a
-    per-4KiB-page overlay over the all-zero base ({!create}) or over a
-    frozen image ({!cow}). *)
+    per-4KiB-page overlay over the all-zero image ({!create}) or over a
+    {!frozen} one ({!cow}). *)
+
+type frozen
+(** An immutable image: a length and one slot per 4 KiB page, each
+    either the one shared zero page (a page never written, or all
+    zeros) or a page of its own that nothing ever writes. It costs its
+    non-zero pages, not its length, and carries each page's digest once
+    computed, shared by every {!cow} view of it. *)
 
 val create : int -> t
-(** [create len] is [len] zero bytes, allocated sparsely: untouched
-    pages read from one shared zero page; the first write that differs
-    from zero materialises a private page, and a write of zeros onto an
-    untouched page stays silent (the test reads only the written bytes,
-    never a zero page). Not a CoW buffer in the sense of
-    {!is_cow}/{!cow_stats}. *)
+(** [create len] is [len] zero bytes: an overlay over the all-zero
+    image, which holds no page, so the buffer allocates only its own
+    page array. The first write that differs from zero materialises a
+    private page, and a write of zeros onto an untouched page stays
+    silent (the test reads only the written bytes, never a zero page).
+    Not a CoW buffer in the sense of {!is_cow}/{!cow_stats}. *)
+
+val cow : frozen -> t
+(** [cow f] is a copy-on-write view over [f]: reads fall through to
+    [f]'s pages; the first write that *diverges* from the base copies
+    that 4KiB page into a private overlay. Writing bytes identical to
+    the base is recorded as a silent write and copies nothing, so a
+    deterministic replay against the overlay stays fully shared. *)
+
+val freeze : t -> frozen
+(** The frozen image of the buffer's current bytes. Base pages are
+    shared, private pages copied, all-zero pages folded into the zero
+    page, and a {!generate}d page's generator is run once into a page
+    of the image's own (an image keeps no generator). Later writes to
+    the buffer never show in the image. *)
+
+val of_pages : int -> (int * bytes) list -> frozen
+(** [of_pages len pages] is the image of [len] bytes holding each
+    [(i, p)]'s [p] as page [i] and zeros elsewhere. It keeps the given
+    bytes without copying them: the caller must never write them
+    again. Raises [Invalid_argument], naming the page, for an index
+    outside the image, a page whose length is not its slot's
+    ([page_size], less for a short last page) or an index given
+    twice. *)
+
+val frozen_pages : frozen -> (int * bytes) list
+(** The image's pages that are not all zeros, in ascending order, as
+    fresh copies: what {!of_pages} rebuilds it from. *)
+
+val frozen_length : frozen -> int
 
 val length : t -> int
 
 val page_size : int
 (** Overlay granularity: 4096. *)
-
-type page_digests
-(** The per-page digests of one frozen base, computed on first use.
-    Whoever owns the frozen image owns these and hands them to every
-    {!cow} view of it. *)
-
-val page_digests : bytes -> page_digests
-(** An empty digest memo for [base]. *)
-
-val cow : ?digests:page_digests -> bytes -> t
-(** [cow base] is a copy-on-write view over the frozen [base]: reads
-    fall through to [base]; the first write that *diverges* from the
-    base copies that 4KiB page into a private overlay. Writing bytes
-    identical to the base is recorded as a silent write and copies
-    nothing, so a deterministic replay against the overlay stays fully
-    shared. [base] must never be mutated while any view is alive. With
-    [digests] (which must be [page_digests base]), {!page_digest} of a
-    whole still-shared page is hashed once across all views; raises
-    [Invalid_argument] for a memo of another base. *)
 
 val generate :
   t -> off:int -> len:int ->
@@ -76,18 +94,13 @@ val generate :
     outside the buffer, or on one that does not start on a page
     boundary and end on one or at the buffer's end. *)
 
-val freeze : t -> bytes
-(** A private snapshot of the full current contents (base + overlay
-    for overlay buffers) — the frozen image a {!cow} view forks from. *)
-
 val page_digest : t -> int -> int -> Digest.t
 (** [page_digest m off len] equals [Digest.bytes (read_bytes m off len)]
     without the copy: a range inside one page is hashed in place, a
-    whole untouched page of a {!create}d buffer answers with a
-    precomputed zero-page digest, and a whole still-shared page of a
-    {!cow} view with [digests] answers from that memo. A materialised
-    page is always hashed, even if it holds zeros or its base bytes
-    again. *)
+    whole untouched zero page answers with a precomputed digest, and a
+    whole untouched page of a {!frozen} image with the image's memo,
+    hashed once across all its views. A materialised page is always
+    hashed, even if it holds zeros or its base bytes again. *)
 
 (** {1 Write log}
 
@@ -207,11 +220,6 @@ val read_cstr : t -> int -> max:int -> string option
     bytes; [None] if no terminator is found within [max] bytes. *)
 
 val write_cstr : t -> int -> string -> unit
-
-val is_zero : bytes -> int -> int -> bool
-(** [is_zero b off len]: are the [len] bytes of [b] at [off] all zero?
-    The test a write over the zero base makes to stay silent, four
-    64-bit words per step. *)
 
 module Addr_space : sig
   type mem = t

@@ -251,15 +251,12 @@ let add_device t ~slot_index ~regs ~process ~want_irqfd =
   Virtio.Mmio.Device.set_notify regs (fun ~queue:_ -> slot.process t slot);
   t.devices <- t.devices @ [ slot ]
 
-type fork_source = {
-  fs_ram : bytes;
-  fs_ram_digests : Mem.page_digests;
-  fs_databuf : bytes;
-}
+type fork_source = { fs_ram : Mem.frozen; fs_databuf : Mem.frozen }
 
 let create h ~profile:profx ~disk:diskb ?(ram_mb = 64) ?(vcpus = 1)
     ?(disable_seccomp = false) ?ninep_root ?fork () =
   let p = Host.spawn h ~name:profx.Profile.process_name ~uid:1000 () in
+  let ram_size = ram_mb * 1024 * 1024 and databuf_size = 256 * 1024 in
   (* A fork maps guest RAM and the bounce buffer as CoW overlays over
      the baseline's frozen regions instead of allocating private
      zeroed pages — the linked-clone analogue of mmapping the baseline
@@ -267,20 +264,11 @@ let create h ~profile:profx ~disk:diskb ?(ram_mb = 64) ?(vcpus = 1)
   (match fork with
   | None -> ()
   | Some f ->
-      let ram_size = ram_mb * 1024 * 1024 in
-      if Bytes.length f.fs_ram <> ram_size then
-        invalid_arg
-          (Printf.sprintf
-             "Vmm.create: baseline RAM is %d bytes but the VM wants %d"
-             (Bytes.length f.fs_ram) ram_size);
-      if Bytes.length f.fs_databuf <> 256 * 1024 then
-        invalid_arg "Vmm.create: baseline bounce buffer is not 256 KiB";
       p.Proc.mmap_backing <-
         Some
           (fun len ->
-            if len = Bytes.length f.fs_ram then
-              Mem.cow ~digests:f.fs_ram_digests f.fs_ram
-            else if len = Bytes.length f.fs_databuf then Mem.cow f.fs_databuf
+            if len = ram_size then Mem.cow f.fs_ram
+            else if len = databuf_size then Mem.cow f.fs_databuf
             else Mem.create len));
   let io_thread = Proc.add_thread p ~name:"iothread" in
   let th = Proc.main_thread p in
@@ -298,9 +286,8 @@ let create h ~profile:profx ~disk:diskb ?(ram_mb = 64) ?(vcpus = 1)
   (* scratch page, bounce buffer and guest RAM *)
   let scratch = Syscall.call h p th ~nr:Syscall.Nr.mmap ~args:[| 0; 4096 |] in
   let databuf =
-    Syscall.call h p th ~nr:Syscall.Nr.mmap ~args:[| 0; 256 * 1024 |]
+    Syscall.call h p th ~nr:Syscall.Nr.mmap ~args:[| 0; databuf_size |]
   in
-  let ram_size = ram_mb * 1024 * 1024 in
   let ram_hva = Syscall.call h p th ~nr:Syscall.Nr.mmap ~args:[| 0; ram_size |] in
   p.Proc.mmap_backing <- None;
   Api.write_memory_region p.Proc.aspace ~ptr:scratch
@@ -479,10 +466,8 @@ let freeze_fork_state t =
     | Some (m, 0) -> m
     | _ -> invalid_arg ("Vmm.freeze_fork_state: cannot resolve " ^ what)
   in
-  let ram = Mem.freeze (mem_at "guest RAM" t.ram_hva) in
   {
-    fs_ram = ram;
-    fs_ram_digests = Mem.page_digests ram;
+    fs_ram = Mem.freeze (mem_at "guest RAM" t.ram_hva);
     fs_databuf = Mem.freeze (mem_at "bounce buffer" t.databuf);
   }
 

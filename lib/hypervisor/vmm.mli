@@ -8,14 +8,11 @@
 
 type t
 
-type fork_source = {
-  fs_ram : bytes;
-  fs_ram_digests : Hostos.Mem.page_digests;
-      (** the RAM pages' digest memo, shared by every fork *)
-  fs_databuf : bytes;
-}
+type fork_source = { fs_ram : Hostos.Mem.frozen; fs_databuf : Hostos.Mem.frozen }
 (** Frozen per-VM memory regions of a baked baseline: guest RAM and
-    the VMM's disk bounce buffer (see {!freeze_fork_state}). *)
+    the VMM's 256 KiB disk bounce buffer (see {!freeze_fork_state}).
+    {!create} maps them at [ram_mb] MiB and 256 KiB, so their lengths
+    must be those. *)
 
 val create :
   Hostos.Host.t -> profile:Profile.t -> disk:Blockdev.Backend.t ->
@@ -47,7 +44,7 @@ val boot :
     kernel image). *)
 
 val freeze_fork_state : t -> fork_source
-(** Copy out the regions a fork shares (guest RAM, bounce buffer).
+(** Freeze the regions a fork shares (guest RAM, bounce buffer).
     Call on a baked baseline VM at the attach-ready point. *)
 
 exception Stuck of string

@@ -425,7 +425,9 @@ let freeze_ok m =
   | Ok f -> f
   | Error e -> Alcotest.failf "freeze: %a" H.Errno.pp e
 
-let image_bytes b = H.Mem.freeze (Backend.mem b)
+let image_bytes b =
+  let m = Backend.mem b in
+  H.Mem.read_bytes m 0 (H.Mem.length m)
 
 (* An instance is a fresh pack in every observable: bytes, stats, the
    exact clock (bit for bit, from a non-round start) and counters, and

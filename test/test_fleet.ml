@@ -292,8 +292,19 @@ let test_fleet_shims_retired () =
 
 (* --- copy-on-write overlays & baseline forking --- *)
 
+(* A frozen image of [b]'s bytes, built the way every image is: written
+   into a fresh buffer, then frozen. *)
+let frozen_of b =
+  let m = H.Mem.create (Bytes.length b) in
+  H.Mem.write_bytes m 0 b;
+  H.Mem.freeze m
+
+(* [len] bytes of the image [f] at [off], read through a fresh view. *)
+let frozen_sub f off len = H.Mem.read_bytes (H.Mem.cow f) off len
+let frozen_bytes f = frozen_sub f 0 (H.Mem.frozen_length f)
+
 let test_mem_cow_semantics () =
-  let base = Bytes.make (3 * 4096) 'a' in
+  let base = frozen_of (Bytes.make (3 * 4096) 'a') in
   let m = H.Mem.cow base in
   check cint "read falls through to the base" (Char.code 'a')
     (H.Mem.read_u8 m 5000);
@@ -309,7 +320,8 @@ let test_mem_cow_semantics () =
   check cint "one page copied" 1 st.H.Mem.cs_pages_copied;
   check cint "writer sees its copy" (Char.code 'b') (H.Mem.read_u8 m 5000);
   (* the copy is invisible to the base and to a sibling overlay *)
-  check cint "base unaffected" (Char.code 'a') (Char.code (Bytes.get base 5000));
+  check cint "base unaffected" (Char.code 'a')
+    (Char.code (Bytes.get (frozen_bytes base) 5000));
   check cint "sibling unaffected" (Char.code 'a')
     (H.Mem.read_u8 (H.Mem.cow base) 5000);
   (* a page written back to its base bytes is reclaimable *)
@@ -320,7 +332,7 @@ let test_mem_cow_semantics () =
 
 let test_mem_cow_edge_cases () =
   let pages = 4 in
-  let base = Bytes.make (pages * 4096) 'a' in
+  let base = frozen_of (Bytes.make (pages * 4096) 'a') in
   let m = H.Mem.cow base in
   let stats () = Option.get (H.Mem.cow_stats m) in
   check cint "total spans the buffer" pages (stats ()).H.Mem.cs_pages_total;
@@ -358,7 +370,7 @@ let test_mem_cow_edge_cases () =
   check cint "reclaimed page re-copied on divergence" 2
     st.H.Mem.cs_pages_copied;
   check cint "base still pristine" (Char.code 'a')
-    (Char.code (Bytes.get base 100));
+    (Char.code (Bytes.get (frozen_bytes base) 100));
   check cint "overlay sees the new write" (Char.code 'y')
     (H.Mem.read_u8 m 100);
   (* a second reclaim with nothing re-converged is a no-op *)
@@ -398,7 +410,7 @@ let test_fork_isolation () =
   check cbool "sibling still sees the shared page" true
     (Kvm.Vm.read_phys (Vmm.kvm_vm fb.B.fk_vmm) gpa 4096 = before);
   check cbool "base image untouched" true
-    (Bytes.sub (B.Debug.ram img) gpa 4096 = before);
+    (frozen_sub (B.Debug.ram img) gpa 4096 = before);
   (* per-clone provisioning already diverged the hostname pages, and
      each clone answers with its own name *)
   check cbool "writer copied at least one page" true
@@ -429,9 +441,10 @@ let test_baseline_save_load_roundtrip () =
   | Ok img' ->
       check cstr "digest survives" (B.digest img) (B.digest img');
       check cstr "hostname survives" (B.hostname img) (B.hostname img');
-      check cbool "ram bytes survive" true (B.Debug.ram img = B.Debug.ram img');
+      check cbool "ram bytes survive" true
+        (frozen_bytes (B.Debug.ram img) = frozen_bytes (B.Debug.ram img'));
       check cbool "disk bytes survive" true
-        (B.Debug.disk img = B.Debug.disk img');
+        (frozen_bytes (B.Debug.disk img) = frozen_bytes (B.Debug.disk img'));
       (* the reloaded image forks into the same guest *)
       let _, f = fork_ok ~name:(B.hostname img') img' in
       check cstr "reloaded image forks identically" (B.digest img)
@@ -444,6 +457,104 @@ let test_baseline_save_load_roundtrip () =
   | Error (E.Baseline_stale _) -> ()
   | Error e -> Alcotest.failf "wrong error for garbage: %s" (E.to_string e)
   | Ok _ -> Alcotest.fail "garbage must not load"
+
+(* The on-disk record field for field: [Baseline]'s own type is private
+   to it, and a baked file is this record marshalled behind a magic
+   line, so a test can read one, corrupt it and write it back. *)
+type stored = {
+  st_profile : string;
+  st_version : string;
+  st_build_id : string;
+  st_ram_mb : int;
+  st_hostname : string;
+  st_boot_rng : H.Rng.t;
+  st_kernel : bytes;
+  st_ram_len : int;
+  st_ram_pages : (int * bytes) list;
+  st_databuf : bytes;
+  st_disk_len : int;
+  st_disk_pages : (int * bytes) list;
+  st_digest : string;
+}
+
+let with_baked_file f =
+  let path = Filename.temp_file "vmsh-baseline" ".vmshbase" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  B.save (Lazy.force baked) ~path;
+  f path
+
+(* A baked file is outside input: every page it stores at a negative
+   or out-of-range index, longer than a page or twice, and every
+   region length that disagrees with the header or is not page-aligned,
+   is a typed staleness error, never an exception. The intact record
+   written back loads, so the mirror type above is the file's. *)
+let test_baseline_rejects_corrupt_pages () =
+  with_baked_file @@ fun path ->
+  let magic, st =
+    let ic = open_in_bin path in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+    let magic = input_line ic ^ "\n" in
+    (magic, (Marshal.from_channel ic : stored))
+  in
+  let load st =
+    let oc = open_out_bin path in
+    output_string oc magic;
+    Marshal.to_channel oc st [];
+    close_out oc;
+    B.load ~path
+  in
+  (match load st with
+  | Ok img ->
+      check cstr "the intact record loads" (B.digest (Lazy.force baked))
+        (B.digest img)
+  | Error e -> Alcotest.failf "intact record: %s" (E.to_string e));
+  let rejects name st =
+    match load st with
+    | Error (E.Baseline_stale _) -> ()
+    | Error e -> Alcotest.failf "%s: wrong error %s" name (E.to_string e)
+    | Ok _ -> Alcotest.failf "%s: loaded" name
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  let page = Bytes.make 4096 '\x01' and zeros = Bytes.make 4096 '\000' in
+  let ram = st.st_ram_pages and disk = st.st_disk_pages in
+  let first = fst (List.hd ram) in
+  rejects "a negative RAM page" { st with st_ram_pages = (-1, page) :: ram };
+  rejects "a RAM page past the end"
+    { st with st_ram_pages = ram @ [ (st.st_ram_len / 4096, page) ] };
+  rejects "a disk page past the end"
+    { st with st_disk_pages = disk @ [ (st.st_disk_len / 4096, page) ] };
+  rejects "a RAM page longer than a page"
+    { st with st_ram_pages = (first, Bytes.make 4097 '\x01') :: List.tl ram };
+  rejects "a RAM page stored twice"
+    { st with st_ram_pages = ram @ [ (first, page) ] };
+  rejects "an all-zero RAM page stored twice"
+    {
+      st with
+      st_ram_pages =
+        (0, zeros) :: (0, zeros) :: List.filter (fun (i, _) -> i <> 0) ram;
+    };
+  rejects "a RAM length off its header"
+    { st with st_ram_len = st.st_ram_len + 4096 };
+  rejects "a RAM header off its length" { st with st_ram_mb = st.st_ram_mb * 2 };
+  rejects "an unaligned RAM length" { st with st_ram_len = st.st_ram_len - 1 };
+  rejects "an unaligned disk length"
+    { st with st_disk_len = st.st_disk_len - 1 }
+
+(* Loading a baked file keeps the stored pages as the image's pages:
+   it allocates the unmarshalled file (2.9 MB, most of it the encoded
+   kernel image and the stored pages), one page array per region and
+   the bounce buffer, 415,183 words (3.2 MiB) on both heaps. The bound
+   is that plus 25%, under the 8 MiB a load may take at most. While
+   [load] rebuilt RAM and disk as flat bytes it allocated about
+   82 MiB. *)
+let test_baseline_load_allocation_bound () =
+  with_baked_file @@ fun path ->
+  let r, words = Alloc.words (fun () -> B.load ~path) in
+  check cbool "loaded" true (Result.is_ok r);
+  let bound = Float.min (1.25 *. 415_183.) (8. *. 1024. *. 1024. /. 8.) in
+  if words > bound then
+    Alcotest.failf "Baseline.load allocated %.0f words (bound %.0f)" words bound
 
 let test_forked_fleet_cheap_and_isolated () =
   let img = Lazy.force baked in
@@ -733,6 +844,9 @@ let suite =
         t "fork isolation" test_fork_isolation;
         t "journal rolls back overlay writes" test_fork_journal_rollback;
         t "save/load roundtrip" test_baseline_save_load_roundtrip;
+        t "a corrupt file is stale, never an exception"
+          test_baseline_rejects_corrupt_pages;
+        t "load allocation bound" test_baseline_load_allocation_bound;
         t "forked fleet is cheap and isolated"
           test_forked_fleet_cheap_and_isolated;
         Alcotest.test_case "vms=256 forked byte-identical runs" `Slow

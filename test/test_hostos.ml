@@ -126,6 +126,18 @@ let test_aspace_cross_mapping_read () =
 
 (* --- sparse (zero-base) overlays --- *)
 
+(* A frozen image of [b]'s bytes, built the way every image is: written
+   into a fresh buffer, then frozen. *)
+let frozen_of b =
+  let m = Mem.create (Bytes.length b) in
+  Mem.write_bytes m 0 b;
+  Mem.freeze m
+
+(* Every byte of the image [f], read through a fresh view. *)
+let thawed f =
+  let m = Mem.cow f in
+  Mem.read_bytes m 0 (Mem.length m)
+
 let raises_invalid name f =
   Alcotest.check_raises name (Invalid_argument "x") (fun () ->
       try ignore (f ()) with Invalid_argument _ -> raise (Invalid_argument "x"))
@@ -221,7 +233,7 @@ let test_mem_zero_base_matches_bytes () =
       (Mem.read_u32 sparse probe)
   done;
   check cbool "freeze equals the model" true
-    (Bytes.equal model (Mem.freeze sparse))
+    (Bytes.equal model (thawed (Mem.freeze sparse)))
 
 let test_mem_page_digest () =
   (* every buffer is paired with a plain bytes model that gets the same
@@ -238,7 +250,7 @@ let test_mem_page_digest () =
   write_u8 (m, mb) ((2 * 4096) + 5) 1;
   write_u8 (m, mb) ((2 * 4096) + 5) 0;
   let base = Bytes.init len (fun i -> Char.chr (i land 0xff)) in
-  let cow = Mem.cow base and cb = Bytes.copy base in
+  let cow = Mem.cow (frozen_of base) and cb = Bytes.copy base in
   write_u8 (cow, cb) 4096 0xff;
   let same name (m, b) off n =
     let want = Digest.to_hex (Digest.subbytes b off n) in
@@ -260,9 +272,9 @@ let test_mem_page_digest () =
   (* two forks of one image share its digest memo: a still-shared page
      answers from it, a materialised page is hashed, and a page
      reclaimed back to the base answers from the memo again *)
-  let digests = Mem.page_digests base in
-  let fork_a = (Mem.cow ~digests base, Bytes.copy base)
-  and fork_b = (Mem.cow ~digests base, Bytes.copy base) in
+  let image = frozen_of base in
+  let fork_a = (Mem.cow image, Bytes.copy base)
+  and fork_b = (Mem.cow image, Bytes.copy base) in
   same "memo filled by the first fork" fork_b 4096 4096;
   write_u8 fork_a 4096 0xee;
   same "materialised page over the memo" fork_a 4096 4096;
@@ -271,8 +283,6 @@ let test_mem_page_digest () =
   check cint "re-converged page reclaimed" 1 (Mem.cow_reclaim (fst fork_a));
   same "reclaimed page" fork_a 4096 4096;
   same "partial last page with a memo" fork_a (3 * 4096) 100;
-  raises_invalid "memo of another base" (fun () ->
-      Mem.cow ~digests (Bytes.copy base));
   raises_invalid "digest past the end" (fun () -> Mem.page_digest m (3 * 4096) 4096)
 
 (* --- the write log ---
@@ -401,7 +411,7 @@ let prop_write_log_matches_copies =
       let zeros = Bytes.make log_len '\000' in
       let base = Bytes.init log_len (fun i -> Char.chr (i * 7 land 3)) in
       log_agrees zeros (Mem.create log_len) ops
-      && log_agrees base (Mem.cow ~digests:(Mem.page_digests base) base) ops)
+      && log_agrees base (Mem.cow (frozen_of base)) ops)
 
 (* --- generated pages ---
 
@@ -489,7 +499,7 @@ let observe_generated m ops =
             Mem.Addr_space.read_into sp (va + o) d 0 n;
             Bytes.to_string d)
     | R_digest -> Mem.page_digest m o n
-    | R_freeze -> Bytes.to_string (Mem.freeze m)
+    | R_freeze -> Bytes.to_string (thawed (Mem.freeze m))
   in
   let zeros = Bytes.make log_len '\000' in
   let marks, seen =
@@ -511,7 +521,7 @@ let observe_generated m ops =
     ^ String.concat "" (List.init log_pages (Mem.digest_at k))
   in
   let logs = List.map log marks in
-  List.rev_append seen (Bytes.to_string (Mem.freeze m) :: logs)
+  List.rev_append seen (Bytes.to_string (thawed (Mem.freeze m)) :: logs)
 
 let generated_buffers ~seed (a, b) =
   let off = a * 4096 in
@@ -535,6 +545,75 @@ let prop_generated_reads_as_written =
       let gen, eager = generated_buffers ~seed range in
       observe_generated gen ops = observe_generated eager ops)
 
+(* --- frozen images ---
+
+   Property: freezing a buffer keeps its bytes and nothing else of it.
+   A zero-base buffer with a generated range runs a random op
+   sequence; with [over_image] it is then frozen and a view of that
+   image runs a second sequence, so the buffer under test may be
+   either kind. A view of [freeze m] must then read every byte and
+   digest every page as [m] does, twice (the second time from the
+   image's digest memo), and freezing the view again must read the
+   same. A write to every page of [m] after the freeze must leave the
+   view's bytes as they were. *)
+
+let frozen_base = Bytes.init log_len (fun i -> Char.chr (i * 7 land 3))
+
+let page_digests m =
+  List.init log_pages (fun i ->
+      Mem.page_digest m (i * 4096) (min 4096 (log_len - (i * 4096))))
+
+let prop_frozen_reads_as_source =
+  let gen =
+    let open QCheck.Gen in
+    let range =
+      map2
+        (fun a n -> (a, min log_pages (a + n)))
+        (int_bound (log_pages - 1))
+        (int_range 1 log_pages)
+    in
+    map3
+      (fun (over_image, seed) range (before, after) ->
+        (over_image, seed, range, before, after))
+      (pair bool (int_bound 1000))
+      range (pair gen_log_ops gen_log_ops)
+  in
+  QCheck.Test.make ~name:"a view of a frozen buffer reads as the buffer"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (over_image, seed, (a, b), before, after) ->
+         let ops l = String.concat "; " (List.map log_op_to_string l) in
+         Printf.sprintf "over_image %b, seed %d, pages %d-%d: %s | %s"
+           over_image seed a b (ops before) (ops after))
+       gen)
+    (fun (over_image, seed, (a, b), before, after) ->
+      let m = Mem.create log_len in
+      Mem.generate m ~off:(a * 4096)
+        ~len:(min log_len (b * 4096) - (a * 4096))
+        (Rng.fill_bytes_at (Rng.create ~seed));
+      List.iter (apply_log_op frozen_base m) before;
+      let m =
+        if not over_image then m
+        else begin
+          let v = Mem.cow (Mem.freeze m) in
+          List.iter (apply_log_op frozen_base v) after;
+          v
+        end
+      in
+      let image = Mem.freeze m in
+      let bytes = Mem.read_bytes m 0 log_len in
+      let digests = page_digests m in
+      let view = Mem.cow image in
+      let read_as_source v = Bytes.equal (Mem.read_bytes v 0 log_len) bytes in
+      let agrees =
+        read_as_source view
+        && page_digests view = digests
+        && page_digests (Mem.cow image) = digests
+        && read_as_source (Mem.cow (Mem.freeze view))
+      in
+      Mem.fill m 0 log_len '\x5a';
+      agrees && read_as_source view && read_as_source (Mem.cow image))
+
 (* The two first touches the property meets only by chance: a write
    after a mark onto a generated page nothing has read, and a scalar
    write straddling a generated page and a zero page. *)
@@ -551,7 +630,7 @@ let test_mem_generated_first_touch () =
         written := i :: !written);
     ( List.init log_pages (Mem.digest_at k),
       !written,
-      Bytes.to_string (Mem.freeze m) )
+      Bytes.to_string (thawed (Mem.freeze m)) )
   in
   let d, w, b = touch gen and d', w', b' = touch eager in
   check Alcotest.(list string) "digests at the mark" d' d;
@@ -590,7 +669,7 @@ let test_mem_generate_rejects () =
       | () -> false
       | exception Invalid_argument _ -> true)
   in
-  rejects "a CoW view" (Mem.cow (Bytes.make 8192 'x')) ~off:0 ~len:4096;
+  rejects "a CoW view" (Mem.cow (frozen_of (Bytes.make 8192 'x'))) ~off:0 ~len:4096;
   rejects "an unaligned start" (Mem.create 8192) ~off:1 ~len:4096;
   rejects "an unaligned end" (Mem.create 8192) ~off:0 ~len:4095;
   rejects "a range past the end" (Mem.create 8192) ~off:4096 ~len:8192;
@@ -1240,6 +1319,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_write_log_matches_copies;
         t "write log rejects marks of two buffers" test_mem_log_rejects_two_buffers;
         QCheck_alcotest.to_alcotest prop_generated_reads_as_written;
+        QCheck_alcotest.to_alcotest prop_frozen_reads_as_source;
         t "generated pages on first touch" test_mem_generated_first_touch;
         t "generate is a logged write" test_mem_generate_is_logged;
         t "generate rejects CoW and unaligned ranges" test_mem_generate_rejects;

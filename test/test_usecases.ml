@@ -188,7 +188,7 @@ let test_serverless_clone_on_request_flood () =
      private copy of the baseline's RAM + disk *)
   check cbool "resident bytes bounded" true
     (r.S.fl_resident_bytes
-    < Bytes.length (Fleet.Baseline.Debug.ram pool.S.cp_image));
+    < H.Mem.frozen_length (Fleet.Baseline.Debug.ram pool.S.cp_image));
   (* a single request's response is readable back and isolated *)
   match S.serve_request pool ~handler ~id:100 ~payload:"ping" with
   | Ok out -> check Alcotest.string "handler output" "done:ping" out

@@ -152,8 +152,9 @@ let test_analysis_on_all_layouts () =
    stopped allocating). An uncached analysis took 21,828–26,331 minor
    words on a settled heap before the one-pass scan and takes
    19,189–23,113 with it ([Alloc.minor_words]; the 2 MiB image copy is
-   a major block, bounded by the next test). The bound is 26,931, an
-   earlier largest count, plus 25%. *)
+   a major block, bounded by the next test). The bound is the largest,
+   23,113, plus 25% (it was 33,664, which a list cell per top-byte
+   candidate in the one-pass scan stayed under). *)
 let test_analysis_allocation_bound () =
   List.iter
     (fun version ->
@@ -163,7 +164,7 @@ let test_analysis_allocation_bound () =
         Alloc.minor_words (fun () -> Vmsh.Symbol_analysis.analyze mem ~cr3)
       in
       check cbool (KV.to_string version ^ " analyzed") true (Result.is_ok r);
-      if words >= 33_664. then
+      if words > 1.25 *. 23_113. then
         Alcotest.failf "%s: uncached analysis allocated %.0f minor words"
           (KV.to_string version) words)
     KV.all_lts
