@@ -63,23 +63,25 @@ let write_range t ~off src ~len =
 
 let observe obs ~name t =
   let mx = Observe.metrics obs in
-  let timed op f =
+  (* each op's histogram is looked up by name once, at the op's first
+     timing, so the registry still meets the names in the same order *)
+  let hist op = lazy (Observe.Metrics.histogram mx (name ^ "." ^ op ^ "_ns")) in
+  let read = hist "read" and write = hist "write" and flush = hist "flush" in
+  let timed h f =
     let t0 = Observe.now obs in
     let r = f () in
-    Observe.Metrics.observe
-      (Observe.Metrics.histogram mx (name ^ "." ^ op ^ "_ns"))
-      (Observe.now obs -. t0);
+    Observe.Metrics.observe (Lazy.force h) (Observe.now obs -. t0);
     r
   in
   {
     t with
-    read_block = (fun i -> timed "read" (fun () -> t.read_block i));
-    write_block = (fun i b -> timed "write" (fun () -> t.write_block i b));
+    read_block = (fun i -> timed read (fun () -> t.read_block i));
+    write_block = (fun i b -> timed write (fun () -> t.write_block i b));
     read_into =
-      (fun i dst off -> timed "read" (fun () -> t.read_into i dst off));
+      (fun i dst off -> timed read (fun () -> t.read_into i dst off));
     write_from =
-      (fun i src off -> timed "write" (fun () -> t.write_from i src off));
-    flush = (fun () -> timed "flush" (fun () -> t.flush ()));
+      (fun i src off -> timed write (fun () -> t.write_from i src off));
+    flush = (fun () -> timed flush (fun () -> t.flush ()));
   }
 
 let sub t ~first_block ~blocks =

@@ -52,6 +52,9 @@ type t = {
   clock : Clock.t;
   blk : Virtio.Blk.Device.t;
       (** the blk device over [image]: its backend and payload buffer *)
+  mutable pump_stages : (string * (Observe.Metrics.counter * string)) list;
+      (** each pump stage's counter and flight-event kind, resolved at
+          its first pump *)
 }
 
 let gsi_base = 24
@@ -161,9 +164,21 @@ let incr_counter t name ~by =
    invocation bumps its stage.pump.<stage> counter and appends one
    flight-recorder event — pure observation, no virtual cost. *)
 let pump_stage t name =
-  incr_counter t ("stage.pump." ^ name) ~by:1;
-  Trace.Recorder.record (Tracee.host t.tracee).Hostos.Host.recorder
-    ~kind:("pump." ^ name) ()
+  let counter, kind =
+    match List.assoc_opt name t.pump_stages with
+    | Some h -> h
+    | None ->
+        let h =
+          ( Observe.Metrics.counter
+              (Observe.metrics (host_observe t))
+              ("stage.pump." ^ name),
+            "pump." ^ name )
+        in
+        t.pump_stages <- (name, h) :: t.pump_stages;
+        h
+  in
+  Observe.Metrics.incr counter;
+  Trace.Recorder.record (Tracee.host t.tracee).Hostos.Host.recorder ~kind ()
 
 (* The image is served with synchronous, unpipelined file IO (the
    prototype's device is single-threaded), so each request pays the full
@@ -337,6 +352,7 @@ let create ~mem ~tracee ~image ?(pci = false) ?net ?(mac = default_mac) () =
       | Error _ -> None);
     mac;
     requests = 0;
+    pump_stages = [];
     clock = host.Hostos.Host.clock;
     blk =
       blk_device ~clock:host.Hostos.Host.clock ~obs:host.Hostos.Host.observe

@@ -214,22 +214,25 @@ let write_phys_u64 t gpa v =
 let pt_access t =
   { X86.Page_table.read_u64 = read_phys_u64 t; write_u64 = write_phys_u64 t }
 
-let read_virt_into t ~cr3 ~va buf ~off ~len =
+(* The page loop of a guest-virtual range: each page-bounded piece is
+   translated, then handed to [f ~gpa ~pos ~len], [pos] being its offset
+   in the range. [false] at the first unmapped page. *)
+let virt_pages t ~cr3 ~va ~len f =
   let acc = pt_access t in
   let page = X86.Layout.page_size in
-  let rec go va dst remaining =
-    if remaining = 0 then true
+  let rec go va pos =
+    if pos = len then true
     else
-      let page_rem = page - (va land (page - 1)) in
-      let chunk = Int.min remaining page_rem in
+      let chunk = Int.min (len - pos) (page - (va land (page - 1))) in
       match X86.Page_table.translate acc ~root:cr3 va with
       | None -> false
-      | Some pa ->
-          read_phys_into t ~gpa:pa buf ~off:dst ~len:chunk;
-          go (va + chunk) (dst + chunk) (remaining - chunk)
+      | Some gpa ->
+          f ~gpa ~pos ~len:chunk;
+          go (va + chunk) (pos + chunk)
   in
-  go va off len
+  go va 0
 
 let read_virt t ~cr3 ~va ~len =
   let out = Bytes.create len in
-  if read_virt_into t ~cr3 ~va out ~off:0 ~len then Some out else None
+  let read ~gpa ~pos ~len = read_phys_into t ~gpa out ~off:pos ~len in
+  if virt_pages t ~cr3 ~va ~len read then Some out else None

@@ -85,14 +85,19 @@ val pt_access : t -> X86.Page_table.access
 (** Page-table accessors over this remote view (what the sideloader's
     CR3 walk uses). *)
 
-val read_virt_into :
-  t -> cr3:int -> va:int -> bytes -> off:int -> len:int -> bool
-(** Guest-virtual read into [buf] at [off]: walk the tables, then read
-    each page. [false] if a page is unmapped; the pages before it have
-    been read by then. *)
+val virt_pages :
+  t -> cr3:int -> va:int -> len:int ->
+  (gpa:int -> pos:int -> len:int -> unit) -> bool
+(** [virt_pages t ~cr3 ~va ~len f] is the page loop of every
+    guest-virtual read: for each page-bounded piece of
+    [\[va, va + len)] in order, walk the tables to its guest-physical
+    address, then call [f ~gpa ~pos ~len] ([pos]: the piece's offset in
+    the range), which reads it. [false] at the first unmapped page; the
+    pieces before it have been handed over by then. *)
 
 val read_virt : t -> cr3:int -> va:int -> len:int -> bytes option
-(** {!read_virt_into} a fresh buffer; [None] if any page is unmapped. *)
+(** {!virt_pages} with one {!read_phys_into} per page into a fresh
+    buffer; [None] if any page is unmapped. *)
 
 val read_hva : t -> hva:int -> len:int -> bytes
 (** Raw hypervisor-virtual read (e.g. the kvm_run pages), in the

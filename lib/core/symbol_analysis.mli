@@ -35,17 +35,30 @@ val find_kernel_base : Hyp_mem.t -> cr3:int -> (int * int, string) result
 (** [(base, mapped_len)] of the kernel image within the KASLR range. *)
 
 type scan
-(** What one pass over a copied kernel image finds. *)
+(** What one streamed pass over a kernel image finds, and the few
+    windows of it that {!strings_region} and {!tables} read. *)
 
-val scan_image : Bytes.t -> kbase:int -> scan
-(** [scan_image img ~kbase] reads [img] (mapped at [kbase]) once, one
-    aligned 64-bit word at a time, for both section scans. The anchor
-    search tests a ["\000printk\000"] window only where a word holds a
-    NUL followed by ['p'] (a zero-byte test per word; an all-zero word
-    only at its last byte). The slot filter keeps every 8-byte slot
-    where some layout's entry fits and its value points into the
-    image: the word's top byte rejects most slots with one lookup
-    first. Allocates the candidate slots and the matches' regions. *)
+val scan_image : ?window:int -> Bytes.t -> kbase:int -> scan
+(** [scan_image img ~kbase] feeds [img] (mapped at [kbase]) to the
+    streamed scan an uncached {!analyze} runs, in windows of [window]
+    bytes (default a page; a positive multiple of 8, else
+    [Invalid_argument]), each copied into one of the scan's buffers. A
+    C kernel lists each window's anchor candidates (a NUL followed by
+    ['p']) and the aligned 8-byte slots whose word is not zero and
+    whose top byte suits some layout, in ascending order; built with
+    GCC or clang for x86-64, it takes 32 bytes a step with AVX2 on a CPU
+    that has it, and runs a scalar loop elsewhere. Each candidate gets
+    the one 64-bit compare with ["\000printk\000"]; each slot keeps
+    the layouts whose entry fits and whose value points into the image,
+    with its two words. The scan keeps a window only while the current
+    run of NUL-or-printable bytes, the widest strings region so far or
+    the bytes up to the NUL that ends that region's last name reach
+    into it; all-zero windows share one page. *)
+
+val portable_scan_image : ?window:int -> Bytes.t -> kbase:int -> scan
+(** {!scan_image} through the scalar kernel, whichever kernel this CPU
+    runs for {!scan_image}; the two find the same events. It exists so
+    the unit suite can check both kernels on one machine. *)
 
 val strings_region : scan -> (int * int, string) result
 (** The [.ksymtab_strings] region of the scanned image, as image offsets
@@ -55,17 +68,17 @@ val strings_region : scan -> (int * int, string) result
 
 val tables :
   scan ->
-  region:int * int ->
   (Linux_guest.Kernel_version.ksymtab_layout * int * (string * int) list) list
-(** [tables scan ~region] is, for each layout, the longest run of
-    entries whose values point into the image and whose name pointers
-    land on string starts inside [region]. One triple per layout, in
-    the order absolute (value first), absolute (name first), PREL32:
+(** [tables scan] is, for each layout, the longest run of entries whose
+    values point into the image and whose name pointers land on string
+    starts inside the scan's {!strings_region}. One triple per layout,
+    in the order absolute (value first), absolute (name first), PREL32:
     the layout, the run's image offset and its (name, value) pairs —
-    [(0, [])] when no entry is valid. Starts are tried every 8 bytes;
-    the first of equally long runs wins, and the search resumes past
-    each new best run. Only the scan's candidate slots whose name
-    pointers land on string starts are visited. *)
+    [(0, [])] when no entry is valid or the scan found no region.
+    Starts are tried every 8 bytes; the first of equally long runs
+    wins, and the search resumes past each new best run. Every valid
+    entry passes the scan's slot filter, so only the scan's slots whose
+    name pointers land on string starts are visited. *)
 
 (** Memoization across attaches to identically-built kernels, keyed by
     the build-id note found in the image's first page. A hit skips the

@@ -56,6 +56,8 @@ type t = {
   mutable next_pump_id : int;
   mutable current : vcpu option;
   mutable gsi_irqfd_supported : bool;
+  mutable exit_stages : (string * Observe.Metrics.counter) list;
+      (** each exit class's stage counter, resolved at its first exit *)
 }
 
 and vcpu = {
@@ -82,10 +84,19 @@ let flight t ~kind args =
   Trace.Recorder.record t.host.Host.recorder ~kind ~args ()
 
 let stage_exit t cls =
-  Observe.Metrics.incr
-    (Observe.Metrics.counter
-       (Observe.metrics t.host.Host.observe)
-       ("stage.exit." ^ cls))
+  let c =
+    match List.assoc_opt cls t.exit_stages with
+    | Some c -> c
+    | None ->
+        let c =
+          Observe.Metrics.counter
+            (Observe.metrics t.host.Host.observe)
+            ("stage.exit." ^ cls)
+        in
+        t.exit_stages <- (cls, c) :: t.exit_stages;
+        c
+  in
+  Observe.Metrics.incr c
 let set_runtime t rt = t.rt <- Some rt
 let enqueue_task t ~name thunk = Queue.push (name, thunk) t.tasks
 let has_work t = not (Queue.is_empty t.tasks) || t.parked <> []
@@ -651,6 +662,7 @@ let create_vm host owner =
     next_pump_id = 0;
     current = None;
     gsi_irqfd_supported = true;
+    exit_stages = [];
   }
 
 let dev_kvm host proc =

@@ -23,21 +23,35 @@ module Driver = struct
     Effect.perform
       (Kvm.Vm.Yield_until (fun () -> Queue.Driver.completed q ~head))
 
-  type meter = { obs : Observe.t; name : string }
+  type meter = {
+    obs : Observe.t;
+    name : string;
+    mutable ops : (string * (Observe.Metrics.histogram * string)) list;
+        (** each op's histogram and trace kind, resolved at its first use *)
+  }
 
-  let meter obs ~name = { obs; name }
+  let meter obs ~name = { obs; name; ops = [] }
+
+  let op_handles m op =
+    match List.assoc_opt op m.ops with
+    | Some h -> h
+    | None ->
+        let kind = m.name ^ "." ^ op in
+        let h =
+          (Observe.Metrics.histogram (Observe.metrics m.obs) (kind ^ "_ns"), kind)
+        in
+        m.ops <- (op, h) :: m.ops;
+        h
 
   let measure m op ~bytes f =
     let t0 = Observe.now m.obs in
     let r = f () in
     let dt = Observe.now m.obs -. t0 in
-    Observe.Metrics.observe
-      (Observe.Metrics.histogram (Observe.metrics m.obs)
-         (m.name ^ "." ^ op ^ "_ns"))
-      dt;
+    let hist, kind = op_handles m op in
+    Observe.Metrics.observe hist dt;
     if Observe.enabled m.obs then
       Trace.Recorder.record (Observe.recorder m.obs) ~phase:Trace.Instant
-        ~kind:(m.name ^ "." ^ op)
+        ~kind
         ~args:
           (("ns", Trace.I (int_of_float dt))
           :: (match bytes with Some n -> [ ("bytes", Trace.I n) ] | None -> []))

@@ -150,10 +150,10 @@ let test_analysis_on_all_layouts () =
    per analysis, and a return to per-read allocation in the remote-copy
    path costs hundreds of thousands (486,766–494,409 before that path
    stopped allocating). An uncached analysis took 21,828–26,331 minor
-   words on a settled heap before the one-pass scan and takes
-   19,189–23,113 with it ([Alloc.minor_words]; the 2 MiB image copy is
-   a major block, bounded by the next test). The bound is the largest,
-   23,113, plus 25% (it was 33,664, which a list cell per top-byte
+   words on a settled heap before the one-pass scan and 19,189–23,113
+   with it ([Alloc.minor_words]; page windows are major blocks, bounded
+   by the next test). The streamed scan takes 18,551–21,707. The bound
+   is 23,113 plus 25% (it was 33,664, which a list cell per top-byte
    candidate in the one-pass scan stayed under). *)
 let test_analysis_allocation_bound () =
   List.iter
@@ -173,11 +173,12 @@ let test_analysis_allocation_bound () =
    The minor-word bound above cannot see a 4 KiB page, which goes
    straight into the major heap. While a copy of a generated image page
    materialised the page, an analysis allocated 445,970-450,473 words
-   and the VM kept the image's 320 pages for life. A copy now runs the
-   generator into the caller's buffer: an analysis allocates
-   283,974-288,477 words, most of them the 2 MiB copy of the kernel
-   mapping itself, and the bound is the largest plus 25%. The one-pass
-   scan takes 281,335-285,772. *)
+   and the VM kept the image's 320 pages for life; with the generator
+   run into the caller's buffer, 283,974-288,477, most of them a 2 MiB
+   copy of the kernel mapping. The scan now streams the mapping through
+   page windows and keeps only the windows it reads later: an analysis
+   allocates 24,969-29,664 words (5.x-4.x), and the bound is the largest
+   plus 25%. One whole-image [Bytes.create] is 262,145 words. *)
 let test_analysis_both_heaps_bound () =
   List.iter
     (fun version ->
@@ -187,7 +188,7 @@ let test_analysis_both_heaps_bound () =
         Alloc.words (fun () -> Vmsh.Symbol_analysis.analyze mem ~cr3)
       in
       check cbool (KV.to_string version ^ " analyzed") true (Result.is_ok r);
-      if words > 1.25 *. 288_477. then
+      if words > 1.25 *. 29_664. then
         Alcotest.failf "%s: uncached analysis allocated %.0f words"
           (KV.to_string version) words)
     KV.all_lts
@@ -468,30 +469,64 @@ let planted_image seed =
   end;
   (img, kbase)
 
+(* The scans under test: both kernels (the one this CPU runs and the
+   scalar one), each fed in windows of [windows] bytes. *)
+let scan_configs windows =
+  List.concat_map
+    (fun (kernel, scan) ->
+      List.map
+        (fun window ->
+          ( Printf.sprintf "%s kernel, %d-byte windows" kernel window,
+            fun img ~kbase -> scan ?window:(Some window) img ~kbase ))
+        windows)
+    [
+      ("dispatched", Vmsh.Symbol_analysis.scan_image);
+      ("portable", Vmsh.Symbol_analysis.portable_scan_image);
+    ]
+
+(* The reference's strings region and per-layout tables of [img]; every
+   table is empty when there is no region. *)
+let reference_scan img ~kbase =
+  let region = Reference_scan.find_strings_region img in
+  ( region,
+    List.map
+      (fun layout ->
+        match region with
+        | Ok region -> (layout, Reference_scan.find_table img ~kbase ~region layout)
+        | Error _ -> (layout, (0, [])))
+      layouts )
+
+let scan_result scan =
+  ( Vmsh.Symbol_analysis.strings_region scan,
+    List.map (fun (l, off, e) -> (l, (off, e))) (Vmsh.Symbol_analysis.tables scan)
+  )
+
+(* Windows of 8 bytes split every anchor window and every 16-byte entry
+   that crosses one; 24-byte windows split every other 16-byte entry;
+   the seed draws one more multiple of 8, and a page is what an
+   analysis feeds. *)
 let prop_scans_match_reference =
   QCheck.Test.make ~name:"ksymtab scans equal the list-building reference"
     ~count:300
     QCheck.(make ~print:string_of_int Gen.(int_bound (1 lsl 29)))
     (fun seed ->
       let img, kbase = planted_image seed in
-      let scan = Vmsh.Symbol_analysis.scan_image img ~kbase in
-      let expected = Reference_scan.find_strings_region img in
-      if Vmsh.Symbol_analysis.strings_region scan <> expected then
-        QCheck.Test.fail_reportf "strings region differs for seed %d" seed;
-      let region =
-        match expected with Ok r -> r | Error _ -> (0x100, 0x100 + 64)
-      in
-      let tables = Vmsh.Symbol_analysis.tables scan ~region in
-      List.length tables = List.length layouts
-      && List.for_all2
-           (fun layout (l, off, entries) ->
-             l = layout
-             && (off, entries) = Reference_scan.find_table img ~kbase ~region layout)
-           layouts tables)
+      let expected = reference_scan img ~kbase in
+      List.for_all
+        (fun (what, scan) ->
+          let region, tables = scan_result (scan img ~kbase) in
+          if region <> fst expected then
+            QCheck.Test.fail_reportf "strings region differs for seed %d (%s)"
+              seed what;
+          if tables <> snd expected then
+            QCheck.Test.fail_reportf "tables differ for seed %d (%s)" seed what;
+          true)
+        (scan_configs [ 8; 24; 8 * (1 + (seed mod 97)); 4096 ]))
 
-(* Deterministic edge cases for the one-pass scan, each compared with
-   [Reference_scan]. The pass loads the image's aligned 8-byte words
-   and tests an anchor window only where a word holds a NUL; each case
+(* Deterministic edge cases for the streamed scan, each compared with
+   [Reference_scan] under both kernels and windows of 8, 24, 56 and
+   4096 bytes. The kernel loads the image's aligned 8-byte words and
+   lists an anchor candidate only where a NUL precedes a 'p'; each case
    names the bug (planted in a scratch copy) that it catches:
    - the anchor window at every byte of a word, at 64 .. 79 and in the
      last windows (a NUL-test loop over bytes 0-6 or 1-7 of a word);
@@ -511,7 +546,16 @@ let prop_scans_match_reference =
    Two equally wide sections must resolve to the first, and a 3-entry
    run of each layout is found at every offset of two words, at offset
    64 and ending at the image's last byte. Image lengths cover every
-   residue mod 8. *)
+   residue mod 8. Three shapes test what the scan carries from one
+   window to the next, at 64 offsets each:
+   - a region that ends at a 65-byte name (a walk that restarts its
+     run of printable bytes at each window);
+   - a region that runs into zeros to the image's end, whole zero
+     windows and a short last one (a zero-window skip not clamped to
+     the bytes fed);
+   - a name that [read_cstr] follows past the region's end, through a
+     non-name byte to a NUL beyond (releasing the window that holds
+     that NUL). *)
 let test_scan_edge_cases () =
   let kbase = 0x7fff_0040_0000 in
   let noise n seed =
@@ -535,20 +579,22 @@ let test_scan_edge_cases () =
     | KV.Prel32 -> "prel32"
   in
   let scan img = Vmsh.Symbol_analysis.scan_image img ~kbase in
+  let configs = scan_configs [ 8; 24; 56; 4096 ] in
   let compare_scans what img =
-    let expected = Reference_scan.find_strings_region img in
-    let scan = scan img in
-    if Vmsh.Symbol_analysis.strings_region scan <> expected then
-      Alcotest.failf "%s: strings region differs from the reference" what;
-    let region = match expected with Ok r -> r | Error _ -> (0, 0) in
-    List.iter2
-      (fun layout (l, off, entries) ->
-        if l <> layout
-           || (off, entries) <> Reference_scan.find_table img ~kbase ~region layout
-        then Alcotest.failf "%s: %s table differs from the reference" what
-               (layout_name layout))
-      layouts
-      (Vmsh.Symbol_analysis.tables scan ~region)
+    let region, tables = reference_scan img ~kbase in
+    List.iter
+      (fun (config, scan) ->
+        let region', tables' = scan_result (scan img ~kbase) in
+        if region' <> region then
+          Alcotest.failf "%s (%s): strings region differs from the reference"
+            what config;
+        List.iter2
+          (fun (layout, t) (_, t') ->
+            if t' <> t then
+              Alcotest.failf "%s (%s): %s table differs from the reference"
+                what config (layout_name layout))
+          tables tables')
+      configs
   in
   let strings_region img = Vmsh.Symbol_analysis.strings_region (scan img) in
   let anchor = Reference_scan.anchor_symbol in
@@ -642,11 +688,10 @@ let test_scan_edge_cases () =
     compare_scans what img;
     (* starts are tried every 8 bytes, so only an aligned run counts *)
     if at mod 8 = 0 then
-      let region = Result.get_ok (strings_region img) in
       let _, off, entries =
         List.find
           (fun (l, _, _) -> l = layout)
-          (Vmsh.Symbol_analysis.tables (scan img) ~region)
+          (Vmsh.Symbol_analysis.tables (scan img))
       in
       if off <> at || List.length entries <> 3 then
         Alcotest.failf "%s: the planted run was not found" what
@@ -703,6 +748,78 @@ let test_scan_edge_cases () =
   List.iter
     (fun n -> compare_scans (Printf.sprintf "%d-byte image" n) (noise n 1))
     [ 0; 1; 7; 8; 9; 15; 16; 17 ];
+  (* [names] planted so that their last NUL is the byte before [fin] *)
+  let plant_before img fin names =
+    let len = 1 + List.fold_left (fun a s -> a + String.length s + 1) 0 names in
+    fst (plant_names img (fin - len) names)
+  in
+  (* a region ending at a 65-byte name: the walk's run of printable
+     bytes carries across windows, and the region ends at the name's
+     65th byte *)
+  let long_name_case n at =
+    let img = noise n at in
+    ignore (plant_before img at [ "alpha"; anchor; "beta" ]);
+    Bytes.fill img at 65 'q';
+    Bytes.set img (at + 65) '\000';
+    let what = Printf.sprintf "n=%d, a 65-byte name at %d" n at in
+    compare_scans what img;
+    match strings_region img with
+    | Ok (_, hi) when hi = at + 64 -> ()
+    | _ -> Alcotest.failf "%s: the region must end at the name's 65th byte" what
+  in
+  (* a region that runs into zeros from [z] to the image's end: whole
+     zero windows and a short last one *)
+  let zero_tail_case n z =
+    let img = noise n z in
+    Bytes.fill img z (n - z) '\000';
+    ignore (plant_before img z [ "alpha"; anchor; "beta" ]);
+    let what = Printf.sprintf "n=%d, zeros from %d" n z in
+    compare_scans what img;
+    match strings_region img with
+    | Ok (_, hi) when hi = n -> ()
+    | _ -> Alcotest.failf "%s: the region must run to the image's end" what
+  in
+  (* a name that [read_cstr] follows past the region's end: a non-name
+     byte replaces the NUL after "gamma", at [cut], and a NUL follows
+     "tail" beyond it; a 3-entry table at 0x400 names alpha, beta and
+     gamma *)
+  let past_end_case n cut layout =
+    let img = noise n cut in
+    let names = plant_before img (cut + 1) [ "alpha"; anchor; "beta"; "gamma" ] in
+    Bytes.set img cut '\xff';
+    Bytes.blit_string "tail\000" 0 img (cut + 1) 5;
+    let syms =
+      List.map
+        (fun (name, _) -> { Linux_guest.Ksymtab.name; va = kbase + 8 })
+        (List.filter (fun (name, _) -> name <> anchor) names)
+    in
+    let tbl =
+      Linux_guest.Ksymtab.build_table layout ~syms ~strings_va:kbase
+        ~table_va:(kbase + 0x400) ~name_offsets:names
+    in
+    Bytes.blit tbl 0 img 0x400 (Bytes.length tbl);
+    let what =
+      Printf.sprintf "n=%d, %s names \"gamma\" cut at %d" n (layout_name layout) cut
+    in
+    compare_scans what img;
+    let _, _, entries =
+      List.find (fun (l, _, _) -> l = layout) (Vmsh.Symbol_analysis.tables (scan img))
+    in
+    if not (List.mem_assoc "gamma\xfftail" entries) then
+      Alcotest.failf "%s: the name must run past the region's end" what
+  in
+  for d = 0 to 63 do
+    long_name_case 0x800 (0x200 + d)
+  done;
+  List.iter
+    (fun n -> List.iter (zero_tail_case n) [ 0x1000 + 100; 0x1fff; 0x2000 ])
+    [ 0x3000; 0x3003 ];
+  List.iter
+    (fun layout ->
+      for d = 0 to 63 do
+        past_end_case 0x800 (0x200 + d) layout
+      done)
+    layouts;
   anchor_case 8 0;
   anchor_case 9 1
 
